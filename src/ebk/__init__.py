@@ -74,4 +74,5 @@ from .compare import (
     match_spectra,
     verify_weyl,
     weyl_check,
+    weyl_check_pairs,
 )

@@ -226,24 +226,16 @@ def build_action_table(
     *,
     trace_tol: float = 1e-10,
     n_points: int = 4096,
-    map_fn=map,
 ) -> ActionTable:
     """Sample (A0, tau) at Lobatto energies and fit the monotone interpolant.
 
-    map_fn lets callers hand in a parallel map; samples are reassembled in
-    energy order either way.
+    All samples are traced together in one batched integration.
     """
     if n_samples < 9:
         raise ValueError("need at least 9 action samples")
     energies = _lobatto(window, n_samples)
-
-    def _one(energy):
-        c = trace_family_component(
-            spec, family, float(energy), trace_tol=trace_tol, n_points=n_points
-        )
-        return c
-
-    components = list(map_fn(_one, energies))
+    seeds = [refine_to_level(spec, family.seed_near(e), e) for e in energies]
+    components = trace_component(spec, seeds, energies, trace_tol, n_points=n_points)
     a0 = np.array([c.action for c in components])
     tau = np.array([c.period for c in components])
     mu = maslov_index(components[0])

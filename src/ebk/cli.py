@@ -27,7 +27,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a configured pipeline")
     p_run.add_argument("--config", required=True, help="path to the JSON run config")
     p_run.add_argument("--output-dir", default=None, help="override config output_dir")
-    p_run.add_argument("--threads", type=int, default=1, help="worker threads")
+    p_run.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="accepted for compatibility; has no effect (tracing is batched, one thread)",
+    )
     p_run.add_argument("--verbose", action="store_true", help="print stage progress")
 
     p_val = sub.add_parser("validate", help="check a config file and exit")

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import BijectionFailure, UnsafeEndpoint
 from .oracle import EigenResult, OracleRun, count_below, solve_window
 from .portrait import build_families
-from .solver import BsSpectrum, exact_weyl_count, merged_spectrum, spacing_floor
+from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum, spacing_floor
 from .symbols import EnergyWindow, SymbolSpec
 from .action import ActionTable, build_action_table
 
@@ -172,12 +172,31 @@ def convergence_study(
 class WeylCheck:
     e1t: float
     e2t: float
-    formula_count: int
     oracle_count: int
+    weyl: WeylCount  # the formula's per-family counts and asymptotics
+
+    @property
+    def formula_count(self) -> int:
+        return self.weyl.count
 
     @property
     def ok(self) -> bool:
         return self.formula_count == self.oracle_count
+
+
+def weyl_check_pairs(
+    tables: list[ActionTable],
+    bs: BsSpectrum,
+    oracle_run: OracleRun,
+    pairs,
+) -> list[WeylCheck]:
+    """weyl_check for each (e1t, e2t) of pairs, with one Sturm sweep for all."""
+    counts = [exact_weyl_count(tables, bs.hbar, e1t, e2t, bs) for e1t, e2t in pairs]
+    below = count_below(oracle_run.operator, np.ravel(pairs)).reshape(-1, 2)
+    return [
+        WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc)
+        for (e1t, e2t), wc, (lo, hi) in zip(pairs, counts, below)
+    ]
 
 
 def weyl_check(
@@ -188,11 +207,7 @@ def weyl_check(
     e2t: float,
 ) -> WeylCheck:
     """Exact formula count against the Sturm count on the fine grid."""
-    wc = exact_weyl_count(tables, bs.hbar, e1t, e2t, bs)
-    lo, hi = count_below(oracle_run.operator, np.array([e1t, e2t]))
-    return WeylCheck(
-        e1t=e1t, e2t=e2t, formula_count=wc.count, oracle_count=int(hi - lo)
-    )
+    return weyl_check_pairs(tables, bs, oracle_run, [(e1t, e2t)])[0]
 
 
 def verify_weyl(

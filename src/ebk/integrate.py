@@ -1,13 +1,19 @@
-"""Embedded Dormand-Prince 5(4) stepper with quartic dense output.
+"""Embedded Dormand-Prince 5(4) stepper with quartic dense output, batched.
 
-Written for small autonomous systems (the traced flows are 3-dimensional:
-position, momentum, accumulated action), so the stepper favors simplicity
-and per-step dense coefficients over large-system throughput.
+The traced flows are small autonomous systems (position, momentum,
+accumulated action), and a scan needs many of them at once: one orbit per
+energy of an action table or per candidate of a family scan. The stepper
+therefore advances a (dim, m) batch of independent states in one loop, the
+standard batched-IVP form of the DP5(4) pair with Shampine dense output
+(Hairer, Norsett, Wanner, Solving ODEs I, II.4-6). Every column keeps its
+own time, step size, accept/reject decision, FSAL stage and error norm, and
+all arithmetic is column by column, so a column advances bit for bit as it
+would alone. The right-hand side is evaluated once per stage for all live
+columns together, which is where the batch saves interpreter overhead.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,88 +46,128 @@ _P = np.array(
     ]
 )
 
+# The weights above shaped to broadcast against stage values (stages, dim, m).
+_A3 = tuple(a[:, None, None] for a in _A)
+_B3, _E3 = _B[:, None, None], _E[:, None, None]
+_P3 = _P.T[:, :, None, None]
+
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
+def _dense(t0, h, y0, q, t):
+    """y(t) = y0 + h * (q[0] th + q[1] th^2 + q[2] th^3 + q[3] th^4), th = (t - t0)/h.
+
+    q holds the four interpolant coefficients on its first axis; the other
+    arguments broadcast against q[0].
+    """
+    theta = (t - t0) / h
+    return y0 + h * theta * (q[0] + theta * (q[1] + theta * (q[2] + theta * q[3])))
+
+
 @dataclass(frozen=True)
 class Step:
-    """One accepted step: dense state y(t0 + theta*h) = y0 + h * Q @ powers(theta)."""
+    """Accepted steps of the batch columns cols in one attempt.
 
-    t0: float
-    h: float
-    y0: np.ndarray
-    y1: np.ndarray
-    q: np.ndarray  # (dim, 4)
-
-    def eval(self, t: float) -> np.ndarray:
-        theta = (t - self.t0) / self.h
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return self.y0 + self.h * (self.q @ powers)
-
-    def eval_many(self, ts: np.ndarray) -> np.ndarray:
-        theta = (ts - self.t0) / self.h
-        powers = np.vstack([theta, theta**2, theta**3, theta**4])
-        return self.y0[:, None] + self.h * (self.q @ powers)
-
-
-def _initial_step(f, y0, tol):
-    scale = np.linalg.norm(y0) + 1.0
-    rate = np.linalg.norm(f(y0)) + 1e-12
-    h = 0.01 * scale / rate
-    return min(max(h, 1e-8), 0.5)
-
-
-def dp45_steps(f, y0, tol: float, t_max: float):
-    """Yield accepted Step objects from t=0 until t_max.
-
-    tol is used as both absolute and relative local error target per step.
+    Entry j is the step of column cols[j] from t0[j] to t0[j] + h[j]; its
+    dense state is _dense(t0, h, y0, q, t) column by column.
     """
-    t = 0.0
-    y = np.asarray(y0, dtype=float)
-    dim = y.size
-    k = np.empty((7, dim))
+
+    cols: np.ndarray  # (k,) batch column indices
+    t0: np.ndarray  # (k,)
+    h: np.ndarray  # (k,)
+    y0: np.ndarray  # (dim, k)
+    y1: np.ndarray  # (dim, k)
+    q: np.ndarray  # (4, dim, k)
+
+    def eval(self, t: np.ndarray) -> np.ndarray:
+        """Dense state at one time per column, (k,) -> (dim, k)."""
+        return _dense(self.t0, self.h, self.y0, self.q, t)
+
+    def take(self, idx) -> "Step":
+        """The entries idx of this step."""
+        return Step(
+            self.cols[idx], self.t0[idx], self.h[idx],
+            self.y0[:, idx], self.y1[:, idx], self.q[:, :, idx],
+        )
+
+
+def _combine(w, k):
+    """sum_s w[..., s, 0, 0] k[s] for stage weights w (..., s, 1, 1), k (stages, dim, m).
+
+    Elementwise products summed in stage order: a column's result does not
+    depend on the other columns of the batch, so a batched column advances
+    bit for bit as it would alone.
+    """
+    return np.add.reduce(w * k[: w.shape[-3]], axis=-3)
+
+
+def _initial_step(f, y0):
+    scale = np.linalg.norm(y0, axis=0) + 1.0
+    rate = np.linalg.norm(f(y0), axis=0) + 1e-12
+    return np.clip(0.01 * scale / rate, 1e-8, 0.5)
+
+
+def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
+    """Yield a Step for every attempt in which at least one column is accepted.
+
+    y0 is one (dim,) state or a (dim, m) batch of states; f maps a
+    (dim, k) array of states to their derivatives column by column. Each
+    column runs from t = 0 until t_max. tol is used as both absolute and
+    relative local error target per step. active, an optional (m,) bool
+    array, stops a column once the caller clears its entry between two
+    steps. f is evaluated 2 times at start-up and 6 times per attempt.
+    Raises RuntimeError on step-size underflow in any column.
+    """
+    y = np.array(y0, dtype=float)
+    if y.ndim == 1:
+        y = y[:, None]
+    dim, m = y.shape
+    cols = np.arange(m)  # batch column of each live column
+    t = np.zeros(m)
+    k = np.empty((7, dim, m))
     k[0] = f(y)
-    h = _initial_step(f, y, tol)
-    while t < t_max:
-        if t + h > t_max:
-            h = t_max - t
+    h = _initial_step(f, y)
+    while True:
+        live = t < t_max
+        if active is not None:
+            live &= active[cols]
+        if not live.all():
+            cols, t, h, y = cols[live], t[live], h[live], y[:, live]
+            k = np.ascontiguousarray(k[:, :, live])  # keeps the summation order
+        if not cols.size:
+            return
+        h = np.where(t + h > t_max, t_max - t, h)
         for i in range(1, 7):
-            k[i] = f(y + h * (_A[i] @ k[:i]))
-        y1 = y + h * (_B @ k)
-        err_vec = h * (_E @ k)
+            k[i] = f(y + h * _combine(_A3[i], k))
+        y1 = y + h * _combine(_B3, k)
+        err_vec = h * _combine(_E3, k)
         scale = tol + tol * np.maximum(np.abs(y), np.abs(y1))
-        err = math.sqrt(float(np.mean((err_vec / scale) ** 2)))
-        if err <= 1.0:
-            q = k.T @ _P
-            step = Step(t, h, y.copy(), y1.copy(), q)
-            t += h
-            y = y1
-            k[0] = k[6]  # FSAL
+        ratio = err_vec / scale
+        err = np.sqrt((ratio * ratio).sum(axis=0) / dim)
+        ok = err <= 1.0
+        # err = 0 gives the largest growth factor, as does any err < 1e-300.
+        factor = np.clip(_SAFETY * np.maximum(err, 1e-300) ** -0.2, _MIN_FACTOR, _MAX_FACTOR)
+        if ok.any():
+            q = _combine(_P3, k)[:, :, ok]
+            step = Step(cols[ok], t[ok], h[ok], y[:, ok], y1[:, ok], q)
+            t[ok] += h[ok]
+            y[:, ok] = y1[:, ok]
+            k[0][:, ok] = k[6][:, ok]  # FSAL
             yield step
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, _SAFETY * err ** (-0.2)
-            )
-            h *= max(_MIN_FACTOR, factor)
-        else:
-            h *= max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
-            if h < 1e-14 * max(1.0, abs(t)):
-                raise RuntimeError("step size underflow in dp45")
+        h = h * factor
+        if np.any(~ok & (h < 1e-14 * np.maximum(1.0, np.abs(t)))):
+            raise RuntimeError("step size underflow in dp45")
 
 
-def resample(steps: list[Step], ts: np.ndarray) -> np.ndarray:
-    """Evaluate the dense trajectory at sorted times ts; returns (len(ts), dim)."""
-    ends = np.array([s.t0 + s.h for s in steps])
-    idx = np.searchsorted(ends, ts, side="left")
-    idx = np.clip(idx, 0, len(steps) - 1)
-    out = np.empty((ts.size, steps[0].y0.size))
-    start = 0
-    while start < ts.size:
-        stop = start
-        seg = idx[start]
-        while stop < ts.size and idx[stop] == seg:
-            stop += 1
-        out[start:stop] = steps[seg].eval_many(ts[start:stop]).T
-        start = stop
-    return out
+def resample(t0, h, y0, q, ts: np.ndarray) -> np.ndarray:
+    """Evaluate one column's dense trajectory at sorted times ts.
+
+    t0, h (n,), y0 (n, dim) and q (n, 4, dim) are its accepted steps in
+    time order; returns (len(ts), dim).
+    """
+    idx = np.clip(np.searchsorted(t0 + h, ts, side="left"), 0, len(t0) - 1)
+    return _dense(
+        t0[idx, None], h[idx, None], y0[idx], np.moveaxis(q[idx], 1, 0), ts[:, None]
+    )

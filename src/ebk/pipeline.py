@@ -3,8 +3,8 @@
 Stages run in dependency order; a failing stage aborts only its dependents,
 and every failure is recorded in the manifest. All artifacts are written
 with deterministic ordering and 17-significant-digit floats, so a run with
-the same config and seed reproduces identical file hashes regardless of the
-worker count (the manifest itself carries wall times and is exempt).
+the same config and seed reproduces identical file hashes (the manifest
+itself carries wall times and is exempt).
 """
 
 from __future__ import annotations
@@ -12,14 +12,13 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .action import build_action_table
-from .compare import draw_safe_endpoints, match_spectra, weyl_check
+from .compare import draw_safe_endpoints, match_spectra, weyl_check_pairs
 from .config import STAGE_DEPS, RunConfig
 from .errors import (
     BijectionFailure,
@@ -41,7 +40,6 @@ from .portrait import families_with_components
 from .solver import (
     branch_energy,
     doublet_scan,
-    exact_weyl_count,
     exit_hbar,
     merged_spectrum,
 )
@@ -110,10 +108,9 @@ def _sha256(path: Path) -> str:
 
 
 class _RunState:
-    def __init__(self, config: RunConfig, out_dir: Path, threads: int):
+    def __init__(self, config: RunConfig, out_dir: Path):
         self.config = config
         self.out = out_dir
-        self.threads = max(1, threads)
         self.spec = config.symbol()
         self.window = config.window
         self.rng = np.random.default_rng(config.seed)
@@ -136,13 +133,6 @@ class _RunState:
         path = self.out / name
         _write_json(path, obj)
         self.files[name] = _sha256(path)
-
-    def pmap(self, fn, items):
-        items = list(items)
-        if self.threads <= 1 or len(items) <= 1:
-            return [fn(v) for v in items]
-        with ThreadPoolExecutor(max_workers=self.threads) as pool:
-            return list(pool.map(fn, items))
 
 
 def _stage_trace(state: _RunState):
@@ -170,17 +160,12 @@ def _stage_trace(state: _RunState):
 
 def _stage_actions(state: _RunState):
     cfg = state.config
-
-    def _one(family):
-        return build_action_table(
-            state.spec,
-            family,
-            state.window,
-            cfg.action_samples,
-            trace_tol=cfg.trace_tol,
+    state.tables = [
+        build_action_table(
+            state.spec, family, state.window, cfg.action_samples, trace_tol=cfg.trace_tol
         )
-
-    state.tables = state.pmap(_one, state.families)
+        for family in state.families
+    ]
     rows = []
     for table in state.tables:
         for e, a0, tau in zip(table.energies, table.a0, table.tau):
@@ -287,13 +272,12 @@ def _stage_weyl(state: _RunState):
             state.rng, state.tables, bs, state.window, _WEYL_TRIALS
         )
         trials = []
-        for e1t, e2t in pairs:
-            chk = weyl_check(state.tables, bs, run, e1t, e2t)
-            wc = exact_weyl_count(state.tables, hbar, e1t, e2t, bs)
+        for chk in weyl_check_pairs(state.tables, bs, run, pairs):
+            wc = chk.weyl
             trials.append(
                 {
-                    "e1": e1t,
-                    "e2": e2t,
+                    "e1": chk.e1t,
+                    "e2": chk.e2t,
                     "formula": chk.formula_count,
                     "oracle": chk.oracle_count,
                     "exact": chk.ok,
@@ -365,10 +349,14 @@ def run(
     threads: int = 1,
     verbose: bool = False,
 ) -> tuple[dict, int]:
-    """Execute the configured pipeline; returns (manifest, exit_code)."""
+    """Execute the configured pipeline; returns (manifest, exit_code).
+
+    threads is accepted for compatibility and has no effect: every stage
+    runs in the calling thread.
+    """
     out = Path(output_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    state = _RunState(config, out, threads)
+    state = _RunState(config, out)
     manifest: dict = {
         "config": config.to_json_dict(),
         "version": __version__,

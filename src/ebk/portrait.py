@@ -10,7 +10,9 @@ candidate then seeds an integration of the flow
 which traces the component, detects the first return through a section
 normal to the flow at the seed, and accumulates the loop action integral
 of xi dx along the way. Period, action and the sample polyline therefore
-come from a single adaptive integration.
+come from a single adaptive integration. The orbits of a scan (every
+candidate of every sampled energy) are integrated together as one batch,
+each with its own step size, section and return test.
 
 Component counting near a topology change never relies on tracing (a trace
 started on a critical level would stall), only on the marching pass.
@@ -225,112 +227,184 @@ def refine_to_level(spec, point, energy, tol=1e-12, max_iter=80):
     raise EmptyLevelSet(f"could not refine seed onto level {energy:g}")
 
 
+class _History:
+    """Dense-output history of a batch, x and xi rows only.
+
+    Steps are stored per column in preallocated (steps, ..., m) buffers that
+    grow geometrically, so a batch never builds a list of step objects.
+    """
+
+    def __init__(self, m: int, capacity: int = 256):
+        self.n = np.zeros(m, dtype=int)
+        self.t0 = np.empty((capacity, m))
+        self.h = np.empty((capacity, m))
+        self.y0 = np.empty((capacity, 2, m))
+        self.q = np.empty((capacity, 4, 2, m))
+
+    def append(self, step: integrate.Step):
+        rows, cols = self.n[step.cols], step.cols
+        if rows.max() >= len(self.t0):
+            for name in ("t0", "h", "y0", "q"):
+                old = getattr(self, name)
+                grown = np.empty((2 * len(old),) + old.shape[1:])
+                grown[: len(old)] = old
+                setattr(self, name, grown)
+        self.t0[rows, cols] = step.t0
+        self.h[rows, cols] = step.h
+        self.y0[rows, :, cols] = step.y0[:2].T
+        self.q[rows, :, :, cols] = step.q[:, :2].transpose(2, 0, 1)
+        self.n[cols] += 1
+
+    def resample(self, j: int, ts: np.ndarray) -> np.ndarray:
+        n = self.n[j]
+        return integrate.resample(
+            self.t0[:n, j], self.h[:n, j], self.y0[:n, :, j], self.q[:n, :, :, j], ts
+        )
+
+
+def _bisect_crossing(step: integrate.Step, section) -> np.ndarray:
+    """Time in each entry of step where section(state) turns non-negative.
+
+    section(step.eval(t0)) < 0 <= section(step.eval(t0 + h)) entry by
+    entry; each bracket is halved on the dense output until it is at most
+    1e-13 wide (64 halvings at most).
+    """
+    lo, hi = step.t0, step.t0 + step.h
+    bisecting = np.ones(len(lo), dtype=bool)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        below = section(step.eval(mid)) < 0.0
+        lo = np.where(bisecting & below, mid, lo)
+        hi = np.where(bisecting & ~below, mid, hi)
+        bisecting &= hi - lo > 1e-13
+        if not bisecting.any():
+            break
+    return 0.5 * (lo + hi)
+
+
 def trace_component(
     spec: SymbolSpec,
-    seed: tuple[float, float],
-    energy: float,
+    seed,
+    energy,
     trace_tol: float = DEFAULT_TRACE_TOL,
     *,
     max_time: float = DEFAULT_MAX_TIME,
     n_points: int = DEFAULT_POINTS,
-) -> LevelComponent:
+) -> LevelComponent | list[LevelComponent]:
     """Trace the closed flow orbit through seed on {H = E}.
+
+    seed is one (x, xi) pair with a scalar energy, giving one
+    LevelComponent, or a sequence of m pairs with a sequence of m energies,
+    giving a list of m components traced together in one batched
+    integration; each orbit of a batch is traced as it would be alone.
 
     The first return is detected on the section through the seed normal to
     the flow, accepting only crossings in the flow direction that land back
     at the seed within trace_tol; the return time is refined by bisection on
-    the dense output to 1e-13. Raises NotClosedOrbit if no return occurs
-    before max_time and TraceDiverged if sampled energies drift.
+    the dense output to 1e-13. Raises ValueError if a seed sits at a
+    near-critical point, NotClosedOrbit if an orbit does not return before
+    max_time and TraceDiverged if its sampled energies drift.
     """
-    sx, sxi = float(seed[0]), float(seed[1])
+    batch = np.ndim(energy) > 0
+    seeds = np.array(seed, dtype=float).reshape(-1, 2)
+    energies = np.atleast_1d(np.asarray(energy, dtype=float))
+    if len(seeds) != len(energies):
+        raise ValueError(f"{len(seeds)} seeds for {len(energies)} energies")
+    m = len(seeds)
+    sx, sxi = seeds[:, 0].copy(), seeds[:, 1].copy()
     gx, gxi = spec.gradient(sx, sxi)
-    gx, gxi = float(gx), float(gxi)
-    speed = math.hypot(gxi, gx)
-    if speed <= _MIN_GRAD:
+    speed = np.hypot(gxi, gx)
+    if np.any(speed <= _MIN_GRAD):
         raise ValueError("seed gradient too small; refusing to trace near a critical point")
-    nvec = (gxi / speed, -gx / speed)  # flow direction at the seed
+    nx, nxi = gxi / speed, -gx / speed  # flow direction at each seed
+
+    def section(y, c):
+        """Signed distance of states y of columns c past their seed sections."""
+        return nx[c] * (y[0] - sx[c]) + nxi[c] * (y[1] - sxi[c])
 
     def rhs(y):
         dx, dxi = spec.gradient(y[0], y[1])
-        dx, dxi = float(dx), float(dxi)
         return np.array([dxi, -dx, y[1] * dxi])
 
-    def section(p):
-        return nvec[0] * (p[0] - sx) + nvec[1] * (p[1] - sxi)
-
-    y0 = np.array([sx, sxi, 0.0])
+    y0 = np.vstack([sx, sxi, np.zeros(m)])
     local_tol = trace_tol * _LOCAL_TOL_FACTOR
-    steps: list[integrate.Step] = []
-    g_prev = 0.0
-    period = None
-    y_ret = None
-    step_iter = integrate.dp45_steps(rhs, y0, local_tol, max_time)
+    history = _History(m)
+    running = np.ones(m, dtype=bool)  # not yet returned; the stepper drops the rest
+    g_prev = np.zeros(m)
+    period = np.zeros(m)
+    y_ret = np.zeros((3, m))
+    steps = integrate.dp45_steps(rhs, y0, local_tol, max_time, active=running)
     while True:
         try:
-            step = next(step_iter)
+            step = next(steps)
         except StopIteration:
             break
         except RuntimeError as exc:  # step-size underflow inside the stepper
             raise TraceDiverged(str(exc)) from exc
-        steps.append(step)
-        g_new = section(step.y1)
-        if g_prev < 0.0 <= g_new:
-            lo, hi = step.t0, step.t0 + step.h
-            for _ in range(64):
-                mid = 0.5 * (lo + hi)
-                if section(step.eval(mid)) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-                if hi - lo <= 1e-13:
-                    break
-            t_star = 0.5 * (lo + hi)
-            y_star = step.eval(t_star)
-            if math.hypot(y_star[0] - sx, y_star[1] - sxi) <= trace_tol:
-                period = t_star
-                y_ret = y_star
-                break
-        g_prev = g_new
-    if period is None:
+        history.append(step)
+        g_new = section(step.y1, step.cols)
+        hit = (g_prev[step.cols] < 0.0) & (g_new >= 0.0)
+        g_prev[step.cols] = g_new
+        if not hit.any():
+            continue
+        cross = step.take(hit)
+        c = cross.cols
+        t_star = _bisect_crossing(cross, lambda y: section(y, c))
+        y_star = cross.eval(t_star)
+        back = np.hypot(y_star[0] - sx[c], y_star[1] - sxi[c]) <= trace_tol
+        period[c[back]] = t_star[back]
+        y_ret[:, c[back]] = y_star[:, back]
+        running[c[back]] = False
+    if running.any():
+        j = int(np.argmax(running))
         raise NotClosedOrbit(
-            f"no return to the section within t = {max_time:g} from seed ({sx:g}, {sxi:g})"
+            f"no return to the section within t = {max_time:g} from seed "
+            f"({sx[j]:g}, {sxi[j]:g})"
         )
 
-    ts = np.linspace(0.0, period, n_points, endpoint=False)
-    samples = integrate.resample(steps, ts)
-    points = samples[:, :2]
-    drift = np.abs(
-        np.asarray(spec.value(points[:, 0], points[:, 1]), dtype=float) - energy
-    )
-    if float(np.max(drift)) > trace_tol:
-        raise TraceDiverged(
-            f"energy drift {float(np.max(drift)):.3e} exceeds {trace_tol:g}"
+    components = []
+    for j in range(m):
+        ts = np.linspace(0.0, period[j], n_points, endpoint=False)
+        points = history.resample(j, ts)
+        drift = np.abs(
+            np.asarray(spec.value(points[:, 0], points[:, 1]), dtype=float) - energies[j]
         )
-    return LevelComponent(
-        energy=energy,
-        points=points,
-        times=ts,
-        period=float(period),
-        seed=(sx, sxi),
-        orientation=+1,
-        action=float(y_ret[2]),
-        trace_tol=trace_tol,
-        closure_gap=float(math.hypot(y_ret[0] - sx, y_ret[1] - sxi)),
-    )
+        if float(np.max(drift)) > trace_tol:
+            raise TraceDiverged(
+                f"energy drift {float(np.max(drift)):.3e} exceeds {trace_tol:g}"
+            )
+        components.append(
+            LevelComponent(
+                energy=float(energies[j]),
+                points=points,
+                times=ts,
+                period=float(period[j]),
+                seed=(float(sx[j]), float(sxi[j])),
+                orientation=+1,
+                action=float(y_ret[2, j]),
+                trace_tol=trace_tol,
+                closure_gap=float(math.hypot(y_ret[0, j] - sx[j], y_ret[1, j] - sxi[j])),
+            )
+        )
+    return components if batch else components[0]
 
 
-def _components_at(spec, energy, box, grid_n, trace_tol, n_points=DEFAULT_POINTS):
-    """All components of {H = E} in the box, traced and deduplicated."""
-    loops = _marching_loops(spec, energy, box, grid_n)
-    candidates = [refine_to_level(spec, loop[0], energy) for loop in loops]
+def _candidates(spec, energy, loops):
+    """One seed per marching loop, refined onto the level set."""
+    return [refine_to_level(spec, loop[0], energy) for loop in loops]
+
+
+def _distinct(candidates, traces):
+    """Traces of distinct components, first come first kept.
+
+    A candidate is covered once a kept trace passes within its polyline
+    resolution; the trace of a covered candidate is dropped.
+    """
     components: list[LevelComponent] = []
     covered = [False] * len(candidates)
-    for i, cand in enumerate(candidates):
+    for i, comp in enumerate(traces):
         if covered[i]:
             continue
-        comp = trace_component(
-            spec, cand, energy, trace_tol, n_points=n_points
-        )
         components.append(comp)
         chords = np.linalg.norm(np.diff(comp.points, axis=0, append=comp.points[:1]), axis=1)
         merge_dist = max(3.0 * float(np.max(chords)), 1e-9)
@@ -341,6 +415,15 @@ def _components_at(spec, energy, box, grid_n, trace_tol, n_points=DEFAULT_POINTS
             if d <= merge_dist:
                 covered[j] = True
     return components
+
+
+def _components_at(spec, energy, box, grid_n, trace_tol, n_points=DEFAULT_POINTS):
+    """All components of {H = E} in the box, traced and deduplicated."""
+    candidates = _candidates(spec, energy, _marching_loops(spec, energy, box, grid_n))
+    traces = trace_component(
+        spec, candidates, [energy] * len(candidates), trace_tol, n_points=n_points
+    )
+    return _distinct(candidates, traces)
 
 
 def seed_components(
@@ -400,7 +483,8 @@ def families_with_components(
     """build_families plus the traced components, grouped per family."""
     box = compact_preimage_box(spec, window)
     energies = np.linspace(window.e1, window.e2, n_samples)
-    counts = [marching_component_count(spec, e, box, grid_n) for e in energies]
+    loops = [_marching_loops(spec, e, box, grid_n) for e in energies]
+    counts = [len(ls) for ls in loops]
     if len(set(counts)) != 1:
         raise NonConstantTopology(
             f"component count varies over the window: {sorted(set(counts))}"
@@ -409,10 +493,20 @@ def families_with_components(
     if d == 0:
         raise EmptyLevelSet("window contains no level-set components")
 
-    per_energy = [
-        _components_at(spec, e, box, grid_n, trace_tol, n_points=n_points)
-        for e in energies
-    ]
+    # Every candidate of every energy is traced in one batch, then each
+    # energy's traces are deduplicated in candidate order.
+    candidates = [_candidates(spec, e, ls) for e, ls in zip(energies, loops)]
+    traces = trace_component(
+        spec,
+        [c for cs in candidates for c in cs],
+        np.repeat(energies, counts),
+        trace_tol,
+        n_points=n_points,
+    )
+    per_energy = []
+    for cs in candidates:
+        per_energy.append(_distinct(cs, traces[: len(cs)]))
+        traces = traces[len(cs) :]
     if any(len(comps) != d for comps in per_energy):
         raise NonConstantTopology("traced component count disagrees with the grid scan")
 

@@ -81,6 +81,22 @@ def test_verify_weyl_analytic(harmonic, harmonic_wide_table):
     assert chk.formula_count == chk.oracle_count == 8
 
 
+def test_weyl_check_pairs_matches_per_pair_checks(harmonic, harmonic_wide_table):
+    table = harmonic_wide_table
+    window = table.window
+    bs = ebk.merged_spectrum([table], 0.1, window)
+    run = ebk.solve_window(harmonic.potential, window, 0.1)
+    pairs = ebk.draw_safe_endpoints(np.random.default_rng(3), [table], bs, window, 6)
+    batch = ebk.weyl_check_pairs([table], bs, run, pairs)
+    assert len(batch) == len(pairs)
+    for chk, (e1t, e2t) in zip(batch, pairs):
+        one = ebk.weyl_check([table], bs, run, e1t, e2t)
+        lo, hi = ebk.count_below(run.operator, np.array([e1t, e2t]))
+        assert chk == one
+        assert chk.oracle_count == hi - lo
+        assert chk.weyl == ebk.exact_weyl_count([table], 0.1, e1t, e2t, bs)
+
+
 def test_draw_safe_endpoints_respects_floor(harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
     rng = np.random.default_rng(5)

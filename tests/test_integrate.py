@@ -1,0 +1,106 @@
+import numpy as np
+import pytest
+
+from ebk import integrate
+
+
+def _counted(f):
+    calls = []
+
+    def rhs(y):
+        calls.append(y.shape[1])
+        return f(y)
+
+    return rhs, calls
+
+
+def _pendulum(y):
+    # Large-amplitude pendulum plus the action integrand, column by column.
+    return np.array([y[1], -np.sin(y[0]), y[1] * y[1]])
+
+
+Y0 = np.array([[0.5, 2.0, 3.0, -1.0], [0.0, 0.3, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0]])
+
+
+def _history(steps, m):
+    """Per column: list of (t0, h, y1) of its accepted steps."""
+    out = [[] for _ in range(m)]
+    for step in steps:
+        for j, c in enumerate(step.cols):
+            out[c].append((step.t0[j], step.h[j], step.y1[:, j].copy()))
+    return out
+
+
+def test_batch_rhs_count_and_columns_match_single_runs():
+    rhs, calls = _counted(_pendulum)
+    steps = list(integrate.dp45_steps(rhs, Y0, 1e-9, 12.0))
+    attempts, extra = divmod(len(calls) - 2, 6)
+    assert extra == 0
+    assert attempts >= len(steps) > 0
+    # Every call sees the live columns at once.
+    assert calls[0] == calls[1] == Y0.shape[1]
+    batch = _history(steps, Y0.shape[1])
+    for j in range(Y0.shape[1]):
+        single_rhs, single_calls = _counted(_pendulum)
+        single = list(integrate.dp45_steps(single_rhs, Y0[:, j], 1e-9, 12.0))
+        assert (len(single_calls) - 2) % 6 == 0
+        ref = _history(single, 1)[0]
+        # A column's arithmetic does not depend on the rest of the batch.
+        assert len(batch[j]) == len(ref)
+        for (t0, h, y1), (t0r, hr, y1r) in zip(batch[j], ref):
+            assert (t0, h) == (t0r, hr)
+            np.testing.assert_array_equal(y1, y1r)
+        assert batch[j][-1][0] + batch[j][-1][1] == pytest.approx(12.0, abs=1e-12)
+
+
+def test_rejected_attempts_are_counted():
+    # A column starting almost at rest gets a 0.5 initial step, far too
+    # long for its frequency, so attempts are rejected; the batch holds
+    # a second column and still advances the first exactly as alone.
+    def oscillator(y):
+        return np.array([y[1], -400.0 * y[0]])
+
+    rhs, calls = _counted(oscillator)
+    slow = np.array([0.0, 1e-3])
+    steps = list(integrate.dp45_steps(rhs, slow, 1e-12, 1.0))
+    attempts, extra = divmod(len(calls) - 2, 6)
+    assert extra == 0
+    assert attempts > len(steps)
+    batch = list(
+        integrate.dp45_steps(oscillator, np.array([[1.0, 0.0], [0.0, 1e-3]]), 1e-12, 1.0)
+    )
+    ref = _history(steps, 1)[0]
+    got = _history(batch, 2)[1]
+    assert len(got) == len(ref)
+    assert all(a[0] == b[0] and a[1] == b[1] for a, b in zip(got, ref))
+
+
+def test_active_mask_stops_a_column():
+    rhs, calls = _counted(_pendulum)
+    active = np.ones(Y0.shape[1], dtype=bool)
+    seen = []
+    for step in integrate.dp45_steps(rhs, Y0, 1e-9, 12.0, active=active):
+        seen.append(set(step.cols.tolist()))
+        if len(seen) == 5:
+            active[1] = False
+    assert all(1 in cols for cols in seen[:5])
+    assert all(1 not in cols for cols in seen[5:])
+    assert (len(calls) - 2) % 6 == 0
+    assert Y0.shape[1] - 1 in calls
+
+
+def test_resample_matches_dense_step_output():
+    steps = list(integrate.dp45_steps(_pendulum, Y0[:, :1], 1e-9, 6.0))
+    t0 = np.array([s.t0[0] for s in steps])
+    h = np.array([s.h[0] for s in steps])
+    y0 = np.array([s.y0[:, 0] for s in steps])
+    q = np.array([s.q[:, :, 0] for s in steps])
+    ts = np.linspace(0.0, 6.0, 97, endpoint=False)
+    got = integrate.resample(t0, h, y0, q, ts)
+    for i, t in enumerate(ts):
+        s = steps[int(np.searchsorted(t0 + h, t))]
+        np.testing.assert_allclose(got[i], s.eval(np.array([t]))[:, 0], rtol=0, atol=1e-15)
+    # Step ends reproduce the accepted states.
+    np.testing.assert_allclose(
+        integrate.resample(t0, h, y0, q, t0[1:]), y0[1:], rtol=0, atol=1e-12
+    )

@@ -136,3 +136,72 @@ def test_box_doubling_stability(double_well):
             ebk.trace_component(double_well, s, energy).action for s in seeds_b
         )
         assert actions_a == pytest.approx(actions_b, abs=1e-9)
+
+
+def _one_at_a_time(spec, seeds, energies):
+    return [ebk.trace_component(spec, s, e) for s, e in zip(seeds, energies)]
+
+
+def test_batched_trace_matches_single_traces(double_well, dw_families):
+    kerr = ebk.kerr_symbol(0.5)
+    cases = []
+    # Both double-well families at mixed energies, interleaved in one batch.
+    energies = [0.15, 0.15, 0.42, 0.33, 0.58]
+    fams = [dw_families[0], dw_families[1], dw_families[1], dw_families[0], dw_families[0]]
+    seeds = [refine_to_level(double_well, f.seed_near(e), e) for f, e in zip(fams, energies)]
+    cases.append((double_well, seeds, energies))
+    # Kerr circles seeded on different axes.
+    energies = [0.3, 0.9, 0.6]
+    seeds = [
+        refine_to_level(kerr, s, e)
+        for s, e in zip([(1.0, 0.0), (0.0, 1.0), (-0.7, 0.7)], energies)
+    ]
+    cases.append((kerr, seeds, energies))
+    for spec, seeds, energies in cases:
+        batch = ebk.trace_component(spec, seeds, energies)
+        assert len(batch) == len(seeds)
+        for got, ref in zip(batch, _one_at_a_time(spec, seeds, energies)):
+            assert got.energy == ref.energy and got.seed == ref.seed
+            assert abs(got.action - ref.action) <= 1e-12
+            assert abs(got.period - ref.period) <= 1e-12
+            assert np.max(np.abs(got.points - ref.points)) <= 1e-10
+            assert got.closure_gap <= got.trace_tol
+
+
+def test_batched_trace_single_form(harmonic):
+    one = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
+    (listed,) = ebk.trace_component(harmonic, [(1.0, 0.0)], [0.5])
+    assert isinstance(one, ebk.LevelComponent)
+    assert one.action == listed.action and one.period == listed.period
+    with pytest.raises(ValueError):
+        ebk.trace_component(harmonic, [(1.0, 0.0)], [0.5, 0.5])
+
+
+def test_batched_trace_bad_column_raises(quartic):
+    # Quartic periods shrink with energy: at E = 16 the orbit closes in half
+    # the time of the E = 1 orbit, so a budget in between fails only column 0.
+    fast = ebk.trace_component(quartic, (2.0, 0.0), 16.0)
+    slow = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
+    assert fast.period < slow.period
+    budget = 0.5 * (fast.period + slow.period)
+    with pytest.raises(NotClosedOrbit):
+        ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0], max_time=budget)
+    # A near-critical seed anywhere in the batch is refused.
+    with pytest.raises(ValueError, match="seed gradient"):
+        ebk.trace_component(quartic, [(1.0, 0.0), (0.0, 0.0)], [1.0, 0.0])
+
+
+def test_family_scan_marches_once_per_energy(double_well, monkeypatch):
+    from ebk import portrait
+
+    calls = []
+    marching = portrait._marching_loops
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return marching(*args, **kwargs)
+
+    monkeypatch.setattr(portrait, "_marching_loops", counted)
+    families = ebk.build_families(double_well, ebk.EnergyWindow(0.2, 0.8, 0.05), 9)
+    assert len(families) == 2
+    assert len(calls) == 9
