@@ -80,3 +80,7 @@ class BijectionFailure(EbkError):
 
 class ConfigError(EbkError):
     """Run configuration file is malformed or inconsistent."""
+
+
+class GridTooLarge(ConfigError):
+    """The oracle grid the tolerances ask for exceeds the grid-size cap."""

@@ -7,19 +7,16 @@ the grid, giving a symmetric tridiagonal matrix:
     diag[i]    = hbar^2/h^2 + V(x_i)
     offdiag[i] = -hbar^2/(2 h^2)
 
-Eigenvalue counts come from the Sturm pivot recurrence
-
-    d_1 = a_1 - lam,   d_i = (a_i - lam) - b_{i-1}^2 / d_{i-1},
-
-counting negative pivots. Zero pivots are replaced by +1e-300, which makes
-the count the number of eigenvalues strictly below lam; this convention is
-fixed so counts reproduce bit for bit. count_below runs this recurrence in
-its own kernel (Python, or numba when installed) and fixes the global
-indices of the window eigenvalues. The eigenvalues with those indices are
-then localized by LAPACK's Sturm-count bisection for symmetric tridiagonal
-matrices, dstebz (Kahan and Demmel), in one call per grid. The leading
-O(h^2) discretization error is removed by Richardson extrapolation across
-nested grids N and 2N-1.
+Eigenvalue counts come from LAPACK's Sturm count for symmetric tridiagonal
+matrices, dstebz (Kahan and Demmel): count_below(T, lam) asks for the
+eigenvalues in (-inf, lam-], with lam- the next float below lam, which is
+the number of eigenvalues strictly below lam. LAPACK replaces a pivot of
+magnitude below its pivmin (a safe minimum scaled by the largest squared
+off-diagonal entry) by -pivmin, so counts reproduce bit for bit. These
+counts fix the global indices of the window eigenvalues, which dstebz then
+localizes by bisection in one call per grid. The leading O(h^2)
+discretization error is removed by Richardson extrapolation across nested
+grids N and 2N-1.
 """
 
 from __future__ import annotations
@@ -34,59 +31,19 @@ from scipy.linalg.lapack import dstebz
 from .errors import (
     BisectionFailed,
     DomainTooSmall,
+    GridTooLarge,
     InverseIterationFailed,
     NonCompactWindow,
 )
 from .symbols import EnergyWindow, PotentialSpec
 
-try:  # pragma: no cover - exercised implicitly
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover
-    _njit = None
-
 DEFAULT_PHASE_TOL = 1e-5
 DEFAULT_BISECT_TOL = 1e-11
 _MAX_GRID = 600_000
 
-
-def _sturm_counts_py(diag, offsq, lams):
-    lams = np.asarray(lams, dtype=float)
-    d = diag[0] - lams
-    d[d == 0.0] = 1e-300
-    counts = (d < 0.0).astype(np.int64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(1, diag.size):
-            d = (diag[i] - lams) - offsq[i - 1] / d
-            d[d == 0.0] = 1e-300
-            counts += d < 0.0
-    return counts
-
-
-if _njit is not None:
-    @_njit(cache=True)
-    def _sturm_counts_jit(diag, offsq, lams):  # pragma: no cover - compiled
-        m = lams.shape[0]
-        n = diag.shape[0]
-        counts = np.zeros(m, dtype=np.int64)
-        for j in range(m):
-            lam = lams[j]
-            d = diag[0] - lam
-            if d == 0.0:
-                d = 1e-300
-            c = 1 if d < 0.0 else 0
-            for i in range(1, n):
-                d = (diag[i] - lam) - offsq[i - 1] / d
-                if d == 0.0:
-                    d = 1e-300
-                if d < 0.0:
-                    c += 1
-            counts[j] = c
-        return counts
-
-    def _sturm_counts(diag, offsq, lams):
-        return _sturm_counts_jit(diag, offsq, np.ascontiguousarray(lams, dtype=float))
-else:
-    _sturm_counts = _sturm_counts_py
+# dstebz range codes in scipy's wrapper (0 would ask for all eigenvalues).
+_BY_VALUE = 1
+_BY_INDEX = 2
 
 
 @dataclass(frozen=True)
@@ -173,7 +130,8 @@ def domain_auto(
     with a finite plateau the wall target is capped below the plateau (decay
     under the barrier replaces the wall, which the L-doubling stability
     check validates). N keeps the local stencil phase error
-    (xi_max*h/hbar)^2/12 below phase_tol.
+    (xi_max*h/hbar)^2/12 below phase_tol. Raises GridTooLarge when that
+    takes more points than the cap.
     """
     top = window.e2 + window.margin
     if not potential.confining_below(top):
@@ -189,18 +147,32 @@ def domain_auto(
     h = hbar * math.sqrt(12.0 * phase_tol) / ximax
     N = int(math.ceil(2.0 * L / h)) + 1
     if N > _MAX_GRID:
-        raise ValueError(
+        raise GridTooLarge(
             f"grid of {N} points exceeds the {_MAX_GRID} cap; relax phase_tol"
         )
     return L, N
 
 
 def count_below(T: TridiagonalOperator, lam):
-    """Number of eigenvalues strictly below lam (scalar or array)."""
-    offsq = T.offdiag * T.offdiag
+    """Number of eigenvalues strictly below lam (scalar or array).
+
+    One dstebz call per shift over (-inf, nextafter(lam, -inf)]. The
+    infinite tolerance stops LAPACK right after its Sturm count, before it
+    bisects any eigenvalue. Raises BisectionFailed if dstebz reports an
+    error.
+    """
     scalar = np.isscalar(lam) or np.asarray(lam).ndim == 0
     lams = np.atleast_1d(np.asarray(lam, dtype=float))
-    counts = _sturm_counts(T.diag, offsq, lams)
+    counts = np.empty(lams.size, dtype=np.int64)
+    for j, shift in enumerate(np.nextafter(lams, -np.inf)):
+        counts[j], _, _, _, info = dstebz(
+            T.diag, T.offdiag, _BY_VALUE, -np.inf, shift, 0, 0, np.inf, "E"
+        )
+        if info != 0:
+            raise BisectionFailed(
+                f"dstebz could not count the eigenvalues below {lams[j]!r} "
+                f"(info = {info})"
+            )
     return int(counts[0]) if scalar else counts
 
 
@@ -224,7 +196,7 @@ def eigenvalues_in(
     if m == 0:
         return EigenResult(np.empty(0), np.empty(0, dtype=int))
     found, w, _, _, info = dstebz(
-        T.diag, T.offdiag, 3, a, b, int(ca) + 1, int(cb), tol, "E"
+        T.diag, T.offdiag, _BY_INDEX, a, b, int(ca) + 1, int(cb), tol, "E"
     )
     if info != 0 or found != m:
         raise BisectionFailed(
@@ -291,7 +263,11 @@ def allowed_region_mass(
 
 
 def ball_multiplicity(T: TridiagonalOperator, center: float, radius: float) -> int:
-    """Exact eigenvalue count in the closed ball around center."""
+    """Exact eigenvalue count in [center - radius, center + radius), half-open.
+
+    Both ends are count_below shifts, so an eigenvalue equal to
+    center - radius is counted and one equal to center + radius is not.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     lo, hi = count_below(T, np.array([center - radius, center + radius]))

@@ -22,6 +22,7 @@ from .compare import draw_safe_endpoints, match_spectra, weyl_check_pairs
 from .config import STAGE_DEPS, RunConfig
 from .errors import (
     BijectionFailure,
+    ConfigError,
     DegenerateCaustic,
     DomainTooSmall,
     EbkError,
@@ -351,6 +352,10 @@ def run(
 ) -> tuple[dict, int]:
     """Execute the configured pipeline; returns (manifest, exit_code).
 
+    The exit code is 2 if a stage failed on a ConfigError (such as an
+    oracle grid over the cap), else 3 on a hypothesis violation, else 4 on
+    any other failure or a failed check, else 0.
+
     threads is accepted for compatibility and has no effect: every stage
     runs in the calling thread.
     """
@@ -397,7 +402,9 @@ def run(
     _write_json(out / "manifest.json", manifest)
 
     code = 0
-    if any(isinstance(e, _HYPOTHESIS_ERRORS) for e in failures):
+    if any(isinstance(e, ConfigError) for e in failures):
+        code = 2
+    elif any(isinstance(e, _HYPOTHESIS_ERRORS) for e in failures):
         code = 3
     elif failures or not all(
         v for v in state.checks.values() if v is not None

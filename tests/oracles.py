@@ -1,15 +1,35 @@
-"""Independent quadrature references for loop actions and periods.
+"""Independent references for loop actions, periods and Sturm counts.
 
-These never touch the flow tracer: turning points come from root finding on
-V(x) = E and the integrals use adaptive Gauss-Kronrod quadrature after the
-sine substitution x = c + r*sin(theta), which removes the square-root
-endpoint singularity.
+The action and period references never touch the flow tracer: turning
+points come from root finding on V(x) = E and the integrals use adaptive
+Gauss-Kronrod quadrature after the sine substitution x = c + r*sin(theta),
+which removes the square-root endpoint singularity. The Sturm count
+reference runs the pivot recurrence in NumPy, independent of LAPACK.
 """
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+
+def sturm_counts_py(diag, offsq, lams):
+    """Eigenvalues strictly below each shift, by the Sturm pivot recurrence.
+
+    d_1 = a_1 - lam, d_i = (a_i - lam) - b_{i-1}^2 / d_{i-1}; negative
+    pivots are counted and a zero pivot is replaced by +1e-300.
+    """
+    lams = np.asarray(lams, dtype=float)
+    d = diag[0] - lams
+    d[d == 0.0] = 1e-300
+    counts = (d < 0.0).astype(np.int64)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for i in range(1, diag.size):
+            d = (diag[i] - lams) - offsq[i - 1] / d
+            d[d == 0.0] = 1e-300
+            counts += d < 0.0
+    return counts
 
 
 def turning_points(v, energy, x_lo, x_hi, samples=4001):
@@ -17,8 +37,6 @@ def turning_points(v, energy, x_lo, x_hi, samples=4001):
 
     The bracket must contain exactly one classically allowed interval.
     """
-    import numpy as np
-
     xs = np.linspace(x_lo, x_hi, samples)
     below = np.asarray(v(xs)) < energy
     idx = np.nonzero(below)[0]

@@ -135,3 +135,14 @@ def test_run_topology_violation_exit_3(tmp_path):
 
 def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+def test_run_grid_over_cap_exit_2(tmp_path):
+    data = _base_config(str(tmp_path / "out"))
+    data["pipeline"] = ["oracle"]
+    data["tolerances"]["oracle_tol"] = 1e-12
+    path = _write(tmp_path, data)
+    assert main(["run", "--config", str(path)]) == 2
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stages"]["oracle"]["status"] == "failed"
+    assert manifest["stages"]["oracle"]["note"].startswith("GridTooLarge:")

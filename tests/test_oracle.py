@@ -10,7 +10,7 @@ from ebk.errors import (
     InverseIterationFailed,
     NonCompactWindow,
 )
-from ebk.oracle import _sturm_counts_py
+from oracles import sturm_counts_py
 
 
 def _diag_op(values):
@@ -84,8 +84,25 @@ def test_sturm_monotone_and_total():
     counts = ebk.count_below(op, lams)
     assert np.all(np.diff(counts) >= 0)
     assert ebk.count_below(op, bound + 1.0) == 50
-    # the pure python kernel agrees bit for bit with whatever count_below used
-    assert np.array_equal(counts, _sturm_counts_py(diag, off * off, lams))
+    dense = np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    assert np.array_equal(counts, np.searchsorted(dense, lams, side="left"))
+    assert np.array_equal(counts, sturm_counts_py(diag, off * off, lams))
+
+
+def test_count_below_matches_reference_on_fine_grid():
+    # LAPACK's pivmin rule and the reference's zero pivot -> +1e-300 rule
+    # give the same counts on the double-well fine grid at hbar = 0.05.
+    pot = ebk.double_well_potential(1.0)
+    window = ebk.EnergyWindow(0.1, 0.6, 0.05)
+    L, N = ebk.domain_auto(pot, window, 0.05)
+    op = ebk.discretize(pot, 0.05, L, 2 * N - 1, window=window)
+    pad = 0.01 * (window.e2 - window.e1)
+    edges = [window.e1 - pad, window.e1, window.e2, window.e2 + pad]
+    rng = np.random.default_rng(11)
+    lams = np.concatenate([edges, rng.uniform(window.e1 - pad, window.e2 + pad, 40)])
+    counts = ebk.count_below(op, lams)
+    assert np.array_equal(counts, sturm_counts_py(op.diag, op.offdiag**2, lams))
+    assert counts[3] > counts[0] > 0
 
 
 def test_eigenvalues_in_diagonal():
@@ -119,13 +136,30 @@ def test_eigenvalues_in_repeated_entry():
     assert list(res.indices) == [1, 2]
 
 
-@pytest.mark.parametrize("found, info", [(0, 1), (1, 0)])
-def test_eigenvalues_in_lapack_failure(monkeypatch, found, info):
-    def failing_dstebz(d, e, *args):
+def _fake_dstebz(monkeypatch, failing_range, found, info):
+    """Send dstebz calls with failing_range to a fake that returns (found, info)."""
+    real = ebk.oracle.dstebz
+
+    def dstebz(d, e, range_code, *args):
+        if range_code != failing_range:
+            return real(d, e, range_code, *args)
         n = d.size
         return found, np.zeros(n), np.ones(n, dtype=np.int32), np.zeros(n, dtype=np.int32), info
 
-    monkeypatch.setattr(ebk.oracle, "dstebz", failing_dstebz)
+    monkeypatch.setattr(ebk.oracle, "dstebz", dstebz)
+
+
+@pytest.mark.parametrize("found, info", [(0, 1), (1, 0)])
+def test_eigenvalues_in_lapack_failure(monkeypatch, found, info):
+    _fake_dstebz(monkeypatch, ebk.oracle._BY_INDEX, found, info)
+    with pytest.raises(BisectionFailed, match="dstebz"):
+        ebk.eigenvalues_in(_diag_op([1.0, 2.0, 3.0]), 1.5, 3.5)
+
+
+def test_count_below_lapack_failure(monkeypatch):
+    _fake_dstebz(monkeypatch, ebk.oracle._BY_VALUE, 0, 1)
+    with pytest.raises(BisectionFailed, match="dstebz"):
+        ebk.count_below(_diag_op([1.0, 2.0, 3.0]), 2.5)
     with pytest.raises(BisectionFailed, match="dstebz"):
         ebk.eigenvalues_in(_diag_op([1.0, 2.0, 3.0]), 1.5, 3.5)
 
@@ -241,6 +275,7 @@ def test_doublet_state_mass_split_between_wells():
 def test_ball_multiplicity():
     op = _diag_op([1.0, 2.0, 3.0])
     assert ebk.ball_multiplicity(op, 2.0, 0.1) == 1
+    assert ebk.ball_multiplicity(op, 2.0, 1.0) == 2  # [1, 3): 3 is left out
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     run = ebk.solve_window(pot, window, 0.1)
