@@ -146,15 +146,6 @@ def trace_family_component(
     return trace_component(spec, seed, energy, trace_tol, n_points=n_points)
 
 
-def _lobatto(window: EnergyWindow, n: int) -> np.ndarray:
-    mid = 0.5 * (window.e1 + window.e2)
-    half = 0.5 * (window.e2 - window.e1)
-    nodes = mid + half * np.cos(np.pi * np.arange(n) / (n - 1))
-    nodes = np.sort(nodes)
-    nodes[0], nodes[-1] = window.e1, window.e2
-    return nodes
-
-
 @dataclass
 class ActionTable:
     """Sampled E -> (A0, tau) for one family, with a monotone interpolant.
@@ -218,34 +209,21 @@ class ActionTable:
         return float(np.min(self.tau))
 
 
-def build_action_table(
-    spec: SymbolSpec,
-    family: ComponentFamily,
-    window: EnergyWindow,
-    n_samples: int = 49,
-    *,
-    trace_tol: float = 1e-10,
-    n_points: int = 4096,
-) -> ActionTable:
-    """Sample (A0, tau) at Lobatto energies and fit the monotone interpolant.
+def build_action_table(family: ComponentFamily, window: EnergyWindow) -> ActionTable:
+    """Fit the monotone interpolant to the family's traced (A0, tau) samples.
 
-    All samples are traced together in one batched integration.
+    The samples are the family's components, traced by build_families at
+    its Lobatto energies; the table traces nothing itself.
     """
-    if n_samples < 9:
-        raise ValueError("need at least 9 action samples")
-    energies = _lobatto(window, n_samples)
-    seeds = [refine_to_level(spec, family.seed_near(e), e) for e in energies]
-    components = trace_component(spec, seeds, energies, trace_tol, n_points=n_points)
-    a0 = np.array([c.action for c in components])
-    tau = np.array([c.period for c in components])
-    mu = maslov_index(components[0])
+    comps = family.components
+    mu = maslov_index(comps[0])
     if abs(mu) != 2:
         raise DegenerateCaustic(f"family {family.k}: Maslov index {mu}")
     return ActionTable(
         k=family.k,
-        energies=energies,
-        a0=a0,
-        tau=tau,
+        energies=family.energies,
+        a0=np.array([c.action for c in comps]),
+        tau=np.array([c.period for c in comps]),
         maslov=mu,
         window=window,
     )

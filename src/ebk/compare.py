@@ -140,11 +140,8 @@ def convergence_study(
     hbars = [float(h) for h in hbars]
     if len(hbars) < 3:
         raise ValueError("need at least 3 hbar values")
-    families = build_families(spec, window, trace_tol=trace_tol)
-    tables = [
-        build_action_table(spec, fam, window, action_samples, trace_tol=trace_tol)
-        for fam in families
-    ]
+    families = build_families(spec, window, action_samples, trace_tol=trace_tol)
+    tables = [build_action_table(fam, window) for fam in families]
     tau_min = min(t.tau_min for t in tables)
     max_errs = []
     floors = []
@@ -220,8 +217,7 @@ def verify_weyl(
 ) -> bool:
     """True iff the counting formula reproduces the oracle count exactly."""
     if context is None:
-        families = build_families(spec, window)
-        tables = [build_action_table(spec, fam, window) for fam in families]
+        tables = [build_action_table(fam, window) for fam in build_families(spec, window)]
         bs = merged_spectrum(tables, hbar, window)
         run = solve_window(spec.potential, window, hbar)
         context = (tables, bs, run)

@@ -34,6 +34,10 @@ class TraceDiverged(EbkError):
     """Traced samples drifted off the energy level beyond tolerance."""
 
 
+class CriticalSeed(EbkError):
+    """A trace seed sits at a near-critical point, where the flow stalls."""
+
+
 class NonConstantTopology(EbkError):
     """Component count changes inside the window (a critical value intrudes)."""
 

@@ -21,23 +21,21 @@ from .action import build_action_table
 from .compare import draw_safe_endpoints, match_spectra, weyl_check_pairs
 from .config import STAGE_DEPS, RunConfig
 from .errors import (
-    BijectionFailure,
     ConfigError,
+    CriticalSeed,
     DegenerateCaustic,
     DomainTooSmall,
     EbkError,
     EmptyLevelSet,
-    EmptySpectrum,
     NonCompactWindow,
     NonConstantTopology,
     NotClosedOrbit,
     NotDiffeomorphism,
     PreimageNotEnclosed,
     TraceDiverged,
-    UnsafeEndpoint,
 )
 from .oracle import eigenvector, node_count, solve_window
-from .portrait import families_with_components
+from .portrait import build_families
 from .solver import (
     branch_energy,
     doublet_scan,
@@ -61,9 +59,9 @@ _HYPOTHESIS_ERRORS = (
     EmptyLevelSet,
     NotClosedOrbit,
     TraceDiverged,
+    CriticalSeed,
     DegenerateCaustic,
 )
-_VERIFICATION_ERRORS = (BijectionFailure, UnsafeEndpoint, EmptySpectrum)
 
 _CSV_STRIDE_TARGET = 512
 _WEYL_TRIALS = 20
@@ -77,11 +75,28 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def _line_format(types) -> str:
+    """One %-format for a CSV line of values of these types; bools go through _fmt."""
+    return ",".join(
+        "%s" if issubclass(t, (bool, np.bool_))
+        else "%d" if issubclass(t, (int, np.integer))
+        else "%.17g"
+        for t in types
+    ) + "\n"
+
+
 def _write_csv(path: Path, header: list[str], rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Stream rows to path, one %-format per row, writing each value as _fmt does."""
+    formats = {}
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            types = tuple(map(type, row))
+            if types not in formats:
+                formats[types] = _line_format(types)
+            if bool in types or np.bool_ in types:
+                row = [_fmt(v) if isinstance(v, (bool, np.bool_)) else v for v in row]
+            fh.write(formats[types] % tuple(row))
 
 
 def _jsonable(x):
@@ -116,7 +131,6 @@ class _RunState:
         self.window = config.window
         self.rng = np.random.default_rng(config.seed)
         self.families = None
-        self.components = None
         self.tables = None
         self.spectra = {}
         self.oracle_runs = {}
@@ -145,28 +159,26 @@ def _stage_trace(state: _RunState):
         raise RegularityViolation(
             f"critical values {list(report.critical_values_found)} inside the widened window"
         )
-    state.families, state.components = families_with_components(
-        state.spec, state.window, trace_tol=cfg.trace_tol
+    state.families = build_families(
+        state.spec, state.window, cfg.action_samples, trace_tol=cfg.trace_tol
     )
-    rows = []
-    for family, comps in zip(state.families, state.components):
-        for comp in comps:
-            stride = max(1, len(comp.points) // _CSV_STRIDE_TARGET)
-            for t, (x, xi) in zip(
-                comp.times[::stride], comp.points[::stride]
-            ):
-                rows.append((family.k, comp.energy, t, x, xi))
+    rows = (
+        (family.k, comp.energy, t, x, xi)
+        for family in state.families
+        for comp in family.components
+        for t, (x, xi) in _strided(comp)
+    )
     state.emit_csv("components.csv", ["k", "E", "t", "x", "xi"], rows)
 
 
+def _strided(comp):
+    """(t, (x, xi)) of every stride-th sample of a component, as Python floats."""
+    stride = max(1, len(comp.points) // _CSV_STRIDE_TARGET)
+    return zip(comp.times[::stride].tolist(), comp.points[::stride].tolist())
+
+
 def _stage_actions(state: _RunState):
-    cfg = state.config
-    state.tables = [
-        build_action_table(
-            state.spec, family, state.window, cfg.action_samples, trace_tol=cfg.trace_tol
-        )
-        for family in state.families
-    ]
+    state.tables = [build_action_table(family, state.window) for family in state.families]
     rows = []
     for table in state.tables:
         for e, a0, tau in zip(table.energies, table.a0, table.tau):

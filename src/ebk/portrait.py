@@ -27,6 +27,7 @@ import numpy as np
 
 from . import integrate
 from .errors import (
+    CriticalSeed,
     EmptyLevelSet,
     NonConstantTopology,
     NotClosedOrbit,
@@ -77,15 +78,26 @@ class LevelComponent:
 
 @dataclass(frozen=True)
 class ComponentFamily:
-    """A level-set component followed continuously across the window."""
+    """A level-set component followed continuously across the window.
+
+    components holds the traced component at each sampled energy, in
+    ascending energy order.
+    """
 
     k: int
-    energies: np.ndarray
-    seeds: np.ndarray  # (n, 2), one representative per sampled energy
+    components: tuple[LevelComponent, ...]
+
+    @property
+    def energies(self) -> np.ndarray:
+        return np.array([c.energy for c in self.components])
+
+    @property
+    def seeds(self) -> np.ndarray:
+        """(n, 2), the seed of each sampled component."""
+        return np.array([c.seed for c in self.components])
 
     def seed_near(self, energy: float) -> tuple[float, float]:
-        i = int(np.argmin(np.abs(self.energies - energy)))
-        return float(self.seeds[i, 0]), float(self.seeds[i, 1])
+        return self.components[int(np.argmin(np.abs(self.energies - energy)))].seed
 
 
 def _grid_values(spec, box: Box, n: int):
@@ -301,7 +313,7 @@ def trace_component(
     The first return is detected on the section through the seed normal to
     the flow, accepting only crossings in the flow direction that land back
     at the seed within trace_tol; the return time is refined by bisection on
-    the dense output to 1e-13. Raises ValueError if a seed sits at a
+    the dense output to 1e-13. Raises CriticalSeed if a seed sits at a
     near-critical point, NotClosedOrbit if an orbit does not return before
     max_time and TraceDiverged if its sampled energies drift.
     """
@@ -315,7 +327,7 @@ def trace_component(
     gx, gxi = spec.gradient(sx, sxi)
     speed = np.hypot(gxi, gx)
     if np.any(speed <= _MIN_GRAD):
-        raise ValueError("seed gradient too small; refusing to trace near a critical point")
+        raise CriticalSeed("seed gradient too small; refusing to trace near a critical point")
     nx, nxi = gxi / speed, -gx / speed  # flow direction at each seed
 
     def section(y, c):
@@ -451,38 +463,37 @@ def component_count(
     return len(_components_at(spec, energy, box, grid_n, DEFAULT_TRACE_TOL, n_points=1024))
 
 
+def _lobatto(window: EnergyWindow, n: int) -> np.ndarray:
+    """n Chebyshev-Lobatto energies of the window, ascending, ends exact."""
+    mid = 0.5 * (window.e1 + window.e2)
+    half = 0.5 * (window.e2 - window.e1)
+    nodes = mid + half * np.cos(np.pi * np.arange(n) / (n - 1))
+    nodes = np.sort(nodes)
+    nodes[0], nodes[-1] = window.e1, window.e2
+    return nodes
+
+
 def build_families(
     spec: SymbolSpec,
     window: EnergyWindow,
-    n_samples: int = 25,
+    n_samples: int = 49,
     *,
     grid_n: int = 201,
     trace_tol: float = DEFAULT_TRACE_TOL,
 ) -> list[ComponentFamily]:
     """Follow each component across the window; labels are stable in energy.
 
-    The component count is taken on every sampled energy by the marching
-    pass first; any variation raises NonConstantTopology (a critical value
-    sits inside the window, violating the regular-window hypothesis).
+    The window is sampled at n_samples Chebyshev-Lobatto energies, the
+    nodes an action table is fitted on, and every family carries its traced
+    component at each of them. The component count is taken on every
+    sampled energy by the marching pass first; any variation raises
+    NonConstantTopology (a critical value sits inside the window, violating
+    the regular-window hypothesis).
     """
-    families, _ = families_with_components(
-        spec, window, n_samples, grid_n=grid_n, trace_tol=trace_tol
-    )
-    return families
-
-
-def families_with_components(
-    spec: SymbolSpec,
-    window: EnergyWindow,
-    n_samples: int = 25,
-    *,
-    grid_n: int = 201,
-    trace_tol: float = DEFAULT_TRACE_TOL,
-    n_points: int = DEFAULT_POINTS,
-):
-    """build_families plus the traced components, grouped per family."""
+    if n_samples < 9:
+        raise ValueError("need at least 9 action samples")
     box = compact_preimage_box(spec, window)
-    energies = np.linspace(window.e1, window.e2, n_samples)
+    energies = _lobatto(window, n_samples)
     loops = [_marching_loops(spec, e, box, grid_n) for e in energies]
     counts = [len(ls) for ls in loops]
     if len(set(counts)) != 1:
@@ -501,7 +512,6 @@ def families_with_components(
         [c for cs in candidates for c in cs],
         np.repeat(energies, counts),
         trace_tol,
-        n_points=n_points,
     )
     per_energy = []
     for cs in candidates:
@@ -516,8 +526,7 @@ def families_with_components(
     for comps in per_energy[1:]:
         taken = [False] * d
         for track in tracks:
-            prev = track[-1]
-            seed_prev = np.asarray(prev.seed)
+            seed_prev = np.asarray(track[-1].seed)
             dists = [
                 np.inf
                 if taken[j]
@@ -527,10 +536,7 @@ def families_with_components(
             j = int(np.argmin(dists))
             taken[j] = True
             track.append(comps[j])
-    families = []
-    comps_by_family = []
-    for k, track in enumerate(tracks, start=1):
-        seeds = np.array([c.seed for c in track])
-        families.append(ComponentFamily(k=k, energies=energies.copy(), seeds=seeds))
-        comps_by_family.append(track)
-    return families, comps_by_family
+    return [
+        ComponentFamily(k=k, components=tuple(track))
+        for k, track in enumerate(tracks, start=1)
+    ]

@@ -49,36 +49,47 @@ def dw_window():
 
 
 @pytest.fixture(scope="session")
-def harmonic_table(harmonic, harmonic_window):
-    fams = ebk.build_families(harmonic, harmonic_window)
-    return ebk.build_action_table(harmonic, fams[0], harmonic_window, 33)
+def harmonic_family(harmonic, harmonic_window):
+    return ebk.build_families(harmonic, harmonic_window, 33)[0]
+
+
+@pytest.fixture(scope="session")
+def harmonic_table(harmonic_family, harmonic_window):
+    return ebk.build_action_table(harmonic_family, harmonic_window)
 
 
 @pytest.fixture(scope="session")
 def harmonic_wide_table(harmonic):
     window = ebk.EnergyWindow(0.2, 1.05, 0.05)
-    fams = ebk.build_families(harmonic, window)
-    return ebk.build_action_table(harmonic, fams[0], window, 33)
+    fams = ebk.build_families(harmonic, window, 33)
+    return ebk.build_action_table(fams[0], window)
 
 
 @pytest.fixture(scope="session")
-def quartic_table(quartic, quartic_window):
-    fams = ebk.build_families(quartic, quartic_window)
-    return ebk.build_action_table(quartic, fams[0], quartic_window, 49)
+def quartic_family(quartic, quartic_window):
+    return ebk.build_families(quartic, quartic_window, 49)[0]
 
 
 @pytest.fixture(scope="session")
-def morse_table(morse, morse_window):
-    fams = ebk.build_families(morse, morse_window)
-    return ebk.build_action_table(morse, fams[0], morse_window, 49)
+def quartic_table(quartic_family, quartic_window):
+    return ebk.build_action_table(quartic_family, quartic_window)
 
 
 @pytest.fixture(scope="session")
-def dw_tables(double_well, dw_window):
-    fams = ebk.build_families(double_well, dw_window)
-    return [ebk.build_action_table(double_well, f, dw_window, 33) for f in fams]
+def morse_family(morse, morse_window):
+    return ebk.build_families(morse, morse_window, 49)[0]
+
+
+@pytest.fixture(scope="session")
+def morse_table(morse_family, morse_window):
+    return ebk.build_action_table(morse_family, morse_window)
 
 
 @pytest.fixture(scope="session")
 def dw_families(double_well, dw_window):
-    return ebk.build_families(double_well, dw_window)
+    return ebk.build_families(double_well, dw_window, 33)
+
+
+@pytest.fixture(scope="session")
+def dw_tables(dw_families, dw_window):
+    return [ebk.build_action_table(f, dw_window) for f in dw_families]

@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 
 import ebk
-from ebk.action import trace_family_component
 from ebk.cli import main as cli_main
 from ebk.portrait import refine_to_level
 from ebk.solver import TWO_PI
@@ -35,8 +34,8 @@ def test_criterion_1_harmonic_exactness(harmonic):
     with criterion(1, "harmonic exactness"):
         t0 = time.perf_counter()
         window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-        fams = ebk.build_families(harmonic, window)
-        table = ebk.build_action_table(harmonic, fams[0], window, 33)
+        fams = ebk.build_families(harmonic, window, 33)
+        table = ebk.build_action_table(fams[0], window)
         for hbar in (0.1, 0.05):
             levels = ebk.quantize_family(table, hbar)
             assert levels, f"no levels at hbar={hbar}"
@@ -165,24 +164,25 @@ def test_criterion_6_node_count_identity(
 
 def test_criterion_7_geometry_invariants(
     harmonic, quartic, morse, double_well,
+    harmonic_family, quartic_family, morse_family, dw_families,
     harmonic_table, quartic_table, morse_table, dw_tables,
-    dw_families,
 ):
     with criterion(7, "geometry invariants"):
-        harmonic_fam = ebk.build_families(harmonic, harmonic_table.window)[0]
-        quartic_fam = ebk.build_families(quartic, quartic_table.window)[0]
-        morse_fam = ebk.build_families(morse, morse_table.window)[0]
+        # The invariants are checked on the very components the tables
+        # were fitted from.
         cases = [
-            (harmonic, harmonic_fam, harmonic_table),
-            (quartic, quartic_fam, quartic_table),
-            (morse, morse_fam, morse_table),
+            (harmonic, harmonic_family, harmonic_table),
+            (quartic, quartic_family, quartic_table),
+            (morse, morse_family, morse_table),
             (double_well, dw_families[0], dw_tables[0]),
             (double_well, dw_families[1], dw_tables[1]),
         ]
         n_components = 0
         for spec, family, table in cases:
-            for j, energy in enumerate(table.energies):
-                comp = trace_family_component(spec, family, float(energy))
+            assert len(family.components) == len(table.energies)
+            for j, comp in enumerate(family.components):
+                energy = float(table.energies[j])
+                assert comp.energy == energy and comp.action == table.a0[j]
                 n_components += 1
                 assert abs(abs(ebk.loop_action(comp)) - abs(ebk.green_area(comp))) <= 1e-8
                 assert ebk.maslov_index(comp) == 2
@@ -190,9 +190,9 @@ def test_criterion_7_geometry_invariants(
                     assert ebk.maslov_index(comp.reversed()) == -2
                 if j in (len(table.energies) // 3, 2 * len(table.energies) // 3):
                     alt_seed = refine_to_level(
-                        spec, tuple(comp.points[len(comp.points) // 3]), float(energy)
+                        spec, tuple(comp.points[len(comp.points) // 3]), energy
                     )
-                    alt = ebk.trace_component(spec, alt_seed, float(energy))
+                    alt = ebk.trace_component(spec, alt_seed, energy)
                     assert abs(alt.period - comp.period) <= 1e-9
                     assert abs(alt.action - comp.action) <= 1e-9
             dd = np.diff(table.a0) / np.diff(table.energies)

@@ -23,8 +23,8 @@ tracer = Tracer()
 tracer.install()
 spec = ebk.schrodinger_symbol(ebk.harmonic_potential())
 window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-families = ebk.build_families(spec, window)
-ebk.build_action_table(spec, families[0], window, 9)
+families = ebk.build_families(spec, window, 9)
+ebk.build_action_table(families[0], window)
 counts, _ = tracer.layer_metrics()
 print(json.dumps({{"problems": tracer.problems, "counts": counts}}))
 """
@@ -39,9 +39,9 @@ def test_benchmark_tracer_invariants_hold():
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["problems"] == []
     counts = result["counts"]
-    # One batched trace for the family scan, one for the table.
-    assert counts["portrait.traces"] == counts["integrate.dp45_calls"] == 2
-    assert counts["portrait.marching_calls"] == 25
+    # One batched trace for the family scan; the table traces nothing.
+    assert counts["portrait.traces"] == counts["integrate.dp45_calls"] == 1
+    assert counts["portrait.marching_calls"] == 9
     assert counts["action.tables"] == 1
     assert counts["integrate.accepted_steps"] > 0
     assert counts["integrate.rejected_steps"] >= 0

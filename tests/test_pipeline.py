@@ -1,0 +1,87 @@
+"""Pipeline internals: the CSV writer, trace counts per stage, exit codes."""
+
+import math
+
+import numpy as np
+
+import ebk
+from ebk import action, pipeline, portrait
+from ebk.config import parse_config
+
+
+def _config(out_dir, pipeline_stages) -> ebk.config.RunConfig:
+    return parse_config(
+        {
+            "symbol": {"name": "harmonic", "params": {}},
+            "window": {"e1": 0.2, "e2": 0.8, "margin": 0.05},
+            "hbars": [0.1],
+            "pipeline": pipeline_stages,
+            "tolerances": {"action_samples": 17},
+            "seed": 3,
+            "output_dir": str(out_dir),
+        }
+    )
+
+
+def _joined(header, rows) -> str:
+    """The CSV text of one _fmt call per value."""
+    lines = [",".join(header)] + [",".join(pipeline._fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def test_write_csv_matches_fmt_join(tmp_path):
+    rng = np.random.default_rng(5)
+    random_doubles = rng.integers(0, 2**63, size=300, dtype=np.int64).view(np.float64)
+    rows = [
+        (1, np.int64(-7), True, np.bool_(False), -0.0, 1e-300),
+        (0, np.int32(2**31 - 1), False, np.bool_(True), math.nan, 0.1),
+        (-3, 10**18, True, False, 1 / 3, np.float64(2 / 3)),
+        # A column changing type between rows is formatted by each value's type.
+        (2.5, 4, 1.0, 0, -math.inf, 1.2345678901234567e300),
+        (np.float32(0.1), np.float64(-0.0), np.uint8(9), np.nan, 5e-324, 123456789012345678.0),
+    ]
+    rows += [tuple(random_doubles[i : i + 6]) for i in range(0, 300, 6)]
+    header = ["a", "b", "c", "d", "e", "f"]
+    path = tmp_path / "t.csv"
+    pipeline._write_csv(path, header, iter(rows))
+    assert path.read_text(encoding="utf-8") == _joined(header, rows)
+    pipeline._write_csv(path, header, [])
+    assert path.read_text(encoding="utf-8") == "a,b,c,d,e,f\n"
+
+
+def test_run_traces_once_per_family_scan(tmp_path, monkeypatch):
+    columns = []
+    traced = portrait.trace_component
+
+    def counted(spec, seed, energy, *args, **kwargs):
+        columns.append(np.size(energy))
+        return traced(spec, seed, energy, *args, **kwargs)
+
+    monkeypatch.setattr(portrait, "trace_component", counted)
+    monkeypatch.setattr(action, "trace_component", counted)
+    in_actions = []
+    actions = pipeline._STAGE_FNS["actions"]
+
+    def counted_actions(state):
+        before = len(columns)
+        actions(state)
+        in_actions.append(len(columns) - before)
+
+    monkeypatch.setitem(pipeline._STAGE_FNS, "actions", counted_actions)
+    stages = ["trace", "actions", "spectrum", "oracle", "compare"]
+    manifest, code = pipeline.run(_config(tmp_path / "out", stages))
+    assert code == 0
+    assert columns == [17]
+    assert in_actions == [0]
+    text = (tmp_path / "out" / "actions.csv").read_text(encoding="utf-8")
+    assert len(text.splitlines()) == 1 + 17
+
+
+def test_run_critical_seed_exit_3(tmp_path, monkeypatch):
+    # Seeds placed on the harmonic well's critical point cannot be traced.
+    monkeypatch.setattr(
+        portrait, "_candidates", lambda spec, energy, loops: [(0.0, 0.0)] * len(loops)
+    )
+    manifest, code = pipeline.run(_config(tmp_path / "out", ["trace"]))
+    assert code == 3
+    assert manifest["stages"]["trace"]["note"].startswith("CriticalSeed:")

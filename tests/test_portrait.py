@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ebk
-from ebk.errors import EmptyLevelSet, NonConstantTopology, NotClosedOrbit
+from ebk.errors import CriticalSeed, EmptyLevelSet, NonConstantTopology, NotClosedOrbit
 from ebk.portrait import marching_component_count, refine_to_level
 from ebk.symbols import Box
 
@@ -75,7 +75,7 @@ def test_trace_conservation_and_closure(morse):
 
 
 def test_trace_rejects_critical_seed(harmonic):
-    with pytest.raises(ValueError):
+    with pytest.raises(CriticalSeed):
         ebk.trace_component(harmonic, (0.0, 0.0), 0.0)
 
 
@@ -100,6 +100,20 @@ def test_build_families_counts(harmonic, double_well):
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     assert len(ebk.build_families(double_well, window)) == 2
     assert len(ebk.build_families(harmonic, window)) == 1
+
+
+def test_build_families_samples_lobatto_energies(harmonic):
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    (family,) = ebk.build_families(harmonic, window, 9)
+    nodes = 0.5 - 0.3 * np.cos(np.pi * np.arange(9) / 8)
+    assert len(family.components) == 9
+    assert family.energies[0] == 0.2 and family.energies[-1] == 0.8
+    assert np.max(np.abs(family.energies - nodes)) <= 1e-14
+    for comp in family.components:
+        assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-9)
+    assert np.array_equal(family.seeds, [c.seed for c in family.components])
+    with pytest.raises(ValueError, match="at least 9"):
+        ebk.build_families(harmonic, window, 8)
 
 
 def test_build_families_nonconstant_topology(double_well):
@@ -187,7 +201,7 @@ def test_batched_trace_bad_column_raises(quartic):
     with pytest.raises(NotClosedOrbit):
         ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0], max_time=budget)
     # A near-critical seed anywhere in the batch is refused.
-    with pytest.raises(ValueError, match="seed gradient"):
+    with pytest.raises(CriticalSeed, match="seed gradient"):
         ebk.trace_component(quartic, [(1.0, 0.0), (0.0, 0.0)], [1.0, 0.0])
 
 

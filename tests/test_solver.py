@@ -182,9 +182,9 @@ def test_doublet_scan_asymmetric_well():
         ebk.polynomial_potential([1.0, 0.1, -2.0, 0.0, 1.0])
     )
     window = ebk.EnergyWindow(0.25, 0.6, 0.05)
-    fams = ebk.build_families(tilted, window)
+    fams = ebk.build_families(tilted, window, 17)
     assert len(fams) == 2
-    tables = [ebk.build_action_table(tilted, f, window, 17) for f in fams]
+    tables = [ebk.build_action_table(f, window) for f in fams]
     bs = ebk.merged_spectrum(tables, 0.05, window)
     assert len(bs) > 0
     assert ebk.doublet_scan(bs, 0.05**2) == []
