@@ -36,7 +36,6 @@ from .action import (
     invert_action,
     loop_action,
     maslov_index,
-    trace_family_component,
 )
 from .solver import (
     Branch,

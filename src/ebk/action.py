@@ -12,12 +12,11 @@ Maslov index is +2; reversing the traversal negates both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
+from numpy.polynomial import Chebyshev
 
 from .errors import (
     DegenerateCaustic,
@@ -25,8 +24,8 @@ from .errors import (
     NotSimple,
     OutOfWindow,
 )
-from .portrait import LevelComponent, ComponentFamily, refine_to_level, trace_component
-from .symbols import EnergyWindow, SymbolSpec
+from .portrait import LevelComponent, ComponentFamily
+from .symbols import EnergyWindow
 
 
 def loop_action(component: LevelComponent) -> float:
@@ -42,45 +41,49 @@ def _shoelace(points: np.ndarray) -> float:
     )
 
 
-def _segments_intersect(p1, p2, p3, p4) -> bool:
-    def orient(a, b, c):
-        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
-
-    d1 = orient(p3, p4, p1)
-    d2 = orient(p3, p4, p2)
-    d3 = orient(p1, p2, p3)
-    d4 = orient(p1, p2, p4)
-    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
-        return True
-    return False
-
-
 def _check_simple(points: np.ndarray):
-    """Reject self-intersecting polylines with a hash-grid sweep."""
+    """Reject self-intersecting polylines.
+
+    Segments are bucketed on a grid whose cell is the longest segment, and
+    every pair of non-adjacent segments sharing a cell is tested for a
+    strict crossing (both orientation signs change), as arrays.
+    """
     n = len(points)
     nxt = np.roll(points, -1, axis=0)
-    seg_len = np.linalg.norm(nxt - points, axis=1)
-    cell = max(float(np.max(seg_len)), 1e-300)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        lo_x = math.floor(min(points[i, 0], nxt[i, 0]) / cell)
-        hi_x = math.floor(max(points[i, 0], nxt[i, 0]) / cell)
-        lo_y = math.floor(min(points[i, 1], nxt[i, 1]) / cell)
-        hi_y = math.floor(max(points[i, 1], nxt[i, 1]) / cell)
-        for cx in range(lo_x, hi_x + 1):
-            for cy in range(lo_y, hi_y + 1):
-                buckets.setdefault((cx, cy), []).append(i)
-    for members in buckets.values():
-        m = len(members)
-        for a in range(m):
-            i = members[a]
-            for b in range(a + 1, m):
-                j = members[b]
-                gap = abs(i - j)
-                if gap <= 1 or gap == n - 1:
-                    continue
-                if _segments_intersect(points[i], nxt[i], points[j], nxt[j]):
-                    raise NotSimple(f"segments {i} and {j} intersect")
+    cell = max(float(np.max(np.linalg.norm(nxt - points, axis=1))), 1e-300)
+    lo = np.floor(np.minimum(points, nxt) / cell)
+    span = (np.floor(np.maximum(points, nxt) / cell) - lo).astype(np.int64) + 1
+    # One entry per (segment, cell touched), sorted by cell, then segment.
+    per_seg = span[:, 0] * span[:, 1]
+    seg = np.repeat(np.arange(n), per_seg)
+    off = np.arange(len(seg)) - np.repeat(np.cumsum(per_seg) - per_seg, per_seg)
+    cx = lo[seg, 0] + off // span[seg, 1]
+    cy = lo[seg, 1] + off % span[seg, 1]
+    order = np.lexsort((seg, cy, cx))
+    seg, cx, cy = seg[order], cx[order], cy[order]
+    bucket = np.concatenate(([0], np.cumsum((cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1]))))
+
+    def orient(a, b, c):
+        ba, ca = b - a, c - a
+        return ba[:, 0] * ca[:, 1] - ba[:, 1] * ca[:, 0]
+
+    # Entry p meets entry p + d for d = 1, 2, ... while both share a bucket.
+    first = np.arange(len(seg))
+    d = 1
+    while first.size:
+        first = first[first + d < len(seg)]
+        first = first[bucket[first + d] == bucket[first]]
+        i, j = seg[first], seg[first + d]
+        apart = (j - i > 1) & (j - i != n - 1)
+        i, j = i[apart], j[apart]
+        p1, p2, p3, p4 = points[i], nxt[i], points[j], nxt[j]
+        crossed = ((orient(p3, p4, p1) > 0) != (orient(p3, p4, p2) > 0)) & (
+            (orient(p1, p2, p3) > 0) != (orient(p1, p2, p4) > 0)
+        )
+        if crossed.any():
+            k = int(np.argmax(crossed))
+            raise NotSimple(f"segments {i[k]} and {j[k]} intersect")
+        d += 1
 
 
 def green_area(component: LevelComponent) -> float:
@@ -133,26 +136,18 @@ def maslov_index(component: LevelComponent) -> int:
     return total
 
 
-def trace_family_component(
-    spec: SymbolSpec,
-    family: ComponentFamily,
-    energy: float,
-    *,
-    trace_tol: float = 1e-10,
-    n_points: int = 4096,
-) -> LevelComponent:
-    """Trace the family's component at an arbitrary window energy."""
-    seed = refine_to_level(spec, family.seed_near(energy), energy)
-    return trace_component(spec, seed, energy, trace_tol, n_points=n_points)
-
-
 @dataclass
 class ActionTable:
-    """Sampled E -> (A0, tau) for one family, with a monotone interpolant.
+    """Sampled E -> (A0, tau) for one family, with its Chebyshev interpolant.
 
-    The A0 interpolant is a cubic Hermite spline through the sampled
-    actions with the sampled periods as exact slopes; shape preservation is
-    validated at build time so the inverse is well defined on the window.
+    A0 is interpolated by the degree-(n - 1) Chebyshev series through the n
+    samples on [energies[0], energies[-1]], and tau by its derivative
+    series. On the Lobatto energies of a regular window A0 is analytic, so
+    the interpolant converges geometrically in n. The build requires
+    positive sampled periods, strictly increasing sampled actions, a
+    derivative series with no real root on the window (so the inverse is
+    well defined) and sampled periods that agree with dA0/dE at the samples
+    to 1e-2 relative; tau_consistency is the largest such relative gap.
     The table truncates the semiclassical action at two terms: A0(E)/hbar
     plus the constant Maslov half-integer shift.
     """
@@ -166,35 +161,31 @@ class ActionTable:
     tau: np.ndarray
     maslov: int
     window: EnergyWindow
-    _spline: CubicHermiteSpline = field(init=False, repr=False)
-    _dspline: object = field(init=False, repr=False)
+    tau_consistency: float = field(init=False)
+    _a0: Chebyshev = field(init=False, repr=False)
+    _tau: Chebyshev = field(init=False, repr=False)
 
     def __post_init__(self):
         e, a, t = self.energies, self.a0, self.tau
         if np.any(t <= 0):
             raise NotDiffeomorphism("period must be positive on the window")
-        da = np.diff(a)
-        de = np.diff(e)
-        if np.any(da <= 0):
+        if np.any(np.diff(a) <= 0):
             raise NotDiffeomorphism("sampled action is not strictly increasing")
-        delta = da / de
-        alpha = t[:-1] / delta
-        beta = t[1:] / delta
-        if np.any(alpha * alpha + beta * beta > 9.0):
-            raise NotDiffeomorphism("Hermite slopes violate monotonicity bounds")
-        mid_err = np.abs(delta - 0.5 * (t[:-1] + t[1:])) / np.abs(delta)
-        if np.any(mid_err > 1e-2):
-            raise NotDiffeomorphism(
-                "sampled periods are inconsistent with the action increments"
-            )
-        self._spline = CubicHermiteSpline(e, a, t)
-        self._dspline = self._spline.derivative()
+        self._a0 = Chebyshev.fit(e, a, len(e) - 1, domain=[e[0], e[-1]])
+        self._tau = self._a0.deriv()
+        roots = self._tau.roots()
+        roots = roots[np.isreal(roots)].real
+        if np.any((roots >= e[0]) & (roots <= e[-1])):
+            raise NotDiffeomorphism("interpolated action is not monotone on the window")
+        self.tau_consistency = float(np.max(np.abs(self._tau(e) - t) / t))
+        if self.tau_consistency > 1e-2:
+            raise NotDiffeomorphism("sampled periods are inconsistent with dA0/dE")
 
     def a0_at(self, energy):
-        return self._spline(energy)
+        return self._a0(energy)
 
     def tau_at(self, energy):
-        return self._dspline(energy)
+        return self._tau(energy)
 
     @property
     def a0_range(self) -> tuple[float, float]:
@@ -210,7 +201,7 @@ class ActionTable:
 
 
 def build_action_table(family: ComponentFamily, window: EnergyWindow) -> ActionTable:
-    """Fit the monotone interpolant to the family's traced (A0, tau) samples.
+    """Fit the Chebyshev interpolant to the family's traced (A0, tau) samples.
 
     The samples are the family's components, traced by build_families at
     its Lobatto energies; the table traces nothing itself.

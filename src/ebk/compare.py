@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import BijectionFailure, UnsafeEndpoint
 from .oracle import EigenResult, OracleRun, count_below, solve_window
-from .portrait import build_families
+from .portrait import DEFAULT_ACTION_SAMPLES, build_families
 from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum, spacing_floor
 from .symbols import EnergyWindow, SymbolSpec
 from .action import ActionTable, build_action_table
@@ -127,7 +127,7 @@ def convergence_study(
     window: EnergyWindow,
     hbars,
     *,
-    action_samples: int = 49,
+    action_samples: int = DEFAULT_ACTION_SAMPLES,
     trace_tol: float = 1e-10,
     phase_tol: float = 1e-5,
 ) -> ConvergenceReport:

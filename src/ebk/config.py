@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, InvalidSymbol
+from .portrait import DEFAULT_ACTION_SAMPLES
 from .symbols import EnergyWindow, SymbolSpec, symbol_from_config
 
 STAGES = (
@@ -41,7 +42,7 @@ STAGE_DEPS = {
 _DEFAULT_TOLERANCES = {
     "trace_tol": 1e-10,
     "oracle_tol": 1e-5,
-    "action_samples": 49,
+    "action_samples": DEFAULT_ACTION_SAMPLES,
 }
 
 _ORACLE_STAGES = {"oracle", "compare", "weyl"}

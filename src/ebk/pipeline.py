@@ -411,6 +411,12 @@ def run(
     manifest["checks"] = dict(sorted(state.checks.items()))
     if state.oracle_meta:
         manifest["oracle"] = state.oracle_meta
+    if state.tables:
+        # Table health: the largest relative |dA0/dE - tau| at the samples.
+        manifest["actions"] = {
+            str(t.k): {"samples": len(t.energies), "tau_consistency": t.tau_consistency}
+            for t in state.tables
+        }
     _write_json(out / "manifest.json", manifest)
 
     code = 0

@@ -39,6 +39,8 @@ from .symbols import Box, EnergyWindow, SymbolSpec, compact_preimage_box
 DEFAULT_TRACE_TOL = 1e-10
 DEFAULT_MAX_TIME = 1e4
 DEFAULT_POINTS = 4096
+# Lobatto energies per family scan, the nodes of each action table.
+DEFAULT_ACTION_SAMPLES = 17
 _MIN_GRAD = 1e-8
 # Local integration error per step, well under the trace tolerance so the
 # accumulated drift over one period stays within it.
@@ -95,9 +97,6 @@ class ComponentFamily:
     def seeds(self) -> np.ndarray:
         """(n, 2), the seed of each sampled component."""
         return np.array([c.seed for c in self.components])
-
-    def seed_near(self, energy: float) -> tuple[float, float]:
-        return self.components[int(np.argmin(np.abs(self.energies - energy)))].seed
 
 
 def _grid_values(spec, box: Box, n: int):
@@ -476,7 +475,7 @@ def _lobatto(window: EnergyWindow, n: int) -> np.ndarray:
 def build_families(
     spec: SymbolSpec,
     window: EnergyWindow,
-    n_samples: int = 49,
+    n_samples: int = DEFAULT_ACTION_SAMPLES,
     *,
     grid_n: int = 201,
     trace_tol: float = DEFAULT_TRACE_TOL,

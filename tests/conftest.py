@@ -29,6 +29,11 @@ def double_well():
 
 
 @pytest.fixture(scope="session")
+def kerr():
+    return ebk.kerr_symbol(0.5)
+
+
+@pytest.fixture(scope="session")
 def harmonic_window():
     return ebk.EnergyWindow(0.2, 0.8, 0.05)
 
@@ -46,6 +51,11 @@ def morse_window():
 @pytest.fixture(scope="session")
 def dw_window():
     return ebk.EnergyWindow(0.1, 0.6, 0.05)
+
+
+@pytest.fixture(scope="session")
+def kerr_window():
+    return ebk.EnergyWindow(0.2, 1.0, 0.05)
 
 
 @pytest.fixture(scope="session")

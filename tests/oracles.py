@@ -4,7 +4,8 @@ The action and period references never touch the flow tracer: turning
 points come from root finding on V(x) = E and the integrals use adaptive
 Gauss-Kronrod quadrature after the sine substitution x = c + r*sin(theta),
 which removes the square-root endpoint singularity. The Sturm count
-reference runs the pivot recurrence in NumPy, independent of LAPACK.
+reference runs the pivot recurrence in NumPy, independent of LAPACK. The
+self-intersection reference tests segment pairs one at a time in Python.
 """
 
 import math
@@ -12,6 +13,8 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+
+from ebk.errors import NotSimple
 
 
 def sturm_counts_py(diag, offsq, lams):
@@ -95,3 +98,49 @@ def morse_level_closed_form(n, hbar, depth=1.0, a=1.0):
     omega = a * math.sqrt(2.0 * depth)
     s = hbar * omega * (n + 0.5)
     return s - s * s / (4.0 * depth)
+
+
+def _segments_intersect(p1, p2, p3, p4) -> bool:
+    def orient(a, b, c):
+        return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+
+    d1 = orient(p3, p4, p1)
+    d2 = orient(p3, p4, p2)
+    d3 = orient(p1, p2, p3)
+    d4 = orient(p1, p2, p4)
+    if ((d1 > 0) != (d2 > 0)) and ((d3 > 0) != (d4 > 0)):
+        return True
+    return False
+
+
+def check_simple_sweep(points: np.ndarray):
+    """Reject self-intersecting closed polylines with a hash-grid sweep.
+
+    Segments go into grid buckets one by one and each bucket's pairs are
+    tested in Python; adjacent segments (the closing one included) are
+    skipped and NotSimple is raised on the first strict crossing.
+    """
+    n = len(points)
+    nxt = np.roll(points, -1, axis=0)
+    seg_len = np.linalg.norm(nxt - points, axis=1)
+    cell = max(float(np.max(seg_len)), 1e-300)
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i in range(n):
+        lo_x = math.floor(min(points[i, 0], nxt[i, 0]) / cell)
+        hi_x = math.floor(max(points[i, 0], nxt[i, 0]) / cell)
+        lo_y = math.floor(min(points[i, 1], nxt[i, 1]) / cell)
+        hi_y = math.floor(max(points[i, 1], nxt[i, 1]) / cell)
+        for cx in range(lo_x, hi_x + 1):
+            for cy in range(lo_y, hi_y + 1):
+                buckets.setdefault((cx, cy), []).append(i)
+    for members in buckets.values():
+        m = len(members)
+        for a in range(m):
+            i = members[a]
+            for b in range(a + 1, m):
+                j = members[b]
+                gap = abs(i - j)
+                if gap <= 1 or gap == n - 1:
+                    continue
+                if _segments_intersect(points[i], nxt[i], points[j], nxt[j]):
+                    raise NotSimple(f"segments {i} and {j} intersect")

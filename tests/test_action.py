@@ -1,15 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
 import ebk
-from ebk.action import trace_family_component
 from ebk.errors import NotDiffeomorphism, NotSimple, OutOfWindow
-from ebk.portrait import LevelComponent
-from ebk.symbols import Box
+from ebk.portrait import LevelComponent, refine_to_level
 
-from oracles import action_integral, morse_action_closed_form
+from oracles import action_integral, check_simple_sweep, morse_action_closed_form
 
 
 def test_loop_action_harmonic(harmonic):
@@ -155,5 +158,114 @@ def test_stokes_identity_across_catalog(harmonic, quartic, morse, dw_families, d
     for spec, seed, energy in cases:
         comp = ebk.trace_component(spec, seed, energy)
         assert abs(abs(ebk.loop_action(comp)) - abs(ebk.green_area(comp))) <= 1e-8
-    comp = trace_family_component(double_well, dw_families[0], 0.35)
+    family = dw_families[0]
+    nearest = family.components[int(np.argmin(np.abs(family.energies - 0.35)))]
+    seed = refine_to_level(double_well, nearest.seed, 0.35)
+    comp = ebk.trace_component(double_well, seed, 0.35)
     assert abs(abs(ebk.loop_action(comp)) - abs(ebk.green_area(comp))) <= 1e-8
+
+
+def _polyline(points) -> LevelComponent:
+    t = np.arange(len(points), dtype=float)
+    return LevelComponent(
+        energy=0.0,
+        points=points,
+        times=t,
+        period=float(len(points)),
+        seed=(float(points[0, 0]), float(points[0, 1])),
+        orientation=1,
+        action=0.0,
+        trace_tol=1e-10,
+    )
+
+
+def _rejects(check, points) -> bool:
+    try:
+        check(points)
+    except NotSimple:
+        return True
+    return False
+
+
+def test_simplicity_check_matches_reference_sweep():
+    rng = np.random.default_rng(11)
+    outcomes = []
+    for trial in range(240):
+        kind = trial % 4
+        n = int(rng.integers(3, 80))
+        if kind == 0:  # star-shaped about the origin: simple
+            theta = np.sort(rng.uniform(0.0, 2 * math.pi, n))
+            r = rng.uniform(0.5, 1.5, n)
+            pts = np.column_stack([r * np.cos(theta), r * np.sin(theta)])
+        elif kind == 1:  # closed random walk: mostly self-crossing
+            pts = np.cumsum(rng.normal(size=(n, 2)), axis=0)
+        elif kind == 2:  # few points of a 3 x 3 grid: collinear and touching segments
+            pts = rng.integers(0, 3, size=(int(rng.integers(4, 9)), 2)).astype(float)
+        else:  # dense circle, noise below or above the sample spacing
+            m = 2048
+            theta = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
+            noise = rng.choice([0.0, 1e-4, 1e-2]) * rng.normal(size=(m, 2))
+            pts = np.column_stack([np.cos(theta), np.sin(theta)]) + noise
+        expected = _rejects(check_simple_sweep, pts)
+        assert _rejects(lambda p: ebk.green_area(_polyline(p)), pts) == expected, trial
+        outcomes.append(expected)
+    assert 60 <= sum(outcomes) <= 180
+
+
+def test_table_midpoint_error_at_default_samples(
+    quartic, quartic_window, double_well, dw_window, kerr, kerr_window
+):
+    # Against a direct trace at the midpoint of every pair of Lobatto nodes.
+    for spec, window, bound in (
+        (quartic, quartic_window, 1e-9),
+        (double_well, dw_window, 1e-10),
+        (kerr, kerr_window, 1e-10),
+    ):
+        for family in ebk.build_families(spec, window):
+            table = ebk.build_action_table(family, window)
+            assert len(table.energies) == ebk.portrait.DEFAULT_ACTION_SAMPLES == 17
+            assert table.tau_consistency <= 1e-8
+            mids = 0.5 * (table.energies[:-1] + table.energies[1:])
+            seeds = [refine_to_level(spec, c.seed, e) for c, e in zip(family.components, mids)]
+            direct = np.array([c.action for c in ebk.trace_component(spec, seeds, mids)])
+            assert float(np.max(np.abs(table.a0_at(mids) - direct))) <= bound
+
+
+def test_table_rejects_interpolant_dip(harmonic_window):
+    # On the window mapped to x in [-1, 1], dA0/dx = (x - 0.15)(x - 0.25):
+    # the 9 Lobatto samples increase and carry the exact slopes, but A0
+    # dips between the nodes x = 0 and x = cos(3 pi / 8).
+    exact = Polynomial([0.0, 0.0375, -0.2, 1 / 3], domain=[0.2, 0.8])
+    energies = 0.5 - 0.3 * np.cos(np.pi * np.arange(9) / 8)
+    a0, tau = exact(energies), exact.deriv()(energies)
+    assert np.all(np.diff(a0) > 0) and np.all(tau > 0)
+    with pytest.raises(NotDiffeomorphism, match="not monotone"):
+        ebk.ActionTable(
+            k=1, energies=energies, a0=a0, tau=tau, maslov=2, window=harmonic_window
+        )
+
+
+def test_table_rejects_inconsistent_periods(harmonic_window):
+    energies = 0.5 - 0.3 * np.cos(np.pi * np.arange(9) / 8)
+    with pytest.raises(NotDiffeomorphism, match="inconsistent"):
+        ebk.ActionTable(
+            k=1,
+            energies=energies,
+            a0=2 * math.pi * energies,
+            tau=np.full(9, 2 * math.pi * 1.05),
+            maslov=2,
+            window=harmonic_window,
+        )
+
+
+def test_import_leaves_scipy_interpolate_out():
+    src = str(Path(ebk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys, ebk; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"

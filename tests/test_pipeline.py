@@ -1,11 +1,12 @@
 """Pipeline internals: the CSV writer, trace counts per stage, exit codes."""
 
+import json
 import math
 
 import numpy as np
 
 import ebk
-from ebk import action, pipeline, portrait
+from ebk import pipeline, portrait
 from ebk.config import parse_config
 
 
@@ -58,7 +59,6 @@ def test_run_traces_once_per_family_scan(tmp_path, monkeypatch):
         return traced(spec, seed, energy, *args, **kwargs)
 
     monkeypatch.setattr(portrait, "trace_component", counted)
-    monkeypatch.setattr(action, "trace_component", counted)
     in_actions = []
     actions = pipeline._STAGE_FNS["actions"]
 
@@ -85,3 +85,16 @@ def test_run_critical_seed_exit_3(tmp_path, monkeypatch):
     manifest, code = pipeline.run(_config(tmp_path / "out", ["trace"]))
     assert code == 3
     assert manifest["stages"]["trace"]["note"].startswith("CriticalSeed:")
+
+
+def test_run_manifest_reports_table_health(tmp_path):
+    runs = [pipeline.run(_config(tmp_path / name, ["trace", "actions"])) for name in "ab"]
+    for manifest, code in runs:
+        assert code == 0
+        assert set(manifest["actions"]) == {"1"}
+        assert manifest["actions"]["1"]["samples"] == 17
+        assert 0.0 <= manifest["actions"]["1"]["tau_consistency"] <= 1e-8
+        assert "actions" not in manifest["checks"]
+    assert runs[0][0]["actions"] == runs[1][0]["actions"]
+    written = json.loads((tmp_path / "a" / "manifest.json").read_text(encoding="utf-8"))
+    assert written["actions"] == runs[0][0]["actions"]

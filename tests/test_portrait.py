@@ -162,7 +162,10 @@ def test_batched_trace_matches_single_traces(double_well, dw_families):
     # Both double-well families at mixed energies, interleaved in one batch.
     energies = [0.15, 0.15, 0.42, 0.33, 0.58]
     fams = [dw_families[0], dw_families[1], dw_families[1], dw_families[0], dw_families[0]]
-    seeds = [refine_to_level(double_well, f.seed_near(e), e) for f, e in zip(fams, energies)]
+    nearest = [
+        f.components[int(np.argmin(np.abs(f.energies - e)))] for f, e in zip(fams, energies)
+    ]
+    seeds = [refine_to_level(double_well, c.seed, e) for c, e in zip(nearest, energies)]
     cases.append((double_well, seeds, energies))
     # Kerr circles seeded on different axes.
     energies = [0.3, 0.9, 0.6]

@@ -188,3 +188,15 @@ def test_doublet_scan_asymmetric_well():
     bs = ebk.merged_spectrum(tables, 0.05, window)
     assert len(bs) > 0
     assert ebk.doublet_scan(bs, 0.05**2) == []
+
+
+def test_kerr_levels_match_closed_form(kerr, kerr_window):
+    # The Bohr-Sommerfeld levels of I + chi I^2 are exact: I = hbar (n + 1/2).
+    families = ebk.build_families(kerr, kerr_window)
+    tables = [ebk.build_action_table(f, kerr_window) for f in families]
+    for hbar in (0.1, 0.05):
+        bs = ebk.merged_spectrum(tables, hbar, kerr_window)
+        assert len(bs.entries) >= 5
+        for entry in bs.entries:
+            action = hbar * (entry.n + 0.5)
+            assert abs(entry.energy - (action + 0.5 * action * action)) <= 1e-11
