@@ -315,7 +315,9 @@ def solve_window(
         common = np.intersect1d(coarse.indices, fine.indices)
         ec = coarse.eigenvalues[np.searchsorted(coarse.indices, common)]
         ef = fine.eigenvalues[np.searchsorted(fine.indices, common)]
-        return common, (4.0 * ef - ec) / 3.0, float(np.max(np.abs(ef - ec), initial=0.0))
+        # Sorted: a doublet tied below bisect_tol can swap order here.
+        ext = np.sort((4.0 * ef - ec) / 3.0)
+        return common, ext, float(np.max(np.abs(ef - ec), initial=0.0))
 
     idx1, ext1, corr1 = _extrap(per_grid[0][1], per_grid[1][1])
     gate_residual = None

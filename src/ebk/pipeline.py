@@ -264,7 +264,8 @@ def _stage_compare(state: _RunState):
                 (hbar, p.k, p.n, p.e_bs, p.e_oracle, p.abs_err,
                  -1 if p.node_count is None else p.node_count)
             )
-    state.checks["bijection"] = True
+    # match_spectra raises on a count mismatch; no pair at all fails too.
+    state.checks["bijection"] = bool(csv_rows)
     if single_family:
         state.checks["nodes_match"] = all_nodes_match
     state.emit_json("match.json", report_obj)

@@ -112,8 +112,9 @@ def _marching_loops(spec, energy, box, grid_n):
     """Closed contour loops of {H = E} on the grid.
 
     Returns a list of loops, each an ordered list of edge-crossing points.
-    Edges are grid segments; axis 0 crossings vary x, axis 1 vary xi. An
-    open chain means the contour leaves the box.
+    Edges are grid segments; axis 0 crossings vary x, axis 1 vary xi. Every
+    cell has 0, 2 or 4 crossed edges, so a walk that does not close has
+    left the box: PreimageNotEnclosed.
     """
     xs, xis, H = _grid_values(spec, box, grid_n)
     F = H - energy
@@ -166,8 +167,8 @@ def _marching_loops(spec, energy, box, grid_n):
             a, b = cell_edges
             links[a].append(b)
             links[b].append(a)
-        elif len(cell_edges) == 4:
-            # Saddle cell: use the center sample to pick the pairing.
+        else:
+            # Saddle cell (4 edges): the center sample picks the pairing.
             cx = 0.5 * (xs[ci] + xs[ci + 1])
             cxi = 0.5 * (xis[cj] + xis[cj + 1])
             center_pos = float(spec.value(cx, cxi)) - energy > 0.0
@@ -181,8 +182,6 @@ def _marching_loops(spec, energy, box, grid_n):
             for a, b in pairs:
                 links[a].append(b)
                 links[b].append(a)
-        # 1 or 3 edges: contour touches a grid node; the loop walk below
-        # will surface it as an open chain if it matters.
 
     loops = []
     unvisited = set(crossings)
@@ -206,7 +205,7 @@ def _marching_loops(spec, energy, box, grid_n):
             chain.append(nxt)
             unvisited.discard(nxt)
             prev, cur = cur, nxt
-        if not closed and len(links[start]) < 2:
+        if not closed:
             raise PreimageNotEnclosed(
                 "open contour chain: the level set leaves the box"
             )

@@ -12,8 +12,9 @@ energy window [e1, e2] with margin eps:
 * regularity: no critical point of H has its value in [e1-eps, e2+eps];
 * compactness: the preimage H^{-1}([e1-eps, e2+eps]) fits in a bounded box.
 
-Both are checked here, by dense gradient scans with Newton refinement and
-by per-entry sublevel-set geometry.
+Both are checked here from exact landmarks: closed-form critical points and
+sublevel intervals, or for a polynomial potential the real roots of V' and
+of V - c. Only the box-edge enclosure check samples H.
 """
 
 from __future__ import annotations
@@ -29,10 +30,20 @@ from .errors import InvalidSymbol, NonCompactWindow, PreimageNotEnclosed
 POTENTIAL_KINDS = ("harmonic", "quartic", "polynomial", "double_well", "morse")
 CLOSED_FORM_KINDS = ("kerr", "anisotropic_harmonic")
 
-# Critical-point scan parameters (see regularity_report).
-_SCAN_GRID = 401
-_GRAD_FLAG_TOL = 1e-3
-_NEWTON_ITERS = 20
+# Samples per box edge in the enclosure check (see regularity_report).
+_EDGE_SAMPLES = 401
+# A root's real part counts when |p| there is at most this times the size of
+# p's largest term, max|coefficient| * max(1, |x|)^degree: the companion
+# matrix returns a multiple root as a cluster of complex values around it.
+_ROOT_TOL = 1e-8
+
+
+def _real_roots(coefficients) -> np.ndarray:
+    """Sorted distinct real roots of the polynomial (ascending coefficients)."""
+    c = np.asarray(coefficients, dtype=float)
+    x = npoly.polyroots(c).real
+    scale = np.max(np.abs(c)) * np.maximum(1.0, np.abs(x)) ** (c.size - 1)
+    return np.unique(x[np.abs(npoly.polyval(x, c)) <= _ROOT_TOL * scale])
 
 
 @dataclass(frozen=True)
@@ -97,27 +108,28 @@ class PotentialSpec:
             return 2.0 * a * d * (1.0 - e) * e
         raise InvalidSymbol(self.kind)
 
+    def critical_points(self) -> tuple[float, ...]:
+        """Every real x with V'(x) = 0, ascending."""
+        k = self.kind
+        if k == "double_well":
+            a = self._p("a")
+            return (-a, 0.0, a)
+        if k == "polynomial":
+            return tuple(float(x) for x in _real_roots(npoly.polyder(self.coefficients)))
+        return (0.0,)
+
     def min_value(self) -> float:
-        """Global minimum of V (all catalog entries attain one)."""
+        """Global minimum of V: the least value at a critical point.
+
+        Raises NonCompactWindow for a polynomial unbounded below.
+        """
         k = self.kind
         if k in ("harmonic", "quartic", "double_well", "morse"):
             return 0.0
-        xs = np.linspace(-50.0, 50.0, 200001)
-        vals = self.value(xs)
-        i = int(np.argmin(vals))
-        x0 = xs[i]
-        dp = npoly.polyder(self.coefficients)
-        ddp = npoly.polyder(dp)
-        for _ in range(60):
-            g = npoly.polyval(x0, dp)
-            h = npoly.polyval(x0, ddp)
-            if h <= 0:
-                break
-            step = g / h
-            x0 -= step
-            if abs(step) < 1e-14 * max(1.0, abs(x0)):
-                break
-        return float(min(np.min(vals), self.value(x0)))
+        if not self.confining_below(-math.inf):
+            raise NonCompactWindow("polynomial potential is unbounded below")
+        # x = 0 stands in for the critical points of a constant V
+        return float(np.min(self.value(np.array([*self.critical_points(), 0.0]))))
 
     def tail_sup(self) -> tuple[float, float]:
         """Limits of V at -inf and +inf (inf for confining tails)."""
@@ -145,7 +157,9 @@ class PotentialSpec:
     def sublevel_interval(self, c: float) -> tuple[float, float]:
         """Smallest interval [xlo, xhi] containing {V <= c}.
 
-        Raises NonCompactWindow when the sublevel set is unbounded.
+        Closed forms for the named potentials; for a polynomial, the least
+        and greatest real roots of V - c. Raises NonCompactWindow when the
+        sublevel set is unbounded or empty.
         """
         if not self.confining_below(c):
             raise NonCompactWindow(
@@ -166,33 +180,10 @@ class PotentialSpec:
             d, a = self._p("D"), self._p("a")
             s = math.sqrt(c / d)
             return -math.log1p(s) / a, -math.log(1.0 - s) / a
-        # polynomial: expand until the tails clear c, then bisect inward
-        r = 1.0
-        for _ in range(200):
-            if self.value(-r) > c and self.value(r) > c:
-                xs = np.linspace(-r, r, 20001)
-                inside = np.nonzero(self.value(xs) <= c)[0]
-                if inside.size == 0:
-                    raise NonCompactWindow(
-                        f"polynomial sublevel set at {c:g} is empty"
-                    )
-                lo = _bisect_edge(self.value, xs[inside[0] - 1], xs[inside[0]], c)
-                hi = _bisect_edge(self.value, xs[inside[-1] + 1], xs[inside[-1]], c)
-                return lo, hi
-            r *= 2.0
-        raise NonCompactWindow("polynomial sublevel search did not terminate")
-
-
-def _bisect_edge(f, outside, inside, c, iters=80):
-    """Bisect f(x)=c between a point outside {f<=c} and one inside."""
-    a, b = outside, inside
-    for _ in range(iters):
-        m = 0.5 * (a + b)
-        if f(m) > c:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+        roots = _real_roots(npoly.polysub(self.coefficients, [c]))
+        if roots.size == 0:
+            raise NonCompactWindow(f"polynomial sublevel set at {c:g} is empty")
+        return float(roots[0]), float(roots[-1])
 
 
 def harmonic_potential() -> PotentialSpec:
@@ -275,6 +266,13 @@ class SymbolSpec:
             return np.asarray(x) * s, np.asarray(xi) * s
         a, b = self._p("a"), self._p("b")
         return b * np.asarray(x, dtype=float), a * np.asarray(xi, dtype=float)
+
+    def critical_points(self) -> tuple[tuple[float, float], ...]:
+        """Every critical point of H: (x, 0) at each critical x of V, or the
+        origin for kerr (chi >= 0) and anisotropic_harmonic."""
+        if self.kind == "schrodinger":
+            return tuple((x, 0.0) for x in self.potential.critical_points())
+        return ((0.0, 0.0),)
 
     def bounding_radius(self, emax: float) -> tuple[float, float]:
         """Half-widths (x, xi) of a box containing {H <= emax} (closed forms)."""
@@ -434,77 +432,16 @@ def eval_gradient(spec: SymbolSpec, x: float, xi: float) -> tuple[float, float]:
     return gx, gxi
 
 
-def _critical_points(spec: SymbolSpec, box: Box) -> list[tuple[float, float]]:
-    """Locate critical points of H inside the box.
-
-    Dense node scan flags small-gradient nodes, plus any cell where both
-    gradient components change sign (catches points the magnitude threshold
-    would miss between nodes). Flagged starts are polished by Newton on
-    grad H = 0 with a finite-difference Jacobian of the exact gradient.
-    """
-    xs = np.linspace(box.x_lo, box.x_hi, _SCAN_GRID)
-    xis = np.linspace(box.xi_lo, box.xi_hi, _SCAN_GRID)
-    X, XI = np.meshgrid(xs, xis, indexing="ij")
-    gx, gxi = spec.gradient(X, XI)
-    gx = np.broadcast_to(np.asarray(gx, dtype=float), X.shape)
-    gxi = np.broadcast_to(np.asarray(gxi, dtype=float), X.shape)
-    norm = np.hypot(gx, gxi)
-
-    starts = [
-        (X[i, j], XI[i, j]) for i, j in zip(*np.nonzero(norm < _GRAD_FLAG_TOL))
-    ]
-    sx = gx > 0
-    sxi = gxi > 0
-    flip_x = (
-        (sx[:-1, :-1] != sx[1:, :-1]) | (sx[:-1, 1:] != sx[1:, 1:])
-        | (sx[:-1, :-1] != sx[:-1, 1:])
-    )
-    flip_xi = (
-        (sxi[:-1, :-1] != sxi[:-1, 1:]) | (sxi[1:, :-1] != sxi[1:, 1:])
-        | (sxi[:-1, :-1] != sxi[1:, :-1])
-    )
-    for i, j in zip(*np.nonzero(flip_x & flip_xi)):
-        starts.append((0.5 * (xs[i] + xs[i + 1]), 0.5 * (xis[j] + xis[j + 1])))
-
-    hx = 1e-6 * max(1.0, box.x_hi - box.x_lo)
-    hxi = 1e-6 * max(1.0, box.xi_hi - box.xi_lo)
-    found: list[tuple[float, float]] = []
-    for x0, xi0 in starts:
-        p = np.array([x0, xi0], dtype=float)
-        for _ in range(_NEWTON_ITERS):
-            g = np.array(spec.gradient(p[0], p[1]), dtype=float)
-            j00 = (spec.gradient(p[0] + hx, p[1])[0] - spec.gradient(p[0] - hx, p[1])[0]) / (2 * hx)
-            j01 = (spec.gradient(p[0], p[1] + hxi)[0] - spec.gradient(p[0], p[1] - hxi)[0]) / (2 * hxi)
-            j10 = (spec.gradient(p[0] + hx, p[1])[1] - spec.gradient(p[0] - hx, p[1])[1]) / (2 * hx)
-            j11 = (spec.gradient(p[0], p[1] + hxi)[1] - spec.gradient(p[0], p[1] - hxi)[1]) / (2 * hxi)
-            det = j00 * j11 - j01 * j10
-            if abs(det) < 1e-14:
-                break
-            step = np.array([(j11 * g[0] - j01 * g[1]) / det,
-                             (-j10 * g[0] + j00 * g[1]) / det])
-            p -= step
-            if np.max(np.abs(step)) < 1e-13:
-                break
-        gx1, gxi1 = spec.gradient(p[0], p[1])
-        if math.hypot(float(gx1), float(gxi1)) > 1e-8:
-            continue
-        if not (box.x_lo <= p[0] <= box.x_hi and box.xi_lo <= p[1] <= box.xi_hi):
-            continue
-        if any(math.hypot(p[0] - q[0], p[1] - q[1]) < 1e-6 for q in found):
-            continue
-        found.append((float(p[0]), float(p[1])))
-    return found
-
-
 def regularity_report(spec: SymbolSpec, window: EnergyWindow, box: Box) -> RegularityReport:
     """Check that no critical value of H intrudes on the widened window.
 
-    Also verifies the band preimage does not touch the box boundary
-    (PreimageNotEnclosed otherwise), so downstream component counting can
-    trust the box.
+    The critical values come from the catalog's exact critical points. The
+    band preimage must also stay off the box boundary, sampled at
+    _EDGE_SAMPLES points per edge (PreimageNotEnclosed otherwise), so
+    downstream component counting can trust the box.
     """
-    xs = np.linspace(box.x_lo, box.x_hi, _SCAN_GRID)
-    xis = np.linspace(box.xi_lo, box.xi_hi, _SCAN_GRID)
+    xs = np.linspace(box.x_lo, box.x_hi, _EDGE_SAMPLES)
+    xis = np.linspace(box.xi_lo, box.xi_hi, _EDGE_SAMPLES)
     for edge_x, edge_xi in (
         (xs, np.full_like(xs, box.xi_lo)),
         (xs, np.full_like(xs, box.xi_hi)),
@@ -518,7 +455,7 @@ def regularity_report(spec: SymbolSpec, window: EnergyWindow, box: Box) -> Regul
             )
 
     crit_vals = sorted(
-        eval_symbol(spec, px, pxi) for px, pxi in _critical_points(spec, box)
+        eval_symbol(spec, px, pxi) for px, pxi in spec.critical_points()
     )
     bad = tuple(v for v in crit_vals if window.lo <= v <= window.hi)
     return RegularityReport(regular=not bad, critical_values_found=bad)

@@ -179,6 +179,18 @@ def test_richardson_gate(morse_window):
     assert run.gate_residual is not None and run.gate_residual <= 1e-8
 
 
+def test_richardson_sorts_tied_doublet():
+    # The deep doublets tie below bisect_tol on the fine grid, so the
+    # extrapolation (4 e_fine - e_coarse) / 3 can swap a pair's order.
+    a = 1.05
+    window = ebk.EnergyWindow(0.1, 0.5 * a**4, 0.05)
+    run = ebk.solve_window(ebk.double_well_potential(a), window, 0.05)
+    ev = run.result.eigenvalues
+    assert list(run.result.indices) == [2, 3, 4, 5, 6, 7]
+    assert np.all(np.diff(ev) >= 0.0)
+    assert np.all((ev >= window.e1) & (ev <= window.e2))
+
+
 def test_domain_doubling_stability():
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)

@@ -7,7 +7,7 @@ import numpy as np
 
 import ebk
 from ebk import pipeline, portrait
-from ebk.config import parse_config
+from ebk.config import STAGES, parse_config
 
 
 def _config(out_dir, pipeline_stages) -> ebk.config.RunConfig:
@@ -98,3 +98,39 @@ def test_run_manifest_reports_table_health(tmp_path):
     assert runs[0][0]["actions"] == runs[1][0]["actions"]
     written = json.loads((tmp_path / "a" / "manifest.json").read_text(encoding="utf-8"))
     assert written["actions"] == runs[0][0]["actions"]
+
+
+SEXTIC = [0, 0, 3, 0, -3.5, 0, 1]  # 3x^2 - 3.5x^4 + x^6: three wells below 0.45
+
+
+def _sextic_config(out_dir, hbars, pipeline_stages) -> ebk.config.RunConfig:
+    return parse_config(
+        {
+            "symbol": {"name": "polynomial", "params": {"coefficients": SEXTIC}},
+            "window": {"e1": 0.1, "e2": 0.4, "margin": 0.05},
+            "hbars": hbars,
+            "pipeline": pipeline_stages,
+            "seed": 1,
+            "output_dir": str(out_dir),
+        }
+    )
+
+
+def test_run_bijection_fails_without_pairs(tmp_path):
+    # At these hbar the window interior holds no level of any family.
+    stages = ["trace", "actions", "spectrum", "oracle", "compare"]
+    manifest, code = pipeline.run(_sextic_config(tmp_path, [0.1, 0.05], stages))
+    assert code == 4
+    assert manifest["checks"]["bijection"] is False
+    assert len(manifest["actions"]) == 3
+    match = json.loads((tmp_path / "match.json").read_text(encoding="utf-8"))
+    assert all(not rep["pairs"] for rep in match.values())
+
+
+def test_run_sextic_all_stages(tmp_path):
+    stages = list(STAGES)
+    manifest, code = pipeline.run(_sextic_config(tmp_path, [0.05, 0.025], stages))
+    assert code == 0
+    assert len(manifest["actions"]) == 3
+    assert manifest["checks"]["bijection"] is True
+    assert manifest["checks"]["weyl_exact"] is True

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import ebk
-from ebk.errors import CriticalSeed, EmptyLevelSet, NonConstantTopology, NotClosedOrbit
+from ebk.errors import (
+    CriticalSeed,
+    EmptyLevelSet,
+    NonConstantTopology,
+    NotClosedOrbit,
+    PreimageNotEnclosed,
+)
 from ebk.portrait import marching_component_count, refine_to_level
 from ebk.symbols import Box
 
@@ -34,8 +40,6 @@ def test_seed_components_empty(harmonic):
 
 
 def test_seed_components_rejects_leaky_box(harmonic):
-    from ebk.errors import PreimageNotEnclosed
-
     with pytest.raises(PreimageNotEnclosed):
         ebk.seed_components(harmonic, 0.5, Box(-1.05, 1.05, -0.5, 0.5))
 
@@ -125,6 +129,20 @@ def test_marching_counts_straddle_barrier(double_well):
     box = Box(-2.2, 2.2, -2.5, 2.5)
     assert marching_component_count(double_well, 0.9, box) == 2
     assert marching_component_count(double_well, 1.1, box) == 1
+
+
+def test_marching_open_chain_leaves_box(harmonic):
+    # The circle H = 0.85 (radius 1.30) leaves each of these boxes through
+    # one side; the walk must not close, whichever side it is.
+    assert marching_component_count(harmonic, 0.85, Box(-1.5, 1.5, -1.5, 1.5)) == 1
+    for box in (
+        Box(-1.5, 1.5, -1.0, 1.5),
+        Box(-1.5, 1.5, -1.5, 1.0),
+        Box(-1.0, 1.5, -1.5, 1.5),
+        Box(-1.5, 1.0, -1.5, 1.5),
+    ):
+        with pytest.raises(PreimageNotEnclosed):
+            marching_component_count(harmonic, 0.85, box)
 
 
 def test_family_labels_stable(dw_families):

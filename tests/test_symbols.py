@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import polynomial as npoly
 
 import ebk
 from ebk.errors import InvalidSymbol, NonCompactWindow, PreimageNotEnclosed
@@ -128,3 +131,119 @@ def test_regularity_implies_gradient_positive_on_components(double_well):
             gx, gxi = double_well.gradient(comp.points[:, 0], comp.points[:, 1])
             norms = np.hypot(np.asarray(gx), np.asarray(gxi))
             assert float(norms.min()) > 1e-3
+
+
+SEXTIC = [0.0, 0.0, 3.0, 0.0, -3.5, 0.0, 1.0]  # 3x^2 - 3.5x^4 + x^6: three wells
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _all_catalog_symbols() + [ebk.schrodinger_symbol(ebk.polynomial_potential(SEXTIC))],
+    ids=lambda s: s.form or s.potential.kind,
+)
+def test_critical_points_are_exact_and_complete(spec):
+    points = np.array(spec.critical_points())
+    gx, gxi = spec.gradient(points[:, 0], points[:, 1])
+    assert np.max(np.hypot(gx, gxi)) <= 1e-12
+    # The old scan's starts on a 401^2 grid over the box: nodes where
+    # |grad H| < 1e-3 is a local minimum, and cells in which both gradient
+    # components change sign. Each lies within one cell of a listed point.
+    box = ebk.compact_preimage_box(spec, ebk.EnergyWindow(0.1, 0.6, 0.05))
+    xs = np.linspace(box.x_lo, box.x_hi, 401)
+    xis = np.linspace(box.xi_lo, box.xi_hi, 401)
+    gx, gxi = spec.gradient(*np.meshgrid(xs, xis, indexing="ij"))
+    norm = np.hypot(gx, gxi)
+    starts = np.zeros(norm.shape, dtype=bool)
+    starts[1:-1, 1:-1] = norm[1:-1, 1:-1] < 1e-3
+    for di in (0, 1, 2):
+        for dj in (0, 1, 2):
+            starts[1:-1, 1:-1] &= norm[1:-1, 1:-1] <= norm[di : 399 + di, dj : 399 + dj]
+
+    def flips(sign):
+        corners = np.stack([sign[:-1, :-1], sign[1:, :-1], sign[:-1, 1:], sign[1:, 1:]])
+        return corners.any(axis=0) & ~corners.all(axis=0)
+
+    starts[:-1, :-1] |= flips(gx > 0) & flips(gxi > 0)
+    assert starts.any()
+    dx, dxi = xs[1] - xs[0], xis[1] - xis[0]
+    for i, j in zip(*np.nonzero(starts)):
+        assert np.any(
+            (np.abs(points[:, 0] - xs[i]) <= dx) & (np.abs(points[:, 1] - xis[j]) <= dxi)
+        )
+
+
+def test_sextic_landmarks_find_every_well():
+    sextic = ebk.schrodinger_symbol(ebk.polynomial_potential(SEXTIC))
+    window = ebk.EnergyWindow(0.1, 0.4, 0.05)
+    pot = sextic.potential
+    xlo, xhi = pot.sublevel_interval(0.45)
+    assert pot.value(xlo) == pytest.approx(0.45, abs=1e-12)
+    assert pot.value(xhi) == pytest.approx(0.45, abs=1e-12)
+    assert xhi == pytest.approx(-xlo) and xhi > 1.497
+    box = ebk.compact_preimage_box(sextic, window)
+    assert box.x_lo < -1.497 and box.x_hi > 1.497
+    assert ebk.regularity_report(sextic, window, box).regular
+    assert len(ebk.build_families(sextic, window)) == 3
+
+
+def test_regularity_lists_degenerate_minimum_once(quartic):
+    window = ebk.EnergyWindow(0.05, 0.35, 0.05)
+    box = ebk.compact_preimage_box(quartic, window)
+    report = ebk.regularity_report(quartic, window, box)
+    assert not report.regular
+    assert report.critical_values_found == (0.0,)
+
+
+def test_polynomial_multiple_roots_count():
+    # The companion matrix returns a multiple root as a cluster of complex
+    # values: the triple root of V' for V = (x - 1)^4, and the double roots
+    # of V at its minimum for V = (x^2 - 1)^2.
+    pot = ebk.polynomial_potential([1.0, -4.0, 6.0, -4.0, 1.0])
+    assert pot.critical_points() and all(abs(x - 1.0) < 1e-4 for x in pot.critical_points())
+    assert abs(pot.min_value()) <= 1e-15
+    with pytest.raises(NonCompactWindow):
+        pot.sublevel_interval(-0.1)
+    well = ebk.polynomial_potential([1.0, 0.0, -2.0, 0.0, 1.0])
+    assert well.sublevel_interval(0.0) == pytest.approx((-1.0, 1.0), abs=1e-12)
+    assert well.critical_points() == pytest.approx((-1.0, 0.0, 1.0), abs=1e-12)
+    with pytest.raises(NonCompactWindow):
+        ebk.polynomial_potential([0.0, 1.0]).min_value()
+
+
+@st.composite
+def _confining_polynomials(draw):
+    degree = 2 * draw(st.integers(1, 4))
+    coeffs = draw(st.lists(st.floats(-3.0, 3.0), min_size=degree, max_size=degree))
+    lead = draw(st.floats(0.01, 2.0))  # a small lead puts roots far out
+    x0 = draw(st.floats(-2.0, 2.0))
+    offset = draw(st.floats(1e-3, 5.0))
+    pot = ebk.polynomial_potential(coeffs + [lead])
+    return pot, float(pot.value(x0)) + offset
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(_confining_polynomials())
+def test_polynomial_landmarks_property_sweep(case):
+    pot, c = case
+    shifted = npoly.polysub(pot.coefficients, [c])
+    top = float(np.max(np.abs(shifted)))
+
+    def size(x):  # the largest term of V - c at x
+        return top * max(1.0, abs(x)) ** (shifted.size - 1)
+
+    xlo, xhi = pot.sublevel_interval(c)
+    for end in (xlo, xhi):
+        assert abs(pot.value(end) - c) <= 1e-8 * size(end)
+    # Cauchy's bound holds every real root of V - c and of V'.
+    bound = 1.0 + float(np.max(np.abs(shifted[:-1]))) / shifted[-1]
+    xs = np.linspace(-bound, bound, 20001)
+    dx = xs[1] - xs[0]
+    vals = pot.value(xs)
+    inside = xs[vals <= c]
+    assert inside.size and xlo - 1e-9 <= inside[0] and inside[-1] <= xhi + 1e-9
+    i = int(np.argmin(vals))
+    assert pot.min_value() <= vals[i] + 1e-12 * size(xs[i])
+    crit = np.array(pot.critical_points())
+    slope = np.sign(pot.derivative(xs))
+    for i in np.nonzero(slope[:-1] * slope[1:] < 0)[0]:
+        assert np.any((crit >= xs[i] - dx) & (crit <= xs[i + 1] + dx))
