@@ -12,7 +12,8 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, InvalidSymbol
+from .errors import ConfigError, EbkError, GridTooLarge, InvalidSymbol
+from .oracle import domain_auto
 from .portrait import DEFAULT_ACTION_SAMPLES
 from .symbols import EnergyWindow, SymbolSpec, symbol_from_config
 
@@ -204,6 +205,13 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
         raise ConfigError(
             f"symbol {sym['name']!r} has no direct oracle; remove oracle/compare/weyl stages"
         )
+    for h in vals if "oracle" in resolved else ():
+        try:
+            domain_auto(spec.potential, window, h, phase_tol=float(oracle_tol))
+        except GridTooLarge as exc:
+            raise GridTooLarge(f"oracle grid at hbar={h:g}: {exc}") from exc
+        except EbkError:  # a landmark error such as NonCompactWindow: the run's (exit 3)
+            break
 
     return RunConfig(
         symbol_name=sym["name"],

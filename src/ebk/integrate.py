@@ -9,7 +9,10 @@ standard batched-IVP form of the DP5(4) pair with Shampine dense output
 own time, step size, accept/reject decision, FSAL stage and error norm, and
 all arithmetic is column by column, so a column advances bit for bit as it
 would alone. The right-hand side is evaluated once per stage for all live
-columns together, which is where the batch saves interpreter overhead.
+columns together, which is where the batch saves interpreter overhead. An
+attempt that accepts every live column, almost every attempt of a scan,
+yields its arrays as they are; only one with a rejected column selects the
+accepted columns and tests for step-size underflow.
 """
 
 from __future__ import annotations
@@ -46,10 +49,12 @@ _P = np.array(
     ]
 )
 
-# The weights above shaped to broadcast against stage values (stages, dim, m).
+# The weights above shaped to broadcast against stage values k (stages, dim, m),
+# the B, E and P weights stacked for one sum. A stage sum is np.add.reduce of
+# the products over the stage axis, added in stage order: a column's result
+# does not depend on the other columns, so it advances bit for bit as alone.
 _A3 = tuple(a[:, None, None] for a in _A)
-_B3, _E3 = _B[:, None, None], _E[:, None, None]
-_P3 = _P.T[:, :, None, None]
+_BEP = np.vstack([_B, _E, _P.T])[:, :, None, None]
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -93,20 +98,10 @@ class Step:
         )
 
 
-def _combine(w, k):
-    """sum_s w[..., s, 0, 0] k[s] for stage weights w (..., s, 1, 1), k (stages, dim, m).
-
-    Elementwise products summed in stage order: a column's result does not
-    depend on the other columns of the batch, so a batched column advances
-    bit for bit as it would alone.
-    """
-    return np.add.reduce(w * k[: w.shape[-3]], axis=-3)
-
-
 def _initial_step(f, y0):
     scale = np.linalg.norm(y0, axis=0) + 1.0
     rate = np.linalg.norm(f(y0), axis=0) + 1e-12
-    return np.clip(0.01 * scale / rate, 1e-8, 0.5)
+    return np.minimum(np.maximum(0.01 * scale / rate, 1e-8), 0.5)
 
 
 def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
@@ -118,7 +113,8 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
     relative local error target per step. active, an optional (m,) bool
     array, stops a column once the caller clears its entry between two
     steps. f is evaluated 2 times at start-up and 6 times per attempt.
-    Raises RuntimeError on step-size underflow in any column.
+    Raises RuntimeError on step-size underflow in any column. The state
+    arrays are rebound, never written in place, so a yielded Step stays valid.
     """
     y = np.array(y0, dtype=float)
     if y.ndim == 1:
@@ -140,25 +136,27 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
             return
         h = np.where(t + h > t_max, t_max - t, h)
         for i in range(1, 7):
-            k[i] = f(y + h * _combine(_A3[i], k))
-        y1 = y + h * _combine(_B3, k)
-        err_vec = h * _combine(_E3, k)
-        scale = tol + tol * np.maximum(np.abs(y), np.abs(y1))
-        ratio = err_vec / scale
+            k[i] = f(y + h * np.add.reduce(_A3[i] * k[:i], axis=0))
+        bep = np.add.reduce(_BEP * k, axis=1)
+        y1 = y + h * bep[0]
+        ratio = h * bep[1] / (tol + tol * np.maximum(np.abs(y), np.abs(y1)))
         err = np.sqrt((ratio * ratio).sum(axis=0) / dim)
-        ok = err <= 1.0
         # err = 0 gives the largest growth factor, as does any err < 1e-300.
-        factor = np.clip(_SAFETY * np.maximum(err, 1e-300) ** -0.2, _MIN_FACTOR, _MAX_FACTOR)
-        if ok.any():
-            q = _combine(_P3, k)[:, :, ok]
-            step = Step(cols[ok], t[ok], h[ok], y[:, ok], y1[:, ok], q)
-            t[ok] += h[ok]
-            y[:, ok] = y1[:, ok]
-            k[0][:, ok] = k[6][:, ok]  # FSAL
-            yield step
+        factor = np.maximum(_SAFETY * np.maximum(err, 1e-300) ** -0.2, _MIN_FACTOR)
+        factor = np.minimum(factor, _MAX_FACTOR)
+        ok = err <= 1.0
+        if ok.all():  # the usual attempt: no selection, no copies
+            yield Step(cols, t, h, y, y1, bep[2:])
+            t, y = t + h, y1
+            k[0] = k[6]  # FSAL
+        else:
+            if ok.any():
+                yield Step(cols[ok], t[ok], h[ok], y[:, ok], y1[:, ok], bep[2:, :, ok])
+                t, y = np.where(ok, t + h, t), np.where(ok, y1, y)
+                k[0][:, ok] = k[6][:, ok]
+            if np.any(~ok & (h * factor < 1e-14 * np.maximum(1.0, np.abs(t)))):
+                raise RuntimeError("step size underflow in dp45")
         h = h * factor
-        if np.any(~ok & (h < 1e-14 * np.maximum(1.0, np.abs(t)))):
-            raise RuntimeError("step size underflow in dp45")
 
 
 def resample(t0, h, y0, q, ts: np.ndarray) -> np.ndarray:

@@ -91,6 +91,9 @@ def _write_csv(path: Path, header: list[str], rows):
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
+            if isinstance(row, str):  # a block of lines formatted already
+                fh.write(row)
+                continue
             types = tuple(map(type, row))
             if types not in formats:
                 formats[types] = _line_format(types)
@@ -162,19 +165,19 @@ def _stage_trace(state: _RunState):
     state.families = build_families(
         state.spec, state.window, cfg.action_samples, trace_tol=cfg.trace_tol
     )
-    rows = (
-        (family.k, comp.energy, t, x, xi)
-        for family in state.families
-        for comp in family.components
-        for t, (x, xi) in _strided(comp)
-    )
-    state.emit_csv("components.csv", ["k", "E", "t", "x", "xi"], rows)
+    blocks = _component_blocks(state.families)
+    state.emit_csv("components.csv", ["k", "E", "t", "x", "xi"], blocks)
 
 
-def _strided(comp):
-    """(t, (x, xi)) of every stride-th sample of a component, as Python floats."""
-    stride = max(1, len(comp.points) // _CSV_STRIDE_TARGET)
-    return zip(comp.times[::stride].tolist(), comp.points[::stride].tolist())
+def _component_blocks(families):
+    """The k,E,t,x,xi lines of each component's every stride-th sample as one
+    str: one %-format of a line repeated per sample, its k,E prefix formatted once."""
+    for family in families:
+        for comp in family.components:
+            stride = max(1, len(comp.points) // _CSV_STRIDE_TARGET)
+            line = "%d,%.17g," % (family.k, comp.energy) + "%.17g,%.17g,%.17g\n"
+            rows = np.column_stack([comp.times[::stride], comp.points[::stride]])
+            yield line * len(rows) % tuple(rows.ravel().tolist())
 
 
 def _stage_actions(state: _RunState):
@@ -418,6 +421,12 @@ def run(
             str(t.k): {"samples": len(t.energies), "tau_consistency": t.tau_consistency}
             for t in state.tables
         }
+    if state.families:
+        steps = {str(f.k): sum(c.steps for c in f.components) for f in state.families}
+        orbits = sum(len(f.components) for f in state.families)
+        manifest["metrics"] = {"trace": {"orbits": orbits, "dp45_steps": steps}}
+        if verbose:
+            print(f"[ebk] trace: {orbits} orbits, dp45 steps {steps}")
     _write_json(out / "manifest.json", manifest)
 
     code = 0

@@ -2,7 +2,10 @@
 
 The connected components of {H = E} are found in two stages. A marching
 pass over a grid of H values yields one candidate point per closed contour
-loop, refined onto the level set by bisection along a grid edge. Each
+loop, interpolated on a grid edge and refined onto the level set along the
+gradient. The pass computes every edge crossing and pairs the crossings of
+every cell as arrays, and walks each loop along an integer neighbour table;
+a crossing on the box boundary means the level set leaves the box. Each
 candidate then seeds an integration of the flow
 
     x' = dH/dxi,   xi' = -dH/dx,
@@ -66,6 +69,7 @@ class LevelComponent:
     action: float
     trace_tol: float
     closure_gap: float = 0.0  # |flow(seed, period) - seed|, already <= trace_tol
+    steps: int = 0  # accepted DP45 steps of the trace
 
     def reversed(self) -> "LevelComponent":
         pts = self.points[::-1].copy()
@@ -111,105 +115,70 @@ def _grid_values(spec, box: Box, n: int):
 def _marching_loops(spec, energy, box, grid_n):
     """Closed contour loops of {H = E} on the grid.
 
-    Returns a list of loops, each an ordered list of edge-crossing points.
-    Edges are grid segments; axis 0 crossings vary x, axis 1 vary xi. Every
-    cell has 0, 2 or 4 crossed edges, so a walk that does not close has
-    left the box: PreimageNotEnclosed.
+    Returns a list of loops, each an ordered list of edge-crossing points
+    (x, xi). Edge (i, j, axis) joins node (i, j) to (i + 1, j) for axis 0
+    and to (i, j + 1) for axis 1; its code (i * n + j) * 2 + axis is its flat
+    index in the crossing mask. The crossing points, one array per axis, and
+    the pairing of every cell's crossed edges, a saddle cell's by the sign of
+    H - E at its centre, are array operations. Every interior edge then has
+    two neighbours, so a chain is open exactly when a crossed edge lies on
+    the box boundary: PreimageNotEnclosed. Only the walk over the integer
+    neighbour table runs in Python; each loop starts at its least edge.
     """
     xs, xis, H = _grid_values(spec, box, grid_n)
+    n = grid_n
     F = H - energy
     pos = F > 0.0
-
-    crossings = {}
-
-    def _edge_point(i, j, axis):
-        if axis == 0:
-            t = F[i, j] / (F[i, j] - F[i + 1, j])
-            return (xs[i] + t * (xs[i + 1] - xs[i]), xis[j])
-        t = F[i, j] / (F[i, j] - F[i, j + 1])
-        return (xs[i], xis[j] + t * (xis[j + 1] - xis[j]))
-
-    cross_x = pos[:-1, :] != pos[1:, :]
-    cross_xi = pos[:, :-1] != pos[:, 1:]
-    for i, j in zip(*np.nonzero(cross_x)):
-        crossings[(int(i), int(j), 0)] = _edge_point(int(i), int(j), 0)
-    for i, j in zip(*np.nonzero(cross_xi)):
-        crossings[(int(i), int(j), 1)] = _edge_point(int(i), int(j), 1)
-    if not crossings:
+    cross = np.zeros((n, n, 2), dtype=bool)
+    cross[:-1, :, 0] = pos[:-1, :] != pos[1:, :]
+    cross[:, :-1, 1] = pos[:, :-1] != pos[:, 1:]
+    codes = np.flatnonzero(cross)
+    if not codes.size:
         raise EmptyLevelSet(f"no crossing of level {energy:g} on the grid")
+    if cross[:, [0, -1], 0].any() or cross[[0, -1], :, 1].any():
+        raise PreimageNotEnclosed("open contour chain: the level set leaves the box")
 
-    # Cell adjacency: pair up the crossed edges of every touched cell.
-    links = {key: [] for key in crossings}
-    n = grid_n
-    cells = set()
-    for (i, j, axis) in crossings:
-        if axis == 0:  # x-edge: bottom of cell (i, j), top of cell (i, j-1)
-            if j < n - 1:
-                cells.add((i, j))
-            if j > 0:
-                cells.add((i, j - 1))
-        else:  # xi-edge: left of cell (i, j), right of cell (i-1, j)
-            if i < n - 1:
-                cells.add((i, j))
-            if i > 0:
-                cells.add((i - 1, j))
-    for ci, cj in sorted(cells):
-        cell_edges = []
-        for key in (
-            (ci, cj, 0),
-            (ci, cj + 1, 0),
-            (ci, cj, 1),
-            (ci + 1, cj, 1),
-        ):
-            if key in crossings:
-                cell_edges.append(key)
-        if len(cell_edges) == 2:
-            a, b = cell_edges
-            links[a].append(b)
-            links[b].append(a)
-        else:
-            # Saddle cell (4 edges): the center sample picks the pairing.
-            cx = 0.5 * (xs[ci] + xs[ci + 1])
-            cxi = 0.5 * (xis[cj] + xis[cj + 1])
-            center_pos = float(spec.value(cx, cxi)) - energy > 0.0
-            b0, b1 = (ci, cj, 0), (ci, cj + 1, 0)
-            l0, r0 = (ci, cj, 1), (ci + 1, cj, 1)
-            corner_pos = pos[ci, cj]
-            if center_pos == corner_pos:
-                pairs = ((b0, r0), (b1, l0))
-            else:
-                pairs = ((b0, l0), (b1, r0))
-            for a, b in pairs:
-                links[a].append(b)
-                links[b].append(a)
+    i, j, axis = codes // (2 * n), codes // 2 % n, codes % 2
+    px, pxi = xs[i], xis[j]
+    ia, ja = i[axis == 0], j[axis == 0]
+    t = F[ia, ja] / (F[ia, ja] - F[ia + 1, ja])
+    px[axis == 0] = xs[ia] + t * (xs[ia + 1] - xs[ia])
+    ia, ja = i[axis == 1], j[axis == 1]
+    t = F[ia, ja] / (F[ia, ja] - F[ia, ja + 1])
+    pxi[axis == 1] = xis[ja] + t * (xis[ja + 1] - xis[ja])
 
-    loops = []
-    unvisited = set(crossings)
-    while unvisited:
-        start = min(unvisited)  # deterministic order
-        chain = [start]
-        unvisited.discard(start)
-        prev = None
-        cur = start
-        closed = False
-        while True:
-            nxts = [e for e in links[cur] if e != prev]
-            if not nxts:
-                break
-            nxt = nxts[0]
-            if nxt == start:
-                closed = True
-                break
-            if nxt not in unvisited:
-                break
-            chain.append(nxt)
-            unvisited.discard(nxt)
-            prev, cur = cur, nxt
-        if not closed:
-            raise PreimageNotEnclosed(
-                "open contour chain: the level set leaves the box"
-            )
-        loops.append([crossings[key] for key in chain])
+    # A cell is named by the code of its bottom edge; its bottom, top, left
+    # and right edges sit at these offsets from it.
+    offset = np.array([0, 2, 1, 2 * n + 1])
+    cells = np.unique(np.concatenate([codes - axis, codes - axis - np.where(axis, 2 * n, 2)]))
+    sides = cross.ravel()[cells[:, None] + offset]
+    cell, side = np.nonzero(sides)  # 2 or 4 crossed sides per cell, in that order
+    ends = cells[cell] + offset[side]
+    count = sides.sum(axis=1)
+    first = (np.cumsum(count) - count)[count == 4, None]
+    ci, cj = cells[count == 4] // (2 * n), cells[count == 4] // 2 % n
+    centre = np.asarray(spec.value(0.5 * (xs[ci] + xs[ci + 1]), 0.5 * (xis[cj] + xis[cj + 1])))
+    # A saddle centre of the sign of corner (i, j) pairs bottom with right and
+    # top with left, otherwise bottom with left and top with right.
+    same = (centre - energy > 0.0) == pos[ci, cj]
+    ends[first + np.arange(4)] = ends[first + np.where(same[:, None], [0, 3, 1, 2], [0, 2, 1, 3])]
+    # Each edge's two neighbours, the one from the lower cell first.
+    a, b, pair_cell = ends[0::2], ends[1::2], cells[cell[0::2]]
+    order = np.lexsort((np.tile(pair_cell, 2), np.concatenate([a, b])))
+    nbr = np.searchsorted(codes, np.concatenate([b, a])[order]).reshape(-1, 2).tolist()
+
+    points = list(zip(px.tolist(), pxi.tolist()))
+    seen, loops = set(), []
+    for start in range(len(points)):
+        if start in seen:
+            continue
+        chain, prev, cur = [start], start, nbr[start][0]
+        while cur != start:
+            chain.append(cur)
+            fwd, back = nbr[cur]
+            prev, cur = cur, back if fwd == prev else fwd
+        seen.update(chain)
+        loops.append([points[e] for e in chain])
     return loops
 
 
@@ -394,6 +363,7 @@ def trace_component(
                 action=float(y_ret[2, j]),
                 trace_tol=trace_tol,
                 closure_gap=float(math.hypot(y_ret[0, j] - sx[j], y_ret[1, j] - sxi[j])),
+                steps=int(history.n[j]),
             )
         )
     return components if batch else components[0]

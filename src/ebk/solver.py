@@ -23,6 +23,9 @@ TWO_PI = 2.0 * math.pi
 # inclusion decisions that are exact in real arithmetic. Kept below the
 # 1e-9*hbar residual bound that spectrum entries must satisfy.
 _EDGE_SLACK = 5e-10
+# Levels this close are tied: far above the 1e-14 to 1e-12 rounding noise
+# between mirror families' levels, far below any spacing 2*pi*hbar/tau_max.
+_TIE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -34,7 +37,7 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class BsSpectrum:
-    """Labeled quantization solutions in the window, sorted by energy."""
+    """Labeled quantization solutions in the window, sorted by energy (ties by (k, n))."""
 
     hbar: float
     window: EnergyWindow
@@ -71,13 +74,19 @@ def quantize_family(
 def merged_spectrum(
     tables: list[ActionTable], hbar: float, window: EnergyWindow
 ) -> BsSpectrum:
-    """Disjoint union over families, globally sorted, labels retained."""
+    """Disjoint union over families, sorted by energy, labels retained.
+
+    A run of levels each within _TIE of the one before is ordered by (k, n),
+    so the order of a doublet does not depend on rounding.
+    """
     entries = []
     for table in tables:
         for n, e in quantize_family(table, hbar, window):
             entries.append(SpectrumEntry(energy=e, k=table.k, n=n))
-    entries.sort(key=lambda s: (s.energy, s.k, s.n))
-    return BsSpectrum(hbar=hbar, window=window, entries=tuple(entries))
+    entries.sort(key=lambda s: s.energy)
+    run = np.cumsum(np.diff([s.energy for s in entries], prepend=-np.inf) > _TIE).tolist()
+    order = sorted(range(len(entries)), key=lambda i: (run[i], entries[i].k, entries[i].n))
+    return BsSpectrum(hbar=hbar, window=window, entries=tuple(entries[i] for i in order))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ points come from root finding on V(x) = E and the integrals use adaptive
 Gauss-Kronrod quadrature after the sine substitution x = c + r*sin(theta),
 which removes the square-root endpoint singularity. The Sturm count
 reference runs the pivot recurrence in NumPy, independent of LAPACK. The
-self-intersection reference tests segment pairs one at a time in Python.
+self-intersection reference tests segment pairs one at a time in Python,
+and the marching-squares reference walks the crossed grid edges one at a
+time through dictionaries.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from ebk.errors import NotSimple
+from ebk.errors import EmptyLevelSet, NotSimple, PreimageNotEnclosed
 
 
 def sturm_counts_py(diag, offsq, lams):
@@ -144,3 +146,91 @@ def check_simple_sweep(points: np.ndarray):
                     continue
                 if _segments_intersect(points[i], nxt[i], points[j], nxt[j]):
                     raise NotSimple(f"segments {i} and {j} intersect")
+
+
+def marching_loops_py(spec, energy, box, grid_n):
+    """Closed contour loops of {H = E} on the grid, edge by edge in Python.
+
+    Edge (i, j, axis) joins node (i, j) to (i + 1, j) for axis 0 and to
+    (i, j + 1) for axis 1. Crossed edges are linked through the cells they
+    bound, a saddle cell by the sign of H - E at its centre, and walked
+    from the least unvisited edge; a walk that does not close raises
+    PreimageNotEnclosed.
+    """
+    xs = np.linspace(box.x_lo, box.x_hi, grid_n)
+    xis = np.linspace(box.xi_lo, box.xi_hi, grid_n)
+    F = np.asarray(spec.value(xs[:, None], xis[None, :]), dtype=float) - energy
+    pos = F > 0.0
+
+    def edge_point(i, j, axis):
+        if axis == 0:
+            t = F[i, j] / (F[i, j] - F[i + 1, j])
+            return (xs[i] + t * (xs[i + 1] - xs[i]), xis[j])
+        t = F[i, j] / (F[i, j] - F[i, j + 1])
+        return (xs[i], xis[j] + t * (xis[j + 1] - xis[j]))
+
+    crossings = {}
+    for i, j in zip(*np.nonzero(pos[:-1, :] != pos[1:, :])):
+        crossings[(int(i), int(j), 0)] = edge_point(int(i), int(j), 0)
+    for i, j in zip(*np.nonzero(pos[:, :-1] != pos[:, 1:])):
+        crossings[(int(i), int(j), 1)] = edge_point(int(i), int(j), 1)
+    if not crossings:
+        raise EmptyLevelSet(f"no crossing of level {energy:g} on the grid")
+
+    links = {key: [] for key in crossings}
+    n = grid_n
+    cells = set()
+    for i, j, axis in crossings:
+        if axis == 0:  # bottom of cell (i, j), top of cell (i, j - 1)
+            if j < n - 1:
+                cells.add((i, j))
+            if j > 0:
+                cells.add((i, j - 1))
+        else:  # left of cell (i, j), right of cell (i - 1, j)
+            if i < n - 1:
+                cells.add((i, j))
+            if i > 0:
+                cells.add((i - 1, j))
+    for ci, cj in sorted(cells):
+        b0, b1 = (ci, cj, 0), (ci, cj + 1, 0)
+        l0, r0 = (ci, cj, 1), (ci + 1, cj, 1)
+        edges = [key for key in (b0, b1, l0, r0) if key in crossings]
+        if len(edges) == 2:
+            pairs = (tuple(edges),)
+        else:
+            cx = 0.5 * (xs[ci] + xs[ci + 1])
+            cxi = 0.5 * (xis[cj] + xis[cj + 1])
+            centre_pos = float(spec.value(cx, cxi)) - energy > 0.0
+            if centre_pos == pos[ci, cj]:
+                pairs = ((b0, r0), (b1, l0))
+            else:
+                pairs = ((b0, l0), (b1, r0))
+        for a, b in pairs:
+            links[a].append(b)
+            links[b].append(a)
+
+    loops = []
+    unvisited = set(crossings)
+    while unvisited:
+        start = min(unvisited)
+        chain = [start]
+        unvisited.discard(start)
+        prev, cur = None, start
+        closed = False
+        while True:
+            nxts = [e for e in links[cur] if e != prev]
+            if not nxts:
+                break
+            nxt = nxts[0]
+            if nxt == start:
+                closed = True
+                break
+            if nxt not in unvisited:
+                break
+            chain.append(nxt)
+            unvisited.discard(nxt)
+            prev, cur = cur, nxt
+        if not closed:
+            raise PreimageNotEnclosed("open contour chain: the level set leaves the box")
+        loops.append([crossings[key] for key in chain])
+    return loops

@@ -137,12 +137,39 @@ def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
-def test_run_grid_over_cap_exit_2(tmp_path):
+def test_run_grid_over_cap_exit_2(tmp_path, capsys):
+    # The oracle grid is sized while the config is validated, so the run
+    # stops with exit 2 before any stage (no manifest is written).
     data = _base_config(str(tmp_path / "out"))
     data["pipeline"] = ["oracle"]
     data["tolerances"]["oracle_tol"] = 1e-12
     path = _write(tmp_path, data)
     assert main(["run", "--config", str(path)]) == 2
+    assert "exceeds the 600000 cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_grid_over_cap_exit_2(tmp_path, capsys):
+    data = _base_config(str(tmp_path / "out"))
+    data["tolerances"]["oracle_tol"] = 1e-12
+    data["hbars"] = [0.2, 0.1]
+    path = _write(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "hbar=0.2" in capsys.readouterr().err
+    # Without an oracle stage the same tolerance is never used.
+    data["pipeline"] = ["trace", "actions", "spectrum"]
+    assert main(["validate", "--config", str(_write(tmp_path, data))]) == 0
+
+
+def test_validate_leaves_landmark_errors_to_the_run(tmp_path):
+    # The Morse plateau D = 1 does not confine a window reaching 1.2: that
+    # is a hypothesis violation of the run (exit 3), not a config error.
+    data = _base_config(str(tmp_path / "out"))
+    data["symbol"] = {"name": "morse", "params": {"D": 1.0, "a": 1.0}}
+    data["window"] = {"e1": 0.5, "e2": 1.2, "margin": 0.05}
+    data["pipeline"] = ["oracle"]
+    path = _write(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == 0
+    assert main(["run", "--config", str(path)]) == 3
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["stages"]["oracle"]["status"] == "failed"
-    assert manifest["stages"]["oracle"]["note"].startswith("GridTooLarge:")
+    assert manifest["stages"]["oracle"]["note"].startswith("NonCompactWindow:")

@@ -50,6 +50,60 @@ def test_write_csv_matches_fmt_join(tmp_path):
     assert path.read_text(encoding="utf-8") == "a,b,c,d,e,f\n"
 
 
+def _component_rows(families):
+    """components.csv rows of every stride-th sample, one tuple per line."""
+    for family in families:
+        for comp in family.components:
+            stride = max(1, len(comp.points) // pipeline._CSV_STRIDE_TARGET)
+            for t, (x, xi) in zip(comp.times[::stride], comp.points[::stride]):
+                yield (family.k, comp.energy, float(t), float(x), float(xi))
+
+
+def test_components_csv_matches_row_writer(tmp_path):
+    header = ["k", "E", "t", "x", "xi"]
+    state = pipeline._RunState(_sextic_config(tmp_path / "run", [0.1], ["trace"]), tmp_path)
+    pipeline._stage_trace(state)
+    assert len(state.families) == 3
+    text = (tmp_path / "components.csv").read_text(encoding="utf-8")
+    assert text == _joined(header, _component_rows(state.families))
+    # Lengths that are not a multiple of the stride, and awkward values.
+    points = np.array([[-0.0, 5e-324], [1e300, -1 / 3], [0.1, 2.0]] * 401)[:1201]
+    comps = tuple(
+        portrait.LevelComponent(
+            energy=e, points=points[:n], times=np.linspace(0.0, 7.0, n), period=7.0,
+            seed=(0.0, 0.0), orientation=1, action=1.0, trace_tol=1e-10,
+        )
+        for e, n in ((0.1, 1201), (1 / 3, 1), (2.0, 1024), (-0.0, 513))
+    )
+    families = [portrait.ComponentFamily(k=k, components=comps) for k in (1, 12)]
+    path = tmp_path / "synthetic.csv"
+    pipeline._write_csv(path, header, pipeline._component_blocks(families))
+    assert path.read_text(encoding="utf-8") == _joined(header, _component_rows(families))
+
+
+def test_run_manifest_reports_trace_metrics(tmp_path, capsys):
+    runs = [
+        pipeline.run(_config(tmp_path / name, ["trace"]), verbose=True) for name in "ab"
+    ]
+    printed = capsys.readouterr().out.splitlines()
+    for manifest, code in runs:
+        assert code == 0
+        trace = manifest["metrics"]["trace"]
+        assert trace["orbits"] == 17
+        assert set(trace["dp45_steps"]) == {"1"} and trace["dp45_steps"]["1"] > 17
+        line = f"[ebk] trace: 17 orbits, dp45 steps {trace['dp45_steps']}"
+        assert printed.count(line) == 2
+    assert runs[0][0]["metrics"] == runs[1][0]["metrics"]
+    assert runs[0][0]["files"] == runs[1][0]["files"]
+    written = json.loads((tmp_path / "a" / "manifest.json").read_text(encoding="utf-8"))
+    assert written["metrics"] == runs[0][0]["metrics"]
+    # The count is the traced components' own accepted steps.
+    families = ebk.build_families(
+        ebk.schrodinger_symbol(ebk.harmonic_potential()), ebk.EnergyWindow(0.2, 0.8, 0.05), 17
+    )
+    assert sum(c.steps for c in families[0].components) == trace["dp45_steps"]["1"]
+
+
 def test_run_traces_once_per_family_scan(tmp_path, monkeypatch):
     columns = []
     traced = portrait.trace_component

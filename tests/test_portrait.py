@@ -11,10 +11,11 @@ from ebk.errors import (
     NotClosedOrbit,
     PreimageNotEnclosed,
 )
+from ebk import portrait
 from ebk.portrait import marching_component_count, refine_to_level
 from ebk.symbols import Box
 
-from oracles import period_integral
+from oracles import marching_loops_py, period_integral
 
 BOX = Box(-2, 2, -2, 2)
 
@@ -227,8 +228,6 @@ def test_batched_trace_bad_column_raises(quartic):
 
 
 def test_family_scan_marches_once_per_energy(double_well, monkeypatch):
-    from ebk import portrait
-
     calls = []
     marching = portrait._marching_loops
 
@@ -240,3 +239,76 @@ def test_family_scan_marches_once_per_energy(double_well, monkeypatch):
     families = ebk.build_families(double_well, ebk.EnergyWindow(0.2, 0.8, 0.05), 9)
     assert len(families) == 2
     assert len(calls) == 9
+
+
+class _RotatedDoubleWell:
+    """The double well turned by 45 degrees in the (x, xi) plane.
+
+    H = xi^2/2 + V(x) is a sum of a function of x and one of xi, so no grid
+    cell of a Schrodinger symbol has corners of alternating sign; turned,
+    the saddle at the origin gives such cells near the separatrix E = 1.
+    """
+
+    def value(self, x, xi):
+        u, v = (x + xi) / math.sqrt(2.0), (xi - x) / math.sqrt(2.0)
+        return 0.5 * v * v + (u * u - 1.0) ** 2
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def _bits(loops):
+    return [np.asarray(loop, dtype=float).tobytes() for loop in loops]
+
+
+def test_marching_matches_reference_walker(harmonic, quartic, morse, double_well, kerr):
+    sextic = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]))
+    cases = [
+        (harmonic, (0.2, 0.5, 0.85), BOX),
+        (quartic, (0.5, 1.0, 2.0), Box(-1.6, 1.6, -2.5, 2.5)),
+        (morse, (0.1, 0.4, 0.6), Box(-1.5, 4, -1.5, 1.5)),
+        (kerr, (0.2, 0.6, 1.0), BOX),
+        (double_well, (0.3, 0.999, 1.0, 1.001), Box(-2.2, 2.2, -2.5, 2.5)),
+        (sextic, (0.3, 0.45, 0.7), Box(-1.8, 1.8, -1.5, 1.5)),
+        (_RotatedDoubleWell(), (0.9999, 1.0), Box(-1.95, 2.05, -2.03, 1.98)),
+        (_RotatedDoubleWell(), (0.9999, 1.0), Box(-2, 2.01, -2.01, 2)),
+    ]
+    saddles = 0
+    for spec, energies, box in cases:
+        for energy in energies:
+            for grid_n in (201, 64):
+                got = portrait._marching_loops(spec, energy, box, grid_n)
+                ref = marching_loops_py(spec, energy, box, grid_n)
+                assert got == ref and _bits(got) == _bits(ref)
+                _, _, H = portrait._grid_values(spec, box, grid_n)
+                pos = H > energy
+                saddles += int(np.sum(
+                    (pos[:-1, :-1] == pos[1:, 1:])
+                    & (pos[1:, :-1] == pos[:-1, 1:])
+                    & (pos[:-1, :-1] != pos[1:, :-1])
+                ))
+    assert saddles >= 4
+    # Both pairings of a saddle cell: one merged loop and two loops.
+    rotated = _RotatedDoubleWell()
+    assert len(portrait._marching_loops(rotated, 1.0, Box(-1.95, 2.05, -2.03, 1.98), 201)) == 1
+    assert len(portrait._marching_loops(rotated, 0.9999, Box(-1.95, 2.05, -2.03, 1.98), 201)) == 2
+
+
+def test_marching_errors_match_reference_walker(harmonic, double_well):
+    cases = [
+        (harmonic, 0.85, Box(-1.5, 1.5, -1.0, 1.5)),
+        (harmonic, 0.85, Box(-1.0, 1.5, -1.5, 1.5)),
+        (harmonic, 0.5, Box(-1.05, 1.05, -0.5, 0.5)),
+        (double_well, 1.5, Box(-1.4, 1.4, -2, 2)),
+        (harmonic, -0.5, BOX),
+        (harmonic, 9.0, BOX),
+    ]
+    for spec, energy, box in cases:
+        got = _outcome(portrait._marching_loops, spec, energy, box, 201)
+        ref = _outcome(marching_loops_py, spec, energy, box, 201)
+        assert got == ref
+        assert got[0] in (PreimageNotEnclosed, EmptyLevelSet)

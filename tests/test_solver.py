@@ -200,3 +200,32 @@ def test_kerr_levels_match_closed_form(kerr, kerr_window):
         for entry in bs.entries:
             action = hbar * (entry.n + 0.5)
             assert abs(entry.energy - (action + 0.5 * action * action)) <= 1e-11
+
+
+def _labels(bs):
+    return [(e.k, e.n) for e in bs.entries]
+
+
+def test_merged_spectrum_orders_ties_by_label(dw_tables, dw_window):
+    # Mirror copies of family 1 nudged a few ulps up or down: the doublet
+    # members' order must not follow the sign of the nudge.
+    t1 = dw_tables[0]
+    orders = []
+    for ulps in (-8, 0, 8):
+        a0 = t1.a0 * (1.0 + ulps * np.finfo(float).eps)
+        t2 = ebk.ActionTable(
+            k=2, energies=t1.energies, a0=a0, tau=t1.tau, maslov=t1.maslov, window=dw_window
+        )
+        for hbar in (0.1, 0.05):
+            bs = ebk.merged_spectrum([t1, t2], hbar, dw_window)
+            gaps = np.diff(bs.energies())
+            assert np.all(gaps > -1e-12)
+            orders.append((hbar, _labels(bs)))
+    assert orders[:2] == orders[2:4] == orders[4:]
+    for _, labels in orders:
+        assert labels[::2] == [(1, n) for _, n in labels[::2]]
+        assert labels[1::2] == [(2, n) for _, n in labels[::2]]
+    # The traced families themselves: each doublet lists family 1 first.
+    for hbar in (0.1, 0.05):
+        labels = _labels(ebk.merged_spectrum(dw_tables, hbar, dw_window))
+        assert labels == sorted(labels, key=lambda kn: (kn[1], kn[0]))
