@@ -71,7 +71,5 @@ from .compare import (
     convergence_study,
     draw_safe_endpoints,
     match_spectra,
-    verify_weyl,
-    weyl_check,
     weyl_check_pairs,
 )

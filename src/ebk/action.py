@@ -13,7 +13,6 @@ Maslov index is +2; reversing the traversal negates both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import ClassVar
 
 import numpy as np
 from numpy.polynomial import Chebyshev
@@ -151,9 +150,6 @@ class ActionTable:
     The table truncates the semiclassical action at two terms: A0(E)/hbar
     plus the constant Maslov half-integer shift.
     """
-
-    # Expansion terms kept in the quantization phase: A0/hbar + mu*pi/2.
-    TRUNCATION_TERMS: ClassVar[int] = 2
 
     k: int
     energies: np.ndarray

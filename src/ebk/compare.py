@@ -187,42 +187,17 @@ def weyl_check_pairs(
     oracle_run: OracleRun,
     pairs,
 ) -> list[WeylCheck]:
-    """weyl_check for each (e1t, e2t) of pairs, with one Sturm sweep for all."""
+    """Exact formula count against the Sturm count on the fine grid.
+
+    One check per (e1t, e2t) of pairs; a single count_below call counts
+    below every endpoint.
+    """
     counts = [exact_weyl_count(tables, bs.hbar, e1t, e2t, bs) for e1t, e2t in pairs]
     below = count_below(oracle_run.operator, np.ravel(pairs)).reshape(-1, 2)
     return [
         WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc)
         for (e1t, e2t), wc, (lo, hi) in zip(pairs, counts, below)
     ]
-
-
-def weyl_check(
-    tables: list[ActionTable],
-    bs: BsSpectrum,
-    oracle_run: OracleRun,
-    e1t: float,
-    e2t: float,
-) -> WeylCheck:
-    """Exact formula count against the Sturm count on the fine grid."""
-    return weyl_check_pairs(tables, bs, oracle_run, [(e1t, e2t)])[0]
-
-
-def verify_weyl(
-    spec: SymbolSpec,
-    window: EnergyWindow,
-    hbar: float,
-    endpoints: tuple[float, float],
-    *,
-    context: tuple[list[ActionTable], BsSpectrum, OracleRun] | None = None,
-) -> bool:
-    """True iff the counting formula reproduces the oracle count exactly."""
-    if context is None:
-        tables = [build_action_table(fam, window) for fam in build_families(spec, window)]
-        bs = merged_spectrum(tables, hbar, window)
-        run = solve_window(spec.potential, window, hbar)
-        context = (tables, bs, run)
-    tables, bs, run = context
-    return weyl_check(tables, bs, run, endpoints[0], endpoints[1]).ok
 
 
 def draw_safe_endpoints(

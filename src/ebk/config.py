@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigError, EbkError, GridTooLarge, InvalidSymbol
+from .errors import ConfigError, EbkError, InvalidSymbol
 from .oracle import domain_auto
 from .portrait import DEFAULT_ACTION_SAMPLES
 from .symbols import EnergyWindow, SymbolSpec, symbol_from_config
@@ -208,8 +208,8 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
     for h in vals if "oracle" in resolved else ():
         try:
             domain_auto(spec.potential, window, h, phase_tol=float(oracle_tol))
-        except GridTooLarge as exc:
-            raise GridTooLarge(f"oracle grid at hbar={h:g}: {exc}") from exc
+        except ConfigError as exc:  # GridTooLarge, or a grid under the stencil
+            raise type(exc)(f"oracle grid at hbar={h:g}: {exc}") from exc
         except EbkError:  # a landmark error such as NonCompactWindow: the run's (exit 3)
             break
 

@@ -1,44 +1,59 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, each with its exit code.
 
-The hierarchy mirrors the failure modes of the pipeline: input problems,
-geometric hypothesis violations, numerical failures of a single primitive,
-and verification failures where two independent routes disagree.
+Three base classes carry the exit codes of a run; every other class inherits
+one. EbkError (4) is a numerical failure of one primitive or a disagreement
+of two independent routes, ConfigError (2) a malformed or over-demanding
+run configuration, and HypothesisError (3) input that violates a geometric
+hypothesis of the quantization rule: a regular window, compact level sets,
+closed orbits.
 """
 
 
 class EbkError(Exception):
     """Base class for all toolkit errors."""
 
+    exit_code = 4
+
+
+class HypothesisError(EbkError):
+    """The input violates a geometric hypothesis of the quantization rule."""
+
+    exit_code = 3
+
+
+class RegularityViolation(HypothesisError):
+    """Critical values intrude on the requested window."""
+
 
 class InvalidSymbol(EbkError):
     """Symbol evaluation produced a non-finite value or malformed parameters."""
 
 
-class PreimageNotEnclosed(EbkError):
+class PreimageNotEnclosed(HypothesisError):
     """The requested box does not strictly contain the energy-band preimage."""
 
 
-class NonCompactWindow(EbkError):
+class NonCompactWindow(HypothesisError):
     """Level sets in the energy window are unbounded; no compact enclosure exists."""
 
 
-class EmptyLevelSet(EbkError):
+class EmptyLevelSet(HypothesisError):
     """No point of the box lies on the requested energy level."""
 
 
-class NotClosedOrbit(EbkError):
+class NotClosedOrbit(HypothesisError):
     """Flow tracing did not return to its start within the time budget."""
 
 
-class TraceDiverged(EbkError):
-    """Traced samples drifted off the energy level beyond tolerance."""
+class TraceDiverged(HypothesisError):
+    """Traced samples drifted off the energy level, or the step size underflowed."""
 
 
-class CriticalSeed(EbkError):
+class CriticalSeed(HypothesisError):
     """A trace seed sits at a near-critical point, where the flow stalls."""
 
 
-class NonConstantTopology(EbkError):
+class NonConstantTopology(HypothesisError):
     """Component count changes inside the window (a critical value intrudes)."""
 
 
@@ -46,11 +61,11 @@ class NotSimple(EbkError):
     """Polyline self-intersects; enclosed area is ill-defined."""
 
 
-class DegenerateCaustic(EbkError):
+class DegenerateCaustic(HypothesisError):
     """Vertical tangency could not be resolved at the sampling resolution."""
 
 
-class NotDiffeomorphism(EbkError):
+class NotDiffeomorphism(HypothesisError):
     """Action samples are not strictly monotone; the table cannot be inverted."""
 
 
@@ -66,7 +81,7 @@ class EmptySpectrum(EbkError):
     """Operation requires at least one spectral entry."""
 
 
-class DomainTooSmall(EbkError):
+class DomainTooSmall(HypothesisError):
     """Truncation half-width does not confine the requested energies."""
 
 
@@ -84,6 +99,8 @@ class BijectionFailure(EbkError):
 
 class ConfigError(EbkError):
     """Run configuration file is malformed or inconsistent."""
+
+    exit_code = 2
 
 
 class GridTooLarge(ConfigError):

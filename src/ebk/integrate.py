@@ -21,6 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import TraceDiverged
+
 # Butcher tableau; stage times are omitted because all traced systems are
 # autonomous.
 _A = (
@@ -113,8 +115,9 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
     relative local error target per step. active, an optional (m,) bool
     array, stops a column once the caller clears its entry between two
     steps. f is evaluated 2 times at start-up and 6 times per attempt.
-    Raises RuntimeError on step-size underflow in any column. The state
-    arrays are rebound, never written in place, so a yielded Step stays valid.
+    Raises TraceDiverged on step-size underflow in any column, a NaN step
+    size (after an overflowing trial stage) included. The state arrays are
+    rebound, never written in place, so a yielded Step stays valid.
     """
     y = np.array(y0, dtype=float)
     if y.ndim == 1:
@@ -154,8 +157,9 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
                 yield Step(cols[ok], t[ok], h[ok], y[:, ok], y1[:, ok], bep[2:, :, ok])
                 t, y = np.where(ok, t + h, t), np.where(ok, y1, y)
                 k[0][:, ok] = k[6][:, ok]
-            if np.any(~ok & (h * factor < 1e-14 * np.maximum(1.0, np.abs(t)))):
-                raise RuntimeError("step size underflow in dp45")
+            # Written as "not >=" so that a NaN step size counts as underflow.
+            if np.any(~ok & ~(h * factor >= 1e-14 * np.maximum(1.0, np.abs(t)))):
+                raise TraceDiverged("step size underflow in dp45")
         h = h * factor
 
 

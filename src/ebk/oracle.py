@@ -30,6 +30,7 @@ from scipy.linalg.lapack import dstebz
 
 from .errors import (
     BisectionFailed,
+    ConfigError,
     DomainTooSmall,
     GridTooLarge,
     InverseIterationFailed,
@@ -130,8 +131,9 @@ def domain_auto(
     with a finite plateau the wall target is capped below the plateau (decay
     under the barrier replaces the wall, which the L-doubling stability
     check validates). N keeps the local stencil phase error
-    (xi_max*h/hbar)^2/12 below phase_tol. Raises GridTooLarge when that
-    takes more points than the cap.
+    (xi_max*h/hbar)^2/12 below phase_tol. Raises ConfigError when N is
+    under the stencil's 3 points, and GridTooLarge when the finer grid of
+    solve_window's pair, 2N - 1 points, exceeds the cap.
     """
     top = window.e2 + window.margin
     if not potential.confining_below(top):
@@ -146,11 +148,15 @@ def domain_auto(
     ximax = math.sqrt(2.0 * (top - potential.min_value()))
     h = hbar * math.sqrt(12.0 * phase_tol) / ximax
     N = int(math.ceil(2.0 * L / h)) + 1
-    if N > _MAX_GRID:
-        raise GridTooLarge(
-            f"grid of {N} points exceeds the {_MAX_GRID} cap; relax phase_tol"
-        )
+    if N < 3:
+        raise ConfigError(f"grid of {N} points is under the 3-point stencil; tighten phase_tol")
+    _check_cap(2 * N - 1)
     return L, N
+
+
+def _check_cap(n: int):
+    if n > _MAX_GRID:
+        raise GridTooLarge(f"grid of {n} points exceeds the {_MAX_GRID} cap; relax phase_tol")
 
 
 def count_below(T: TridiagonalOperator, lam):
@@ -294,17 +300,18 @@ def solve_window(
     phase_tol: float = DEFAULT_PHASE_TOL,
     bisect_tol: float = DEFAULT_BISECT_TOL,
     gate: bool = False,
-    bounds: tuple[float, float] | None = None,
 ) -> OracleRun:
     """Window eigenvalues with the O(h^2) error removed by extrapolation.
 
     gate=True adds a third nested grid and reports the spread between the
     two extrapolations (the self-consistency residual a comparison must
-    check before trusting the oracle).
+    check before trusting the oracle). Raises GridTooLarge before building
+    any grid if the finest one exceeds the cap.
     """
-    a, b = bounds if bounds is not None else (window.e1, window.e2)
+    a, b = window.e1, window.e2
     L, N = domain_auto(potential, window, hbar, phase_tol=phase_tol)
     sizes = [N, 2 * N - 1] + ([4 * N - 3] if gate else [])
+    _check_cap(sizes[-1])
     pad = 0.01 * (b - a)
     per_grid = []
     for n_i in sizes:

@@ -20,20 +20,7 @@ from . import __version__
 from .action import build_action_table
 from .compare import draw_safe_endpoints, match_spectra, weyl_check_pairs
 from .config import STAGE_DEPS, RunConfig
-from .errors import (
-    ConfigError,
-    CriticalSeed,
-    DegenerateCaustic,
-    DomainTooSmall,
-    EbkError,
-    EmptyLevelSet,
-    NonCompactWindow,
-    NonConstantTopology,
-    NotClosedOrbit,
-    NotDiffeomorphism,
-    PreimageNotEnclosed,
-    TraceDiverged,
-)
+from .errors import EbkError, RegularityViolation
 from .oracle import eigenvector, node_count, solve_window
 from .portrait import build_families
 from .solver import (
@@ -44,24 +31,6 @@ from .solver import (
 )
 from .symbols import compact_preimage_box, regularity_report
 
-
-class RegularityViolation(EbkError):
-    """Critical values intrude on the requested window."""
-
-
-_HYPOTHESIS_ERRORS = (
-    RegularityViolation,
-    NonConstantTopology,
-    NonCompactWindow,
-    PreimageNotEnclosed,
-    NotDiffeomorphism,
-    DomainTooSmall,
-    EmptyLevelSet,
-    NotClosedOrbit,
-    TraceDiverged,
-    CriticalSeed,
-    DegenerateCaustic,
-)
 
 _CSV_STRIDE_TARGET = 512
 _WEYL_TRIALS = 20
@@ -368,9 +337,9 @@ def run(
 ) -> tuple[dict, int]:
     """Execute the configured pipeline; returns (manifest, exit_code).
 
-    The exit code is 2 if a stage failed on a ConfigError (such as an
-    oracle grid over the cap), else 3 on a hypothesis violation, else 4 on
-    any other failure or a failed check, else 0.
+    The exit code is the least exit_code of the failed stages' errors, so a
+    ConfigError (2) wins over a HypothesisError (3); any other exception or
+    a failed check counts as an EbkError (4); a run with neither exits 0.
 
     threads is accepted for compatibility and has no effect: every stage
     runs in the calling thread.
@@ -429,13 +398,8 @@ def run(
             print(f"[ebk] trace: {orbits} orbits, dp45 steps {steps}")
     _write_json(out / "manifest.json", manifest)
 
-    code = 0
-    if any(isinstance(e, ConfigError) for e in failures):
-        code = 2
-    elif any(isinstance(e, _HYPOTHESIS_ERRORS) for e in failures):
-        code = 3
-    elif failures or not all(
-        v for v in state.checks.values() if v is not None
-    ):
-        code = 4
+    codes = [e.exit_code if isinstance(e, EbkError) else EbkError.exit_code for e in failures]
+    if not all(v for v in state.checks.values() if v is not None):
+        codes.append(EbkError.exit_code)
+    code = min(codes, default=0)
     return manifest, code

@@ -282,7 +282,8 @@ def trace_component(
     at the seed within trace_tol; the return time is refined by bisection on
     the dense output to 1e-13. Raises CriticalSeed if a seed sits at a
     near-critical point, NotClosedOrbit if an orbit does not return before
-    max_time and TraceDiverged if its sampled energies drift.
+    max_time and TraceDiverged if its sampled energies drift or its step
+    size underflows.
     """
     batch = np.ndim(energy) > 0
     seeds = np.array(seed, dtype=float).reshape(-1, 2)
@@ -312,14 +313,7 @@ def trace_component(
     g_prev = np.zeros(m)
     period = np.zeros(m)
     y_ret = np.zeros((3, m))
-    steps = integrate.dp45_steps(rhs, y0, local_tol, max_time, active=running)
-    while True:
-        try:
-            step = next(steps)
-        except StopIteration:
-            break
-        except RuntimeError as exc:  # step-size underflow inside the stepper
-            raise TraceDiverged(str(exc)) from exc
+    for step in integrate.dp45_steps(rhs, y0, local_tol, max_time, active=running):
         history.append(step)
         g_new = section(step.y1, step.cols)
         hit = (g_prev[step.cols] < 0.0) & (g_new >= 0.0)

@@ -1,3 +1,4 @@
+import signal
 import sys
 from pathlib import Path
 
@@ -6,6 +7,19 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import ebk
+
+
+@pytest.fixture
+def deadline():
+    """deadline(seconds) makes a test that runs past it fail instead of hang."""
+
+    def _expired(signum, frame):
+        raise TimeoutError("test ran past its deadline")
+
+    previous = signal.signal(signal.SIGALRM, _expired)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

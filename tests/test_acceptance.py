@@ -91,7 +91,7 @@ def test_criterion_4_exact_weyl_law(
         wide = harmonic_wide_table
         bs = ebk.merged_spectrum([wide], 0.1, wide.window)
         run = ebk.solve_window(harmonic.potential, wide.window, 0.1)
-        chk = ebk.weyl_check([wide], bs, run, 0.22, 1.01)
+        (chk,) = ebk.weyl_check_pairs([wide], bs, run, [(0.22, 1.01)])
         assert chk.formula_count == chk.oracle_count == 8
 
         rng = np.random.default_rng(2024)
@@ -105,11 +105,13 @@ def test_criterion_4_exact_weyl_law(
                 run = ebk.solve_window(spec.potential, window, hbar)
                 pairs = ebk.draw_safe_endpoints(rng, tables, bs, window, 20)
                 assert len(pairs) == 20
-                for a, b in pairs:
-                    chk = ebk.weyl_check(tables, bs, run, a, b)
+                checks = ebk.weyl_check_pairs(tables, bs, run, pairs)
+                assert [(c.e1t, c.e2t) for c in checks] == pairs
+                for chk in checks:
                     assert chk.ok, (
                         f"{spec.potential.kind} hbar={hbar}: formula "
-                        f"{chk.formula_count} != oracle {chk.oracle_count} on [{a:.4f}, {b:.4f}]"
+                        f"{chk.formula_count} != oracle {chk.oracle_count} "
+                        f"on [{chk.e1t:.4f}, {chk.e2t:.4f}]"
                     )
 
 

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ebk.cli import main
@@ -159,6 +160,39 @@ def test_validate_grid_over_cap_exit_2(tmp_path, capsys):
     # Without an oracle stage the same tolerance is never used.
     data["pipeline"] = ["trace", "actions", "spectrum"]
     assert main(["validate", "--config", str(_write(tmp_path, data))]) == 0
+
+
+def test_validate_grid_pair_over_cap_exit_2(tmp_path, capsys):
+    # N = 597,820 fits under the cap, but the finer grid of the
+    # Richardson pair, 2N - 1 points, does not.
+    data = _base_config(str(tmp_path / "out"))
+    data["tolerances"]["oracle_tol"] = 1.32e-9
+    path = _write(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "grid of 1195639 points exceeds the 600000 cap" in capsys.readouterr().err
+
+
+def test_validate_grid_under_stencil_exit_2(tmp_path, capsys):
+    data = _base_config(str(tmp_path / "out"))
+    data["pipeline"] = ["oracle"]
+    data["tolerances"]["oracle_tol"] = 1000
+    path = _write(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == 2
+    assert "under the 3-point stencil" in capsys.readouterr().err
+
+
+def test_run_overflowing_symbol_exit_3(tmp_path, deadline):
+    # The trace of V = 1e300 x^2 overflows: a typed TraceDiverged, not a hang.
+    data = _base_config(str(tmp_path / "out"))
+    data["symbol"] = {"name": "polynomial", "params": {"coefficients": [0, 0, 1e300]}}
+    data["pipeline"] = ["trace"]
+    path = _write(tmp_path, data)
+    assert main(["validate", "--config", str(path)]) == 0
+    deadline(20)
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(path)]) == 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["stages"]["trace"]["note"].startswith("TraceDiverged:")
 
 
 def test_validate_leaves_landmark_errors_to_the_run(tmp_path):

@@ -69,18 +69,6 @@ def test_convergence_floor_flag_morse(morse, morse_window):
     assert max(rep.max_errs) <= 1e-6
 
 
-def test_verify_weyl_analytic(harmonic, harmonic_wide_table):
-    table = harmonic_wide_table
-    window = table.window
-    bs = ebk.merged_spectrum([table], 0.1, window)
-    run = ebk.solve_window(harmonic.potential, window, 0.1)
-    assert ebk.verify_weyl(
-        harmonic, window, 0.1, (0.22, 1.01), context=([table], bs, run)
-    )
-    chk = ebk.weyl_check([table], bs, run, 0.22, 1.01)
-    assert chk.formula_count == chk.oracle_count == 8
-
-
 def test_weyl_check_pairs_matches_per_pair_checks(harmonic, harmonic_wide_table):
     table = harmonic_wide_table
     window = table.window
@@ -90,7 +78,7 @@ def test_weyl_check_pairs_matches_per_pair_checks(harmonic, harmonic_wide_table)
     batch = ebk.weyl_check_pairs([table], bs, run, pairs)
     assert len(batch) == len(pairs)
     for chk, (e1t, e2t) in zip(batch, pairs):
-        one = ebk.weyl_check([table], bs, run, e1t, e2t)
+        (one,) = ebk.weyl_check_pairs([table], bs, run, [(e1t, e2t)])
         lo, hi = ebk.count_below(run.operator, np.array([e1t, e2t]))
         assert chk == one
         assert chk.oracle_count == hi - lo

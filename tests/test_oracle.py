@@ -6,7 +6,9 @@ import pytest
 import ebk
 from ebk.errors import (
     BisectionFailed,
+    ConfigError,
     DomainTooSmall,
+    GridTooLarge,
     InverseIterationFailed,
     NonCompactWindow,
 )
@@ -57,6 +59,28 @@ def test_domain_auto_morse_plateau():
     assert math.isfinite(L) and N > 100
     with pytest.raises(NonCompactWindow):
         ebk.domain_auto(pot, ebk.EnergyWindow(0.8, 1.2, 0.05), 0.05)
+
+
+def test_domain_auto_rejects_grid_under_stencil():
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    with pytest.raises(ConfigError, match="3-point stencil"):
+        ebk.domain_auto(ebk.harmonic_potential(), window, 0.1, phase_tol=1000)
+
+
+def test_gated_solve_checks_its_finest_grid_first(monkeypatch):
+    # At phase_tol 1e-8, N = 217,200: the pair N, 2N - 1 fits under the
+    # cap but the gate's third grid of 4N - 3 points does not.
+    pot = ebk.harmonic_potential()
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    L, N = ebk.domain_auto(pot, window, 0.1, phase_tol=1e-8)
+    assert 2 * N - 1 <= 600_000 < 4 * N - 3
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(ebk.oracle, "discretize", no_grid)
+    with pytest.raises(GridTooLarge, match=f"grid of {4 * N - 3} points"):
+        ebk.solve_window(pot, window, 0.1, phase_tol=1e-8, gate=True)
 
 
 def test_count_below_diagonal_examples():

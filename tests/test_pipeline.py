@@ -4,9 +4,10 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 import ebk
-from ebk import pipeline, portrait
+from ebk import errors, pipeline, portrait
 from ebk.config import STAGES, parse_config
 
 
@@ -139,6 +140,56 @@ def test_run_critical_seed_exit_3(tmp_path, monkeypatch):
     manifest, code = pipeline.run(_config(tmp_path / "out", ["trace"]))
     assert code == 3
     assert manifest["stages"]["trace"]["note"].startswith("CriticalSeed:")
+
+
+# The exit code of each failure, written out here so that a change to the
+# classes' codes shows; a class added later is expected to exit 4.
+_EXIT_3 = {
+    "HypothesisError", "RegularityViolation", "NonConstantTopology",
+    "NonCompactWindow", "PreimageNotEnclosed", "NotDiffeomorphism",
+    "DomainTooSmall", "EmptyLevelSet", "NotClosedOrbit", "TraceDiverged",
+    "CriticalSeed", "DegenerateCaustic",
+}
+_EXIT_2 = {"ConfigError", "GridTooLarge"}
+_ERROR_CLASSES = sorted(
+    (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.EbkError)),
+    key=lambda c: c.__name__,
+)
+
+
+def _failing(exc_type):
+    def stage(state):
+        raise exc_type("injected")
+
+    return stage
+
+
+@pytest.mark.parametrize("exc_type", _ERROR_CLASSES + [ValueError], ids=lambda c: c.__name__)
+def test_run_exit_code_of_each_error(tmp_path, monkeypatch, exc_type):
+    name = exc_type.__name__
+    expected = 3 if name in _EXIT_3 else 2 if name in _EXIT_2 else 4
+    monkeypatch.setitem(pipeline._STAGE_FNS, "trace", _failing(exc_type))
+    manifest, code = pipeline.run(_config(tmp_path / "out", ["trace"]))
+    assert code == expected
+    assert manifest["stages"]["trace"]["note"] == f"{name}: injected"
+
+
+@pytest.mark.parametrize(
+    "trace_error, oracle_error, expected",
+    [
+        (errors.NotClosedOrbit, errors.GridTooLarge, 2),
+        (errors.ConfigError, errors.TraceDiverged, 2),
+        (errors.NotClosedOrbit, ValueError, 3),
+        (errors.BisectionFailed, RuntimeError, 4),
+    ],
+)
+def test_run_exit_code_of_two_failures(tmp_path, monkeypatch, trace_error, oracle_error, expected):
+    # trace and oracle are independent, so both run and both fail.
+    monkeypatch.setitem(pipeline._STAGE_FNS, "trace", _failing(trace_error))
+    monkeypatch.setitem(pipeline._STAGE_FNS, "oracle", _failing(oracle_error))
+    manifest, code = pipeline.run(_config(tmp_path / "out", ["trace", "oracle"]))
+    assert [manifest["stages"][s]["status"] for s in ("trace", "oracle")] == ["failed"] * 2
+    assert code == expected
 
 
 def test_run_manifest_reports_table_health(tmp_path):

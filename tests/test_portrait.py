@@ -10,6 +10,7 @@ from ebk.errors import (
     NonConstantTopology,
     NotClosedOrbit,
     PreimageNotEnclosed,
+    TraceDiverged,
 )
 from ebk import portrait
 from ebk.portrait import marching_component_count, refine_to_level
@@ -87,6 +88,15 @@ def test_trace_rejects_critical_seed(harmonic):
 def test_trace_time_budget(harmonic):
     with pytest.raises(NotClosedOrbit):
         ebk.trace_component(harmonic, (1.0, 0.0), 0.5, max_time=1.0)
+
+
+def test_trace_overflowing_symbol_diverges(deadline):
+    # V = 1e300 x^2 overflows in the first trial stages, so every error norm
+    # is NaN and the step size turns NaN: that is an underflow, not a loop.
+    spec = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 1e300]))
+    deadline(10)
+    with np.errstate(all="ignore"), pytest.raises(TraceDiverged, match="underflow"):
+        ebk.trace_component(spec, (0.0, 1.0), 0.5)
 
 
 def test_components_disjoint(double_well):
