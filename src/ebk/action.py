@@ -119,17 +119,13 @@ def maslov_index(component: LevelComponent) -> int:
     if run > max(16, len(dx) // 64):
         raise DegenerateCaustic(f"{run} samples with vanishing horizontal tangent")
     signs = np.sign(dx[nz])
-    total = 0
-    m = nz.size
-    for a in range(m):
-        b = (a + 1) % m
-        if signs[a] != signs[b]:
-            u = chords[nz[a]]
-            v = chords[nz[b]]
-            w = u[1] * v[0] - u[0] * v[1]
-            if w == 0.0:
-                raise DegenerateCaustic("unresolved tangent turn at a caustic")
-            total += 1 if w > 0 else -1
+    turns = np.nonzero(signs != np.roll(signs, -1))[0]
+    u = chords[nz[turns]]
+    v = chords[nz[(turns + 1) % nz.size]]
+    w = u[:, 1] * v[:, 0] - u[:, 0] * v[:, 1]
+    if np.any(w == 0.0):
+        raise DegenerateCaustic("unresolved tangent turn at a caustic")
+    total = int(np.sum(np.where(w > 0, 1, -1)))
     if abs(total) != 2:
         raise DegenerateCaustic(f"tangent winding {total} is not +-2")
     return total

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BijectionFailure, UnsafeEndpoint
-from .oracle import EigenResult, OracleRun, count_below, solve_window
-from .portrait import DEFAULT_ACTION_SAMPLES, build_families
+from .oracle import DEFAULT_PHASE_TOL, EigenResult, OracleRun, count_below, solve_window
+from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, build_families
 from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum, spacing_floor
 from .symbols import EnergyWindow, SymbolSpec
 from .action import ActionTable, build_action_table
@@ -128,8 +128,8 @@ def convergence_study(
     hbars,
     *,
     action_samples: int = DEFAULT_ACTION_SAMPLES,
-    trace_tol: float = 1e-10,
-    phase_tol: float = 1e-5,
+    trace_tol: float = DEFAULT_TRACE_TOL,
+    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> ConvergenceReport:
     """Fit the order of max interior |BS - oracle| against hbar.
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, EbkError, InvalidSymbol
-from .oracle import domain_auto
-from .portrait import DEFAULT_ACTION_SAMPLES
+from .oracle import DEFAULT_PHASE_TOL, domain_auto
+from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL
 from .symbols import EnergyWindow, SymbolSpec, symbol_from_config
 
 STAGES = (
@@ -41,8 +41,8 @@ STAGE_DEPS = {
 }
 
 _DEFAULT_TOLERANCES = {
-    "trace_tol": 1e-10,
-    "oracle_tol": 1e-5,
+    "trace_tol": DEFAULT_TRACE_TOL,
+    "oracle_tol": DEFAULT_PHASE_TOL,
     "action_samples": DEFAULT_ACTION_SAMPLES,
 }
 

@@ -16,7 +16,8 @@ off-diagonal entry) by -pivmin, so counts reproduce bit for bit. These
 counts fix the global indices of the window eigenvalues, which dstebz then
 localizes by bisection in one call per grid. The leading O(h^2)
 discretization error is removed by Richardson extrapolation across nested
-grids N and 2N-1.
+grids N and 2N-1. Eigenvectors come from LAPACK's inverse iteration for
+tridiagonal matrices, dstein, in one call for all window levels.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dstebz
+from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (
     BisectionFailed,
@@ -77,8 +77,6 @@ class EigenResult:
 
     eigenvalues: np.ndarray
     indices: np.ndarray
-    eigenvectors: np.ndarray | None = None
-    residual: float = 0.0
 
     def __post_init__(self):
         # Ties are allowed: the discrete spectrum is simple, but a doublet
@@ -212,38 +210,31 @@ def eigenvalues_in(
     return EigenResult(w[:m], ca + np.arange(m))
 
 
-def eigenvector(T: TridiagonalOperator, lam: float, *, iterations: int = 3) -> np.ndarray:
-    """Unit grid-norm eigenvector by inverse iteration at lam.
+def eigenvector(T: TridiagonalOperator, lam):
+    """Unit grid-norm eigenvectors at lam (scalar or ascending array).
 
-    Start vector is drawn from a fixed-seed generator so repeated runs are
-    identical. Raises InverseIterationFailed if the residual target
-    1e-8 * ||T|| is not met.
+    One LAPACK dstein call runs inverse iteration at every shift: a scalar
+    gives an (n,) vector, an array of m shifts an (n, m) matrix of columns.
+    dstein starts from a fixed pseudo-random vector, so repeated runs are
+    identical, and orthogonalizes the vectors of close shifts against each
+    other, so an unresolved doublet gives an orthonormal pair. Raises
+    InverseIterationFailed if dstein reports a failure or a residual
+    |T v - lam v| exceeds 1e-8 * ||T||.
     """
-    rng = np.random.default_rng(0x5EED)
-    v = rng.standard_normal(T.n)
-    v /= np.linalg.norm(v)
+    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    n = T.n
+    z, info = dstein(
+        T.diag, T.offdiag, lams, np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
+    )
+    if info != 0:
+        raise InverseIterationFailed(f"dstein did not converge (info = {info})")
     scale = float(np.max(np.abs(T.diag))) + 2.0 * float(np.max(np.abs(T.offdiag)))
-    shift = 0.0
-    ab = np.zeros((3, T.n))
-    for attempt in range(4):
-        ab[0, 1:] = T.offdiag
-        ab[1, :] = T.diag - (lam + shift)
-        ab[2, :-1] = T.offdiag
-        try:
-            w = v
-            for _ in range(iterations):
-                w = solve_banded((1, 1), ab, w)
-                nrm = np.linalg.norm(w)
-                if not np.isfinite(nrm) or nrm == 0.0:
-                    raise np.linalg.LinAlgError
-                w = w / nrm
-            resid = np.linalg.norm(T.apply(w) - lam * w)
-            if resid <= 1e-8 * scale:
-                return w / math.sqrt(T.h * float(np.dot(w, w)))
-        except np.linalg.LinAlgError:
-            pass
-        shift = (attempt + 1) * 1e-12 * scale
-    raise InverseIterationFailed(f"no convergence at lam = {lam:g}")
+    for j, shift in enumerate(lams):
+        v = z[:, j]
+        if not np.linalg.norm(T.apply(v) - shift * v) <= 1e-8 * scale:
+            raise InverseIterationFailed(f"no convergence at lam = {shift:g}")
+        v /= math.sqrt(T.h * float(np.dot(v, v)))
+    return z[:, 0] if np.ndim(lam) == 0 else z
 
 
 def node_count(v: np.ndarray) -> int:
@@ -336,11 +327,7 @@ def solve_window(
         gate_residual = float(np.max(np.abs(d1 - d2), initial=0.0))
         idx1, ext1, corr1 = idx2, ext2, corr2
     keep = (ext1 >= a) & (ext1 <= b)
-    result = EigenResult(
-        eigenvalues=ext1[keep],
-        indices=idx1[keep],
-        residual=max(2.0 * bisect_tol, corr1 / 30.0),
-    )
+    result = EigenResult(eigenvalues=ext1[keep], indices=idx1[keep])
     floor = max(10.0 * bisect_tol, 0.1 * corr1 / 3.0)
     return OracleRun(
         result=result,

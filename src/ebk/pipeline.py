@@ -44,51 +44,17 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _line_format(types) -> str:
-    """One %-format for a CSV line of values of these types; bools go through _fmt."""
-    return ",".join(
-        "%s" if issubclass(t, (bool, np.bool_))
-        else "%d" if issubclass(t, (int, np.integer))
-        else "%.17g"
-        for t in types
-    ) + "\n"
-
-
 def _write_csv(path: Path, header: list[str], rows):
-    """Stream rows to path, one %-format per row, writing each value as _fmt does."""
-    formats = {}
+    """Stream rows to path: a tuple as one line of _fmt values, a str block as is."""
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            if isinstance(row, str):  # a block of lines formatted already
-                fh.write(row)
-                continue
-            types = tuple(map(type, row))
-            if types not in formats:
-                formats[types] = _line_format(types)
-            if bool in types or np.bool_ in types:
-                row = [_fmt(v) if isinstance(v, (bool, np.bool_)) else v for v in row]
-            fh.write(formats[types] % tuple(row))
-
-
-def _jsonable(x):
-    if isinstance(x, (np.integer,)):
-        return int(x)
-    if isinstance(x, (np.floating,)):
-        return float(x)
-    if isinstance(x, np.ndarray):
-        return [_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {k: _jsonable(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
+            fh.write(row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n")
 
 
 def _write_json(path: Path, obj):
-    path.write_text(
-        json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(obj, sort_keys=True, indent=2, default=lambda x: x.tolist())
+    path.write_text(text + "\n", encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -172,24 +138,18 @@ def _stage_oracle(state: _RunState):
     cfg = state.config
     rows = []
     for hbar in cfg.hbars:
-        run = solve_window(
-            state.spec.potential,
-            state.window,
-            hbar,
-            phase_tol=cfg.oracle_tol,
-        )
+        run = solve_window(state.spec.potential, state.window, hbar, phase_tol=cfg.oracle_tol)
         state.oracle_runs[hbar] = run
         state.oracle_meta[_fmt(hbar)] = {
             "L": run.L,
             "grid_sizes": list(run.grid_sizes),
             "floor_estimate": run.floor_estimate,
         }
-        nodes = {}
-        for lam, idx in zip(run.result.eigenvalues, run.result.indices):
-            nodes[int(idx)] = node_count(eigenvector(run.operator, float(lam)))
-        state.node_counts[hbar] = nodes
-        for lam, idx in zip(run.result.eigenvalues, run.result.indices):
-            rows.append((hbar, int(idx), lam, nodes[int(idx)]))
+        res = run.result
+        counts = [node_count(v) for v in eigenvector(run.operator, res.eigenvalues).T]
+        indices = res.indices.tolist()
+        state.node_counts[hbar] = dict(zip(indices, counts))
+        rows += [(hbar, i, lam, c) for i, lam, c in zip(indices, res.eigenvalues, counts)]
     state.emit_csv("oracle.csv", ["hbar", "index", "E", "nodes"], rows)
 
 

@@ -313,21 +313,24 @@ def trace_component(
     g_prev = np.zeros(m)
     period = np.zeros(m)
     y_ret = np.zeros((3, m))
-    for step in integrate.dp45_steps(rhs, y0, local_tol, max_time, active=running):
-        history.append(step)
-        g_new = section(step.y1, step.cols)
-        hit = (g_prev[step.cols] < 0.0) & (g_new >= 0.0)
-        g_prev[step.cols] = g_new
-        if not hit.any():
-            continue
-        cross = step.take(hit)
-        c = cross.cols
-        t_star = _bisect_crossing(cross, lambda y: section(y, c))
-        y_star = cross.eval(t_star)
-        back = np.hypot(y_star[0] - sx[c], y_star[1] - sxi[c]) <= trace_tol
-        period[c[back]] = t_star[back]
-        y_ret[:, c[back]] = y_star[:, back]
-        running[c[back]] = False
+    # Overflow leaves NaNs, which the stepper's underflow test and the drift
+    # check below turn into TraceDiverged.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in integrate.dp45_steps(rhs, y0, local_tol, max_time, active=running):
+            history.append(step)
+            g_new = section(step.y1, step.cols)
+            hit = (g_prev[step.cols] < 0.0) & (g_new >= 0.0)
+            g_prev[step.cols] = g_new
+            if not hit.any():
+                continue
+            cross = step.take(hit)
+            c = cross.cols
+            t_star = _bisect_crossing(cross, lambda y: section(y, c))
+            y_star = cross.eval(t_star)
+            back = np.hypot(y_star[0] - sx[c], y_star[1] - sxi[c]) <= trace_tol
+            period[c[back]] = t_star[back]
+            y_ret[:, c[back]] = y_star[:, back]
+            running[c[back]] = False
     if running.any():
         j = int(np.argmax(running))
         raise NotClosedOrbit(

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -66,13 +67,14 @@ class PotentialSpec:
             if not np.all(np.isfinite(arr)):
                 raise InvalidSymbol(f"non-finite parameter in {self.kind} potential")
 
-    def _p(self, name):
-        return dict(self.params)[name]
+    @cached_property
+    def _p(self) -> dict:
+        return dict(self.params)
 
     @property
     def coefficients(self) -> np.ndarray:
         """Ascending polynomial coefficients (polynomial kind only)."""
-        return np.asarray(self._p("coefficients"), dtype=float)
+        return np.asarray(self._p["coefficients"], dtype=float)
 
     def value(self, x):
         k = self.kind
@@ -83,10 +85,10 @@ class PotentialSpec:
         if k == "polynomial":
             return npoly.polyval(x, self.coefficients)
         if k == "double_well":
-            a = self._p("a")
+            a = self._p["a"]
             return np.square(np.square(x) - a * a)
         if k == "morse":
-            d, a = self._p("D"), self._p("a")
+            d, a = self._p["D"], self._p["a"]
             u = 1.0 - np.exp(-a * np.asarray(x, dtype=float))
             return d * u * u
         raise InvalidSymbol(self.kind)
@@ -100,10 +102,10 @@ class PotentialSpec:
         if k == "polynomial":
             return npoly.polyval(x, npoly.polyder(self.coefficients))
         if k == "double_well":
-            a = self._p("a")
+            a = self._p["a"]
             return 4.0 * np.asarray(x) * (np.square(x) - a * a)
         if k == "morse":
-            d, a = self._p("D"), self._p("a")
+            d, a = self._p["D"], self._p["a"]
             e = np.exp(-a * np.asarray(x, dtype=float))
             return 2.0 * a * d * (1.0 - e) * e
         raise InvalidSymbol(self.kind)
@@ -112,7 +114,7 @@ class PotentialSpec:
         """Every real x with V'(x) = 0, ascending."""
         k = self.kind
         if k == "double_well":
-            a = self._p("a")
+            a = self._p["a"]
             return (-a, 0.0, a)
         if k == "polynomial":
             return tuple(float(x) for x in _real_roots(npoly.polyder(self.coefficients)))
@@ -135,7 +137,7 @@ class PotentialSpec:
         """Limits of V at -inf and +inf (inf for confining tails)."""
         k = self.kind
         if k == "morse":
-            return math.inf, float(self._p("D"))
+            return math.inf, float(self._p["D"])
         if k == "polynomial":
             c = self.coefficients
             deg = len(c) - 1
@@ -173,11 +175,11 @@ class PotentialSpec:
             r = max(c, 0.0) ** 0.25
             return -r, r
         if k == "double_well":
-            a = self._p("a")
+            a = self._p["a"]
             r = math.sqrt(a * a + math.sqrt(max(c, 0.0)))
             return -r, r
         if k == "morse":
-            d, a = self._p("D"), self._p("a")
+            d, a = self._p["D"], self._p["a"]
             s = math.sqrt(c / d)
             return -math.log1p(s) / a, -math.log(1.0 - s) / a
         roots = _real_roots(npoly.polysub(self.coefficients, [c]))
@@ -238,8 +240,9 @@ class SymbolSpec:
         else:
             raise InvalidSymbol(f"unknown symbol kind {self.kind!r}")
 
-    def _p(self, name):
-        return dict(self.params)[name]
+    @cached_property
+    def _p(self) -> dict:
+        return dict(self.params)
 
     @property
     def is_schrodinger(self) -> bool:
@@ -249,22 +252,22 @@ class SymbolSpec:
         if self.kind == "schrodinger":
             return 0.5 * np.square(xi) + self.potential.value(x)
         if self.form == "kerr":
-            chi = self._p("chi")
+            chi = self._p["chi"]
             r2 = np.square(x) + np.square(xi)
             return 0.5 * r2 + 0.25 * chi * r2 * r2
         # anisotropic_harmonic
-        a, b = self._p("a"), self._p("b")
+        a, b = self._p["a"], self._p["b"]
         return 0.5 * (a * np.square(xi) + b * np.square(x))
 
     def gradient(self, x, xi):
         if self.kind == "schrodinger":
             return self.potential.derivative(x), np.asarray(xi, dtype=float) + 0.0
         if self.form == "kerr":
-            chi = self._p("chi")
+            chi = self._p["chi"]
             r2 = np.square(x) + np.square(xi)
             s = 1.0 + chi * r2
             return np.asarray(x) * s, np.asarray(xi) * s
-        a, b = self._p("a"), self._p("b")
+        a, b = self._p["a"], self._p["b"]
         return b * np.asarray(x, dtype=float), a * np.asarray(xi, dtype=float)
 
     def critical_points(self) -> tuple[tuple[float, float], ...]:
@@ -277,7 +280,7 @@ class SymbolSpec:
     def bounding_radius(self, emax: float) -> tuple[float, float]:
         """Half-widths (x, xi) of a box containing {H <= emax} (closed forms)."""
         if self.form == "kerr":
-            chi = self._p("chi")
+            chi = self._p["chi"]
             if emax <= 0:
                 return 0.0, 0.0
             if chi > 0:
@@ -287,7 +290,7 @@ class SymbolSpec:
             r = math.sqrt(r2)
             return r, r
         if self.form == "anisotropic_harmonic":
-            a, b = self._p("a"), self._p("b")
+            a, b = self._p["a"], self._p["b"]
             return math.sqrt(2.0 * emax / b), math.sqrt(2.0 * emax / a)
         raise InvalidSymbol(f"no bounding radius for {self.form!r}")
 
@@ -380,9 +383,6 @@ class EnergyWindow:
     @property
     def hi(self) -> float:
         return self.e2 + self.margin
-
-    def contains(self, e: float) -> bool:
-        return self.e1 <= e <= self.e2
 
 
 @dataclass(frozen=True)

@@ -254,6 +254,12 @@ def test_node_counts_harmonic():
     for lam, idx in zip(run.result.eigenvalues, run.result.indices):
         v = ebk.eigenvector(run.operator, float(lam))
         assert ebk.node_count(v) == idx
+    # One call for the whole window: unit grid-norm columns, orthogonal.
+    vectors = ebk.eigenvector(run.operator, run.result.eigenvalues)
+    assert vectors.shape == (run.operator.n, run.result.eigenvalues.size)
+    gram = run.operator.h * vectors.T @ vectors
+    assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8
+    assert [ebk.node_count(v) for v in vectors.T] == list(run.result.indices)
 
 
 def test_spectrum_simple_in_window():

@@ -1,5 +1,6 @@
 """Pipeline internals: the CSV writer, trace counts per stage, exit codes."""
 
+import csv
 import json
 import math
 
@@ -49,6 +50,21 @@ def test_write_csv_matches_fmt_join(tmp_path):
     assert path.read_text(encoding="utf-8") == _joined(header, rows)
     pipeline._write_csv(path, header, [])
     assert path.read_text(encoding="utf-8") == "a,b,c,d,e,f\n"
+
+
+def test_write_json_matches_plain_python(tmp_path):
+    # NumPy scalars and arrays are written as the Python values they hold.
+    numpy_obj = {
+        "f": np.float64(0.1), "i": np.int64(-7), "b": np.bool_(True), "nan": np.float64("nan"),
+        "a": np.array([[1.5, -0.0]]), "t": (np.float32(0.1), np.uint8(3)), "n": None,
+    }
+    plain_obj = {
+        "f": 0.1, "i": -7, "b": True, "nan": math.nan,
+        "a": [[1.5, -0.0]], "t": [float(np.float32(0.1)), 3], "n": None,
+    }
+    pipeline._write_json(tmp_path / "numpy.json", numpy_obj)
+    pipeline._write_json(tmp_path / "plain.json", plain_obj)
+    assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def _component_rows(families):
@@ -239,3 +255,29 @@ def test_run_sextic_all_stages(tmp_path):
     assert len(manifest["actions"]) == 3
     assert manifest["checks"]["bijection"] is True
     assert manifest["checks"]["weyl_exact"] is True
+
+
+def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
+    # The two members of a double-well doublet are an orthonormal pair, so
+    # their rows carry the node counts of both indices, in either order.
+    config = parse_config(
+        {
+            "symbol": {"name": "double_well", "params": {"a": 1.0}},
+            "window": {"e1": 0.1, "e2": 0.6, "margin": 0.05},
+            "hbars": [0.1, 0.05],
+            "pipeline": ["oracle"],
+            "seed": 1,
+            "output_dir": str(tmp_path),
+        }
+    )
+    _, code = pipeline.run(config)
+    assert code == 0
+    doublets = {}
+    with (tmp_path / "oracle.csv").open(encoding="utf-8") as fh:
+        for row in csv.DictReader(fh):
+            index = int(row["index"])
+            doublets.setdefault((row["hbar"], index // 2), []).append((index, int(row["nodes"])))
+    assert len(doublets) == 6
+    for rows in doublets.values():
+        indices, nodes = zip(*rows)
+        assert len(rows) == 2 and set(nodes) == set(indices)
