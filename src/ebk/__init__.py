@@ -52,6 +52,7 @@ from .solver import (
     quantize_family,
 )
 from .oracle import (
+    BasisRun,
     EigenResult,
     OracleRun,
     TridiagonalOperator,
@@ -63,6 +64,8 @@ from .oracle import (
     eigenvalues_in,
     eigenvector,
     node_count,
+    nodes_resolved,
+    solve_basis,
     solve_window,
 )
 from .compare import (

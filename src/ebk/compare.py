@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BijectionFailure, UnsafeEndpoint
-from .oracle import DEFAULT_PHASE_TOL, EigenResult, OracleRun, count_below, solve_window
+from .oracle import EigenResult, OracleRun, count_below, solve_basis
 from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, build_families
 from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum, spacing_floor
 from .symbols import EnergyWindow, SymbolSpec
@@ -129,25 +129,28 @@ def convergence_study(
     *,
     action_samples: int = DEFAULT_ACTION_SAMPLES,
     trace_tol: float = DEFAULT_TRACE_TOL,
-    phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> ConvergenceReport:
     """Fit the order of max interior |BS - oracle| against hbar.
 
-    Entries whose error sits within a decade of the oracle's own error
-    estimate are flagged floor-limited; the fitted slope is only meaningful
-    when no flag is set.
+    The oracle is the oscillator-basis solve (oracle.solve_basis). Its floor
+    at each hbar is max(10 * DEFAULT_BISECT_TOL, basis_residual), the
+    measured change of the window levels from N to 2N basis states, but at
+    least 1e-10. Entries whose error sits within a decade of that floor are
+    flagged floor-limited; the fitted slope is only meaningful when no flag
+    is set.
     """
     hbars = [float(h) for h in hbars]
     if len(hbars) < 3:
         raise ValueError("need at least 3 hbar values")
     families = build_families(spec, window, action_samples, trace_tol=trace_tol)
     tables = [build_action_table(fam, window) for fam in families]
+    del families  # frees their full-resolution components before the oracle solves
     tau_min = min(t.tau_min for t in tables)
     max_errs = []
     floors = []
     for hbar in hbars:
         bs = merged_spectrum(tables, hbar, window)
-        run = solve_window(spec.potential, window, hbar, phase_tol=phase_tol)
+        run = solve_basis(spec.potential, window, hbar)
         report = match_spectra(bs, run.result, window, tau_min)
         max_errs.append(report.max_err)
         floors.append(report.max_err < 10.0 * run.floor_estimate)

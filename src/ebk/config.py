@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import ConfigError, EbkError, InvalidSymbol
 from .oracle import DEFAULT_PHASE_TOL, domain_auto
-from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL
+from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, MIN_TRACE_TOL
 from .symbols import EnergyWindow, SymbolSpec, symbol_from_config
 
 STAGES = (
@@ -169,6 +169,11 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
     action_samples = merged["action_samples"]
     if not isinstance(trace_tol, (int, float)) or trace_tol <= 0:
         raise ConfigError("config.tolerances.trace_tol must be positive")
+    if trace_tol < MIN_TRACE_TOL:
+        raise ConfigError(
+            f"config.tolerances.trace_tol {trace_tol:g} is under {MIN_TRACE_TOL:.3g}, "
+            "where the flow stepper's local error estimates are rounding noise"
+        )
     if not isinstance(oracle_tol, (int, float)) or oracle_tol <= 0:
         raise ConfigError("config.tolerances.oracle_tol must be positive")
     if isinstance(action_samples, bool) or not isinstance(action_samples, int) or action_samples < 9:

@@ -93,6 +93,10 @@ class BisectionFailed(EbkError):
     """LAPACK bisection did not return the requested window eigenvalues."""
 
 
+class BasisNotConverged(EbkError):
+    """Oscillator-basis window levels moved by more than the tolerance from N to 2N states."""
+
+
 class BijectionFailure(EbkError):
     """Interior counts of the two spectra disagree; order matching impossible."""
 

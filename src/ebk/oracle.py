@@ -1,8 +1,9 @@
-"""Direct Schrodinger ground truth on a truncated grid.
+"""Direct Schrodinger ground truth: two independent eigensolvers.
 
-The operator -(hbar^2/2) d^2/dx^2 + V is discretized by the 3-point stencil
-on N nodes x_i = -L + i*h, h = 2L/(N-1), with Dirichlet behavior outside
-the grid, giving a symmetric tridiagonal matrix:
+The Sturm oracle (solve_window) is the reference of `ebk run`. The operator
+-(hbar^2/2) d^2/dx^2 + V is discretized by the 3-point stencil on N nodes
+x_i = -L + i*h, h = 2L/(N-1), with Dirichlet behavior outside the grid,
+giving a symmetric tridiagonal matrix:
 
     diag[i]    = hbar^2/h^2 + V(x_i)
     offdiag[i] = -hbar^2/(2 h^2)
@@ -17,7 +18,17 @@ counts fix the global indices of the window eigenvalues, which dstebz then
 localizes by bisection in one call per grid. The leading O(h^2)
 discretization error is removed by Richardson extrapolation across nested
 grids N and 2N-1. Eigenvectors come from LAPACK's inverse iteration for
-tridiagonal matrices, dstein, in one call for all window levels.
+tridiagonal matrices, dstein, in one call for all window levels. The grid
+carries what the rest of the pipeline needs besides eigenvalues: exact
+counts at any shift (Weyl checks, ball multiplicities) and eigenvectors on
+x (node counts, well masses), so it stays the pipeline's reference.
+
+The basis oracle (solve_basis) is what convergence_study uses: it only
+needs the window levels, and gets them far more accurately and quickly.
+It is Rayleigh-Ritz in the first N harmonic-oscillator states centred on
+the window's sublevel interval, with V in the X-matrix discrete variable
+representation (Light, Hamilton and Lill, J. Chem. Phys. 82 (1985) 1400),
+checked by solving again with 2N states.
 """
 
 from __future__ import annotations
@@ -26,9 +37,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import (
+    BasisNotConverged,
     BisectionFailed,
     ConfigError,
     DomainTooSmall,
@@ -41,6 +54,17 @@ from .symbols import EnergyWindow, PotentialSpec
 DEFAULT_PHASE_TOL = 1e-5
 DEFAULT_BISECT_TOL = 1e-11
 _MAX_GRID = 600_000
+_NODE_RESOLUTION = 1e-8
+# solve_basis: N is _BASIS_SAFETY times the states in the phase-space box of
+# the window top, at least _BASIS_MIN (the narrow outer wells of the
+# three-well sextic need ~150 states at any hbar >= 0.05); _BASIS_TOL is the
+# largest level change from N to 2N states it accepts; the DVR has 2N +
+# _DVR_EXTRA_NODES nodes; V - min V is capped at _V_CEILING (top - min V).
+_BASIS_SAFETY = 3.0
+_BASIS_MIN = 150
+_BASIS_TOL = 1e-10
+_DVR_EXTRA_NODES = 8
+_V_CEILING = 100.0
 
 # dstebz range codes in scipy's wrapper (0 would ask for all eigenvalues).
 _BY_VALUE = 1
@@ -247,6 +271,23 @@ def node_count(v: np.ndarray) -> int:
     return int(np.sum(signs[1:] != signs[:-1]))
 
 
+def nodes_resolved(v: np.ndarray, T: TridiagonalOperator, energy: float) -> bool:
+    """Whether v reaches _NODE_RESOLUTION of its peak in every allowed interval.
+
+    The intervals are the runs of grid points with V < energy, where an
+    eigenfunction oscillates. A state that tunnels into one of them by less
+    (a deep well of a multi-well potential, or a multiplet split below
+    rounding) has nodes there that its computed vector need not show:
+    dstein's entries are good to about eps ||T|| / gap, 1e-10 of the peak on
+    the fine grids, so node_count is only meaningful for a resolved v.
+    """
+    allowed = T.potential_values() < energy
+    edges = np.flatnonzero(np.diff(allowed)) + 1
+    floor = _NODE_RESOLUTION * max(v.max(), -v.min())
+    segments = zip(np.split(v, edges), allowed[np.r_[0, edges]])
+    return all(max(seg.max(), -seg.min()) >= floor for seg, inside in segments if inside)
+
+
 def allowed_region_mass(
     v: np.ndarray, T: TridiagonalOperator, energy: float, delta: float
 ) -> float:
@@ -337,3 +378,74 @@ def solve_window(
         gate_residual=gate_residual,
         floor_estimate=floor,
     )
+
+
+@dataclass(frozen=True)
+class BasisRun:
+    """Window eigenvalues of the 2N-state basis and their change from N states."""
+
+    result: EigenResult
+    basis_sizes: tuple[int, int]
+    basis_residual: float
+
+    @property
+    def floor_estimate(self) -> float:
+        return max(10.0 * DEFAULT_BISECT_TOL, self.basis_residual)
+
+
+def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> BasisRun:
+    """Window eigenvalues by Rayleigh-Ritz in a harmonic-oscillator basis.
+
+    The basis is centred at the middle x_c of the sublevel interval at the
+    window top e2 + margin, with frequency omega = xi_max / half-width so
+    its ellipses have the aspect of that level set's box. N is
+    _BASIS_SAFETY times the box area over 2 pi hbar, at least _BASIS_MIN.
+    xi^2/2 is pentadiagonal in closed form; V is the X-matrix DVR, with
+    the Q = 2N + _DVR_EXTRA_NODES nodes y and vectors U of the truncated
+    position matrix giving V_mn = sum_q U_mq V(x_c + y_q) U_nq, the
+    Gauss-Hermite quadrature of the matrix elements. V is capped at _V_CEILING times the window's height above the minimum: only
+    nodes deep in the forbidden region reach the cap, where window states
+    are negligible, and the cap keeps the matrix norm, hence the rounding
+    of the eigensolve, small (a Morse wall otherwise reaches 1e9 at the
+    outer nodes). The 2N-state matrix and its leading
+    N x N block are solved; Ritz values bound the true ones from above, so a
+    level's global index is its rank. The result holds the 2N-state levels
+    in [e1, e2]. basis_residual is the largest change from N states over
+    every level up to the first one above the window, so an unconverged
+    level can neither shift the ranks nor drop out of the window; over
+    _BASIS_TOL it raises BasisNotConverged.
+    """
+    top = window.e2 + window.margin
+    xlo, xhi = potential.sublevel_interval(top)
+    half = 0.5 * (xhi - xlo)
+    vmin = potential.min_value()
+    ximax = math.sqrt(2.0 * (top - vmin))
+    omega = ximax / half
+    n = max(_BASIS_MIN, math.ceil(_BASIS_SAFETY * 4.0 * half * ximax / (2.0 * math.pi * hbar)))
+    q = 2 * n + _DVR_EXTRA_NODES
+    nodes, U = eigh_tridiagonal(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
+    v = potential.value(0.5 * (xlo + xhi) + math.sqrt(hbar / omega) * nodes) - vmin
+    # The rows of U are orthonormal, so V = vmin + W W^T with W = U sqrt(V - vmin).
+    W = U[: 2 * n]
+    W *= np.sqrt(np.clip(v, 0.0, _V_CEILING * (top - vmin)))
+    H = W @ W.T
+    del U, W
+    # xi^2/2 = (hbar omega / 2) p^2, with p^2 = a^+ a + 1/2 - (a^2 + a^+^2)/2.
+    k = np.arange(2 * n)
+    H[k, k] += vmin + 0.5 * hbar * omega * (k + 0.5)
+    band = -0.25 * hbar * omega * np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0))
+    H[k[:-2], k[2:]] += band
+    H[k[2:], k[:-2]] += band
+    coarse, fine = np.linalg.eigvalsh(H[:n, :n]), np.linalg.eigvalsh(H)
+    top_rank = int(np.searchsorted(fine, window.e2, side="right"))
+    if top_rank < n:
+        residual = float(np.max(np.abs(fine[: top_rank + 1] - coarse[: top_rank + 1])))
+    else:
+        residual = math.inf
+    if not residual <= _BASIS_TOL:
+        raise BasisNotConverged(
+            f"window levels moved by {residual:.3g} from {n} to {2 * n} oscillator "
+            f"states at hbar={hbar:g} (tolerance {_BASIS_TOL:g})"
+        )
+    indices = np.nonzero((fine >= window.e1) & (fine <= window.e2))[0]
+    return BasisRun(EigenResult(fine[indices], indices), (n, 2 * n), residual)

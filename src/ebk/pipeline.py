@@ -21,7 +21,7 @@ from .action import build_action_table
 from .compare import draw_safe_endpoints, match_spectra, weyl_check_pairs
 from .config import STAGE_DEPS, RunConfig
 from .errors import EbkError, RegularityViolation
-from .oracle import eigenvector, node_count, solve_window
+from .oracle import eigenvector, node_count, nodes_resolved, solve_window
 from .portrait import build_families
 from .solver import (
     branch_energy,
@@ -73,6 +73,7 @@ class _RunState:
         self.spectra = {}
         self.oracle_runs = {}
         self.node_counts = {}
+        self.resolved = {}
         self.oracle_meta = {}
         self.files = {}
         self.checks = {}
@@ -146,11 +147,20 @@ def _stage_oracle(state: _RunState):
             "floor_estimate": run.floor_estimate,
         }
         res = run.result
-        counts = [node_count(v) for v in eigenvector(run.operator, res.eigenvalues).T]
+        counts, resolved = _node_counts(run)
         indices = res.indices.tolist()
         state.node_counts[hbar] = dict(zip(indices, counts))
+        state.resolved[hbar] = [i for i, ok in zip(indices, resolved) if ok]
         rows += [(hbar, i, lam, c) for i, lam, c in zip(indices, res.eigenvalues, counts)]
     state.emit_csv("oracle.csv", ["hbar", "index", "E", "nodes"], rows)
+
+
+def _node_counts(run) -> tuple[list[int], list[bool]]:
+    """Node count of each window level's eigenvector, and whether it resolves them."""
+    lams = run.result.eigenvalues
+    vectors = eigenvector(run.operator, lams).T
+    counts = [node_count(v) for v in vectors]
+    return counts, [nodes_resolved(v, run.operator, lam) for v, lam in zip(vectors, lams)]
 
 
 def _stage_compare(state: _RunState):
@@ -169,9 +179,15 @@ def _stage_compare(state: _RunState):
             tau_min,
             node_counts=state.node_counts[hbar],
         )
-        nodes_ok = not single_family or all(
-            p.node_count is None or p.node_count == p.n for p in rep.pairs
-        )
+        # For every symbol, the node counts of the resolved levels at one
+        # hbar are their indices as a set (a doublet's pair in either order).
+        nodes = state.node_counts[hbar]
+        resolved = state.resolved[hbar]
+        nodes_ok = sorted(nodes[i] for i in resolved) == resolved
+        if single_family:
+            nodes_ok = nodes_ok and all(
+                p.node_count is None or p.node_count == p.n for p in rep.pairs
+            )
         all_nodes_match = all_nodes_match and nodes_ok
         report_obj[_fmt(hbar)] = {
             "pairs": [
@@ -189,7 +205,7 @@ def _stage_compare(state: _RunState):
             "unmatched_oracle": rep.unmatched_oracle,
             "max_err": rep.max_err,
             "mean_err": rep.mean_err,
-            "nodes_match": nodes_ok if single_family else None,
+            "nodes_match": nodes_ok,
         }
         for p in rep.pairs:
             csv_rows.append(
@@ -198,8 +214,7 @@ def _stage_compare(state: _RunState):
             )
     # match_spectra raises on a count mismatch; no pair at all fails too.
     state.checks["bijection"] = bool(csv_rows)
-    if single_family:
-        state.checks["nodes_match"] = all_nodes_match
+    state.checks["nodes_match"] = all_nodes_match
     state.emit_json("match.json", report_obj)
     state.emit_csv(
         "match.csv",

@@ -48,6 +48,10 @@ _MIN_GRAD = 1e-8
 # Local integration error per step, well under the trace tolerance so the
 # accumulated drift over one period stays within it.
 _LOCAL_TOL_FACTOR = 1e-3
+# The least trace_tol whose local tolerance clears rounding by 100 eps
+# (SciPy's RK45 clamps rtol the same way); below it the error estimates are
+# noise and the step size shrinks without limit.
+MIN_TRACE_TOL = 100.0 * np.finfo(float).eps / _LOCAL_TOL_FACTOR
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,7 @@ def test_criterion_2_quartic_convergence_order(quartic, quartic_window):
     with criterion(2, "quartic convergence order"):
         t0 = time.perf_counter()
         rep = ebk.convergence_study(
-            quartic, quartic_window, [0.2, 0.1, 0.05, 0.025]
+            quartic, quartic_window, [0.2, 0.1, 0.05, 0.025, 0.0125]
         )
         assert not any(rep.floor_limited)
         assert 1.7 <= rep.slope <= 2.3, f"slope {rep.slope:.3f}"

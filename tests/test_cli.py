@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import ebk.portrait
 from ebk.cli import main
 from ebk.config import load_config, parse_config
 from ebk.errors import ConfigError
@@ -205,3 +206,22 @@ def test_validate_leaves_landmark_errors_to_the_run(tmp_path):
     assert main(["run", "--config", str(path)]) == 3
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["stages"]["oracle"]["note"].startswith("NonCompactWindow:")
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_trace_tol_under_rounding_floor_exit_2(tmp_path, capsys, deadline, command):
+    # The stepper's local tolerance, 1e-3 * trace_tol, would sit under
+    # rounding: the run would shrink its steps without end.
+    data = _base_config(str(tmp_path / "out"))
+    data["tolerances"]["trace_tol"] = 1e-16
+    path = _write(tmp_path, data)
+    deadline(20)
+    assert main([command, "--config", str(path)]) == 2
+    assert "trace_tol 1e-16 is under 2.22e-11" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_accepts_trace_tol_at_rounding_floor(tmp_path):
+    data = _base_config(str(tmp_path))
+    data["tolerances"]["trace_tol"] = ebk.portrait.MIN_TRACE_TOL
+    assert parse_config(data).trace_tol == ebk.portrait.MIN_TRACE_TOL

@@ -5,6 +5,7 @@ import pytest
 
 import ebk
 from ebk.errors import (
+    BasisNotConverged,
     BisectionFailed,
     ConfigError,
     DomainTooSmall,
@@ -322,3 +323,61 @@ def test_ball_multiplicity():
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     run = ebk.solve_window(pot, window, 0.1)
     assert ebk.ball_multiplicity(run.operator, 0.35, 0.01) == 1
+
+
+_BASIS_CASES = {
+    "harmonic": (ebk.harmonic_potential(), (0.2, 0.8)),
+    "quartic": (ebk.quartic_potential(), (0.5, 2.0)),
+    "double_well": (ebk.double_well_potential(1.0), (0.1, 0.6)),
+    "morse": (ebk.morse_potential(1.0, 1.0), (0.1, 0.6)),
+    "sextic": (ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]), (0.1, 0.4)),
+}
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.05])
+@pytest.mark.parametrize("name", sorted(_BASIS_CASES))
+def test_basis_matches_sturm_oracle(name, hbar):
+    pot, (e1, e2) = _BASIS_CASES[name]
+    window = ebk.EnergyWindow(e1, e2, 0.05)
+    basis = ebk.solve_basis(pot, window, hbar)
+    sturm = ebk.solve_window(pot, window, hbar).result
+    assert basis.basis_residual <= 1e-10
+    assert basis.result.indices.size > 0
+    assert np.array_equal(basis.result.indices, sturm.indices)
+    assert np.max(np.abs(basis.result.eigenvalues - sturm.eigenvalues)) <= 1e-10
+    if name == "double_well":  # both members of every doublet
+        _, members = np.unique(basis.result.indices // 2, return_counts=True)
+        assert np.all(members == 2)
+
+
+@pytest.mark.parametrize("hbar", [0.2, 0.1, 0.05, 0.025])
+def test_basis_harmonic_levels_exact(hbar):
+    run = ebk.solve_basis(ebk.harmonic_potential(), ebk.EnergyWindow(0.2, 0.8, 0.05), hbar)
+    exact = hbar * (run.result.indices + 0.5)
+    assert np.max(np.abs(run.result.eigenvalues - exact)) <= 1e-12
+    assert run.floor_estimate == 10 * ebk.oracle.DEFAULT_BISECT_TOL
+
+
+def test_basis_too_small_raises(monkeypatch):
+    monkeypatch.setattr(ebk.oracle, "_BASIS_SAFETY", 1.0)
+    monkeypatch.setattr(ebk.oracle, "_BASIS_MIN", 10)
+    window = ebk.EnergyWindow(0.5, 2.0, 0.05)
+    with pytest.raises(BasisNotConverged, match="from 31 to 62 oscillator states"):
+        ebk.solve_basis(ebk.quartic_potential(), window, 0.05)
+
+
+def test_nodes_resolved_only_where_every_well_is_resolved():
+    # At hbar = 0.025 the sextic's central state of index 6 reaches its outer
+    # wells at ~1e-13 of its peak, so its vector misses the nodes there.
+    pot = _BASIS_CASES["sextic"][0]
+    run = ebk.solve_window(pot, ebk.EnergyWindow(0.1, 0.4, 0.05), 0.025)
+    res = run.result
+    assert res.indices[0] == 6
+    v = ebk.eigenvector(run.operator, res.eigenvalues[0])
+    assert ebk.node_count(v) != 6
+    assert not ebk.nodes_resolved(v, run.operator, res.eigenvalues[0])
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    harmonic = ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
+    lams = harmonic.result.eigenvalues
+    for lam, v in zip(lams, ebk.eigenvector(harmonic.operator, lams).T):
+        assert ebk.nodes_resolved(v, harmonic.operator, lam)

@@ -257,20 +257,23 @@ def test_run_sextic_all_stages(tmp_path):
     assert manifest["checks"]["weyl_exact"] is True
 
 
-def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
-    # The two members of a double-well doublet are an orthonormal pair, so
-    # their rows carry the node counts of both indices, in either order.
-    config = parse_config(
+def _dw_config(out_dir, pipeline_stages) -> ebk.config.RunConfig:
+    return parse_config(
         {
             "symbol": {"name": "double_well", "params": {"a": 1.0}},
             "window": {"e1": 0.1, "e2": 0.6, "margin": 0.05},
             "hbars": [0.1, 0.05],
-            "pipeline": ["oracle"],
+            "pipeline": pipeline_stages,
             "seed": 1,
-            "output_dir": str(tmp_path),
+            "output_dir": str(out_dir),
         }
     )
-    _, code = pipeline.run(config)
+
+
+def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
+    # The two members of a double-well doublet are an orthonormal pair, so
+    # their rows carry the node counts of both indices, in either order.
+    _, code = pipeline.run(_dw_config(tmp_path, ["oracle"]))
     assert code == 0
     doublets = {}
     with (tmp_path / "oracle.csv").open(encoding="utf-8") as fh:
@@ -281,3 +284,31 @@ def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
     for rows in doublets.values():
         indices, nodes = zip(*rows)
         assert len(rows) == 2 and set(nodes) == set(indices)
+
+
+def test_two_family_run_checks_node_counts(tmp_path):
+    # Two families interleave in node order, so only the set identity is
+    # checked: at each hbar the node counts are the window indices.
+    manifest, code = pipeline.run(_dw_config(tmp_path, ["oracle", "compare"]))
+    assert code == 0
+    assert manifest["checks"]["nodes_match"] is True
+    match = json.loads((tmp_path / "match.json").read_text(encoding="utf-8"))
+    assert [rep["nodes_match"] for rep in match.values()] == [True, True]
+
+
+def test_corrupt_node_count_exits_4(tmp_path, monkeypatch):
+    calls = []
+
+    def off_by_one_once(v):
+        calls.append(None)
+        return ebk.node_count(v) + (1 if len(calls) == 3 else 0)
+
+    monkeypatch.setattr(pipeline, "node_count", off_by_one_once)
+    manifest, code = pipeline.run(_dw_config(tmp_path, ["oracle", "compare"]))
+    assert code == 4
+    assert manifest["stages"]["compare"]["status"] == "ok"
+    assert manifest["checks"]["nodes_match"] is False
+    match = json.loads((tmp_path / "match.json").read_text(encoding="utf-8"))
+    # The third count is at hbar = 0.1; the other hbar keeps its identity.
+    assert match[pipeline._fmt(0.1)]["nodes_match"] is False
+    assert match[pipeline._fmt(0.05)]["nodes_match"] is True
