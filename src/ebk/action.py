@@ -179,6 +179,12 @@ class ActionTable:
     def tau_at(self, energy):
         return self._tau(energy)
 
+    def covers(self, a):
+        """Whether each action a lies in a0_range, up to 1e-12 relative."""
+        lo_a, hi_a = self.a0_range
+        tol = 1e-12 * np.maximum(1.0, np.abs(a))
+        return (a >= lo_a - tol) & (a <= hi_a + tol)
+
     @property
     def a0_range(self) -> tuple[float, float]:
         return float(self.a0[0]), float(self.a0[-1])
@@ -212,32 +218,40 @@ def build_action_table(family: ComponentFamily, window: EnergyWindow) -> ActionT
     )
 
 
-def invert_action(table: ActionTable, a: float) -> float:
-    """Energy with A0(E) = a, by Newton on the interpolant with bisection fallback."""
+def invert_action(table: ActionTable, a):
+    """Energy with A0(E) = a, by Newton on the interpolant with bisection fallback.
+
+    a is one action, giving a float, or an array of actions, giving an
+    array of energies; every element takes the steps it would take alone,
+    with one interpolant evaluation per iteration for the elements still
+    moving. Raises OutOfWindow if any action is outside table.covers.
+    """
+    target = np.asarray(a, dtype=float)
+    flat = target.ravel()
     lo_a, hi_a = table.a0_range
-    tol = 1e-12 * max(1.0, abs(a))
-    if a < lo_a - tol or a > hi_a + tol:
-        raise OutOfWindow(f"action {a:g} outside table range [{lo_a:g}, {hi_a:g}]")
-    lo, hi = table.window.e1, table.window.e2
-    if a <= lo_a:
-        return lo
-    if a >= hi_a:
-        return hi
-    e = lo + (hi - lo) * (a - lo_a) / (hi_a - lo_a)
-    resid_tol = 1e-13 * max(1.0, abs(a))
+    outside = ~table.covers(flat)
+    if outside.any():
+        raise OutOfWindow(
+            f"action {flat[outside][0]:g} outside table range [{lo_a:g}, {hi_a:g}]"
+        )
+    e1, e2 = table.window.e1, table.window.e2
+    lo, hi = np.full(flat.shape, e1), np.full(flat.shape, e2)
+    e = lo + (hi - lo) * (flat - lo_a) / (hi_a - lo_a)
+    e = np.where(flat <= lo_a, e1, np.where(flat >= hi_a, e2, e))
+    resid_tol = 1e-13 * np.maximum(1.0, np.abs(flat))
+    todo = np.flatnonzero((flat > lo_a) & (flat < hi_a))
     for _ in range(100):
-        fa = float(table.a0_at(e)) - a
-        if abs(fa) <= resid_tol:
+        fa = table.a0_at(e[todo]) - flat[todo]
+        moving = np.abs(fa) > resid_tol[todo]
+        todo, fa = todo[moving], fa[moving]
+        if not todo.size:
             break
-        if fa > 0:
-            hi = e
-        else:
-            lo = e
-        e_new = e - fa / float(table.tau_at(e))
-        if not (lo < e_new < hi):
-            e_new = 0.5 * (lo + hi)
-        if abs(e_new - e) < 1e-17 * max(1.0, abs(e)):
-            e = e_new
-            break
-        e = e_new
-    return float(min(max(e, table.window.e1), table.window.e2))
+        et = e[todo]
+        lo[todo] = np.where(fa > 0, lo[todo], et)
+        hi[todo] = np.where(fa > 0, et, hi[todo])
+        e_new = et - fa / table.tau_at(et)
+        inside = (lo[todo] < e_new) & (e_new < hi[todo])
+        e[todo] = np.where(inside, e_new, 0.5 * (lo[todo] + hi[todo]))
+        todo = todo[~(np.abs(e[todo] - et) < 1e-17 * np.maximum(1.0, np.abs(et)))]
+    e = np.clip(e, e1, e2).reshape(target.shape)
+    return float(e) if e.ndim == 0 else e

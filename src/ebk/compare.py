@@ -195,7 +195,7 @@ def weyl_check_pairs(
     One check per (e1t, e2t) of pairs; a single count_below call counts
     below every endpoint.
     """
-    counts = [exact_weyl_count(tables, bs.hbar, e1t, e2t, bs) for e1t, e2t in pairs]
+    counts = exact_weyl_count(tables, bs.hbar, *np.transpose(pairs), bs)
     below = count_below(oracle_run.operator, np.ravel(pairs)).reshape(-1, 2)
     return [
         WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc)

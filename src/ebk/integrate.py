@@ -17,6 +17,7 @@ accepted columns and tests for step-size underflow.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,7 +79,8 @@ class Step:
     """Accepted steps of the batch columns cols in one attempt.
 
     Entry j is the step of column cols[j] from t0[j] to t0[j] + h[j]; its
-    dense state is _dense(t0, h, y0, q, t) column by column.
+    dense state is _dense(t0, h, y0, q, t) column by column. attempt counts
+    the attempts of the batch before this one.
     """
 
     cols: np.ndarray  # (k,) batch column indices
@@ -87,6 +89,7 @@ class Step:
     y0: np.ndarray  # (dim, k)
     y1: np.ndarray  # (dim, k)
     q: np.ndarray  # (4, dim, k)
+    attempt: int = 0
 
     def eval(self, t: np.ndarray) -> np.ndarray:
         """Dense state at one time per column, (k,) -> (dim, k)."""
@@ -96,7 +99,7 @@ class Step:
         """The entries idx of this step."""
         return Step(
             self.cols[idx], self.t0[idx], self.h[idx],
-            self.y0[:, idx], self.y1[:, idx], self.q[:, :, idx],
+            self.y0[:, idx], self.y1[:, idx], self.q[:, :, idx], self.attempt,
         )
 
 
@@ -128,7 +131,7 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
     k = np.empty((7, dim, m))
     k[0] = f(y)
     h = _initial_step(f, y)
-    while True:
+    for attempt in itertools.count():
         live = t < t_max
         if active is not None:
             live &= active[cols]
@@ -149,12 +152,14 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
         factor = np.minimum(factor, _MAX_FACTOR)
         ok = err <= 1.0
         if ok.all():  # the usual attempt: no selection, no copies
-            yield Step(cols, t, h, y, y1, bep[2:])
+            yield Step(cols, t, h, y, y1, bep[2:], attempt)
             t, y = t + h, y1
             k[0] = k[6]  # FSAL
         else:
             if ok.any():
-                yield Step(cols[ok], t[ok], h[ok], y[:, ok], y1[:, ok], bep[2:, :, ok])
+                yield Step(
+                    cols[ok], t[ok], h[ok], y[:, ok], y1[:, ok], bep[2:, :, ok], attempt
+                )
                 t, y = np.where(ok, t + h, t), np.where(ok, y1, y)
                 k[0][:, ok] = k[6][:, ok]
             # Written as "not >=" so that a NaN step size counts as underflow.
@@ -164,12 +169,15 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
 
 
 def resample(t0, h, y0, q, ts: np.ndarray) -> np.ndarray:
-    """Evaluate one column's dense trajectory at sorted times ts.
+    """Evaluate a dense trajectory at sorted times ts.
 
-    t0, h (n,), y0 (n, dim) and q (n, 4, dim) are its accepted steps in
-    time order; returns (len(ts), dim).
+    t0, h (n,), y0 (n, dim) and q (n, 4, dim) are accepted steps in order of
+    their start times t0; returns (len(ts), dim). Each time is served by the
+    last step starting at or before it, so the steps of several arcs, each
+    shifted to start where the one before it ends, form one trajectory even
+    where an arc's last step runs past the next arc's start.
     """
-    idx = np.clip(np.searchsorted(t0 + h, ts, side="left"), 0, len(t0) - 1)
+    idx = np.maximum(np.searchsorted(t0, ts, side="right") - 1, 0)
     return _dense(
         t0[idx, None], h[idx, None], y0[idx], np.moveaxis(q[idx], 1, 0), ts[:, None]
     )

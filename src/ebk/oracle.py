@@ -63,6 +63,11 @@ _NODE_RESOLUTION = 1e-8
 _BASIS_SAFETY = 3.0
 _BASIS_MIN = 150
 _BASIS_TOL = 1e-10
+# A change over _BASIS_TOL but at most _BASIS_RETRY means N states nearly
+# resolve the window, and one more doubling is tried; a larger one means the
+# N rule misjudged the potential, which is reported, not hidden behind a
+# 4N-state solve.
+_BASIS_RETRY = 1e-6
 _DVR_EXTRA_NODES = 8
 _V_CEILING = 100.0
 
@@ -382,7 +387,7 @@ def solve_window(
 
 @dataclass(frozen=True)
 class BasisRun:
-    """Window eigenvalues of the 2N-state basis and their change from N states."""
+    """Window eigenvalues of the finer basis and their change from the coarser one."""
 
     result: EigenResult
     basis_sizes: tuple[int, int]
@@ -403,17 +408,21 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     xi^2/2 is pentadiagonal in closed form; V is the X-matrix DVR, with
     the Q = 2N + _DVR_EXTRA_NODES nodes y and vectors U of the truncated
     position matrix giving V_mn = sum_q U_mq V(x_c + y_q) U_nq, the
-    Gauss-Hermite quadrature of the matrix elements. V is capped at _V_CEILING times the window's height above the minimum: only
+    Gauss-Hermite quadrature of the matrix elements. V is capped at
+    _V_CEILING times the window's height above the minimum: only
     nodes deep in the forbidden region reach the cap, where window states
     are negligible, and the cap keeps the matrix norm, hence the rounding
     of the eigensolve, small (a Morse wall otherwise reaches 1e9 at the
     outer nodes). The 2N-state matrix and its leading
     N x N block are solved; Ritz values bound the true ones from above, so a
-    level's global index is its rank. The result holds the 2N-state levels
-    in [e1, e2]. basis_residual is the largest change from N states over
-    every level up to the first one above the window, so an unconverged
-    level can neither shift the ranks nor drop out of the window; over
-    _BASIS_TOL it raises BasisNotConverged.
+    level's global index is its rank. basis_residual is the largest change
+    from N to 2N states over every level up to the first one above the
+    window, so an unconverged level can neither shift the ranks nor drop
+    out of the window. When it exceeds _BASIS_TOL but not _BASIS_RETRY, the
+    2N levels become the coarse ones and a 4N-state matrix (4N +
+    _DVR_EXTRA_NODES nodes) is solved. The result holds the finer level's
+    eigenvalues in [e1, e2], basis_sizes the last pair of sizes; a final
+    change over _BASIS_TOL raises BasisNotConverged naming that pair.
     """
     top = window.e2 + window.margin
     xlo, xhi = potential.sublevel_interval(top)
@@ -422,30 +431,42 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     ximax = math.sqrt(2.0 * (top - vmin))
     omega = ximax / half
     n = max(_BASIS_MIN, math.ceil(_BASIS_SAFETY * 4.0 * half * ximax / (2.0 * math.pi * hbar)))
-    q = 2 * n + _DVR_EXTRA_NODES
-    nodes, U = eigh_tridiagonal(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
-    v = potential.value(0.5 * (xlo + xhi) + math.sqrt(hbar / omega) * nodes) - vmin
-    # The rows of U are orthonormal, so V = vmin + W W^T with W = U sqrt(V - vmin).
-    W = U[: 2 * n]
-    W *= np.sqrt(np.clip(v, 0.0, _V_CEILING * (top - vmin)))
-    H = W @ W.T
-    del U, W
-    # xi^2/2 = (hbar omega / 2) p^2, with p^2 = a^+ a + 1/2 - (a^2 + a^+^2)/2.
-    k = np.arange(2 * n)
-    H[k, k] += vmin + 0.5 * hbar * omega * (k + 0.5)
-    band = -0.25 * hbar * omega * np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0))
-    H[k[:-2], k[2:]] += band
-    H[k[2:], k[:-2]] += band
+
+    def hamiltonian(size):
+        q = size + _DVR_EXTRA_NODES
+        nodes, U = eigh_tridiagonal(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
+        v = potential.value(0.5 * (xlo + xhi) + math.sqrt(hbar / omega) * nodes) - vmin
+        # The rows of U are orthonormal, so V = vmin + W W^T with W = U sqrt(V - vmin).
+        W = U[:size]
+        W *= np.sqrt(np.clip(v, 0.0, _V_CEILING * (top - vmin)))
+        H = W @ W.T
+        # xi^2/2 = (hbar omega / 2) p^2, with p^2 = a^+ a + 1/2 - (a^2 + a^+^2)/2.
+        k = np.arange(size)
+        H[k, k] += vmin + 0.5 * hbar * omega * (k + 0.5)
+        band = -0.25 * hbar * omega * np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0))
+        H[k[:-2], k[2:]] += band
+        H[k[2:], k[:-2]] += band
+        return H
+
+    def residual(coarse, fine):
+        top_rank = int(np.searchsorted(fine, window.e2, side="right"))
+        if top_rank >= len(coarse):
+            return math.inf
+        return float(np.max(np.abs(fine[: top_rank + 1] - coarse[: top_rank + 1])))
+
+    H = hamiltonian(2 * n)
+    sizes = (n, 2 * n)
     coarse, fine = np.linalg.eigvalsh(H[:n, :n]), np.linalg.eigvalsh(H)
-    top_rank = int(np.searchsorted(fine, window.e2, side="right"))
-    if top_rank < n:
-        residual = float(np.max(np.abs(fine[: top_rank + 1] - coarse[: top_rank + 1])))
-    else:
-        residual = math.inf
-    if not residual <= _BASIS_TOL:
+    del H
+    change = residual(coarse, fine)
+    if _BASIS_TOL < change <= _BASIS_RETRY:
+        sizes = (2 * n, 4 * n)
+        coarse, fine = fine, np.linalg.eigvalsh(hamiltonian(4 * n))
+        change = residual(coarse, fine)
+    if not change <= _BASIS_TOL:
         raise BasisNotConverged(
-            f"window levels moved by {residual:.3g} from {n} to {2 * n} oscillator "
+            f"window levels moved by {change:.3g} from {sizes[0]} to {sizes[1]} oscillator "
             f"states at hbar={hbar:g} (tolerance {_BASIS_TOL:g})"
         )
     indices = np.nonzero((fine >= window.e1) & (fine <= window.e2))[0]
-    return BasisRun(EigenResult(fine[indices], indices), (n, 2 * n), residual)
+    return BasisRun(EigenResult(fine[indices], indices), sizes, change)

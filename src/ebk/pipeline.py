@@ -151,8 +151,11 @@ def _stage_oracle(state: _RunState):
         indices = res.indices.tolist()
         state.node_counts[hbar] = dict(zip(indices, counts))
         state.resolved[hbar] = [i for i, ok in zip(indices, resolved) if ok]
-        rows += [(hbar, i, lam, c) for i, lam, c in zip(indices, res.eigenvalues, counts)]
-    state.emit_csv("oracle.csv", ["hbar", "index", "E", "nodes"], rows)
+        rows += [
+            (hbar, i, lam, c, ok)
+            for i, lam, c, ok in zip(indices, res.eigenvalues, counts, resolved)
+        ]
+    state.emit_csv("oracle.csv", ["hbar", "index", "E", "nodes", "resolved"], rows)
 
 
 def _node_counts(run) -> tuple[list[int], list[bool]]:
@@ -256,20 +259,19 @@ def _stage_weyl(state: _RunState):
 
 def _stage_branches(state: _RunState):
     hbar_top = state.config.hbars[0]
-    bs = state.spectra[hbar_top]
-    tables = {t.k: t for t in state.tables}
-    rows = []
-    for entry in bs.entries:
-        table = tables[entry.k]
-        h_exit = exit_hbar(table, entry.n)
-        hs = np.linspace(h_exit * (1 + 1e-9), hbar_top, 33)
-        vals = []
-        for h in hs:
-            e = branch_energy(table, entry.n, float(h))
-            if e is not None:
-                vals.append(e)
-        monotone = bool(np.all(np.diff(vals) > -1e-12)) if len(vals) > 1 else True
-        rows.append((entry.k, entry.n, h_exit, monotone))
+    entries = state.spectra[hbar_top].entries
+    row = {}
+    for table in state.tables:
+        # Every branch of the family on 33 hbar from its exit, in one call.
+        ns = np.array([e.n for e in entries if e.k == table.k], dtype=int)
+        h_exit = exit_hbar(table, ns)
+        hs = np.linspace(h_exit * (1 + 1e-9), hbar_top, 33, axis=-1)
+        energies = branch_energy(table, ns[:, None], hs)
+        for n, h, es in zip(ns.tolist(), h_exit.tolist(), energies):
+            vals = es[~np.isnan(es)]
+            monotone = bool(np.all(np.diff(vals) > -1e-12)) if len(vals) > 1 else True
+            row[table.k, n] = (table.k, n, h, monotone)
+    rows = [row[e.k, e.n] for e in entries]
     state.emit_csv("branches.csv", ["k", "n", "hbar_exit", "monotone"], rows)
     state.checks["branches_monotone"] = all(bool(r[3]) for r in rows)
 
@@ -366,11 +368,16 @@ def run(
             for t in state.tables
         }
     if state.families:
+        comps = [c for f in state.families for c in f.components]
         steps = {str(f.k): sum(c.steps for c in f.components) for f in state.families}
-        orbits = sum(len(f.components) for f in state.families)
-        manifest["metrics"] = {"trace": {"orbits": orbits, "dp45_steps": steps}}
+        arcs = {str(f.k): sum(c.arcs for c in f.components) for f in state.families}
+        # Every orbit of the scan is one batch, so its depth is the last landing.
+        attempts = max(c.attempts for c in comps)
+        trace = {"orbits": len(comps), "dp45_steps": steps, "arcs": arcs, "attempts": attempts}
+        manifest["metrics"] = {"trace": trace}
         if verbose:
-            print(f"[ebk] trace: {orbits} orbits, dp45 steps {steps}")
+            print(f"[ebk] trace: {len(comps)} orbits, dp45 steps {steps}")
+            print(f"[ebk] trace: arcs {arcs}, {attempts} stepper attempts")
     _write_json(out / "manifest.json", manifest)
 
     codes = [e.exit_code if isinstance(e, EbkError) else EbkError.exit_code for e in failures]

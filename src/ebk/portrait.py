@@ -1,21 +1,24 @@
 """Level-set extraction by Hamiltonian flow tracing.
 
 The connected components of {H = E} are found in two stages. A marching
-pass over a grid of H values yields one candidate point per closed contour
-loop, interpolated on a grid edge and refined onto the level set along the
-gradient. The pass computes every edge crossing and pairs the crossings of
-every cell as arrays, and walks each loop along an integer neighbour table;
-a crossing on the box boundary means the level set leaves the box. Each
-candidate then seeds an integration of the flow
+pass over a grid of H values yields one closed contour loop per component.
+The pass computes every edge crossing and pairs the crossings of every
+cell as arrays, and walks each loop along an integer neighbour table; a
+crossing on the box boundary means the level set leaves the box. Each loop
+then gives _ARCS seeds at evenly spaced edge crossings (a loop too short to
+split gives one), refined onto the level set along the gradient. The seeds
+cut the orbit into arcs, and the flow
 
     x' = dH/dxi,   xi' = -dH/dx,
 
-which traces the component, detects the first return through a section
-normal to the flow at the seed, and accumulates the loop action integral
-of xi dx along the way. Period, action and the sample polyline therefore
-come from a single adaptive integration. The orbits of a scan (every
-candidate of every sampled energy) are integrated together as one batch,
-each with its own step size, section and return test.
+is integrated along every arc, from its seed to the section normal to the
+flow at the next seed along the flow, accumulating the action integral of
+xi dx on the way. The arcs' times and actions add up to the period and the
+loop action, as local pieces over an open cover of the circle do, and the
+sample polyline is resampled across them. The arcs of a scan (every loop of
+every sampled energy) are integrated together as one batch, each with its
+own step size, section and landing test, so the stepper's sequential depth
+is that of the longest arc, about 1/_ARCS of the longest orbit's.
 
 Component counting near a topology change never relies on tracing (a trace
 started on a critical level would stall), only on the marching pass.
@@ -23,7 +26,6 @@ started on a critical level would stall), only on the marching pass.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -52,6 +54,11 @@ _LOCAL_TOL_FACTOR = 1e-3
 # (SciPy's RK45 clamps rtol the same way); below it the error estimates are
 # noise and the step size shrinks without limit.
 MIN_TRACE_TOL = 100.0 * np.finfo(float).eps / _LOCAL_TOL_FACTOR
+# Arcs per orbit. A marching loop of at least _ARCS * _MIN_ARC_CROSSINGS edge
+# crossings is traced as _ARCS arcs side by side in one batch, which divides
+# the stepper's sequential depth by about _ARCS; a shorter loop is one arc.
+_ARCS = 8
+_MIN_ARC_CROSSINGS = 8
 
 
 @dataclass(frozen=True)
@@ -72,8 +79,10 @@ class LevelComponent:
     orientation: int
     action: float
     trace_tol: float
-    closure_gap: float = 0.0  # |flow(seed, period) - seed|, already <= trace_tol
-    steps: int = 0  # accepted DP45 steps of the trace
+    closure_gap: float = 0.0  # largest arc landing gap, already <= trace_tol
+    steps: int = 0  # accepted DP45 steps of the trace, summed over its arcs
+    arcs: int = 1  # arcs the orbit was traced as
+    attempts: int = 0  # stepper attempts of its batch until its last arc landed
 
     def reversed(self) -> "LevelComponent":
         pts = self.points[::-1].copy()
@@ -194,75 +203,113 @@ def marching_component_count(
 
 
 def refine_to_level(spec, point, energy, tol=1e-12, max_iter=80):
-    """Move a point onto {H = E} along the gradient direction."""
-    x, xi = float(point[0]), float(point[1])
+    """Move points onto {H = E} along the gradient direction.
+
+    point is one (x, xi) pair, giving an (x, xi) tuple, or an (n, 2) array,
+    giving an (n, 2) array; each point takes the Newton steps it would take
+    alone.
+    """
+    x, xi = np.array(point, dtype=float).reshape(-1, 2).T.copy()
+    todo = np.arange(len(x))
     for _ in range(max_iter):
-        h = float(spec.value(x, xi)) - energy
-        if abs(h) <= tol:
-            return x, xi
-        gx, gxi = spec.gradient(x, xi)
-        gx, gxi = float(gx), float(gxi)
+        h = np.asarray(spec.value(x[todo], xi[todo]), dtype=float) - energy
+        off = np.abs(h) > tol
+        todo, h = todo[off], h[off]
+        if not todo.size:
+            if np.ndim(point) == 1:
+                return float(x[0]), float(xi[0])
+            return np.column_stack([x, xi])
+        gx, gxi = (np.asarray(g, dtype=float) for g in spec.gradient(x[todo], xi[todo]))
         n2 = gx * gx + gxi * gxi
-        if n2 < _MIN_GRAD**2:
+        if np.any(n2 < _MIN_GRAD**2):
             raise EmptyLevelSet("refinement stalled at a near-critical point")
-        x -= h * gx / n2
-        xi -= h * gxi / n2
+        x[todo] -= h * gx / n2
+        xi[todo] -= h * gxi / n2
     raise EmptyLevelSet(f"could not refine seed onto level {energy:g}")
 
 
 class _History:
     """Dense-output history of a batch, x and xi rows only.
 
-    Steps are stored per column in preallocated (steps, ..., m) buffers that
-    grow geometrically, so a batch never builds a list of step objects.
+    Accepted steps are stored in attempt order in flat buffers that grow
+    geometrically, so memory follows the number of accepted steps, not the
+    longest column times the batch width.
     """
 
-    def __init__(self, m: int, capacity: int = 256):
-        self.n = np.zeros(m, dtype=int)
-        self.t0 = np.empty((capacity, m))
-        self.h = np.empty((capacity, m))
-        self.y0 = np.empty((capacity, 2, m))
-        self.q = np.empty((capacity, 4, 2, m))
+    def __init__(self, capacity: int = 4096):
+        self.n = 0
+        self.cols = np.empty(capacity, dtype=np.intp)
+        self.t0 = np.empty(capacity)
+        self.h = np.empty(capacity)
+        self.y0 = np.empty((capacity, 2))
+        self.q = np.empty((capacity, 4, 2))
 
     def append(self, step: integrate.Step):
-        rows, cols = self.n[step.cols], step.cols
-        if rows.max() >= len(self.t0):
-            for name in ("t0", "h", "y0", "q"):
+        lo, hi = self.n, self.n + len(step.cols)
+        if hi > len(self.t0):
+            for name in ("cols", "t0", "h", "y0", "q"):
                 old = getattr(self, name)
-                grown = np.empty((2 * len(old),) + old.shape[1:])
-                grown[: len(old)] = old
+                grown = np.empty((2 * hi,) + old.shape[1:], dtype=old.dtype)
+                grown[:lo] = old[:lo]
                 setattr(self, name, grown)
-        self.t0[rows, cols] = step.t0
-        self.h[rows, cols] = step.h
-        self.y0[rows, :, cols] = step.y0[:2].T
-        self.q[rows, :, :, cols] = step.q[:, :2].transpose(2, 0, 1)
-        self.n[cols] += 1
-
-    def resample(self, j: int, ts: np.ndarray) -> np.ndarray:
-        n = self.n[j]
-        return integrate.resample(
-            self.t0[:n, j], self.h[:n, j], self.y0[:n, :, j], self.q[:n, :, :, j], ts
-        )
+        self.cols[lo:hi] = step.cols
+        self.t0[lo:hi] = step.t0
+        self.h[lo:hi] = step.h
+        self.y0[lo:hi] = step.y0[:2].T
+        self.q[lo:hi] = step.q[:, :2].transpose(2, 0, 1)
+        self.n = hi
 
 
-def _bisect_crossing(step: integrate.Step, section) -> np.ndarray:
-    """Time in each entry of step where section(state) turns non-negative.
+def _section_crossing(step: integrate.Step, normal, target) -> np.ndarray:
+    """Time in each entry of step where its dense state crosses a section.
 
-    section(step.eval(t0)) < 0 <= section(step.eval(t0 + h)) entry by
-    entry; each bracket is halved on the dense output until it is at most
-    1e-13 wide (64 halvings at most).
+    The section of entry j is normal[:, j] . (y - target[:, j]) = 0, with
+    the section value g < 0 at the step start and >= 0 at its end. On the
+    quartic interpolant g is a quartic in theta = (t - t0)/h; safeguarded
+    Newton from the secant root keeps a sign bracket and bisects it when a
+    Newton step would leave it, until the update is under 1e-13 in t.
     """
-    lo, hi = step.t0, step.t0 + step.h
-    bisecting = np.ones(len(lo), dtype=bool)
+    # g(theta) = g0 + h theta (c0 + theta (c1 + theta (c2 + theta c3))) per entry.
+    c = np.einsum("ik,jik->jk", normal, step.q[:, :2])
+    g0 = np.einsum("ik,ik->k", normal, step.y0[:2] - target)
+    h = step.h
+    lo, hi = np.zeros(len(h)), np.ones(len(h))
+    # The secant root; g0 < 0, so a rounding-negative g1 only moves it to 1.
+    theta = g0 / (g0 - np.maximum(g0 + h * c.sum(axis=0), 0.0))
     for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        below = section(step.eval(mid)) < 0.0
-        lo = np.where(bisecting & below, mid, lo)
-        hi = np.where(bisecting & ~below, mid, hi)
-        bisecting &= hi - lo > 1e-13
-        if not bisecting.any():
+        g = g0 + h * theta * (c[0] + theta * (c[1] + theta * (c[2] + theta * c[3])))
+        dg = h * (c[0] + theta * (2.0 * c[1] + theta * (3.0 * c[2] + theta * 4.0 * c[3])))
+        below = g < 0.0
+        lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
+        new = theta - g / dg
+        new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+        done = np.abs(new - theta) * h <= 1e-13
+        theta = new
+        if done.all():
             break
-    return 0.5 * (lo + hi)
+    return step.t0 + h * theta
+
+
+def _flow_order(seeds, counts, flow):
+    """Reorder each orbit's seeds to run along the flow from its first seed.
+
+    seeds (M, 2) holds the orbits' seeds one orbit after another, counts
+    their number per orbit and flow (2, M) the unit flow direction at each
+    seed. The seeds of an orbit run against the flow when the flow
+    direction at each seed, dotted with the chord from its predecessor to
+    its successor and summed over the orbit, is negative; such an orbit is
+    read backwards from its first seed. Returns the reordering of the M
+    seeds and, in the new order, the index of each seed's successor along
+    its orbit.
+    """
+    starts = np.cumsum(counts) - counts
+    first, size = np.repeat(starts, counts), np.repeat(counts, counts)
+    i = np.arange(len(seeds)) - first
+    nxt, prv = first + (i + 1) % size, first + (i - 1) % size
+    chord = seeds[nxt] - seeds[prv]
+    along = np.add.reduceat(np.einsum("ij,ji->j", flow, chord), starts)
+    order = first + np.where(np.repeat(along < 0.0, counts), (size - i) % size, i)
+    return order, nxt
 
 
 def trace_component(
@@ -276,50 +323,73 @@ def trace_component(
 ) -> LevelComponent | list[LevelComponent]:
     """Trace the closed flow orbit through seed on {H = E}.
 
-    seed is one (x, xi) pair with a scalar energy, giving one
-    LevelComponent, or a sequence of m pairs with a sequence of m energies,
-    giving a list of m components traced together in one batched
-    integration; each orbit of a batch is traced as it would be alone.
+    seed is one (x, xi) pair, or a (K, 2) sequence of K points on the orbit
+    in cyclic order (along the flow or against it), with a scalar energy,
+    giving one LevelComponent; or a sequence of m such seeds with a
+    sequence of m energies, giving a list of m components. Every orbit of
+    a call is split at its seed points into arcs, and all arcs are the
+    columns of one batched integration; each arc is traced as it would be
+    alone. The orbit and its first seed are the same whichever way its
+    seeds are given.
 
-    The first return is detected on the section through the seed normal to
-    the flow, accepting only crossings in the flow direction that land back
-    at the seed within trace_tol; the return time is refined by bisection on
-    the dense output to 1e-13. Raises CriticalSeed if a seed sits at a
-    near-critical point, NotClosedOrbit if an orbit does not return before
-    max_time and TraceDiverged if its sampled energies drift or its step
-    size underflows.
+    The arc from each seed stops on the section through the next seed along
+    the flow, normal to the flow there, at the first crossing in the flow
+    direction that lands within trace_tol of the point where the arc's own
+    level set meets that section; a lone seed's arc returns to it. The
+    crossing time is refined by safeguarded Newton on the step's quartic
+    dense output to 1e-13. The period and action are the sums over the
+    arcs, closure_gap is the largest landing gap, and the points are
+    resampled across the arcs from the first seed. Raises
+    CriticalSeed if a seed sits at a near-critical point, NotClosedOrbit if
+    an arc does not land before max_time or an orbit's period exceeds it,
+    and TraceDiverged if its sampled energies drift or its step size
+    underflows.
     """
     batch = np.ndim(energy) > 0
-    seeds = np.array(seed, dtype=float).reshape(-1, 2)
     energies = np.atleast_1d(np.asarray(energy, dtype=float))
-    if len(seeds) != len(energies):
-        raise ValueError(f"{len(seeds)} seeds for {len(energies)} energies")
-    m = len(seeds)
-    sx, sxi = seeds[:, 0].copy(), seeds[:, 1].copy()
-    gx, gxi = spec.gradient(sx, sxi)
+    orbits = [np.array(s, dtype=float).reshape(-1, 2) for s in (seed if batch else [seed])]
+    if len(orbits) != len(energies):
+        raise ValueError(f"{len(orbits)} seeds for {len(energies)} energies")
+    counts = np.array([len(o) for o in orbits])
+    starts = np.cumsum(counts) - counts
+    pts = np.concatenate(orbits)
+    gx, gxi = spec.gradient(pts[:, 0], pts[:, 1])
     speed = np.hypot(gxi, gx)
     if np.any(speed <= _MIN_GRAD):
         raise CriticalSeed("seed gradient too small; refusing to trace near a critical point")
-    nx, nxi = gxi / speed, -gx / speed  # flow direction at each seed
+    flow = np.vstack([gxi, -gx]) / speed
+    order, nxt = _flow_order(pts, counts, flow)
+    pts, flow, speed = pts[order], flow[:, order], speed[order]
+    # Column c traces the arc from pts[c] to the section of pts[nxt[c]], and
+    # lands where its own level set meets it: that seed moved along its
+    # gradient by the difference of the two seeds' levels (under 1e-12, but
+    # at a small gradient far enough to fail the landing test). A lone seed
+    # is its own target.
+    level = np.asarray(spec.value(pts[:, 0], pts[:, 1]), dtype=float)
+    normal = flow[:, nxt]
+    uphill = np.vstack([-normal[1], normal[0]])  # the unit gradient at each target
+    target = pts[nxt].T - (level[nxt] - level) / speed[nxt] * uphill
 
     def section(y, c):
-        """Signed distance of states y of columns c past their seed sections."""
-        return nx[c] * (y[0] - sx[c]) + nxi[c] * (y[1] - sxi[c])
+        """Signed distance of states y of columns c past their target sections."""
+        return normal[0, c] * (y[0] - target[0, c]) + normal[1, c] * (y[1] - target[1, c])
 
     def rhs(y):
         dx, dxi = spec.gradient(y[0], y[1])
         return np.array([dxi, -dx, y[1] * dxi])
 
-    y0 = np.vstack([sx, sxi, np.zeros(m)])
-    local_tol = trace_tol * _LOCAL_TOL_FACTOR
-    history = _History(m)
-    running = np.ones(m, dtype=bool)  # not yet returned; the stepper drops the rest
-    g_prev = np.zeros(m)
-    period = np.zeros(m)
-    y_ret = np.zeros((3, m))
+    M = len(pts)
+    y0 = np.vstack([pts.T, np.zeros(M)])
+    history = _History()
+    running = np.ones(M, dtype=bool)  # not yet landed; the stepper drops the rest
+    g_prev = section(y0, slice(None))  # exactly 0 for a lone seed
+    arc_time = np.zeros(M)
+    y_end = np.zeros((3, M))
+    attempts = np.zeros(M, dtype=int)
     # Overflow leaves NaNs, which the stepper's underflow test and the drift
     # check below turn into TraceDiverged.
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        local_tol = trace_tol * _LOCAL_TOL_FACTOR
         for step in integrate.dp45_steps(rhs, y0, local_tol, max_time, active=running):
             history.append(step)
             g_new = section(step.y1, step.cols)
@@ -329,23 +399,40 @@ def trace_component(
                 continue
             cross = step.take(hit)
             c = cross.cols
-            t_star = _bisect_crossing(cross, lambda y: section(y, c))
+            t_star = _section_crossing(cross, normal[:, c], target[:, c])
             y_star = cross.eval(t_star)
-            back = np.hypot(y_star[0] - sx[c], y_star[1] - sxi[c]) <= trace_tol
-            period[c[back]] = t_star[back]
-            y_ret[:, c[back]] = y_star[:, back]
-            running[c[back]] = False
-    if running.any():
-        j = int(np.argmax(running))
+            back = np.hypot(y_star[0] - target[0, c], y_star[1] - target[1, c]) <= trace_tol
+            c = c[back]
+            arc_time[c] = t_star[back]
+            y_end[:, c] = y_star[:, back]
+            attempts[c] = step.attempt + 1
+            running[c] = False
+    period = np.add.reduceat(arc_time, starts)
+    late = running | np.repeat(period > max_time, counts)
+    if late.any():
+        j = int(np.argmax(late))
         raise NotClosedOrbit(
             f"no return to the section within t = {max_time:g} from seed "
-            f"({sx[j]:g}, {sxi[j]:g})"
+            f"({pts[j, 0]:g}, {pts[j, 1]:g})"
         )
 
+    cols = history.cols[: history.n]
+    gaps = np.hypot(y_end[0] - target[0], y_end[1] - target[1])
     components = []
-    for j in range(m):
+    for j in range(len(orbits)):
+        arcs = slice(starts[j], starts[j] + counts[j])
+        offsets = np.cumsum(arc_time[arcs]) - arc_time[arcs]
+        # The orbit's steps, arc by arc and in time order within each arc.
+        mine = np.flatnonzero((cols >= starts[j]) & (cols < starts[j] + counts[j]))
+        sel = mine[np.argsort(cols[mine], kind="stable")]
         ts = np.linspace(0.0, period[j], n_points, endpoint=False)
-        points = history.resample(j, ts)
+        points = integrate.resample(
+            history.t0[sel] + offsets[cols[sel] - starts[j]],
+            history.h[sel],
+            history.y0[sel],
+            history.q[sel],
+            ts,
+        )
         drift = np.abs(
             np.asarray(spec.value(points[:, 0], points[:, 1]), dtype=float) - energies[j]
         )
@@ -359,20 +446,34 @@ def trace_component(
                 points=points,
                 times=ts,
                 period=float(period[j]),
-                seed=(float(sx[j]), float(sxi[j])),
+                seed=(float(pts[starts[j], 0]), float(pts[starts[j], 1])),
                 orientation=+1,
-                action=float(y_ret[2, j]),
+                action=float(np.sum(y_end[2, arcs])),
                 trace_tol=trace_tol,
-                closure_gap=float(math.hypot(y_ret[0, j] - sx[j], y_ret[1, j] - sxi[j])),
-                steps=int(history.n[j]),
+                closure_gap=float(np.max(gaps[arcs])),
+                steps=len(sel),
+                arcs=int(counts[j]),
+                attempts=int(np.max(attempts[arcs])),
             )
         )
     return components if batch else components[0]
 
 
 def _candidates(spec, energy, loops):
-    """One seed per marching loop, refined onto the level set."""
-    return [refine_to_level(spec, loop[0], energy) for loop in loops]
+    """The arc seeds of each marching loop, refined onto the level set.
+
+    A loop of at least _ARCS * _MIN_ARC_CROSSINGS edge crossings gets _ARCS
+    seeds at evenly spaced crossings in loop order, the first crossing
+    first; a shorter loop gets its first crossing alone.
+    """
+    picks = [
+        [loop[i * len(loop) // _ARCS] for i in range(_ARCS)]
+        if len(loop) >= _ARCS * _MIN_ARC_CROSSINGS
+        else loop[:1]
+        for loop in loops
+    ]
+    seeds = refine_to_level(spec, [p for ps in picks for p in ps], energy)
+    return np.split(seeds, np.cumsum([len(ps) for ps in picks])[:-1])
 
 
 def _distinct(candidates, traces):
@@ -390,9 +491,8 @@ def _distinct(candidates, traces):
         chords = np.linalg.norm(np.diff(comp.points, axis=0, append=comp.points[:1]), axis=1)
         merge_dist = max(3.0 * float(np.max(chords)), 1e-9)
         for j in range(i, len(candidates)):
-            d = float(
-                np.min(np.linalg.norm(comp.points - np.asarray(candidates[j]), axis=1))
-            )
+            first = np.reshape(candidates[j], (-1, 2))[0]
+            d = float(np.min(np.linalg.norm(comp.points - first, axis=1)))
             if d <= merge_dist:
                 covered[j] = True
     return components
@@ -457,7 +557,9 @@ def build_families(
     component at each of them. The component count is taken on every
     sampled energy by the marching pass first; any variation raises
     NonConstantTopology (a critical value sits inside the window, violating
-    the regular-window hypothesis).
+    the regular-window hypothesis). Every loop of every sampled energy is
+    then traced from its _candidates seeds as arcs, all in one
+    trace_component call.
     """
     if n_samples < 9:
         raise ValueError("need at least 9 action samples")
@@ -473,8 +575,8 @@ def build_families(
     if d == 0:
         raise EmptyLevelSet("window contains no level-set components")
 
-    # Every candidate of every energy is traced in one batch, then each
-    # energy's traces are deduplicated in candidate order.
+    # The arcs of every loop of every energy are traced in one batch, then
+    # each energy's traces are deduplicated in loop order.
     candidates = [_candidates(spec, e, ls) for e, ls in zip(energies, loops)]
     traces = trace_component(
         spec,

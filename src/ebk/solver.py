@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .action import ActionTable, invert_action
-from .errors import EmptySpectrum, OutOfWindow, UnsafeEndpoint
+from .errors import EmptySpectrum, UnsafeEndpoint
 from .symbols import EnergyWindow
 
 TWO_PI = 2.0 * math.pi
@@ -63,12 +63,9 @@ def quantize_family(
     tol = _EDGE_SLACK * hbar
     n_min = math.ceil((lo_a - tol) / step - 0.5)
     n_max = math.floor((hi_a + tol) / step - 0.5)
-    out = []
-    for n in range(n_min, n_max + 1):
-        a = step * (n + 0.5)
-        e = invert_action(table, min(max(a, lo_a), hi_a))
-        out.append((n, min(max(e, window.e1), window.e2)))
-    return out
+    ns = np.arange(n_min, n_max + 1)
+    es = invert_action(table, np.clip(step * (ns + 0.5), lo_a, hi_a))
+    return list(zip(ns.tolist(), np.clip(es, window.e1, window.e2).tolist()))
 
 
 def merged_spectrum(
@@ -123,59 +120,75 @@ def endpoint_is_safe(
 def exact_weyl_count(
     tables: list[ActionTable],
     hbar: float,
-    e1t: float,
-    e2t: float,
+    e1t,
+    e2t,
     bs: BsSpectrum,
     *,
     safety: float = 0.3,
-) -> WeylCount:
+) -> WeylCount | list[WeylCount]:
     """Integer-exact count of quantization solutions in [e1t, e2t].
 
     Per family N_k = floor(A0(e2t)/(2 pi hbar) + 1/2)
                    - floor(A0(e1t)/(2 pi hbar) + 1/2),
     valid when both endpoints keep a safe distance from the spectrum.
+    e1t and e2t may be equal-length arrays of interval ends; the result is
+    then one WeylCount per interval, from one evaluation of each table's
+    series over all endpoints.
     """
-    if not e1t < e2t:
-        raise ValueError("need e1t < e2t")
-    for endpoint in (e1t, e2t):
-        if not (bs.window.e1 <= endpoint <= bs.window.e2):
-            raise UnsafeEndpoint(f"endpoint {endpoint:g} outside the window")
-        if not endpoint_is_safe(tables, bs, endpoint, safety=safety):
-            raise UnsafeEndpoint(
-                f"endpoint {endpoint:g} is within {safety:g} mean spacings of the spectrum"
-            )
+    ends = np.column_stack([np.atleast_1d(e1t), np.atleast_1d(e2t)]).astype(float)
+    for lo, hi in ends.tolist():
+        if not lo < hi:
+            raise ValueError("need e1t < e2t")
+        for endpoint in (lo, hi):
+            if not (bs.window.e1 <= endpoint <= bs.window.e2):
+                raise UnsafeEndpoint(f"endpoint {endpoint:g} outside the window")
+            if not endpoint_is_safe(tables, bs, endpoint, safety=safety):
+                raise UnsafeEndpoint(
+                    f"endpoint {endpoint:g} is within {safety:g} mean spacings of the spectrum"
+                )
     step = TWO_PI * hbar
     per_family = []
-    leading = 0.0
-    correction = 0.0
+    leading = np.zeros(len(ends))
+    correction = np.zeros(len(ends))
     for table in tables:
-        a1 = float(table.a0_at(e1t))
-        a2 = float(table.a0_at(e2t))
-        per_family.append(math.floor(a2 / step + 0.5) - math.floor(a1 / step + 0.5))
+        a1, a2 = table.a0_at(ends).T
+        tau1, tau2 = table.tau_at(ends).T
+        per_family.append(np.floor(a2 / step + 0.5) - np.floor(a1 / step + 0.5))
         leading += (a2 - a1) / step
-        correction += (float(table.tau_at(e2t)) - float(table.tau_at(e1t))) / TWO_PI
-    total = int(sum(per_family))
-    return WeylCount(
-        count=total,
-        per_family=tuple(per_family),
-        leading=leading,
-        correction=correction,
-        delta=total - leading - correction,
-    )
+        correction += (tau2 - tau1) / TWO_PI
+    counts = [
+        WeylCount(
+            count=sum(fam), per_family=tuple(fam), leading=lead, correction=corr,
+            delta=sum(fam) - lead - corr,
+        )
+        for fam, lead, corr in zip(
+            np.array(per_family, dtype=int).T.tolist(), leading.tolist(), correction.tolist()
+        )
+    ]
+    return counts[0] if np.ndim(e1t) == 0 else counts
 
 
-def branch_energy(table: ActionTable, n: int, hbar: float) -> float | None:
-    """Energy of branch (k, n) at this hbar, or None once it left the window."""
-    if hbar <= 0:
+def branch_energy(table: ActionTable, n, hbar):
+    """Energy of branch (k, n) at this hbar, or None once it left the window.
+
+    n and hbar may also be arrays, broadcast together; the result is then an
+    array of energies, NaN where the branch left the window, from one
+    invert_action call.
+    """
+    hbar = np.asarray(hbar, dtype=float)
+    if np.any(hbar <= 0):
         raise ValueError("hbar must be positive")
-    try:
-        return invert_action(table, TWO_PI * hbar * (n + 0.5))
-    except OutOfWindow:
-        return None
+    a = TWO_PI * hbar * (np.asarray(n) + 0.5)
+    out = np.full(a.shape, np.nan)
+    inside = table.covers(a)
+    out[inside] = invert_action(table, a[inside])
+    if out.ndim:
+        return out
+    return None if np.isnan(out) else float(out)
 
 
-def exit_hbar(table: ActionTable, n: int) -> float:
-    """Largest hbar at which branch n sits on the lower window edge.
+def exit_hbar(table: ActionTable, n):
+    """Largest hbar at which branch n sits on the lower window edge (n may be an array).
 
     Every branch leaves through e1 as hbar decreases because A0 is positive
     and bounded below on the window.

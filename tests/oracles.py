@@ -7,7 +7,8 @@ which removes the square-root endpoint singularity. The Sturm count
 reference runs the pivot recurrence in NumPy, independent of LAPACK. The
 self-intersection reference tests segment pairs one at a time in Python,
 and the marching-squares reference walks the crossed grid edges one at a
-time through dictionaries.
+time through dictionaries. The action inversion reference solves one
+target at a time with scalar interpolant evaluations.
 """
 
 import math
@@ -16,7 +17,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from ebk.errors import EmptyLevelSet, NotSimple, PreimageNotEnclosed
+from ebk.errors import EmptyLevelSet, NotSimple, OutOfWindow, PreimageNotEnclosed
 
 
 def sturm_counts_py(diag, offsq, lams):
@@ -234,3 +235,34 @@ def marching_loops_py(spec, energy, box, grid_n):
             raise PreimageNotEnclosed("open contour chain: the level set leaves the box")
         loops.append([crossings[key] for key in chain])
     return loops
+
+
+def invert_action_py(table, a: float) -> float:
+    """Energy with A0(E) = a, one scalar Newton/bisection iteration at a time."""
+    lo_a, hi_a = table.a0_range
+    tol = 1e-12 * max(1.0, abs(a))
+    if a < lo_a - tol or a > hi_a + tol:
+        raise OutOfWindow(f"action {a:g} outside table range [{lo_a:g}, {hi_a:g}]")
+    lo, hi = table.window.e1, table.window.e2
+    if a <= lo_a:
+        return lo
+    if a >= hi_a:
+        return hi
+    e = lo + (hi - lo) * (a - lo_a) / (hi_a - lo_a)
+    resid_tol = 1e-13 * max(1.0, abs(a))
+    for _ in range(100):
+        fa = float(table.a0_at(e)) - a
+        if abs(fa) <= resid_tol:
+            break
+        if fa > 0:
+            hi = e
+        else:
+            lo = e
+        e_new = e - fa / float(table.tau_at(e))
+        if not (lo < e_new < hi):
+            e_new = 0.5 * (lo + hi)
+        if abs(e_new - e) < 1e-17 * max(1.0, abs(e)):
+            e = e_new
+            break
+        e = e_new
+    return float(min(max(e, table.window.e1), table.window.e2))

@@ -12,7 +12,7 @@ import ebk
 from ebk.errors import NotDiffeomorphism, NotSimple, OutOfWindow
 from ebk.portrait import LevelComponent, refine_to_level
 
-from oracles import action_integral, check_simple_sweep, morse_action_closed_form
+from oracles import action_integral, check_simple_sweep, invert_action_py, morse_action_closed_form
 
 
 def test_loop_action_harmonic(harmonic):
@@ -124,6 +124,24 @@ def test_invert_action_roundtrip(harmonic_table, quartic_table):
 def test_invert_action_out_of_window(harmonic_table):
     with pytest.raises(OutOfWindow):
         ebk.invert_action(harmonic_table, 100.0)
+
+
+def test_invert_action_array_matches_scalar_reference(harmonic_table, quartic_table, dw_tables):
+    # Every element takes the scalar path's steps, so the results are the
+    # same doubles: spectrum.csv and branches.csv do not depend on batching.
+    rng = np.random.default_rng(7)
+    for table in (harmonic_table, quartic_table, *dw_tables):
+        lo_a, hi_a = table.a0_range
+        edges = [lo_a, hi_a, lo_a - 1e-13, hi_a + 1e-13, np.nextafter(lo_a, np.inf)]
+        targets = np.concatenate([rng.uniform(lo_a, hi_a, 200), edges])
+        ref = np.array([invert_action_py(table, float(a)) for a in targets])
+        got = ebk.invert_action(table, targets)
+        assert got.tobytes() == ref.tobytes()
+        assert ebk.invert_action(table, targets.reshape(-1, 5)).tobytes() == ref.tobytes()
+        assert ebk.invert_action(table, float(targets[0])) == ref[0]
+        assert ebk.invert_action(table, targets[:0]).shape == (0,)
+        with pytest.raises(OutOfWindow):
+            ebk.invert_action(table, np.append(targets, hi_a + 1e-6))
 
 
 def test_table_rejects_nonmonotone_samples(harmonic_window):

@@ -366,6 +366,22 @@ def test_basis_too_small_raises(monkeypatch):
         ebk.solve_basis(ebk.quartic_potential(), window, 0.05)
 
 
+def test_basis_retries_once_at_doubled_size(monkeypatch):
+    # The three-well sextic at hbar = 0.025: 150 -> 300 states leave its
+    # levels moving by ~1e-9, 300 -> 600 by ~1e-14.
+    pot, (e1, e2) = _BASIS_CASES["sextic"]
+    window = ebk.EnergyWindow(e1, e2, 0.05)
+    run = ebk.solve_basis(pot, window, 0.025)
+    assert run.basis_sizes == (300, 600)
+    assert run.basis_residual <= 1e-12
+    sturm = ebk.solve_window(pot, window, 0.025).result
+    assert np.array_equal(run.result.indices, sturm.indices)
+    assert np.max(np.abs(run.result.eigenvalues - sturm.eigenvalues)) <= 1e-10
+    monkeypatch.setattr(ebk.oracle, "_BASIS_RETRY", 0.0)  # no second solve
+    with pytest.raises(BasisNotConverged, match="from 150 to 300 oscillator states"):
+        ebk.solve_basis(pot, window, 0.025)
+
+
 def test_nodes_resolved_only_where_every_well_is_resolved():
     # At hbar = 0.025 the sextic's central state of index 6 reaches its outer
     # wells at ~1e-13 of its peak, so its vector misses the nodes there.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ebk
-from ebk import errors, pipeline, portrait
+from ebk import errors, integrate, pipeline, portrait
 from ebk.config import STAGES, parse_config
 
 
@@ -119,6 +119,36 @@ def test_run_manifest_reports_trace_metrics(tmp_path, capsys):
         ebk.schrodinger_symbol(ebk.harmonic_potential()), ebk.EnergyWindow(0.2, 0.8, 0.05), 17
     )
     assert sum(c.steps for c in families[0].components) == trace["dp45_steps"]["1"]
+
+
+def test_run_manifest_reports_arcs_and_attempts(tmp_path, capsys, monkeypatch):
+    evals = []
+    steps = integrate.dp45_steps
+
+    def counted(f, *args, **kwargs):
+        evals.append(0)
+
+        def rhs(y):
+            evals[-1] += 1
+            return f(y)
+
+        return steps(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "dp45_steps", counted)
+    runs = [
+        pipeline.run(_config(tmp_path / name, ["trace"]), verbose=True) for name in "ab"
+    ]
+    printed = capsys.readouterr().out.splitlines()
+    assert len(evals) == 2 and evals[0] == evals[1]
+    for manifest, code in runs:
+        assert code == 0
+        trace = manifest["metrics"]["trace"]
+        # 17 orbits of 8 arcs; the attempts are the scan's stepper attempts.
+        assert trace["arcs"] == {"1": 17 * portrait._ARCS}
+        assert trace["attempts"] == (evals[0] - 2) // 6
+        line = f"[ebk] trace: arcs {trace['arcs']}, {trace['attempts']} stepper attempts"
+        assert printed.count(line) == 2
+    assert runs[0][0]["metrics"] == runs[1][0]["metrics"]
 
 
 def test_run_traces_once_per_family_scan(tmp_path, monkeypatch):
@@ -235,6 +265,22 @@ def _sextic_config(out_dir, hbars, pipeline_stages) -> ebk.config.RunConfig:
             "output_dir": str(out_dir),
         }
     )
+
+
+def test_oracle_csv_marks_unresolved_node_counts(tmp_path):
+    # At hbar = 0.025 the sextic's index 6 counts 2 nodes and the doublet
+    # 7/8 counts 5/4: their vectors miss the outer wells, and say so.
+    _, code = pipeline.run(_sextic_config(tmp_path, [0.05, 0.025], ["oracle"]))
+    assert code == 0
+    with (tmp_path / "oracle.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert {row["resolved"] for row in rows} == {"true", "false"}
+    flags = {(float(r["hbar"]), int(r["index"])): r["resolved"] == "true" for r in rows}
+    assert not any(flags[0.025, i] for i in (6, 7, 8))
+    for hbar in (0.05, 0.025):
+        resolved = [r for r in rows if float(r["hbar"]) == hbar and r["resolved"] == "true"]
+        assert sorted(int(r["nodes"]) for r in resolved) == sorted(int(r["index"]) for r in resolved)
+    assert all(flags[0.05, i] for i in range(3, 8))
 
 
 def test_run_bijection_fails_without_pairs(tmp_path):

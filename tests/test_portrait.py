@@ -12,7 +12,7 @@ from ebk.errors import (
     PreimageNotEnclosed,
     TraceDiverged,
 )
-from ebk import portrait
+from ebk import integrate, portrait
 from ebk.portrait import marching_component_count, refine_to_level
 from ebk.symbols import Box
 
@@ -322,3 +322,108 @@ def test_marching_errors_match_reference_walker(harmonic, double_well):
         ref = _outcome(marching_loops_py, spec, energy, box, 201)
         assert got == ref
         assert got[0] in (PreimageNotEnclosed, EmptyLevelSet)
+
+
+def _arc_seeds(comp, k=portrait._ARCS):
+    """k points of a traced orbit, evenly spaced in flow time from its seed."""
+    return comp.points[:: len(comp.points) // k][:k]
+
+
+def test_arcs_match_single_seed_trace(harmonic, kerr, double_well, dw_families):
+    cases = [(harmonic, (1.0, 0.0), 0.5), (kerr, refine_to_level(kerr, (0.8, 0.3), 0.6), 0.6)]
+    cases += [(double_well, f.components[5].seed, f.energies[5]) for f in dw_families]
+    traced = []
+    for spec, seed, energy in cases:
+        single = ebk.trace_component(spec, seed, energy)
+        arcs = ebk.trace_component(spec, _arc_seeds(single), energy)
+        assert (single.arcs, arcs.arcs) == (1, portrait._ARCS)
+        assert arcs.seed == single.seed
+        assert abs(arcs.period - single.period) <= 1e-12
+        assert abs(arcs.action - single.action) <= 1e-12
+        assert np.max(np.abs(arcs.points - single.points)) <= 1e-10
+        assert arcs.closure_gap <= arcs.trace_tol
+        # Each arc needs about 1/K of the single trace's sequential attempts.
+        assert arcs.attempts < single.attempts / 4
+        traced.append(arcs)
+    harm, kerr_arcs = traced[:2]
+    assert harm.period == pytest.approx(2 * math.pi, abs=1e-12)
+    assert harm.action == pytest.approx(math.pi, abs=1e-12)
+    chi = 0.5
+    action = (math.sqrt(1.0 + 4.0 * chi * 0.6) - 1.0) / (2.0 * chi)  # E = I + chi I^2
+    assert kerr_arcs.action == pytest.approx(2 * math.pi * action, abs=1e-11)
+    assert kerr_arcs.period == pytest.approx(2 * math.pi / (1.0 + 2.0 * chi * action), abs=1e-11)
+
+
+def test_arc_seeds_against_flow_give_same_component(kerr, double_well, dw_families):
+    cases = [(kerr, refine_to_level(kerr, (0.8, 0.3), 0.6), 0.6)]
+    cases += [(double_well, f.components[3].seed, f.energies[3]) for f in dw_families]
+    for spec, seed, energy in cases:
+        seeds = _arc_seeds(ebk.trace_component(spec, seed, energy))
+        backwards = np.roll(seeds[::-1], 1, axis=0)  # the first seed stays first
+        assert np.array_equal(backwards[0], seeds[0])
+        along, against = ebk.trace_component(spec, [seeds, backwards], [energy, energy])
+        assert against.seed == along.seed
+        assert (against.period, against.action) == (along.period, along.action)
+        assert np.array_equal(against.points, along.points)
+        assert against.arcs == along.arcs == len(seeds)
+
+
+def test_short_loop_traces_as_one_arc(harmonic):
+    # On a coarse grid the circle crosses too few edges to be split.
+    loops = portrait._marching_loops(harmonic, 0.5, BOX, 15)
+    assert len(loops) == 1 and len(loops[0]) < portrait._ARCS * portrait._MIN_ARC_CROSSINGS
+    (seeds,) = portrait._candidates(harmonic, 0.5, loops)
+    assert seeds.shape == (1, 2)
+    (family,) = ebk.build_families(harmonic, ebk.EnergyWindow(0.2, 0.8, 0.05), 9, grid_n=15)
+    assert all(c.arcs == 1 for c in family.components)
+    # The fine default grid splits every orbit of the window.
+    (family,) = ebk.build_families(harmonic, ebk.EnergyWindow(0.2, 0.8, 0.05), 9)
+    assert all(c.arcs == portrait._ARCS for c in family.components)
+    for comp in family.components:
+        assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-12)
+        assert comp.period == pytest.approx(2 * math.pi, abs=1e-12)
+
+
+def test_arcs_land_at_small_gradient(harmonic, deadline):
+    # Near the bottom of the well |grad H| ~ 0.01, so seeds refined to
+    # |H - E| <= 1e-12 sit up to 1e-10 apart across the level sets; each arc
+    # must still land on the next seed's section within trace_tol.
+    deadline(20)
+    window = ebk.EnergyWindow(1e-4, 5e-4, 5e-5)
+    (family,) = ebk.build_families(harmonic, window, 9, trace_tol=portrait.MIN_TRACE_TOL)
+    for comp in family.components:
+        assert comp.arcs == portrait._ARCS
+        assert comp.closure_gap <= comp.trace_tol
+        assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-11)
+
+
+def test_max_time_bounds_the_orbit_not_each_arc(harmonic):
+    seeds = _arc_seeds(ebk.trace_component(harmonic, (1.0, 0.0), 0.5))
+    # Every arc lasts 2 pi / 8 < 1, the orbit 2 pi.
+    with pytest.raises(NotClosedOrbit):
+        ebk.trace_component(harmonic, seeds, 0.5, max_time=1.0)
+    assert ebk.trace_component(harmonic, seeds, 0.5, max_time=7.0).period == pytest.approx(
+        2 * math.pi, abs=1e-12
+    )
+
+
+def test_double_well_scan_attempts_ceiling(double_well, monkeypatch):
+    # The stepper's sequential depth: 2 + 6 right-hand side calls per attempt.
+    evals = []
+    steps = integrate.dp45_steps
+
+    def counted(f, *args, **kwargs):
+        def rhs(y):
+            evals.append(y.shape[1])
+            return f(y)
+
+        return steps(rhs, *args, **kwargs)
+
+    monkeypatch.setattr(integrate, "dp45_steps", counted)
+    families = ebk.build_families(double_well, ebk.EnergyWindow(0.1, 0.6, 0.05))
+    attempts, extra = divmod(len(evals) - 2, 6)
+    assert extra == 0
+    assert attempts <= 150
+    comps = [c for f in families for c in f.components]
+    assert max(c.attempts for c in comps) == attempts
+    assert evals[0] == sum(c.arcs for c in comps) == 2 * 17 * portrait._ARCS

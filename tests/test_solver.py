@@ -229,3 +229,22 @@ def test_merged_spectrum_orders_ties_by_label(dw_tables, dw_window):
     for hbar in (0.1, 0.05):
         labels = _labels(ebk.merged_spectrum(dw_tables, hbar, dw_window))
         assert labels == sorted(labels, key=lambda kn: (kn[1], kn[0]))
+
+
+def test_array_forms_match_scalar_calls(quartic_table, dw_tables, dw_window):
+    # One call per table returns, element by element, the doubles of the
+    # one-level calls, NaN where the scalar call gives None.
+    ns = np.arange(12)
+    hs = np.linspace(0.02, 0.2, 33)
+    grid = ebk.branch_energy(quartic_table, ns[:, None], hs)
+    assert grid.shape == (12, 33) and np.isnan(grid).any() and not np.isnan(grid).all()
+    for i, n in enumerate(ns.tolist()):
+        assert ebk.exit_hbar(quartic_table, ns)[i] == ebk.exit_hbar(quartic_table, n)
+        for j, h in enumerate(hs.tolist()):
+            e = ebk.branch_energy(quartic_table, n, h)
+            assert (np.isnan(grid[i, j]) and e is None) or grid[i, j] == e
+    bs = ebk.merged_spectrum(dw_tables, 0.05, dw_window)
+    pairs = ebk.draw_safe_endpoints(np.random.default_rng(4), dw_tables, bs, dw_window, 12)
+    e1s, e2s = np.transpose(pairs)
+    counts = ebk.exact_weyl_count(dw_tables, 0.05, e1s, e2s, bs)
+    assert counts == [ebk.exact_weyl_count(dw_tables, 0.05, a, b, bs) for a, b in pairs]
