@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BijectionFailure, UnsafeEndpoint
-from .oracle import EigenResult, OracleRun, count_below, solve_basis
+from .oracle import EigenResult, OracleRun, solve_basis
 from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, build_families
 from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum, spacing_floor
 from .symbols import EnergyWindow, SymbolSpec
@@ -174,6 +174,7 @@ class WeylCheck:
     e2t: float
     oracle_count: int
     weyl: WeylCount  # the formula's per-family counts and asymptotics
+    fallbacks: int  # endpoints the oracle counted by count_below, not from brackets
 
     @property
     def formula_count(self) -> int:
@@ -192,14 +193,18 @@ def weyl_check_pairs(
 ) -> list[WeylCheck]:
     """Exact formula count against the Sturm count on the fine grid.
 
-    One check per (e1t, e2t) of pairs; a single count_below call counts
-    below every endpoint.
+    One check per (e1t, e2t) of pairs. The Sturm count below every endpoint
+    comes from oracle_run.counts_below: read from the fine grid's bisection
+    brackets, with one count_below call for the endpoints within bisect_tol
+    of a level or outside the bisected range, if any.
     """
     counts = exact_weyl_count(tables, bs.hbar, *np.transpose(pairs), bs)
-    below = count_below(oracle_run.operator, np.ravel(pairs)).reshape(-1, 2)
+    below, fallback = oracle_run.counts_below(np.ravel(pairs))
     return [
-        WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc)
-        for (e1t, e2t), wc, (lo, hi) in zip(pairs, counts, below)
+        WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc, fallbacks=int(fb.sum()))
+        for (e1t, e2t), wc, (lo, hi), fb in zip(
+            pairs, counts, below.reshape(-1, 2), fallback.reshape(-1, 2)
+        )
     ]
 
 

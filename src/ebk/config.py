@@ -1,7 +1,8 @@
 """Run configuration: a single JSON file, strictly validated.
 
 Runs are archival artifacts, so the schema is closed: unknown keys anywhere
-are rejected by name, tolerances must be positive, and hbar values must
+are rejected by name, every number must be finite (JSON's NaN and Infinity
+literals are refused), tolerances must be positive, and hbar values must
 already be sorted in decreasing order. Defaults are materialized on load so
 a config round-trips to one canonical form.
 """
@@ -9,12 +10,13 @@ a config round-trips to one canonical form.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, EbkError, InvalidSymbol
 from .oracle import DEFAULT_PHASE_TOL, domain_auto
-from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, MIN_TRACE_TOL
+from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, check_trace_tol
 from .symbols import EnergyWindow, SymbolSpec, symbol_from_config
 
 STAGES = (
@@ -95,15 +97,30 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
+def _finite_float(v) -> float | None:
+    """v as a float if it is a number, not a bool, of finite float value.
+
+    JSON gives NaN and Infinity as floats, and an integer beyond the float
+    range as an int.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        f = float(v)
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
+
+
 def _number(obj, key, where, *, positive=False):
     if key not in obj:
         raise ConfigError(f"missing key {key!r} in {where}")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+    v = _finite_float(obj[key])
+    if v is None:
+        raise ConfigError(f"{where}.{key} must be a finite number")
     if positive and not v > 0:
         raise ConfigError(f"{where}.{key} must be positive")
-    return float(v)
+    return v
 
 
 def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
@@ -144,9 +161,10 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
         raise ConfigError("config.hbars must be a non-empty list")
     vals = []
     for i, h in enumerate(hbars):
-        if isinstance(h, bool) or not isinstance(h, (int, float)) or h <= 0:
-            raise ConfigError(f"config.hbars[{i}] must be a positive number")
-        vals.append(float(h))
+        h = _finite_float(h)
+        if h is None or not h > 0:
+            raise ConfigError(f"config.hbars[{i}] must be a positive finite number")
+        vals.append(h)
     if any(later >= earlier for earlier, later in zip(vals[:-1], vals[1:])):
         raise ConfigError("config.hbars must be sorted in decreasing order")
 
@@ -164,18 +182,10 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
     merged = dict(_DEFAULT_TOLERANCES)
     for key in tols:
         merged[key] = tols[key]
-    trace_tol = merged["trace_tol"]
-    oracle_tol = merged["oracle_tol"]
+    trace_tol = _number(merged, "trace_tol", "config.tolerances", positive=True)
+    check_trace_tol(trace_tol)
+    oracle_tol = _number(merged, "oracle_tol", "config.tolerances", positive=True)
     action_samples = merged["action_samples"]
-    if not isinstance(trace_tol, (int, float)) or trace_tol <= 0:
-        raise ConfigError("config.tolerances.trace_tol must be positive")
-    if trace_tol < MIN_TRACE_TOL:
-        raise ConfigError(
-            f"config.tolerances.trace_tol {trace_tol:g} is under {MIN_TRACE_TOL:.3g}, "
-            "where the flow stepper's local error estimates are rounding noise"
-        )
-    if not isinstance(oracle_tol, (int, float)) or oracle_tol <= 0:
-        raise ConfigError("config.tolerances.oracle_tol must be positive")
     if isinstance(action_samples, bool) or not isinstance(action_samples, int) or action_samples < 9:
         raise ConfigError("config.tolerances.action_samples must be an integer >= 9")
 
@@ -212,7 +222,7 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
         )
     for h in vals if "oracle" in resolved else ():
         try:
-            domain_auto(spec.potential, window, h, phase_tol=float(oracle_tol))
+            domain_auto(spec.potential, window, h, phase_tol=oracle_tol)
         except ConfigError as exc:  # GridTooLarge, or a grid under the stencil
             raise type(exc)(f"oracle grid at hbar={h:g}: {exc}") from exc
         except EbkError:  # a landmark error such as NonCompactWindow: the run's (exit 3)
@@ -224,8 +234,8 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
         window=window,
         hbars=tuple(vals),
         pipeline=tuple(resolved),
-        trace_tol=float(trace_tol),
-        oracle_tol=float(oracle_tol),
+        trace_tol=trace_tol,
+        oracle_tol=oracle_tol,
         action_samples=int(action_samples),
         seed=int(seed),
         output_dir=output_dir,

@@ -13,15 +13,21 @@ matrices, dstebz (Kahan and Demmel): count_below(T, lam) asks for the
 eigenvalues in (-inf, lam-], with lam- the next float below lam, which is
 the number of eigenvalues strictly below lam. LAPACK replaces a pivot of
 magnitude below its pivmin (a safe minimum scaled by the largest squared
-off-diagonal entry) by -pivmin, so counts reproduce bit for bit. These
-counts fix the global indices of the window eigenvalues, which dstebz then
-localizes by bisection in one call per grid. The leading O(h^2)
-discretization error is removed by Richardson extrapolation across nested
-grids N and 2N-1. Eigenvectors come from LAPACK's inverse iteration for
-tridiagonal matrices, dstein, in one call for all window levels. The grid
-carries what the rest of the pipeline needs besides eigenvalues: exact
-counts at any shift (Weyl checks, ball multiplicities) and eigenvectors on
-x (node counts, well masses), so it stays the pipeline's reference.
+off-diagonal entry) by -pivmin, so counts reproduce bit for bit. One such
+call per grid fixes the global indices of the window eigenvalues, which
+dstebz then localizes by bisection over the same value range in one call.
+The leading O(h^2) discretization error is removed by Richardson
+extrapolation across nested grids N and 2N-1. The finest grid's bisected
+levels are kept: the floating-point Sturm count is monotone in the shift
+(Demmel, Dhillon and Ren, ETNA 3 (1995) 116-149), so at a shift outside
+every final bisection bracket it is the first level's index plus the number
+of levels below the shift (OracleRun.counts_below), and count_below is only
+called for the shifts near a level or outside the bisected range.
+Eigenvectors come from LAPACK's inverse iteration for tridiagonal matrices,
+dstein, in one call for all window levels. The grid carries what the rest
+of the pipeline needs besides eigenvalues: exact counts at any shift (Weyl
+checks, ball multiplicities) and eigenvectors on x (node counts, well
+masses), so it stays the pipeline's reference.
 
 The basis oracle (solve_basis) is what convergence_study uses: it only
 needs the window levels, and gets them far more accurately and quickly.
@@ -71,9 +77,8 @@ _BASIS_RETRY = 1e-6
 _DVR_EXTRA_NODES = 8
 _V_CEILING = 100.0
 
-# dstebz range codes in scipy's wrapper (0 would ask for all eigenvalues).
+# dstebz range code in scipy's wrapper for the eigenvalues in (vl, vu].
 _BY_VALUE = 1
-_BY_INDEX = 2
 
 
 @dataclass(frozen=True)
@@ -214,13 +219,15 @@ def eigenvalues_in(
 ) -> EigenResult:
     """All eigenvalues in (a, b), bracketed to width <= tol by Sturm bisection.
 
-    count_below fixes the global indices ca .. cb-1 of the eigenvalues in
-    (a, b). LAPACK dstebz then bisects for exactly those indices (its
-    1-based ca+1 .. cb) with absolute tolerance tol, so the indices follow
-    count_below's convention even for an eigenvalue within rounding of a
-    or b. A pair split by less than tol comes back as a tie with
-    consecutive indices. Raises BisectionFailed if dstebz reports an error
-    or returns a different number of eigenvalues.
+    One two-shift count_below call fixes the global indices ca .. cb-1 of
+    the eigenvalues in (a, b). LAPACK dstebz then bisects every eigenvalue
+    in the value range (a-, b-], the same range the counts cover, with
+    absolute tolerance tol, and returns the midpoints of the final brackets.
+    Both calls take the same Sturm counts at a- and b-, so the indices follow
+    count_below's convention even for an eigenvalue within rounding of a or
+    b. A pair split by less than tol comes back as a tie with consecutive
+    indices. Raises BisectionFailed if dstebz reports an error or finds a
+    different number of eigenvalues than the counts.
     """
     if not a < b:
         raise ValueError("need a < b")
@@ -228,9 +235,8 @@ def eigenvalues_in(
     m = int(cb - ca)
     if m == 0:
         return EigenResult(np.empty(0), np.empty(0, dtype=int))
-    found, w, _, _, info = dstebz(
-        T.diag, T.offdiag, _BY_INDEX, a, b, int(ca) + 1, int(cb), tol, "E"
-    )
+    lo, hi = np.nextafter([a, b], -np.inf)
+    found, w, _, _, info = dstebz(T.diag, T.offdiag, _BY_VALUE, lo, hi, 0, 0, tol, "E")
     if info != 0 or found != m:
         raise BisectionFailed(
             f"dstebz returned {found} of the {m} eigenvalues with indices "
@@ -319,7 +325,13 @@ def ball_multiplicity(T: TridiagonalOperator, center: float, radius: float) -> i
 
 @dataclass(frozen=True)
 class OracleRun:
-    """Extrapolated window eigenvalues plus the finest operator used."""
+    """Extrapolated window eigenvalues plus the finest operator used.
+
+    bisected holds the finest grid's levels in the value range
+    bisected_range as eigenvalues_in returned them, before extrapolation:
+    the midpoints of final bisection brackets at most bisect_tol wide (or
+    2 eps times their ends, if that is more).
+    """
 
     result: EigenResult
     operator: TridiagonalOperator
@@ -327,6 +339,34 @@ class OracleRun:
     grid_sizes: tuple[int, ...]
     gate_residual: float | None
     floor_estimate: float
+    bisected: EigenResult
+    bisected_range: tuple[float, float]
+    bisect_tol: float
+
+    def counts_below(self, lam) -> tuple[np.ndarray, np.ndarray]:
+        """count_below(self.operator, lam) for an array of shifts, and which needed the call.
+
+        A shift s in bisected_range farther than bisect_tol from every
+        bisected level lies outside every final bracket, and the Sturm count
+        is monotone in the shift, so its count is the first level's index
+        plus the number of levels below s. The other shifts (near a level,
+        outside the range, or every shift when the range holds no level)
+        are counted by one count_below call. Returns the counts and the mask
+        of those fallback shifts.
+        """
+        lams = np.atleast_1d(np.asarray(lam, dtype=float))
+        levels, indices = self.bisected.eigenvalues, self.bisected.indices
+        lo, hi = self.bisected_range
+        # dstebz stops bisecting a bracket under max(bisect_tol, 2 eps |end|)
+        # wide, so this margin is at least its half-width plus the ulp of lam-.
+        margin = max(self.bisect_tol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
+        gap = np.min(np.abs(lams[..., None] - levels), axis=-1, initial=np.inf)
+        # With no level in the range there is no index to count from.
+        fallback = (gap <= margin) | ~((lams >= lo) & (lams <= hi)) | (levels.size == 0)
+        counts = (indices[0] if indices.size else 0) + np.searchsorted(levels, lams)
+        if fallback.any():
+            counts[fallback] = count_below(self.operator, lams[fallback])
+        return counts, fallback
 
 
 def solve_window(
@@ -382,6 +422,9 @@ def solve_window(
         grid_sizes=tuple(sizes),
         gate_residual=gate_residual,
         floor_estimate=floor,
+        bisected=per_grid[-1][1],
+        bisected_range=(a - pad, b + pad),
+        bisect_tol=bisect_tol,
     )
 
 

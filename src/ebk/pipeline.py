@@ -45,7 +45,13 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows):
-    """Stream rows to path: a tuple as one line of _fmt values, a str block as is."""
+    """Stream rows to path: a tuple as one line of _fmt values, a str block as is.
+
+    An existing file is unlinked, not truncated: ext4 (auto_da_alloc)
+    flushes a file truncated and rewritten as it is closed, which took about
+    30 ms per artifact on a shared virtio disk, most of a rerun's wall time.
+    """
+    path.unlink(missing_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -54,6 +60,7 @@ def _write_csv(path: Path, header: list[str], rows):
 
 def _write_json(path: Path, obj):
     text = json.dumps(obj, sort_keys=True, indent=2, default=lambda x: x.tolist())
+    path.unlink(missing_ok=True)  # not truncated, as in _write_csv
     path.write_text(text + "\n", encoding="utf-8")
 
 
@@ -75,6 +82,7 @@ class _RunState:
         self.node_counts = {}
         self.resolved = {}
         self.oracle_meta = {}
+        self.weyl_counts = {}
         self.files = {}
         self.checks = {}
 
@@ -236,7 +244,11 @@ def _stage_weyl(state: _RunState):
             state.rng, state.tables, bs, state.window, _WEYL_TRIALS
         )
         trials = []
-        for chk in weyl_check_pairs(state.tables, bs, run, pairs):
+        checks = weyl_check_pairs(state.tables, bs, run, pairs)
+        fallbacks = sum(chk.fallbacks for chk in checks)
+        lookups = 2 * len(checks) - fallbacks
+        state.weyl_counts[_fmt(hbar)] = {"lookups": lookups, "fallbacks": fallbacks}
+        for chk in checks:
             wc = chk.weyl
             trials.append(
                 {
@@ -367,6 +379,7 @@ def run(
             str(t.k): {"samples": len(t.energies), "tau_consistency": t.tau_consistency}
             for t in state.tables
         }
+    metrics = {}
     if state.families:
         comps = [c for f in state.families for c in f.components]
         steps = {str(f.k): sum(c.steps for c in f.components) for f in state.families}
@@ -374,10 +387,18 @@ def run(
         # Every orbit of the scan is one batch, so its depth is the last landing.
         attempts = max(c.attempts for c in comps)
         trace = {"orbits": len(comps), "dp45_steps": steps, "arcs": arcs, "attempts": attempts}
-        manifest["metrics"] = {"trace": trace}
+        metrics["trace"] = trace
         if verbose:
             print(f"[ebk] trace: {len(comps)} orbits, dp45 steps {steps}")
             print(f"[ebk] trace: arcs {arcs}, {attempts} stepper attempts")
+    if state.weyl_counts:
+        # Per hbar: Weyl endpoints counted from the oracle's bisection
+        # brackets, and those sent to count_below.
+        metrics["weyl"] = state.weyl_counts
+        if verbose:
+            print(f"[ebk] weyl: endpoint counts {state.weyl_counts}")
+    if metrics:
+        manifest["metrics"] = metrics
     _write_json(out / "manifest.json", manifest)
 
     codes = [e.exit_code if isinstance(e, EbkError) else EbkError.exit_code for e in failures]

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import integrate
 from .errors import (
+    ConfigError,
     CriticalSeed,
     EmptyLevelSet,
     NonConstantTopology,
@@ -59,6 +60,15 @@ MIN_TRACE_TOL = 100.0 * np.finfo(float).eps / _LOCAL_TOL_FACTOR
 # the stepper's sequential depth by about _ARCS; a shorter loop is one arc.
 _ARCS = 8
 _MIN_ARC_CROSSINGS = 8
+
+
+def check_trace_tol(trace_tol: float) -> None:
+    """Raise ConfigError unless trace_tol is at least MIN_TRACE_TOL."""
+    if not trace_tol >= MIN_TRACE_TOL:
+        raise ConfigError(
+            f"trace_tol {trace_tol:g} is under {MIN_TRACE_TOL:.3g}, "
+            "where the flow stepper's local error estimates are rounding noise"
+        )
 
 
 @dataclass(frozen=True)
@@ -126,73 +136,119 @@ def _grid_values(spec, box: Box, n: int):
 
 
 def _marching_loops(spec, energy, box, grid_n):
-    """Closed contour loops of {H = E} on the grid.
+    """Closed contour loops of {H = E} on the grid, at one energy or several.
 
-    Returns a list of loops, each an ordered list of edge-crossing points
-    (x, xi). Edge (i, j, axis) joins node (i, j) to (i + 1, j) for axis 0
-    and to (i, j + 1) for axis 1; its code (i * n + j) * 2 + axis is its flat
-    index in the crossing mask. The crossing points, one array per axis, and
-    the pairing of every cell's crossed edges, a saddle cell's by the sign of
-    H - E at its centre, are array operations. Every interior edge then has
-    two neighbours, so a chain is open exactly when a crossed edge lies on
-    the box boundary: PreimageNotEnclosed. Only the walk over the integer
-    neighbour table runs in Python; each loop starts at its least edge.
+    A scalar energy gives a list of loops, each an ordered list of
+    edge-crossing points (x, xi); an ascending array of energies gives one
+    such list per energy, from one evaluation of H on the grid and one pass
+    over every level's crossings. Edge (i, j, axis) of level k joins node
+    (i, j) to (i + 1, j) for axis 0 and to (i, j + 1) for axis 1; its code
+    is k * 2n^2 + (i * n + j) * 2 + axis, so the sorted codes run level by
+    level and, within a level, in the order of a single-level scan. A node's
+    band, the number of levels below H there, comes from one
+    searchsorted, and an edge crosses the levels from the lesser band of its
+    ends up to the greater. The crossing points and the pairing of every
+    cell's crossed edges, a saddle cell's by the sign of H - E at its
+    centre, are array operations over all levels with the arithmetic of one
+    level at a time. Every interior edge then has two neighbours, so a chain
+    is open exactly when a crossed edge lies on the box boundary. The least
+    energy without a crossing raises EmptyLevelSet, or with a boundary
+    crossing PreimageNotEnclosed, whichever comes first. Each loop starts at
+    its least edge and goes on to that edge's neighbour in its lower cell;
+    the walk orients every edge with H > E on the left and ranks each
+    crossing along its loop by pointer doubling, so it is array operations
+    too.
     """
+    batch = np.ndim(energy) > 0
+    levels = np.atleast_1d(np.asarray(energy, dtype=float))
+    if np.any(np.diff(levels) < 0.0):
+        raise ValueError("marching energies must be ascending")
     xs, xis, H = _grid_values(spec, box, grid_n)
     n = grid_n
-    F = H - energy
-    pos = F > 0.0
-    cross = np.zeros((n, n, 2), dtype=bool)
-    cross[:-1, :, 0] = pos[:-1, :] != pos[1:, :]
-    cross[:, :-1, 1] = pos[:, :-1] != pos[:, 1:]
-    codes = np.flatnonzero(cross)
-    if not codes.size:
-        raise EmptyLevelSet(f"no crossing of level {energy:g} on the grid")
-    if cross[:, [0, -1], 0].any() or cross[[0, -1], :, 1].any():
+    per_level = 2 * n * n
+    # H > E_k exactly for k < band: an edge crosses the levels from the
+    # lesser band of its ends up to, not including, the greater.
+    band = np.searchsorted(levels, H).ravel()
+    node0 = np.flatnonzero(band[:-n] != band[n:])  # axis-0 edges, by first node
+    node1 = np.flatnonzero(band[:-1] != band[1:])
+    node1 = node1[node1 % n != n - 1]  # axis-1 edges, by first node
+    tail = np.concatenate([node0, node1])
+    head = np.concatenate([node0 + n, node1 + 1])
+    lowest, reps = np.minimum(band[tail], band[head]), np.abs(band[tail] - band[head])
+    nth = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+    edges = 2 * tail + np.repeat([0, 1], [len(node0), len(node1)])
+    codes = np.sort((np.repeat(lowest, reps) + nth) * per_level + np.repeat(edges, reps))
+
+    level, edge = codes // per_level, codes % per_level
+    i, j, axis = edge // (2 * n), edge // 2 % n, edge % 2
+    leaks = np.zeros(len(levels), dtype=bool)
+    leaks[level[np.where(axis, (i == 0) | (i == n - 1), (j == 0) | (j == n - 1))]] = True
+    empty = np.bincount(level, minlength=len(levels)) == 0
+    bad = np.flatnonzero(empty | leaks)
+    if bad.size and empty[bad[0]]:
+        raise EmptyLevelSet(f"no crossing of level {levels[bad[0]]:g} on the grid")
+    if bad.size:
         raise PreimageNotEnclosed("open contour chain: the level set leaves the box")
 
-    i, j, axis = codes // (2 * n), codes // 2 % n, codes % 2
-    px, pxi = xs[i], xis[j]
-    ia, ja = i[axis == 0], j[axis == 0]
-    t = F[ia, ja] / (F[ia, ja] - F[ia + 1, ja])
-    px[axis == 0] = xs[ia] + t * (xs[ia + 1] - xs[ia])
-    ia, ja = i[axis == 1], j[axis == 1]
-    t = F[ia, ja] / (F[ia, ja] - F[ia, ja + 1])
-    pxi[axis == 1] = xis[ja] + t * (xis[ja + 1] - xis[ja])
+    # No crossed edge is on the boundary, so both neighbours are on the grid.
+    f0 = H[i, j] - levels[level]
+    f1 = np.where(axis, H[i, j + 1], H[i + 1, j]) - levels[level]
+    t = f0 / (f0 - f1)
+    px = np.where(axis, xs[i], xs[i] + t * (xs[i + 1] - xs[i]))
+    pxi = np.where(axis, xis[j] + t * (xis[j + 1] - xis[j]), xis[j])
 
     # A cell is named by the code of its bottom edge; its bottom, top, left
     # and right edges sit at these offsets from it.
     offset = np.array([0, 2, 1, 2 * n + 1])
-    cells = np.unique(np.concatenate([codes - axis, codes - axis - np.where(axis, 2 * n, 2)]))
-    sides = cross.ravel()[cells[:, None] + offset]
+    cells = np.sort(np.concatenate([codes - axis, codes - axis - np.where(axis, 2 * n, 2)]))
+    cells = cells[np.r_[True, cells[1:] != cells[:-1]]]  # np.unique hashes, several times slower
+    # A side is crossed when its corners lie on either side of the level.
+    ck, corner = cells // per_level, cells % per_level // 2
+    p00, p10, p01, p11 = (ck < band[corner + d] for d in (0, n, 1, n + 1))
+    sides = np.column_stack([p00 != p10, p01 != p11, p00 != p01, p10 != p11])
     cell, side = np.nonzero(sides)  # 2 or 4 crossed sides per cell, in that order
     ends = cells[cell] + offset[side]
     count = sides.sum(axis=1)
     first = (np.cumsum(count) - count)[count == 4, None]
-    ci, cj = cells[count == 4] // (2 * n), cells[count == 4] // 2 % n
+    saddle = count == 4
+    ci, cj = corner[saddle] // n, corner[saddle] % n
     centre = np.asarray(spec.value(0.5 * (xs[ci] + xs[ci + 1]), 0.5 * (xis[cj] + xis[cj + 1])))
     # A saddle centre of the sign of corner (i, j) pairs bottom with right and
     # top with left, otherwise bottom with left and top with right.
-    same = (centre - energy > 0.0) == pos[ci, cj]
+    same = (centre - levels[ck[saddle]] > 0.0) == p00[saddle]
     ends[first + np.arange(4)] = ends[first + np.where(same[:, None], [0, 3, 1, 2], [0, 2, 1, 3])]
     # Each edge's two neighbours, the one from the lower cell first.
     a, b, pair_cell = ends[0::2], ends[1::2], cells[cell[0::2]]
-    order = np.lexsort((np.tile(pair_cell, 2), np.concatenate([a, b])))
-    nbr = np.searchsorted(codes, np.concatenate([b, a])[order]).reshape(-1, 2).tolist()
+    order = np.argsort(np.concatenate([a, b]) * len(levels) * per_level + np.tile(pair_cell, 2))
+    nbr = np.searchsorted(codes, np.concatenate([b, a])[order]).reshape(-1, 2)
 
-    points = list(zip(px.tolist(), pxi.tolist()))
-    seen, loops = set(), []
-    for start in range(len(points)):
-        if start in seen:
-            continue
-        chain, prev, cur = [start], start, nbr[start][0]
-        while cur != start:
-            chain.append(cur)
-            fwd, back = nbr[cur]
-            prev, cur = cur, back if fwd == prev else fwd
-        seen.update(chain)
-        loops.append([points[e] for e in chain])
-    return loops
+    # Every segment has H > E on one side, so a loop run with it on the left
+    # leaves an axis-0 edge (+xi) into its upper cell when the edge's first
+    # node is above the level, and an axis-1 edge (+x) when it is not.
+    up = (level < band[edge // 2]) != axis.astype(bool)
+    succ = np.where(up, nbr[:, 1], nbr[:, 0])
+    # By pointer doubling: each crossing's loop start, the least edge of its
+    # loop, and its distance along succ to that start.
+    idx = np.arange(len(codes))
+    start, jump = idx, succ
+    for _ in range(len(codes).bit_length()):
+        start, jump = np.minimum(start, start[jump]), jump[jump]
+    at_start = idx == start
+    dist, jump = (~at_start).astype(idx.dtype), np.where(at_start, idx, succ)
+    for _ in range(len(codes).bit_length()):
+        dist, jump = dist + dist[jump], jump[jump]
+    # A walk leaves its start towards the neighbour from the lower cell; it
+    # runs along succ when that neighbour is succ of the start.
+    size = dist[succ[start]] + 1
+    rank = np.where(up[start], dist, (size - dist) % size)
+    walk = np.argsort(start * len(codes) + rank)
+    firsts = np.flatnonzero(at_start[walk])
+    bounds = np.append(firsts, len(walk)).tolist()
+    points = list(zip(px[walk].tolist(), pxi[walk].tolist()))
+    loops = [[] for _ in levels]
+    for p, q, k in zip(bounds[:-1], bounds[1:], level[walk[firsts]].tolist()):
+        loops[k].append(points[p:q])
+    return loops if batch else loops[0]
 
 
 def marching_component_count(
@@ -339,12 +395,13 @@ def trace_component(
     crossing time is refined by safeguarded Newton on the step's quartic
     dense output to 1e-13. The period and action are the sums over the
     arcs, closure_gap is the largest landing gap, and the points are
-    resampled across the arcs from the first seed. Raises
-    CriticalSeed if a seed sits at a near-critical point, NotClosedOrbit if
-    an arc does not land before max_time or an orbit's period exceeds it,
-    and TraceDiverged if its sampled energies drift or its step size
-    underflows.
+    resampled across the arcs from the first seed. Raises ConfigError
+    (check_trace_tol) if trace_tol is under MIN_TRACE_TOL, CriticalSeed if
+    a seed sits at a near-critical point, NotClosedOrbit if an arc does not
+    land before max_time or an orbit's period exceeds it, and TraceDiverged
+    if its sampled energies drift or its step size underflows.
     """
+    check_trace_tol(trace_tol)
     batch = np.ndim(energy) > 0
     energies = np.atleast_1d(np.asarray(energy, dtype=float))
     orbits = [np.array(s, dtype=float).reshape(-1, 2) for s in (seed if batch else [seed])]
@@ -476,25 +533,39 @@ def _candidates(spec, energy, loops):
     return np.split(seeds, np.cumsum([len(ps) for ps in picks])[:-1])
 
 
+def _squared_norm(v) -> np.ndarray:
+    """Squared norm over a last axis of length 2, rounded as np.linalg.norm rounds it."""
+    return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
+
+
+def _nearest(points, targets) -> np.ndarray:
+    """(T, C): the least distance from each of C targets to each of T polylines.
+
+    points is (T, P, 2), the samples of T polylines, and targets (C, 2).
+    """
+    diff = points[:, None] - np.asarray(targets)[None, :, None]
+    # sqrt is monotone, so the root of the least square is the least root.
+    return np.sqrt(np.min(_squared_norm(diff), axis=2))
+
+
 def _distinct(candidates, traces):
     """Traces of distinct components, first come first kept.
 
     A candidate is covered once a kept trace passes within its polyline
     resolution; the trace of a covered candidate is dropped.
     """
+    points = np.stack([comp.points for comp in traces])
+    chords = np.sqrt(_squared_norm(np.diff(points, axis=1, append=points[:, :1])))
+    merge_dist = np.maximum(3.0 * np.max(chords, axis=1), 1e-9)
+    firsts = [np.reshape(c, (-1, 2))[0] for c in candidates]
+    near = _nearest(points, firsts) <= merge_dist[:, None]
     components: list[LevelComponent] = []
-    covered = [False] * len(candidates)
+    covered = np.zeros(len(candidates), dtype=bool)
     for i, comp in enumerate(traces):
         if covered[i]:
             continue
         components.append(comp)
-        chords = np.linalg.norm(np.diff(comp.points, axis=0, append=comp.points[:1]), axis=1)
-        merge_dist = max(3.0 * float(np.max(chords)), 1e-9)
-        for j in range(i, len(candidates)):
-            first = np.reshape(candidates[j], (-1, 2))[0]
-            d = float(np.min(np.linalg.norm(comp.points - first, axis=1)))
-            if d <= merge_dist:
-                covered[j] = True
+        covered[i:] |= near[i, i:]
     return components
 
 
@@ -555,17 +626,20 @@ def build_families(
     The window is sampled at n_samples Chebyshev-Lobatto energies, the
     nodes an action table is fitted on, and every family carries its traced
     component at each of them. The component count is taken on every
-    sampled energy by the marching pass first; any variation raises
-    NonConstantTopology (a critical value sits inside the window, violating
-    the regular-window hypothesis). Every loop of every sampled energy is
-    then traced from its _candidates seeds as arcs, all in one
-    trace_component call.
+    sampled energy first, by one marching pass over all of them on one
+    evaluation of H on the grid; any variation raises NonConstantTopology
+    (a critical value sits inside the window, violating the regular-window
+    hypothesis). Every loop of every sampled energy is then traced from its
+    _candidates seeds as arcs, all in one trace_component call. Each
+    energy's traces are deduplicated, and then matched to the families by
+    the distance of each family's previous seed to each trace, one
+    broadcast per energy.
     """
     if n_samples < 9:
         raise ValueError("need at least 9 action samples")
     box = compact_preimage_box(spec, window)
     energies = _lobatto(window, n_samples)
-    loops = [_marching_loops(spec, e, box, grid_n) for e in energies]
+    loops = _marching_loops(spec, energies, box, grid_n)
     counts = [len(ls) for ls in loops]
     if len(set(counts)) != 1:
         raise NonConstantTopology(
@@ -595,16 +669,10 @@ def build_families(
     order = np.argsort([float(np.min(c.points[:, 0])) for c in per_energy[0]])
     tracks = [[per_energy[0][j]] for j in order]
     for comps in per_energy[1:]:
-        taken = [False] * d
-        for track in tracks:
-            seed_prev = np.asarray(track[-1].seed)
-            dists = [
-                np.inf
-                if taken[j]
-                else float(np.min(np.linalg.norm(comps[j].points - seed_prev, axis=1)))
-                for j in range(d)
-            ]
-            j = int(np.argmin(dists))
+        dists = _nearest(np.stack([c.points for c in comps]), [t[-1].seed for t in tracks])
+        taken = np.zeros(d, dtype=bool)
+        for track, col in zip(tracks, dists.T):
+            j = int(np.argmin(np.where(taken, np.inf, col)))
             taken[j] = True
             track.append(comps[j])
     return [

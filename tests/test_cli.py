@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -225,3 +226,35 @@ def test_config_accepts_trace_tol_at_rounding_floor(tmp_path):
     data = _base_config(str(tmp_path))
     data["tolerances"]["trace_tol"] = ebk.portrait.MIN_TRACE_TOL
     assert parse_config(data).trace_tol == ebk.portrait.MIN_TRACE_TOL
+
+
+@pytest.mark.parametrize(
+    "where, value",
+    [
+        (("tolerances", "oracle_tol"), math.nan),
+        (("tolerances", "trace_tol"), math.nan),
+        (("tolerances", "trace_tol"), math.inf),
+        (("hbars",), [math.nan]),
+        (("hbars",), [math.inf]),
+        (("window", "e1"), -math.inf),
+        (("window", "e2"), math.inf),
+        (("window", "margin"), math.inf),
+        # An integer beyond the float range is an int, not Infinity.
+        (("window", "e2"), 10**400),
+        (("hbars",), [10**400]),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_config_number_exit_2(tmp_path, capsys, command, where, value):
+    # json.loads accepts the NaN and Infinity literals json.dumps writes.
+    data = _base_config(str(tmp_path / "out"))
+    *parents, key = where
+    target = data
+    for name in parents:
+        target = target[name]
+    target[key] = value
+    path = _write(tmp_path, data)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and where[-1] in err and "finite" in err
+    assert not (tmp_path / "out").exists()

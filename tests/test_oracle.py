@@ -130,6 +130,46 @@ def test_count_below_matches_reference_on_fine_grid():
     assert counts[3] > counts[0] > 0
 
 
+@pytest.mark.parametrize(
+    "pot, hbar",
+    [
+        (ebk.double_well_potential(1.0), 0.1),
+        (ebk.double_well_potential(1.0), 0.05),
+        (ebk.morse_potential(1.0, 1.0), 0.05),
+    ],
+)
+def test_bracket_counts_match_count_below(pot, hbar, monkeypatch):
+    window = ebk.EnergyWindow(0.1, 0.6, 0.05)
+    run = ebk.solve_window(pot, window, hbar)
+    levels = run.bisected.eigenvalues
+    assert levels.size >= 4
+    rng = np.random.default_rng(17)
+    # Seeded shifts, and shifts just outside the final brackets.
+    shifts = np.concatenate([
+        rng.uniform(window.e1, window.e2, 2000),
+        levels - 2.0 * run.bisect_tol,
+        levels + 2.0 * run.bisect_tol,
+    ])
+    expected = ebk.count_below(run.operator, shifts)
+    calls = []
+    count_below = ebk.oracle.count_below
+
+    def counted(T, lam):
+        calls.append(np.size(lam))
+        return count_below(T, lam)
+
+    monkeypatch.setattr(ebk.oracle, "count_below", counted)
+    counts, fallback = run.counts_below(shifts)
+    assert np.array_equal(counts, expected)
+    assert not fallback.any() and calls == []
+    # A shift at a level, or outside the bisected range, takes count_below.
+    lo, hi = run.bisected_range
+    odd = np.array([levels[1], lo - 0.01, hi + 0.01, 0.3])
+    counts, fallback = run.counts_below(odd)
+    assert np.array_equal(counts, count_below(run.operator, odd))
+    assert list(fallback) == [True, True, True, False] and calls == [3]
+
+
 def test_eigenvalues_in_diagonal():
     op = _diag_op([1.0, 2.0, 3.0])
     res = ebk.eigenvalues_in(op, 1.5, 3.5)
@@ -161,13 +201,14 @@ def test_eigenvalues_in_repeated_entry():
     assert list(res.indices) == [1, 2]
 
 
-def _fake_dstebz(monkeypatch, failing_range, found, info):
-    """Send dstebz calls with failing_range to a fake that returns (found, info)."""
+def _fake_dstebz(monkeypatch, fail_counts, found, info):
+    """Send the Sturm-count dstebz calls (lower end -inf), or else the
+    bisection calls, to a fake that returns (found, info)."""
     real = ebk.oracle.dstebz
 
-    def dstebz(d, e, range_code, *args):
-        if range_code != failing_range:
-            return real(d, e, range_code, *args)
+    def dstebz(d, e, range_code, vl, *args):
+        if (vl == -np.inf) != fail_counts:
+            return real(d, e, range_code, vl, *args)
         n = d.size
         return found, np.zeros(n), np.ones(n, dtype=np.int32), np.zeros(n, dtype=np.int32), info
 
@@ -176,13 +217,13 @@ def _fake_dstebz(monkeypatch, failing_range, found, info):
 
 @pytest.mark.parametrize("found, info", [(0, 1), (1, 0)])
 def test_eigenvalues_in_lapack_failure(monkeypatch, found, info):
-    _fake_dstebz(monkeypatch, ebk.oracle._BY_INDEX, found, info)
+    _fake_dstebz(monkeypatch, False, found, info)
     with pytest.raises(BisectionFailed, match="dstebz"):
         ebk.eigenvalues_in(_diag_op([1.0, 2.0, 3.0]), 1.5, 3.5)
 
 
 def test_count_below_lapack_failure(monkeypatch):
-    _fake_dstebz(monkeypatch, ebk.oracle._BY_VALUE, 0, 1)
+    _fake_dstebz(monkeypatch, True, 0, 1)
     with pytest.raises(BisectionFailed, match="dstebz"):
         ebk.count_below(_diag_op([1.0, 2.0, 3.0]), 2.5)
     with pytest.raises(BisectionFailed, match="dstebz"):

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -65,6 +66,22 @@ def test_write_json_matches_plain_python(tmp_path):
     pipeline._write_json(tmp_path / "numpy.json", numpy_obj)
     pipeline._write_json(tmp_path / "plain.json", plain_obj)
     assert (tmp_path / "numpy.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+
+def test_writers_replace_an_existing_artifact(tmp_path):
+    # A rerun writes each artifact as a new file: a hard link to the old one
+    # keeps the old bytes, which truncating the file in place would not.
+    csv_path, json_path = tmp_path / "a.csv", tmp_path / "a.json"
+    pipeline._write_csv(csv_path, ["a"], [(1,)])
+    pipeline._write_json(json_path, {"a": 1})
+    os.link(csv_path, tmp_path / "old.csv")
+    os.link(json_path, tmp_path / "old.json")
+    pipeline._write_csv(csv_path, ["a"], [(2,)])
+    pipeline._write_json(json_path, {"a": 2})
+    assert csv_path.read_text(encoding="utf-8") == "a\n2\n"
+    assert (tmp_path / "old.csv").read_text(encoding="utf-8") == "a\n1\n"
+    assert json.loads(json_path.read_text(encoding="utf-8")) == {"a": 2}
+    assert json.loads((tmp_path / "old.json").read_text(encoding="utf-8")) == {"a": 1}
 
 
 def _component_rows(families):
@@ -314,6 +331,40 @@ def _dw_config(out_dir, pipeline_stages) -> ebk.config.RunConfig:
             "output_dir": str(out_dir),
         }
     )
+
+
+def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
+    # The dw_pipeline benchmark config: every Weyl endpoint is counted from
+    # the oracle's bisection brackets, with no count_below call.
+    stage = []
+    calls = []
+    count_below = ebk.oracle.count_below
+    weyl_stage = pipeline._STAGE_FNS["weyl"]
+
+    def counted(T, lam):
+        calls.append(stage[-1] if stage else None)
+        return count_below(T, lam)
+
+    def in_weyl(state):
+        stage.append("weyl")
+        try:
+            return weyl_stage(state)
+        finally:
+            stage.pop()
+
+    monkeypatch.setattr(ebk.oracle, "count_below", counted)
+    monkeypatch.setitem(pipeline._STAGE_FNS, "weyl", in_weyl)
+    manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)), verbose=True)
+    assert code == 0 and manifest["checks"]["weyl_exact"] is True
+    assert calls == [None] * 4  # one per oracle grid and hbar
+    weyl = manifest["metrics"]["weyl"]
+    assert weyl == {
+        pipeline._fmt(h): {"lookups": 2 * pipeline._WEYL_TRIALS, "fallbacks": 0}
+        for h in (0.1, 0.05)
+    }
+    assert f"[ebk] weyl: endpoint counts {weyl}" in capsys.readouterr().out.splitlines()
+    written = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert written["metrics"]["weyl"] == weyl
 
 
 def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):

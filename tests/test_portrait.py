@@ -5,6 +5,7 @@ import pytest
 
 import ebk
 from ebk.errors import (
+    ConfigError,
     CriticalSeed,
     EmptyLevelSet,
     NonConstantTopology,
@@ -88,6 +89,23 @@ def test_trace_rejects_critical_seed(harmonic):
 def test_trace_time_budget(harmonic):
     with pytest.raises(NotClosedOrbit):
         ebk.trace_component(harmonic, (1.0, 0.0), 0.5, max_time=1.0)
+
+
+def test_library_trace_tol_under_rounding_floor(harmonic, deadline):
+    # The config check, shared: a trace at 1e-15 would shrink its steps
+    # without end.
+    deadline(5)
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    box = Box(-2, 2, -2, 2)
+    calls = [
+        lambda: ebk.build_families(harmonic, window, 9, trace_tol=1e-15),
+        lambda: ebk.trace_component(harmonic, (1.0, 0.0), 0.5, trace_tol=1e-15),
+        lambda: ebk.seed_components(harmonic, 0.5, box, trace_tol=1e-15),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="trace_tol 1e-15 is under 2.22e-11"):
+            call()
+    ebk.trace_component(harmonic, (1.0, 0.0), 0.5, trace_tol=portrait.MIN_TRACE_TOL)
 
 
 def test_trace_overflowing_symbol_diverges(deadline):
@@ -246,9 +264,13 @@ def test_family_scan_marches_once_per_energy(double_well, monkeypatch):
         return marching(*args, **kwargs)
 
     monkeypatch.setattr(portrait, "_marching_loops", counted)
-    families = ebk.build_families(double_well, ebk.EnergyWindow(0.2, 0.8, 0.05), 9)
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    families = ebk.build_families(double_well, window, 9)
     assert len(families) == 2
-    assert len(calls) == 9
+    # One pass marches the 9 Lobatto energies, each once.
+    (energies,) = calls
+    assert list(energies) == list(portrait._lobatto(window, 9))
+    assert len(set(energies)) == 9
 
 
 class _RotatedDoubleWell:
@@ -289,11 +311,15 @@ def test_marching_matches_reference_walker(harmonic, quartic, morse, double_well
     ]
     saddles = 0
     for spec, energies, box in cases:
-        for energy in energies:
-            for grid_n in (201, 64):
+        for grid_n in (201, 64):
+            # The multi-level form gives every level's loops in one pass.
+            per_level = portrait._marching_loops(spec, np.array(energies), box, grid_n)
+            assert len(per_level) == len(energies)
+            for energy, several in zip(energies, per_level):
                 got = portrait._marching_loops(spec, energy, box, grid_n)
                 ref = marching_loops_py(spec, energy, box, grid_n)
                 assert got == ref and _bits(got) == _bits(ref)
+                assert several == ref and _bits(several) == _bits(ref)
                 _, _, H = portrait._grid_values(spec, box, grid_n)
                 pos = H > energy
                 saddles += int(np.sum(
@@ -322,6 +348,21 @@ def test_marching_errors_match_reference_walker(harmonic, double_well):
         ref = _outcome(marching_loops_py, spec, energy, box, 201)
         assert got == ref
         assert got[0] in (PreimageNotEnclosed, EmptyLevelSet)
+    # Several levels: the error of the least bad one, whatever comes above it.
+    leaky = Box(-1.5, 1.5, -1.0, 1.5)
+    multi = [
+        (harmonic, (0.3, 0.85, 9.0), leaky),
+        (harmonic, (-0.5, 0.3, 0.85), leaky),
+        (harmonic, (0.2, 0.5, 9.0), BOX),
+        (double_well, (0.3, 1.5), Box(-1.4, 1.4, -2, 2)),
+    ]
+    kinds = set()
+    for spec, energies, box in multi:
+        got = _outcome(portrait._marching_loops, spec, np.array(energies), box, 201)
+        refs = [_outcome(marching_loops_py, spec, e, box, 201) for e in energies]
+        assert got == next(r for r in refs if isinstance(r, tuple))
+        kinds.add(got[0])
+    assert kinds == {PreimageNotEnclosed, EmptyLevelSet}
 
 
 def _arc_seeds(comp, k=portrait._ARCS):
