@@ -25,7 +25,6 @@ from .portrait import (
     ComponentFamily,
     LevelComponent,
     build_families,
-    component_count,
     seed_components,
     trace_component,
 )
@@ -34,17 +33,16 @@ from .action import (
     build_action_table,
     green_area,
     invert_action,
-    loop_action,
     maslov_index,
 )
 from .solver import (
-    Branch,
     BsSpectrum,
     DoubletCluster,
     SpectrumEntry,
     WeylCount,
     branch_energy,
     doublet_scan,
+    draw_safe_endpoints,
     exact_weyl_count,
     exit_hbar,
     merged_spectrum,
@@ -72,7 +70,6 @@ from .compare import (
     ConvergenceReport,
     MatchReport,
     convergence_study,
-    draw_safe_endpoints,
     match_spectra,
     weyl_check_pairs,
 )

@@ -2,7 +2,7 @@
 
 The loop action A0 = integral of xi dx over a component is accumulated
 during flow tracing (the integrand xi * dH/dxi rides along the orbit ODE),
-so the value returned here is the one the tracer computed. The enclosed
+and an action table reads it from LevelComponent.action. The enclosed
 polygon area provides an independent cross-check through the Stokes
 identity |A0| = |area|.
 
@@ -25,11 +25,6 @@ from .errors import (
 )
 from .portrait import LevelComponent, ComponentFamily
 from .symbols import EnergyWindow
-
-
-def loop_action(component: LevelComponent) -> float:
-    """Loop integral of xi dx along the component, sign from its orientation."""
-    return component.action
 
 
 def _shoelace(points: np.ndarray) -> float:

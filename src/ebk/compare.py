@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BijectionFailure, UnsafeEndpoint
+from .errors import BijectionFailure
 from .oracle import EigenResult, OracleRun, solve_basis
 from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, build_families
-from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum, spacing_floor
+from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum
 from .symbols import EnergyWindow, SymbolSpec
 from .action import ActionTable, build_action_table
 
@@ -195,8 +195,8 @@ def weyl_check_pairs(
 
     One check per (e1t, e2t) of pairs. The Sturm count below every endpoint
     comes from oracle_run.counts_below: read from the fine grid's bisection
-    brackets, with one count_below call for the endpoints within bisect_tol
-    of a level or outside the bisected range, if any.
+    brackets, with one count_below call for the endpoints within
+    DEFAULT_BISECT_TOL of a level or outside the bisected range, if any.
     """
     counts = exact_weyl_count(tables, bs.hbar, *np.transpose(pairs), bs)
     below, fallback = oracle_run.counts_below(np.ravel(pairs))
@@ -206,42 +206,3 @@ def weyl_check_pairs(
             pairs, counts, below.reshape(-1, 2), fallback.reshape(-1, 2)
         )
     ]
-
-
-def draw_safe_endpoints(
-    rng: np.random.Generator,
-    tables: list[ActionTable],
-    bs: BsSpectrum,
-    window: EnergyWindow,
-    n_pairs: int,
-    *,
-    safety: float = 0.3,
-    max_tries: int = 10_000,
-) -> list[tuple[float, float]]:
-    """Seeded endpoint pairs keeping a safe distance from the spectrum.
-
-    Raises UnsafeEndpoint when the merged spectrum is so dense relative to
-    the per-family spacing floor that safe pairs are (almost) nowhere to be
-    found; lowering the safety factor is then the caller's call.
-    """
-    floor = safety * spacing_floor(tables, bs.hbar)
-    energies = bs.energies()
-    pairs = []
-    tries = 0
-    while len(pairs) < n_pairs:
-        tries += 1
-        if tries > max_tries:
-            raise UnsafeEndpoint(
-                f"found only {len(pairs)}/{n_pairs} safe endpoint pairs in "
-                f"{max_tries} draws; spectrum too dense for safety {safety:g}"
-            )
-        e1t, e2t = np.sort(rng.uniform(window.e1, window.e2, size=2))
-        if e2t - e1t < 2.0 * floor:
-            continue
-        if energies.size and (
-            np.min(np.abs(energies - e1t)) < 1.05 * floor
-            or np.min(np.abs(energies - e2t)) < 1.05 * floor
-        ):
-            continue
-        pairs.append((float(e1t), float(e2t)))
-    return pairs

@@ -10,14 +10,15 @@ a config round-trips to one canonical form.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, EbkError, InvalidSymbol
 from .oracle import DEFAULT_PHASE_TOL, domain_auto
-from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, check_trace_tol
-from .symbols import EnergyWindow, SymbolSpec, symbol_from_config
+from .portrait import (
+    DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, check_action_samples, check_trace_tol,
+)
+from .symbols import EnergyWindow, SymbolSpec, finite_float, symbol_from_config
 
 STAGES = (
     "trace",
@@ -97,25 +98,10 @@ def _require_keys(obj: dict, allowed: set[str], where: str):
             raise ConfigError(f"unknown key {key!r} in {where}")
 
 
-def _finite_float(v) -> float | None:
-    """v as a float if it is a number, not a bool, of finite float value.
-
-    JSON gives NaN and Infinity as floats, and an integer beyond the float
-    range as an int.
-    """
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return None
-    try:
-        f = float(v)
-    except OverflowError:
-        return None
-    return f if math.isfinite(f) else None
-
-
 def _number(obj, key, where, *, positive=False):
     if key not in obj:
         raise ConfigError(f"missing key {key!r} in {where}")
-    v = _finite_float(obj[key])
+    v = finite_float(obj[key])
     if v is None:
         raise ConfigError(f"{where}.{key} must be a finite number")
     if positive and not v > 0:
@@ -161,7 +147,7 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
         raise ConfigError("config.hbars must be a non-empty list")
     vals = []
     for i, h in enumerate(hbars):
-        h = _finite_float(h)
+        h = finite_float(h)
         if h is None or not h > 0:
             raise ConfigError(f"config.hbars[{i}] must be a positive finite number")
         vals.append(h)
@@ -186,12 +172,11 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
     check_trace_tol(trace_tol)
     oracle_tol = _number(merged, "oracle_tol", "config.tolerances", positive=True)
     action_samples = merged["action_samples"]
-    if isinstance(action_samples, bool) or not isinstance(action_samples, int) or action_samples < 9:
-        raise ConfigError("config.tolerances.action_samples must be an integer >= 9")
+    check_action_samples(action_samples)
 
     seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("config.seed must be an integer")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("config.seed must be a nonnegative integer")
 
     output_dir = data.get("output_dir", default_output)
     if not isinstance(output_dir, str):

@@ -165,7 +165,7 @@ def domain_auto(
     check validates). N keeps the local stencil phase error
     (xi_max*h/hbar)^2/12 below phase_tol. Raises ConfigError when N is
     under the stencil's 3 points, and GridTooLarge when the finer grid of
-    solve_window's pair, 2N - 1 points, exceeds the cap.
+    solve_window's pair, 2N - 1 points, exceeds the cap or N is not finite.
     """
     top = window.e2 + window.margin
     if not potential.confining_below(top):
@@ -179,7 +179,10 @@ def domain_auto(
     L = 1.5 * max(abs(xlo), abs(xhi))
     ximax = math.sqrt(2.0 * (top - potential.min_value()))
     h = hbar * math.sqrt(12.0 * phase_tol) / ximax
-    N = int(math.ceil(2.0 * L / h)) + 1
+    cells = 2.0 * L / h if h > 0.0 else math.inf
+    if not math.isfinite(cells):  # an overflowing landmark or an underflowing step
+        raise GridTooLarge(f"grid of {cells:g} points exceeds the {_MAX_GRID} cap")
+    N = int(math.ceil(cells)) + 1
     if N < 3:
         raise ConfigError(f"grid of {N} points is under the 3-point stencil; tighten phase_tol")
     _check_cap(2 * N - 1)
@@ -329,8 +332,8 @@ class OracleRun:
 
     bisected holds the finest grid's levels in the value range
     bisected_range as eigenvalues_in returned them, before extrapolation:
-    the midpoints of final bisection brackets at most bisect_tol wide (or
-    2 eps times their ends, if that is more).
+    the midpoints of final bisection brackets at most DEFAULT_BISECT_TOL
+    wide (or 2 eps times their ends, if that is more).
     """
 
     result: EigenResult
@@ -341,12 +344,11 @@ class OracleRun:
     floor_estimate: float
     bisected: EigenResult
     bisected_range: tuple[float, float]
-    bisect_tol: float
 
     def counts_below(self, lam) -> tuple[np.ndarray, np.ndarray]:
         """count_below(self.operator, lam) for an array of shifts, and which needed the call.
 
-        A shift s in bisected_range farther than bisect_tol from every
+        A shift s in bisected_range farther than DEFAULT_BISECT_TOL from every
         bisected level lies outside every final bracket, and the Sturm count
         is monotone in the shift, so its count is the first level's index
         plus the number of levels below s. The other shifts (near a level,
@@ -357,9 +359,9 @@ class OracleRun:
         lams = np.atleast_1d(np.asarray(lam, dtype=float))
         levels, indices = self.bisected.eigenvalues, self.bisected.indices
         lo, hi = self.bisected_range
-        # dstebz stops bisecting a bracket under max(bisect_tol, 2 eps |end|)
-        # wide, so this margin is at least its half-width plus the ulp of lam-.
-        margin = max(self.bisect_tol, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
+        # dstebz stops bisecting a bracket under max(DEFAULT_BISECT_TOL, 2 eps
+        # |end|) wide, so this margin is at least its half-width plus the ulp of lam-.
+        margin = max(DEFAULT_BISECT_TOL, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
         gap = np.min(np.abs(lams[..., None] - levels), axis=-1, initial=np.inf)
         # With no level in the range there is no index to count from.
         fallback = (gap <= margin) | ~((lams >= lo) & (lams <= hi)) | (levels.size == 0)
@@ -375,7 +377,6 @@ def solve_window(
     hbar: float,
     *,
     phase_tol: float = DEFAULT_PHASE_TOL,
-    bisect_tol: float = DEFAULT_BISECT_TOL,
     gate: bool = False,
 ) -> OracleRun:
     """Window eigenvalues with the O(h^2) error removed by extrapolation.
@@ -393,13 +394,13 @@ def solve_window(
     per_grid = []
     for n_i in sizes:
         T = discretize(potential, hbar, L, n_i, window=window)
-        per_grid.append((T, eigenvalues_in(T, a - pad, b + pad, tol=bisect_tol)))
+        per_grid.append((T, eigenvalues_in(T, a - pad, b + pad)))
 
     def _extrap(coarse: EigenResult, fine: EigenResult):
         common = np.intersect1d(coarse.indices, fine.indices)
         ec = coarse.eigenvalues[np.searchsorted(coarse.indices, common)]
         ef = fine.eigenvalues[np.searchsorted(fine.indices, common)]
-        # Sorted: a doublet tied below bisect_tol can swap order here.
+        # Sorted: a doublet tied below DEFAULT_BISECT_TOL can swap order here.
         ext = np.sort((4.0 * ef - ec) / 3.0)
         return common, ext, float(np.max(np.abs(ef - ec), initial=0.0))
 
@@ -414,7 +415,7 @@ def solve_window(
         idx1, ext1, corr1 = idx2, ext2, corr2
     keep = (ext1 >= a) & (ext1 <= b)
     result = EigenResult(eigenvalues=ext1[keep], indices=idx1[keep])
-    floor = max(10.0 * bisect_tol, 0.1 * corr1 / 3.0)
+    floor = max(10.0 * DEFAULT_BISECT_TOL, 0.1 * corr1 / 3.0)
     return OracleRun(
         result=result,
         operator=per_grid[-1][0],
@@ -424,7 +425,6 @@ def solve_window(
         floor_estimate=floor,
         bisected=per_grid[-1][1],
         bisected_range=(a - pad, b + pad),
-        bisect_tol=bisect_tol,
     )
 
 

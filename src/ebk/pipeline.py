@@ -10,6 +10,7 @@ itself carries wall times and is exempt).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from pathlib import Path
@@ -18,17 +19,12 @@ import numpy as np
 
 from . import __version__
 from .action import build_action_table
-from .compare import draw_safe_endpoints, match_spectra, weyl_check_pairs
+from .compare import match_spectra, weyl_check_pairs
 from .config import STAGE_DEPS, RunConfig
 from .errors import EbkError, RegularityViolation
 from .oracle import eigenvector, node_count, nodes_resolved, solve_window
 from .portrait import build_families
-from .solver import (
-    branch_energy,
-    doublet_scan,
-    exit_hbar,
-    merged_spectrum,
-)
+from .solver import branch_energy, doublet_scan, draw_safe_endpoints, exit_hbar, merged_spectrum
 from .symbols import compact_preimage_box, regularity_report
 
 
@@ -44,28 +40,31 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def _write_csv(path: Path, header: list[str], rows):
-    """Stream rows to path: a tuple as one line of _fmt values, a str block as is.
+def _write(path: Path, chunks) -> str:
+    """Stream str chunks to path as UTF-8, hashing each as it is written; returns the SHA-256.
 
     An existing file is unlinked, not truncated: ext4 (auto_da_alloc)
     flushes a file truncated and rewritten as it is closed, which took about
     30 ms per artifact on a shared virtio disk, most of a rerun's wall time.
     """
     path.unlink(missing_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n")
+    digest = hashlib.sha256()
+    with path.open("wb") as fh:
+        for data in map(str.encode, chunks):
+            digest.update(data)
+            fh.write(data)
+    return digest.hexdigest()
 
 
-def _write_json(path: Path, obj):
+def _write_csv(path: Path, header: list[str], rows) -> str:
+    """Stream rows to path (_write): a tuple as one line of _fmt values, a str block as is."""
+    lines = (row if isinstance(row, str) else ",".join(map(_fmt, row)) + "\n" for row in rows)
+    return _write(path, itertools.chain([",".join(header) + "\n"], lines))
+
+
+def _write_json(path: Path, obj) -> str:
     text = json.dumps(obj, sort_keys=True, indent=2, default=lambda x: x.tolist())
-    path.unlink(missing_ok=True)  # not truncated, as in _write_csv
-    path.write_text(text + "\n", encoding="utf-8")
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    return _write(path, [text + "\n"])
 
 
 class _RunState:
@@ -87,14 +86,10 @@ class _RunState:
         self.checks = {}
 
     def emit_csv(self, name, header, rows):
-        path = self.out / name
-        _write_csv(path, header, rows)
-        self.files[name] = _sha256(path)
+        self.files[name] = _write_csv(self.out / name, header, rows)
 
     def emit_json(self, name, obj):
-        path = self.out / name
-        _write_json(path, obj)
-        self.files[name] = _sha256(path)
+        self.files[name] = _write_json(self.out / name, obj)
 
 
 def _stage_trace(state: _RunState):

@@ -47,7 +47,14 @@ DEFAULT_MAX_TIME = 1e4
 DEFAULT_POINTS = 4096
 # Lobatto energies per family scan, the nodes of each action table.
 DEFAULT_ACTION_SAMPLES = 17
+# Every family keeps its component at each sample, 4096 samples of (t, x,
+# xi) at 24 B, 96 KiB: 512 samples hold 48 MiB per family. The action
+# table converges geometrically in the samples, so far fewer suffice.
+MAX_ACTION_SAMPLES = 512
 _MIN_GRAD = 1e-8
+_REFINE_TOL = 1e-12  # refine_to_level's target |H - E|
+_REFINE_ITERS = 80  # and its most Newton steps
+_HISTORY_ROWS = 4096  # rows of a new _History, doubled as they fill
 # Local integration error per step, well under the trace tolerance so the
 # accumulated drift over one period stays within it.
 _LOCAL_TOL_FACTOR = 1e-3
@@ -68,6 +75,16 @@ def check_trace_tol(trace_tol: float) -> None:
         raise ConfigError(
             f"trace_tol {trace_tol:g} is under {MIN_TRACE_TOL:.3g}, "
             "where the flow stepper's local error estimates are rounding noise"
+        )
+
+
+def check_action_samples(n) -> None:
+    """Raise ConfigError unless n is an integer from 9 to MAX_ACTION_SAMPLES."""
+    integral = isinstance(n, (int, np.integer)) and not isinstance(n, bool)
+    if not (integral and 9 <= n <= MAX_ACTION_SAMPLES):
+        raise ConfigError(
+            f"action_samples {n!r} must be an integer of at least 9 and at most "
+            f"{MAX_ACTION_SAMPLES}"
         )
 
 
@@ -258,8 +275,8 @@ def marching_component_count(
     return len(_marching_loops(spec, energy, box, grid_n))
 
 
-def refine_to_level(spec, point, energy, tol=1e-12, max_iter=80):
-    """Move points onto {H = E} along the gradient direction.
+def refine_to_level(spec, point, energy):
+    """Move points onto {H = E} along the gradient direction, to _REFINE_TOL.
 
     point is one (x, xi) pair, giving an (x, xi) tuple, or an (n, 2) array,
     giving an (n, 2) array; each point takes the Newton steps it would take
@@ -267,9 +284,9 @@ def refine_to_level(spec, point, energy, tol=1e-12, max_iter=80):
     """
     x, xi = np.array(point, dtype=float).reshape(-1, 2).T.copy()
     todo = np.arange(len(x))
-    for _ in range(max_iter):
+    for _ in range(_REFINE_ITERS):
         h = np.asarray(spec.value(x[todo], xi[todo]), dtype=float) - energy
-        off = np.abs(h) > tol
+        off = np.abs(h) > _REFINE_TOL
         todo, h = todo[off], h[off]
         if not todo.size:
             if np.ndim(point) == 1:
@@ -292,13 +309,13 @@ class _History:
     longest column times the batch width.
     """
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self):
         self.n = 0
-        self.cols = np.empty(capacity, dtype=np.intp)
-        self.t0 = np.empty(capacity)
-        self.h = np.empty(capacity)
-        self.y0 = np.empty((capacity, 2))
-        self.q = np.empty((capacity, 4, 2))
+        self.cols = np.empty(_HISTORY_ROWS, dtype=np.intp)
+        self.t0 = np.empty(_HISTORY_ROWS)
+        self.h = np.empty(_HISTORY_ROWS)
+        self.y0 = np.empty((_HISTORY_ROWS, 2))
+        self.q = np.empty((_HISTORY_ROWS, 4, 2))
 
     def append(self, step: integrate.Step):
         lo, hi = self.n, self.n + len(step.cols)
@@ -569,13 +586,19 @@ def _distinct(candidates, traces):
     return components
 
 
-def _components_at(spec, energy, box, grid_n, trace_tol, n_points=DEFAULT_POINTS):
-    """All components of {H = E} in the box, traced and deduplicated."""
-    candidates = _candidates(spec, energy, _marching_loops(spec, energy, box, grid_n))
-    traces = trace_component(
-        spec, candidates, [energy] * len(candidates), trace_tol, n_points=n_points
-    )
-    return _distinct(candidates, traces)
+def _traced_components(spec, energies, loops, trace_tol, n_points=DEFAULT_POINTS):
+    """The distinct components at each energy, traced from its marching loops.
+
+    loops holds the loops of each energy. Every loop of every energy is
+    traced from its _candidates seeds as arcs, all in one trace_component
+    call; each energy's traces are then deduplicated in loop order.
+    """
+    candidates = [_candidates(spec, e, ls) for e, ls in zip(energies, loops)]
+    counts = [len(cs) for cs in candidates]
+    seeds = [c for cs in candidates for c in cs]
+    traces = trace_component(spec, seeds, np.repeat(energies, counts), trace_tol, n_points=n_points)
+    starts = (np.cumsum(counts) - counts).tolist()
+    return [_distinct(cs, traces[s : s + len(cs)]) for cs, s in zip(candidates, starts)]
 
 
 def seed_components(
@@ -592,15 +615,9 @@ def seed_components(
     two candidates are merged when the trace from one passes within the
     polyline resolution of the other.
     """
-    comps = _components_at(spec, energy, box, grid_n, trace_tol, n_points=1024)
+    loops = _marching_loops(spec, [energy], box, grid_n)
+    (comps,) = _traced_components(spec, [energy], loops, trace_tol, n_points=1024)
     return [c.seed for c in comps]
-
-
-def component_count(
-    spec: SymbolSpec, energy: float, box: Box, grid_n: int = 201
-) -> int:
-    """Number of deduplicated traced components of {H = E}."""
-    return len(_components_at(spec, energy, box, grid_n, DEFAULT_TRACE_TOL, n_points=1024))
 
 
 def _lobatto(window: EnergyWindow, n: int) -> np.ndarray:
@@ -629,14 +646,13 @@ def build_families(
     sampled energy first, by one marching pass over all of them on one
     evaluation of H on the grid; any variation raises NonConstantTopology
     (a critical value sits inside the window, violating the regular-window
-    hypothesis). Every loop of every sampled energy is then traced from its
-    _candidates seeds as arcs, all in one trace_component call. Each
-    energy's traces are deduplicated, and then matched to the families by
-    the distance of each family's previous seed to each trace, one
-    broadcast per energy.
+    hypothesis). The loops are then traced and deduplicated by
+    _traced_components, and each energy's components matched to the
+    families by the distance of each family's previous seed to each trace,
+    one broadcast per energy. Raises ConfigError (check_action_samples)
+    unless n_samples is an integer from 9 to MAX_ACTION_SAMPLES.
     """
-    if n_samples < 9:
-        raise ValueError("need at least 9 action samples")
+    check_action_samples(n_samples)
     box = compact_preimage_box(spec, window)
     energies = _lobatto(window, n_samples)
     loops = _marching_loops(spec, energies, box, grid_n)
@@ -649,19 +665,7 @@ def build_families(
     if d == 0:
         raise EmptyLevelSet("window contains no level-set components")
 
-    # The arcs of every loop of every energy are traced in one batch, then
-    # each energy's traces are deduplicated in loop order.
-    candidates = [_candidates(spec, e, ls) for e, ls in zip(energies, loops)]
-    traces = trace_component(
-        spec,
-        [c for cs in candidates for c in cs],
-        np.repeat(energies, counts),
-        trace_tol,
-    )
-    per_energy = []
-    for cs in candidates:
-        per_energy.append(_distinct(cs, traces[: len(cs)]))
-        traces = traces[len(cs) :]
+    per_energy = _traced_components(spec, energies, loops, trace_tol)
     if any(len(comps) != d for comps in per_energy):
         raise NonConstantTopology("traced component count disagrees with the grid scan")
 

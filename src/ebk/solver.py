@@ -10,7 +10,7 @@ rather than solver logic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +26,9 @@ _EDGE_SLACK = 5e-10
 # Levels this close are tied: far above the 1e-14 to 1e-12 rounding noise
 # between mirror families' levels, far below any spacing 2*pi*hbar/tau_max.
 _TIE = 1e-9
+# Weyl endpoints keep this many smallest mean spacings from every level.
+ENDPOINT_SAFETY = 0.3
+_MAX_DRAWS = 10_000  # endpoint draws before draw_safe_endpoints gives up
 
 
 @dataclass(frozen=True)
@@ -103,48 +106,37 @@ def spacing_floor(tables: list[ActionTable], hbar: float) -> float:
     return TWO_PI * hbar / tau_max
 
 
-def endpoint_is_safe(
-    tables: list[ActionTable],
-    bs: BsSpectrum,
-    endpoint: float,
-    *,
-    safety: float = 0.3,
-) -> bool:
-    """Distance to the predicted spectrum at least safety * min mean spacing."""
-    if not bs.entries:
-        return True
-    dist = float(np.min(np.abs(bs.energies() - endpoint)))
-    return dist >= safety * spacing_floor(tables, bs.hbar) * (1.0 - _EDGE_SLACK)
-
-
 def exact_weyl_count(
     tables: list[ActionTable],
     hbar: float,
     e1t,
     e2t,
     bs: BsSpectrum,
-    *,
-    safety: float = 0.3,
 ) -> WeylCount | list[WeylCount]:
     """Integer-exact count of quantization solutions in [e1t, e2t].
 
     Per family N_k = floor(A0(e2t)/(2 pi hbar) + 1/2)
                    - floor(A0(e1t)/(2 pi hbar) + 1/2),
-    valid when both endpoints keep a safe distance from the spectrum.
+    valid when both endpoints lie in the window and keep ENDPOINT_SAFETY
+    mean spacings from the spectrum (UnsafeEndpoint names the first that
+    does not).
     e1t and e2t may be equal-length arrays of interval ends; the result is
     then one WeylCount per interval, from one evaluation of each table's
     series over all endpoints.
     """
     ends = np.column_stack([np.atleast_1d(e1t), np.atleast_1d(e2t)]).astype(float)
-    for lo, hi in ends.tolist():
+    floor = ENDPOINT_SAFETY * spacing_floor(tables, bs.hbar) if bs.entries else 0.0
+    gaps = np.min(np.abs(ends[..., None] - bs.energies()), axis=-1, initial=np.inf)
+    for (lo, hi), pair_gaps in zip(ends.tolist(), gaps.tolist()):
         if not lo < hi:
             raise ValueError("need e1t < e2t")
-        for endpoint in (lo, hi):
+        for endpoint, gap in zip((lo, hi), pair_gaps):
             if not (bs.window.e1 <= endpoint <= bs.window.e2):
                 raise UnsafeEndpoint(f"endpoint {endpoint:g} outside the window")
-            if not endpoint_is_safe(tables, bs, endpoint, safety=safety):
+            if not gap >= floor * (1.0 - _EDGE_SLACK):
                 raise UnsafeEndpoint(
-                    f"endpoint {endpoint:g} is within {safety:g} mean spacings of the spectrum"
+                    f"endpoint {endpoint:g} is within {ENDPOINT_SAFETY:g} mean spacings "
+                    "of the spectrum"
                 )
     step = TWO_PI * hbar
     per_family = []
@@ -166,6 +158,42 @@ def exact_weyl_count(
         )
     ]
     return counts[0] if np.ndim(e1t) == 0 else counts
+
+
+def draw_safe_endpoints(
+    rng: np.random.Generator,
+    tables: list[ActionTable],
+    bs: BsSpectrum,
+    window: EnergyWindow,
+    n_pairs: int,
+) -> list[tuple[float, float]]:
+    """Seeded endpoint pairs keeping ENDPOINT_SAFETY mean spacings from the spectrum.
+
+    Raises UnsafeEndpoint when the merged spectrum is so dense relative to
+    the per-family spacing floor that _MAX_DRAWS draws find too few safe
+    pairs.
+    """
+    floor = ENDPOINT_SAFETY * spacing_floor(tables, bs.hbar)
+    energies = bs.energies()
+    pairs = []
+    tries = 0
+    while len(pairs) < n_pairs:
+        tries += 1
+        if tries > _MAX_DRAWS:
+            raise UnsafeEndpoint(
+                f"found only {len(pairs)}/{n_pairs} safe endpoint pairs in "
+                f"{_MAX_DRAWS} draws; spectrum too dense for safety {ENDPOINT_SAFETY:g}"
+            )
+        e1t, e2t = np.sort(rng.uniform(window.e1, window.e2, size=2))
+        if e2t - e1t < 2.0 * floor:
+            continue
+        if energies.size and (
+            np.min(np.abs(energies - e1t)) < 1.05 * floor
+            or np.min(np.abs(energies - e2t)) < 1.05 * floor
+        ):
+            continue
+        pairs.append((float(e1t), float(e2t)))
+    return pairs
 
 
 def branch_energy(table: ActionTable, n, hbar):
@@ -194,21 +222,6 @@ def exit_hbar(table: ActionTable, n):
     and bounded below on the window.
     """
     return float(table.a0_at(table.window.e1)) / (TWO_PI * (n + 0.5))
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One hbar-smooth eigenvalue branch, labeled by family and quantum number."""
-
-    k: int
-    n: int
-    table: ActionTable = field(repr=False)
-
-    def energy(self, hbar: float) -> float | None:
-        return branch_energy(self.table, self.n, hbar)
-
-    def exit_hbar(self) -> float:
-        return exit_hbar(self.table, self.n)
 
 
 def nearest_level(bs: BsSpectrum, e0: float) -> tuple[float, float]:

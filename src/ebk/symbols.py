@@ -39,10 +39,29 @@ _EDGE_SAMPLES = 401
 _ROOT_TOL = 1e-8
 
 
+def finite_float(v) -> float | None:
+    """v as a float if it is a number, not a bool, of finite float value.
+
+    JSON gives NaN and Infinity as floats, and an integer beyond the float
+    range as an int.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return None
+    try:
+        f = float(v)
+    except OverflowError:
+        return None
+    return f if math.isfinite(f) else None
+
+
 def _real_roots(coefficients) -> np.ndarray:
     """Sorted distinct real roots of the polynomial (ascending coefficients)."""
     c = np.asarray(coefficients, dtype=float)
-    x = npoly.polyroots(c).real
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = npoly.polyroots(c).real
+    except np.linalg.LinAlgError as exc:  # the companion matrix overflowed
+        raise InvalidSymbol("polynomial roots beyond the float range") from exc
     scale = np.max(np.abs(c)) * np.maximum(1.0, np.abs(x)) ** (c.size - 1)
     return np.unique(x[np.abs(npoly.polyval(x, c)) <= _ROOT_TOL * scale])
 
@@ -324,7 +343,12 @@ def anisotropic_symbol(a: float = 1.0, b: float = 1.0) -> SymbolSpec:
 
 
 def symbol_from_config(name: str, params: dict) -> SymbolSpec:
-    """Build a catalog symbol from a run-config entry."""
+    """Build a catalog symbol from a run-config entry.
+
+    Every parameter value must be a finite number, not a bool (finite_float),
+    and polynomial coefficients a non-empty list of such numbers; any other
+    value raises InvalidSymbol.
+    """
     params = dict(params)
 
     def _take(keys):
@@ -333,6 +357,14 @@ def symbol_from_config(name: str, params: dict) -> SymbolSpec:
             raise InvalidSymbol(
                 f"symbol {name!r}: unknown parameter {sorted(unknown)[0]!r}"
             )
+        for key, v in params.items():
+            if key == "coefficients":
+                what = "a non-empty list of finite numbers"
+                ok = isinstance(v, list) and bool(v) and all(finite_float(c) is not None for c in v)
+            else:
+                what, ok = "a finite number", finite_float(v) is not None
+            if not ok:
+                raise InvalidSymbol(f"symbol {name!r}: parameter {key!r} must be {what}")
 
     if name == "harmonic":
         _take([])

@@ -186,7 +186,7 @@ def test_criterion_7_geometry_invariants(
                 energy = float(table.energies[j])
                 assert comp.energy == energy and comp.action == table.a0[j]
                 n_components += 1
-                assert abs(abs(ebk.loop_action(comp)) - abs(ebk.green_area(comp))) <= 1e-8
+                assert abs(abs(comp.action) - abs(ebk.green_area(comp))) <= 1e-8
                 assert ebk.maslov_index(comp) == 2
                 if j % 8 == 0:
                     assert ebk.maslov_index(comp.reversed()) == -2

@@ -18,21 +18,21 @@ from oracles import action_integral, check_simple_sweep, invert_action_py, morse
 def test_loop_action_harmonic(harmonic):
     for energy in (0.5, 0.3):
         comp = ebk.trace_component(harmonic, (math.sqrt(2 * energy), 0.0), energy)
-        assert ebk.loop_action(comp) == pytest.approx(2 * math.pi * energy, abs=1e-9)
+        assert comp.action == pytest.approx(2 * math.pi * energy, abs=1e-9)
 
 
 def test_loop_action_quartic_vs_quadrature(quartic):
     comp = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
     ref = action_integral(lambda x: x**4, 1.0, -1.5, 1.5)
     assert ref == pytest.approx(4.944, abs=1e-3)
-    assert ebk.loop_action(comp) == pytest.approx(ref, abs=1e-10)
+    assert comp.action == pytest.approx(ref, abs=1e-10)
 
 
 def test_green_area_matches_action(harmonic, quartic):
     circle = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
     assert abs(ebk.green_area(circle)) == pytest.approx(math.pi, abs=1e-9)
     loop = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
-    assert abs(abs(ebk.green_area(loop)) - abs(ebk.loop_action(loop))) <= 1e-8
+    assert abs(abs(ebk.green_area(loop)) - abs(loop.action)) <= 1e-8
 
 
 def test_green_area_orientation_flip(harmonic):
@@ -75,7 +75,7 @@ def test_maslov_closed_form_symbols():
     assert ebk.maslov_index(comp) == 2
     r2 = (math.sqrt(1 + 4 * chi * energy) - 1) / chi
     assert r2 == pytest.approx(1.0, abs=1e-14)
-    assert ebk.loop_action(comp) == pytest.approx(math.pi * r2, abs=1e-9)
+    assert comp.action == pytest.approx(math.pi * r2, abs=1e-9)
     assert comp.period == pytest.approx(
         2 * math.pi / math.sqrt(1 + 4 * chi * energy), abs=1e-9
     )
@@ -175,12 +175,12 @@ def test_stokes_identity_across_catalog(harmonic, quartic, morse, dw_families, d
     ]
     for spec, seed, energy in cases:
         comp = ebk.trace_component(spec, seed, energy)
-        assert abs(abs(ebk.loop_action(comp)) - abs(ebk.green_area(comp))) <= 1e-8
+        assert abs(abs(comp.action) - abs(ebk.green_area(comp))) <= 1e-8
     family = dw_families[0]
     nearest = family.components[int(np.argmin(np.abs(family.energies - 0.35)))]
     seed = refine_to_level(double_well, nearest.seed, 0.35)
     comp = ebk.trace_component(double_well, seed, 0.35)
-    assert abs(abs(ebk.loop_action(comp)) - abs(ebk.green_area(comp))) <= 1e-8
+    assert abs(abs(comp.action) - abs(ebk.green_area(comp))) <= 1e-8
 
 
 def _polyline(points) -> LevelComponent:

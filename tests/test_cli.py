@@ -1,8 +1,11 @@
+import copy
 import json
 import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ebk.portrait
 from ebk.cli import main
@@ -163,6 +166,18 @@ def test_validate_grid_over_cap_exit_2(tmp_path, capsys):
     assert main(["validate", "--config", str(_write(tmp_path, data))]) == 0
 
 
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_overflowing_landmark_grid_exit_2(tmp_path, capsys, command):
+    # The double well's sublevel interval overflows at a = 1e200, so the
+    # oracle grid's half-width is infinite: a grid over the cap.
+    data = _base_config(str(tmp_path / "out"))
+    data["symbol"] = {"name": "double_well", "params": {"a": 1e200}}
+    path = _write(tmp_path, data)
+    assert main([command, "--config", str(path)]) == 2
+    assert "points exceeds the 600000 cap" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_grid_pair_over_cap_exit_2(tmp_path, capsys):
     # N = 597,820 fits under the cap, but the finer grid of the
     # Richardson pair, 2N - 1 points, does not.
@@ -258,3 +273,105 @@ def test_non_finite_config_number_exit_2(tmp_path, capsys, command, where, value
     err = capsys.readouterr().err
     assert err.startswith("config error:") and where[-1] in err and "finite" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "name, params",
+    [
+        ("polynomial", {"coefficients": "abc"}),
+        ("polynomial", {"coefficients": []}),
+        ("polynomial", {"coefficients": 1.0}),
+        ("polynomial", {"coefficients": [0, "x", 1]}),
+        ("polynomial", {"coefficients": [0, 0, math.inf]}),
+        ("morse", {"D": "x"}),
+        ("double_well", {"a": math.nan}),
+        ("kerr", {"chi": True}),
+        ("anisotropic_harmonic", {"a": 1.0, "b": 10**400}),
+    ],
+)
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_non_finite_symbol_parameter_exit_2(tmp_path, capsys, command, name, params):
+    data = _base_config(str(tmp_path / "out"))
+    data["symbol"] = {"name": name, "params": params}
+    data["pipeline"] = ["trace"]
+    path = _write(tmp_path, data)
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    key = list(params)[-1]
+    assert err.startswith("config error:") and repr(key) in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    data = _base_config(str(tmp_path / "out"))
+    data["seed"] = -1
+    path = _write(tmp_path, data)
+    assert main([command, "--config", str(path)]) == 2
+    assert "config.seed must be a nonnegative integer" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("samples", [ebk.portrait.MAX_ACTION_SAMPLES + 1, 10**30])
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_action_samples_over_cap_exit_2(tmp_path, capsys, command, samples):
+    # Rejected before any trace: nothing is allocated for the samples.
+    data = _base_config(str(tmp_path / "out"))
+    data["tolerances"]["action_samples"] = samples
+    path = _write(tmp_path, data)
+    assert main([command, "--config", str(path)]) == 2
+    assert f"at most {ebk.portrait.MAX_ACTION_SAMPLES}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# A valid parameter set of each catalog symbol with parameters.
+_SWEEP_SYMBOLS = {
+    "double_well": {"a": 1.0},
+    "morse": {"D": 1.0, "a": 1.0},
+    "polynomial": {"coefficients": [0.0, 0.0, 0.5]},
+    "kerr": {"chi": 0.5},
+    "anisotropic_harmonic": {"a": 1.0, "b": 2.0},
+}
+_SWEEP_SLOTS = [
+    ("window", "e1"),
+    ("window", "e2"),
+    ("window", "margin"),
+    ("hbars",),
+    ("hbars", 0),
+    ("tolerances", "trace_tol"),
+    ("tolerances", "oracle_tol"),
+    ("tolerances", "action_samples"),
+    ("seed",),
+]
+_SWEEP_VALUES = st.one_of(
+    st.text(max_size=3),
+    st.booleans(),
+    st.lists(st.floats(allow_nan=True), max_size=2),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1),
+    st.integers(min_value=2**53),
+    st.sampled_from([10**400, -(10**400)]),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(data=st.data())
+def test_config_sweep_raises_only_config_error(data):
+    name = data.draw(st.sampled_from(sorted(_SWEEP_SYMBOLS)))
+    params = copy.deepcopy(_SWEEP_SYMBOLS[name])
+    config = _base_config("out")
+    config["symbol"] = {"name": name, "params": params}
+    if name in ("kerr", "anisotropic_harmonic"):  # no direct oracle
+        config["pipeline"] = ["trace", "actions", "spectrum"]
+    slots = _SWEEP_SLOTS + [("symbol", "params", key) for key in params]
+    if name == "polynomial":
+        slots += [("symbol", "params", "coefficients", i) for i in range(3)]
+    *parents, key = data.draw(st.sampled_from(slots))
+    target = config
+    for part in parents:
+        target = target[part]
+    target[key] = data.draw(_SWEEP_VALUES)
+    try:
+        parse_config(config)
+    except ConfigError:
+        pass

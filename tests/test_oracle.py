@@ -147,8 +147,8 @@ def test_bracket_counts_match_count_below(pot, hbar, monkeypatch):
     # Seeded shifts, and shifts just outside the final brackets.
     shifts = np.concatenate([
         rng.uniform(window.e1, window.e2, 2000),
-        levels - 2.0 * run.bisect_tol,
-        levels + 2.0 * run.bisect_tol,
+        levels - 2.0 * ebk.oracle.DEFAULT_BISECT_TOL,
+        levels + 2.0 * ebk.oracle.DEFAULT_BISECT_TOL,
     ])
     expected = ebk.count_below(run.operator, shifts)
     calls = []

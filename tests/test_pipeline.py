@@ -1,6 +1,7 @@
 """Pipeline internals: the CSV writer, trace counts per stage, exit codes."""
 
 import csv
+import hashlib
 import json
 import math
 import os
@@ -82,6 +83,16 @@ def test_writers_replace_an_existing_artifact(tmp_path):
     assert (tmp_path / "old.csv").read_text(encoding="utf-8") == "a\n1\n"
     assert json.loads(json_path.read_text(encoding="utf-8")) == {"a": 2}
     assert json.loads((tmp_path / "old.json").read_text(encoding="utf-8")) == {"a": 1}
+
+
+def test_writers_return_the_sha256_of_their_bytes(tmp_path):
+    # The digest is hashed as the chunks are written, not read back.
+    csv_path, json_path = tmp_path / "a.csv", tmp_path / "a.json"
+    csv_digest = pipeline._write_csv(csv_path, ["a", "b"], [(1, 0.1), "x,\u00e9\n", (np.int64(2), -0.0)])
+    json_digest = pipeline._write_json(json_path, {"a": np.array([1.5]), "b": "\u00e9"})
+    assert csv_digest == hashlib.sha256(csv_path.read_bytes()).hexdigest()
+    assert json_digest == hashlib.sha256(json_path.read_bytes()).hexdigest()
+    assert pipeline._write_csv(tmp_path / "e.csv", ["a"], []) == hashlib.sha256(b"a\n").hexdigest()
 
 
 def _component_rows(families):

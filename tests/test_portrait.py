@@ -48,9 +48,9 @@ def test_seed_components_rejects_leaky_box(harmonic):
 
 
 def test_component_count_examples(double_well, morse):
-    assert ebk.component_count(double_well, 0.5, BOX) == 2
-    assert ebk.component_count(double_well, 1.5, Box(-2, 2, -2.5, 2.5)) == 1
-    assert ebk.component_count(morse, 0.5, Box(-1.5, 4, -1.5, 1.5)) == 1
+    assert len(ebk.seed_components(double_well, 0.5, BOX)) == 2
+    assert len(ebk.seed_components(double_well, 1.5, Box(-2, 2, -2.5, 2.5))) == 1
+    assert len(ebk.seed_components(morse, 0.5, Box(-1.5, 4, -1.5, 1.5))) == 1
 
 
 def test_trace_harmonic_period(harmonic):
@@ -145,8 +145,15 @@ def test_build_families_samples_lobatto_energies(harmonic):
     for comp in family.components:
         assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-9)
     assert np.array_equal(family.seeds, [c.seed for c in family.components])
-    with pytest.raises(ValueError, match="at least 9"):
+    with pytest.raises(ConfigError, match="at least 9"):
         ebk.build_families(harmonic, window, 8)
+
+
+@pytest.mark.parametrize("n", [portrait.MAX_ACTION_SAMPLES + 1, 10**30, 17.0, True])
+def test_build_families_action_samples_out_of_range(harmonic, n):
+    # Rejected before any grid or trace buffer is allocated.
+    with pytest.raises(ConfigError, match=f"at most {portrait.MAX_ACTION_SAMPLES}"):
+        ebk.build_families(harmonic, ebk.EnergyWindow(0.2, 0.8, 0.05), n)
 
 
 def test_build_families_nonconstant_topology(double_well):

@@ -99,6 +99,18 @@ def test_weyl_unsafe_endpoint(harmonic_wide_table):
         ebk.exact_weyl_count([table], HBAR, 0.22, 2.0, bs)
 
 
+def test_weyl_batch_names_its_first_bad_endpoint(harmonic_wide_table):
+    # Pairs are checked in order, each pair's ends lo then hi.
+    table = harmonic_wide_table
+    bs = ebk.merged_spectrum([table], HBAR, table.window)
+    with pytest.raises(UnsafeEndpoint, match=r"^endpoint 0.25 is within 0.3 mean spacings"):
+        ebk.exact_weyl_count([table], HBAR, [0.22, 0.25, 0.22], [1.01, 2.0, 0.1], bs)
+    with pytest.raises(UnsafeEndpoint, match=r"^endpoint 2 outside the window"):
+        ebk.exact_weyl_count([table], HBAR, [0.22, 0.22, 0.5], [1.01, 2.0, 0.3], bs)
+    with pytest.raises(ValueError, match="e1t < e2t"):
+        ebk.exact_weyl_count([table], HBAR, [0.22, 0.5, 0.25], [1.01, 0.3, 1.01], bs)
+
+
 def test_weyl_count_matches_spectrum_entries(
     harmonic_table, harmonic_window, dw_tables, dw_window
 ):
@@ -130,11 +142,10 @@ def test_branch_monotonicity(quartic_table):
     inside = [e for e in energies if e is not None]
     assert len(inside) >= 3
     assert all(b > a for a, b in zip(inside, inside[1:]))
-    branch = ebk.Branch(k=1, n=8, table=quartic_table)
-    h_lo = branch.exit_hbar() * 1.001
+    h_lo = ebk.exit_hbar(quartic_table, 8) * 1.001
     h_hi = 0.999 * float(quartic_table.a0_at(quartic_table.window.e2)) / (TWO_PI * 8.5)
     hs = np.linspace(h_lo, h_hi, 25)
-    vals = [branch.energy(float(h)) for h in hs]
+    vals = [ebk.branch_energy(quartic_table, 8, float(h)) for h in hs]
     assert all(v is not None for v in vals)
     assert all(b > a for a, b in zip(vals, vals[1:]))
 

@@ -210,6 +210,14 @@ def test_polynomial_multiple_roots_count():
         ebk.polynomial_potential([0.0, 1.0]).min_value()
 
 
+
+def test_polynomial_roots_beyond_float_range():
+    # At level 9e307 the companion matrix of V - c overflows: a typed error,
+    # not numpy's LinAlgError.
+    with pytest.raises(InvalidSymbol, match="float range"):
+        ebk.polynomial_potential([0.0, 0.0, 0.5]).sublevel_interval(8.98846567431158e307)
+
+
 @st.composite
 def _confining_polynomials(draw):
     degree = 2 * draw(st.integers(1, 4))
