@@ -18,7 +18,9 @@ from .oracle import DEFAULT_PHASE_TOL, domain_auto
 from .portrait import (
     DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, check_action_samples, check_trace_tol,
 )
-from .symbols import EnergyWindow, SymbolSpec, finite_float, symbol_from_config
+from .symbols import (
+    EnergyWindow, SymbolSpec, compact_preimage_box, finite_float, symbol_from_config,
+)
 
 STAGES = (
     "trace",
@@ -212,6 +214,12 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
             raise type(exc)(f"oracle grid at hbar={h:g}: {exc}") from exc
         except EbkError:  # a landmark error such as NonCompactWindow: the run's (exit 3)
             break
+    try:
+        compact_preimage_box(spec, window)
+    except InvalidSymbol as exc:  # an overflowing landmark: the box is not finite
+        raise ConfigError(f"trace box: {exc}") from exc
+    except EbkError:  # NonCompactWindow: the run's (exit 3)
+        pass
 
     return RunConfig(
         symbol_name=sym["name"],

@@ -94,7 +94,7 @@ class BisectionFailed(EbkError):
 
 
 class BasisNotConverged(EbkError):
-    """Oscillator-basis window levels moved by more than the tolerance from N to 2N states."""
+    """The oscillator-basis oracle failed: its DVR eigensolve, or N-to-2N level convergence."""
 
 
 class BijectionFailure(EbkError):

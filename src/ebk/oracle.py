@@ -34,7 +34,9 @@ needs the window levels, and gets them far more accurately and quickly.
 It is Rayleigh-Ritz in the first N harmonic-oscillator states centred on
 the window's sublevel interval, with V in the X-matrix discrete variable
 representation (Light, Hamilton and Lill, J. Chem. Phys. 82 (1985) 1400),
-checked by solving again with 2N states.
+checked by solving again with 2N states. The DVR nodes and vectors come from
+LAPACK's divide-and-conquer tridiagonal eigensolver, dstevd, on the
+truncated position matrix. All three LAPACK routines are bound in _lapack.
 """
 
 from __future__ import annotations
@@ -43,9 +45,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
-from scipy.linalg.lapack import dstebz, dstein
 
+from ._lapack import dstebz, dstein, dstevd
 from .errors import (
     BasisNotConverged,
     BisectionFailed,
@@ -397,7 +398,9 @@ def solve_window(
         per_grid.append((T, eigenvalues_in(T, a - pad, b + pad)))
 
     def _extrap(coarse: EigenResult, fine: EigenResult):
-        common = np.intersect1d(coarse.indices, fine.indices)
+        # Indices are unique; assume_unique also skips np.unique, which
+        # imports numpy.ma on its first call.
+        common = np.intersect1d(coarse.indices, fine.indices, assume_unique=True)
         ec = coarse.eigenvalues[np.searchsorted(coarse.indices, common)]
         ef = fine.eigenvalues[np.searchsorted(fine.indices, common)]
         # Sorted: a doublet tied below DEFAULT_BISECT_TOL can swap order here.
@@ -408,7 +411,7 @@ def solve_window(
     gate_residual = None
     if gate:
         idx2, ext2, corr2 = _extrap(per_grid[1][1], per_grid[2][1])
-        both = np.intersect1d(idx1, idx2)
+        both = np.intersect1d(idx1, idx2, assume_unique=True)
         d1 = ext1[np.searchsorted(idx1, both)]
         d2 = ext2[np.searchsorted(idx2, both)]
         gate_residual = float(np.max(np.abs(d1 - d2), initial=0.0))
@@ -477,7 +480,11 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
 
     def hamiltonian(size):
         q = size + _DVR_EXTRA_NODES
-        nodes, U = eigh_tridiagonal(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
+        nodes, U, info = dstevd(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
+        if info != 0:
+            raise BasisNotConverged(
+                f"dstevd failed on the {q}-node DVR position matrix (info = {info})"
+            )
         v = potential.value(0.5 * (xlo + xhi) + math.sqrt(hbar / omega) * nodes) - vmin
         # The rows of U are orthonormal, so V = vmin + W W^T with W = U sqrt(V - vmin).
         W = U[:size]

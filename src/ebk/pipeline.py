@@ -16,6 +16,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # a lazy NumPy submodule; every run seeds a generator, so load it with ebk
 
 from . import __version__
 from .action import build_action_table

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -276,14 +277,30 @@ def test_table_rejects_inconsistent_periods(harmonic_window):
         )
 
 
-def test_import_leaves_scipy_interpolate_out():
+def test_import_leaves_scipy_interpolate_out(tmp_path):
+    # ebk reaches LAPACK through scipy.linalg._flapack alone, loaded without
+    # scipy.linalg's package (and so without scipy.interpolate). A run then
+    # imports nothing: a NumPy submodule loaded lazily inside it (numpy.ma by
+    # np.unique, numpy.random by the Weyl draws) would be paid by every run.
     src = str(Path(ebk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    config = {
+        "symbol": {"name": "double_well", "params": {"a": 1.0}},
+        "window": {"e1": 0.1, "e2": 0.6, "margin": 0.05},
+        "hbars": [0.1],
+        "pipeline": ["oracle", "weyl"],
+        "tolerances": {"action_samples": 17},
+        "seed": 1,
+    }
     probe = (
-        "import sys, ebk; "
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.interpolate')))"
+        "import json, sys, ebk, ebk.pipeline; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy'))); "
+        "before = set(sys.modules); "
+        f"config = ebk.config.parse_config(json.loads({json.dumps(config)!r})); "
+        f"_, code = ebk.pipeline.run(config, output_dir={str(tmp_path)!r}, threads=1); "
+        "print(code, sorted(set(sys.modules) - before))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["['scipy.linalg._flapack']", "0 []"]

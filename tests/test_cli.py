@@ -169,13 +169,20 @@ def test_validate_grid_over_cap_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_overflowing_landmark_grid_exit_2(tmp_path, capsys, command):
     # The double well's sublevel interval overflows at a = 1e200, so the
-    # oracle grid's half-width is infinite: a grid over the cap.
-    data = _base_config(str(tmp_path / "out"))
-    data["symbol"] = {"name": "double_well", "params": {"a": 1e200}}
-    path = _write(tmp_path, data)
-    assert main([command, "--config", str(path)]) == 2
-    assert "points exceeds the 600000 cap" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # oracle grid's half-width is infinite (a grid over the cap), and so is
+    # the trace stage's phase-space box when no oracle stage runs.
+    cases = [
+        (["trace", "actions", "spectrum", "oracle", "compare"], "points exceeds the 600000 cap"),
+        (["trace", "actions", "spectrum"], "box bounds must be finite"),
+    ]
+    for stages, message in cases:
+        data = _base_config(str(tmp_path / "out"))
+        data["symbol"] = {"name": "double_well", "params": {"a": 1e200}}
+        data["pipeline"] = stages
+        path = _write(tmp_path, data)
+        assert main([command, "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_validate_grid_pair_over_cap_exit_2(tmp_path, capsys):

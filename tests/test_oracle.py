@@ -423,6 +423,41 @@ def test_basis_retries_once_at_doubled_size(monkeypatch):
         ebk.solve_basis(pot, window, 0.025)
 
 
+def test_lapack_bindings_match_scipy_linalg():
+    # ebk._lapack loads scipy.linalg._flapack without scipy.linalg. Its dstevd
+    # must give the DVR nodes and vectors eigh_tridiagonal gives, bit for bit,
+    # and its dstebz and dstein must be scipy.linalg.lapack's routines.
+    import scipy.linalg
+    import scipy.linalg.lapack
+
+    from ebk import _lapack
+
+    q = 308
+    d, e = np.zeros(q), np.sqrt(0.5 * np.arange(1, q))
+    nodes, U, info = _lapack.dstevd(d, e)
+    ref_nodes, ref_U = scipy.linalg.eigh_tridiagonal(d, e)
+    assert info == 0
+    assert np.array_equal(nodes, ref_nodes) and np.array_equal(U, ref_U)
+
+    rng = np.random.default_rng(11)
+    d, e = rng.normal(size=40), rng.normal(size=39)
+    got = _lapack.dstebz(d, e, 0, 0.0, 0.0, 0, 0, 1e-12, "B")
+    ref = scipy.linalg.lapack.dstebz(d, e, 0, 0.0, 0.0, 0, 0, 1e-12, "B")
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
+    m, w, iblock, isplit, _ = got
+    assert m == 40
+    z, info = _lapack.dstein(d, e, w, iblock, isplit)
+    ref_z, ref_info = scipy.linalg.lapack.dstein(d, e, w, iblock, isplit)
+    assert info == ref_info == 0 and np.array_equal(z, ref_z)
+
+
+def test_basis_dvr_lapack_failure(monkeypatch):
+    monkeypatch.setattr(ebk.oracle, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
+    with pytest.raises(BasisNotConverged, match=r"dstevd failed .* \(info = 3\)"):
+        ebk.solve_basis(ebk.harmonic_potential(), ebk.EnergyWindow(0.2, 0.8, 0.05), 0.1)
+
+
 def test_nodes_resolved_only_where_every_well_is_resolved():
     # At hbar = 0.025 the sextic's central state of index 6 reaches its outer
     # wells at ~1e-13 of its peak, so its vector misses the nodes there.
