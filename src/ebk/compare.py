@@ -6,7 +6,9 @@ i-th interior entry pairs with the i-th. Nearest-neighbor pairing would
 double-match inside doublet clusters and is deliberately not used.
 Interior means one mean spacing away from the window edges, with the
 actual cuts placed in gaps of the predicted spectrum so an O(hbar^2)
-offset cannot move a level across a cut.
+offset cannot move a level across a cut. Weyl checks count the oracle's
+window levels between two endpoints, so they read the same level list as
+the matching, from either oracle.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BijectionFailure
-from .oracle import EigenResult, OracleRun, solve_basis
+from .oracle import BasisRun, EigenResult, OracleRun, solve_basis
 from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, build_families
 from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum
 from .symbols import EnergyWindow, SymbolSpec
@@ -174,7 +176,6 @@ class WeylCheck:
     e2t: float
     oracle_count: int
     weyl: WeylCount  # the formula's per-family counts and asymptotics
-    fallbacks: int  # endpoints the oracle counted by count_below, not from brackets
 
     @property
     def formula_count(self) -> int:
@@ -188,21 +189,21 @@ class WeylCheck:
 def weyl_check_pairs(
     tables: list[ActionTable],
     bs: BsSpectrum,
-    oracle_run: OracleRun,
+    oracle_run: OracleRun | BasisRun,
     pairs,
 ) -> list[WeylCheck]:
-    """Exact formula count against the Sturm count on the fine grid.
+    """Exact formula count against the oracle's count, one check per (e1t, e2t) of pairs.
 
-    One check per (e1t, e2t) of pairs. The Sturm count below every endpoint
-    comes from oracle_run.counts_below: read from the fine grid's bisection
-    brackets, with one count_below call for the endpoints within
-    DEFAULT_BISECT_TOL of a level or outside the bisected range, if any.
+    The oracle count is the number of oracle_run.result levels in
+    [e1t, e2t). That list holds every level in the window, and
+    exact_weyl_count raises UnsafeEndpoint first unless both ends lie in
+    the window and ENDPOINT_SAFETY mean spacings from every predicted level,
+    far beyond the two-term error that separates an oracle level from its
+    prediction.
     """
     counts = exact_weyl_count(tables, bs.hbar, *np.transpose(pairs), bs)
-    below, fallback = oracle_run.counts_below(np.ravel(pairs))
+    below = np.searchsorted(oracle_run.result.eigenvalues, pairs)
     return [
-        WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc, fallbacks=int(fb.sum()))
-        for (e1t, e2t), wc, (lo, hi), fb in zip(
-            pairs, counts, below.reshape(-1, 2), fallback.reshape(-1, 2)
-        )
+        WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc)
+        for (e1t, e2t), wc, (lo, hi) in zip(pairs, counts, below)
     ]

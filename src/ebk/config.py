@@ -22,18 +22,8 @@ from .symbols import (
     EnergyWindow, SymbolSpec, compact_preimage_box, finite_float, symbol_from_config,
 )
 
-STAGES = (
-    "trace",
-    "actions",
-    "spectrum",
-    "oracle",
-    "compare",
-    "weyl",
-    "branches",
-    "doublets",
-)
-
-# Stages implied by each stage, inserted ahead of it when missing.
+# Every stage in run order, with the stages it implies (inserted ahead of
+# it when missing).
 STAGE_DEPS = {
     "trace": (),
     "actions": ("trace",),
@@ -44,14 +34,13 @@ STAGE_DEPS = {
     "branches": ("actions",),
     "doublets": ("spectrum",),
 }
+STAGES = tuple(STAGE_DEPS)
 
 _DEFAULT_TOLERANCES = {
     "trace_tol": DEFAULT_TRACE_TOL,
     "oracle_tol": DEFAULT_PHASE_TOL,
     "action_samples": DEFAULT_ACTION_SAMPLES,
 }
-
-_ORACLE_STAGES = {"oracle", "compare", "weyl"}
 
 
 @dataclass(frozen=True)
@@ -203,7 +192,7 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
         spec = symbol_from_config(sym["name"], params)
     except InvalidSymbol as exc:
         raise ConfigError(str(exc)) from exc
-    if not spec.is_schrodinger and (_ORACLE_STAGES & set(resolved)):
+    if not spec.is_schrodinger and "oracle" in resolved:
         raise ConfigError(
             f"symbol {sym['name']!r} has no direct oracle; remove oracle/compare/weyl stages"
         )

@@ -17,17 +17,14 @@ off-diagonal entry) by -pivmin, so counts reproduce bit for bit. One such
 call per grid fixes the global indices of the window eigenvalues, which
 dstebz then localizes by bisection over the same value range in one call.
 The leading O(h^2) discretization error is removed by Richardson
-extrapolation across nested grids N and 2N-1. The finest grid's bisected
-levels are kept: the floating-point Sturm count is monotone in the shift
-(Demmel, Dhillon and Ren, ETNA 3 (1995) 116-149), so at a shift outside
-every final bisection bracket it is the first level's index plus the number
-of levels below the shift (OracleRun.counts_below), and count_below is only
-called for the shifts near a level or outside the bisected range.
+extrapolation across nested grids N and 2N-1. The window levels come back
+complete and with their global indices, so the levels between two energies
+in the window are counted from that list (the Weyl checks).
 Eigenvectors come from LAPACK's inverse iteration for tridiagonal matrices,
 dstein, in one call for all window levels. The grid carries what the rest
-of the pipeline needs besides eigenvalues: exact counts at any shift (Weyl
-checks, ball multiplicities) and eigenvectors on x (node counts, well
-masses), so it stays the pipeline's reference.
+of the pipeline needs besides eigenvalues: exact counts at any shift (ball
+multiplicities) and eigenvectors on x (node counts, well masses), so it
+stays the pipeline's reference.
 
 The basis oracle (solve_basis) is what convergence_study uses: it only
 needs the window levels, and gets them far more accurately and quickly.
@@ -329,13 +326,7 @@ def ball_multiplicity(T: TridiagonalOperator, center: float, radius: float) -> i
 
 @dataclass(frozen=True)
 class OracleRun:
-    """Extrapolated window eigenvalues plus the finest operator used.
-
-    bisected holds the finest grid's levels in the value range
-    bisected_range as eigenvalues_in returned them, before extrapolation:
-    the midpoints of final bisection brackets at most DEFAULT_BISECT_TOL
-    wide (or 2 eps times their ends, if that is more).
-    """
+    """Extrapolated window eigenvalues plus the finest operator used."""
 
     result: EigenResult
     operator: TridiagonalOperator
@@ -343,33 +334,6 @@ class OracleRun:
     grid_sizes: tuple[int, ...]
     gate_residual: float | None
     floor_estimate: float
-    bisected: EigenResult
-    bisected_range: tuple[float, float]
-
-    def counts_below(self, lam) -> tuple[np.ndarray, np.ndarray]:
-        """count_below(self.operator, lam) for an array of shifts, and which needed the call.
-
-        A shift s in bisected_range farther than DEFAULT_BISECT_TOL from every
-        bisected level lies outside every final bracket, and the Sturm count
-        is monotone in the shift, so its count is the first level's index
-        plus the number of levels below s. The other shifts (near a level,
-        outside the range, or every shift when the range holds no level)
-        are counted by one count_below call. Returns the counts and the mask
-        of those fallback shifts.
-        """
-        lams = np.atleast_1d(np.asarray(lam, dtype=float))
-        levels, indices = self.bisected.eigenvalues, self.bisected.indices
-        lo, hi = self.bisected_range
-        # dstebz stops bisecting a bracket under max(DEFAULT_BISECT_TOL, 2 eps
-        # |end|) wide, so this margin is at least its half-width plus the ulp of lam-.
-        margin = max(DEFAULT_BISECT_TOL, 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi)))
-        gap = np.min(np.abs(lams[..., None] - levels), axis=-1, initial=np.inf)
-        # With no level in the range there is no index to count from.
-        fallback = (gap <= margin) | ~((lams >= lo) & (lams <= hi)) | (levels.size == 0)
-        counts = (indices[0] if indices.size else 0) + np.searchsorted(levels, lams)
-        if fallback.any():
-            counts[fallback] = count_below(self.operator, lams[fallback])
-        return counts, fallback
 
 
 def solve_window(
@@ -426,8 +390,6 @@ def solve_window(
         grid_sizes=tuple(sizes),
         gate_residual=gate_residual,
         floor_estimate=floor,
-        bisected=per_grid[-1][1],
-        bisected_range=(a - pad, b + pad),
     )
 
 

@@ -82,7 +82,6 @@ class _RunState:
         self.node_counts = {}
         self.resolved = {}
         self.oracle_meta = {}
-        self.weyl_counts = {}
         self.files = {}
         self.checks = {}
 
@@ -219,8 +218,10 @@ def _stage_compare(state: _RunState):
                 (hbar, p.k, p.n, p.e_bs, p.e_oracle, p.abs_err,
                  -1 if p.node_count is None else p.node_count)
             )
-    # match_spectra raises on a count mismatch; no pair at all fails too.
-    state.checks["bijection"] = bool(csv_rows)
+    # match_spectra raises on a count mismatch; no pair at all fails too,
+    # unless no hbar has a level in the window on either side to pair.
+    levels = any(r["unmatched_bs"] or r["unmatched_oracle"] for r in report_obj.values())
+    state.checks["bijection"] = bool(csv_rows) if csv_rows or levels else None
     state.checks["nodes_match"] = all_nodes_match
     state.emit_json("match.json", report_obj)
     state.emit_csv(
@@ -235,16 +236,9 @@ def _stage_weyl(state: _RunState):
     all_exact = True
     for hbar in state.config.hbars:
         bs = state.spectra[hbar]
-        run = state.oracle_runs[hbar]
-        pairs = draw_safe_endpoints(
-            state.rng, state.tables, bs, state.window, _WEYL_TRIALS
-        )
+        pairs = draw_safe_endpoints(state.rng, state.tables, bs, state.window, _WEYL_TRIALS)
         trials = []
-        checks = weyl_check_pairs(state.tables, bs, run, pairs)
-        fallbacks = sum(chk.fallbacks for chk in checks)
-        lookups = 2 * len(checks) - fallbacks
-        state.weyl_counts[_fmt(hbar)] = {"lookups": lookups, "fallbacks": fallbacks}
-        for chk in checks:
+        for chk in weyl_check_pairs(state.tables, bs, state.oracle_runs[hbar], pairs):
             wc = chk.weyl
             trials.append(
                 {
@@ -387,12 +381,6 @@ def run(
         if verbose:
             print(f"[ebk] trace: {len(comps)} orbits, dp45 steps {steps}")
             print(f"[ebk] trace: arcs {arcs}, {attempts} stepper attempts")
-    if state.weyl_counts:
-        # Per hbar: Weyl endpoints counted from the oracle's bisection
-        # brackets, and those sent to count_below.
-        metrics["weyl"] = state.weyl_counts
-        if verbose:
-            print(f"[ebk] weyl: endpoint counts {state.weyl_counts}")
     if metrics:
         manifest["metrics"] = metrics
     _write_json(out / "manifest.json", manifest)

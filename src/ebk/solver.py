@@ -169,11 +169,17 @@ def draw_safe_endpoints(
 ) -> list[tuple[float, float]]:
     """Seeded endpoint pairs keeping ENDPOINT_SAFETY mean spacings from the spectrum.
 
-    Raises UnsafeEndpoint when the merged spectrum is so dense relative to
-    the per-family spacing floor that _MAX_DRAWS draws find too few safe
-    pairs.
+    Raises UnsafeEndpoint at once when the window is narrower than two
+    safety distances, so no pair fits, and otherwise when the merged
+    spectrum is so dense relative to the per-family spacing floor that
+    _MAX_DRAWS draws find too few safe pairs.
     """
     floor = ENDPOINT_SAFETY * spacing_floor(tables, bs.hbar)
+    if window.e2 - window.e1 < 2.0 * floor:
+        raise UnsafeEndpoint(
+            f"window [{window.e1:g}, {window.e2:g}] is narrower than two safety "
+            f"distances ({ENDPOINT_SAFETY:g} mean spacings each) at hbar={bs.hbar:g}"
+        )
     energies = bs.energies()
     pairs = []
     tries = 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import ebk.portrait
 from ebk.cli import main
-from ebk.config import load_config, parse_config
+from ebk.config import STAGE_DEPS, STAGES, load_config, parse_config
 from ebk.errors import ConfigError
 
 
@@ -78,8 +78,18 @@ def test_config_rejects_oracle_for_closed_form(tmp_path):
     data["symbol"] = {"name": "kerr", "params": {"chi": 0.5}}
     with pytest.raises(ConfigError, match="oracle"):
         parse_config(data)
+    # compare and weyl bring the oracle in, so each alone is refused too.
+    for stage in ("oracle", "compare", "weyl"):
+        data["pipeline"] = [stage]
+        with pytest.raises(ConfigError, match="has no direct oracle; remove oracle/compare/weyl"):
+            parse_config(data)
     data["pipeline"] = ["trace", "actions", "spectrum"]
     assert parse_config(data).symbol_name == "kerr"
+
+
+def test_stage_order_follows_the_dependency_table():
+    for stage, deps in STAGE_DEPS.items():
+        assert all(STAGES.index(d) < STAGES.index(stage) for d in deps)
 
 
 def test_config_dependency_insertion(tmp_path):

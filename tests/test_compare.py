@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import ebk
-from ebk.errors import BijectionFailure
+from ebk.errors import BijectionFailure, UnsafeEndpoint
 from ebk.oracle import EigenResult
 
 
@@ -106,3 +106,42 @@ def test_draw_safe_endpoints_deterministic(harmonic_table, harmonic_window):
         np.random.default_rng(11), [harmonic_table], bs, harmonic_window, 5
     )
     assert p1 == p2
+
+
+@pytest.mark.parametrize(
+    "fixtures",
+    [
+        ("double_well", "dw_tables", "dw_window"),
+        ("morse", "morse_table", "morse_window"),
+        ("quartic", "quartic_table", "quartic_window"),
+    ],
+    ids=lambda names: names[0],
+)
+@pytest.mark.parametrize("hbar", [0.1, 0.05])
+def test_weyl_counts_agree_across_oracles(fixtures, hbar, request):
+    # Both oracles' window levels give the same Weyl counts, and so does the
+    # finest grid's Sturm count at every endpoint.
+    spec, tables, window = map(request.getfixturevalue, fixtures)
+    tables = tables if isinstance(tables, list) else [tables]
+    bs = ebk.merged_spectrum(tables, hbar, window)
+    pairs = ebk.draw_safe_endpoints(np.random.default_rng(23), tables, bs, window, 200)
+    grid = ebk.solve_window(spec.potential, window, hbar)
+    basis = ebk.solve_basis(spec.potential, window, hbar)
+    by_grid = [c.oracle_count for c in ebk.weyl_check_pairs(tables, bs, grid, pairs)]
+    by_basis = [c.oracle_count for c in ebk.weyl_check_pairs(tables, bs, basis, pairs)]
+    sturm = np.diff(ebk.count_below(grid.operator, np.ravel(pairs)).reshape(-1, 2)).ravel()
+    assert by_grid == by_basis == sturm.tolist()
+    assert max(by_grid) > 0
+
+
+def test_draw_safe_endpoints_fails_fast_on_narrow_window(harmonic_table, harmonic_window):
+    # At hbar = 5 the window holds no level and is narrower than two safety
+    # distances; so is a 1e-7 wide window at hbar = 0.1. No draw is made.
+    narrow = ebk.EnergyWindow(0.2, 0.2000001, 0.05)
+    for hbar, window in [(5.0, harmonic_window), (0.1, narrow)]:
+        bs = ebk.merged_spectrum([harmonic_table], hbar, harmonic_window)
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        with pytest.raises(UnsafeEndpoint, match="narrower than two safety"):
+            ebk.draw_safe_endpoints(rng, [harmonic_table], bs, window, 20)
+        assert rng.bit_generator.state == state

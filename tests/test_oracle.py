@@ -130,46 +130,6 @@ def test_count_below_matches_reference_on_fine_grid():
     assert counts[3] > counts[0] > 0
 
 
-@pytest.mark.parametrize(
-    "pot, hbar",
-    [
-        (ebk.double_well_potential(1.0), 0.1),
-        (ebk.double_well_potential(1.0), 0.05),
-        (ebk.morse_potential(1.0, 1.0), 0.05),
-    ],
-)
-def test_bracket_counts_match_count_below(pot, hbar, monkeypatch):
-    window = ebk.EnergyWindow(0.1, 0.6, 0.05)
-    run = ebk.solve_window(pot, window, hbar)
-    levels = run.bisected.eigenvalues
-    assert levels.size >= 4
-    rng = np.random.default_rng(17)
-    # Seeded shifts, and shifts just outside the final brackets.
-    shifts = np.concatenate([
-        rng.uniform(window.e1, window.e2, 2000),
-        levels - 2.0 * ebk.oracle.DEFAULT_BISECT_TOL,
-        levels + 2.0 * ebk.oracle.DEFAULT_BISECT_TOL,
-    ])
-    expected = ebk.count_below(run.operator, shifts)
-    calls = []
-    count_below = ebk.oracle.count_below
-
-    def counted(T, lam):
-        calls.append(np.size(lam))
-        return count_below(T, lam)
-
-    monkeypatch.setattr(ebk.oracle, "count_below", counted)
-    counts, fallback = run.counts_below(shifts)
-    assert np.array_equal(counts, expected)
-    assert not fallback.any() and calls == []
-    # A shift at a level, or outside the bisected range, takes count_below.
-    lo, hi = run.bisected_range
-    odd = np.array([levels[1], lo - 0.01, hi + 0.01, 0.3])
-    counts, fallback = run.counts_below(odd)
-    assert np.array_equal(counts, count_below(run.operator, odd))
-    assert list(fallback) == [True, True, True, False] and calls == [3]
-
-
 def test_eigenvalues_in_diagonal():
     op = _diag_op([1.0, 2.0, 3.0])
     res = ebk.eigenvalues_in(op, 1.5, 3.5)
