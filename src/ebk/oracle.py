@@ -38,6 +38,7 @@ truncated position matrix. All three LAPACK routines are bound in _lapack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -197,22 +198,21 @@ def count_below(T: TridiagonalOperator, lam):
 
     One dstebz call per shift over (-inf, nextafter(lam, -inf)]. The
     infinite tolerance stops LAPACK right after its Sturm count, before it
-    bisects any eigenvalue. Raises BisectionFailed if dstebz reports an
-    error.
+    bisects any eigenvalue. An array of shifts of any shape gives an int64
+    array of that shape. Raises BisectionFailed if dstebz reports an error.
     """
-    scalar = np.isscalar(lam) or np.asarray(lam).ndim == 0
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    lams = np.asarray(lam, dtype=float)
     counts = np.empty(lams.size, dtype=np.int64)
-    for j, shift in enumerate(np.nextafter(lams, -np.inf)):
+    for j, shift in enumerate(np.nextafter(lams, -np.inf).ravel()):
         counts[j], _, _, _, info = dstebz(
             T.diag, T.offdiag, _BY_VALUE, -np.inf, shift, 0, 0, np.inf, "E"
         )
         if info != 0:
             raise BisectionFailed(
-                f"dstebz could not count the eigenvalues below {lams[j]!r} "
+                f"dstebz could not count the eigenvalues below {lams.flat[j]!r} "
                 f"(info = {info})"
             )
-    return int(counts[0]) if scalar else counts
+    return int(counts[0]) if lams.ndim == 0 else counts.reshape(lams.shape)
 
 
 def eigenvalues_in(
@@ -406,6 +406,23 @@ class BasisRun:
         return max(10.0 * DEFAULT_BISECT_TOL, self.basis_residual)
 
 
+@functools.lru_cache(maxsize=1)
+def _dvr(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and vectors of the q-node DVR position matrix, read-only.
+
+    They depend on q alone, so successive hbar values with the same basis
+    size share one dstevd call; only the last q is kept.
+    """
+    nodes, U, info = dstevd(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
+    if info != 0:
+        raise BasisNotConverged(
+            f"dstevd failed on the {q}-node DVR position matrix (info = {info})"
+        )
+    nodes.flags.writeable = False
+    U.flags.writeable = False
+    return nodes, U
+
+
 def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> BasisRun:
     """Window eigenvalues by Rayleigh-Ritz in a harmonic-oscillator basis.
 
@@ -415,8 +432,9 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     _BASIS_SAFETY times the box area over 2 pi hbar, at least _BASIS_MIN.
     xi^2/2 is pentadiagonal in closed form; V is the X-matrix DVR, with
     the Q = 2N + _DVR_EXTRA_NODES nodes y and vectors U of the truncated
-    position matrix giving V_mn = sum_q U_mq V(x_c + y_q) U_nq, the
-    Gauss-Hermite quadrature of the matrix elements. V is capped at
+    position matrix (computed once per Q, by _dvr) giving
+    V_mn = sum_q U_mq V(x_c + y_q) U_nq, the Gauss-Hermite quadrature of
+    the matrix elements. V is capped at
     _V_CEILING times the window's height above the minimum: only
     nodes deep in the forbidden region reach the cap, where window states
     are negligible, and the cap keeps the matrix norm, hence the rounding
@@ -441,16 +459,10 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     n = max(_BASIS_MIN, math.ceil(_BASIS_SAFETY * 4.0 * half * ximax / (2.0 * math.pi * hbar)))
 
     def hamiltonian(size):
-        q = size + _DVR_EXTRA_NODES
-        nodes, U, info = dstevd(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
-        if info != 0:
-            raise BasisNotConverged(
-                f"dstevd failed on the {q}-node DVR position matrix (info = {info})"
-            )
+        nodes, U = _dvr(size + _DVR_EXTRA_NODES)
         v = potential.value(0.5 * (xlo + xhi) + math.sqrt(hbar / omega) * nodes) - vmin
         # The rows of U are orthonormal, so V = vmin + W W^T with W = U sqrt(V - vmin).
-        W = U[:size]
-        W *= np.sqrt(np.clip(v, 0.0, _V_CEILING * (top - vmin)))
+        W = U[:size] * np.sqrt(np.clip(v, 0.0, _V_CEILING * (top - vmin)))
         H = W @ W.T
         # xi^2/2 = (hbar omega / 2) p^2, with p^2 = a^+ a + 1/2 - (a^2 + a^+^2)/2.
         k = np.arange(size)

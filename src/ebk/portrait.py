@@ -5,9 +5,10 @@ pass over a grid of H values yields one closed contour loop per component.
 The pass computes every edge crossing and pairs the crossings of every
 cell as arrays, and walks each loop along an integer neighbour table; a
 crossing on the box boundary means the level set leaves the box. Each loop
-then gives _ARCS seeds at evenly spaced edge crossings (a loop too short to
-split gives one), refined onto the level set along the gradient. The seeds
-cut the orbit into arcs, and the flow
+then gives one seed per _ARC_CROSSINGS of its edge crossings, at least one,
+at evenly spaced crossings, refined onto the level set along the gradient.
+The seeds cut the orbit into arcs of about the same grid length, and the
+flow
 
     x' = dH/dxi,   xi' = -dH/dx,
 
@@ -18,7 +19,7 @@ loop action, as local pieces over an open cover of the circle do, and the
 sample polyline is resampled across them. The arcs of a scan (every loop of
 every sampled energy) are integrated together as one batch, each with its
 own step size, section and landing test, so the stepper's sequential depth
-is that of the longest arc, about 1/_ARCS of the longest orbit's.
+is that of the longest arc, which does not grow with the orbit's length.
 
 Component counting near a topology change never relies on tracing (a trace
 started on a critical level would stall), only on the marching pass.
@@ -62,11 +63,12 @@ _LOCAL_TOL_FACTOR = 1e-3
 # (SciPy's RK45 clamps rtol the same way); below it the error estimates are
 # noise and the step size shrinks without limit.
 MIN_TRACE_TOL = 100.0 * np.finfo(float).eps / _LOCAL_TOL_FACTOR
-# Arcs per orbit. A marching loop of at least _ARCS * _MIN_ARC_CROSSINGS edge
-# crossings is traced as _ARCS arcs side by side in one batch, which divides
-# the stepper's sequential depth by about _ARCS; a shorter loop is one arc.
-_ARCS = 8
-_MIN_ARC_CROSSINGS = 8
+# Edge crossings per arc. A marching loop of n crossings is traced as
+# max(1, n // _ARC_CROSSINGS) arcs side by side in one batch, so every arc
+# spans about the same grid length and the stepper's sequential depth is
+# that of one such arc, whatever the orbit's length; a loop under
+# 2 * _ARC_CROSSINGS crossings is one arc.
+_ARC_CROSSINGS = 12
 
 
 def check_trace_tol(trace_tol: float) -> None:
@@ -155,8 +157,9 @@ def _grid_values(spec, box: Box, n: int):
 def _marching_loops(spec, energy, box, grid_n):
     """Closed contour loops of {H = E} on the grid, at one energy or several.
 
-    A scalar energy gives a list of loops, each an ordered list of
-    edge-crossing points (x, xi); an ascending array of energies gives one
+    A scalar energy gives a list of loops, each an (n, 2) array of the
+    edge-crossing points (x, xi) in loop order, a slice of one array of
+    every loop's points; an ascending array of energies gives one
     such list per energy, from one evaluation of H on the grid and one pass
     over every level's crossings. Edge (i, j, axis) of level k joins node
     (i, j) to (i + 1, j) for axis 0 and to (i, j + 1) for axis 1; its code
@@ -261,7 +264,7 @@ def _marching_loops(spec, energy, box, grid_n):
     walk = np.argsort(start * len(codes) + rank)
     firsts = np.flatnonzero(at_start[walk])
     bounds = np.append(firsts, len(walk)).tolist()
-    points = list(zip(px[walk].tolist(), pxi[walk].tolist()))
+    points = np.column_stack([px[walk], pxi[walk]])
     loops = [[] for _ in levels]
     for p, q, k in zip(bounds[:-1], bounds[1:], level[walk[firsts]].tolist()):
         loops[k].append(points[p:q])
@@ -444,10 +447,6 @@ def trace_component(
     uphill = np.vstack([-normal[1], normal[0]])  # the unit gradient at each target
     target = pts[nxt].T - (level[nxt] - level) / speed[nxt] * uphill
 
-    def section(y, c):
-        """Signed distance of states y of columns c past their target sections."""
-        return normal[0, c] * (y[0] - target[0, c]) + normal[1, c] * (y[1] - target[1, c])
-
     def rhs(y):
         dx, dxi = spec.gradient(y[0], y[1])
         return np.array([dxi, -dx, y[1] * dxi])
@@ -456,17 +455,21 @@ def trace_component(
     y0 = np.vstack([pts.T, np.zeros(M)])
     history = _History()
     running = np.ones(M, dtype=bool)  # not yet landed; the stepper drops the rest
-    g_prev = section(y0, slice(None))  # exactly 0 for a lone seed
+    # Signed distance past each column's target section; exactly 0 for a lone seed.
+    g_prev = normal[0] * (y0[0] - target[0]) + normal[1] * (y0[1] - target[1])
     arc_time = np.zeros(M)
     y_end = np.zeros((3, M))
     attempts = np.zeros(M, dtype=int)
+    live = None  # the stepper's cols, whose sections nrm and tgt hold
     # Overflow leaves NaNs, which the stepper's underflow test and the drift
     # check below turn into TraceDiverged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         local_tol = trace_tol * _LOCAL_TOL_FACTOR
         for step in integrate.dp45_steps(rhs, y0, local_tol, max_time, active=running):
             history.append(step)
-            g_new = section(step.y1, step.cols)
+            if step.cols is not live:  # a new array only when a column lands or rejects
+                live, nrm, tgt = step.cols, normal[:, step.cols], target[:, step.cols]
+            g_new = nrm[0] * (step.y1[0] - tgt[0]) + nrm[1] * (step.y1[1] - tgt[1])
             hit = (g_prev[step.cols] < 0.0) & (g_new >= 0.0)
             g_prev[step.cols] = g_new
             if not hit.any():
@@ -492,13 +495,15 @@ def trace_component(
 
     cols = history.cols[: history.n]
     gaps = np.hypot(y_end[0] - target[0], y_end[1] - target[1])
+    # Every step by column, in time order within each: orbit j's steps, arc
+    # by arc, are the slice bounds[j]:bounds[j + 1].
+    by_col = np.argsort(cols, kind="stable")
+    bounds = np.searchsorted(cols[by_col], np.append(starts, M))
     components = []
     for j in range(len(orbits)):
         arcs = slice(starts[j], starts[j] + counts[j])
         offsets = np.cumsum(arc_time[arcs]) - arc_time[arcs]
-        # The orbit's steps, arc by arc and in time order within each arc.
-        mine = np.flatnonzero((cols >= starts[j]) & (cols < starts[j] + counts[j]))
-        sel = mine[np.argsort(cols[mine], kind="stable")]
+        sel = by_col[bounds[j] : bounds[j + 1]]
         ts = np.linspace(0.0, period[j], n_points, endpoint=False)
         points = integrate.resample(
             history.t0[sel] + offsets[cols[sel] - starts[j]],
@@ -536,17 +541,15 @@ def trace_component(
 def _candidates(spec, energy, loops):
     """The arc seeds of each marching loop, refined onto the level set.
 
-    A loop of at least _ARCS * _MIN_ARC_CROSSINGS edge crossings gets _ARCS
-    seeds at evenly spaced crossings in loop order, the first crossing
-    first; a shorter loop gets its first crossing alone.
+    A loop of n edge crossings gets k = max(1, n // _ARC_CROSSINGS) seeds
+    at the evenly spaced crossings i * n // k in loop order, the first
+    crossing first.
     """
-    picks = [
-        [loop[i * len(loop) // _ARCS] for i in range(_ARCS)]
-        if len(loop) >= _ARCS * _MIN_ARC_CROSSINGS
-        else loop[:1]
-        for loop in loops
-    ]
-    seeds = refine_to_level(spec, [p for ps in picks for p in ps], energy)
+    picks = []
+    for loop in loops:
+        k = max(1, len(loop) // _ARC_CROSSINGS)
+        picks.append(loop[np.arange(k) * len(loop) // k])
+    seeds = refine_to_level(spec, np.concatenate(picks), energy)
     return np.split(seeds, np.cumsum([len(ps) for ps in picks])[:-1])
 
 

@@ -18,6 +18,8 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from ebk.errors import EmptyLevelSet, NotSimple, OutOfWindow, PreimageNotEnclosed
+from ebk.portrait import _lobatto
+from ebk.symbols import compact_preimage_box
 
 
 def sturm_counts_py(diag, offsq, lams):
@@ -235,6 +237,16 @@ def marching_loops_py(spec, energy, box, grid_n):
             raise PreimageNotEnclosed("open contour chain: the level set leaves the box")
         loops.append([crossings[key] for key in chain])
     return loops
+
+
+def scan_arcs_py(spec, window, n_samples, crossings, grid_n=201):
+    """Arcs of each reference loop at each Lobatto energy of a family scan:
+    one per `crossings` edge crossings of the loop, at least one."""
+    box = compact_preimage_box(spec, window)
+    return [
+        [max(1, len(loop) // crossings) for loop in marching_loops_py(spec, e, box, grid_n)]
+        for e in _lobatto(window, n_samples)
+    ]
 
 
 def invert_action_py(table, a: float) -> float:

@@ -89,6 +89,13 @@ def test_count_below_diagonal_examples():
     assert ebk.count_below(op, 2.5) == 2
     assert ebk.count_below(op, 0.5) == 0
     assert ebk.count_below(op, 2.0) == 1  # strictly below
+    assert type(ebk.count_below(op, np.float64(2.5))) is int
+    # An array of shifts of any shape gives counts of that shape.
+    counts = ebk.count_below(op, np.array([[1.5, 2.5], [0.5, 3.5]]))
+    assert counts.shape == (2, 2) and counts.dtype == np.int64
+    assert counts.tolist() == [[1, 2], [0, 3]]
+    assert ebk.count_below(op, np.array([1.5, 2.5, 0.5, 3.5])).tolist() == [1, 2, 0, 3]
+    assert ebk.count_below(op, np.empty((0, 2))).shape == (0, 2)
 
 
 def test_count_below_harmonic_levels():
@@ -412,7 +419,35 @@ def test_lapack_bindings_match_scipy_linalg():
     assert info == ref_info == 0 and np.array_equal(z, ref_z)
 
 
+def test_basis_dvr_shared_across_hbar(monkeypatch):
+    # The quartic's basis has N = 150 states at every hbar here, so one
+    # dstevd call serves all three; the cached vectors are never written,
+    # so each run equals a run with an empty cache, bit for bit.
+    calls = []
+    dstevd = ebk.oracle.dstevd
+
+    def counted(d, e):
+        calls.append(d.size)
+        return dstevd(d, e)
+
+    monkeypatch.setattr(ebk.oracle, "dstevd", counted)
+    pot, window = ebk.quartic_potential(), ebk.EnergyWindow(0.5, 2.0, 0.05)
+    ebk.oracle._dvr.cache_clear()
+    runs = [ebk.solve_basis(pot, window, hbar) for hbar in (0.2, 0.1, 0.05)]
+    assert calls == [308]
+    nodes, U = ebk.oracle._dvr(308)
+    assert not (nodes.flags.writeable or U.flags.writeable)
+    for hbar, run in zip((0.2, 0.1, 0.05), runs):
+        ebk.oracle._dvr.cache_clear()
+        fresh = ebk.solve_basis(pot, window, hbar)
+        assert np.array_equal(run.result.eigenvalues, fresh.result.eigenvalues)
+        assert np.array_equal(run.result.indices, fresh.result.indices)
+        assert run.basis_residual == fresh.basis_residual
+    assert len(calls) == 4
+
+
 def test_basis_dvr_lapack_failure(monkeypatch):
+    ebk.oracle._dvr.cache_clear()  # an earlier test may have cached this basis size
     monkeypatch.setattr(ebk.oracle, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
     with pytest.raises(BasisNotConverged, match=r"dstevd failed .* \(info = 3\)"):
         ebk.solve_basis(ebk.harmonic_potential(), ebk.EnergyWindow(0.2, 0.8, 0.05), 0.1)

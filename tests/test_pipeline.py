@@ -13,6 +13,8 @@ import ebk
 from ebk import errors, integrate, pipeline, portrait
 from ebk.config import STAGES, parse_config
 
+from oracles import scan_arcs_py
+
 
 def _config(out_dir, pipeline_stages) -> ebk.config.RunConfig:
     return parse_config(
@@ -171,8 +173,15 @@ def test_run_manifest_reports_arcs_and_attempts(tmp_path, capsys, monkeypatch):
     for manifest, code in runs:
         assert code == 0
         trace = manifest["metrics"]["trace"]
-        # 17 orbits of 8 arcs; the attempts are the scan's stepper attempts.
-        assert trace["arcs"] == {"1": 17 * portrait._ARCS}
+        # One arc per _ARC_CROSSINGS crossings of each of the 17 loops; the
+        # attempts are the scan's stepper attempts.
+        loops = scan_arcs_py(
+            ebk.schrodinger_symbol(ebk.harmonic_potential()),
+            ebk.EnergyWindow(0.2, 0.8, 0.05),
+            17,
+            portrait._ARC_CROSSINGS,
+        )
+        assert trace["arcs"] == {"1": sum(map(sum, loops))} and trace["arcs"]["1"] > 17
         assert trace["attempts"] == (evals[0] - 2) // 6
         line = f"[ebk] trace: arcs {trace['arcs']}, {trace['attempts']} stepper attempts"
         assert printed.count(line) == 2

@@ -17,7 +17,7 @@ from ebk import integrate, portrait
 from ebk.portrait import marching_component_count, refine_to_level
 from ebk.symbols import Box
 
-from oracles import marching_loops_py, period_integral
+from oracles import marching_loops_py, period_integral, scan_arcs_py
 
 BOX = Box(-2, 2, -2, 2)
 
@@ -304,6 +304,12 @@ def _bits(loops):
     return [np.asarray(loop, dtype=float).tobytes() for loop in loops]
 
 
+def _same_loops(got, ref):
+    """got, (n, 2) arrays, holds ref's loops of (x, xi) tuples bit for bit."""
+    shapes = [np.shape(loop) for loop in got]
+    return shapes == [(len(loop), 2) for loop in ref] and _bits(got) == _bits(ref)
+
+
 def test_marching_matches_reference_walker(harmonic, quartic, morse, double_well, kerr):
     sextic = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]))
     cases = [
@@ -325,8 +331,8 @@ def test_marching_matches_reference_walker(harmonic, quartic, morse, double_well
             for energy, several in zip(energies, per_level):
                 got = portrait._marching_loops(spec, energy, box, grid_n)
                 ref = marching_loops_py(spec, energy, box, grid_n)
-                assert got == ref and _bits(got) == _bits(ref)
-                assert several == ref and _bits(several) == _bits(ref)
+                assert all(isinstance(loop, np.ndarray) for loop in got + several)
+                assert _same_loops(got, ref) and _same_loops(several, ref)
                 _, _, H = portrait._grid_values(spec, box, grid_n)
                 pos = H > energy
                 saddles += int(np.sum(
@@ -372,7 +378,7 @@ def test_marching_errors_match_reference_walker(harmonic, double_well):
     assert kinds == {PreimageNotEnclosed, EmptyLevelSet}
 
 
-def _arc_seeds(comp, k=portrait._ARCS):
+def _arc_seeds(comp, k=8):
     """k points of a traced orbit, evenly spaced in flow time from its seed."""
     return comp.points[:: len(comp.points) // k][:k]
 
@@ -384,7 +390,7 @@ def test_arcs_match_single_seed_trace(harmonic, kerr, double_well, dw_families):
     for spec, seed, energy in cases:
         single = ebk.trace_component(spec, seed, energy)
         arcs = ebk.trace_component(spec, _arc_seeds(single), energy)
-        assert (single.arcs, arcs.arcs) == (1, portrait._ARCS)
+        assert (single.arcs, arcs.arcs) == (1, 8)
         assert arcs.seed == single.seed
         assert abs(arcs.period - single.period) <= 1e-12
         assert abs(arcs.action - single.action) <= 1e-12
@@ -418,15 +424,23 @@ def test_arc_seeds_against_flow_give_same_component(kerr, double_well, dw_famili
 
 def test_short_loop_traces_as_one_arc(harmonic):
     # On a coarse grid the circle crosses too few edges to be split.
-    loops = portrait._marching_loops(harmonic, 0.5, BOX, 15)
-    assert len(loops) == 1 and len(loops[0]) < portrait._ARCS * portrait._MIN_ARC_CROSSINGS
+    loops = portrait._marching_loops(harmonic, 0.5, BOX, 11)
+    assert len(loops) == 1 and len(loops[0]) < 2 * portrait._ARC_CROSSINGS
     (seeds,) = portrait._candidates(harmonic, 0.5, loops)
     assert seeds.shape == (1, 2)
-    (family,) = ebk.build_families(harmonic, ebk.EnergyWindow(0.2, 0.8, 0.05), 9, grid_n=15)
-    assert all(c.arcs == 1 for c in family.components)
-    # The fine default grid splits every orbit of the window.
-    (family,) = ebk.build_families(harmonic, ebk.EnergyWindow(0.2, 0.8, 0.05), 9)
-    assert all(c.arcs == portrait._ARCS for c in family.components)
+    # Each orbit gets one arc per _ARC_CROSSINGS crossings of its loop: on
+    # this grid the small orbits of the window are one arc, the large ones
+    # two or three.
+    window, crossings = ebk.EnergyWindow(0.2, 0.8, 0.05), portrait._ARC_CROSSINGS
+    (family,) = ebk.build_families(harmonic, window, 9, grid_n=11)
+    arcs = [c.arcs for c in family.components]
+    assert [[a] for a in arcs] == scan_arcs_py(harmonic, window, 9, crossings, grid_n=11)
+    assert arcs[0] == 1 and arcs[-1] == 3
+    # The fine default grid splits every orbit of the window, larger ones into more arcs.
+    (family,) = ebk.build_families(harmonic, window, 9)
+    arcs = [c.arcs for c in family.components]
+    assert [[a] for a in arcs] == scan_arcs_py(harmonic, window, 9, crossings)
+    assert 1 < arcs[0] < arcs[-1]
     for comp in family.components:
         assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-12)
         assert comp.period == pytest.approx(2 * math.pi, abs=1e-12)
@@ -439,8 +453,10 @@ def test_arcs_land_at_small_gradient(harmonic, deadline):
     deadline(20)
     window = ebk.EnergyWindow(1e-4, 5e-4, 5e-5)
     (family,) = ebk.build_families(harmonic, window, 9, trace_tol=portrait.MIN_TRACE_TOL)
+    expected = scan_arcs_py(harmonic, window, 9, portrait._ARC_CROSSINGS)
+    assert [[c.arcs] for c in family.components] == expected
     for comp in family.components:
-        assert comp.arcs == portrait._ARCS
+        assert comp.arcs > 1
         assert comp.closure_gap <= comp.trace_tol
         assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-11)
 
@@ -468,10 +484,14 @@ def test_double_well_scan_attempts_ceiling(double_well, monkeypatch):
         return steps(rhs, *args, **kwargs)
 
     monkeypatch.setattr(integrate, "dp45_steps", counted)
-    families = ebk.build_families(double_well, ebk.EnergyWindow(0.1, 0.6, 0.05))
+    window = ebk.EnergyWindow(0.1, 0.6, 0.05)
+    families = ebk.build_families(double_well, window)
     attempts, extra = divmod(len(evals) - 2, 6)
     assert extra == 0
-    assert attempts <= 150
+    # Arcs of 12 crossings take 56 attempts here; 8 arcs per orbit took 110.
+    assert attempts <= 60
     comps = [c for f in families for c in f.components]
     assert max(c.attempts for c in comps) == attempts
-    assert evals[0] == sum(c.arcs for c in comps) == 2 * 17 * portrait._ARCS
+    loops = scan_arcs_py(double_well, window, 17, portrait._ARC_CROSSINGS)
+    assert all(len(arcs) == 2 for arcs in loops)
+    assert evals[0] == sum(c.arcs for c in comps) == sum(map(sum, loops))
