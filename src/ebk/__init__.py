@@ -10,7 +10,6 @@ from .symbols import (
     anisotropic_symbol,
     compact_preimage_box,
     double_well_potential,
-    eval_gradient,
     eval_symbol,
     harmonic_potential,
     kerr_symbol,
@@ -25,7 +24,6 @@ from .portrait import (
     ComponentFamily,
     LevelComponent,
     build_families,
-    seed_components,
     trace_component,
 )
 from .action import (
@@ -46,7 +44,6 @@ from .solver import (
     exact_weyl_count,
     exit_hbar,
     merged_spectrum,
-    nearest_level,
     quantize_family,
 )
 from .oracle import (
@@ -54,8 +51,6 @@ from .oracle import (
     EigenResult,
     OracleRun,
     TridiagonalOperator,
-    allowed_region_mass,
-    ball_multiplicity,
     count_below,
     discretize,
     domain_auto,

@@ -227,10 +227,14 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
 
 def load_config(path) -> RunConfig:
     """Parse and validate a config file; errors carry line context."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            f"config file {path} is not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

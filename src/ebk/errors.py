@@ -77,10 +77,6 @@ class UnsafeEndpoint(EbkError):
     """Counting endpoint sits too close to the spectrum for an exact count."""
 
 
-class EmptySpectrum(EbkError):
-    """Operation requires at least one spectral entry."""
-
-
 class DomainTooSmall(HypothesisError):
     """Truncation half-width does not confine the requested energies."""
 

@@ -22,9 +22,8 @@ complete and with their global indices, so the levels between two energies
 in the window are counted from that list (the Weyl checks).
 Eigenvectors come from LAPACK's inverse iteration for tridiagonal matrices,
 dstein, in one call for all window levels. The grid carries what the rest
-of the pipeline needs besides eigenvalues: exact counts at any shift (ball
-multiplicities) and eigenvectors on x (node counts, well masses), so it
-stays the pipeline's reference.
+of the pipeline needs besides eigenvalues: exact counts at any shift and
+eigenvectors on x (node counts), so it stays the pipeline's reference.
 
 The basis oracle (solve_basis) is what convergence_study uses: it only
 needs the window levels, and gets them far more accurately and quickly.
@@ -93,9 +92,6 @@ class TridiagonalOperator:
 
     def potential_values(self) -> np.ndarray:
         return self.diag - self.hbar**2 / self.h**2
-
-    def grid(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.n)
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         out = self.diag * v
@@ -184,13 +180,11 @@ def domain_auto(
     N = int(math.ceil(cells)) + 1
     if N < 3:
         raise ConfigError(f"grid of {N} points is under the 3-point stencil; tighten phase_tol")
-    _check_cap(2 * N - 1)
+    if 2 * N - 1 > _MAX_GRID:
+        raise GridTooLarge(
+            f"grid of {2 * N - 1} points exceeds the {_MAX_GRID} cap; relax phase_tol"
+        )
     return L, N
-
-
-def _check_cap(n: int):
-    if n > _MAX_GRID:
-        raise GridTooLarge(f"grid of {n} points exceeds the {_MAX_GRID} cap; relax phase_tol")
 
 
 def count_below(T: TridiagonalOperator, lam):
@@ -300,30 +294,6 @@ def nodes_resolved(v: np.ndarray, T: TridiagonalOperator, energy: float) -> bool
     return all(max(seg.max(), -seg.min()) >= floor for seg, inside in segments if inside)
 
 
-def allowed_region_mass(
-    v: np.ndarray, T: TridiagonalOperator, energy: float, delta: float
-) -> float:
-    """Probability mass sitting where V(x) > energy + delta."""
-    pot = T.potential_values()
-    w = np.square(np.asarray(v, dtype=float))
-    total = float(np.sum(w))
-    if total == 0.0:
-        raise ValueError("vector must be nonzero")
-    return float(np.sum(w[pot > energy + delta]) / total)
-
-
-def ball_multiplicity(T: TridiagonalOperator, center: float, radius: float) -> int:
-    """Exact eigenvalue count in [center - radius, center + radius), half-open.
-
-    Both ends are count_below shifts, so an eigenvalue equal to
-    center - radius is counted and one equal to center + radius is not.
-    """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    lo, hi = count_below(T, np.array([center - radius, center + radius]))
-    return int(hi - lo)
-
-
 @dataclass(frozen=True)
 class OracleRun:
     """Extrapolated window eigenvalues plus the finest operator used."""
@@ -331,8 +301,7 @@ class OracleRun:
     result: EigenResult
     operator: TridiagonalOperator
     L: float
-    grid_sizes: tuple[int, ...]
-    gate_residual: float | None
+    grid_sizes: tuple[int, int]
     floor_estimate: float
 
 
@@ -342,54 +311,38 @@ def solve_window(
     hbar: float,
     *,
     phase_tol: float = DEFAULT_PHASE_TOL,
-    gate: bool = False,
 ) -> OracleRun:
     """Window eigenvalues with the O(h^2) error removed by extrapolation.
 
-    gate=True adds a third nested grid and reports the spread between the
-    two extrapolations (the self-consistency residual a comparison must
-    check before trusting the oracle). Raises GridTooLarge before building
-    any grid if the finest one exceeds the cap.
+    The window levels are found on the nested grids N and 2N - 1 of
+    domain_auto, which raises GridTooLarge before any grid is built if the
+    finer one exceeds the cap, and matched by global index; (4 fine -
+    coarse) / 3 cancels the O(h^2) term. operator is the finer grid.
     """
     a, b = window.e1, window.e2
     L, N = domain_auto(potential, window, hbar, phase_tol=phase_tol)
-    sizes = [N, 2 * N - 1] + ([4 * N - 3] if gate else [])
-    _check_cap(sizes[-1])
+    sizes = (N, 2 * N - 1)
     pad = 0.01 * (b - a)
     per_grid = []
     for n_i in sizes:
         T = discretize(potential, hbar, L, n_i, window=window)
-        per_grid.append((T, eigenvalues_in(T, a - pad, b + pad)))
-
-    def _extrap(coarse: EigenResult, fine: EigenResult):
-        # Indices are unique; assume_unique also skips np.unique, which
-        # imports numpy.ma on its first call.
-        common = np.intersect1d(coarse.indices, fine.indices, assume_unique=True)
-        ec = coarse.eigenvalues[np.searchsorted(coarse.indices, common)]
-        ef = fine.eigenvalues[np.searchsorted(fine.indices, common)]
-        # Sorted: a doublet tied below DEFAULT_BISECT_TOL can swap order here.
-        ext = np.sort((4.0 * ef - ec) / 3.0)
-        return common, ext, float(np.max(np.abs(ef - ec), initial=0.0))
-
-    idx1, ext1, corr1 = _extrap(per_grid[0][1], per_grid[1][1])
-    gate_residual = None
-    if gate:
-        idx2, ext2, corr2 = _extrap(per_grid[1][1], per_grid[2][1])
-        both = np.intersect1d(idx1, idx2, assume_unique=True)
-        d1 = ext1[np.searchsorted(idx1, both)]
-        d2 = ext2[np.searchsorted(idx2, both)]
-        gate_residual = float(np.max(np.abs(d1 - d2), initial=0.0))
-        idx1, ext1, corr1 = idx2, ext2, corr2
-    keep = (ext1 >= a) & (ext1 <= b)
-    result = EigenResult(eigenvalues=ext1[keep], indices=idx1[keep])
-    floor = max(10.0 * DEFAULT_BISECT_TOL, 0.1 * corr1 / 3.0)
+        per_grid.append(eigenvalues_in(T, a - pad, b + pad))
+    coarse, fine = per_grid
+    # Indices are unique; assume_unique also skips np.unique, which
+    # imports numpy.ma on its first call.
+    common = np.intersect1d(coarse.indices, fine.indices, assume_unique=True)
+    ec = coarse.eigenvalues[np.searchsorted(coarse.indices, common)]
+    ef = fine.eigenvalues[np.searchsorted(fine.indices, common)]
+    # Sorted: a doublet tied below DEFAULT_BISECT_TOL can swap order here.
+    ext = np.sort((4.0 * ef - ec) / 3.0)
+    keep = (ext >= a) & (ext <= b)
+    corr = float(np.max(np.abs(ef - ec), initial=0.0))
     return OracleRun(
-        result=result,
-        operator=per_grid[-1][0],
+        result=EigenResult(eigenvalues=ext[keep], indices=common[keep]),
+        operator=T,
         L=L,
-        grid_sizes=tuple(sizes),
-        gate_residual=gate_residual,
-        floor_estimate=floor,
+        grid_sizes=sizes,
+        floor_estimate=max(10.0 * DEFAULT_BISECT_TOL, 0.1 * corr / 3.0),
     )
 
 

@@ -27,7 +27,7 @@ started on a critical level would stall), only on the marching pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -94,10 +94,9 @@ def check_action_samples(n) -> None:
 class LevelComponent:
     """One closed oriented component of {H = E}, sampled along the flow.
 
-    points are approximately equispaced in flow time over one period and do
-    not repeat the initial point at t = period. orientation +1 means the
-    stored order follows the Hamiltonian flow; action is the loop integral
-    of xi dx in the stored orientation.
+    points are approximately equispaced in flow time over one period, do
+    not repeat the initial point at t = period and follow the Hamiltonian
+    flow; action is the loop integral of xi dx in that orientation.
     """
 
     energy: float
@@ -105,23 +104,11 @@ class LevelComponent:
     times: np.ndarray
     period: float
     seed: tuple[float, float]
-    orientation: int
     action: float
-    trace_tol: float
     closure_gap: float = 0.0  # largest arc landing gap, already <= trace_tol
     steps: int = 0  # accepted DP45 steps of the trace, summed over its arcs
     arcs: int = 1  # arcs the orbit was traced as
     attempts: int = 0  # stepper attempts of its batch until its last arc landed
-
-    def reversed(self) -> "LevelComponent":
-        pts = self.points[::-1].copy()
-        pts = np.roll(pts, 1, axis=0)  # keep the seed sample first
-        return replace(
-            self,
-            points=pts,
-            orientation=-self.orientation,
-            action=-self.action,
-        )
 
 
 @dataclass(frozen=True)
@@ -139,11 +126,6 @@ class ComponentFamily:
     def energies(self) -> np.ndarray:
         return np.array([c.energy for c in self.components])
 
-    @property
-    def seeds(self) -> np.ndarray:
-        """(n, 2), the seed of each sampled component."""
-        return np.array([c.seed for c in self.components])
-
 
 def _grid_values(spec, box: Box, n: int):
     xs = np.linspace(box.x_lo, box.x_hi, n)
@@ -154,33 +136,31 @@ def _grid_values(spec, box: Box, n: int):
     return xs, xis, H
 
 
-def _marching_loops(spec, energy, box, grid_n):
-    """Closed contour loops of {H = E} on the grid, at one energy or several.
+def _marching_loops(spec, energies, box, grid_n):
+    """Closed contour loops of {H = E} on the grid at each of several energies.
 
-    A scalar energy gives a list of loops, each an (n, 2) array of the
-    edge-crossing points (x, xi) in loop order, a slice of one array of
-    every loop's points; an ascending array of energies gives one
-    such list per energy, from one evaluation of H on the grid and one pass
-    over every level's crossings. Edge (i, j, axis) of level k joins node
-    (i, j) to (i + 1, j) for axis 0 and to (i, j + 1) for axis 1; its code
-    is k * 2n^2 + (i * n + j) * 2 + axis, so the sorted codes run level by
-    level and, within a level, in the order of a single-level scan. A node's
-    band, the number of levels below H there, comes from one
-    searchsorted, and an edge crosses the levels from the lesser band of its
-    ends up to the greater. The crossing points and the pairing of every
-    cell's crossed edges, a saddle cell's by the sign of H - E at its
-    centre, are array operations over all levels with the arithmetic of one
-    level at a time. Every interior edge then has two neighbours, so a chain
-    is open exactly when a crossed edge lies on the box boundary. The least
-    energy without a crossing raises EmptyLevelSet, or with a boundary
-    crossing PreimageNotEnclosed, whichever comes first. Each loop starts at
-    its least edge and goes on to that edge's neighbour in its lower cell;
-    the walk orients every edge with H > E on the left and ranks each
-    crossing along its loop by pointer doubling, so it is array operations
-    too.
+    An ascending sequence of energies gives one list of loops per energy,
+    each loop an (n, 2) array of the edge-crossing points (x, xi) in loop
+    order, a slice of one array of every loop's points, from one evaluation
+    of H on the grid and one pass over every level's crossings. Edge
+    (i, j, axis) of level k joins node (i, j) to (i + 1, j) for axis 0 and
+    to (i, j + 1) for axis 1; its code is k * 2n^2 + (i * n + j) * 2 + axis,
+    so the sorted codes run level by level and, within a level, in the order
+    of a single-level scan. A node's band, the number of levels below H
+    there, comes from one searchsorted, and an edge crosses the levels from
+    the lesser band of its ends up to the greater. The crossing points and
+    the pairing of every cell's crossed edges, a saddle cell's by the sign
+    of H - E at its centre, are array operations over all levels with the
+    arithmetic of one level at a time. Every interior edge then has two
+    neighbours, so a chain is open exactly when a crossed edge lies on the
+    box boundary. The least energy without a crossing raises EmptyLevelSet,
+    or with a boundary crossing PreimageNotEnclosed, whichever comes first.
+    Each loop starts at its least edge and goes on to that edge's neighbour
+    in its lower cell; the walk orients every edge with H > E on the left
+    and ranks each crossing along its loop by pointer doubling, so it is
+    array operations too.
     """
-    batch = np.ndim(energy) > 0
-    levels = np.atleast_1d(np.asarray(energy, dtype=float))
+    levels = np.asarray(energies, dtype=float)
     if np.any(np.diff(levels) < 0.0):
         raise ValueError("marching energies must be ascending")
     xs, xis, H = _grid_values(spec, box, grid_n)
@@ -268,14 +248,7 @@ def _marching_loops(spec, energy, box, grid_n):
     loops = [[] for _ in levels]
     for p, q, k in zip(bounds[:-1], bounds[1:], level[walk[firsts]].tolist()):
         loops[k].append(points[p:q])
-    return loops if batch else loops[0]
-
-
-def marching_component_count(
-    spec: SymbolSpec, energy: float, box: Box, grid_n: int = 201
-) -> int:
-    """Number of closed contour loops on the grid; no flow integration."""
-    return len(_marching_loops(spec, energy, box, grid_n))
+    return loops
 
 
 def refine_to_level(spec, point, energy):
@@ -393,9 +366,6 @@ def trace_component(
     seed,
     energy,
     trace_tol: float = DEFAULT_TRACE_TOL,
-    *,
-    max_time: float = DEFAULT_MAX_TIME,
-    n_points: int = DEFAULT_POINTS,
 ) -> LevelComponent | list[LevelComponent]:
     """Trace the closed flow orbit through seed on {H = E}.
 
@@ -415,11 +385,12 @@ def trace_component(
     crossing time is refined by safeguarded Newton on the step's quartic
     dense output to 1e-13. The period and action are the sums over the
     arcs, closure_gap is the largest landing gap, and the points are
-    resampled across the arcs from the first seed. Raises ConfigError
-    (check_trace_tol) if trace_tol is under MIN_TRACE_TOL, CriticalSeed if
-    a seed sits at a near-critical point, NotClosedOrbit if an arc does not
-    land before max_time or an orbit's period exceeds it, and TraceDiverged
-    if its sampled energies drift or its step size underflows.
+    resampled across the arcs from the first seed, DEFAULT_POINTS of them.
+    Raises ConfigError (check_trace_tol) if trace_tol is under
+    MIN_TRACE_TOL, CriticalSeed if a seed sits at a near-critical point,
+    NotClosedOrbit if an arc does not land before DEFAULT_MAX_TIME or an
+    orbit's period exceeds it, and TraceDiverged if its sampled energies
+    drift or its step size underflows.
     """
     check_trace_tol(trace_tol)
     batch = np.ndim(energy) > 0
@@ -465,7 +436,7 @@ def trace_component(
     # check below turn into TraceDiverged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         local_tol = trace_tol * _LOCAL_TOL_FACTOR
-        for step in integrate.dp45_steps(rhs, y0, local_tol, max_time, active=running):
+        for step in integrate.dp45_steps(rhs, y0, local_tol, DEFAULT_MAX_TIME, active=running):
             history.append(step)
             if step.cols is not live:  # a new array only when a column lands or rejects
                 live, nrm, tgt = step.cols, normal[:, step.cols], target[:, step.cols]
@@ -485,11 +456,11 @@ def trace_component(
             attempts[c] = step.attempt + 1
             running[c] = False
     period = np.add.reduceat(arc_time, starts)
-    late = running | np.repeat(period > max_time, counts)
+    late = running | np.repeat(period > DEFAULT_MAX_TIME, counts)
     if late.any():
         j = int(np.argmax(late))
         raise NotClosedOrbit(
-            f"no return to the section within t = {max_time:g} from seed "
+            f"no return to the section within t = {DEFAULT_MAX_TIME:g} from seed "
             f"({pts[j, 0]:g}, {pts[j, 1]:g})"
         )
 
@@ -504,7 +475,7 @@ def trace_component(
         arcs = slice(starts[j], starts[j] + counts[j])
         offsets = np.cumsum(arc_time[arcs]) - arc_time[arcs]
         sel = by_col[bounds[j] : bounds[j + 1]]
-        ts = np.linspace(0.0, period[j], n_points, endpoint=False)
+        ts = np.linspace(0.0, period[j], DEFAULT_POINTS, endpoint=False)
         points = integrate.resample(
             history.t0[sel] + offsets[cols[sel] - starts[j]],
             history.h[sel],
@@ -526,9 +497,7 @@ def trace_component(
                 times=ts,
                 period=float(period[j]),
                 seed=(float(pts[starts[j], 0]), float(pts[starts[j], 1])),
-                orientation=+1,
                 action=float(np.sum(y_end[2, arcs])),
-                trace_tol=trace_tol,
                 closure_gap=float(np.max(gaps[arcs])),
                 steps=len(sel),
                 arcs=int(counts[j]),
@@ -589,7 +558,7 @@ def _distinct(candidates, traces):
     return components
 
 
-def _traced_components(spec, energies, loops, trace_tol, n_points=DEFAULT_POINTS):
+def _traced_components(spec, energies, loops, trace_tol):
     """The distinct components at each energy, traced from its marching loops.
 
     loops holds the loops of each energy. Every loop of every energy is
@@ -599,28 +568,9 @@ def _traced_components(spec, energies, loops, trace_tol, n_points=DEFAULT_POINTS
     candidates = [_candidates(spec, e, ls) for e, ls in zip(energies, loops)]
     counts = [len(cs) for cs in candidates]
     seeds = [c for cs in candidates for c in cs]
-    traces = trace_component(spec, seeds, np.repeat(energies, counts), trace_tol, n_points=n_points)
+    traces = trace_component(spec, seeds, np.repeat(energies, counts), trace_tol)
     starts = (np.cumsum(counts) - counts).tolist()
     return [_distinct(cs, traces[s : s + len(cs)]) for cs, s in zip(candidates, starts)]
-
-
-def seed_components(
-    spec: SymbolSpec,
-    energy: float,
-    box: Box,
-    grid_n: int = 201,
-    *,
-    trace_tol: float = DEFAULT_TRACE_TOL,
-) -> list[tuple[float, float]]:
-    """One refined seed per connected component of {H = E} in the box.
-
-    Candidates come from grid-edge sign changes refined to |H - E| <= 1e-12;
-    two candidates are merged when the trace from one passes within the
-    polyline resolution of the other.
-    """
-    loops = _marching_loops(spec, [energy], box, grid_n)
-    (comps,) = _traced_components(spec, [energy], loops, trace_tol, n_points=1024)
-    return [c.seed for c in comps]
 
 
 def _lobatto(window: EnergyWindow, n: int) -> np.ndarray:

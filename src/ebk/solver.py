@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionTable, invert_action
-from .errors import EmptySpectrum, UnsafeEndpoint
+from .errors import UnsafeEndpoint
 from .symbols import EnergyWindow
 
 TWO_PI = 2.0 * math.pi
@@ -228,15 +228,6 @@ def exit_hbar(table: ActionTable, n):
     and bounded below on the window.
     """
     return float(table.a0_at(table.window.e1)) / (TWO_PI * (n + 0.5))
-
-
-def nearest_level(bs: BsSpectrum, e0: float) -> tuple[float, float]:
-    """Closest predicted level to e0 and its distance."""
-    if not bs.entries:
-        raise EmptySpectrum("no levels in the window")
-    energies = bs.energies()
-    i = int(np.argmin(np.abs(energies - e0)))
-    return float(energies[i]), float(abs(energies[i] - e0))
 
 
 @dataclass(frozen=True)

@@ -433,13 +433,6 @@ class Box:
         if self.x_lo >= self.x_hi or self.xi_lo >= self.xi_hi:
             raise InvalidSymbol("box bounds must be ordered")
 
-    def scaled(self, factor: float) -> "Box":
-        cx = 0.5 * (self.x_lo + self.x_hi)
-        cxi = 0.5 * (self.xi_lo + self.xi_hi)
-        wx = 0.5 * (self.x_hi - self.x_lo) * factor
-        wxi = 0.5 * (self.xi_hi - self.xi_lo) * factor
-        return Box(cx - wx, cx + wx, cxi - wxi, cxi + wxi)
-
 
 @dataclass(frozen=True)
 class RegularityReport:
@@ -453,15 +446,6 @@ def eval_symbol(spec: SymbolSpec, x: float, xi: float) -> float:
     if not math.isfinite(v):
         raise InvalidSymbol(f"H({x}, {xi}) is not finite")
     return v
-
-
-def eval_gradient(spec: SymbolSpec, x: float, xi: float) -> tuple[float, float]:
-    """Exact (dH/dx, dH/dxi); raises InvalidSymbol on non-finite values."""
-    gx, gxi = spec.gradient(x, xi)
-    gx, gxi = float(gx), float(gxi)
-    if not (math.isfinite(gx) and math.isfinite(gxi)):
-        raise InvalidSymbol(f"gradient at ({x}, {xi}) is not finite")
-    return gx, gxi
 
 
 def regularity_report(spec: SymbolSpec, window: EnergyWindow, box: Box) -> RegularityReport:

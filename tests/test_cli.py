@@ -152,6 +152,18 @@ def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 
 
+def test_validate_directory_config_exit_2(tmp_path, capsys):
+    assert main(["validate", "--config", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot read config file")
+
+
+def test_validate_non_utf8_config_exit_2(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{"seed": "\xff"}')
+    assert main(["validate", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config file")
+
+
 def test_run_grid_over_cap_exit_2(tmp_path, capsys):
     # The oracle grid is sized while the config is validated, so the run
     # stops with exit 2 before any stage (no manifest is written).

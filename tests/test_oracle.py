@@ -68,20 +68,18 @@ def test_domain_auto_rejects_grid_under_stencil():
         ebk.domain_auto(ebk.harmonic_potential(), window, 0.1, phase_tol=1000)
 
 
-def test_gated_solve_checks_its_finest_grid_first(monkeypatch):
-    # At phase_tol 1e-8, N = 217,200: the pair N, 2N - 1 fits under the
-    # cap but the gate's third grid of 4N - 3 points does not.
+def test_solve_window_checks_its_finer_grid_first(monkeypatch):
+    # At phase_tol 4e-9, N = 343,422 fits under the cap but the finer grid
+    # of the Richardson pair, 2N - 1 = 686,843 points, does not.
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-    L, N = ebk.domain_auto(pot, window, 0.1, phase_tol=1e-8)
-    assert 2 * N - 1 <= 600_000 < 4 * N - 3
 
     def no_grid(*args, **kwargs):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(ebk.oracle, "discretize", no_grid)
-    with pytest.raises(GridTooLarge, match=f"grid of {4 * N - 3} points"):
-        ebk.solve_window(pot, window, 0.1, phase_tol=1e-8, gate=True)
+    with pytest.raises(GridTooLarge, match="grid of 686843 points exceeds the 600000 cap"):
+        ebk.solve_window(pot, window, 0.1, phase_tol=4e-9)
 
 
 def test_count_below_diagonal_examples():
@@ -206,10 +204,24 @@ def test_harmonic_eigenvalues_after_richardson():
     assert list(run.result.indices) == [2, 3, 4, 5, 6, 7]
 
 
-def test_richardson_gate(morse_window):
-    pot = ebk.morse_potential(1.0, 1.0)
-    run = ebk.solve_window(pot, morse_window, 0.1, gate=True)
-    assert run.gate_residual is not None and run.gate_residual <= 1e-8
+def test_richardson_gate():
+    # The extrapolated levels agree with the independent basis oracle, index
+    # for index, far closer than the finer grid's own levels do.
+    cases = [
+        (ebk.harmonic_potential(), (0.2, 0.8), 0.1),
+        (ebk.morse_potential(1.0, 1.0), (0.1, 0.6), 0.1),
+        (ebk.double_well_potential(1.0), (0.1, 0.6), 0.1),
+        (ebk.double_well_potential(1.0), (0.1, 0.6), 0.05),
+    ]
+    for pot, (e1, e2), hbar in cases:
+        window = ebk.EnergyWindow(e1, e2, 0.05)
+        run = ebk.solve_window(pot, window, hbar)
+        basis = ebk.solve_basis(pot, window, hbar).result
+        assert np.array_equal(run.result.indices, basis.indices)
+        assert np.max(np.abs(run.result.eigenvalues - basis.eigenvalues)) <= 1e-10
+        fine = ebk.eigenvalues_in(run.operator, e1 - 0.01, e2 + 0.01)
+        raw = fine.eigenvalues[np.isin(fine.indices, basis.indices)]
+        assert np.max(np.abs(raw - basis.eigenvalues)) > 1e-8  # O(h^2): about 3e-7
 
 
 def test_richardson_sorts_tied_doublet():
@@ -291,18 +303,24 @@ def test_node_ordering_within_symmetry_class():
     assert all(b > a for a, b in zip(odds, odds[1:]))
 
 
+def _forbidden_mass(v, T, energy, delta):
+    """Share of sum v^2 on grid points where V(x) > energy + delta."""
+    w = v * v
+    return float(np.sum(w[T.potential_values() > energy + delta]) / np.sum(w))
+
+
 def test_allowed_region_mass():
     flat = ebk.polynomial_potential([0.0])
     op = ebk.discretize(flat, 0.1, 1.0, 11)
     v = np.ones(11)
-    assert ebk.allowed_region_mass(v, op, 1.0, 0.1) == 0.0
+    assert _forbidden_mass(v, op, 1.0, 0.1) == 0.0
 
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.01, 0.2, 0.01)
     run = ebk.solve_window(pot, window, 0.05)
     lam = float(run.result.eigenvalues[0])
     v = ebk.eigenvector(run.operator, lam)
-    assert ebk.allowed_region_mass(v, run.operator, lam, 0.1) <= 0.05
+    assert _forbidden_mass(v, run.operator, lam, 0.1) <= 0.05
 
 
 def test_doublet_state_mass_split_between_wells():
@@ -315,22 +333,28 @@ def test_doublet_state_mass_split_between_wells():
     assert fine.eigenvalues.size == 2
     lam = float(fine.eigenvalues[0])  # lower member: even-symmetric state
     v = ebk.eigenvector(run.operator, lam)
-    assert ebk.allowed_region_mass(v, run.operator, lam, 0.1) <= 0.05
+    assert _forbidden_mass(v, run.operator, lam, 0.1) <= 0.05
     assert float(np.max(np.abs(v - v[::-1])) / np.max(np.abs(v))) <= 1e-4
-    x = run.operator.grid()
+    x = -run.operator.L + run.operator.h * np.arange(run.operator.n)
     w = v * v
     left = float(np.sum(w[x < 0.0]) / np.sum(w))
     assert 0.3 <= left <= 0.7
 
 
+def _ball_multiplicity(T, center, radius):
+    """Eigenvalues in [center - radius, center + radius), from two Sturm counts."""
+    (m,) = np.diff(ebk.count_below(T, [center - radius, center + radius]))
+    return int(m)
+
+
 def test_ball_multiplicity():
     op = _diag_op([1.0, 2.0, 3.0])
-    assert ebk.ball_multiplicity(op, 2.0, 0.1) == 1
-    assert ebk.ball_multiplicity(op, 2.0, 1.0) == 2  # [1, 3): 3 is left out
+    assert _ball_multiplicity(op, 2.0, 0.1) == 1
+    assert _ball_multiplicity(op, 2.0, 1.0) == 2  # [1, 3): 3 is left out
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     run = ebk.solve_window(pot, window, 0.1)
-    assert ebk.ball_multiplicity(run.operator, 0.35, 0.01) == 1
+    assert _ball_multiplicity(run.operator, 0.35, 0.01) == 1
 
 
 _BASIS_CASES = {

@@ -118,7 +118,7 @@ def test_components_csv_matches_row_writer(tmp_path):
     comps = tuple(
         portrait.LevelComponent(
             energy=e, points=points[:n], times=np.linspace(0.0, 7.0, n), period=7.0,
-            seed=(0.0, 0.0), orientation=1, action=1.0, trace_tol=1e-10,
+            seed=(0.0, 0.0), action=1.0,
         )
         for e, n in ((0.1, 1201), (1 / 3, 1), (2.0, 1024), (-0.0, 513))
     )

@@ -14,7 +14,7 @@ from ebk.errors import (
     TraceDiverged,
 )
 from ebk import integrate, portrait
-from ebk.portrait import marching_component_count, refine_to_level
+from ebk.portrait import DEFAULT_TRACE_TOL, refine_to_level
 from ebk.symbols import Box
 
 from oracles import marching_loops_py, period_integral, scan_arcs_py
@@ -22,41 +22,53 @@ from oracles import marching_loops_py, period_integral, scan_arcs_py
 BOX = Box(-2, 2, -2, 2)
 
 
+def _loop_count(spec, energy, box):
+    """Closed marching loops of {H = E} on the default grid; no flow integration."""
+    return len(portrait._marching_loops(spec, [energy], box, 201)[0])
+
+
+def _seed_components(spec, energy, box):
+    """The distinct traced components of {H = E} in the box, as a family scan finds them."""
+    loops = portrait._marching_loops(spec, [energy], box, 201)
+    (comps,) = portrait._traced_components(spec, [energy], loops, DEFAULT_TRACE_TOL)
+    return comps
+
+
 def test_seed_components_harmonic_circle(harmonic):
-    seeds = ebk.seed_components(harmonic, 0.5, BOX)
-    assert len(seeds) == 1
-    x, xi = seeds[0]
+    (comp,) = _seed_components(harmonic, 0.5, BOX)
+    x, xi = comp.seed
     assert math.hypot(x, xi) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_seed_components_double_well(double_well):
-    seeds = ebk.seed_components(double_well, 0.5, BOX)
-    assert len(seeds) == 2
-    assert sorted(s[0] < 0 for s in seeds) == [False, True]
+    comps = _seed_components(double_well, 0.5, BOX)
+    assert len(comps) == 2
+    assert sorted(c.seed[0] < 0 for c in comps) == [False, True]
     wide = Box(-2, 2, -2.5, 2.5)
-    assert len(ebk.seed_components(double_well, 1.5, wide)) == 1
+    assert len(_seed_components(double_well, 1.5, wide)) == 1
 
 
 def test_seed_components_empty(harmonic):
     with pytest.raises(EmptyLevelSet):
-        ebk.seed_components(harmonic, -0.5, BOX)
+        _seed_components(harmonic, -0.5, BOX)
 
 
 def test_seed_components_rejects_leaky_box(harmonic):
     with pytest.raises(PreimageNotEnclosed):
-        ebk.seed_components(harmonic, 0.5, Box(-1.05, 1.05, -0.5, 0.5))
+        _seed_components(harmonic, 0.5, Box(-1.05, 1.05, -0.5, 0.5))
 
 
 def test_component_count_examples(double_well, morse):
-    assert len(ebk.seed_components(double_well, 0.5, BOX)) == 2
-    assert len(ebk.seed_components(double_well, 1.5, Box(-2, 2, -2.5, 2.5))) == 1
-    assert len(ebk.seed_components(morse, 0.5, Box(-1.5, 4, -1.5, 1.5))) == 1
+    assert len(_seed_components(double_well, 0.5, BOX)) == 2
+    assert len(_seed_components(double_well, 1.5, Box(-2, 2, -2.5, 2.5))) == 1
+    assert len(_seed_components(morse, 0.5, Box(-1.5, 4, -1.5, 1.5))) == 1
 
 
 def test_trace_harmonic_period(harmonic):
     comp = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
     assert comp.period == pytest.approx(2 * math.pi, abs=1e-9)
-    assert comp.orientation == 1
+    # Along the flow the loop action is the enclosed area, positive.
+    assert comp.action == pytest.approx(math.pi, abs=1e-9)
     assert len(comp.points) >= 64
 
 
@@ -77,8 +89,8 @@ def test_trace_conservation_and_closure(morse):
     seed = refine_to_level(morse, (0.5, 0.5), 0.4)
     comp = ebk.trace_component(morse, seed, 0.4)
     drift = np.abs(morse.value(comp.points[:, 0], comp.points[:, 1]) - 0.4)
-    assert float(drift.max()) <= comp.trace_tol
-    assert comp.closure_gap <= comp.trace_tol
+    assert float(drift.max()) <= DEFAULT_TRACE_TOL
+    assert comp.closure_gap <= DEFAULT_TRACE_TOL
 
 
 def test_trace_rejects_critical_seed(harmonic):
@@ -86,9 +98,10 @@ def test_trace_rejects_critical_seed(harmonic):
         ebk.trace_component(harmonic, (0.0, 0.0), 0.0)
 
 
-def test_trace_time_budget(harmonic):
+def test_trace_time_budget(harmonic, monkeypatch):
+    monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 1.0)
     with pytest.raises(NotClosedOrbit):
-        ebk.trace_component(harmonic, (1.0, 0.0), 0.5, max_time=1.0)
+        ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
 
 
 def test_library_trace_tol_under_rounding_floor(harmonic, deadline):
@@ -96,11 +109,9 @@ def test_library_trace_tol_under_rounding_floor(harmonic, deadline):
     # without end.
     deadline(5)
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-    box = Box(-2, 2, -2, 2)
     calls = [
         lambda: ebk.build_families(harmonic, window, 9, trace_tol=1e-15),
         lambda: ebk.trace_component(harmonic, (1.0, 0.0), 0.5, trace_tol=1e-15),
-        lambda: ebk.seed_components(harmonic, 0.5, box, trace_tol=1e-15),
     ]
     for call in calls:
         with pytest.raises(ConfigError, match="trace_tol 1e-15 is under 2.22e-11"):
@@ -118,15 +129,11 @@ def test_trace_overflowing_symbol_diverges(deadline):
 
 
 def test_components_disjoint(double_well):
-    comps = [
-        ebk.trace_component(double_well, seed, 0.5)
-        for seed in ebk.seed_components(double_well, 0.5, BOX)
-    ]
-    a, b = comps
+    a, b = _seed_components(double_well, 0.5, BOX)
     d = np.min(
         np.linalg.norm(a.points[:, None, :] - b.points[None, ::16, :], axis=2)
     )
-    assert d > 10 * a.trace_tol
+    assert d > 10 * DEFAULT_TRACE_TOL
 
 
 def test_build_families_counts(harmonic, double_well):
@@ -144,7 +151,6 @@ def test_build_families_samples_lobatto_energies(harmonic):
     assert np.max(np.abs(family.energies - nodes)) <= 1e-14
     for comp in family.components:
         assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-9)
-    assert np.array_equal(family.seeds, [c.seed for c in family.components])
     with pytest.raises(ConfigError, match="at least 9"):
         ebk.build_families(harmonic, window, 8)
 
@@ -163,14 +169,14 @@ def test_build_families_nonconstant_topology(double_well):
 
 def test_marching_counts_straddle_barrier(double_well):
     box = Box(-2.2, 2.2, -2.5, 2.5)
-    assert marching_component_count(double_well, 0.9, box) == 2
-    assert marching_component_count(double_well, 1.1, box) == 1
+    assert _loop_count(double_well, 0.9, box) == 2
+    assert _loop_count(double_well, 1.1, box) == 1
 
 
 def test_marching_open_chain_leaves_box(harmonic):
     # The circle H = 0.85 (radius 1.30) leaves each of these boxes through
     # one side; the walk must not close, whichever side it is.
-    assert marching_component_count(harmonic, 0.85, Box(-1.5, 1.5, -1.5, 1.5)) == 1
+    assert _loop_count(harmonic, 0.85, Box(-1.5, 1.5, -1.5, 1.5)) == 1
     for box in (
         Box(-1.5, 1.5, -1.0, 1.5),
         Box(-1.5, 1.5, -1.5, 1.0),
@@ -178,31 +184,28 @@ def test_marching_open_chain_leaves_box(harmonic):
         Box(-1.5, 1.0, -1.5, 1.5),
     ):
         with pytest.raises(PreimageNotEnclosed):
-            marching_component_count(harmonic, 0.85, box)
+            _loop_count(harmonic, 0.85, box)
 
 
 def test_family_labels_stable(dw_families):
     k1, k2 = dw_families
     assert k1.k == 1 and k2.k == 2
-    assert np.all(k1.seeds[:, 0] < 0)
-    assert np.all(k2.seeds[:, 0] > 0)
+    assert all(c.seed[0] < 0 for c in k1.components)
+    assert all(c.seed[0] > 0 for c in k2.components)
 
 
 def test_box_doubling_stability(double_well):
     # Doubling the enclosure must not change what is found on the level set.
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     box = ebk.compact_preimage_box(double_well, window)
-    big = box.scaled(2.0)
+    cx, cxi = 0.5 * (box.x_lo + box.x_hi), 0.5 * (box.xi_lo + box.xi_hi)
+    big = Box(2 * box.x_lo - cx, 2 * box.x_hi - cx, 2 * box.xi_lo - cxi, 2 * box.xi_hi - cxi)
     for energy in (0.3, 0.6):
-        seeds_a = ebk.seed_components(double_well, energy, box)
-        seeds_b = ebk.seed_components(double_well, energy, big)
-        assert len(seeds_a) == len(seeds_b) == 2
-        actions_a = sorted(
-            ebk.trace_component(double_well, s, energy).action for s in seeds_a
-        )
-        actions_b = sorted(
-            ebk.trace_component(double_well, s, energy).action for s in seeds_b
-        )
+        comps_a = _seed_components(double_well, energy, box)
+        comps_b = _seed_components(double_well, energy, big)
+        assert len(comps_a) == len(comps_b) == 2
+        actions_a = sorted(c.action for c in comps_a)
+        actions_b = sorted(c.action for c in comps_b)
         assert actions_a == pytest.approx(actions_b, abs=1e-9)
 
 
@@ -236,7 +239,7 @@ def test_batched_trace_matches_single_traces(double_well, dw_families):
             assert abs(got.action - ref.action) <= 1e-12
             assert abs(got.period - ref.period) <= 1e-12
             assert np.max(np.abs(got.points - ref.points)) <= 1e-10
-            assert got.closure_gap <= got.trace_tol
+            assert got.closure_gap <= DEFAULT_TRACE_TOL
 
 
 def test_batched_trace_single_form(harmonic):
@@ -248,15 +251,15 @@ def test_batched_trace_single_form(harmonic):
         ebk.trace_component(harmonic, [(1.0, 0.0)], [0.5, 0.5])
 
 
-def test_batched_trace_bad_column_raises(quartic):
+def test_batched_trace_bad_column_raises(quartic, monkeypatch):
     # Quartic periods shrink with energy: at E = 16 the orbit closes in half
     # the time of the E = 1 orbit, so a budget in between fails only column 0.
     fast = ebk.trace_component(quartic, (2.0, 0.0), 16.0)
     slow = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
     assert fast.period < slow.period
-    budget = 0.5 * (fast.period + slow.period)
+    monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 0.5 * (fast.period + slow.period))
     with pytest.raises(NotClosedOrbit):
-        ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0], max_time=budget)
+        ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0])
     # A near-critical seed anywhere in the batch is refused.
     with pytest.raises(CriticalSeed, match="seed gradient"):
         ebk.trace_component(quartic, [(1.0, 0.0), (0.0, 0.0)], [1.0, 0.0])
@@ -329,7 +332,7 @@ def test_marching_matches_reference_walker(harmonic, quartic, morse, double_well
             per_level = portrait._marching_loops(spec, np.array(energies), box, grid_n)
             assert len(per_level) == len(energies)
             for energy, several in zip(energies, per_level):
-                got = portrait._marching_loops(spec, energy, box, grid_n)
+                (got,) = portrait._marching_loops(spec, [energy], box, grid_n)
                 ref = marching_loops_py(spec, energy, box, grid_n)
                 assert all(isinstance(loop, np.ndarray) for loop in got + several)
                 assert _same_loops(got, ref) and _same_loops(several, ref)
@@ -343,8 +346,8 @@ def test_marching_matches_reference_walker(harmonic, quartic, morse, double_well
     assert saddles >= 4
     # Both pairings of a saddle cell: one merged loop and two loops.
     rotated = _RotatedDoubleWell()
-    assert len(portrait._marching_loops(rotated, 1.0, Box(-1.95, 2.05, -2.03, 1.98), 201)) == 1
-    assert len(portrait._marching_loops(rotated, 0.9999, Box(-1.95, 2.05, -2.03, 1.98), 201)) == 2
+    assert _loop_count(rotated, 1.0, Box(-1.95, 2.05, -2.03, 1.98)) == 1
+    assert _loop_count(rotated, 0.9999, Box(-1.95, 2.05, -2.03, 1.98)) == 2
 
 
 def test_marching_errors_match_reference_walker(harmonic, double_well):
@@ -357,7 +360,7 @@ def test_marching_errors_match_reference_walker(harmonic, double_well):
         (harmonic, 9.0, BOX),
     ]
     for spec, energy, box in cases:
-        got = _outcome(portrait._marching_loops, spec, energy, box, 201)
+        got = _outcome(portrait._marching_loops, spec, [energy], box, 201)
         ref = _outcome(marching_loops_py, spec, energy, box, 201)
         assert got == ref
         assert got[0] in (PreimageNotEnclosed, EmptyLevelSet)
@@ -395,7 +398,7 @@ def test_arcs_match_single_seed_trace(harmonic, kerr, double_well, dw_families):
         assert abs(arcs.period - single.period) <= 1e-12
         assert abs(arcs.action - single.action) <= 1e-12
         assert np.max(np.abs(arcs.points - single.points)) <= 1e-10
-        assert arcs.closure_gap <= arcs.trace_tol
+        assert arcs.closure_gap <= DEFAULT_TRACE_TOL
         # Each arc needs about 1/K of the single trace's sequential attempts.
         assert arcs.attempts < single.attempts / 4
         traced.append(arcs)
@@ -424,7 +427,7 @@ def test_arc_seeds_against_flow_give_same_component(kerr, double_well, dw_famili
 
 def test_short_loop_traces_as_one_arc(harmonic):
     # On a coarse grid the circle crosses too few edges to be split.
-    loops = portrait._marching_loops(harmonic, 0.5, BOX, 11)
+    (loops,) = portrait._marching_loops(harmonic, [0.5], BOX, 11)
     assert len(loops) == 1 and len(loops[0]) < 2 * portrait._ARC_CROSSINGS
     (seeds,) = portrait._candidates(harmonic, 0.5, loops)
     assert seeds.shape == (1, 2)
@@ -457,16 +460,18 @@ def test_arcs_land_at_small_gradient(harmonic, deadline):
     assert [[c.arcs] for c in family.components] == expected
     for comp in family.components:
         assert comp.arcs > 1
-        assert comp.closure_gap <= comp.trace_tol
+        assert comp.closure_gap <= portrait.MIN_TRACE_TOL
         assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-11)
 
 
-def test_max_time_bounds_the_orbit_not_each_arc(harmonic):
+def test_max_time_bounds_the_orbit_not_each_arc(harmonic, monkeypatch):
     seeds = _arc_seeds(ebk.trace_component(harmonic, (1.0, 0.0), 0.5))
     # Every arc lasts 2 pi / 8 < 1, the orbit 2 pi.
+    monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 1.0)
     with pytest.raises(NotClosedOrbit):
-        ebk.trace_component(harmonic, seeds, 0.5, max_time=1.0)
-    assert ebk.trace_component(harmonic, seeds, 0.5, max_time=7.0).period == pytest.approx(
+        ebk.trace_component(harmonic, seeds, 0.5)
+    monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 7.0)
+    assert ebk.trace_component(harmonic, seeds, 0.5).period == pytest.approx(
         2 * math.pi, abs=1e-12
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import ebk
-from ebk.errors import EmptySpectrum, UnsafeEndpoint
+from ebk.errors import UnsafeEndpoint
 from ebk.solver import TWO_PI
 
 from oracles import action_integral, morse_level_closed_form
@@ -157,21 +157,6 @@ def test_branch_exit(harmonic_table):
         assert ebk.branch_energy(harmonic_table, n, 0.999 * h_star) is None
         assert ebk.branch_energy(harmonic_table, n, 0.5 * h_star) is None
         assert ebk.branch_energy(harmonic_table, n, 1.001 * h_star) is not None
-
-
-def test_nearest_level(harmonic_table, harmonic_window):
-    bs = ebk.merged_spectrum([harmonic_table], HBAR, harmonic_window)
-    e, gap = ebk.nearest_level(bs, 0.30)
-    assert gap == pytest.approx(0.05, abs=1e-9)
-    assert e in (pytest.approx(0.25, abs=1e-9), pytest.approx(0.35, abs=1e-9))
-    e, gap = ebk.nearest_level(bs, 0.35)
-    assert e == pytest.approx(0.35, abs=1e-9) and gap <= 1e-9
-
-
-def test_nearest_level_empty():
-    empty = ebk.BsSpectrum(hbar=0.1, window=ebk.EnergyWindow(0.2, 0.8, 0.05), entries=())
-    with pytest.raises(EmptySpectrum):
-        ebk.nearest_level(empty, 0.5)
 
 
 def test_doublet_scan_symmetric(dw_tables, dw_window):

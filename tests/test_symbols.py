@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import ebk
+from ebk import portrait
 from ebk.errors import InvalidSymbol, NonCompactWindow, PreimageNotEnclosed
 from ebk.symbols import Box
 
@@ -18,9 +19,9 @@ def test_eval_symbol_catalog_values(harmonic, quartic, morse):
 
 
 def test_eval_gradient_catalog_values(harmonic, quartic, double_well):
-    assert ebk.eval_gradient(quartic, 1.0, 1.0) == pytest.approx((4.0, 1.0))
-    assert ebk.eval_gradient(harmonic, 0.0, 0.0) == (0.0, 0.0)
-    assert ebk.eval_gradient(double_well, 1.0, 0.0) == (0.0, 0.0)
+    assert quartic.gradient(1.0, 1.0) == pytest.approx((4.0, 1.0))
+    assert harmonic.gradient(0.0, 0.0) == (0.0, 0.0)
+    assert double_well.gradient(1.0, 0.0) == (0.0, 0.0)
 
 
 def _all_catalog_symbols():
@@ -41,7 +42,7 @@ def test_gradient_matches_finite_differences(spec):
     step = 1e-5
     for _ in range(100):
         x, xi = rng.uniform(-1.0, 1.0, size=2)
-        gx, gxi = ebk.eval_gradient(spec, x, xi)
+        gx, gxi = spec.gradient(x, xi)
         fdx = (ebk.eval_symbol(spec, x + step, xi) - ebk.eval_symbol(spec, x - step, xi)) / (2 * step)
         fdxi = (ebk.eval_symbol(spec, x, xi + step) - ebk.eval_symbol(spec, x, xi - step)) / (2 * step)
         assert abs(fdx - gx) <= 1e-6 * max(1.0, abs(gx))
@@ -125,9 +126,11 @@ def test_regularity_implies_gradient_positive_on_components(double_well):
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     box = ebk.compact_preimage_box(double_well, window)
     assert ebk.regularity_report(double_well, window, box).regular
-    for energy in (0.25, 0.5, 0.75):
-        for seed in ebk.seed_components(double_well, energy, box):
-            comp = ebk.trace_component(double_well, seed, energy)
+    energies = [0.25, 0.5, 0.75]
+    loops = portrait._marching_loops(double_well, energies, box, 201)
+    tol = portrait.DEFAULT_TRACE_TOL
+    for comps in portrait._traced_components(double_well, energies, loops, tol):
+        for comp in comps:
             gx, gxi = double_well.gradient(comp.points[:, 0], comp.points[:, 1])
             norms = np.hypot(np.asarray(gx), np.asarray(gxi))
             assert float(norms.min()) > 1e-3
