@@ -213,13 +213,13 @@ def build_action_table(family: ComponentFamily, window: EnergyWindow) -> ActionT
     )
 
 
-def invert_action(table: ActionTable, a):
-    """Energy with A0(E) = a, by Newton on the interpolant with bisection fallback.
+def invert_action(table: ActionTable, a) -> np.ndarray:
+    """Energies with A0(E) = a, by Newton on the interpolant with bisection fallback.
 
-    a is one action, giving a float, or an array of actions, giving an
-    array of energies; every element takes the steps it would take alone,
-    with one interpolant evaluation per iteration for the elements still
-    moving. Raises OutOfWindow if any action is outside table.covers.
+    a is an array of actions; returns the array of energies of its shape.
+    Every element takes the steps it would take alone, with one interpolant
+    evaluation per iteration for the elements still moving. Raises
+    OutOfWindow if any action is outside table.covers.
     """
     target = np.asarray(a, dtype=float)
     flat = target.ravel()
@@ -248,5 +248,4 @@ def invert_action(table: ActionTable, a):
         inside = (lo[todo] < e_new) & (e_new < hi[todo])
         e[todo] = np.where(inside, e_new, 0.5 * (lo[todo] + hi[todo]))
         todo = todo[~(np.abs(e[todo] - et) < 1e-17 * np.maximum(1.0, np.abs(et)))]
-    e = np.clip(e, e1, e2).reshape(target.shape)
-    return float(e) if e.ndim == 0 else e
+    return np.clip(e, e1, e2).reshape(target.shape)

@@ -44,20 +44,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
+        if args.command == "validate":
+            print(f"config ok: symbol={config.symbol_name} stages={','.join(config.pipeline)}")
+            return 0
+        manifest, code = run_pipeline(
+            config,
+            output_dir=args.output_dir,
+            threads=args.threads,
+            verbose=args.verbose,
+        )
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-
-    if args.command == "validate":
-        print(f"config ok: symbol={config.symbol_name} stages={','.join(config.pipeline)}")
-        return 0
-
-    manifest, code = run_pipeline(
-        config,
-        output_dir=args.output_dir,
-        threads=args.threads,
-        verbose=args.verbose,
-    )
     bad = [s for s, st in manifest["stages"].items() if st["status"] != "ok"]
     if code != 0:
         print(f"run failed (exit {code}); problem stages: {', '.join(bad)}", file=sys.stderr)

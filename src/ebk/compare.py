@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BijectionFailure
-from .oracle import BasisRun, EigenResult, OracleRun, solve_basis
+from .oracle import EigenResult, solve_basis
 from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, build_families
 from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum
 from .symbols import EnergyWindow, SymbolSpec
@@ -119,8 +119,6 @@ class ConvergenceReport:
     hbars: tuple[float, ...]
     max_errs: tuple[float, ...]
     slope: float
-    intercept: float
-    fit_residual: float
     floor_limited: tuple[bool, ...]
 
 
@@ -158,14 +156,10 @@ def convergence_study(
         floors.append(report.max_err < 10.0 * run.floor_estimate)
     log_h = np.log(np.array(hbars))
     log_e = np.log(np.maximum(np.array(max_errs), 1e-300))
-    coeffs, residuals, *_ = np.polyfit(log_h, log_e, 1, full=True)
-    fit_residual = float(residuals[0]) if len(residuals) else 0.0
     return ConvergenceReport(
         hbars=tuple(hbars),
         max_errs=tuple(max_errs),
-        slope=float(coeffs[0]),
-        intercept=float(coeffs[1]),
-        fit_residual=fit_residual,
+        slope=float(np.polyfit(log_h, log_e, 1)[0]),
         floor_limited=tuple(bool(f) for f in floors),
     )
 
@@ -189,20 +183,20 @@ class WeylCheck:
 def weyl_check_pairs(
     tables: list[ActionTable],
     bs: BsSpectrum,
-    oracle_run: OracleRun | BasisRun,
+    oracle_result: EigenResult,
     pairs,
 ) -> list[WeylCheck]:
     """Exact formula count against the oracle's count, one check per (e1t, e2t) of pairs.
 
-    The oracle count is the number of oracle_run.result levels in
-    [e1t, e2t). That list holds every level in the window, and
-    exact_weyl_count raises UnsafeEndpoint first unless both ends lie in
-    the window and ENDPOINT_SAFETY mean spacings from every predicted level,
-    far beyond the two-term error that separates an oracle level from its
-    prediction.
+    The oracle count is the number of oracle_result levels in [e1t, e2t),
+    the .result of either oracle's run. That list holds every level in the
+    window, and exact_weyl_count raises UnsafeEndpoint first unless both
+    ends lie in the window and ENDPOINT_SAFETY mean spacings from every
+    predicted level, far beyond the two-term error that separates an oracle
+    level from its prediction.
     """
     counts = exact_weyl_count(tables, bs.hbar, *np.transpose(pairs), bs)
-    below = np.searchsorted(oracle_run.result.eigenvalues, pairs)
+    below = np.searchsorted(oracle_result.eigenvalues, pairs)
     return [
         WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc)
         for (e1t, e2t), wc, (lo, hi) in zip(pairs, counts, below)

@@ -112,8 +112,8 @@ def _initial_step(f, y0):
 def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
     """Yield a Step for every attempt in which at least one column is accepted.
 
-    y0 is one (dim,) state or a (dim, m) batch of states; f maps a
-    (dim, k) array of states to their derivatives column by column. Each
+    y0 is a (dim, m) batch of states; f maps a (dim, k) array of states
+    to their derivatives column by column. Each
     column runs from t = 0 until t_max. tol is used as both absolute and
     relative local error target per step. active, an optional (m,) bool
     array, stops a column once the caller clears its entry between two
@@ -123,8 +123,6 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
     rebound, never written in place, so a yielded Step stays valid.
     """
     y = np.array(y0, dtype=float)
-    if y.ndim == 1:
-        y = y[:, None]
     dim, m = y.shape
     cols = np.arange(m)  # batch column of each live column
     t = np.zeros(m)

@@ -187,13 +187,13 @@ def domain_auto(
     return L, N
 
 
-def count_below(T: TridiagonalOperator, lam):
-    """Number of eigenvalues strictly below lam (scalar or array).
+def count_below(T: TridiagonalOperator, lam) -> np.ndarray:
+    """Number of eigenvalues strictly below each shift of the array lam.
 
     One dstebz call per shift over (-inf, nextafter(lam, -inf)]. The
     infinite tolerance stops LAPACK right after its Sturm count, before it
-    bisects any eigenvalue. An array of shifts of any shape gives an int64
-    array of that shape. Raises BisectionFailed if dstebz reports an error.
+    bisects any eigenvalue. Returns an int64 array of the shape of lam.
+    Raises BisectionFailed if dstebz reports an error.
     """
     lams = np.asarray(lam, dtype=float)
     counts = np.empty(lams.size, dtype=np.int64)
@@ -206,7 +206,7 @@ def count_below(T: TridiagonalOperator, lam):
                 f"dstebz could not count the eigenvalues below {lams.flat[j]!r} "
                 f"(info = {info})"
             )
-    return int(counts[0]) if lams.ndim == 0 else counts.reshape(lams.shape)
+    return counts.reshape(lams.shape)
 
 
 def eigenvalues_in(
@@ -240,18 +240,17 @@ def eigenvalues_in(
     return EigenResult(w[:m], ca + np.arange(m))
 
 
-def eigenvector(T: TridiagonalOperator, lam):
-    """Unit grid-norm eigenvectors at lam (scalar or ascending array).
+def eigenvector(T: TridiagonalOperator, lam) -> np.ndarray:
+    """Unit grid-norm eigenvectors at the m ascending shifts lam, as (n, m) columns.
 
-    One LAPACK dstein call runs inverse iteration at every shift: a scalar
-    gives an (n,) vector, an array of m shifts an (n, m) matrix of columns.
-    dstein starts from a fixed pseudo-random vector, so repeated runs are
+    One LAPACK dstein call runs inverse iteration at every shift. dstein
+    starts from a fixed pseudo-random vector, so repeated runs are
     identical, and orthogonalizes the vectors of close shifts against each
     other, so an unresolved doublet gives an orthonormal pair. Raises
     InverseIterationFailed if dstein reports a failure or a residual
     |T v - lam v| exceeds 1e-8 * ||T||.
     """
-    lams = np.atleast_1d(np.asarray(lam, dtype=float))
+    lams = np.asarray(lam, dtype=float)
     n = T.n
     z, info = dstein(
         T.diag, T.offdiag, lams, np.ones(n, dtype=np.int32), np.full(n, n, dtype=np.int32)
@@ -264,7 +263,7 @@ def eigenvector(T: TridiagonalOperator, lam):
         if not np.linalg.norm(T.apply(v) - shift * v) <= 1e-8 * scale:
             raise InverseIterationFailed(f"no convergence at lam = {shift:g}")
         v /= math.sqrt(T.h * float(np.dot(v, v)))
-    return z[:, 0] if np.ndim(lam) == 0 else z
+    return z
 
 
 def node_count(v: np.ndarray) -> int:

@@ -22,7 +22,7 @@ from . import __version__
 from .action import build_action_table
 from .compare import match_spectra, weyl_check_pairs
 from .config import STAGE_DEPS, RunConfig
-from .errors import EbkError, RegularityViolation
+from .errors import ConfigError, EbkError, RegularityViolation
 from .oracle import eigenvector, node_count, nodes_resolved, solve_window
 from .portrait import build_families
 from .solver import branch_energy, doublet_scan, draw_safe_endpoints, exit_hbar, merged_spectrum
@@ -115,7 +115,8 @@ def _component_blocks(families):
         for comp in family.components:
             stride = max(1, len(comp.points) // _CSV_STRIDE_TARGET)
             line = "%d,%.17g," % (family.k, comp.energy) + "%.17g,%.17g,%.17g\n"
-            rows = np.column_stack([comp.times[::stride], comp.points[::stride]])
+            times = np.linspace(0.0, comp.period, len(comp.points), endpoint=False)
+            rows = np.column_stack([times[::stride], comp.points[::stride]])
             yield line * len(rows) % tuple(rows.ravel().tolist())
 
 
@@ -238,7 +239,7 @@ def _stage_weyl(state: _RunState):
         bs = state.spectra[hbar]
         pairs = draw_safe_endpoints(state.rng, state.tables, bs, state.window, _WEYL_TRIALS)
         trials = []
-        for chk in weyl_check_pairs(state.tables, bs, state.oracle_runs[hbar], pairs):
+        for chk in weyl_check_pairs(state.tables, bs, state.oracle_runs[hbar].result, pairs):
             wc = chk.weyl
             trials.append(
                 {
@@ -319,12 +320,17 @@ def run(
     The exit code is the least exit_code of the failed stages' errors, so a
     ConfigError (2) wins over a HypothesisError (3); any other exception or
     a failed check counts as an EbkError (4); a run with neither exits 0.
+    An output directory that cannot be created raises ConfigError before
+    any stage runs.
 
     threads is accepted for compatibility and has no effect: every stage
     runs in the calling thread.
     """
     out = Path(output_dir or config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from exc
     state = _RunState(config, out)
     manifest: dict = {
         "config": config.to_json_dict(),

@@ -48,9 +48,10 @@ DEFAULT_MAX_TIME = 1e4
 DEFAULT_POINTS = 4096
 # Lobatto energies per family scan, the nodes of each action table.
 DEFAULT_ACTION_SAMPLES = 17
-# Every family keeps its component at each sample, 4096 samples of (t, x,
-# xi) at 24 B, 96 KiB: 512 samples hold 48 MiB per family. The action
-# table converges geometrically in the samples, so far fewer suffice.
+GRID_N = 201  # grid nodes per axis of the marching pass of build_families
+# Every family keeps its component at each sample, 4096 samples of (x, xi)
+# at 16 B, 64 KiB: 512 samples hold 32 MiB per family. The action table
+# converges geometrically in the samples, so far fewer suffice.
 MAX_ACTION_SAMPLES = 512
 _MIN_GRAD = 1e-8
 _REFINE_TOL = 1e-12  # refine_to_level's target |H - E|
@@ -94,14 +95,13 @@ def check_action_samples(n) -> None:
 class LevelComponent:
     """One closed oriented component of {H = E}, sampled along the flow.
 
-    points are approximately equispaced in flow time over one period, do
-    not repeat the initial point at t = period and follow the Hamiltonian
-    flow; action is the loop integral of xi dx in that orientation.
+    points are the orbit's positions at the n flow times np.linspace(0,
+    period, n, endpoint=False) from seed, along the Hamiltonian flow;
+    action is the loop integral of xi dx in that orientation.
     """
 
     energy: float
     points: np.ndarray  # (n, 2) columns x, xi
-    times: np.ndarray
     period: float
     seed: tuple[float, float]
     action: float
@@ -155,9 +155,10 @@ def _marching_loops(spec, energies, box, grid_n):
     neighbours, so a chain is open exactly when a crossed edge lies on the
     box boundary. The least energy without a crossing raises EmptyLevelSet,
     or with a boundary crossing PreimageNotEnclosed, whichever comes first.
-    Each loop starts at its least edge and goes on to that edge's neighbour
-    in its lower cell; the walk orients every edge with H > E on the left
-    and ranks each crossing along its loop by pointer doubling, so it is
+    Each loop starts at its least edge, the lowest crossing in its leftmost
+    column of cells, and goes on down into that edge's lower cell, so every
+    loop runs counterclockwise in (x, xi), against the flow around a well;
+    pointer doubling ranks each crossing along its loop, so the walk is
     array operations too.
     """
     levels = np.asarray(energies, dtype=float)
@@ -222,9 +223,9 @@ def _marching_loops(spec, energies, box, grid_n):
     order = np.argsort(np.concatenate([a, b]) * len(levels) * per_level + np.tile(pair_cell, 2))
     nbr = np.searchsorted(codes, np.concatenate([b, a])[order]).reshape(-1, 2)
 
-    # Every segment has H > E on one side, so a loop run with it on the left
-    # leaves an axis-0 edge (+xi) into its upper cell when the edge's first
-    # node is above the level, and an axis-1 edge (+x) when it is not.
+    # succ runs every loop with H > E on the left, the cyclic order the walk
+    # takes: it leaves an axis-0 edge (+xi) into its upper cell when the
+    # edge's first node is above the level, and an axis-1 edge (+x) when not.
     up = (level < band[edge // 2]) != axis.astype(bool)
     succ = np.where(up, nbr[:, 1], nbr[:, 0])
     # By pointer doubling: each crossing's loop start, the least edge of its
@@ -237,8 +238,8 @@ def _marching_loops(spec, energies, box, grid_n):
     dist, jump = (~at_start).astype(idx.dtype), np.where(at_start, idx, succ)
     for _ in range(len(codes).bit_length()):
         dist, jump = dist + dist[jump], jump[jump]
-    # A walk leaves its start towards the neighbour from the lower cell; it
-    # runs along succ when that neighbour is succ of the start.
+    # A walk leaves its start towards the neighbour from the lower cell, so
+    # it runs counterclockwise: along succ when that neighbour is succ of the start.
     size = dist[succ[start]] + 1
     rank = np.where(up[start], dist, (size - dist) % size)
     walk = np.argsort(start * len(codes) + rank)
@@ -251,22 +252,19 @@ def _marching_loops(spec, energies, box, grid_n):
     return loops
 
 
-def refine_to_level(spec, point, energy):
-    """Move points onto {H = E} along the gradient direction, to _REFINE_TOL.
+def refine_to_level(spec, points, energy):
+    """Move (n, 2) points (x, xi) onto {H = E} along the gradient, to _REFINE_TOL.
 
-    point is one (x, xi) pair, giving an (x, xi) tuple, or an (n, 2) array,
-    giving an (n, 2) array; each point takes the Newton steps it would take
-    alone.
+    Returns the (n, 2) moved points; each point takes the Newton steps it
+    would take alone.
     """
-    x, xi = np.array(point, dtype=float).reshape(-1, 2).T.copy()
+    x, xi = np.array(points, dtype=float).T.copy()
     todo = np.arange(len(x))
     for _ in range(_REFINE_ITERS):
         h = np.asarray(spec.value(x[todo], xi[todo]), dtype=float) - energy
         off = np.abs(h) > _REFINE_TOL
         todo, h = todo[off], h[off]
         if not todo.size:
-            if np.ndim(point) == 1:
-                return float(x[0]), float(xi[0])
             return np.column_stack([x, xi])
         gx, gxi = (np.asarray(g, dtype=float) for g in spec.gradient(x[todo], xi[todo]))
         n2 = gx * gx + gxi * gxi
@@ -347,9 +345,10 @@ def _flow_order(seeds, counts, flow):
     seed. The seeds of an orbit run against the flow when the flow
     direction at each seed, dotted with the chord from its predecessor to
     its successor and summed over the orbit, is negative; such an orbit is
-    read backwards from its first seed. Returns the reordering of the M
-    seeds and, in the new order, the index of each seed's successor along
-    its orbit.
+    read backwards from its first seed; every orbit of a family scan is, as
+    its marching loop runs counterclockwise and the flow clockwise around a
+    minimum of H. Returns the reordering of the M seeds and, in the new
+    order, the index of each seed's successor along its orbit.
     """
     starts = np.cumsum(counts) - counts
     first, size = np.repeat(starts, counts), np.repeat(counts, counts)
@@ -363,20 +362,19 @@ def _flow_order(seeds, counts, flow):
 
 def trace_component(
     spec: SymbolSpec,
-    seed,
-    energy,
+    seeds,
+    energies,
     trace_tol: float = DEFAULT_TRACE_TOL,
-) -> LevelComponent | list[LevelComponent]:
-    """Trace the closed flow orbit through seed on {H = E}.
+) -> list[LevelComponent]:
+    """Trace the closed flow orbit through each of m seeds on {H = E} at its energy.
 
-    seed is one (x, xi) pair, or a (K, 2) sequence of K points on the orbit
-    in cyclic order (along the flow or against it), with a scalar energy,
-    giving one LevelComponent; or a sequence of m such seeds with a
-    sequence of m energies, giving a list of m components. Every orbit of
-    a call is split at its seed points into arcs, and all arcs are the
-    columns of one batched integration; each arc is traced as it would be
-    alone. The orbit and its first seed are the same whichever way its
-    seeds are given.
+    seeds holds m seeds, each one (x, xi) pair or a (K, 2) sequence of K
+    points on the orbit in cyclic order (along the flow or against it), and
+    energies their m energies; returns the m components in that order.
+    Every orbit of a call is split at its seed points into arcs, and all
+    arcs are the columns of one batched integration; each arc is traced as
+    it would be alone. The orbit and its first seed are the same whichever
+    way its seeds are given.
 
     The arc from each seed stops on the section through the next seed along
     the flow, normal to the flow there, at the first crossing in the flow
@@ -393,9 +391,8 @@ def trace_component(
     drift or its step size underflows.
     """
     check_trace_tol(trace_tol)
-    batch = np.ndim(energy) > 0
-    energies = np.atleast_1d(np.asarray(energy, dtype=float))
-    orbits = [np.array(s, dtype=float).reshape(-1, 2) for s in (seed if batch else [seed])]
+    energies = np.asarray(energies, dtype=float)
+    orbits = [np.array(s, dtype=float).reshape(-1, 2) for s in seeds]
     if len(orbits) != len(energies):
         raise ValueError(f"{len(orbits)} seeds for {len(energies)} energies")
     counts = np.array([len(o) for o in orbits])
@@ -475,13 +472,12 @@ def trace_component(
         arcs = slice(starts[j], starts[j] + counts[j])
         offsets = np.cumsum(arc_time[arcs]) - arc_time[arcs]
         sel = by_col[bounds[j] : bounds[j + 1]]
-        ts = np.linspace(0.0, period[j], DEFAULT_POINTS, endpoint=False)
         points = integrate.resample(
             history.t0[sel] + offsets[cols[sel] - starts[j]],
             history.h[sel],
             history.y0[sel],
             history.q[sel],
-            ts,
+            np.linspace(0.0, period[j], DEFAULT_POINTS, endpoint=False),
         )
         drift = np.abs(
             np.asarray(spec.value(points[:, 0], points[:, 1]), dtype=float) - energies[j]
@@ -494,7 +490,6 @@ def trace_component(
             LevelComponent(
                 energy=float(energies[j]),
                 points=points,
-                times=ts,
                 period=float(period[j]),
                 seed=(float(pts[starts[j], 0]), float(pts[starts[j], 1])),
                 action=float(np.sum(y_end[2, arcs])),
@@ -504,7 +499,7 @@ def trace_component(
                 attempts=int(np.max(attempts[arcs])),
             )
         )
-    return components if batch else components[0]
+    return components
 
 
 def _candidates(spec, energy, loops):
@@ -588,7 +583,6 @@ def build_families(
     window: EnergyWindow,
     n_samples: int = DEFAULT_ACTION_SAMPLES,
     *,
-    grid_n: int = 201,
     trace_tol: float = DEFAULT_TRACE_TOL,
 ) -> list[ComponentFamily]:
     """Follow each component across the window; labels are stable in energy.
@@ -597,7 +591,8 @@ def build_families(
     nodes an action table is fitted on, and every family carries its traced
     component at each of them. The component count is taken on every
     sampled energy first, by one marching pass over all of them on one
-    evaluation of H on the grid; any variation raises NonConstantTopology
+    evaluation of H on a GRID_N x GRID_N grid, the constant read at call
+    time; any variation raises NonConstantTopology
     (a critical value sits inside the window, violating the regular-window
     hypothesis). The loops are then traced and deduplicated by
     _traced_components, and each energy's components matched to the
@@ -608,7 +603,7 @@ def build_families(
     check_action_samples(n_samples)
     box = compact_preimage_box(spec, window)
     energies = _lobatto(window, n_samples)
-    loops = _marching_loops(spec, energies, box, grid_n)
+    loops = _marching_loops(spec, energies, box, GRID_N)
     counts = [len(ls) for ls in loops]
     if len(set(counts)) != 1:
         raise NonConstantTopology(

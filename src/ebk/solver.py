@@ -54,12 +54,11 @@ class BsSpectrum:
 
 
 def quantize_family(
-    table: ActionTable, hbar: float, window: EnergyWindow | None = None
+    table: ActionTable, hbar: float, window: EnergyWindow
 ) -> list[tuple[int, float]]:
     """All (n, E) with A0(E) = 2*pi*hbar*(n + 1/2) and E in the window."""
     if hbar <= 0:
         raise ValueError("hbar must be positive")
-    window = window or table.window
     lo_a = float(table.a0_at(window.e1))
     hi_a = float(table.a0_at(window.e2))
     step = TWO_PI * hbar
@@ -112,19 +111,17 @@ def exact_weyl_count(
     e1t,
     e2t,
     bs: BsSpectrum,
-) -> WeylCount | list[WeylCount]:
-    """Integer-exact count of quantization solutions in [e1t, e2t].
+) -> list[WeylCount]:
+    """Integer-exact count of quantization solutions in each [e1t[i], e2t[i]].
 
-    Per family N_k = floor(A0(e2t)/(2 pi hbar) + 1/2)
-                   - floor(A0(e1t)/(2 pi hbar) + 1/2),
+    e1t and e2t are equal-length sequences of interval ends. Per family
+    N_k = floor(A0(e2t)/(2 pi hbar) + 1/2) - floor(A0(e1t)/(2 pi hbar) + 1/2),
     valid when both endpoints lie in the window and keep ENDPOINT_SAFETY
     mean spacings from the spectrum (UnsafeEndpoint names the first that
-    does not).
-    e1t and e2t may be equal-length arrays of interval ends; the result is
-    then one WeylCount per interval, from one evaluation of each table's
-    series over all endpoints.
+    does not). Returns one WeylCount per interval, from one evaluation of
+    each table's series over all endpoints.
     """
-    ends = np.column_stack([np.atleast_1d(e1t), np.atleast_1d(e2t)]).astype(float)
+    ends = np.column_stack([e1t, e2t]).astype(float)
     floor = ENDPOINT_SAFETY * spacing_floor(tables, bs.hbar) if bs.entries else 0.0
     gaps = np.min(np.abs(ends[..., None] - bs.energies()), axis=-1, initial=np.inf)
     for (lo, hi), pair_gaps in zip(ends.tolist(), gaps.tolist()):
@@ -148,7 +145,7 @@ def exact_weyl_count(
         per_family.append(np.floor(a2 / step + 0.5) - np.floor(a1 / step + 0.5))
         leading += (a2 - a1) / step
         correction += (tau2 - tau1) / TWO_PI
-    counts = [
+    return [
         WeylCount(
             count=sum(fam), per_family=tuple(fam), leading=lead, correction=corr,
             delta=sum(fam) - lead - corr,
@@ -157,7 +154,6 @@ def exact_weyl_count(
             np.array(per_family, dtype=int).T.tolist(), leading.tolist(), correction.tolist()
         )
     ]
-    return counts[0] if np.ndim(e1t) == 0 else counts
 
 
 def draw_safe_endpoints(
@@ -202,12 +198,11 @@ def draw_safe_endpoints(
     return pairs
 
 
-def branch_energy(table: ActionTable, n, hbar):
-    """Energy of branch (k, n) at this hbar, or None once it left the window.
+def branch_energy(table: ActionTable, n, hbar) -> np.ndarray:
+    """Energies of branches (k, n) at hbar, NaN where a branch left the window.
 
-    n and hbar may also be arrays, broadcast together; the result is then an
-    array of energies, NaN where the branch left the window, from one
-    invert_action call.
+    n and hbar broadcast together; all energies come from one invert_action
+    call.
     """
     hbar = np.asarray(hbar, dtype=float)
     if np.any(hbar <= 0):
@@ -216,9 +211,7 @@ def branch_energy(table: ActionTable, n, hbar):
     out = np.full(a.shape, np.nan)
     inside = table.covers(a)
     out[inside] = invert_action(table, a[inside])
-    if out.ndim:
-        return out
-    return None if np.isnan(out) else float(out)
+    return out
 
 
 def exit_hbar(table: ActionTable, n):

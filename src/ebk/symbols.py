@@ -240,14 +240,13 @@ class SymbolSpec:
 
     kind is "schrodinger" (H = xi^2/2 + V(x), mass absorbed into the
     semiclassical parameter) or "closed_form" (a named full-phase-space
-    expression). Instances are immutable and safe to share across workers.
+    expression). Instances are immutable.
     """
 
     kind: str
     potential: PotentialSpec | None = None
     form: str | None = None
     params: tuple[tuple[str, float], ...] = ()
-    description: str = ""
 
     def __post_init__(self):
         if self.kind == "schrodinger":
@@ -314,31 +313,21 @@ class SymbolSpec:
         raise InvalidSymbol(f"no bounding radius for {self.form!r}")
 
 
-def schrodinger_symbol(potential: PotentialSpec, description: str = "") -> SymbolSpec:
-    if not description:
-        description = f"xi^2/2 + {potential.kind} potential"
-    return SymbolSpec("schrodinger", potential=potential, description=description)
+def schrodinger_symbol(potential: PotentialSpec) -> SymbolSpec:
+    return SymbolSpec("schrodinger", potential=potential)
 
 
 def kerr_symbol(chi: float = 0.5) -> SymbolSpec:
     if chi < 0:
         raise InvalidSymbol("kerr coefficient chi must be nonnegative")
-    return SymbolSpec(
-        "closed_form",
-        form="kerr",
-        params=(("chi", float(chi)),),
-        description="radially symmetric oscillator with quartic momentum mixing",
-    )
+    return SymbolSpec("closed_form", form="kerr", params=(("chi", float(chi)),))
 
 
 def anisotropic_symbol(a: float = 1.0, b: float = 1.0) -> SymbolSpec:
     if a <= 0 or b <= 0:
         raise InvalidSymbol("anisotropic_harmonic needs a, b > 0")
     return SymbolSpec(
-        "closed_form",
-        form="anisotropic_harmonic",
-        params=(("a", float(a)), ("b", float(b))),
-        description="elliptic oscillator (a xi^2 + b x^2)/2",
+        "closed_form", form="anisotropic_harmonic", params=(("a", float(a)), ("b", float(b)))
     )
 
 

@@ -18,22 +18,23 @@ from oracles import action_integral, check_simple_sweep, invert_action_py, morse
 
 
 def test_loop_action_harmonic(harmonic):
-    for energy in (0.5, 0.3):
-        comp = ebk.trace_component(harmonic, (math.sqrt(2 * energy), 0.0), energy)
+    energies = [0.5, 0.3]
+    seeds = [(math.sqrt(2 * energy), 0.0) for energy in energies]
+    for energy, comp in zip(energies, ebk.trace_component(harmonic, seeds, energies)):
         assert comp.action == pytest.approx(2 * math.pi * energy, abs=1e-9)
 
 
 def test_loop_action_quartic_vs_quadrature(quartic):
-    comp = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
+    (comp,) = ebk.trace_component(quartic, [(1.0, 0.0)], [1.0])
     ref = action_integral(lambda x: x**4, 1.0, -1.5, 1.5)
     assert ref == pytest.approx(4.944, abs=1e-3)
     assert comp.action == pytest.approx(ref, abs=1e-10)
 
 
 def test_green_area_matches_action(harmonic, quartic):
-    circle = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
+    (circle,) = ebk.trace_component(harmonic, [(1.0, 0.0)], [0.5])
     assert abs(ebk.green_area(circle)) == pytest.approx(math.pi, abs=1e-9)
-    loop = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
+    (loop,) = ebk.trace_component(quartic, [(1.0, 0.0)], [1.0])
     assert abs(abs(ebk.green_area(loop)) - abs(loop.action)) <= 1e-8
 
 
@@ -43,7 +44,7 @@ def _reversed(comp: LevelComponent) -> LevelComponent:
 
 
 def test_green_area_orientation_flip(harmonic):
-    comp = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
+    (comp,) = ebk.trace_component(harmonic, [(1.0, 0.0)], [0.5])
     flipped = _reversed(comp)
     assert ebk.green_area(flipped) == pytest.approx(-ebk.green_area(comp), rel=1e-12)
     assert abs(ebk.green_area(flipped)) == pytest.approx(abs(ebk.green_area(comp)))
@@ -55,7 +56,6 @@ def test_green_area_rejects_figure_eight():
     fake = LevelComponent(
         energy=0.0,
         points=pts,
-        times=t,
         period=2 * math.pi,
         seed=(0.0, 0.0),
         action=0.0,
@@ -65,10 +65,10 @@ def test_green_area_rejects_figure_eight():
 
 
 def test_maslov_index_signs(harmonic, quartic):
-    circle = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
+    (circle,) = ebk.trace_component(harmonic, [(1.0, 0.0)], [0.5])
     assert ebk.maslov_index(circle) == 2
     assert ebk.maslov_index(_reversed(circle)) == -2
-    loop = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
+    (loop,) = ebk.trace_component(quartic, [(1.0, 0.0)], [1.0])
     assert ebk.maslov_index(loop) == 2
 
 
@@ -76,7 +76,7 @@ def test_maslov_closed_form_symbols():
     chi = 0.5
     kerr = ebk.kerr_symbol(chi)
     energy = 0.625  # r^2 = 1 exactly for chi = 1/2
-    comp = ebk.trace_component(kerr, (1.0, 0.0), energy)
+    (comp,) = ebk.trace_component(kerr, [(1.0, 0.0)], [energy])
     assert ebk.maslov_index(comp) == 2
     r2 = (math.sqrt(1 + 4 * chi * energy) - 1) / chi
     assert r2 == pytest.approx(1.0, abs=1e-14)
@@ -115,20 +115,20 @@ def test_derivative_identity(harmonic_table, quartic_table, morse_table):
 
 
 def test_invert_action_roundtrip(harmonic_table, quartic_table):
-    assert ebk.invert_action(harmonic_table, math.pi) == pytest.approx(0.5, abs=1e-10)
-    assert ebk.invert_action(harmonic_table, 0.4 * math.pi) == pytest.approx(0.2, abs=1e-10)
+    got = ebk.invert_action(harmonic_table, np.array([math.pi, 0.4 * math.pi]))
+    assert got == pytest.approx([0.5, 0.2], abs=1e-10)
     a_ref = action_integral(lambda x: x**4, 1.0, -1.5, 1.5)
-    assert ebk.invert_action(quartic_table, a_ref) == pytest.approx(1.0, abs=1e-8)
+    assert ebk.invert_action(quartic_table, np.array([a_ref])) == pytest.approx([1.0], abs=1e-8)
     rng = np.random.default_rng(99)
     for table in (harmonic_table, quartic_table):
-        for energy in rng.uniform(table.window.e1, table.window.e2, size=100):
-            a = float(table.a0_at(energy))
-            assert ebk.invert_action(table, a) == pytest.approx(energy, abs=1e-9)
+        energies = rng.uniform(table.window.e1, table.window.e2, size=100)
+        got = ebk.invert_action(table, table.a0_at(energies))
+        assert got == pytest.approx(energies, abs=1e-9)
 
 
 def test_invert_action_out_of_window(harmonic_table):
     with pytest.raises(OutOfWindow):
-        ebk.invert_action(harmonic_table, 100.0)
+        ebk.invert_action(harmonic_table, np.array([100.0]))
 
 
 def test_invert_action_array_matches_scalar_reference(harmonic_table, quartic_table, dw_tables):
@@ -143,7 +143,6 @@ def test_invert_action_array_matches_scalar_reference(harmonic_table, quartic_ta
         got = ebk.invert_action(table, targets)
         assert got.tobytes() == ref.tobytes()
         assert ebk.invert_action(table, targets.reshape(-1, 5)).tobytes() == ref.tobytes()
-        assert ebk.invert_action(table, float(targets[0])) == ref[0]
         assert ebk.invert_action(table, targets[:0]).shape == (0,)
         with pytest.raises(OutOfWindow):
             ebk.invert_action(table, np.append(targets, hi_a + 1e-6))
@@ -179,21 +178,19 @@ def test_stokes_identity_across_catalog(harmonic, quartic, morse, dw_families, d
         (morse, (0.0, 1.0), 0.5),
     ]
     for spec, seed, energy in cases:
-        comp = ebk.trace_component(spec, seed, energy)
+        (comp,) = ebk.trace_component(spec, [seed], [energy])
         assert abs(abs(comp.action) - abs(ebk.green_area(comp))) <= 1e-8
     family = dw_families[0]
     nearest = family.components[int(np.argmin(np.abs(family.energies - 0.35)))]
-    seed = refine_to_level(double_well, nearest.seed, 0.35)
-    comp = ebk.trace_component(double_well, seed, 0.35)
+    seed = refine_to_level(double_well, [nearest.seed], 0.35)
+    (comp,) = ebk.trace_component(double_well, [seed], [0.35])
     assert abs(abs(comp.action) - abs(ebk.green_area(comp))) <= 1e-8
 
 
 def _polyline(points) -> LevelComponent:
-    t = np.arange(len(points), dtype=float)
     return LevelComponent(
         energy=0.0,
         points=points,
-        times=t,
         period=float(len(points)),
         seed=(float(points[0, 0]), float(points[0, 1])),
         action=0.0,
@@ -247,7 +244,7 @@ def test_table_midpoint_error_at_default_samples(
             assert len(table.energies) == ebk.portrait.DEFAULT_ACTION_SAMPLES == 17
             assert table.tau_consistency <= 1e-8
             mids = 0.5 * (table.energies[:-1] + table.energies[1:])
-            seeds = [refine_to_level(spec, c.seed, e) for c, e in zip(family.components, mids)]
+            seeds = [refine_to_level(spec, [c.seed], e) for c, e in zip(family.components, mids)]
             direct = np.array([c.action for c in ebk.trace_component(spec, seeds, mids)])
             assert float(np.max(np.abs(table.a0_at(mids) - direct))) <= bound
 

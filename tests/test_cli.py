@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ebk.pipeline
 import ebk.portrait
 from ebk.cli import main
 from ebk.config import STAGE_DEPS, STAGES, load_config, parse_config
@@ -150,6 +151,27 @@ def test_run_topology_violation_exit_3(tmp_path):
 
 def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "sub, reason",
+    [("", "File exists"), ("sub", "Not a directory")],
+    ids=["existing-file", "under-a-file"],
+)
+def test_run_output_dir_not_creatable_exit_2(tmp_path, capsys, monkeypatch, sub, reason):
+    # A file where the output directory, or one of its parents, should be is
+    # a config error, reported before any stage runs.
+    ran = []
+    for stage in list(ebk.pipeline._STAGE_FNS):
+        monkeypatch.setitem(ebk.pipeline._STAGE_FNS, stage, ran.append)
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file", encoding="utf-8")
+    out = blocker / sub if sub else blocker
+    path = _write(tmp_path, _base_config(str(tmp_path / "out")))
+    assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot create output directory {out}: {reason}\n"
+    assert ran == [] and blocker.read_text(encoding="utf-8") == "a file"
 
 
 def test_validate_directory_config_exit_2(tmp_path, capsys):

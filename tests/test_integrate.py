@@ -53,7 +53,7 @@ def test_batch_rhs_count_and_columns_match_single_runs():
     batch = _history(steps, Y0.shape[1])
     for j in range(Y0.shape[1]):
         single_rhs, single_calls = _counted(_pendulum)
-        single = list(integrate.dp45_steps(single_rhs, Y0[:, j], 1e-9, 12.0))
+        single = list(integrate.dp45_steps(single_rhs, Y0[:, j : j + 1], 1e-9, 12.0))
         assert (len(single_calls) - 2) % 6 == 0
         ref = _history(single, 1)[0]
         # A column's arithmetic does not depend on the rest of the batch.
@@ -72,7 +72,7 @@ def test_rejected_attempts_are_counted():
         return np.array([y[1], -400.0 * y[0]])
 
     rhs, calls = _counted(oscillator)
-    slow = np.array([0.0, 1e-3])
+    slow = np.array([[0.0], [1e-3]])
     steps = list(integrate.dp45_steps(rhs, slow, 1e-12, 1.0))
     attempts, extra = divmod(len(calls) - 2, 6)
     assert extra == 0
@@ -82,7 +82,7 @@ def test_rejected_attempts_are_counted():
     # Attempts where only one column is accepted take the selecting path.
     assert any(len(step.cols) == 1 for step in batch)
     for j in range(2):
-        ref = _entries(integrate.dp45_steps(oscillator, y0[:, j], 1e-12, 1.0), 1)[0]
+        ref = _entries(integrate.dp45_steps(oscillator, y0[:, j : j + 1], 1e-12, 1.0), 1)[0]
         got = _entries(batch, 2)[j]
         assert len(got) == len(ref)
         for a, b in zip(got, ref):

@@ -98,11 +98,14 @@ def test_writers_return_the_sha256_of_their_bytes(tmp_path):
 
 
 def _component_rows(families):
-    """components.csv rows of every stride-th sample, one tuple per line."""
+    """components.csv rows of every stride-th sample, one tuple per line, t
+    the sample's flow time as LevelComponent documents it."""
     for family in families:
         for comp in family.components:
-            stride = max(1, len(comp.points) // pipeline._CSV_STRIDE_TARGET)
-            for t, (x, xi) in zip(comp.times[::stride], comp.points[::stride]):
+            n = len(comp.points)
+            stride = max(1, n // pipeline._CSV_STRIDE_TARGET)
+            times = np.linspace(0.0, comp.period, n, endpoint=False)
+            for t, (x, xi) in zip(times[::stride], comp.points[::stride]):
                 yield (family.k, comp.energy, float(t), float(x), float(xi))
 
 
@@ -117,7 +120,7 @@ def test_components_csv_matches_row_writer(tmp_path):
     points = np.array([[-0.0, 5e-324], [1e300, -1 / 3], [0.1, 2.0]] * 401)[:1201]
     comps = tuple(
         portrait.LevelComponent(
-            energy=e, points=points[:n], times=np.linspace(0.0, 7.0, n), period=7.0,
+            energy=e, points=points[:n], period=7.0,
             seed=(0.0, 0.0), action=1.0,
         )
         for e, n in ((0.1, 1201), (1 / 3, 1), (2.0, 1024), (-0.0, 513))

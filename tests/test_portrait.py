@@ -24,12 +24,12 @@ BOX = Box(-2, 2, -2, 2)
 
 def _loop_count(spec, energy, box):
     """Closed marching loops of {H = E} on the default grid; no flow integration."""
-    return len(portrait._marching_loops(spec, [energy], box, 201)[0])
+    return len(portrait._marching_loops(spec, [energy], box, portrait.GRID_N)[0])
 
 
 def _seed_components(spec, energy, box):
     """The distinct traced components of {H = E} in the box, as a family scan finds them."""
-    loops = portrait._marching_loops(spec, [energy], box, 201)
+    loops = portrait._marching_loops(spec, [energy], box, portrait.GRID_N)
     (comps,) = portrait._traced_components(spec, [energy], loops, DEFAULT_TRACE_TOL)
     return comps
 
@@ -64,8 +64,14 @@ def test_component_count_examples(double_well, morse):
     assert len(_seed_components(morse, 0.5, Box(-1.5, 4, -1.5, 1.5))) == 1
 
 
+def _trace_one(spec, seed, energy, **kwargs):
+    """The one component of a one-orbit trace_component call."""
+    (comp,) = ebk.trace_component(spec, [seed], [energy], **kwargs)
+    return comp
+
+
 def test_trace_harmonic_period(harmonic):
-    comp = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
+    comp = _trace_one(harmonic, (1.0, 0.0), 0.5)
     assert comp.period == pytest.approx(2 * math.pi, abs=1e-9)
     # Along the flow the loop action is the enclosed area, positive.
     assert comp.action == pytest.approx(math.pi, abs=1e-9)
@@ -73,21 +79,19 @@ def test_trace_harmonic_period(harmonic):
 
 
 def test_trace_seed_independence(harmonic):
-    a = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
-    b = ebk.trace_component(harmonic, (0.0, 1.0), 0.5)
+    a, b = ebk.trace_component(harmonic, [(1.0, 0.0), (0.0, 1.0)], [0.5, 0.5])
     assert abs(a.period - b.period) <= 1e-9
     assert abs(a.action - b.action) <= 1e-9
 
 
 def test_trace_quartic_period_vs_quadrature(quartic):
-    comp = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
+    comp = _trace_one(quartic, (1.0, 0.0), 1.0)
     ref = period_integral(lambda x: x**4, 1.0, -1.5, 1.5)
     assert comp.period == pytest.approx(ref, abs=1e-10)
 
 
 def test_trace_conservation_and_closure(morse):
-    seed = refine_to_level(morse, (0.5, 0.5), 0.4)
-    comp = ebk.trace_component(morse, seed, 0.4)
+    comp = _trace_one(morse, refine_to_level(morse, [(0.5, 0.5)], 0.4), 0.4)
     drift = np.abs(morse.value(comp.points[:, 0], comp.points[:, 1]) - 0.4)
     assert float(drift.max()) <= DEFAULT_TRACE_TOL
     assert comp.closure_gap <= DEFAULT_TRACE_TOL
@@ -95,13 +99,13 @@ def test_trace_conservation_and_closure(morse):
 
 def test_trace_rejects_critical_seed(harmonic):
     with pytest.raises(CriticalSeed):
-        ebk.trace_component(harmonic, (0.0, 0.0), 0.0)
+        _trace_one(harmonic, (0.0, 0.0), 0.0)
 
 
 def test_trace_time_budget(harmonic, monkeypatch):
     monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 1.0)
     with pytest.raises(NotClosedOrbit):
-        ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
+        _trace_one(harmonic, (1.0, 0.0), 0.5)
 
 
 def test_library_trace_tol_under_rounding_floor(harmonic, deadline):
@@ -111,12 +115,12 @@ def test_library_trace_tol_under_rounding_floor(harmonic, deadline):
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     calls = [
         lambda: ebk.build_families(harmonic, window, 9, trace_tol=1e-15),
-        lambda: ebk.trace_component(harmonic, (1.0, 0.0), 0.5, trace_tol=1e-15),
+        lambda: _trace_one(harmonic, (1.0, 0.0), 0.5, trace_tol=1e-15),
     ]
     for call in calls:
         with pytest.raises(ConfigError, match="trace_tol 1e-15 is under 2.22e-11"):
             call()
-    ebk.trace_component(harmonic, (1.0, 0.0), 0.5, trace_tol=portrait.MIN_TRACE_TOL)
+    _trace_one(harmonic, (1.0, 0.0), 0.5, trace_tol=portrait.MIN_TRACE_TOL)
 
 
 def test_trace_overflowing_symbol_diverges(deadline):
@@ -125,7 +129,7 @@ def test_trace_overflowing_symbol_diverges(deadline):
     spec = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 1e300]))
     deadline(10)
     with pytest.raises(TraceDiverged, match="underflow"):
-        ebk.trace_component(spec, (0.0, 1.0), 0.5)
+        _trace_one(spec, (0.0, 1.0), 0.5)
 
 
 def test_components_disjoint(double_well):
@@ -210,7 +214,7 @@ def test_box_doubling_stability(double_well):
 
 
 def _one_at_a_time(spec, seeds, energies):
-    return [ebk.trace_component(spec, s, e) for s, e in zip(seeds, energies)]
+    return [_trace_one(spec, s, e) for s, e in zip(seeds, energies)]
 
 
 def test_batched_trace_matches_single_traces(double_well, dw_families):
@@ -222,40 +226,28 @@ def test_batched_trace_matches_single_traces(double_well, dw_families):
     nearest = [
         f.components[int(np.argmin(np.abs(f.energies - e)))] for f, e in zip(fams, energies)
     ]
-    seeds = [refine_to_level(double_well, c.seed, e) for c, e in zip(nearest, energies)]
+    seeds = [refine_to_level(double_well, [c.seed], e) for c, e in zip(nearest, energies)]
     cases.append((double_well, seeds, energies))
     # Kerr circles seeded on different axes.
     energies = [0.3, 0.9, 0.6]
-    seeds = [
-        refine_to_level(kerr, s, e)
-        for s, e in zip([(1.0, 0.0), (0.0, 1.0), (-0.7, 0.7)], energies)
-    ]
+    axes = [(1.0, 0.0), (0.0, 1.0), (-0.7, 0.7)]
+    seeds = [refine_to_level(kerr, [s], e) for s, e in zip(axes, energies)]
     cases.append((kerr, seeds, energies))
     for spec, seeds, energies in cases:
         batch = ebk.trace_component(spec, seeds, energies)
         assert len(batch) == len(seeds)
+        # Every column advances as it would alone, so the orbits agree bit for bit.
         for got, ref in zip(batch, _one_at_a_time(spec, seeds, energies)):
             assert got.energy == ref.energy and got.seed == ref.seed
-            assert abs(got.action - ref.action) <= 1e-12
-            assert abs(got.period - ref.period) <= 1e-12
-            assert np.max(np.abs(got.points - ref.points)) <= 1e-10
-            assert got.closure_gap <= DEFAULT_TRACE_TOL
-
-
-def test_batched_trace_single_form(harmonic):
-    one = ebk.trace_component(harmonic, (1.0, 0.0), 0.5)
-    (listed,) = ebk.trace_component(harmonic, [(1.0, 0.0)], [0.5])
-    assert isinstance(one, ebk.LevelComponent)
-    assert one.action == listed.action and one.period == listed.period
-    with pytest.raises(ValueError):
-        ebk.trace_component(harmonic, [(1.0, 0.0)], [0.5, 0.5])
+            assert (got.action, got.period, got.steps) == (ref.action, ref.period, ref.steps)
+            assert np.array_equal(got.points, ref.points)
+            assert got.closure_gap == ref.closure_gap <= DEFAULT_TRACE_TOL
 
 
 def test_batched_trace_bad_column_raises(quartic, monkeypatch):
     # Quartic periods shrink with energy: at E = 16 the orbit closes in half
     # the time of the E = 1 orbit, so a budget in between fails only column 0.
-    fast = ebk.trace_component(quartic, (2.0, 0.0), 16.0)
-    slow = ebk.trace_component(quartic, (1.0, 0.0), 1.0)
+    slow, fast = ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0])
     assert fast.period < slow.period
     monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 0.5 * (fast.period + slow.period))
     with pytest.raises(NotClosedOrbit):
@@ -263,6 +255,9 @@ def test_batched_trace_bad_column_raises(quartic, monkeypatch):
     # A near-critical seed anywhere in the batch is refused.
     with pytest.raises(CriticalSeed, match="seed gradient"):
         ebk.trace_component(quartic, [(1.0, 0.0), (0.0, 0.0)], [1.0, 0.0])
+    # So is a batch whose seeds and energies differ in number.
+    with pytest.raises(ValueError, match="2 seeds for 3 energies"):
+        ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0, 1.0])
 
 
 def test_family_scan_marches_once_per_energy(double_well, monkeypatch):
@@ -381,18 +376,47 @@ def test_marching_errors_match_reference_walker(harmonic, double_well):
     assert kinds == {PreimageNotEnclosed, EmptyLevelSet}
 
 
+def _signed_area(points):
+    """Shoelace area of a closed polyline, positive when it runs counterclockwise."""
+    x, xi = points[:, 0], points[:, 1]
+    return 0.5 * float(np.sum(x * np.roll(xi, -1) - np.roll(x, -1) * xi))
+
+
+def test_marching_loops_counterclockwise_orbits_clockwise(double_well, kerr):
+    # Every marching loop leaves its least edge into the cell below, so it
+    # runs counterclockwise; the flow runs clockwise around every well, so
+    # _flow_order reads every loop's seeds backwards and each traced orbit
+    # has negative area.
+    sextic = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]))
+    cases = [
+        (double_well, ebk.EnergyWindow(0.1, 0.6, 0.05), 34),
+        (double_well, ebk.EnergyWindow(1.2, 2.0, 0.05), 17),  # above the barrier
+        (kerr, ebk.EnergyWindow(0.2, 1.0, 0.05), 17),
+        (sextic, ebk.EnergyWindow(0.1, 0.4, 0.05), 51),
+    ]
+    for spec, window, n in cases:
+        energies = portrait._lobatto(window, portrait.DEFAULT_ACTION_SAMPLES)
+        box = ebk.compact_preimage_box(spec, window)
+        loops = portrait._marching_loops(spec, energies, box, portrait.GRID_N)
+        loop_areas = [_signed_area(loop) for level in loops for loop in level]
+        orbits = [c for f in ebk.build_families(spec, window) for c in f.components]
+        assert len(loop_areas) == len(orbits) == n
+        assert min(loop_areas) > 0.0
+        assert max(_signed_area(c.points) for c in orbits) < 0.0
+
+
 def _arc_seeds(comp, k=8):
     """k points of a traced orbit, evenly spaced in flow time from its seed."""
     return comp.points[:: len(comp.points) // k][:k]
 
 
 def test_arcs_match_single_seed_trace(harmonic, kerr, double_well, dw_families):
-    cases = [(harmonic, (1.0, 0.0), 0.5), (kerr, refine_to_level(kerr, (0.8, 0.3), 0.6), 0.6)]
+    cases = [(harmonic, (1.0, 0.0), 0.5), (kerr, refine_to_level(kerr, [(0.8, 0.3)], 0.6), 0.6)]
     cases += [(double_well, f.components[5].seed, f.energies[5]) for f in dw_families]
     traced = []
     for spec, seed, energy in cases:
-        single = ebk.trace_component(spec, seed, energy)
-        arcs = ebk.trace_component(spec, _arc_seeds(single), energy)
+        single = _trace_one(spec, seed, energy)
+        arcs = _trace_one(spec, _arc_seeds(single), energy)
         assert (single.arcs, arcs.arcs) == (1, 8)
         assert arcs.seed == single.seed
         assert abs(arcs.period - single.period) <= 1e-12
@@ -412,10 +436,10 @@ def test_arcs_match_single_seed_trace(harmonic, kerr, double_well, dw_families):
 
 
 def test_arc_seeds_against_flow_give_same_component(kerr, double_well, dw_families):
-    cases = [(kerr, refine_to_level(kerr, (0.8, 0.3), 0.6), 0.6)]
+    cases = [(kerr, refine_to_level(kerr, [(0.8, 0.3)], 0.6), 0.6)]
     cases += [(double_well, f.components[3].seed, f.energies[3]) for f in dw_families]
     for spec, seed, energy in cases:
-        seeds = _arc_seeds(ebk.trace_component(spec, seed, energy))
+        seeds = _arc_seeds(_trace_one(spec, seed, energy))
         backwards = np.roll(seeds[::-1], 1, axis=0)  # the first seed stays first
         assert np.array_equal(backwards[0], seeds[0])
         along, against = ebk.trace_component(spec, [seeds, backwards], [energy, energy])
@@ -425,7 +449,7 @@ def test_arc_seeds_against_flow_give_same_component(kerr, double_well, dw_famili
         assert against.arcs == along.arcs == len(seeds)
 
 
-def test_short_loop_traces_as_one_arc(harmonic):
+def test_short_loop_traces_as_one_arc(harmonic, monkeypatch):
     # On a coarse grid the circle crosses too few edges to be split.
     (loops,) = portrait._marching_loops(harmonic, [0.5], BOX, 11)
     assert len(loops) == 1 and len(loops[0]) < 2 * portrait._ARC_CROSSINGS
@@ -435,7 +459,9 @@ def test_short_loop_traces_as_one_arc(harmonic):
     # this grid the small orbits of the window are one arc, the large ones
     # two or three.
     window, crossings = ebk.EnergyWindow(0.2, 0.8, 0.05), portrait._ARC_CROSSINGS
-    (family,) = ebk.build_families(harmonic, window, 9, grid_n=11)
+    with monkeypatch.context() as m:
+        m.setattr(portrait, "GRID_N", 11)
+        (family,) = ebk.build_families(harmonic, window, 9)
     arcs = [c.arcs for c in family.components]
     assert [[a] for a in arcs] == scan_arcs_py(harmonic, window, 9, crossings, grid_n=11)
     assert arcs[0] == 1 and arcs[-1] == 3
@@ -465,15 +491,13 @@ def test_arcs_land_at_small_gradient(harmonic, deadline):
 
 
 def test_max_time_bounds_the_orbit_not_each_arc(harmonic, monkeypatch):
-    seeds = _arc_seeds(ebk.trace_component(harmonic, (1.0, 0.0), 0.5))
+    seeds = _arc_seeds(_trace_one(harmonic, (1.0, 0.0), 0.5))
     # Every arc lasts 2 pi / 8 < 1, the orbit 2 pi.
     monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 1.0)
     with pytest.raises(NotClosedOrbit):
-        ebk.trace_component(harmonic, seeds, 0.5)
+        _trace_one(harmonic, seeds, 0.5)
     monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 7.0)
-    assert ebk.trace_component(harmonic, seeds, 0.5).period == pytest.approx(
-        2 * math.pi, abs=1e-12
-    )
+    assert _trace_one(harmonic, seeds, 0.5).period == pytest.approx(2 * math.pi, abs=1e-12)
 
 
 def test_double_well_scan_attempts_ceiling(double_well, monkeypatch):

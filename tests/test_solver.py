@@ -13,7 +13,7 @@ HBAR = 0.1
 
 
 def test_quantize_harmonic(harmonic_table):
-    levels = ebk.quantize_family(harmonic_table, HBAR)
+    levels = ebk.quantize_family(harmonic_table, HBAR, harmonic_table.window)
     assert [n for n, _ in levels] == [2, 3, 4, 5, 6, 7]
     for n, e in levels:
         assert e == pytest.approx(HBAR * (n + 0.5), abs=1e-10)
@@ -21,12 +21,12 @@ def test_quantize_harmonic(harmonic_table):
 
 def test_quantize_harmonic_large_hbar(harmonic_table):
     # hbar = 0.5 puts both n=0 (E=0.25) and n=1 (E=0.75) inside [0.2, 0.8].
-    levels = ebk.quantize_family(harmonic_table, 0.5)
+    levels = ebk.quantize_family(harmonic_table, 0.5, harmonic_table.window)
     assert [(n, round(e, 10)) for n, e in levels] == [(0, 0.25), (1, 0.75)]
 
 
 def test_quantize_morse_closed_form(morse_table):
-    levels = ebk.quantize_family(morse_table, 0.05)
+    levels = ebk.quantize_family(morse_table, 0.05, morse_table.window)
     assert [n for n, _ in levels] == list(range(1, 10))
     for n, e in levels:
         assert e == pytest.approx(morse_level_closed_form(n, 0.05), abs=1e-7)
@@ -34,7 +34,7 @@ def test_quantize_morse_closed_form(morse_table):
 
 def test_spectrum_entry_residual(harmonic_table, quartic_table):
     for table, hbar in ((harmonic_table, 0.1), (quartic_table, 0.025)):
-        for n, e in ebk.quantize_family(table, hbar):
+        for n, e in ebk.quantize_family(table, hbar, table.window):
             resid = abs(float(table.a0_at(e)) - TWO_PI * hbar * (n + 0.5))
             assert resid <= 1e-9 * hbar
 
@@ -43,15 +43,16 @@ def test_convention_equivalence(harmonic_table, quartic_table):
     # A0 = 2*pi*hbar*(n + 1/2) over n and A0 = 2*pi*hbar*(m - 1/2) over m
     # describe the same level set.
     for table in (harmonic_table, quartic_table):
-        plus = {round(e, 12) for _, e in ebk.quantize_family(table, HBAR)}
+        plus = {round(e, 12) for _, e in ebk.quantize_family(table, HBAR, table.window)}
         lo_a, hi_a = table.a0_range
-        minus = set()
+        actions = []
         m = math.floor(lo_a / (TWO_PI * HBAR) + 0.5)
         while TWO_PI * HBAR * (m - 0.5) <= hi_a + 1e-12:
             a = TWO_PI * HBAR * (m - 0.5)
             if a >= lo_a - 1e-12:
-                minus.add(round(ebk.invert_action(table, min(max(a, lo_a), hi_a)), 12))
+                actions.append(min(max(a, lo_a), hi_a))
             m += 1
+        minus = {round(e, 12) for e in ebk.invert_action(table, np.array(actions)).tolist()}
         assert plus == minus
 
 
@@ -84,7 +85,7 @@ def test_merged_spectrum_sorted_and_monotone_per_family(quartic_table, quartic_w
 def test_weyl_analytic_case(harmonic_wide_table):
     table = harmonic_wide_table
     bs = ebk.merged_spectrum([table], HBAR, table.window)
-    wc = ebk.exact_weyl_count([table], HBAR, 0.22, 1.01, bs)
+    (wc,) = ebk.exact_weyl_count([table], HBAR, [0.22], [1.01], bs)
     assert wc.count == 8
     assert wc.per_family == (8,)
     assert abs(wc.delta) < 1.0
@@ -94,9 +95,9 @@ def test_weyl_unsafe_endpoint(harmonic_wide_table):
     table = harmonic_wide_table
     bs = ebk.merged_spectrum([table], HBAR, table.window)
     with pytest.raises(UnsafeEndpoint):
-        ebk.exact_weyl_count([table], HBAR, 0.25, 1.01, bs)
+        ebk.exact_weyl_count([table], HBAR, [0.25], [1.01], bs)
     with pytest.raises(UnsafeEndpoint):
-        ebk.exact_weyl_count([table], HBAR, 0.22, 2.0, bs)
+        ebk.exact_weyl_count([table], HBAR, [0.22], [2.0], bs)
 
 
 def test_weyl_batch_names_its_first_bad_endpoint(harmonic_wide_table):
@@ -121,42 +122,50 @@ def test_weyl_count_matches_spectrum_entries(
     ]:
         bs = ebk.merged_spectrum(tables, hbar, window)
         pairs = ebk.draw_safe_endpoints(rng, tables, bs, window, 10)
-        for a, b in pairs:
-            wc = ebk.exact_weyl_count(tables, hbar, a, b, bs)
+        counts = ebk.exact_weyl_count(tables, hbar, *np.transpose(pairs), bs)
+        for (a, b), wc in zip(pairs, counts):
             inside = sum(a <= e.energy <= b for e in bs.entries)
             assert wc.count == inside
             assert sum(wc.per_family) == wc.count
 
 
 def test_branch_energy_examples(harmonic_table, quartic_table):
-    assert ebk.branch_energy(harmonic_table, 3, 0.1) == pytest.approx(0.35, abs=1e-10)
-    assert ebk.branch_energy(harmonic_table, 3, 0.05) is None
+    inside, left = ebk.branch_energy(harmonic_table, 3, np.array([0.1, 0.05]))
+    assert inside == pytest.approx(0.35, abs=1e-10)
+    assert np.isnan(left)
     a_ref = action_integral(lambda x: x**4, 1.0, -1.5, 1.5)
-    e = ebk.branch_energy(quartic_table, 5, 0.1)
+    (e,) = ebk.branch_energy(quartic_table, 5, np.array([0.1]))
     expected = (TWO_PI * 0.1 * 5.5 / a_ref) ** (4.0 / 3.0)
     assert e == pytest.approx(expected, abs=1e-7)
 
 
 def test_branch_monotonicity(quartic_table):
-    energies = [ebk.branch_energy(quartic_table, n, 0.1) for n in range(20)]
-    inside = [e for e in energies if e is not None]
+    energies = ebk.branch_energy(quartic_table, np.arange(20), 0.1)
+    inside = energies[~np.isnan(energies)]
     assert len(inside) >= 3
-    assert all(b > a for a, b in zip(inside, inside[1:]))
+    assert np.all(np.diff(inside) > 0)
     h_lo = ebk.exit_hbar(quartic_table, 8) * 1.001
     h_hi = 0.999 * float(quartic_table.a0_at(quartic_table.window.e2)) / (TWO_PI * 8.5)
-    hs = np.linspace(h_lo, h_hi, 25)
-    vals = [ebk.branch_energy(quartic_table, 8, float(h)) for h in hs]
-    assert all(v is not None for v in vals)
-    assert all(b > a for a, b in zip(vals, vals[1:]))
+    vals = ebk.branch_energy(quartic_table, 8, np.linspace(h_lo, h_hi, 25))
+    assert not np.isnan(vals).any()
+    assert np.all(np.diff(vals) > 0)
+    # Branches and hbar broadcast: NaN once a branch has left the window.
+    grid = ebk.branch_energy(quartic_table, np.arange(12)[:, None], np.linspace(0.02, 0.2, 33))
+    assert grid.shape == (12, 33) and np.isnan(grid).any() and not np.isnan(grid).all()
 
 
 def test_branch_exit(harmonic_table):
     for n in (2, 3, 7):
         h_star = ebk.exit_hbar(harmonic_table, n)
         assert h_star == pytest.approx(0.2 / (n + 0.5), abs=1e-10)
-        assert ebk.branch_energy(harmonic_table, n, 0.999 * h_star) is None
-        assert ebk.branch_energy(harmonic_table, n, 0.5 * h_star) is None
-        assert ebk.branch_energy(harmonic_table, n, 1.001 * h_star) is not None
+        below, far_below, above = ebk.branch_energy(
+            harmonic_table, n, np.array([0.999, 0.5, 1.001]) * h_star
+        )
+        assert np.isnan(below) and np.isnan(far_below) and not np.isnan(above)
+    ns = np.array([2, 3, 7])
+    assert ebk.exit_hbar(harmonic_table, ns).tolist() == [
+        ebk.exit_hbar(harmonic_table, n) for n in ns.tolist()
+    ]
 
 
 def test_doublet_scan_symmetric(dw_tables, dw_window):
@@ -225,22 +234,3 @@ def test_merged_spectrum_orders_ties_by_label(dw_tables, dw_window):
     for hbar in (0.1, 0.05):
         labels = _labels(ebk.merged_spectrum(dw_tables, hbar, dw_window))
         assert labels == sorted(labels, key=lambda kn: (kn[1], kn[0]))
-
-
-def test_array_forms_match_scalar_calls(quartic_table, dw_tables, dw_window):
-    # One call per table returns, element by element, the doubles of the
-    # one-level calls, NaN where the scalar call gives None.
-    ns = np.arange(12)
-    hs = np.linspace(0.02, 0.2, 33)
-    grid = ebk.branch_energy(quartic_table, ns[:, None], hs)
-    assert grid.shape == (12, 33) and np.isnan(grid).any() and not np.isnan(grid).all()
-    for i, n in enumerate(ns.tolist()):
-        assert ebk.exit_hbar(quartic_table, ns)[i] == ebk.exit_hbar(quartic_table, n)
-        for j, h in enumerate(hs.tolist()):
-            e = ebk.branch_energy(quartic_table, n, h)
-            assert (np.isnan(grid[i, j]) and e is None) or grid[i, j] == e
-    bs = ebk.merged_spectrum(dw_tables, 0.05, dw_window)
-    pairs = ebk.draw_safe_endpoints(np.random.default_rng(4), dw_tables, bs, dw_window, 12)
-    e1s, e2s = np.transpose(pairs)
-    counts = ebk.exact_weyl_count(dw_tables, 0.05, e1s, e2s, bs)
-    assert counts == [ebk.exact_weyl_count(dw_tables, 0.05, a, b, bs) for a, b in pairs]
