@@ -3,6 +3,8 @@
     ebk run --config cfg.json [--output-dir D] [--threads T] [--verbose]
     ebk validate --config cfg.json
 
+validate also checks that no file stands where the config's output_dir
+should be created, which run checks before any stage.
 Exit codes: 0 ok, 2 config error, 3 hypothesis violation (regularity or
 topology), 4 verification failure.
 """
@@ -10,7 +12,10 @@ topology), 4 verification failure.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
+from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError
@@ -40,11 +45,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_output_dir(out: Path) -> None:
+    """Raise the ConfigError run raises when a file stands where out or one
+    of its parents should be, without creating anything."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                reason = os.strerror(errno.EEXIST if path == out else errno.ENOTDIR)
+                raise ConfigError(f"cannot create output directory {out}: {reason}")
+            return
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
         if args.command == "validate":
+            _check_output_dir(Path(config.output_dir))
             print(f"config ok: symbol={config.symbol_name} stages={','.join(config.pipeline)}")
             return 0
         manifest, code = run_pipeline(

@@ -13,16 +13,18 @@ matrices, dstebz (Kahan and Demmel): count_below(T, lam) asks for the
 eigenvalues in (-inf, lam-], with lam- the next float below lam, which is
 the number of eigenvalues strictly below lam. LAPACK replaces a pivot of
 magnitude below its pivmin (a safe minimum scaled by the largest squared
-off-diagonal entry) by -pivmin, so counts reproduce bit for bit. One such
-call per grid fixes the global indices of the window eigenvalues, which
-dstebz then localizes by bisection over the same value range in one call.
-The leading O(h^2) discretization error is removed by Richardson
-extrapolation across nested grids N and 2N-1. The window levels come back
-complete and with their global indices, so the levels between two energies
-in the window are counted from that list (the Weyl checks).
-Eigenvectors come from LAPACK's inverse iteration for tridiagonal matrices,
-dstein, in one call for all window levels. The grid carries what the rest
-of the pipeline needs besides eigenvalues: exact counts at any shift and
+off-diagonal entry) by -pivmin, so counts reproduce bit for bit. The
+leading O(h^2) discretization error is removed by Richardson extrapolation
+across nested grids N and 2N-1. One such call per grid fixes the global
+indices of the window eigenvalues. On the coarse grid dstebz then localizes
+them by bisection over the same value range in one call. On the finer grid
+LAPACK's inverse iteration for tridiagonal matrices, dstein, runs once, at
+the coarse levels; the Rayleigh-Ritz values of its vectors are the fine
+levels, certified by their residual bound (Parlett), and the vectors' sign
+changes are the node counts. The window levels come back complete and with
+their global indices, so the levels between two energies in the window are
+counted from that list (the Weyl checks). The grid carries what the rest of
+the pipeline needs besides eigenvalues: exact counts at any shift and
 eigenvectors on x (node counts), so it stays the pipeline's reference.
 
 The basis oracle (solve_basis) is what convergence_study uses: it only
@@ -293,15 +295,45 @@ def nodes_resolved(v: np.ndarray, T: TridiagonalOperator, energy: float) -> bool
     return all(max(seg.max(), -seg.min()) >= floor for seg, inside in segments if inside)
 
 
+def _ritz_values(T: TridiagonalOperator, Z: np.ndarray) -> tuple[np.ndarray, float]:
+    """Ascending Ritz values of T on the m unit grid-norm columns Z, and their bound rho.
+
+    Q = sqrt(h) Z is orthonormal, so the values are the eigenvalues of
+    Q^T T Q. rho is sqrt(m) times the largest residual |T y - theta y| of a
+    unit Ritz pair, which bounds |T Q - Q Q^T T Q|_2, so m eigenvalues of T
+    lie within rho of the m Ritz values, in order (Parlett, The Symmetric
+    Eigenvalue Problem, 11.5). T Z and the Ritz vectors are formed one
+    column at a time: no n x m array besides Z, and no whole-array
+    sum of d z z + e z z terms, whose cancellation put the Ritz values up
+    to 1.4e-9 off (the quartic at hbar = 0.05; 1e-11 this way).
+    """
+    m = Z.shape[1]
+    H = np.empty((m, m))
+    for j in range(m):
+        H[:, j] = Z.T @ T.apply(Z[:, j])
+    theta, S = np.linalg.eigh(T.h * H)
+    worst = 0.0
+    for j in range(m):
+        y = Z @ S[:, j]
+        worst = max(worst, float(np.linalg.norm(T.apply(y) - theta[j] * y)))
+    return theta, math.sqrt(m * T.h) * worst
+
+
 @dataclass(frozen=True)
 class OracleRun:
-    """Extrapolated window eigenvalues plus the finest operator used."""
+    """Extrapolated window eigenvalues with their finer grid's node counts.
+
+    node_counts and resolved follow result.indices; ritz_residual is the
+    bound rho that certified the finer grid's levels.
+    """
 
     result: EigenResult
-    operator: TridiagonalOperator
+    node_counts: tuple[int, ...]
+    resolved: tuple[bool, ...]
     L: float
     grid_sizes: tuple[int, int]
     floor_estimate: float
+    ritz_residual: float
 
 
 def solve_window(
@@ -316,32 +348,57 @@ def solve_window(
     The window levels are found on the nested grids N and 2N - 1 of
     domain_auto, which raises GridTooLarge before any grid is built if the
     finer one exceeds the cap, and matched by global index; (4 fine -
-    coarse) / 3 cancels the O(h^2) term. operator is the finer grid.
+    coarse) / 3 cancels the O(h^2) term. With pad = 1 % of the window,
+    eigenvalues_in gives the coarse levels in (e1 - 2 pad, e2 + 2 pad). On
+    the finer grid, one count_below at (e1 - pad, e2 + pad) fixes the
+    indices ca .. cb-1 there, one eigenvector call at their coarse levels
+    gives the vectors Z, and the fine levels are the Ritz values of T on Z
+    (_ritz_values). When every Ritz value lies more than its bound rho
+    inside (e1 - pad, e2 + pad), they are the eigenvalues ca .. cb-1 of T,
+    each to within rho, since the count leaves no other eigenvalue there.
+
+    Raises BisectionFailed if the coarse levels miss one of the indices
+    ca .. cb-1, and InverseIterationFailed if a Ritz value is not more than
+    rho inside that range. node_counts and resolved come from the columns
+    of Z as dstein returns them, so the two members of a doublet may carry
+    their node counts in either order.
     """
     a, b = window.e1, window.e2
     L, N = domain_auto(potential, window, hbar, phase_tol=phase_tol)
     sizes = (N, 2 * N - 1)
     pad = 0.01 * (b - a)
-    per_grid = []
-    for n_i in sizes:
-        T = discretize(potential, hbar, L, n_i, window=window)
-        per_grid.append(eigenvalues_in(T, a - pad, b + pad))
-    coarse, fine = per_grid
-    # Indices are unique; assume_unique also skips np.unique, which
-    # imports numpy.ma on its first call.
-    common = np.intersect1d(coarse.indices, fine.indices, assume_unique=True)
-    ec = coarse.eigenvalues[np.searchsorted(coarse.indices, common)]
-    ef = fine.eigenvalues[np.searchsorted(fine.indices, common)]
-    # Sorted: a doublet tied below DEFAULT_BISECT_TOL can swap order here.
-    ext = np.sort((4.0 * ef - ec) / 3.0)
-    keep = (ext >= a) & (ext <= b)
-    corr = float(np.max(np.abs(ef - ec), initial=0.0))
+    coarse = eigenvalues_in(
+        discretize(potential, hbar, L, N, window=window), a - 2 * pad, b + 2 * pad
+    )
+    T = discretize(potential, hbar, L, sizes[1], window=window)
+    ca, cb = count_below(T, np.array([a - pad, b + pad])).tolist()
+    m = cb - ca
+    first = int(coarse.indices[0]) if coarse.indices.size else ca
+    if m and not first <= ca <= cb <= first + coarse.indices.size:
+        raise BisectionFailed(
+            f"the coarse grid's levels {first}..{first + coarse.indices.size - 1} do not "
+            f"cover the finer grid's {ca}..{cb - 1}"
+        )
+    ec = coarse.eigenvalues[ca - first : cb - first]
+    Z = eigenvector(T, ec)
+    theta, rho = _ritz_values(T, Z)
+    if m and not (a - pad + rho < theta[0] and theta[-1] < b + pad - rho):
+        raise InverseIterationFailed(
+            f"Ritz values {theta[0]:.17g}..{theta[-1]:.17g} are not inside "
+            f"({a - pad:.17g}, {b + pad:.17g}) by the residual bound {rho:.3g}"
+        )
+    # Sorted: a doublet whose fine levels tie to rounding can swap order here.
+    ext = np.sort((4.0 * theta - ec) / 3.0)
+    keep = np.flatnonzero((ext >= a) & (ext <= b))
+    corr = float(np.max(np.abs(theta - ec), initial=0.0))
     return OracleRun(
-        result=EigenResult(eigenvalues=ext[keep], indices=common[keep]),
-        operator=T,
+        result=EigenResult(eigenvalues=ext[keep], indices=ca + keep),
+        node_counts=tuple(node_count(Z[:, k]) for k in keep),
+        resolved=tuple(nodes_resolved(Z[:, k], T, theta[k]) for k in keep),
         L=L,
         grid_sizes=sizes,
         floor_estimate=max(10.0 * DEFAULT_BISECT_TOL, 0.1 * corr / 3.0),
+        ritz_residual=rho,
     )
 
 

@@ -23,7 +23,7 @@ from .action import build_action_table
 from .compare import match_spectra, weyl_check_pairs
 from .config import STAGE_DEPS, RunConfig
 from .errors import ConfigError, EbkError, RegularityViolation
-from .oracle import eigenvector, node_count, nodes_resolved, solve_window
+from .oracle import solve_window
 from .portrait import build_families
 from .solver import branch_energy, doublet_scan, draw_safe_endpoints, exit_hbar, merged_spectrum
 from .symbols import compact_preimage_box, regularity_report
@@ -149,25 +149,17 @@ def _stage_oracle(state: _RunState):
             "L": run.L,
             "grid_sizes": list(run.grid_sizes),
             "floor_estimate": run.floor_estimate,
+            "ritz_residual": run.ritz_residual,
         }
         res = run.result
-        counts, resolved = _node_counts(run)
         indices = res.indices.tolist()
-        state.node_counts[hbar] = dict(zip(indices, counts))
-        state.resolved[hbar] = [i for i, ok in zip(indices, resolved) if ok]
+        state.node_counts[hbar] = dict(zip(indices, run.node_counts))
+        state.resolved[hbar] = [i for i, ok in zip(indices, run.resolved) if ok]
         rows += [
             (hbar, i, lam, c, ok)
-            for i, lam, c, ok in zip(indices, res.eigenvalues, counts, resolved)
+            for i, lam, c, ok in zip(indices, res.eigenvalues, run.node_counts, run.resolved)
         ]
     state.emit_csv("oracle.csv", ["hbar", "index", "E", "nodes", "resolved"], rows)
-
-
-def _node_counts(run) -> tuple[list[int], list[bool]]:
-    """Node count of each window level's eigenvector, and whether it resolves them."""
-    lams = run.result.eigenvalues
-    vectors = eigenvector(run.operator, lams).T
-    counts = [node_count(v) for v in vectors]
-    return counts, [nodes_resolved(v, run.operator, lam) for v, lam in zip(vectors, lams)]
 
 
 def _stage_compare(state: _RunState):

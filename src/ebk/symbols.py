@@ -117,7 +117,7 @@ class PotentialSpec:
         if k == "harmonic":
             return np.asarray(x, dtype=float) + 0.0
         if k == "quartic":
-            return 4.0 * np.power(x, 3)
+            return 4.0 * np.asarray(x) * np.square(x)
         if k == "polynomial":
             return npoly.polyval(x, npoly.polyder(self.coefficients))
         if k == "double_well":

@@ -174,6 +174,28 @@ def test_run_output_dir_not_creatable_exit_2(tmp_path, capsys, monkeypatch, sub,
     assert ran == [] and blocker.read_text(encoding="utf-8") == "a file"
 
 
+@pytest.mark.parametrize(
+    "sub, reason",
+    [("", "File exists"), ("sub", "Not a directory")],
+    ids=["existing-file", "under-a-file"],
+)
+def test_validate_output_dir_not_creatable_exit_2(tmp_path, capsys, sub, reason):
+    # validate reports the output directory run would fail to create, in
+    # run's words, and creates nothing.
+    blocker = tmp_path / "taken"
+    blocker.write_text("a file", encoding="utf-8")
+    out = blocker / sub if sub else blocker
+    path = _write(tmp_path, _base_config(str(out)))
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["validate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot create output directory {out}: {reason}\n"
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == err
+    assert sorted(tmp_path.rglob("*")) == before
+    assert blocker.read_text(encoding="utf-8") == "a file"
+
+
 def test_validate_directory_config_exit_2(tmp_path, capsys):
     assert main(["validate", "--config", str(tmp_path)]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot read config file")

@@ -19,8 +19,9 @@ def test_match_harmonic(harmonic, harmonic_table, harmonic_window):
 def test_match_carries_node_counts(harmonic, harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
     run = ebk.solve_window(harmonic.potential, harmonic_window, 0.1)
+    T = ebk.discretize(harmonic.potential, 0.1, run.L, run.grid_sizes[1], window=harmonic_window)
     nodes = {
-        int(i): ebk.node_count(ebk.eigenvector(run.operator, [e])[:, 0])
+        int(i): ebk.node_count(ebk.eigenvector(T, [e])[:, 0])
         for e, i in zip(run.result.eigenvalues, run.result.indices)
     }
     rep = ebk.match_spectra(
@@ -74,12 +75,13 @@ def test_weyl_check_pairs_matches_per_pair_checks(harmonic, harmonic_wide_table)
     window = table.window
     bs = ebk.merged_spectrum([table], 0.1, window)
     run = ebk.solve_window(harmonic.potential, window, 0.1)
+    T = ebk.discretize(harmonic.potential, 0.1, run.L, run.grid_sizes[1], window=window)
     pairs = ebk.draw_safe_endpoints(np.random.default_rng(3), [table], bs, window, 6)
     batch = ebk.weyl_check_pairs([table], bs, run.result, pairs)
     assert len(batch) == len(pairs)
     for chk, (e1t, e2t) in zip(batch, pairs):
         (one,) = ebk.weyl_check_pairs([table], bs, run.result, [(e1t, e2t)])
-        lo, hi = ebk.count_below(run.operator, np.array([e1t, e2t]))
+        lo, hi = ebk.count_below(T, np.array([e1t, e2t]))
         assert chk == one
         assert chk.oracle_count == hi - lo
         assert [chk.weyl] == ebk.exact_weyl_count([table], 0.1, [e1t], [e2t], bs)
@@ -129,7 +131,8 @@ def test_weyl_counts_agree_across_oracles(fixtures, hbar, request):
     basis = ebk.solve_basis(spec.potential, window, hbar)
     by_grid = [c.oracle_count for c in ebk.weyl_check_pairs(tables, bs, grid.result, pairs)]
     by_basis = [c.oracle_count for c in ebk.weyl_check_pairs(tables, bs, basis.result, pairs)]
-    sturm = np.diff(ebk.count_below(grid.operator, np.ravel(pairs)).reshape(-1, 2)).ravel()
+    T = ebk.discretize(spec.potential, hbar, grid.L, grid.grid_sizes[1], window=window)
+    sturm = np.diff(ebk.count_below(T, np.ravel(pairs)).reshape(-1, 2)).ravel()
     assert by_grid == by_basis == sturm.tolist()
     assert max(by_grid) > 0
 

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 import ebk
+from ebk.cli import main
 from ebk.errors import (
     BasisNotConverged,
     BisectionFailed,
@@ -216,7 +218,8 @@ def test_richardson_gate():
         basis = ebk.solve_basis(pot, window, hbar).result
         assert np.array_equal(run.result.indices, basis.indices)
         assert np.max(np.abs(run.result.eigenvalues - basis.eigenvalues)) <= 1e-10
-        fine = ebk.eigenvalues_in(run.operator, e1 - 0.01, e2 + 0.01)
+        T = ebk.discretize(pot, hbar, run.L, run.grid_sizes[1], window=window)
+        fine = ebk.eigenvalues_in(T, e1 - 0.01, e2 + 0.01)
         raw = fine.eigenvalues[np.isin(fine.indices, basis.indices)]
         assert np.max(np.abs(raw - basis.eigenvalues)) > 1e-8  # O(h^2): about 3e-7
 
@@ -269,13 +272,14 @@ def test_node_counts_harmonic():
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     run = ebk.solve_window(pot, window, 0.1)
+    T = ebk.discretize(pot, 0.1, run.L, run.grid_sizes[1], window=window)
     for lam, idx in zip(run.result.eigenvalues, run.result.indices):
-        (v,) = ebk.eigenvector(run.operator, [lam]).T
+        (v,) = ebk.eigenvector(T, [lam]).T
         assert ebk.node_count(v) == idx
     # One call for the whole window: unit grid-norm columns, orthogonal.
-    vectors = ebk.eigenvector(run.operator, run.result.eigenvalues)
-    assert vectors.shape == (run.operator.n, run.result.eigenvalues.size)
-    gram = run.operator.h * vectors.T @ vectors
+    vectors = ebk.eigenvector(T, run.result.eigenvalues)
+    assert vectors.shape == (T.n, run.result.eigenvalues.size)
+    gram = T.h * vectors.T @ vectors
     assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-8
     assert [ebk.node_count(v) for v in vectors.T] == list(run.result.indices)
 
@@ -291,9 +295,10 @@ def test_node_ordering_within_symmetry_class():
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.01, 0.6, 0.005)
     run = ebk.solve_window(pot, window, 0.05)
+    T = ebk.discretize(pot, 0.05, run.L, run.grid_sizes[1], window=window)
     nodes = {}
     for lam, idx in zip(run.result.eigenvalues, run.result.indices):
-        nodes[int(idx)] = ebk.node_count(ebk.eigenvector(run.operator, [lam])[:, 0])
+        nodes[int(idx)] = ebk.node_count(ebk.eigenvector(T, [lam])[:, 0])
     evens = [nodes[i] for i in sorted(nodes) if i % 2 == 0]
     odds = [nodes[i] for i in sorted(nodes) if i % 2 == 1]
     assert all(b > a for a, b in zip(evens, evens[1:]))
@@ -315,9 +320,10 @@ def test_allowed_region_mass():
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.01, 0.2, 0.01)
     run = ebk.solve_window(pot, window, 0.05)
+    T = ebk.discretize(pot, 0.05, run.L, run.grid_sizes[1], window=window)
     lam = float(run.result.eigenvalues[0])
-    (v,) = ebk.eigenvector(run.operator, [lam]).T
-    assert _forbidden_mass(v, run.operator, lam, 0.1) <= 0.05
+    (v,) = ebk.eigenvector(T, [lam]).T
+    assert _forbidden_mass(v, T, lam, 0.1) <= 0.05
 
 
 def test_doublet_state_mass_split_between_wells():
@@ -326,13 +332,14 @@ def test_doublet_state_mass_split_between_wells():
     pot = ebk.double_well_potential(1.0)
     window = ebk.EnergyWindow(0.1, 0.6, 0.05)
     run = ebk.solve_window(pot, window, 0.05)
-    fine = ebk.eigenvalues_in(run.operator, 0.55, 0.62, tol=1e-13)
+    T = ebk.discretize(pot, 0.05, run.L, run.grid_sizes[1], window=window)
+    fine = ebk.eigenvalues_in(T, 0.55, 0.62, tol=1e-13)
     assert fine.eigenvalues.size == 2
     lam = float(fine.eigenvalues[0])  # lower member: even-symmetric state
-    (v,) = ebk.eigenvector(run.operator, [lam]).T
-    assert _forbidden_mass(v, run.operator, lam, 0.1) <= 0.05
+    (v,) = ebk.eigenvector(T, [lam]).T
+    assert _forbidden_mass(v, T, lam, 0.1) <= 0.05
     assert float(np.max(np.abs(v - v[::-1])) / np.max(np.abs(v))) <= 1e-4
-    x = -run.operator.L + run.operator.h * np.arange(run.operator.n)
+    x = -T.L + T.h * np.arange(T.n)
     w = v * v
     left = float(np.sum(w[x < 0.0]) / np.sum(w))
     assert 0.3 <= left <= 0.7
@@ -351,7 +358,8 @@ def test_ball_multiplicity():
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     run = ebk.solve_window(pot, window, 0.1)
-    assert _ball_multiplicity(run.operator, 0.35, 0.01) == 1
+    T = ebk.discretize(pot, 0.1, run.L, run.grid_sizes[1], window=window)
+    assert _ball_multiplicity(T, 0.35, 0.01) == 1
 
 
 _BASIS_CASES = {
@@ -377,6 +385,80 @@ def test_basis_matches_sturm_oracle(name, hbar):
     if name == "double_well":  # both members of every doublet
         _, members = np.unique(basis.result.indices // 2, return_counts=True)
         assert np.all(members == 2)
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.05])
+@pytest.mark.parametrize("name", sorted(_BASIS_CASES))
+def test_fine_ritz_levels_match_tight_bisection(name, hbar, monkeypatch):
+    # The finer grid's Ritz values are its eigenvalues over the padded
+    # window, index for index, as a 1e-14 bisection gives them (measured:
+    # within 1e-11, the quartic at hbar = 0.05), and the run reports their
+    # certified bound.
+    pot, (e1, e2) = _BASIS_CASES[name]
+    window = ebk.EnergyWindow(e1, e2, 0.05)
+    seen = []
+    ritz_values = ebk.oracle._ritz_values
+
+    def recorded(T, Z):
+        theta, rho = ritz_values(T, Z)
+        seen.append((T, theta, rho))
+        return theta, rho
+
+    monkeypatch.setattr(ebk.oracle, "_ritz_values", recorded)
+    run = ebk.solve_window(pot, window, hbar)
+    ((T, theta, rho),) = seen
+    pad = 0.01 * (e2 - e1)
+    ref = ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14)
+    assert T.n == run.grid_sizes[1]
+    assert theta.size == ref.eigenvalues.size > 0
+    assert np.max(np.abs(theta - ref.eigenvalues)) <= 2e-11
+    assert np.all(np.isin(run.result.indices, ref.indices))
+    assert rho == run.ritz_residual and 0.0 < rho <= 1e-9
+
+
+def _run_harmonic_oracle(tmp_path):
+    """Exit code of `ebk run` of the harmonic oracle stage, and the stage's note."""
+    config = {
+        "symbol": {"name": "harmonic", "params": {}},
+        "window": {"e1": 0.2, "e2": 0.8, "margin": 0.05},
+        "hbars": [0.1],
+        "pipeline": ["oracle"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code = main(["run", "--config", str(path)])
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    return code, manifest["stages"]["oracle"].get("note", "")
+
+
+def test_coarse_levels_missing_a_fine_index_fail(tmp_path, monkeypatch):
+    # Coarse levels that stop mid-window leave fine indices without a shift.
+    eigenvalues_in = ebk.oracle.eigenvalues_in
+
+    def lower_half(T, a, b, tol=ebk.oracle.DEFAULT_BISECT_TOL):
+        res = eigenvalues_in(T, a, b, tol)
+        low = res.eigenvalues < 0.5 * (a + b)
+        return ebk.EigenResult(res.eigenvalues[low], res.indices[low])
+
+    monkeypatch.setattr(ebk.oracle, "eigenvalues_in", lower_half)
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    with pytest.raises(BisectionFailed, match="do not cover the finer grid's 2..7"):
+        ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
+    code, note = _run_harmonic_oracle(tmp_path)
+    assert code == 4 and note.startswith("BisectionFailed:")
+
+
+def test_ritz_values_outside_the_fine_range_fail(tmp_path, monkeypatch):
+    # Vectors of the levels one above the shifts (hbar apart) span levels
+    # 3..8, and level 8 = 0.85 lies outside the padded window (0.194, 0.806).
+    eigenvector = ebk.oracle.eigenvector
+    monkeypatch.setattr(ebk.oracle, "eigenvector", lambda T, lam: eigenvector(T, lam + 0.1))
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    with pytest.raises(InverseIterationFailed, match="residual bound"):
+        ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
+    code, note = _run_harmonic_oracle(tmp_path)
+    assert code == 4 and note.startswith("InverseIterationFailed:")
 
 
 @pytest.mark.parametrize("hbar", [0.2, 0.1, 0.05, 0.025])
@@ -478,14 +560,18 @@ def test_nodes_resolved_only_where_every_well_is_resolved():
     # At hbar = 0.025 the sextic's central state of index 6 reaches its outer
     # wells at ~1e-13 of its peak, so its vector misses the nodes there.
     pot = _BASIS_CASES["sextic"][0]
-    run = ebk.solve_window(pot, ebk.EnergyWindow(0.1, 0.4, 0.05), 0.025)
+    window = ebk.EnergyWindow(0.1, 0.4, 0.05)
+    run = ebk.solve_window(pot, window, 0.025)
+    T = ebk.discretize(pot, 0.025, run.L, run.grid_sizes[1], window=window)
     res = run.result
     assert res.indices[0] == 6
-    (v,) = ebk.eigenvector(run.operator, res.eigenvalues[:1]).T
+    (v,) = ebk.eigenvector(T, res.eigenvalues[:1]).T
     assert ebk.node_count(v) != 6
-    assert not ebk.nodes_resolved(v, run.operator, res.eigenvalues[0])
+    assert not ebk.nodes_resolved(v, T, res.eigenvalues[0])
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-    harmonic = ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
+    pot = ebk.harmonic_potential()
+    harmonic = ebk.solve_window(pot, window, 0.1)
+    T = ebk.discretize(pot, 0.1, harmonic.L, harmonic.grid_sizes[1], window=window)
     lams = harmonic.result.eigenvalues
-    for lam, v in zip(lams, ebk.eigenvector(harmonic.operator, lams).T):
-        assert ebk.nodes_resolved(v, harmonic.operator, lam)
+    for lam, v in zip(lams, ebk.eigenvector(T, lams).T):
+        assert ebk.nodes_resolved(v, T, lam)

@@ -414,6 +414,31 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("[ebk] weyl: ok (")
 
 
+def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
+    # The dw_pipeline benchmark config: the finer grid's levels and node
+    # counts come from one dstein call per hbar, and no dstebz call bisects
+    # on that grid; the coarse grid still bisects.
+    stebz, stein = [], []
+    dstebz, dstein = ebk.oracle.dstebz, ebk.oracle.dstein
+
+    def counted_stebz(d, e, *args):
+        stebz.append((d.size, args[-2]))  # (grid size, tolerance)
+        return dstebz(d, e, *args)
+
+    def counted_stein(d, e, *args):
+        stein.append(d.size)
+        return dstein(d, e, *args)
+
+    monkeypatch.setattr(ebk.oracle, "dstebz", counted_stebz)
+    monkeypatch.setattr(ebk.oracle, "dstein", counted_stein)
+    manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)))
+    assert code == 0
+    coarse, fine = zip(*(meta["grid_sizes"] for meta in manifest["oracle"].values()))
+    assert stein == list(fine)
+    assert not [n for n, tol in stebz if n in fine and math.isfinite(tol)]
+    assert {n for n, tol in stebz if math.isfinite(tol)} == set(coarse)
+
+
 def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
     # The two members of a double-well doublet are an orthonormal pair, so
     # their rows carry the node counts of both indices, in either order.
@@ -447,7 +472,7 @@ def test_corrupt_node_count_exits_4(tmp_path, monkeypatch):
         calls.append(None)
         return ebk.node_count(v) + (1 if len(calls) == 3 else 0)
 
-    monkeypatch.setattr(pipeline, "node_count", off_by_one_once)
+    monkeypatch.setattr(ebk.oracle, "node_count", off_by_one_once)
     manifest, code = pipeline.run(_dw_config(tmp_path, ["oracle", "compare"]))
     assert code == 4
     assert manifest["stages"]["compare"]["status"] == "ok"
