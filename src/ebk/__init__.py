@@ -66,5 +66,4 @@ from .compare import (
     MatchReport,
     convergence_study,
     match_spectra,
-    weyl_check_pairs,
 )

@@ -1,6 +1,6 @@
 """Command line front door.
 
-    ebk run --config cfg.json [--output-dir D] [--threads T] [--verbose]
+    ebk run --config cfg.json [--output-dir D] [--verbose]
     ebk validate --config cfg.json
 
 validate also checks that no file stands where the config's output_dir
@@ -32,12 +32,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a configured pipeline")
     p_run.add_argument("--config", required=True, help="path to the JSON run config")
     p_run.add_argument("--output-dir", default=None, help="override config output_dir")
-    p_run.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="accepted for compatibility; has no effect (tracing is batched, one thread)",
-    )
     p_run.add_argument("--verbose", action="store_true", help="print stage progress")
 
     p_val = sub.add_parser("validate", help="check a config file and exit")
@@ -64,18 +58,18 @@ def main(argv=None) -> int:
             _check_output_dir(Path(config.output_dir))
             print(f"config ok: symbol={config.symbol_name} stages={','.join(config.pipeline)}")
             return 0
-        manifest, code = run_pipeline(
-            config,
-            output_dir=args.output_dir,
-            threads=args.threads,
-            verbose=args.verbose,
-        )
+        manifest, code = run_pipeline(config, output_dir=args.output_dir, verbose=args.verbose)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     bad = [s for s, st in manifest["stages"].items() if st["status"] != "ok"]
+    failed = [c for c, ok in manifest["checks"].items() if ok is not None and not ok]
     if code != 0:
-        print(f"run failed (exit {code}); problem stages: {', '.join(bad)}", file=sys.stderr)
+        print(
+            f"run failed (exit {code}); problem stages: {', '.join(bad)}; "
+            f"failed checks: {', '.join(failed)}",
+            file=sys.stderr,
+        )
     elif args.verbose:
         print("run ok")
     return code

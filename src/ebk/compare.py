@@ -6,9 +6,10 @@ i-th interior entry pairs with the i-th. Nearest-neighbor pairing would
 double-match inside doublet clusters and is deliberately not used.
 Interior means one mean spacing away from the window edges, with the
 actual cuts placed in gaps of the predicted spectrum so an O(hbar^2)
-offset cannot move a level across a cut. Weyl checks count the oracle's
-window levels between two endpoints, so they read the same level list as
-the matching, from either oracle.
+offset cannot move a level across a cut. Each pair carries the global
+index of its oracle level, by which a caller looks up what the oracle run
+holds per level (its node count). The pipeline's Weyl stage counts the
+same window levels between two endpoints, from either oracle.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ import numpy as np
 
 from .errors import BijectionFailure
 from .oracle import EigenResult, solve_basis
-from .portrait import DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, build_families
-from .solver import BsSpectrum, WeylCount, exact_weyl_count, merged_spectrum
+from .portrait import DEFAULT_ACTION_SAMPLES, build_families
+from .solver import BsSpectrum, merged_spectrum
 from .symbols import EnergyWindow, SymbolSpec
-from .action import ActionTable, build_action_table
+from .action import build_action_table
 
 TWO_PI = 2.0 * math.pi
 
@@ -35,7 +36,7 @@ class MatchedPair:
     abs_err: float
     k: int
     n: int
-    node_count: int | None = None
+    index: int  # the oracle level's global index
 
 
 @dataclass(frozen=True)
@@ -68,14 +69,8 @@ def match_spectra(
     oracle_result: EigenResult,
     window: EnergyWindow,
     tau_min: float,
-    *,
-    node_counts: dict[int, int] | None = None,
 ) -> MatchReport:
-    """Order-preserving interior matching; raises BijectionFailure on mismatch.
-
-    node_counts optionally maps oracle eigenvalue indices to eigenfunction
-    node counts, carried through to the matched pairs.
-    """
+    """Order-preserving interior matching; raises BijectionFailure on mismatch."""
     cuts = _interior_cuts(bs, window, tau_min)
     ev = oracle_result.eigenvalues
     if cuts is None:
@@ -88,22 +83,19 @@ def match_spectra(
             f"interior counts differ: {len(bs_sel)} predicted vs {or_sel.size} oracle "
             f"in [{cut_lo:g}, {cut_hi:g}] at hbar={bs.hbar:g}"
         )
-    pairs = []
-    for entry, j in zip(bs_sel, or_sel):
-        e_or = float(ev[j])
-        nodes = None
-        if node_counts is not None:
-            nodes = node_counts.get(int(oracle_result.indices[j]))
-        pairs.append(
-            MatchedPair(
-                e_bs=entry.energy,
-                e_oracle=e_or,
-                abs_err=abs(entry.energy - e_or),
-                k=entry.k,
-                n=entry.n,
-                node_count=nodes,
-            )
+    pairs = [
+        MatchedPair(
+            e_bs=entry.energy,
+            e_oracle=e_or,
+            abs_err=abs(entry.energy - e_or),
+            k=entry.k,
+            n=entry.n,
+            index=i,
         )
+        for entry, e_or, i in zip(
+            bs_sel, ev[or_sel].tolist(), oracle_result.indices[or_sel].tolist()
+        )
+    ]
     errs = np.array([p.abs_err for p in pairs]) if pairs else np.zeros(1)
     return MatchReport(
         pairs=tuple(pairs),
@@ -128,7 +120,6 @@ def convergence_study(
     hbars,
     *,
     action_samples: int = DEFAULT_ACTION_SAMPLES,
-    trace_tol: float = DEFAULT_TRACE_TOL,
 ) -> ConvergenceReport:
     """Fit the order of max interior |BS - oracle| against hbar.
 
@@ -142,7 +133,7 @@ def convergence_study(
     hbars = [float(h) for h in hbars]
     if len(hbars) < 3:
         raise ValueError("need at least 3 hbar values")
-    families = build_families(spec, window, action_samples, trace_tol=trace_tol)
+    families = build_families(spec, window, action_samples)
     tables = [build_action_table(fam, window) for fam in families]
     del families  # frees their full-resolution components before the oracle solves
     tau_min = min(t.tau_min for t in tables)
@@ -163,41 +154,3 @@ def convergence_study(
         floor_limited=tuple(bool(f) for f in floors),
     )
 
-
-@dataclass(frozen=True)
-class WeylCheck:
-    e1t: float
-    e2t: float
-    oracle_count: int
-    weyl: WeylCount  # the formula's per-family counts and asymptotics
-
-    @property
-    def formula_count(self) -> int:
-        return self.weyl.count
-
-    @property
-    def ok(self) -> bool:
-        return self.formula_count == self.oracle_count
-
-
-def weyl_check_pairs(
-    tables: list[ActionTable],
-    bs: BsSpectrum,
-    oracle_result: EigenResult,
-    pairs,
-) -> list[WeylCheck]:
-    """Exact formula count against the oracle's count, one check per (e1t, e2t) of pairs.
-
-    The oracle count is the number of oracle_result levels in [e1t, e2t),
-    the .result of either oracle's run. That list holds every level in the
-    window, and exact_weyl_count raises UnsafeEndpoint first unless both
-    ends lie in the window and ENDPOINT_SAFETY mean spacings from every
-    predicted level, far beyond the two-term error that separates an oracle
-    level from its prediction.
-    """
-    counts = exact_weyl_count(tables, bs.hbar, *np.transpose(pairs), bs)
-    below = np.searchsorted(oracle_result.eigenvalues, pairs)
-    return [
-        WeylCheck(e1t=e1t, e2t=e2t, oracle_count=int(hi - lo), weyl=wc)
-        for (e1t, e2t), wc, (lo, hi) in zip(pairs, counts, below)
-    ]

@@ -20,12 +20,14 @@ import numpy.random  # a lazy NumPy submodule; every run seeds a generator, so l
 
 from . import __version__
 from .action import build_action_table
-from .compare import match_spectra, weyl_check_pairs
+from .compare import match_spectra
 from .config import STAGE_DEPS, RunConfig
 from .errors import ConfigError, EbkError, RegularityViolation
 from .oracle import solve_window
 from .portrait import build_families
-from .solver import branch_energy, doublet_scan, draw_safe_endpoints, exit_hbar, merged_spectrum
+from .solver import (
+    branch_energy, doublet_scan, draw_safe_endpoints, exact_weyl_count, exit_hbar, merged_spectrum,
+)
 from .symbols import compact_preimage_box, regularity_report
 
 
@@ -79,9 +81,6 @@ class _RunState:
         self.tables = None
         self.spectra = {}
         self.oracle_runs = {}
-        self.node_counts = {}
-        self.resolved = {}
-        self.oracle_meta = {}
         self.files = {}
         self.checks = {}
 
@@ -145,19 +144,10 @@ def _stage_oracle(state: _RunState):
     for hbar in cfg.hbars:
         run = solve_window(state.spec.potential, state.window, hbar, phase_tol=cfg.oracle_tol)
         state.oracle_runs[hbar] = run
-        state.oracle_meta[_fmt(hbar)] = {
-            "L": run.L,
-            "grid_sizes": list(run.grid_sizes),
-            "floor_estimate": run.floor_estimate,
-            "ritz_residual": run.ritz_residual,
-        }
         res = run.result
-        indices = res.indices.tolist()
-        state.node_counts[hbar] = dict(zip(indices, run.node_counts))
-        state.resolved[hbar] = [i for i, ok in zip(indices, run.resolved) if ok]
         rows += [
             (hbar, i, lam, c, ok)
-            for i, lam, c, ok in zip(indices, res.eigenvalues, run.node_counts, run.resolved)
+            for i, lam, c, ok in zip(res.indices, res.eigenvalues, run.node_counts, run.resolved)
         ]
     state.emit_csv("oracle.csv", ["hbar", "index", "E", "nodes", "resolved"], rows)
 
@@ -171,22 +161,16 @@ def _stage_compare(state: _RunState):
     csv_rows = []
     all_nodes_match = True
     for hbar in state.config.hbars:
-        rep = match_spectra(
-            state.spectra[hbar],
-            state.oracle_runs[hbar].result,
-            state.window,
-            tau_min,
-            node_counts=state.node_counts[hbar],
-        )
+        run = state.oracle_runs[hbar]
+        rep = match_spectra(state.spectra[hbar], run.result, state.window, tau_min)
+        indices = run.result.indices.tolist()
+        nodes = dict(zip(indices, run.node_counts))
         # For every symbol, the node counts of the resolved levels at one
         # hbar are their indices as a set (a doublet's pair in either order).
-        nodes = state.node_counts[hbar]
-        resolved = state.resolved[hbar]
+        resolved = [i for i, ok in zip(indices, run.resolved) if ok]
         nodes_ok = sorted(nodes[i] for i in resolved) == resolved
         if single_family:
-            nodes_ok = nodes_ok and all(
-                p.node_count is None or p.node_count == p.n for p in rep.pairs
-            )
+            nodes_ok = nodes_ok and all(nodes[p.index] == p.n for p in rep.pairs)
         all_nodes_match = all_nodes_match and nodes_ok
         report_obj[_fmt(hbar)] = {
             "pairs": [
@@ -196,7 +180,7 @@ def _stage_compare(state: _RunState):
                     "abs_err": p.abs_err,
                     "k": p.k,
                     "n": p.n,
-                    "node_count": p.node_count,
+                    "node_count": nodes[p.index],
                 }
                 for p in rep.pairs
             ],
@@ -207,10 +191,7 @@ def _stage_compare(state: _RunState):
             "nodes_match": nodes_ok,
         }
         for p in rep.pairs:
-            csv_rows.append(
-                (hbar, p.k, p.n, p.e_bs, p.e_oracle, p.abs_err,
-                 -1 if p.node_count is None else p.node_count)
-            )
+            csv_rows.append((hbar, p.k, p.n, p.e_bs, p.e_oracle, p.abs_err, nodes[p.index]))
     # match_spectra raises on a count mismatch; no pair at all fails too,
     # unless no hbar has a level in the window on either side to pair.
     levels = any(r["unmatched_bs"] or r["unmatched_oracle"] for r in report_obj.values())
@@ -230,23 +211,26 @@ def _stage_weyl(state: _RunState):
     for hbar in state.config.hbars:
         bs = state.spectra[hbar]
         pairs = draw_safe_endpoints(state.rng, state.tables, bs, state.window, _WEYL_TRIALS)
+        counts = exact_weyl_count(state.tables, hbar, *np.transpose(pairs), bs)
+        # The oracle count is the number of its window levels in [e1, e2).
+        below = np.searchsorted(state.oracle_runs[hbar].result.eigenvalues, pairs).tolist()
         trials = []
-        for chk in weyl_check_pairs(state.tables, bs, state.oracle_runs[hbar].result, pairs):
-            wc = chk.weyl
+        for (e1, e2), wc, (lo, hi) in zip(pairs, counts, below):
+            exact = wc.count == hi - lo
             trials.append(
                 {
-                    "e1": chk.e1t,
-                    "e2": chk.e2t,
-                    "formula": chk.formula_count,
-                    "oracle": chk.oracle_count,
-                    "exact": chk.ok,
+                    "e1": e1,
+                    "e2": e2,
+                    "formula": wc.count,
+                    "oracle": hi - lo,
+                    "exact": exact,
                     "per_family": list(wc.per_family),
                     "leading": wc.leading,
                     "correction": wc.correction,
                     "delta": wc.delta,
                 }
             )
-            all_exact = all_exact and chk.ok
+            all_exact = all_exact and exact
         report_obj[_fmt(hbar)] = trials
     state.checks["weyl_exact"] = all_exact
     state.emit_json("weyl.json", report_obj)
@@ -315,8 +299,8 @@ def run(
     An output directory that cannot be created raises ConfigError before
     any stage runs.
 
-    threads is accepted for compatibility and has no effect: every stage
-    runs in the calling thread.
+    threads has no effect: every stage runs in the calling thread. It is
+    kept because the benchmark's child process passes threads=1.
     """
     out = Path(output_dir or config.output_dir)
     try:
@@ -359,8 +343,16 @@ def run(
 
     manifest["files"] = dict(sorted(state.files.items()))
     manifest["checks"] = dict(sorted(state.checks.items()))
-    if state.oracle_meta:
-        manifest["oracle"] = state.oracle_meta
+    if state.oracle_runs:
+        manifest["oracle"] = {
+            _fmt(hbar): {
+                "L": run.L,
+                "grid_sizes": list(run.grid_sizes),
+                "floor_estimate": run.floor_estimate,
+                "ritz_residual": run.ritz_residual,
+            }
+            for hbar, run in state.oracle_runs.items()
+        }
     if state.tables:
         # Table health: the largest relative |dA0/dE - tau| at the samples.
         manifest["actions"] = {

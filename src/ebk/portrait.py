@@ -105,7 +105,6 @@ class LevelComponent:
     period: float
     seed: tuple[float, float]
     action: float
-    closure_gap: float = 0.0  # largest arc landing gap, already <= trace_tol
     steps: int = 0  # accepted DP45 steps of the trace, summed over its arcs
     arcs: int = 1  # arcs the orbit was traced as
     attempts: int = 0  # stepper attempts of its batch until its last arc landed
@@ -382,8 +381,8 @@ def trace_component(
     level set meets that section; a lone seed's arc returns to it. The
     crossing time is refined by safeguarded Newton on the step's quartic
     dense output to 1e-13. The period and action are the sums over the
-    arcs, closure_gap is the largest landing gap, and the points are
-    resampled across the arcs from the first seed, DEFAULT_POINTS of them.
+    arcs, and the points are resampled across the arcs from the first
+    seed, DEFAULT_POINTS of them.
     Raises ConfigError (check_trace_tol) if trace_tol is under
     MIN_TRACE_TOL, CriticalSeed if a seed sits at a near-critical point,
     NotClosedOrbit if an arc does not land before DEFAULT_MAX_TIME or an
@@ -426,7 +425,7 @@ def trace_component(
     # Signed distance past each column's target section; exactly 0 for a lone seed.
     g_prev = normal[0] * (y0[0] - target[0]) + normal[1] * (y0[1] - target[1])
     arc_time = np.zeros(M)
-    y_end = np.zeros((3, M))
+    arc_action = np.zeros(M)
     attempts = np.zeros(M, dtype=int)
     live = None  # the stepper's cols, whose sections nrm and tgt hold
     # Overflow leaves NaNs, which the stepper's underflow test and the drift
@@ -449,7 +448,7 @@ def trace_component(
             back = np.hypot(y_star[0] - target[0, c], y_star[1] - target[1, c]) <= trace_tol
             c = c[back]
             arc_time[c] = t_star[back]
-            y_end[:, c] = y_star[:, back]
+            arc_action[c] = y_star[2, back]
             attempts[c] = step.attempt + 1
             running[c] = False
     period = np.add.reduceat(arc_time, starts)
@@ -462,7 +461,6 @@ def trace_component(
         )
 
     cols = history.cols[: history.n]
-    gaps = np.hypot(y_end[0] - target[0], y_end[1] - target[1])
     # Every step by column, in time order within each: orbit j's steps, arc
     # by arc, are the slice bounds[j]:bounds[j + 1].
     by_col = np.argsort(cols, kind="stable")
@@ -492,8 +490,7 @@ def trace_component(
                 points=points,
                 period=float(period[j]),
                 seed=(float(pts[starts[j], 0]), float(pts[starts[j], 1])),
-                action=float(np.sum(y_end[2, arcs])),
-                closure_gap=float(np.max(gaps[arcs])),
+                action=float(np.sum(arc_action[arcs])),
                 steps=len(sel),
                 arcs=int(counts[j]),
                 attempts=int(np.max(attempts[arcs])),

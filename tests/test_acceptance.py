@@ -92,8 +92,9 @@ def test_criterion_4_exact_weyl_law(
         wide = harmonic_wide_table
         bs = ebk.merged_spectrum([wide], 0.1, wide.window)
         run = ebk.solve_window(harmonic.potential, wide.window, 0.1)
-        (chk,) = ebk.weyl_check_pairs([wide], bs, run.result, [(0.22, 1.01)])
-        assert chk.formula_count == chk.oracle_count == 8
+        (wc,) = ebk.exact_weyl_count([wide], 0.1, [0.22], [1.01], bs)
+        lo, hi = np.searchsorted(run.result.eigenvalues, [0.22, 1.01])
+        assert wc.count == hi - lo == 8
 
         rng = np.random.default_rng(2024)
         configs = [
@@ -106,13 +107,13 @@ def test_criterion_4_exact_weyl_law(
                 run = ebk.solve_window(spec.potential, window, hbar)
                 pairs = ebk.draw_safe_endpoints(rng, tables, bs, window, 20)
                 assert len(pairs) == 20
-                checks = ebk.weyl_check_pairs(tables, bs, run.result, pairs)
-                assert [(c.e1t, c.e2t) for c in checks] == pairs
-                for chk in checks:
-                    assert chk.ok, (
+                counts = ebk.exact_weyl_count(tables, hbar, *np.transpose(pairs), bs)
+                below = np.searchsorted(run.result.eigenvalues, pairs)
+                assert len(counts) == len(pairs)
+                for wc, (lo, hi), (e1t, e2t) in zip(counts, below, pairs):
+                    assert wc.count == hi - lo, (
                         f"{spec.potential.kind} hbar={hbar}: formula "
-                        f"{chk.formula_count} != oracle {chk.oracle_count} "
-                        f"on [{chk.e1t:.4f}, {chk.e2t:.4f}]"
+                        f"{wc.count} != oracle {hi - lo} on [{e1t:.4f}, {e2t:.4f}]"
                     )
 
 
@@ -161,13 +162,11 @@ def test_criterion_6_node_count_identity(
                 int(i): ebk.node_count(ebk.eigenvector(T, [e])[:, 0])
                 for e, i in zip(run.result.eigenvalues, run.result.indices)
             }
-            rep = ebk.match_spectra(
-                bs, run.result, window, table.tau_min, node_counts=nodes
-            )
+            rep = ebk.match_spectra(bs, run.result, window, table.tau_min)
             assert rep.pairs
             for p in rep.pairs:
-                assert p.node_count == p.n, (
-                    f"{spec.potential.kind}: n={p.n} but {p.node_count} nodes"
+                assert nodes[p.index] == p.n, (
+                    f"{spec.potential.kind}: n={p.n} but {nodes[p.index]} nodes"
                 )
 
 
@@ -282,10 +281,7 @@ def test_criterion_10_determinism(tmp_path):
             ["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "b")]
         ) == 0
         assert cli_main(
-            [
-                "run", "--config", str(cfg_path),
-                "--output-dir", str(tmp_path / "c"), "--threads", "4",
-            ]
+            ["run", "--config", str(cfg_path), "--output-dir", str(tmp_path / "c")]
         ) == 0
         names = {
             p.name for p in (tmp_path / "a").iterdir() if p.name != "manifest.json"

@@ -23,7 +23,6 @@ UNREAD_FIELDS = {
     ("ConvergenceReport", "slope"): "the benchmark's quartic_convergence check",
     ("ConvergenceReport", "floor_limited"): "the benchmark's quartic_convergence check",
     ("BasisRun", "basis_sizes"): "library callers of solve_basis: the pair its levels came from",
-    ("LevelComponent", "closure_gap"): "tests, until a run check reports it (ROADMAP item 1)",
 }
 
 

@@ -448,3 +448,25 @@ def test_config_sweep_raises_only_config_error(data):
         parse_config(config)
     except ConfigError:
         pass
+
+
+def test_run_threads_flag_is_gone_exit_2(tmp_path):
+    path = _write(tmp_path, _base_config(str(tmp_path / "out")))
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", str(path), "--threads", "4"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_names_failed_checks(tmp_path, capsys):
+    # The double well at hbar = 0.1 alone: its 4 levels all lie within one
+    # mean spacing of the window edges, so no pair forms and bijection fails
+    # while every stage is ok.
+    data = _base_config(str(tmp_path / "out"))
+    data["symbol"] = {"name": "double_well", "params": {"a": 1.0}}
+    data["window"] = {"e1": 0.1, "e2": 0.6, "margin": 0.05}
+    data["pipeline"] = list(STAGES)
+    del data["tolerances"]
+    assert main(["run", "--config", str(_write(tmp_path, data))]) == 4
+    err = capsys.readouterr().err
+    assert "problem stages: ; failed checks: bijection" in err

@@ -19,15 +19,10 @@ def test_match_harmonic(harmonic, harmonic_table, harmonic_window):
 def test_match_carries_node_counts(harmonic, harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
     run = ebk.solve_window(harmonic.potential, harmonic_window, 0.1)
-    T = ebk.discretize(harmonic.potential, 0.1, run.L, run.grid_sizes[1], window=harmonic_window)
-    nodes = {
-        int(i): ebk.node_count(ebk.eigenvector(T, [e])[:, 0])
-        for e, i in zip(run.result.eigenvalues, run.result.indices)
-    }
-    rep = ebk.match_spectra(
-        bs, run.result, harmonic_window, harmonic_table.tau_min, node_counts=nodes
-    )
-    assert all(p.node_count == p.n for p in rep.pairs)
+    nodes = dict(zip(run.result.indices.tolist(), run.node_counts))
+    rep = ebk.match_spectra(bs, run.result, harmonic_window, harmonic_table.tau_min)
+    assert rep.pairs
+    assert all(nodes[p.index] == p.n for p in rep.pairs)
 
 
 def test_match_detects_missing_interior_level(harmonic, harmonic_table, harmonic_window):
@@ -70,21 +65,22 @@ def test_convergence_floor_flag_morse(morse, morse_window):
     assert max(rep.max_errs) <= 1e-6
 
 
-def test_weyl_check_pairs_matches_per_pair_checks(harmonic, harmonic_wide_table):
+def test_weyl_counts_batch_match_per_pair_counts(harmonic, harmonic_wide_table):
+    # The pipeline's Weyl stage: one exact_weyl_count call for every pair,
+    # and each oracle count a difference of searchsorted on the window levels.
     table = harmonic_wide_table
     window = table.window
     bs = ebk.merged_spectrum([table], 0.1, window)
     run = ebk.solve_window(harmonic.potential, window, 0.1)
     T = ebk.discretize(harmonic.potential, 0.1, run.L, run.grid_sizes[1], window=window)
     pairs = ebk.draw_safe_endpoints(np.random.default_rng(3), [table], bs, window, 6)
-    batch = ebk.weyl_check_pairs([table], bs, run.result, pairs)
-    assert len(batch) == len(pairs)
-    for chk, (e1t, e2t) in zip(batch, pairs):
-        (one,) = ebk.weyl_check_pairs([table], bs, run.result, [(e1t, e2t)])
+    batch = ebk.exact_weyl_count([table], 0.1, *np.transpose(pairs), bs)
+    below = np.searchsorted(run.result.eigenvalues, pairs)
+    assert len(batch) == len(below) == len(pairs)
+    for wc, (lo_w, hi_w), (e1t, e2t) in zip(batch, below, pairs):
         lo, hi = ebk.count_below(T, np.array([e1t, e2t]))
-        assert chk == one
-        assert chk.oracle_count == hi - lo
-        assert [chk.weyl] == ebk.exact_weyl_count([table], 0.1, [e1t], [e2t], bs)
+        assert hi_w - lo_w == hi - lo
+        assert [wc] == ebk.exact_weyl_count([table], 0.1, [e1t], [e2t], bs)
 
 
 def test_draw_safe_endpoints_respects_floor(harmonic_table, harmonic_window):
@@ -129,8 +125,8 @@ def test_weyl_counts_agree_across_oracles(fixtures, hbar, request):
     pairs = ebk.draw_safe_endpoints(np.random.default_rng(23), tables, bs, window, 200)
     grid = ebk.solve_window(spec.potential, window, hbar)
     basis = ebk.solve_basis(spec.potential, window, hbar)
-    by_grid = [c.oracle_count for c in ebk.weyl_check_pairs(tables, bs, grid.result, pairs)]
-    by_basis = [c.oracle_count for c in ebk.weyl_check_pairs(tables, bs, basis.result, pairs)]
+    by_grid = np.diff(np.searchsorted(grid.result.eigenvalues, pairs)).ravel().tolist()
+    by_basis = np.diff(np.searchsorted(basis.result.eigenvalues, pairs)).ravel().tolist()
     T = ebk.discretize(spec.potential, hbar, grid.L, grid.grid_sizes[1], window=window)
     sturm = np.diff(ebk.count_below(T, np.ravel(pairs)).reshape(-1, 2)).ravel()
     assert by_grid == by_basis == sturm.tolist()

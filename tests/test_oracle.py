@@ -256,10 +256,47 @@ def test_eigenvector_diagonal():
     assert abs(v[0]) <= 1e-8 and abs(v[2]) <= 1e-8
 
 
-def test_eigenvector_residual_failure():
-    op = _diag_op([1.0, 2.0, 3.0])
-    with pytest.raises(InverseIterationFailed):
-        ebk.eigenvector(op, [10.0])  # far from any eigenvalue
+def test_eigenvector_residual_failure(tmp_path, monkeypatch):
+    # A column that is not an eigenvector at its own level, here the
+    # normalized sum of two neighbouring ones, fails the Ritz certification.
+    eigenvector = ebk.oracle.eigenvector
+
+    def mixed(T, lam):
+        z = eigenvector(T, lam)
+        z[:, 0] += z[:, 1]
+        z[:, 0] /= math.sqrt(T.h * float(z[:, 0] @ z[:, 0]))
+        return z
+
+    monkeypatch.setattr(ebk.oracle, "eigenvector", mixed)
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    with pytest.raises(InverseIterationFailed, match="vector 0 of 6 is not an eigenvector"):
+        ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
+    code, note = _run_harmonic_oracle(tmp_path)
+    assert code == 4 and note.startswith("InverseIterationFailed:")
+
+
+@pytest.mark.parametrize(
+    "symbol, e1, e2, oracle_tol",
+    [
+        ({"name": "quartic", "params": {}}, 0.5, 2.0, 4e-4),
+        ({"name": "double_well", "params": {"a": 1.0}}, 0.1, 0.6, 5e-4),
+    ],
+    ids=["quartic", "double_well"],
+)
+def test_coarse_oracle_tol_runs(tmp_path, symbol, e1, e2, oracle_tol):
+    # dstein runs at the coarse levels, O(h^2) off the fine ones; its vectors
+    # are certified against their own Rayleigh quotients, not those shifts.
+    config = {
+        "symbol": symbol,
+        "window": {"e1": e1, "e2": e2, "margin": 0.05},
+        "hbars": [0.1, 0.05],
+        "pipeline": ["oracle"],
+        "tolerances": {"oracle_tol": oracle_tol},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert main(["run", "--config", str(path)]) == 0
 
 
 def test_node_count_literals():

@@ -94,7 +94,6 @@ def test_trace_conservation_and_closure(morse):
     comp = _trace_one(morse, refine_to_level(morse, [(0.5, 0.5)], 0.4), 0.4)
     drift = np.abs(morse.value(comp.points[:, 0], comp.points[:, 1]) - 0.4)
     assert float(drift.max()) <= DEFAULT_TRACE_TOL
-    assert comp.closure_gap <= DEFAULT_TRACE_TOL
 
 
 def test_trace_rejects_critical_seed(harmonic):
@@ -241,7 +240,6 @@ def test_batched_trace_matches_single_traces(double_well, dw_families):
             assert got.energy == ref.energy and got.seed == ref.seed
             assert (got.action, got.period, got.steps) == (ref.action, ref.period, ref.steps)
             assert np.array_equal(got.points, ref.points)
-            assert got.closure_gap == ref.closure_gap <= DEFAULT_TRACE_TOL
 
 
 def test_batched_trace_bad_column_raises(quartic, monkeypatch):
@@ -422,7 +420,6 @@ def test_arcs_match_single_seed_trace(harmonic, kerr, double_well, dw_families):
         assert abs(arcs.period - single.period) <= 1e-12
         assert abs(arcs.action - single.action) <= 1e-12
         assert np.max(np.abs(arcs.points - single.points)) <= 1e-10
-        assert arcs.closure_gap <= DEFAULT_TRACE_TOL
         # Each arc needs about 1/K of the single trace's sequential attempts.
         assert arcs.attempts < single.attempts / 4
         traced.append(arcs)
@@ -486,7 +483,6 @@ def test_arcs_land_at_small_gradient(harmonic, deadline):
     assert [[c.arcs] for c in family.components] == expected
     for comp in family.components:
         assert comp.arcs > 1
-        assert comp.closure_gap <= portrait.MIN_TRACE_TOL
         assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-11)
 
 
