@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import time
 from pathlib import Path
 
@@ -31,8 +32,10 @@ from .solver import (
 from .symbols import compact_preimage_box, regularity_report
 
 
-_CSV_STRIDE_TARGET = 512
+_CSV_STRIDE_TARGET = 128
 _WEYL_TRIALS = 20
+# BLAS threading: it moves dstein energies in their last digits and oracle times.
+_ENVIRONMENT = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def _fmt(x) -> str:
@@ -313,10 +316,13 @@ def run(
         "version": __version__,
         "rng": "PCG64",
         "inserted_stages": list(config.inserted_stages),
+        "environment": {name: os.environ.get(name) for name in _ENVIRONMENT},
         "stages": {},
         "files": {},
         "checks": {},
     }
+    if verbose:
+        print(f"[ebk] environment: {json.dumps(manifest['environment'])}")
     failed: set[str] = set()
     failures: list[Exception] = []
     for stage in config.pipeline:

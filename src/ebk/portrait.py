@@ -45,12 +45,12 @@ from .symbols import Box, EnergyWindow, SymbolSpec, compact_preimage_box
 
 DEFAULT_TRACE_TOL = 1e-10
 DEFAULT_MAX_TIME = 1e4
-DEFAULT_POINTS = 4096
+DEFAULT_POINTS = 1024
 # Lobatto energies per family scan, the nodes of each action table.
 DEFAULT_ACTION_SAMPLES = 17
 GRID_N = 201  # grid nodes per axis of the marching pass of build_families
-# Every family keeps its component at each sample, 4096 samples of (x, xi)
-# at 16 B, 64 KiB: 512 samples hold 32 MiB per family. The action table
+# Every family keeps its component at each sample, 1024 samples of (x, xi)
+# at 16 B, 16 KiB: 512 samples hold 8 MiB per family. The action table
 # converges geometrically in the samples, so far fewer suffice.
 MAX_ACTION_SAMPLES = 512
 _MIN_GRAD = 1e-8

@@ -86,6 +86,25 @@ def test_maslov_closed_form_symbols():
     )
 
 
+SEXTIC = [0.0, 0.0, 3.0, 0.0, -3.5, 0.0, 1.0]  # 3x^2 - 3.5x^4 + x^6: three wells
+
+
+def test_resampled_components_keep_stokes_and_maslov(kerr, kerr_window):
+    # Criterion 7's invariants on the symbols it does not cover, at the
+    # trace's DEFAULT_POINTS samples: the Stokes gap is 2.2e-10 on kerr and
+    # 8.2e-11 on the sextic at 1024.
+    sextic = ebk.schrodinger_symbol(ebk.polynomial_potential(SEXTIC))
+    for spec, window, n_families in (
+        (kerr, kerr_window, 1),
+        (sextic, ebk.EnergyWindow(0.1, 0.4, 0.05), 3),
+    ):
+        families = ebk.build_families(spec, window, 17)
+        assert len(families) == n_families
+        for comp in (c for f in families for c in f.components):
+            assert abs(abs(comp.action) - abs(ebk.green_area(comp))) <= 1e-8
+            assert ebk.maslov_index(comp) == 2
+
+
 def test_harmonic_table_linear(harmonic_table):
     table = harmonic_table
     assert np.max(np.abs(table.a0 - 2 * math.pi * table.energies)) <= 1e-9

@@ -131,6 +131,35 @@ def test_components_csv_matches_row_writer(tmp_path):
     assert path.read_text(encoding="utf-8") == _joined(header, _component_rows(families))
 
 
+def test_components_csv_times_are_exact_fractions_of_the_period(tmp_path):
+    # The written rows decimate the traced samples by a power of two, so row
+    # k of each block is the flow time k * period / n to the bit, as every
+    # coarser stride of the same dense output would write it.
+    n = pipeline._CSV_STRIDE_TARGET
+    state = pipeline._RunState(_dw_config(tmp_path, ["trace"]), tmp_path)
+    pipeline._stage_trace(state)
+    comps = [c for f in state.families for c in f.components]
+    with (tmp_path / "components.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(comps) == 34 and len(rows) == n * len(comps)
+    for j, comp in enumerate(comps):
+        block = rows[n * j : n * (j + 1)]
+        assert {float(r["E"]) for r in block} == {comp.energy}
+        assert [float(r["t"]) for r in block] == [k * comp.period / n for k in range(n)]
+
+
+def test_run_manifest_records_blas_threading(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    manifest, code = pipeline.run(_config(tmp_path, ["trace"]), verbose=True)
+    expected = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None}
+    assert code == 0 and manifest["environment"] == expected
+    written = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert written["environment"] == expected
+    line = '[ebk] environment: {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": null}'
+    assert capsys.readouterr().out.splitlines()[0] == line
+
+
 def test_run_manifest_reports_trace_metrics(tmp_path, capsys):
     runs = [
         pipeline.run(_config(tmp_path / name, ["trace"]), verbose=True) for name in "ab"
