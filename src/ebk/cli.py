@@ -19,6 +19,7 @@ from pathlib import Path
 
 from .config import load_config
 from .errors import ConfigError
+from .pipeline import _say
 from .pipeline import run as run_pipeline
 
 
@@ -56,7 +57,7 @@ def main(argv=None) -> int:
         config = load_config(args.config)
         if args.command == "validate":
             _check_output_dir(Path(config.output_dir))
-            print(f"config ok: symbol={config.symbol_name} stages={','.join(config.pipeline)}")
+            _say(f"config ok: symbol={config.symbol_name} stages={','.join(config.pipeline)}")
             return 0
         manifest, code = run_pipeline(config, output_dir=args.output_dir, verbose=args.verbose)
     except ConfigError as exc:
@@ -71,7 +72,7 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
     elif args.verbose:
-        print("run ok")
+        _say("run ok")
     return code
 
 

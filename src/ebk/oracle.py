@@ -16,12 +16,16 @@ magnitude below its pivmin (a safe minimum scaled by the largest squared
 off-diagonal entry) by -pivmin, so counts reproduce bit for bit. The
 leading O(h^2) discretization error is removed by Richardson extrapolation
 across nested grids N and 2N-1. One such call per grid fixes the global
-indices of the window eigenvalues. On the coarse grid dstebz then localizes
-them by bisection over the same value range in one call. On the finer grid
-LAPACK's inverse iteration for tridiagonal matrices, dstein, runs once, at
-the coarse levels; the Rayleigh-Ritz values of its vectors are the fine
-levels, certified by their residual bound (Parlett), and the vectors' sign
-changes are the node counts. The window levels come back complete and with
+indices of the window eigenvalues. On the coarse grid dstebz then bisects
+them over the same value range in one call, only as far as inverse
+iteration needs its shifts (_SHIFT_TOL), and LAPACK's inverse iteration for
+tridiagonal matrices, dstein, runs once at those shifts; the Rayleigh-Ritz
+values of its vectors are the coarse levels, certified by their residual
+bound (Parlett), and the vectors' sign changes are the node counts. The
+vectors are prolonged to the finer grid, and one step of inverse iteration
+per level there, a tridiagonal solve by LAPACK's dgtsv shifted by the coarse
+level, gives vectors whose Rayleigh-Ritz values are the fine levels,
+certified the same way. The window levels come back complete and with
 their global indices, so the levels between two energies in the window are
 counted from that list (the Weyl checks). The grid carries what the rest of
 the pipeline needs besides eigenvalues: exact counts at any shift and
@@ -34,7 +38,7 @@ the window's sublevel interval, with V in the X-matrix discrete variable
 representation (Light, Hamilton and Lill, J. Chem. Phys. 82 (1985) 1400),
 checked by solving again with 2N states. The DVR nodes and vectors come from
 LAPACK's divide-and-conquer tridiagonal eigensolver, dstevd, on the
-truncated position matrix. All three LAPACK routines are bound in _lapack.
+truncated position matrix. All four LAPACK routines are bound in _lapack.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dstebz, dstein, dstevd
+from ._lapack import dgtsv, dstebz, dstein, dstevd
 from .errors import (
     BasisNotConverged,
     BisectionFailed,
@@ -59,6 +63,11 @@ from .symbols import EnergyWindow, PotentialSpec
 
 DEFAULT_PHASE_TOL = 1e-5
 DEFAULT_BISECT_TOL = 1e-11
+# solve_window bisects the coarse grid's levels only to this width: they are
+# dstein's shifts, and the levels themselves are Ritz values (1e-4 changed a
+# Morse node count at hbar = 0.05; 1e-6 leaves the catalog's counts as they
+# are with 1e-11).
+_SHIFT_TOL = 1e-6
 _MAX_GRID = 600_000
 _NODE_RESOLUTION = 1e-8
 # solve_basis: N is _BASIS_SAFETY times the states in the phase-space box of
@@ -250,8 +259,8 @@ def eigenvector(T: TridiagonalOperator, lam) -> np.ndarray:
     identical, and orthogonalizes the vectors of close shifts against each
     other, so an unresolved doublet gives an orthonormal pair. Raises
     InverseIterationFailed if dstein reports a failure; the vectors are not
-    checked against the shifts, which may lie O(h^2) off the levels
-    (_ritz_values certifies them).
+    checked against the shifts, which solve_window bisects only to
+    _SHIFT_TOL (_ritz_values certifies them).
     """
     lams = np.asarray(lam, dtype=float)
     n = T.n
@@ -333,12 +342,40 @@ def _ritz_values(T: TridiagonalOperator, Z: np.ndarray) -> tuple[np.ndarray, flo
     return theta, math.sqrt(m * T.h) * worst
 
 
+def _inverse_step(T: TridiagonalOperator, Z: np.ndarray, shifts: np.ndarray) -> None:
+    """One step of inverse iteration on each column of Z, in place, then orthonormalized.
+
+    Column j becomes the solution x of (T - shifts[j]) x = z_j, by LAPACK's
+    dgtsv (Gaussian elimination with partial pivoting) on the column itself:
+    Z must be Fortran-ordered for dgtsv to solve in place. The columns are
+    then made orthonormal in the grid inner product h x^T y: Z becomes Z U,
+    U = L^-T for the Cholesky factor L of h Z^T Z, formed one column at a
+    time from the last, since column j of Z U reads only the columns up to
+    j. No n x m array is made besides Z. Raises InverseIterationFailed if a
+    solve meets an exactly singular pivot or the columns are dependent.
+    """
+    m = Z.shape[1]
+    for j in range(m):
+        *_, info = dgtsv(T.offdiag, T.diag - shifts[j], T.offdiag, Z[:, j : j + 1], overwrite_b=1)
+        if info != 0:
+            raise InverseIterationFailed(
+                f"dgtsv met a singular pivot at shift {float(shifts[j])!r} (info = {info})"
+            )
+    try:
+        U = np.linalg.inv(np.linalg.cholesky(T.h * (Z.T @ Z))).T
+    except np.linalg.LinAlgError as exc:
+        raise InverseIterationFailed(f"the {m} inverse-iteration vectors are dependent") from exc
+    for j in reversed(range(m)):
+        Z[:, j] = Z[:, : j + 1] @ U[: j + 1, j]
+
+
 @dataclass(frozen=True)
 class OracleRun:
-    """Extrapolated window eigenvalues with their finer grid's node counts.
+    """Extrapolated window eigenvalues with their coarser grid's node counts.
 
-    node_counts and resolved follow result.indices; ritz_residual is the
-    bound rho that certified the finer grid's levels.
+    node_counts and resolved follow result.indices and come from the
+    coarser grid's dstein vectors; ritz_residual is the larger of the two
+    bounds rho that certified the two grids' levels.
     """
 
     result: EigenResult
@@ -363,28 +400,32 @@ def solve_window(
     domain_auto, which raises GridTooLarge before any grid is built if the
     finer one exceeds the cap, and matched by global index; (4 fine -
     coarse) / 3 cancels the O(h^2) term. With pad = 1 % of the window,
-    eigenvalues_in gives the coarse levels in (e1 - 2 pad, e2 + 2 pad). On
-    the finer grid, one count_below at (e1 - pad, e2 + pad) fixes the
-    indices ca .. cb-1 there, one eigenvector call at their coarse levels
-    gives the vectors Z, and the fine levels are the Ritz values of T on Z
-    (_ritz_values). When every Ritz value lies more than its bound rho
-    inside (e1 - pad, e2 + pad), they are the eigenvalues ca .. cb-1 of T,
-    each to within rho, since the count leaves no other eigenvalue there.
+    eigenvalues_in bisects the coarse levels in (e1 - 2 pad, e2 + 2 pad) to
+    _SHIFT_TOL. On the finer grid, one count_below at (e1 - pad, e2 + pad)
+    fixes the indices ca .. cb-1 there. One eigenvector call on the coarse
+    grid at the shifts of those indices gives the vectors Zc, and the coarse
+    levels are the Ritz values of its operator on Zc (_ritz_values). Zc is
+    prolonged to the finer grid, whose even nodes are the coarse nodes and
+    whose midpoints take the mean of their neighbours, and one step of
+    inverse iteration at each coarse level (_inverse_step) gives the vectors
+    Z; the fine levels are the Ritz values of T on Z. When every fine Ritz
+    value lies more than its bound rho inside (e1 - pad, e2 + pad), they are
+    the eigenvalues ca .. cb-1 of T, each to within rho, since the count
+    leaves no other eigenvalue there.
 
     Raises BisectionFailed if the coarse levels miss one of the indices
-    ca .. cb-1, and InverseIterationFailed if a column of Z is not an
-    eigenvector at its own level or a Ritz value is not more than rho inside
-    that range (_ritz_values). node_counts and resolved come from the columns
-    of Z as dstein returns them, so the two members of a doublet may carry
-    their node counts in either order.
+    ca .. cb-1, and InverseIterationFailed if a column of Zc or Z is not an
+    eigenvector at its own level, a solve fails, or a fine Ritz value is not
+    more than rho inside that range. node_counts and resolved come from the
+    columns of Zc as dstein returns them, so the two members of a doublet
+    may carry their node counts in either order.
     """
     a, b = window.e1, window.e2
     L, N = domain_auto(potential, window, hbar, phase_tol=phase_tol)
     sizes = (N, 2 * N - 1)
     pad = 0.01 * (b - a)
-    coarse = eigenvalues_in(
-        discretize(potential, hbar, L, N, window=window), a - 2 * pad, b + 2 * pad
-    )
+    Tc = discretize(potential, hbar, L, N, window=window)
+    coarse = eigenvalues_in(Tc, a - 2 * pad, b + 2 * pad, tol=_SHIFT_TOL)
     T = discretize(potential, hbar, L, sizes[1], window=window)
     ca, cb = count_below(T, np.array([a - pad, b + pad])).tolist()
     m = cb - ca
@@ -394,8 +435,16 @@ def solve_window(
             f"the coarse grid's levels {first}..{first + coarse.indices.size - 1} do not "
             f"cover the finer grid's {ca}..{cb - 1}"
         )
-    ec = coarse.eigenvalues[ca - first : cb - first]
-    Z = eigenvector(T, ec)
+    Zc = eigenvector(Tc, coarse.eigenvalues[ca - first : cb - first])
+    ec, rho_c = _ritz_values(Tc, Zc)
+    nodes = [node_count(z) for z in Zc.T]
+    resolved = [nodes_resolved(z, Tc, e) for z, e in zip(Zc.T, ec)]
+    Z = np.empty((T.n, m), order="F")
+    Z[::2] = Zc
+    np.add(Zc[:-1], Zc[1:], out=Z[1::2])
+    Z[1::2] *= 0.5
+    del Zc
+    _inverse_step(T, Z, ec)
     theta, rho = _ritz_values(T, Z)
     if m and not (a - pad + rho < theta[0] and theta[-1] < b + pad - rho):
         raise InverseIterationFailed(
@@ -408,12 +457,12 @@ def solve_window(
     corr = float(np.max(np.abs(theta - ec), initial=0.0))
     return OracleRun(
         result=EigenResult(eigenvalues=ext[keep], indices=ca + keep),
-        node_counts=tuple(node_count(Z[:, k]) for k in keep),
-        resolved=tuple(nodes_resolved(Z[:, k], T, theta[k]) for k in keep),
+        node_counts=tuple(nodes[k] for k in keep),
+        resolved=tuple(resolved[k] for k in keep),
         L=L,
         grid_sizes=sizes,
         floor_estimate=max(10.0 * DEFAULT_BISECT_TOL, 0.1 * corr / 3.0),
-        ritz_residual=rho,
+        ritz_residual=max(rho_c, rho),
     )
 
 

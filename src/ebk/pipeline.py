@@ -13,6 +13,7 @@ import hashlib
 import itertools
 import json
 import os
+import sys
 import time
 from pathlib import Path
 
@@ -287,6 +288,21 @@ _STAGE_FNS = {
 }
 
 
+def _say(line: str) -> None:
+    """Print one progress line to stdout, flushed.
+
+    Once stdout's reader has gone (a pipe into `head`), stdout is pointed at
+    os.devnull, so neither the rest of the run nor the interpreter's flush
+    at exit fails on a broken pipe.
+    """
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def run(
     config: RunConfig,
     *,
@@ -322,7 +338,7 @@ def run(
         "checks": {},
     }
     if verbose:
-        print(f"[ebk] environment: {json.dumps(manifest['environment'])}")
+        _say(f"[ebk] environment: {json.dumps(manifest['environment'])}")
     failed: set[str] = set()
     failures: list[Exception] = []
     for stage in config.pipeline:
@@ -345,7 +361,7 @@ def run(
         status["wall_time_s"] = time.perf_counter() - t0
         manifest["stages"][stage] = status
         if verbose:
-            print(f"[ebk] {stage}: {status['status']} ({status['wall_time_s']:.2f}s)")
+            _say(f"[ebk] {stage}: {status['status']} ({status['wall_time_s']:.2f}s)")
 
     manifest["files"] = dict(sorted(state.files.items()))
     manifest["checks"] = dict(sorted(state.checks.items()))
@@ -375,8 +391,8 @@ def run(
         trace = {"orbits": len(comps), "dp45_steps": steps, "arcs": arcs, "attempts": attempts}
         metrics["trace"] = trace
         if verbose:
-            print(f"[ebk] trace: {len(comps)} orbits, dp45 steps {steps}")
-            print(f"[ebk] trace: arcs {arcs}, {attempts} stepper attempts")
+            _say(f"[ebk] trace: {len(comps)} orbits, dp45 steps {steps}")
+            _say(f"[ebk] trace: arcs {arcs}, {attempts} stepper attempts")
     if metrics:
         manifest["metrics"] = metrics
     _write_json(out / "manifest.json", manifest)

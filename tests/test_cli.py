@@ -1,6 +1,9 @@
 import copy
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -470,3 +473,35 @@ def test_run_names_failed_checks(tmp_path, capsys):
     assert main(["run", "--config", str(_write(tmp_path, data))]) == 4
     err = capsys.readouterr().err
     assert "problem stages: ; failed checks: bijection" in err
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_run_verbose_into_closed_pipe_finishes(tmp_path, buffered):
+    # `ebk run --verbose | head -2` once head has gone: stdout is a pipe with
+    # no reader, here from the start. The run still finishes every stage,
+    # writes its manifest and exits with its own code, with no traceback,
+    # whether its progress lines are block-buffered or not.
+    data = _base_config(str(tmp_path / "out"))
+    data["pipeline"] = list(STAGES)
+    path = _write(tmp_path, data)
+    src = str(Path(ebk.pipeline.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ebk.cli", "run", "--verbose", "--config", str(path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0 and proc.stderr == ""
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert [st["status"] for st in manifest["stages"].values()] == ["ok"] * len(STAGES)

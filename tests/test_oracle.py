@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -427,10 +428,10 @@ def test_basis_matches_sturm_oracle(name, hbar):
 @pytest.mark.parametrize("hbar", [0.1, 0.05])
 @pytest.mark.parametrize("name", sorted(_BASIS_CASES))
 def test_fine_ritz_levels_match_tight_bisection(name, hbar, monkeypatch):
-    # The finer grid's Ritz values are its eigenvalues over the padded
-    # window, index for index, as a 1e-14 bisection gives them (measured:
-    # within 1e-11, the quartic at hbar = 0.05), and the run reports their
-    # certified bound.
+    # Each grid's Ritz values are its eigenvalues over the finer grid's
+    # padded window, index for index, as a 1e-14 bisection gives them
+    # (measured: within 1e-11, the quartic at hbar = 0.05), and the run
+    # reports the larger of the two certified bounds.
     pot, (e1, e2) = _BASIS_CASES[name]
     window = ebk.EnergyWindow(e1, e2, 0.05)
     seen = []
@@ -443,14 +444,56 @@ def test_fine_ritz_levels_match_tight_bisection(name, hbar, monkeypatch):
 
     monkeypatch.setattr(ebk.oracle, "_ritz_values", recorded)
     run = ebk.solve_window(pot, window, hbar)
-    ((T, theta, rho),) = seen
+    (Tc, theta_c, rho_c), (T, theta, rho) = seen
     pad = 0.01 * (e2 - e1)
     ref = ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14)
-    assert T.n == run.grid_sizes[1]
-    assert theta.size == ref.eigenvalues.size > 0
+    ref_c = ebk.eigenvalues_in(Tc, e1 - 2 * pad, e2 + 2 * pad, tol=1e-14)
+    assert (Tc.n, T.n) == run.grid_sizes
+    assert theta.size == theta_c.size == ref.eigenvalues.size > 0
     assert np.max(np.abs(theta - ref.eigenvalues)) <= 2e-11
+    same = np.isin(ref_c.indices, ref.indices)
+    assert np.array_equal(ref_c.indices[same], ref.indices)
+    assert np.max(np.abs(theta_c - ref_c.eigenvalues[same])) <= 2e-11
     assert np.all(np.isin(run.result.indices, ref.indices))
-    assert rho == run.ritz_residual and 0.0 < rho <= 1e-9
+    assert run.ritz_residual == max(rho_c, rho) and 0.0 < rho_c <= 1e-9 and 0.0 < rho <= 1e-9
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.05])
+@pytest.mark.parametrize("name", sorted(_BASIS_CASES))
+def test_window_levels_match_tight_richardson(name, hbar):
+    # The levels equal (4 fine - coarse) / 3 of 1e-14 bisections of both
+    # grids, index for index. That reference has a floor of its own: a Sturm
+    # count is exact only for T perturbed by a few eps |T| entrywise, with
+    # |T| = max |d| + 2 max |e| of the finer grid (1.7e-11 to 6.1e-11 here).
+    # Measured: within 0.23 eps |T| (1.3e-11, the quartic at hbar = 0.05).
+    pot, (e1, e2) = _BASIS_CASES[name]
+    window = ebk.EnergyWindow(e1, e2, 0.05)
+    run = ebk.solve_window(pot, window, hbar)
+    pad = 0.01 * (e2 - e1)
+    grids = [ebk.discretize(pot, hbar, run.L, n, window=window) for n in run.grid_sizes]
+    coarse, fine = (ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14) for T in grids)
+    assert np.array_equal(coarse.indices, fine.indices)
+    ext = np.sort((4.0 * fine.eigenvalues - coarse.eigenvalues) / 3.0)
+    inside = (ext >= e1) & (ext <= e2)
+    assert np.array_equal(run.result.indices, fine.indices[inside])
+    norm = np.max(np.abs(grids[1].diag)) + 2.0 * np.max(np.abs(grids[1].offdiag))
+    assert np.max(np.abs(run.result.eigenvalues - ext[inside])) <= 0.5 * np.finfo(float).eps * norm
+
+
+def test_solve_window_memory_peak():
+    # One n x m array of vectors on the finer grid at a time, the coarse
+    # ones freed before the inverse-iteration solves: the double well at
+    # hbar = 0.05 (17,983 nodes, 8 levels) peaks at 2.54 MiB; 2.8 MiB is
+    # 1.2 times the 2.33 MiB of one dstein call on the finer grid.
+    pot, window = ebk.double_well_potential(1.0), ebk.EnergyWindow(0.1, 0.6, 0.05)
+    ebk.solve_window(pot, window, 0.05)
+    tracemalloc.start()
+    try:
+        ebk.solve_window(pot, window, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.8 * 2**20
 
 
 def _run_harmonic_oracle(tmp_path):
@@ -496,6 +539,28 @@ def test_ritz_values_outside_the_fine_range_fail(tmp_path, monkeypatch):
         ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
     code, note = _run_harmonic_oracle(tmp_path)
     assert code == 4 and note.startswith("InverseIterationFailed:")
+
+
+def test_inverse_step_failures(tmp_path, monkeypatch):
+    # A fine-grid solve that reports a singular pivot, or solves that leave
+    # every column the same vector, fail the oracle with a typed error.
+    dgtsv = ebk.oracle.dgtsv
+    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
+    monkeypatch.setattr(
+        ebk.oracle, "dgtsv", lambda *args, **kwargs: (*dgtsv(*args, **kwargs)[:4], 7)
+    )
+    with pytest.raises(InverseIterationFailed, match=r"singular pivot .* \(info = 7\)"):
+        ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
+    code, note = _run_harmonic_oracle(tmp_path)
+    assert code == 4 and note.startswith("InverseIterationFailed:")
+
+    def same_vector(dl, d, du, b, **kwargs):
+        b[:] = 1.0
+        return dl, d, du, b, 0
+
+    monkeypatch.setattr(ebk.oracle, "dgtsv", same_vector)
+    with pytest.raises(InverseIterationFailed, match="6 inverse-iteration vectors are dependent"):
+        ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
 
 
 @pytest.mark.parametrize("hbar", [0.2, 0.1, 0.05, 0.025])

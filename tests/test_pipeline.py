@@ -444,28 +444,35 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
-    # The dw_pipeline benchmark config: the finer grid's levels and node
-    # counts come from one dstein call per hbar, and no dstebz call bisects
-    # on that grid; the coarse grid still bisects.
-    stebz, stein = [], []
-    dstebz, dstein = ebk.oracle.dstebz, ebk.oracle.dstein
+    # The dw_pipeline benchmark config: per hbar, dstebz bisects only the
+    # coarse grid, to _SHIFT_TOL, and dstein runs once there, at the 4 and
+    # 8 levels of the two hbar; the finer grid gets one dgtsv solve per
+    # level and no bisection.
+    stebz, stein, gtsv = [], [], []
+    dstebz, dstein, dgtsv = ebk.oracle.dstebz, ebk.oracle.dstein, ebk.oracle.dgtsv
 
     def counted_stebz(d, e, *args):
         stebz.append((d.size, args[-2]))  # (grid size, tolerance)
         return dstebz(d, e, *args)
 
-    def counted_stein(d, e, *args):
-        stein.append(d.size)
-        return dstein(d, e, *args)
+    def counted_stein(d, e, w, *args):
+        stein.append((d.size, w.size))
+        return dstein(d, e, w, *args)
+
+    def counted_gtsv(dl, d, du, b, **kwargs):
+        gtsv.append(d.size)
+        return dgtsv(dl, d, du, b, **kwargs)
 
     monkeypatch.setattr(ebk.oracle, "dstebz", counted_stebz)
     monkeypatch.setattr(ebk.oracle, "dstein", counted_stein)
+    monkeypatch.setattr(ebk.oracle, "dgtsv", counted_gtsv)
     manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)))
     assert code == 0
     coarse, fine = zip(*(meta["grid_sizes"] for meta in manifest["oracle"].values()))
-    assert stein == list(fine)
-    assert not [n for n, tol in stebz if n in fine and math.isfinite(tol)]
-    assert {n for n, tol in stebz if math.isfinite(tol)} == set(coarse)
+    assert stein == list(zip(coarse, [4, 8]))
+    assert gtsv == [fine[0]] * 4 + [fine[1]] * 8
+    bisections = [(n, tol) for n, tol in stebz if math.isfinite(tol)]
+    assert bisections == [(n, ebk.oracle._SHIFT_TOL) for n in coarse]
 
 
 def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
