@@ -19,13 +19,13 @@ across nested grids N and 2N-1. One such call per grid fixes the global
 indices of the window eigenvalues. On the coarse grid dstebz then bisects
 them over the same value range in one call, only as far as inverse
 iteration needs its shifts (_SHIFT_TOL), and LAPACK's inverse iteration for
-tridiagonal matrices, dstein, runs once at those shifts; the Rayleigh-Ritz
-values of its vectors are the coarse levels, certified by their residual
-bound (Parlett), and the vectors' sign changes are the node counts. The
-vectors are prolonged to the finer grid, and one step of inverse iteration
-per level there, a tridiagonal solve by LAPACK's dgtsv shifted by the coarse
-level, gives vectors whose Rayleigh-Ritz values are the fine levels,
-certified the same way. The window levels come back complete and with
+tridiagonal matrices, dstein, runs once at those shifts. Rayleigh-Ritz on
+the span of its vectors gives the coarse levels, each Ritz pair certified by
+its residual (Parlett), and the Ritz vectors' sign changes are the node
+counts. The Ritz vectors are prolonged to the finer grid, and one step of
+inverse iteration per level there, a tridiagonal solve by LAPACK's dgtsv
+shifted by the coarse level, gives a basis whose Ritz values are the fine
+levels, certified the same way. The window levels come back complete and with
 their global indices, so the levels between two energies in the window are
 counted from that list (the Weyl checks). The grid carries what the rest of
 the pipeline needs besides eigenvalues: exact counts at any shift and
@@ -260,7 +260,7 @@ def eigenvector(T: TridiagonalOperator, lam) -> np.ndarray:
     other, so an unresolved doublet gives an orthonormal pair. Raises
     InverseIterationFailed if dstein reports a failure; the vectors are not
     checked against the shifts, which solve_window bisects only to
-    _SHIFT_TOL (_ritz_values certifies them).
+    _SHIFT_TOL (_ritz_pairs certifies the Ritz pairs of their span).
     """
     lams = np.asarray(lam, dtype=float)
     n = T.n
@@ -301,72 +301,63 @@ def nodes_resolved(v: np.ndarray, T: TridiagonalOperator, energy: float) -> bool
     return all(max(seg.max(), -seg.min()) >= floor for seg, inside in segments if inside)
 
 
-def _ritz_values(T: TridiagonalOperator, Z: np.ndarray) -> tuple[np.ndarray, float]:
-    """Ascending Ritz values of T on the m unit grid-norm columns Z, and their bound rho.
+def _ritz_pairs(T: TridiagonalOperator, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Ritz pairs of T on the span of the m columns Z, certified, and their bound rho.
 
-    Q = sqrt(h) Z is orthonormal, so the values are the eigenvalues of
-    Q^T T Q. rho is sqrt(m) times the largest residual |T y - theta y| of a
-    unit Ritz pair, which bounds |T Q - Q Q^T T Q|_2, so m eigenvalues of T
-    lie within rho of the m Ritz values, in order (Parlett, The Symmetric
-    Eigenvalue Problem, 11.5). T Z and the Ritz vectors are formed one
-    column at a time: no n x m array besides Z, and no whole-array
-    sum of d z z + e z z terms, whose cancellation put the Ritz values up
-    to 1.4e-9 off (the quartic at hbar = 0.05; 1e-11 this way).
-
-    Each column is certified from the same products: with q_j = h z_j^T T z_j
-    its Rayleigh quotient, the unit residual sqrt(h) |T z_j - q_j z_j| and
-    |q_j - theta_j| must both be at most 1e-8 ||T||, so column j is an
-    eigenvector at level j. InverseIterationFailed otherwise.
+    Z may be any basis of full rank m. With L the Cholesky factor of its
+    grid Gram matrix h Z^T Z, Q = sqrt(h) Z L^-T is orthonormal, so the
+    ascending Ritz values theta and the eigenvectors S of
+    L^-1 (h Z^T T Z) L^-T are the Rayleigh-Ritz pairs of T on that span;
+    S is returned as L^-T S, so the Ritz vectors are the unit grid-norm
+    columns Z S. rho is sqrt(m) times the largest unit residual
+    sqrt(h) |T y - theta y| of a Ritz pair, which bounds |T Q - Q Q^T T Q|_2,
+    so m eigenvalues of T lie within rho of the m Ritz values, in order
+    (Parlett, The Symmetric Eigenvalue Problem, 11.5). T Z and the Ritz
+    vectors are formed one column at a time: no n x m array besides Z, and
+    no whole-array sum of d z z + e z z terms, whose cancellation put the
+    Ritz values up to 1.4e-9 off (the quartic at hbar = 0.05; 1e-11 this
+    way). InverseIterationFailed if the columns are dependent or a Ritz
+    pair's residual exceeds 1e-8 ||T||.
     """
     m = Z.shape[1]
     H = np.empty((m, m))
-    resid = np.empty(m)
     for j in range(m):
-        tz = T.apply(Z[:, j])
-        H[:, j] = Z.T @ tz
-        resid[j] = np.linalg.norm(tz - T.h * H[j, j] * Z[:, j])
-    theta, S = np.linalg.eigh(T.h * H)
+        H[:, j] = Z.T @ T.apply(Z[:, j])
+    try:
+        Linv = np.linalg.inv(np.linalg.cholesky(T.h * (Z.T @ Z)))
+    except np.linalg.LinAlgError as exc:
+        raise InverseIterationFailed(f"the {m} inverse-iteration vectors are dependent") from exc
+    theta, S = np.linalg.eigh(Linv @ (T.h * H) @ Linv.T)
+    S = Linv.T @ S
     tol = 1e-8 * (float(np.max(np.abs(T.diag))) + 2.0 * float(np.max(np.abs(T.offdiag))))
-    bad = ~((math.sqrt(T.h) * resid <= tol) & (np.abs(T.h * np.diag(H) - theta) <= tol))
-    if bad.any():
-        j = int(np.argmax(bad))
-        raise InverseIterationFailed(
-            f"vector {j} of {m} is not an eigenvector at Ritz value {theta[j]:.17g}: "
-            f"residual {math.sqrt(T.h) * resid[j]:.3g}, Rayleigh quotient "
-            f"{T.h * H[j, j]:.17g} (tolerance {tol:.3g})"
-        )
     worst = 0.0
     for j in range(m):
         y = Z @ S[:, j]
-        worst = max(worst, float(np.linalg.norm(T.apply(y) - theta[j] * y)))
-    return theta, math.sqrt(m * T.h) * worst
+        resid = math.sqrt(T.h) * float(np.linalg.norm(T.apply(y) - theta[j] * y))
+        if not resid <= tol:
+            raise InverseIterationFailed(
+                f"Ritz pair {j} of {m} at {theta[j]:.17g} has residual {resid:.3g} "
+                f"(tolerance {tol:.3g})"
+            )
+        worst = max(worst, resid)
+    return theta, S, math.sqrt(m) * worst
 
 
 def _inverse_step(T: TridiagonalOperator, Z: np.ndarray, shifts: np.ndarray) -> None:
-    """One step of inverse iteration on each column of Z, in place, then orthonormalized.
+    """One step of inverse iteration on each column of Z, in place.
 
     Column j becomes the solution x of (T - shifts[j]) x = z_j, by LAPACK's
     dgtsv (Gaussian elimination with partial pivoting) on the column itself:
     Z must be Fortran-ordered for dgtsv to solve in place. The columns are
-    then made orthonormal in the grid inner product h x^T y: Z becomes Z U,
-    U = L^-T for the Cholesky factor L of h Z^T Z, formed one column at a
-    time from the last, since column j of Z U reads only the columns up to
-    j. No n x m array is made besides Z. Raises InverseIterationFailed if a
-    solve meets an exactly singular pivot or the columns are dependent.
+    left unnormalized, a basis for _ritz_pairs. Raises
+    InverseIterationFailed if a solve meets an exactly singular pivot.
     """
-    m = Z.shape[1]
-    for j in range(m):
+    for j in range(Z.shape[1]):
         *_, info = dgtsv(T.offdiag, T.diag - shifts[j], T.offdiag, Z[:, j : j + 1], overwrite_b=1)
         if info != 0:
             raise InverseIterationFailed(
                 f"dgtsv met a singular pivot at shift {float(shifts[j])!r} (info = {info})"
             )
-    try:
-        U = np.linalg.inv(np.linalg.cholesky(T.h * (Z.T @ Z))).T
-    except np.linalg.LinAlgError as exc:
-        raise InverseIterationFailed(f"the {m} inverse-iteration vectors are dependent") from exc
-    for j in reversed(range(m)):
-        Z[:, j] = Z[:, : j + 1] @ U[: j + 1, j]
 
 
 @dataclass(frozen=True)
@@ -374,7 +365,7 @@ class OracleRun:
     """Extrapolated window eigenvalues with their coarser grid's node counts.
 
     node_counts and resolved follow result.indices and come from the
-    coarser grid's dstein vectors; ritz_residual is the larger of the two
+    coarser grid's Ritz vectors; ritz_residual is the larger of the two
     bounds rho that certified the two grids' levels.
     """
 
@@ -403,22 +394,25 @@ def solve_window(
     eigenvalues_in bisects the coarse levels in (e1 - 2 pad, e2 + 2 pad) to
     _SHIFT_TOL. On the finer grid, one count_below at (e1 - pad, e2 + pad)
     fixes the indices ca .. cb-1 there. One eigenvector call on the coarse
-    grid at the shifts of those indices gives the vectors Zc, and the coarse
-    levels are the Ritz values of its operator on Zc (_ritz_values). Zc is
-    prolonged to the finer grid, whose even nodes are the coarse nodes and
-    whose midpoints take the mean of their neighbours, and one step of
-    inverse iteration at each coarse level (_inverse_step) gives the vectors
-    Z; the fine levels are the Ritz values of T on Z. When every fine Ritz
-    value lies more than its bound rho inside (e1 - pad, e2 + pad), they are
-    the eigenvalues ca .. cb-1 of T, each to within rho, since the count
-    leaves no other eigenvalue there.
+    grid at the shifts of those indices spans the coarse window subspace,
+    and Rayleigh-Ritz on it (_ritz_pairs) gives the coarse levels and their
+    Ritz vectors Zc, column j at level j. Zc is prolonged to the finer grid,
+    whose even nodes are the coarse nodes and whose midpoints take the mean
+    of their neighbours, and one step of inverse iteration at each coarse
+    level (_inverse_step) gives the basis Z; the fine levels are the Ritz
+    values of T on its span. When every fine Ritz value lies more than its
+    bound rho inside (e1 - pad, e2 + pad), they are the eigenvalues
+    ca .. cb-1 of T, each to within rho, since the count leaves no other
+    eigenvalue there.
 
     Raises BisectionFailed if the coarse levels miss one of the indices
-    ca .. cb-1, and InverseIterationFailed if a column of Zc or Z is not an
-    eigenvector at its own level, a solve fails, or a fine Ritz value is not
-    more than rho inside that range. node_counts and resolved come from the
-    columns of Zc as dstein returns them, so the two members of a doublet
-    may carry their node counts in either order.
+    ca .. cb-1, and InverseIterationFailed if the columns of either basis
+    are dependent, a Ritz pair's residual exceeds its certificate, a solve
+    fails, or a fine Ritz value is not more than rho inside that range.
+    node_counts and resolved are read from the columns of Zc, so a resolved
+    doublet carries its node counts in index order; a pair split below
+    rounding, whose Ritz vectors are any orthonormal basis of its span,
+    may not.
     """
     a, b = window.e1, window.e2
     L, N = domain_auto(potential, window, hbar, phase_tol=phase_tol)
@@ -436,7 +430,8 @@ def solve_window(
             f"cover the finer grid's {ca}..{cb - 1}"
         )
     Zc = eigenvector(Tc, coarse.eigenvalues[ca - first : cb - first])
-    ec, rho_c = _ritz_values(Tc, Zc)
+    ec, S, rho_c = _ritz_pairs(Tc, Zc)
+    Zc = Zc @ S
     nodes = [node_count(z) for z in Zc.T]
     resolved = [nodes_resolved(z, Tc, e) for z, e in zip(Zc.T, ec)]
     Z = np.empty((T.n, m), order="F")
@@ -445,7 +440,7 @@ def solve_window(
     Z[1::2] *= 0.5
     del Zc
     _inverse_step(T, Z, ec)
-    theta, rho = _ritz_values(T, Z)
+    theta, _, rho = _ritz_pairs(T, Z)
     if m and not (a - pad + rho < theta[0] and theta[-1] < b + pad - rho):
         raise InverseIterationFailed(
             f"Ritz values {theta[0]:.17g}..{theta[-1]:.17g} are not inside "

@@ -170,7 +170,7 @@ def _stage_compare(state: _RunState):
         indices = run.result.indices.tolist()
         nodes = dict(zip(indices, run.node_counts))
         # For every symbol, the node counts of the resolved levels at one
-        # hbar are their indices as a set (a doublet's pair in either order).
+        # hbar are their indices as a set (an unresolved doublet's in either order).
         resolved = [i for i, ok in zip(indices, run.resolved) if ok]
         nodes_ok = sorted(nodes[i] for i in resolved) == resolved
         if single_family:

@@ -56,7 +56,6 @@ MAX_ACTION_SAMPLES = 512
 _MIN_GRAD = 1e-8
 _REFINE_TOL = 1e-12  # refine_to_level's target |H - E|
 _REFINE_ITERS = 80  # and its most Newton steps
-_HISTORY_ROWS = 4096  # rows of a new _History, doubled as they fill
 # Local integration error per step, well under the trace tolerance so the
 # accumulated drift over one period stays within it.
 _LOCAL_TOL_FACTOR = 1e-3
@@ -274,38 +273,6 @@ def refine_to_level(spec, points, energy):
     raise EmptyLevelSet(f"could not refine seed onto level {energy:g}")
 
 
-class _History:
-    """Dense-output history of a batch, x and xi rows only.
-
-    Accepted steps are stored in attempt order in flat buffers that grow
-    geometrically, so memory follows the number of accepted steps, not the
-    longest column times the batch width.
-    """
-
-    def __init__(self):
-        self.n = 0
-        self.cols = np.empty(_HISTORY_ROWS, dtype=np.intp)
-        self.t0 = np.empty(_HISTORY_ROWS)
-        self.h = np.empty(_HISTORY_ROWS)
-        self.y0 = np.empty((_HISTORY_ROWS, 2))
-        self.q = np.empty((_HISTORY_ROWS, 4, 2))
-
-    def append(self, step: integrate.Step):
-        lo, hi = self.n, self.n + len(step.cols)
-        if hi > len(self.t0):
-            for name in ("cols", "t0", "h", "y0", "q"):
-                old = getattr(self, name)
-                grown = np.empty((2 * hi,) + old.shape[1:], dtype=old.dtype)
-                grown[:lo] = old[:lo]
-                setattr(self, name, grown)
-        self.cols[lo:hi] = step.cols
-        self.t0[lo:hi] = step.t0
-        self.h[lo:hi] = step.h
-        self.y0[lo:hi] = step.y0[:2].T
-        self.q[lo:hi] = step.q[:, :2].transpose(2, 0, 1)
-        self.n = hi
-
-
 def _section_crossing(step: integrate.Step, normal, target) -> np.ndarray:
     """Time in each entry of step where its dense state crosses a section.
 
@@ -420,7 +387,9 @@ def trace_component(
 
     M = len(pts)
     y0 = np.vstack([pts.T, np.zeros(M)])
-    history = _History()
+    # Accepted steps in attempt order, x and xi rows only; the dense-output
+    # slices are copied so no whole step array stays alive.
+    history = []
     running = np.ones(M, dtype=bool)  # not yet landed; the stepper drops the rest
     # Signed distance past each column's target section; exactly 0 for a lone seed.
     g_prev = normal[0] * (y0[0] - target[0]) + normal[1] * (y0[1] - target[1])
@@ -433,7 +402,8 @@ def trace_component(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         local_tol = trace_tol * _LOCAL_TOL_FACTOR
         for step in integrate.dp45_steps(rhs, y0, local_tol, DEFAULT_MAX_TIME, active=running):
-            history.append(step)
+            dense = step.q[:, :2].transpose(2, 0, 1).copy()
+            history.append((step.cols, step.t0, step.h, step.y0[:2].T.copy(), dense))
             if step.cols is not live:  # a new array only when a column lands or rejects
                 live, nrm, tgt = step.cols, normal[:, step.cols], target[:, step.cols]
             g_new = nrm[0] * (step.y1[0] - tgt[0]) + nrm[1] * (step.y1[1] - tgt[1])
@@ -460,7 +430,7 @@ def trace_component(
             f"({pts[j, 0]:g}, {pts[j, 1]:g})"
         )
 
-    cols = history.cols[: history.n]
+    cols, t0, h, y_start, q = (np.concatenate(field) for field in zip(*history))
     # Every step by column, in time order within each: orbit j's steps, arc
     # by arc, are the slice bounds[j]:bounds[j + 1].
     by_col = np.argsort(cols, kind="stable")
@@ -471,10 +441,10 @@ def trace_component(
         offsets = np.cumsum(arc_time[arcs]) - arc_time[arcs]
         sel = by_col[bounds[j] : bounds[j + 1]]
         points = integrate.resample(
-            history.t0[sel] + offsets[cols[sel] - starts[j]],
-            history.h[sel],
-            history.y0[sel],
-            history.q[sel],
+            t0[sel] + offsets[cols[sel] - starts[j]],
+            h[sel],
+            y_start[sel],
+            q[sel],
             np.linspace(0.0, period[j], DEFAULT_POINTS, endpoint=False),
         )
         drift = np.abs(

@@ -257,23 +257,36 @@ def test_eigenvector_diagonal():
     assert abs(v[0]) <= 1e-8 and abs(v[2]) <= 1e-8
 
 
-def test_eigenvector_residual_failure(tmp_path, monkeypatch):
-    # A column that is not an eigenvector at its own level, here the
-    # normalized sum of two neighbouring ones, fails the Ritz certification.
+def test_ritz_pairs_certify_the_window_subspace(tmp_path, monkeypatch):
+    # The certificate is on the span of the coarse vectors, not on each
+    # column: columns mixed within the window subspace give the same levels,
+    # and node counts read from the Ritz vectors, but a column outside it
+    # leaves a Ritz pair with a large residual.
     eigenvector = ebk.oracle.eigenvector
+    pot, window = ebk.harmonic_potential(), ebk.EnergyWindow(0.2, 0.8, 0.05)
+    ref = ebk.solve_window(pot, window, 0.1)
 
     def mixed(T, lam):
         z = eigenvector(T, lam)
         z[:, 0] += z[:, 1]
-        z[:, 0] /= math.sqrt(T.h * float(z[:, 0] @ z[:, 0]))
         return z
 
     monkeypatch.setattr(ebk.oracle, "eigenvector", mixed)
-    window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-    with pytest.raises(InverseIterationFailed, match="vector 0 of 6 is not an eigenvector"):
-        ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
+    run = ebk.solve_window(pot, window, 0.1)
+    assert np.array_equal(run.result.indices, ref.result.indices)
+    assert np.max(np.abs(run.result.eigenvalues - ref.result.eigenvalues)) <= 1e-12
+    assert list(run.node_counts) == list(run.result.indices) == [2, 3, 4, 5, 6, 7]
+
+    def outside(T, lam):
+        z = eigenvector(T, lam)
+        z[:, 0] = np.sin(0.01 * np.arange(T.n))
+        return z
+
+    monkeypatch.setattr(ebk.oracle, "eigenvector", outside)
+    with pytest.raises(InverseIterationFailed, match=r"Ritz pair \d+ of 6 .* has residual"):
+        ebk.solve_window(pot, window, 0.1)
     code, note = _run_harmonic_oracle(tmp_path)
-    assert code == 4 and note.startswith("InverseIterationFailed:")
+    assert code == 4 and note.startswith("InverseIterationFailed: Ritz pair")
 
 
 @pytest.mark.parametrize(
@@ -281,12 +294,14 @@ def test_eigenvector_residual_failure(tmp_path, monkeypatch):
     [
         ({"name": "quartic", "params": {}}, 0.5, 2.0, 4e-4),
         ({"name": "double_well", "params": {"a": 1.0}}, 0.1, 0.6, 5e-4),
+        ({"name": "double_well", "params": {"a": 1.0}}, 0.1, 0.6, 3e-3),
     ],
-    ids=["quartic", "double_well"],
+    ids=["quartic", "double_well", "double_well_3e-3"],
 )
 def test_coarse_oracle_tol_runs(tmp_path, symbol, e1, e2, oracle_tol):
-    # dstein runs at the coarse levels, O(h^2) off the fine ones; its vectors
-    # are certified against their own Rayleigh quotients, not those shifts.
+    # dstein runs at the coarse levels, O(h^2) off the fine ones; the Ritz
+    # pairs of its vectors' span are certified, not those shifts. At 3e-3
+    # (274 coarse nodes at hbar = 0.1) dstein returns the lowest doublet mixed.
     config = {
         "symbol": symbol,
         "window": {"e1": e1, "e2": e2, "margin": 0.05},
@@ -435,14 +450,14 @@ def test_fine_ritz_levels_match_tight_bisection(name, hbar, monkeypatch):
     pot, (e1, e2) = _BASIS_CASES[name]
     window = ebk.EnergyWindow(e1, e2, 0.05)
     seen = []
-    ritz_values = ebk.oracle._ritz_values
+    ritz_pairs = ebk.oracle._ritz_pairs
 
     def recorded(T, Z):
-        theta, rho = ritz_values(T, Z)
+        theta, S, rho = ritz_pairs(T, Z)
         seen.append((T, theta, rho))
-        return theta, rho
+        return theta, S, rho
 
-    monkeypatch.setattr(ebk.oracle, "_ritz_values", recorded)
+    monkeypatch.setattr(ebk.oracle, "_ritz_pairs", recorded)
     run = ebk.solve_window(pot, window, hbar)
     (Tc, theta_c, rho_c), (T, theta, rho) = seen
     pad = 0.01 * (e2 - e1)
