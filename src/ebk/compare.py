@@ -14,7 +14,6 @@ same window levels between two endpoints, from either oracle.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,11 +21,9 @@ import numpy as np
 from .errors import BijectionFailure
 from .oracle import EigenResult, solve_basis
 from .portrait import DEFAULT_ACTION_SAMPLES, build_families
-from .solver import BsSpectrum, merged_spectrum
+from .solver import TWO_PI, BsSpectrum, merged_spectrum
 from .symbols import EnergyWindow, SymbolSpec
 from .action import build_action_table
-
-TWO_PI = 2.0 * math.pi
 
 
 @dataclass(frozen=True)
@@ -48,11 +45,11 @@ class MatchReport:
     mean_err: float
 
 
-def _interior_cuts(bs: BsSpectrum, window: EnergyWindow, tau_min: float):
+def _interior_cuts(bs: BsSpectrum, tau_min: float):
     """Cut energies one mean spacing inside the window, placed in BS gaps."""
     spacing = TWO_PI * bs.hbar / tau_min
-    lo = window.e1 + spacing
-    hi = window.e2 - spacing
+    lo = bs.window.e1 + spacing
+    hi = bs.window.e2 - spacing
     energies = bs.energies()
     inside = [e for e in energies if lo <= e <= hi]
     if not inside:
@@ -67,11 +64,10 @@ def _interior_cuts(bs: BsSpectrum, window: EnergyWindow, tau_min: float):
 def match_spectra(
     bs: BsSpectrum,
     oracle_result: EigenResult,
-    window: EnergyWindow,
     tau_min: float,
 ) -> MatchReport:
     """Order-preserving interior matching; raises BijectionFailure on mismatch."""
-    cuts = _interior_cuts(bs, window, tau_min)
+    cuts = _interior_cuts(bs, tau_min)
     ev = oracle_result.eigenvalues
     if cuts is None:
         return MatchReport((), len(bs), len(ev), 0.0, 0.0)
@@ -142,7 +138,7 @@ def convergence_study(
     for hbar in hbars:
         bs = merged_spectrum(tables, hbar, window)
         run = solve_basis(spec.potential, window, hbar)
-        report = match_spectra(bs, run.result, window, tau_min)
+        report = match_spectra(bs, run.result, tau_min)
         max_errs.append(report.max_err)
         floors.append(report.max_err < 10.0 * run.floor_estimate)
     log_h = np.log(np.array(hbars))

@@ -100,7 +100,7 @@ def _number(obj, key, where, *, positive=False):
     return v
 
 
-def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
+def parse_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError("top-level config must be a JSON object")
     _require_keys(
@@ -169,7 +169,7 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("config.seed must be a nonnegative integer")
 
-    output_dir = data.get("output_dir", default_output)
+    output_dir = data.get("output_dir", "ebk-out")
     if not isinstance(output_dir, str):
         raise ConfigError("config.output_dir must be a string")
 
@@ -192,7 +192,7 @@ def parse_config(data: dict, *, default_output: str = "ebk-out") -> RunConfig:
         spec = symbol_from_config(sym["name"], params)
     except InvalidSymbol as exc:
         raise ConfigError(str(exc)) from exc
-    if not spec.is_schrodinger and "oracle" in resolved:
+    if spec.potential is None and "oracle" in resolved:
         raise ConfigError(
             f"symbol {sym['name']!r} has no direct oracle; remove oracle/compare/weyl stages"
         )

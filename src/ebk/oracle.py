@@ -176,7 +176,7 @@ def domain_auto(
     top = window.e2 + window.margin
     if not potential.confining_below(top):
         raise NonCompactWindow(
-            f"level {top:g} is not confined by the {potential.kind} potential"
+            f"level {top:g} is not confined by the {potential.name} potential"
         )
     sup_l, sup_r = potential.tail_sup()
     headroom = min(sup_l, sup_r) - top

@@ -166,7 +166,7 @@ def _stage_compare(state: _RunState):
     all_nodes_match = True
     for hbar in state.config.hbars:
         run = state.oracle_runs[hbar]
-        rep = match_spectra(state.spectra[hbar], run.result, state.window, tau_min)
+        rep = match_spectra(state.spectra[hbar], run.result, tau_min)
         indices = run.result.indices.tolist()
         nodes = dict(zip(indices, run.node_counts))
         # For every symbol, the node counts of the resolved levels at one
@@ -214,8 +214,8 @@ def _stage_weyl(state: _RunState):
     all_exact = True
     for hbar in state.config.hbars:
         bs = state.spectra[hbar]
-        pairs = draw_safe_endpoints(state.rng, state.tables, bs, state.window, _WEYL_TRIALS)
-        counts = exact_weyl_count(state.tables, hbar, *np.transpose(pairs), bs)
+        pairs = draw_safe_endpoints(state.rng, state.tables, bs, _WEYL_TRIALS)
+        counts = exact_weyl_count(state.tables, *np.transpose(pairs), bs)
         # The oracle count is the number of its window levels in [e1, e2).
         below = np.searchsorted(state.oracle_runs[hbar].result.eigenvalues, pairs).tolist()
         trials = []

@@ -105,16 +105,11 @@ def spacing_floor(tables: list[ActionTable], hbar: float) -> float:
     return TWO_PI * hbar / tau_max
 
 
-def exact_weyl_count(
-    tables: list[ActionTable],
-    hbar: float,
-    e1t,
-    e2t,
-    bs: BsSpectrum,
-) -> list[WeylCount]:
+def exact_weyl_count(tables: list[ActionTable], e1t, e2t, bs: BsSpectrum) -> list[WeylCount]:
     """Integer-exact count of quantization solutions in each [e1t[i], e2t[i]].
 
-    e1t and e2t are equal-length sequences of interval ends. Per family
+    e1t and e2t are equal-length sequences of interval ends. Per family, at
+    the spectrum's hbar,
     N_k = floor(A0(e2t)/(2 pi hbar) + 1/2) - floor(A0(e1t)/(2 pi hbar) + 1/2),
     valid when both endpoints lie in the window and keep ENDPOINT_SAFETY
     mean spacings from the spectrum (UnsafeEndpoint names the first that
@@ -135,7 +130,7 @@ def exact_weyl_count(
                     f"endpoint {endpoint:g} is within {ENDPOINT_SAFETY:g} mean spacings "
                     "of the spectrum"
                 )
-    step = TWO_PI * hbar
+    step = TWO_PI * bs.hbar
     per_family = []
     leading = np.zeros(len(ends))
     correction = np.zeros(len(ends))
@@ -160,23 +155,32 @@ def draw_safe_endpoints(
     rng: np.random.Generator,
     tables: list[ActionTable],
     bs: BsSpectrum,
-    window: EnergyWindow,
     n_pairs: int,
 ) -> list[tuple[float, float]]:
-    """Seeded endpoint pairs keeping ENDPOINT_SAFETY mean spacings from the spectrum.
+    """Seeded endpoint pairs in the spectrum's window keeping ENDPOINT_SAFETY
+    mean spacings from the spectrum.
 
-    Raises UnsafeEndpoint at once when the window is narrower than two
-    safety distances, so no pair fits, and otherwise when the merged
-    spectrum is so dense relative to the per-family spacing floor that
-    _MAX_DRAWS draws find too few safe pairs.
+    Raises UnsafeEndpoint before any draw when the points a draw accepts
+    span less than two safety distances, so no pair fits; and when the
+    merged spectrum is so dense relative to the per-family spacing floor
+    that _MAX_DRAWS draws find too few safe pairs.
     """
+    window = bs.window
     floor = ENDPOINT_SAFETY * spacing_floor(tables, bs.hbar)
-    if window.e2 - window.e1 < 2.0 * floor:
-        raise UnsafeEndpoint(
-            f"window [{window.e1:g}, {window.e2:g}] is narrower than two safety "
-            f"distances ({ENDPOINT_SAFETY:g} mean spacings each) at hbar={bs.hbar:g}"
-        )
+    gap = 1.05 * floor  # a draw keeps this from every level
     energies = bs.energies()
+    # The accepted points between consecutive levels, clipped to the window.
+    levels = np.sort(energies)
+    lo = np.maximum(np.append(window.e1, levels + gap), window.e1)
+    hi = np.minimum(np.append(levels - gap, window.e2), window.e2)
+    safe = lo < hi
+    extent = hi[safe].max() - lo[safe].min() if safe.any() else 0.0
+    if extent < 2.0 * floor:
+        raise UnsafeEndpoint(
+            f"the safe points of [{window.e1:g}, {window.e2:g}] at hbar={bs.hbar:g} span "
+            f"{extent:g}, under two safety distances ({2.0 * floor:g}; "
+            f"{ENDPOINT_SAFETY:g} mean spacings each)"
+        )
     pairs = []
     tries = 0
     while len(pairs) < n_pairs:
@@ -190,8 +194,8 @@ def draw_safe_endpoints(
         if e2t - e1t < 2.0 * floor:
             continue
         if energies.size and (
-            np.min(np.abs(energies - e1t)) < 1.05 * floor
-            or np.min(np.abs(energies - e2t)) < 1.05 * floor
+            np.min(np.abs(energies - e1t)) < gap
+            or np.min(np.abs(energies - e2t)) < gap
         ):
             continue
         pairs.append((float(e1t), float(e2t)))

@@ -1,10 +1,11 @@
 """Hamiltonian symbol catalog and admissibility checks.
 
 A symbol is a smooth function H(x, xi) on the phase plane. The catalog is
-closed: every entry is an elementary closed form with an exact analytic
-gradient, either a Schrodinger-form symbol xi^2/2 + V(x) built from a
-potential, or one of a few named closed-form symbols. There is no runtime
-expression parser.
+closed: each entry is one frozen dataclass, an elementary closed form with
+an exact analytic gradient and exact landmarks. Its fields are its config
+parameters and its class attribute ``name`` is its config name. A potential
+V(x) (PotentialSpec) runs as the Schrodinger symbol xi^2/2 + V(x); the other
+entries are closed-form symbols (SymbolSpec). There is no expression parser.
 
 Downstream modules require two geometric admissibility properties on an
 energy window [e1, e2] with margin eps:
@@ -20,16 +21,12 @@ of V - c. Only the box-edge enclosure check samples H.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from .errors import InvalidSymbol, NonCompactWindow, PreimageNotEnclosed
-
-POTENTIAL_KINDS = ("harmonic", "quartic", "polynomial", "double_well", "morse")
-CLOSED_FORM_KINDS = ("kerr", "anisotropic_harmonic")
 
 # Samples per box edge in the enclosure check (see regularity_report).
 _EDGE_SAMPLES = 401
@@ -66,108 +63,43 @@ def _real_roots(coefficients) -> np.ndarray:
     return np.unique(x[np.abs(npoly.polyval(x, c)) <= _ROOT_TOL * scale])
 
 
+def _check_params(entry) -> None:
+    """Store each float field of a catalog entry as a finite float and any other
+    as a non-empty tuple of them; else, a bool included, raise InvalidSymbol."""
+    for f in fields(entry):
+        v = getattr(entry, f.name)
+        if f.type == "float":
+            checked, what = finite_float(v), "a finite number"
+        else:
+            items = [finite_float(c) for c in v] if isinstance(v, (list, tuple)) else []
+            ok = bool(items) and None not in items
+            checked, what = (tuple(items) if ok else None), "a non-empty list of finite numbers"
+        if checked is None:
+            raise InvalidSymbol(f"symbol {entry.name!r}: parameter {f.name!r} must be {what}")
+        object.__setattr__(entry, f.name, checked)
+
+
 @dataclass(frozen=True)
 class PotentialSpec:
     """One confinement potential V(x) from the closed catalog.
 
-    ``params`` holds the numeric parameters as a sorted tuple of pairs so the
-    spec is hashable and immutable. Use the module-level constructors
-    (``harmonic_potential`` etc.) rather than building instances by hand.
+    Each subclass is one entry and defines value, derivative and _sublevel
+    (the sublevel interval of a confined level). The defaults here are one
+    critical point at 0, minimum 0 and confining tails.
     """
 
-    kind: str
-    params: tuple[tuple[str, object], ...] = ()
-
-    def __post_init__(self):
-        if self.kind not in POTENTIAL_KINDS:
-            raise InvalidSymbol(f"unknown potential kind {self.kind!r}")
-        for _, v in self.params:
-            arr = np.asarray(v, dtype=float)
-            if not np.all(np.isfinite(arr)):
-                raise InvalidSymbol(f"non-finite parameter in {self.kind} potential")
-
-    @cached_property
-    def _p(self) -> dict:
-        return dict(self.params)
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """Ascending polynomial coefficients (polynomial kind only)."""
-        return np.asarray(self._p["coefficients"], dtype=float)
-
-    def value(self, x):
-        k = self.kind
-        if k == "harmonic":
-            return 0.5 * np.square(x)
-        if k == "quartic":
-            return np.square(x) ** 2
-        if k == "polynomial":
-            return npoly.polyval(x, self.coefficients)
-        if k == "double_well":
-            a = self._p["a"]
-            return np.square(np.square(x) - a * a)
-        if k == "morse":
-            d, a = self._p["D"], self._p["a"]
-            u = 1.0 - np.exp(-a * np.asarray(x, dtype=float))
-            return d * u * u
-        raise InvalidSymbol(self.kind)
-
-    def derivative(self, x):
-        k = self.kind
-        if k == "harmonic":
-            return np.asarray(x, dtype=float) + 0.0
-        if k == "quartic":
-            return 4.0 * np.asarray(x) * np.square(x)
-        if k == "polynomial":
-            return npoly.polyval(x, npoly.polyder(self.coefficients))
-        if k == "double_well":
-            a = self._p["a"]
-            return 4.0 * np.asarray(x) * (np.square(x) - a * a)
-        if k == "morse":
-            d, a = self._p["D"], self._p["a"]
-            e = np.exp(-a * np.asarray(x, dtype=float))
-            return 2.0 * a * d * (1.0 - e) * e
-        raise InvalidSymbol(self.kind)
+    __post_init__ = _check_params
 
     def critical_points(self) -> tuple[float, ...]:
         """Every real x with V'(x) = 0, ascending."""
-        k = self.kind
-        if k == "double_well":
-            a = self._p["a"]
-            return (-a, 0.0, a)
-        if k == "polynomial":
-            return tuple(float(x) for x in _real_roots(npoly.polyder(self.coefficients)))
         return (0.0,)
 
     def min_value(self) -> float:
-        """Global minimum of V: the least value at a critical point.
-
-        Raises NonCompactWindow for a polynomial unbounded below.
-        """
-        k = self.kind
-        if k in ("harmonic", "quartic", "double_well", "morse"):
-            return 0.0
-        if not self.confining_below(-math.inf):
-            raise NonCompactWindow("polynomial potential is unbounded below")
-        # x = 0 stands in for the critical points of a constant V
-        return float(np.min(self.value(np.array([*self.critical_points(), 0.0]))))
+        """Global minimum of V: the least value at a critical point."""
+        return 0.0
 
     def tail_sup(self) -> tuple[float, float]:
         """Limits of V at -inf and +inf (inf for confining tails)."""
-        k = self.kind
-        if k == "morse":
-            return math.inf, float(self._p["D"])
-        if k == "polynomial":
-            c = self.coefficients
-            deg = len(c) - 1
-            while deg > 0 and c[deg] == 0.0:
-                deg -= 1
-            lead = c[deg]
-            if deg == 0:
-                return float(lead), float(lead)
-            right = math.inf if lead > 0 else -math.inf
-            left = right if deg % 2 == 0 else -right
-            return left, right
         return math.inf, math.inf
 
     def confining_below(self, c: float) -> bool:
@@ -183,204 +115,257 @@ class PotentialSpec:
         sublevel set is unbounded or empty.
         """
         if not self.confining_below(c):
-            raise NonCompactWindow(
-                f"{self.kind} potential: level {c:g} reaches the tail value"
-            )
-        k = self.kind
-        if k == "harmonic":
-            r = math.sqrt(2.0 * max(c, 0.0))
-            return -r, r
-        if k == "quartic":
-            r = max(c, 0.0) ** 0.25
-            return -r, r
-        if k == "double_well":
-            a = self._p["a"]
-            r = math.sqrt(a * a + math.sqrt(max(c, 0.0)))
-            return -r, r
-        if k == "morse":
-            d, a = self._p["D"], self._p["a"]
-            s = math.sqrt(c / d)
-            return -math.log1p(s) / a, -math.log(1.0 - s) / a
+            raise NonCompactWindow(f"{self.name} potential: level {c:g} reaches the tail value")
+        return self._sublevel(c)
+
+
+@dataclass(frozen=True)
+class Harmonic(PotentialSpec):
+    name = "harmonic"
+
+    def value(self, x):
+        return 0.5 * np.square(x)
+
+    def derivative(self, x):
+        return np.asarray(x, dtype=float) + 0.0
+
+    def _sublevel(self, c):
+        r = math.sqrt(2.0 * max(c, 0.0))
+        return -r, r
+
+
+@dataclass(frozen=True)
+class Quartic(PotentialSpec):
+    name = "quartic"
+
+    def value(self, x):
+        return np.square(x) ** 2
+
+    def derivative(self, x):
+        return 4.0 * np.asarray(x) * np.square(x)
+
+    def _sublevel(self, c):
+        r = max(c, 0.0) ** 0.25
+        return -r, r
+
+
+@dataclass(frozen=True)
+class Polynomial(PotentialSpec):
+    """V = sum_k coefficients[k] x^k; landmarks from the real roots of V' and V - c."""
+
+    coefficients: tuple[float, ...] = ()
+    name = "polynomial"
+
+    def value(self, x):
+        return npoly.polyval(x, self.coefficients)
+
+    def derivative(self, x):
+        return npoly.polyval(x, npoly.polyder(self.coefficients))
+
+    def critical_points(self) -> tuple[float, ...]:
+        return tuple(float(x) for x in _real_roots(npoly.polyder(self.coefficients)))
+
+    def min_value(self) -> float:
+        """Raises NonCompactWindow for a polynomial unbounded below."""
+        if not self.confining_below(-math.inf):
+            raise NonCompactWindow("polynomial potential is unbounded below")
+        # x = 0 stands in for the critical points of a constant V
+        return float(np.min(self.value(np.array([*self.critical_points(), 0.0]))))
+
+    def tail_sup(self) -> tuple[float, float]:
+        c = self.coefficients
+        deg = len(c) - 1
+        while deg > 0 and c[deg] == 0.0:
+            deg -= 1
+        lead = c[deg]
+        if deg == 0:
+            return float(lead), float(lead)
+        right = math.inf if lead > 0 else -math.inf
+        left = right if deg % 2 == 0 else -right
+        return left, right
+
+    def _sublevel(self, c):
         roots = _real_roots(npoly.polysub(self.coefficients, [c]))
         if roots.size == 0:
             raise NonCompactWindow(f"polynomial sublevel set at {c:g} is empty")
         return float(roots[0]), float(roots[-1])
 
 
-def harmonic_potential() -> PotentialSpec:
-    return PotentialSpec("harmonic")
+@dataclass(frozen=True)
+class DoubleWell(PotentialSpec):
+    a: float = 1.0
+    name = "double_well"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.a <= 0:
+            raise InvalidSymbol("double_well width a must be positive")
+
+    def value(self, x):
+        return np.square(np.square(x) - self.a * self.a)
+
+    def derivative(self, x):
+        return 4.0 * np.asarray(x) * (np.square(x) - self.a * self.a)
+
+    def critical_points(self) -> tuple[float, ...]:
+        return (-self.a, 0.0, self.a)
+
+    def _sublevel(self, c):
+        r = math.sqrt(self.a * self.a + math.sqrt(max(c, 0.0)))
+        return -r, r
 
 
-def quartic_potential() -> PotentialSpec:
-    return PotentialSpec("quartic")
+@dataclass(frozen=True)
+class Morse(PotentialSpec):
+    """V = D (1 - exp(-a x))^2, plateau D as x -> inf (D, a > 0)."""
 
+    D: float = 1.0
+    a: float = 1.0
+    name = "morse"
 
-def polynomial_potential(coefficients) -> PotentialSpec:
-    coeffs = tuple(float(c) for c in coefficients)
-    if not coeffs:
-        raise InvalidSymbol("polynomial needs at least one coefficient")
-    return PotentialSpec("polynomial", (("coefficients", coeffs),))
+    def __post_init__(self):
+        super().__post_init__()
+        if self.D <= 0 or self.a <= 0:
+            raise InvalidSymbol("morse parameters D, a must be positive")
 
+    def value(self, x):
+        u = 1.0 - np.exp(-self.a * np.asarray(x, dtype=float))
+        return self.D * u * u
 
-def double_well_potential(a: float = 1.0) -> PotentialSpec:
-    if a <= 0:
-        raise InvalidSymbol("double_well width a must be positive")
-    return PotentialSpec("double_well", (("a", float(a)),))
+    def derivative(self, x):
+        e = np.exp(-self.a * np.asarray(x, dtype=float))
+        return 2.0 * self.a * self.D * (1.0 - e) * e
 
+    def tail_sup(self) -> tuple[float, float]:
+        return math.inf, self.D
 
-def morse_potential(depth: float = 1.0, a: float = 1.0) -> PotentialSpec:
-    if depth <= 0 or a <= 0:
-        raise InvalidSymbol("morse parameters D, a must be positive")
-    return PotentialSpec("morse", (("D", float(depth)), ("a", float(a))))
+    def _sublevel(self, c):
+        s = math.sqrt(c / self.D)
+        return -math.log1p(s) / self.a, -math.log(1.0 - s) / self.a
 
 
 @dataclass(frozen=True)
 class SymbolSpec:
     """A catalog Hamiltonian H(x, xi) with exact gradient.
 
-    kind is "schrodinger" (H = xi^2/2 + V(x), mass absorbed into the
-    semiclassical parameter) or "closed_form" (a named full-phase-space
-    expression). Instances are immutable.
+    Each subclass is one entry and defines value and gradient: Schrodinger
+    wraps a potential; a closed form, whose potential is None, also defines
+    bounding_radius.
     """
 
-    kind: str
-    potential: PotentialSpec | None = None
-    form: str | None = None
-    params: tuple[tuple[str, float], ...] = ()
-
-    def __post_init__(self):
-        if self.kind == "schrodinger":
-            if self.potential is None:
-                raise InvalidSymbol("schrodinger symbol needs a potential")
-        elif self.kind == "closed_form":
-            if self.form not in CLOSED_FORM_KINDS:
-                raise InvalidSymbol(f"unknown closed form {self.form!r}")
-        else:
-            raise InvalidSymbol(f"unknown symbol kind {self.kind!r}")
-
-    @cached_property
-    def _p(self) -> dict:
-        return dict(self.params)
-
-    @property
-    def is_schrodinger(self) -> bool:
-        return self.kind == "schrodinger"
-
-    def value(self, x, xi):
-        if self.kind == "schrodinger":
-            return 0.5 * np.square(xi) + self.potential.value(x)
-        if self.form == "kerr":
-            chi = self._p["chi"]
-            r2 = np.square(x) + np.square(xi)
-            return 0.5 * r2 + 0.25 * chi * r2 * r2
-        # anisotropic_harmonic
-        a, b = self._p["a"], self._p["b"]
-        return 0.5 * (a * np.square(xi) + b * np.square(x))
-
-    def gradient(self, x, xi):
-        if self.kind == "schrodinger":
-            return self.potential.derivative(x), np.asarray(xi, dtype=float) + 0.0
-        if self.form == "kerr":
-            chi = self._p["chi"]
-            r2 = np.square(x) + np.square(xi)
-            s = 1.0 + chi * r2
-            return np.asarray(x) * s, np.asarray(xi) * s
-        a, b = self._p["a"], self._p["b"]
-        return b * np.asarray(x, dtype=float), a * np.asarray(xi, dtype=float)
+    potential = None
+    __post_init__ = _check_params
 
     def critical_points(self) -> tuple[tuple[float, float], ...]:
-        """Every critical point of H: (x, 0) at each critical x of V, or the
-        origin for kerr (chi >= 0) and anisotropic_harmonic."""
-        if self.kind == "schrodinger":
-            return tuple((x, 0.0) for x in self.potential.critical_points())
+        """Every critical point of H: the origin unless the entry says otherwise."""
         return ((0.0, 0.0),)
 
+
+@dataclass(frozen=True)
+class Schrodinger(SymbolSpec):
+    """H = xi^2/2 + V(x), mass absorbed into the semiclassical parameter."""
+
+    potential: PotentialSpec
+
+    def __post_init__(self):
+        if not isinstance(self.potential, PotentialSpec):
+            raise InvalidSymbol("schrodinger symbol needs a potential")
+
+    @property
+    def name(self) -> str:
+        return self.potential.name
+
+    def value(self, x, xi):
+        return 0.5 * np.square(xi) + self.potential.value(x)
+
+    def gradient(self, x, xi):
+        return self.potential.derivative(x), np.asarray(xi, dtype=float) + 0.0
+
+    def critical_points(self) -> tuple[tuple[float, float], ...]:
+        return tuple((x, 0.0) for x in self.potential.critical_points())
+
+
+@dataclass(frozen=True)
+class Kerr(SymbolSpec):
+    chi: float = 0.5
+    name = "kerr"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.chi < 0:
+            raise InvalidSymbol("kerr coefficient chi must be nonnegative")
+
+    def value(self, x, xi):
+        r2 = np.square(x) + np.square(xi)
+        return 0.5 * r2 + 0.25 * self.chi * r2 * r2
+
+    def gradient(self, x, xi):
+        s = 1.0 + self.chi * (np.square(x) + np.square(xi))
+        return np.asarray(x) * s, np.asarray(xi) * s
+
     def bounding_radius(self, emax: float) -> tuple[float, float]:
-        """Half-widths (x, xi) of a box containing {H <= emax} (closed forms)."""
-        if self.form == "kerr":
-            chi = self._p["chi"]
-            if emax <= 0:
-                return 0.0, 0.0
-            if chi > 0:
-                r2 = (math.sqrt(1.0 + 4.0 * chi * emax) - 1.0) / chi
-            else:
-                r2 = 2.0 * emax
-            r = math.sqrt(r2)
-            return r, r
-        if self.form == "anisotropic_harmonic":
-            a, b = self._p["a"], self._p["b"]
-            return math.sqrt(2.0 * emax / b), math.sqrt(2.0 * emax / a)
-        raise InvalidSymbol(f"no bounding radius for {self.form!r}")
+        """Half-widths (x, xi) of a box containing {H <= emax}."""
+        if emax <= 0:
+            return 0.0, 0.0
+        chi = self.chi
+        r = math.sqrt((math.sqrt(1.0 + 4.0 * chi * emax) - 1.0) / chi if chi > 0 else 2.0 * emax)
+        return r, r
 
 
-def schrodinger_symbol(potential: PotentialSpec) -> SymbolSpec:
-    return SymbolSpec("schrodinger", potential=potential)
+@dataclass(frozen=True)
+class AnisotropicHarmonic(SymbolSpec):
+    a: float = 1.0
+    b: float = 1.0
+    name = "anisotropic_harmonic"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.a <= 0 or self.b <= 0:
+            raise InvalidSymbol("anisotropic_harmonic needs a, b > 0")
+
+    def value(self, x, xi):
+        return 0.5 * (self.a * np.square(xi) + self.b * np.square(x))
+
+    def gradient(self, x, xi):
+        return self.b * np.asarray(x, dtype=float), self.a * np.asarray(xi, dtype=float)
+
+    def bounding_radius(self, emax: float) -> tuple[float, float]:
+        """Half-widths (x, xi) of a box containing {H <= emax}."""
+        return math.sqrt(2.0 * emax / self.b), math.sqrt(2.0 * emax / self.a)
 
 
-def kerr_symbol(chi: float = 0.5) -> SymbolSpec:
-    if chi < 0:
-        raise InvalidSymbol("kerr coefficient chi must be nonnegative")
-    return SymbolSpec("closed_form", form="kerr", params=(("chi", float(chi)),))
+# Config name -> catalog entry; a potential is run as its Schrodinger symbol.
+CATALOG = {
+    entry.name: entry
+    for entry in (Harmonic, Quartic, Polynomial, DoubleWell, Morse, Kerr, AnisotropicHarmonic)
+}
 
-
-def anisotropic_symbol(a: float = 1.0, b: float = 1.0) -> SymbolSpec:
-    if a <= 0 or b <= 0:
-        raise InvalidSymbol("anisotropic_harmonic needs a, b > 0")
-    return SymbolSpec(
-        "closed_form", form="anisotropic_harmonic", params=(("a", float(a)), ("b", float(b)))
-    )
+# The entries under their constructor names.
+harmonic_potential = Harmonic
+quartic_potential = Quartic
+polynomial_potential = Polynomial
+double_well_potential = DoubleWell
+morse_potential = Morse
+schrodinger_symbol = Schrodinger
+kerr_symbol = Kerr
+anisotropic_symbol = AnisotropicHarmonic
 
 
 def symbol_from_config(name: str, params: dict) -> SymbolSpec:
     """Build a catalog symbol from a run-config entry.
 
-    Every parameter value must be a finite number, not a bool (finite_float),
-    and polynomial coefficients a non-empty list of such numbers; any other
-    value raises InvalidSymbol.
+    The accepted keys are the entry's fields. Every parameter value must be
+    a finite number, not a bool (finite_float), and polynomial coefficients
+    a non-empty list of such numbers; any other value raises InvalidSymbol.
     """
-    params = dict(params)
-
-    def _take(keys):
-        unknown = set(params) - set(keys)
-        if unknown:
-            raise InvalidSymbol(
-                f"symbol {name!r}: unknown parameter {sorted(unknown)[0]!r}"
-            )
-        for key, v in params.items():
-            if key == "coefficients":
-                what = "a non-empty list of finite numbers"
-                ok = isinstance(v, list) and bool(v) and all(finite_float(c) is not None for c in v)
-            else:
-                what, ok = "a finite number", finite_float(v) is not None
-            if not ok:
-                raise InvalidSymbol(f"symbol {name!r}: parameter {key!r} must be {what}")
-
-    if name == "harmonic":
-        _take([])
-        return schrodinger_symbol(harmonic_potential())
-    if name == "quartic":
-        _take([])
-        return schrodinger_symbol(quartic_potential())
-    if name == "polynomial":
-        _take(["coefficients"])
-        if "coefficients" not in params:
-            raise InvalidSymbol("polynomial symbol needs 'coefficients'")
-        return schrodinger_symbol(polynomial_potential(params["coefficients"]))
-    if name == "double_well":
-        _take(["a"])
-        return schrodinger_symbol(double_well_potential(params.get("a", 1.0)))
-    if name == "morse":
-        _take(["D", "a"])
-        return schrodinger_symbol(
-            morse_potential(params.get("D", 1.0), params.get("a", 1.0))
-        )
-    if name == "kerr":
-        _take(["chi"])
-        return kerr_symbol(params.get("chi", 0.5))
-    if name == "anisotropic_harmonic":
-        _take(["a", "b"])
-        return anisotropic_symbol(params.get("a", 1.0), params.get("b", 1.0))
-    raise InvalidSymbol(f"unknown symbol name {name!r}")
+    entry = CATALOG.get(name)
+    if entry is None:
+        raise InvalidSymbol(f"unknown symbol name {name!r}")
+    unknown = sorted(set(params) - {f.name for f in fields(entry)})
+    if unknown:
+        raise InvalidSymbol(f"symbol {name!r}: unknown parameter {unknown[0]!r}")
+    spec = entry(**params)
+    return Schrodinger(spec) if isinstance(spec, PotentialSpec) else spec
 
 
 @dataclass(frozen=True)
@@ -474,8 +459,8 @@ def compact_preimage_box(spec: SymbolSpec, window: EnergyWindow) -> Box:
     catalog bounding radii.
     """
     c = window.hi
-    if spec.is_schrodinger:
-        pot = spec.potential
+    pot = spec.potential
+    if pot is not None:
         xlo, xhi = pot.sublevel_interval(c)
         cx, wx = 0.5 * (xlo + xhi), 0.5 * (xhi - xlo)
         wx = 1.1 * wx if wx > 0 else 0.1

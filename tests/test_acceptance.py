@@ -44,7 +44,7 @@ def test_criterion_1_harmonic_exactness(harmonic):
                 assert abs(e - hbar * (n + 0.5)) <= 1e-10
             bs = ebk.merged_spectrum([table], hbar, window)
             run = ebk.solve_window(harmonic.potential, window, hbar)
-            rep = ebk.match_spectra(bs, run.result, window, table.tau_min)
+            rep = ebk.match_spectra(bs, run.result, table.tau_min)
             assert rep.pairs
             assert rep.max_err <= 1e-5
         elapsed = time.perf_counter() - t0
@@ -78,7 +78,7 @@ def test_criterion_3_morse_exactness(morse, morse_table, morse_window):
             assert abs(e - morse_level_closed_form(n, hbar)) <= 1e-7
         bs = ebk.merged_spectrum([morse_table], hbar, morse_window)
         run = ebk.solve_window(morse.potential, morse_window, hbar)
-        rep = ebk.match_spectra(bs, run.result, morse_window, morse_table.tau_min)
+        rep = ebk.match_spectra(bs, run.result, morse_table.tau_min)
         assert rep.pairs
         assert rep.max_err <= 1e-5
 
@@ -92,7 +92,7 @@ def test_criterion_4_exact_weyl_law(
         wide = harmonic_wide_table
         bs = ebk.merged_spectrum([wide], 0.1, wide.window)
         run = ebk.solve_window(harmonic.potential, wide.window, 0.1)
-        (wc,) = ebk.exact_weyl_count([wide], 0.1, [0.22], [1.01], bs)
+        (wc,) = ebk.exact_weyl_count([wide], [0.22], [1.01], bs)
         lo, hi = np.searchsorted(run.result.eigenvalues, [0.22, 1.01])
         assert wc.count == hi - lo == 8
 
@@ -105,14 +105,14 @@ def test_criterion_4_exact_weyl_law(
             for hbar in (0.1, 0.05):
                 bs = ebk.merged_spectrum(tables, hbar, window)
                 run = ebk.solve_window(spec.potential, window, hbar)
-                pairs = ebk.draw_safe_endpoints(rng, tables, bs, window, 20)
+                pairs = ebk.draw_safe_endpoints(rng, tables, bs, 20)
                 assert len(pairs) == 20
-                counts = ebk.exact_weyl_count(tables, hbar, *np.transpose(pairs), bs)
+                counts = ebk.exact_weyl_count(tables, *np.transpose(pairs), bs)
                 below = np.searchsorted(run.result.eigenvalues, pairs)
                 assert len(counts) == len(pairs)
                 for wc, (lo, hi), (e1t, e2t) in zip(counts, below, pairs):
                     assert wc.count == hi - lo, (
-                        f"{spec.potential.kind} hbar={hbar}: formula "
+                        f"{spec.name} hbar={hbar}: formula "
                         f"{wc.count} != oracle {hi - lo} on [{e1t:.4f}, {e2t:.4f}]"
                     )
 
@@ -162,11 +162,11 @@ def test_criterion_6_node_count_identity(
                 int(i): ebk.node_count(ebk.eigenvector(T, [e])[:, 0])
                 for e, i in zip(run.result.eigenvalues, run.result.indices)
             }
-            rep = ebk.match_spectra(bs, run.result, window, table.tau_min)
+            rep = ebk.match_spectra(bs, run.result, table.tau_min)
             assert rep.pairs
             for p in rep.pairs:
                 assert nodes[p.index] == p.n, (
-                    f"{spec.potential.kind}: n={p.n} but {nodes[p.index]} nodes"
+                    f"{spec.name}: n={p.n} but {nodes[p.index]} nodes"
                 )
 
 

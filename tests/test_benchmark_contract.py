@@ -1,17 +1,26 @@
-"""The layer tracer in benchmarks/ must keep working against the program.
+"""The files in benchmarks/ must keep working against the program.
 
-It counts DP45 work from the outside: one dp45_steps call per
-trace_component call, 2 + 6 right-hand side evaluations per attempt. The
-check runs in a fresh interpreter because installing the tracer rebinds
-module attributes of ebk for the rest of the process.
+Each workload runs once through benchmarks/child.py, as the benchmark runs
+it, and its checks must find no problem; so a renamed constructor or
+entry point fails here. The layer tracer counts DP45 work from the
+outside: one dp45_steps call per trace_component call, 2 + 6 right-hand
+side evaluations per attempt. Both run in a fresh interpreter because
+installing the tracer rebinds module attributes of ebk for the rest of the
+process.
 """
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "benchmarks"))
+
+import workloads
 
 SCRIPT = """
 import json, sys
@@ -46,3 +55,17 @@ def test_benchmark_tracer_invariants_hold():
     assert counts["action.tables"] == 1
     assert counts["integrate.accepted_steps"] > 0
     assert counts["integrate.rejected_steps"] >= 0
+
+
+@pytest.mark.parametrize("workload", workloads.WORKLOADS)
+def test_benchmark_workload_runs_clean(workload, tmp_path):
+    if workloads.PIPELINE_CONFIGS[workload] is not None:
+        workloads.write_config(workload, 1, tmp_path / "config.json")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "child.py"), workload, str(tmp_path), "run"],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    problems, _ = workloads.check(workload, result, tmp_path / "out")
+    assert problems == []

@@ -9,7 +9,7 @@ from ebk.oracle import EigenResult
 def test_match_harmonic(harmonic, harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
     run = ebk.solve_window(harmonic.potential, harmonic_window, 0.1)
-    rep = ebk.match_spectra(bs, run.result, harmonic_window, harmonic_table.tau_min)
+    rep = ebk.match_spectra(bs, run.result, harmonic_table.tau_min)
     assert len(rep.pairs) >= 4
     assert rep.max_err <= 1e-5
     for p in rep.pairs:
@@ -20,7 +20,7 @@ def test_match_carries_node_counts(harmonic, harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
     run = ebk.solve_window(harmonic.potential, harmonic_window, 0.1)
     nodes = dict(zip(run.result.indices.tolist(), run.node_counts))
-    rep = ebk.match_spectra(bs, run.result, harmonic_window, harmonic_table.tau_min)
+    rep = ebk.match_spectra(bs, run.result, harmonic_table.tau_min)
     assert rep.pairs
     assert all(nodes[p.index] == p.n for p in rep.pairs)
 
@@ -33,14 +33,14 @@ def test_match_detects_missing_interior_level(harmonic, harmonic_table, harmonic
         eigenvalues=np.delete(ev, 3), indices=np.delete(run.result.indices, 3)
     )
     with pytest.raises(BijectionFailure):
-        ebk.match_spectra(bs, broken, harmonic_window, harmonic_table.tau_min)
+        ebk.match_spectra(bs, broken, harmonic_table.tau_min)
 
 
 def test_match_double_well_doublet_pairs(double_well, dw_tables, dw_window):
     bs = ebk.merged_spectrum(dw_tables, 0.05, dw_window)
     run = ebk.solve_window(double_well.potential, dw_window, 0.05)
     tau_min = min(t.tau_min for t in dw_tables)
-    rep = ebk.match_spectra(bs, run.result, dw_window, tau_min)
+    rep = ebk.match_spectra(bs, run.result, tau_min)
     assert len(rep.pairs) >= 2 and len(rep.pairs) % 2 == 0
     assert rep.max_err <= 1e-3  # two-term truncation error at hbar = 0.05
 
@@ -73,20 +73,20 @@ def test_weyl_counts_batch_match_per_pair_counts(harmonic, harmonic_wide_table):
     bs = ebk.merged_spectrum([table], 0.1, window)
     run = ebk.solve_window(harmonic.potential, window, 0.1)
     T = ebk.discretize(harmonic.potential, 0.1, run.L, run.grid_sizes[1], window=window)
-    pairs = ebk.draw_safe_endpoints(np.random.default_rng(3), [table], bs, window, 6)
-    batch = ebk.exact_weyl_count([table], 0.1, *np.transpose(pairs), bs)
+    pairs = ebk.draw_safe_endpoints(np.random.default_rng(3), [table], bs, 6)
+    batch = ebk.exact_weyl_count([table], *np.transpose(pairs), bs)
     below = np.searchsorted(run.result.eigenvalues, pairs)
     assert len(batch) == len(below) == len(pairs)
     for wc, (lo_w, hi_w), (e1t, e2t) in zip(batch, below, pairs):
         lo, hi = ebk.count_below(T, np.array([e1t, e2t]))
         assert hi_w - lo_w == hi - lo
-        assert [wc] == ebk.exact_weyl_count([table], 0.1, [e1t], [e2t], bs)
+        assert [wc] == ebk.exact_weyl_count([table], [e1t], [e2t], bs)
 
 
 def test_draw_safe_endpoints_respects_floor(harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
     rng = np.random.default_rng(5)
-    pairs = ebk.draw_safe_endpoints(rng, [harmonic_table], bs, harmonic_window, 10)
+    pairs = ebk.draw_safe_endpoints(rng, [harmonic_table], bs, 10)
     energies = bs.energies()
     floor = 0.3 * 2 * np.pi * 0.1 / harmonic_table.tau_max
     for a, b in pairs:
@@ -97,12 +97,8 @@ def test_draw_safe_endpoints_respects_floor(harmonic_table, harmonic_window):
 
 def test_draw_safe_endpoints_deterministic(harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
-    p1 = ebk.draw_safe_endpoints(
-        np.random.default_rng(11), [harmonic_table], bs, harmonic_window, 5
-    )
-    p2 = ebk.draw_safe_endpoints(
-        np.random.default_rng(11), [harmonic_table], bs, harmonic_window, 5
-    )
+    p1 = ebk.draw_safe_endpoints(np.random.default_rng(11), [harmonic_table], bs, 5)
+    p2 = ebk.draw_safe_endpoints(np.random.default_rng(11), [harmonic_table], bs, 5)
     assert p1 == p2
 
 
@@ -122,7 +118,7 @@ def test_weyl_counts_agree_across_oracles(fixtures, hbar, request):
     spec, tables, window = map(request.getfixturevalue, fixtures)
     tables = tables if isinstance(tables, list) else [tables]
     bs = ebk.merged_spectrum(tables, hbar, window)
-    pairs = ebk.draw_safe_endpoints(np.random.default_rng(23), tables, bs, window, 200)
+    pairs = ebk.draw_safe_endpoints(np.random.default_rng(23), tables, bs, 200)
     grid = ebk.solve_window(spec.potential, window, hbar)
     basis = ebk.solve_basis(spec.potential, window, hbar)
     by_grid = np.diff(np.searchsorted(grid.result.eigenvalues, pairs)).ravel().tolist()
@@ -138,9 +134,26 @@ def test_draw_safe_endpoints_fails_fast_on_narrow_window(harmonic_table, harmoni
     # distances; so is a 1e-7 wide window at hbar = 0.1. No draw is made.
     narrow = ebk.EnergyWindow(0.2, 0.2000001, 0.05)
     for hbar, window in [(5.0, harmonic_window), (0.1, narrow)]:
-        bs = ebk.merged_spectrum([harmonic_table], hbar, harmonic_window)
+        bs = ebk.merged_spectrum([harmonic_table], hbar, window)
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        with pytest.raises(UnsafeEndpoint, match="narrower than two safety"):
-            ebk.draw_safe_endpoints(rng, [harmonic_table], bs, window, 20)
+        with pytest.raises(UnsafeEndpoint, match="under two safety distances"):
+            ebk.draw_safe_endpoints(rng, [harmonic_table], bs, 20)
         assert rng.bit_generator.state == state
+
+
+def test_draw_safe_endpoints_fails_fast_when_no_pair_keeps_clear():
+    # The three-well sextic at hbar = 0.1: of its window [0.1, 0.4], only
+    # [0.200, 0.280] keeps 1.05 safety distances from every level, narrower
+    # than the 0.125 a pair must span. No draw is made.
+    sextic = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]))
+    window = ebk.EnergyWindow(0.1, 0.4, 0.05)
+    tables = [ebk.build_action_table(f, window) for f in ebk.build_families(sextic, window)]
+    bs = ebk.merged_spectrum(tables, 0.1, window)
+
+    class NoDraws:
+        def uniform(self, *args, **kwargs):
+            raise AssertionError("an endpoint was drawn")
+
+    with pytest.raises(UnsafeEndpoint, match=r"span 0\.08\d*, under two safety distances"):
+        ebk.draw_safe_endpoints(NoDraws(), tables, bs, 20)

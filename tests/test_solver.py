@@ -85,7 +85,7 @@ def test_merged_spectrum_sorted_and_monotone_per_family(quartic_table, quartic_w
 def test_weyl_analytic_case(harmonic_wide_table):
     table = harmonic_wide_table
     bs = ebk.merged_spectrum([table], HBAR, table.window)
-    (wc,) = ebk.exact_weyl_count([table], HBAR, [0.22], [1.01], bs)
+    (wc,) = ebk.exact_weyl_count([table], [0.22], [1.01], bs)
     assert wc.count == 8
     assert wc.per_family == (8,)
     assert abs(wc.delta) < 1.0
@@ -95,9 +95,9 @@ def test_weyl_unsafe_endpoint(harmonic_wide_table):
     table = harmonic_wide_table
     bs = ebk.merged_spectrum([table], HBAR, table.window)
     with pytest.raises(UnsafeEndpoint):
-        ebk.exact_weyl_count([table], HBAR, [0.25], [1.01], bs)
+        ebk.exact_weyl_count([table], [0.25], [1.01], bs)
     with pytest.raises(UnsafeEndpoint):
-        ebk.exact_weyl_count([table], HBAR, [0.22], [2.0], bs)
+        ebk.exact_weyl_count([table], [0.22], [2.0], bs)
 
 
 def test_weyl_batch_names_its_first_bad_endpoint(harmonic_wide_table):
@@ -105,11 +105,11 @@ def test_weyl_batch_names_its_first_bad_endpoint(harmonic_wide_table):
     table = harmonic_wide_table
     bs = ebk.merged_spectrum([table], HBAR, table.window)
     with pytest.raises(UnsafeEndpoint, match=r"^endpoint 0.25 is within 0.3 mean spacings"):
-        ebk.exact_weyl_count([table], HBAR, [0.22, 0.25, 0.22], [1.01, 2.0, 0.1], bs)
+        ebk.exact_weyl_count([table], [0.22, 0.25, 0.22], [1.01, 2.0, 0.1], bs)
     with pytest.raises(UnsafeEndpoint, match=r"^endpoint 2 outside the window"):
-        ebk.exact_weyl_count([table], HBAR, [0.22, 0.22, 0.5], [1.01, 2.0, 0.3], bs)
+        ebk.exact_weyl_count([table], [0.22, 0.22, 0.5], [1.01, 2.0, 0.3], bs)
     with pytest.raises(ValueError, match="e1t < e2t"):
-        ebk.exact_weyl_count([table], HBAR, [0.22, 0.5, 0.25], [1.01, 0.3, 1.01], bs)
+        ebk.exact_weyl_count([table], [0.22, 0.5, 0.25], [1.01, 0.3, 1.01], bs)
 
 
 def test_weyl_count_matches_spectrum_entries(
@@ -121,8 +121,8 @@ def test_weyl_count_matches_spectrum_entries(
         (dw_tables, dw_window, 0.05),
     ]:
         bs = ebk.merged_spectrum(tables, hbar, window)
-        pairs = ebk.draw_safe_endpoints(rng, tables, bs, window, 10)
-        counts = ebk.exact_weyl_count(tables, hbar, *np.transpose(pairs), bs)
+        pairs = ebk.draw_safe_endpoints(rng, tables, bs, 10)
+        counts = ebk.exact_weyl_count(tables, *np.transpose(pairs), bs)
         for (a, b), wc in zip(pairs, counts):
             inside = sum(a <= e.energy <= b for e in bs.entries)
             assert wc.count == inside

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from numpy.polynomial import polynomial as npoly
 import ebk
 from ebk import portrait
 from ebk.errors import InvalidSymbol, NonCompactWindow, PreimageNotEnclosed
-from ebk.symbols import Box
+from ebk.symbols import CATALOG, Box
 
 
 def test_eval_symbol_catalog_values(harmonic, quartic, morse):
@@ -36,7 +37,7 @@ def _all_catalog_symbols():
     ]
 
 
-@pytest.mark.parametrize("spec", _all_catalog_symbols(), ids=lambda s: s.form or s.potential.kind)
+@pytest.mark.parametrize("spec", _all_catalog_symbols(), ids=lambda s: s.name)
 def test_gradient_matches_finite_differences(spec):
     rng = np.random.default_rng(1234)
     step = 1e-5
@@ -111,6 +112,30 @@ def test_symbol_from_config_errors():
 def test_non_finite_parameters_rejected():
     with pytest.raises(InvalidSymbol):
         ebk.polynomial_potential([1.0, float("nan")])
+    with pytest.raises(InvalidSymbol, match="'chi' must be a finite number"):
+        ebk.kerr_symbol(float("nan"))
+    with pytest.raises(InvalidSymbol, match="'b' must be a finite number"):
+        ebk.anisotropic_symbol(1.0, float("inf"))
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_catalog_entry_builds_from_its_fields(name):
+    # Every config name builds from {} (the polynomial from its
+    # coefficients), round-trips its name, accepts exactly its entry's
+    # fields, and names an unknown key, a bool and a non-finite value.
+    params = {"coefficients": [0.0, 0.0, 1.0]} if name == "polynomial" else {}
+    spec = ebk.symbol_from_config(name, params)
+    assert spec.name == name
+    entry = spec.potential if spec.potential is not None else spec
+    keys = [f.name for f in dataclasses.fields(entry)]
+    assert ebk.symbol_from_config(name, {k: getattr(entry, k) for k in keys}) == spec
+    with pytest.raises(InvalidSymbol, match=f"{name!r}: unknown parameter 'nope'"):
+        ebk.symbol_from_config(name, {**params, "nope": 1.0})
+    for key in keys:
+        for bad in (True, math.nan, math.inf):
+            value = [0.0, bad, 1.0] if key == "coefficients" else bad
+            with pytest.raises(InvalidSymbol, match=f"{name!r}: parameter {key!r} must be"):
+                ebk.symbol_from_config(name, {**params, key: value})
 
 
 def test_window_validation():
@@ -142,7 +167,7 @@ SEXTIC = [0.0, 0.0, 3.0, 0.0, -3.5, 0.0, 1.0]  # 3x^2 - 3.5x^4 + x^6: three well
 @pytest.mark.parametrize(
     "spec",
     _all_catalog_symbols() + [ebk.schrodinger_symbol(ebk.polynomial_potential(SEXTIC))],
-    ids=lambda s: s.form or s.potential.kind,
+    ids=lambda s: s.name,
 )
 def test_critical_points_are_exact_and_complete(spec):
     points = np.array(spec.critical_points())
