@@ -40,11 +40,11 @@ from .solver import (
     WeylCount,
     branch_energy,
     doublet_scan,
-    draw_safe_endpoints,
     exact_weyl_count,
     exit_hbar,
     merged_spectrum,
     quantize_family,
+    safe_endpoints,
 )
 from .oracle import (
     BasisRun,

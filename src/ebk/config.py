@@ -53,7 +53,6 @@ class RunConfig:
     trace_tol: float
     oracle_tol: float
     action_samples: int
-    seed: int
     output_dir: str
     inserted_stages: tuple[str, ...] = field(default=(), compare=False)
 
@@ -78,7 +77,6 @@ class RunConfig:
                 "oracle_tol": self.oracle_tol,
                 "action_samples": self.action_samples,
             },
-            "seed": self.seed,
             "output_dir": self.output_dir,
         }
 
@@ -165,6 +163,8 @@ def parse_config(data: dict) -> RunConfig:
     action_samples = merged["action_samples"]
     check_action_samples(action_samples)
 
+    # seed has no effect (no stage draws random numbers); it is still
+    # accepted, and checked, because archived configs carry it.
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("config.seed must be a nonnegative integer")
@@ -219,7 +219,6 @@ def parse_config(data: dict) -> RunConfig:
         trace_tol=trace_tol,
         oracle_tol=oracle_tol,
         action_samples=int(action_samples),
-        seed=int(seed),
         output_dir=output_dir,
         inserted_stages=inserted,
     )

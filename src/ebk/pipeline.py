@@ -3,8 +3,8 @@
 Stages run in dependency order; a failing stage aborts only its dependents,
 and every failure is recorded in the manifest. All artifacts are written
 with deterministic ordering and 17-significant-digit floats, so a run with
-the same config and seed reproduces identical file hashes (the manifest
-itself carries wall times and is exempt).
+the same config reproduces identical file hashes (the manifest itself
+carries wall times and is exempt). No stage draws random numbers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # a lazy NumPy submodule; every run seeds a generator, so load it with ebk
 
 from . import __version__
 from .action import build_action_table
@@ -28,13 +27,12 @@ from .errors import ConfigError, EbkError, RegularityViolation
 from .oracle import solve_window
 from .portrait import build_families
 from .solver import (
-    branch_energy, doublet_scan, draw_safe_endpoints, exact_weyl_count, exit_hbar, merged_spectrum,
+    branch_energy, doublet_scan, exact_weyl_count, exit_hbar, merged_spectrum, safe_endpoints,
 )
 from .symbols import compact_preimage_box, regularity_report
 
 
 _CSV_STRIDE_TARGET = 128
-_WEYL_TRIALS = 20
 # BLAS threading: it moves dstein energies in their last digits and oracle times.
 _ENVIRONMENT = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -80,7 +78,6 @@ class _RunState:
         self.out = out_dir
         self.spec = config.symbol()
         self.window = config.window
-        self.rng = np.random.default_rng(config.seed)
         self.families = None
         self.tables = None
         self.spectra = {}
@@ -214,12 +211,15 @@ def _stage_weyl(state: _RunState):
     all_exact = True
     for hbar in state.config.hbars:
         bs = state.spectra[hbar]
-        pairs = draw_safe_endpoints(state.rng, state.tables, bs, _WEYL_TRIALS)
-        counts = exact_weyl_count(state.tables, *np.transpose(pairs), bs)
+        # The first safe endpoint against every later one: each count spans
+        # one more step of the staircase than the last.
+        ends = safe_endpoints(state.tables, bs)
+        counts = exact_weyl_count(state.tables, np.full(len(ends) - 1, ends[0]), ends[1:], bs)
         # The oracle count is the number of its window levels in [e1, e2).
-        below = np.searchsorted(state.oracle_runs[hbar].result.eigenvalues, pairs).tolist()
+        lo, *below = np.searchsorted(state.oracle_runs[hbar].result.eigenvalues, ends).tolist()
+        e1, *tops = ends.tolist()
         trials = []
-        for (e1, e2), wc, (lo, hi) in zip(pairs, counts, below):
+        for e2, wc, hi in zip(tops, counts, below):
             exact = wc.count == hi - lo
             trials.append(
                 {
@@ -330,7 +330,6 @@ def run(
     manifest: dict = {
         "config": config.to_json_dict(),
         "version": __version__,
-        "rng": "PCG64",
         "inserted_stages": list(config.inserted_stages),
         "environment": {name: os.environ.get(name) for name in _ENVIRONMENT},
         "stages": {},

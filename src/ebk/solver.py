@@ -1,4 +1,5 @@
-"""Quantization condition, merged spectra, exact counting, branches, doublets.
+"""Quantization condition, merged spectra, exact counting between safe
+endpoints, branches, doublets.
 
 Per family the quantization condition is A0(E) = 2*pi*hbar*(n + 1/2) with
 integer n; the half shift is the Maslov contribution mu/4 with |mu| = 2.
@@ -28,7 +29,6 @@ _EDGE_SLACK = 5e-10
 _TIE = 1e-9
 # Weyl endpoints keep this many smallest mean spacings from every level.
 ENDPOINT_SAFETY = 0.3
-_MAX_DRAWS = 10_000  # endpoint draws before draw_safe_endpoints gives up
 
 
 @dataclass(frozen=True)
@@ -151,55 +151,30 @@ def exact_weyl_count(tables: list[ActionTable], e1t, e2t, bs: BsSpectrum) -> lis
     ]
 
 
-def draw_safe_endpoints(
-    rng: np.random.Generator,
-    tables: list[ActionTable],
-    bs: BsSpectrum,
-    n_pairs: int,
-) -> list[tuple[float, float]]:
-    """Seeded endpoint pairs in the spectrum's window keeping ENDPOINT_SAFETY
-    mean spacings from the spectrum.
+def safe_endpoints(tables: list[ActionTable], bs: BsSpectrum) -> np.ndarray:
+    """One Weyl endpoint per safe gap of the spectrum, in increasing order.
 
-    Raises UnsafeEndpoint before any draw when the points a draw accepts
-    span less than two safety distances, so no pair fits; and when the
-    merged spectrum is so dense relative to the per-family spacing floor
-    that _MAX_DRAWS draws find too few safe pairs.
+    A safe gap is the interval of window points (edges included) that keep
+    1.05 * ENDPOINT_SAFETY mean spacings from every level; its endpoint is
+    its midpoint. Consecutive endpoints have at least one level between
+    them, so counts between them cover every step of the staircase that the
+    safety rule admits. Raises UnsafeEndpoint when fewer than two gaps
+    exist, since no interval can then be counted.
     """
     window = bs.window
-    floor = ENDPOINT_SAFETY * spacing_floor(tables, bs.hbar)
-    gap = 1.05 * floor  # a draw keeps this from every level
-    energies = bs.energies()
-    # The accepted points between consecutive levels, clipped to the window.
-    levels = np.sort(energies)
+    gap = 1.05 * ENDPOINT_SAFETY * spacing_floor(tables, bs.hbar)
+    levels = np.sort(bs.energies())
     lo = np.maximum(np.append(window.e1, levels + gap), window.e1)
     hi = np.minimum(np.append(levels - gap, window.e2), window.e2)
     safe = lo < hi
-    extent = hi[safe].max() - lo[safe].min() if safe.any() else 0.0
-    if extent < 2.0 * floor:
+    lo, hi = lo[safe], hi[safe]
+    if len(lo) < 2:
         raise UnsafeEndpoint(
-            f"the safe points of [{window.e1:g}, {window.e2:g}] at hbar={bs.hbar:g} span "
-            f"{extent:g}, under two safety distances ({2.0 * floor:g}; "
-            f"{ENDPOINT_SAFETY:g} mean spacings each)"
+            f"{len(lo)} safe gap(s) in [{window.e1:g}, {window.e2:g}] at hbar={bs.hbar:g}, "
+            f"fewer than the two a Weyl count needs ({1.05 * ENDPOINT_SAFETY:g} mean "
+            "spacings from every level)"
         )
-    pairs = []
-    tries = 0
-    while len(pairs) < n_pairs:
-        tries += 1
-        if tries > _MAX_DRAWS:
-            raise UnsafeEndpoint(
-                f"found only {len(pairs)}/{n_pairs} safe endpoint pairs in "
-                f"{_MAX_DRAWS} draws; spectrum too dense for safety {ENDPOINT_SAFETY:g}"
-            )
-        e1t, e2t = np.sort(rng.uniform(window.e1, window.e2, size=2))
-        if e2t - e1t < 2.0 * floor:
-            continue
-        if energies.size and (
-            np.min(np.abs(energies - e1t)) < gap
-            or np.min(np.abs(energies - e2t)) < gap
-        ):
-            continue
-        pairs.append((float(e1t), float(e2t)))
-    return pairs
+    return (lo + hi) / 2.0
 
 
 def branch_energy(table: ActionTable, n, hbar) -> np.ndarray:

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 PASS/FAIL lines alongside the pytest verdicts.
 """
 
+import itertools
 import json
 import math
 import time
@@ -96,7 +97,8 @@ def test_criterion_4_exact_weyl_law(
         lo, hi = np.searchsorted(run.result.eigenvalues, [0.22, 1.01])
         assert wc.count == hi - lo == 8
 
-        rng = np.random.default_rng(2024)
+        # Every two safe endpoints: each step of the staircase, and every
+        # run of consecutive steps.
         configs = [
             (harmonic, [harmonic_table], harmonic_window),
             (double_well, dw_tables, dw_window),
@@ -105,8 +107,7 @@ def test_criterion_4_exact_weyl_law(
             for hbar in (0.1, 0.05):
                 bs = ebk.merged_spectrum(tables, hbar, window)
                 run = ebk.solve_window(spec.potential, window, hbar)
-                pairs = ebk.draw_safe_endpoints(rng, tables, bs, 20)
-                assert len(pairs) == 20
+                pairs = list(itertools.combinations(ebk.safe_endpoints(tables, bs), 2))
                 counts = ebk.exact_weyl_count(tables, *np.transpose(pairs), bs)
                 below = np.searchsorted(run.result.eigenvalues, pairs)
                 assert len(counts) == len(pairs)

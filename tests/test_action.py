@@ -299,7 +299,7 @@ def test_import_leaves_scipy_interpolate_out(tmp_path):
     # ebk reaches LAPACK through scipy.linalg._flapack alone, loaded without
     # scipy.linalg's package (and so without scipy.interpolate). A run then
     # imports nothing: a NumPy submodule loaded lazily inside it (numpy.ma by
-    # np.unique, numpy.random by the Weyl draws) would be paid by every run.
+    # np.unique) would be paid by every run.
     src = str(Path(ebk.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     config = {

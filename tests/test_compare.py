@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -66,40 +68,48 @@ def test_convergence_floor_flag_morse(morse, morse_window):
 
 
 def test_weyl_counts_batch_match_per_pair_counts(harmonic, harmonic_wide_table):
-    # The pipeline's Weyl stage: one exact_weyl_count call for every pair,
-    # and each oracle count a difference of searchsorted on the window levels.
+    # The pipeline's Weyl stage: one exact_weyl_count call for the first safe
+    # endpoint against every later one, and each oracle count a difference
+    # of searchsorted on the window levels.
     table = harmonic_wide_table
     window = table.window
     bs = ebk.merged_spectrum([table], 0.1, window)
     run = ebk.solve_window(harmonic.potential, window, 0.1)
     T = ebk.discretize(harmonic.potential, 0.1, run.L, run.grid_sizes[1], window=window)
-    pairs = ebk.draw_safe_endpoints(np.random.default_rng(3), [table], bs, 6)
+    ends = ebk.safe_endpoints([table], bs)
+    pairs = [(ends[0], e2t) for e2t in ends[1:]]
     batch = ebk.exact_weyl_count([table], *np.transpose(pairs), bs)
     below = np.searchsorted(run.result.eigenvalues, pairs)
-    assert len(batch) == len(below) == len(pairs)
+    assert len(batch) == len(below) == len(pairs) == 8
     for wc, (lo_w, hi_w), (e1t, e2t) in zip(batch, below, pairs):
         lo, hi = ebk.count_below(T, np.array([e1t, e2t]))
         assert hi_w - lo_w == hi - lo
         assert [wc] == ebk.exact_weyl_count([table], [e1t], [e2t], bs)
 
 
-def test_draw_safe_endpoints_respects_floor(harmonic_table, harmonic_window):
+def test_safe_endpoints_respects_floor(harmonic_table, harmonic_window):
+    # Every endpoint is in the window and keeps the safety floor from every
+    # level, and consecutive endpoints have a level between them.
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
-    rng = np.random.default_rng(5)
-    pairs = ebk.draw_safe_endpoints(rng, [harmonic_table], bs, 10)
+    ends = ebk.safe_endpoints([harmonic_table], bs)
     energies = bs.energies()
     floor = 0.3 * 2 * np.pi * 0.1 / harmonic_table.tau_max
-    for a, b in pairs:
-        assert a < b
+    assert len(ends) == len(energies) + 1
+    assert np.all((harmonic_window.e1 <= ends) & (ends <= harmonic_window.e2))
+    for a in ends:
         assert np.min(np.abs(energies - a)) >= floor
-        assert np.min(np.abs(energies - b)) >= floor
+    for a, b in zip(ends[:-1], ends[1:]):
+        assert np.any((a < energies) & (energies < b))
 
 
-def test_draw_safe_endpoints_deterministic(harmonic_table, harmonic_window):
+def test_safe_endpoints_deterministic(harmonic_table, harmonic_window):
+    # The midpoints of the safe gaps, bit for bit on every call: levels
+    # 0.25, 0.35, ..., 0.75 and a 0.0315 margin (1.05 * 0.3 spacings of 0.1).
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
-    p1 = ebk.draw_safe_endpoints(np.random.default_rng(11), [harmonic_table], bs, 5)
-    p2 = ebk.draw_safe_endpoints(np.random.default_rng(11), [harmonic_table], bs, 5)
-    assert p1 == p2
+    ends = ebk.safe_endpoints([harmonic_table], bs)
+    assert np.array_equal(ends, ebk.safe_endpoints([harmonic_table], bs))
+    expected = [0.20925, 0.3, 0.4, 0.5, 0.6, 0.7, 0.79075]
+    assert ends == pytest.approx(expected, abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -113,12 +123,13 @@ def test_draw_safe_endpoints_deterministic(harmonic_table, harmonic_window):
 )
 @pytest.mark.parametrize("hbar", [0.1, 0.05])
 def test_weyl_counts_agree_across_oracles(fixtures, hbar, request):
-    # Both oracles' window levels give the same Weyl counts, and so does the
-    # finest grid's Sturm count at every endpoint.
+    # Both oracles' window levels give the same Weyl counts between every
+    # two safe endpoints, and so does the finest grid's Sturm count.
     spec, tables, window = map(request.getfixturevalue, fixtures)
     tables = tables if isinstance(tables, list) else [tables]
     bs = ebk.merged_spectrum(tables, hbar, window)
-    pairs = ebk.draw_safe_endpoints(np.random.default_rng(23), tables, bs, 200)
+    ends = ebk.safe_endpoints(tables, bs)
+    pairs = list(itertools.combinations(ends, 2))
     grid = ebk.solve_window(spec.potential, window, hbar)
     basis = ebk.solve_basis(spec.potential, window, hbar)
     by_grid = np.diff(np.searchsorted(grid.result.eigenvalues, pairs)).ravel().tolist()
@@ -126,34 +137,29 @@ def test_weyl_counts_agree_across_oracles(fixtures, hbar, request):
     T = ebk.discretize(spec.potential, hbar, grid.L, grid.grid_sizes[1], window=window)
     sturm = np.diff(ebk.count_below(T, np.ravel(pairs)).reshape(-1, 2)).ravel()
     assert by_grid == by_basis == sturm.tolist()
-    assert max(by_grid) > 0
+    assert by_grid == [c.count for c in ebk.exact_weyl_count(tables, *np.transpose(pairs), bs)]
+    assert min(by_grid) > 0
 
 
-def test_draw_safe_endpoints_fails_fast_on_narrow_window(harmonic_table, harmonic_window):
-    # At hbar = 5 the window holds no level and is narrower than two safety
-    # distances; so is a 1e-7 wide window at hbar = 0.1. No draw is made.
+def test_safe_endpoints_fails_fast_on_narrow_window(harmonic_table, harmonic_window):
+    # At hbar = 5 the window holds no level, and neither does a 1e-7 wide
+    # window at hbar = 0.1: each is one gap. Around the level 0.25 at
+    # hbar = 0.1, [0.24, 0.26] has no safe point at all.
     narrow = ebk.EnergyWindow(0.2, 0.2000001, 0.05)
-    for hbar, window in [(5.0, harmonic_window), (0.1, narrow)]:
+    around = ebk.EnergyWindow(0.24, 0.26, 0.05)
+    for hbar, window, gaps in [(5.0, harmonic_window, 1), (0.1, narrow, 1), (0.1, around, 0)]:
         bs = ebk.merged_spectrum([harmonic_table], hbar, window)
-        rng = np.random.default_rng(1)
-        state = rng.bit_generator.state
-        with pytest.raises(UnsafeEndpoint, match="under two safety distances"):
-            ebk.draw_safe_endpoints(rng, [harmonic_table], bs, 20)
-        assert rng.bit_generator.state == state
+        with pytest.raises(UnsafeEndpoint, match=rf"^{gaps} safe gap\(s\)"):
+            ebk.safe_endpoints([harmonic_table], bs)
 
 
-def test_draw_safe_endpoints_fails_fast_when_no_pair_keeps_clear():
+def test_safe_endpoints_fails_with_one_gap():
     # The three-well sextic at hbar = 0.1: of its window [0.1, 0.4], only
-    # [0.200, 0.280] keeps 1.05 safety distances from every level, narrower
-    # than the 0.125 a pair must span. No draw is made.
+    # [0.200, 0.280] keeps 1.05 safety distances from every level. One gap
+    # holds no interval to count.
     sextic = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]))
     window = ebk.EnergyWindow(0.1, 0.4, 0.05)
     tables = [ebk.build_action_table(f, window) for f in ebk.build_families(sextic, window)]
-    bs = ebk.merged_spectrum(tables, 0.1, window)
-
-    class NoDraws:
-        def uniform(self, *args, **kwargs):
-            raise AssertionError("an endpoint was drawn")
-
-    with pytest.raises(UnsafeEndpoint, match=r"span 0\.08\d*, under two safety distances"):
-        ebk.draw_safe_endpoints(NoDraws(), tables, bs, 20)
+    with pytest.raises(UnsafeEndpoint, match=r"^1 safe gap\(s\) in \[0.1, 0.4\] at hbar=0.1,"):
+        ebk.safe_endpoints(tables, ebk.merged_spectrum(tables, 0.1, window))
+    assert len(ebk.safe_endpoints(tables, ebk.merged_spectrum(tables, 0.05, window))) == 3

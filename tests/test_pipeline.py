@@ -5,6 +5,9 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -396,17 +399,39 @@ def test_run_sextic_all_stages(tmp_path):
     assert manifest["checks"]["weyl_exact"] is True
 
 
-def _dw_config(out_dir, pipeline_stages) -> ebk.config.RunConfig:
+def _dw_config(out_dir, pipeline_stages, seed=1) -> ebk.config.RunConfig:
     return parse_config(
         {
             "symbol": {"name": "double_well", "params": {"a": 1.0}},
             "window": {"e1": 0.1, "e2": 0.6, "margin": 0.05},
             "hbars": [0.1, 0.05],
             "pipeline": pipeline_stages,
-            "seed": 1,
+            "seed": seed,
             "output_dir": str(out_dir),
         }
     )
+
+
+def test_seed_changes_no_artifact(tmp_path):
+    # The dw_pipeline benchmark config: seed is accepted and has no effect,
+    # since no stage draws random numbers.
+    runs = [pipeline.run(_dw_config(tmp_path / str(seed), list(STAGES), seed)) for seed in (1, 2)]
+    assert [code for _, code in runs] == [0, 0]
+    (first, _), (second, _) = runs
+    assert first["files"] == second["files"]
+    assert first["checks"]["weyl_exact"] is True
+    assert "rng" not in first and "seed" not in first["config"]
+
+
+def test_import_leaves_numpy_random_out():
+    # numpy.random is a lazy NumPy submodule: nothing in ebk loads it.
+    src = str(Path(ebk.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, ebk.config, ebk.pipeline; print('numpy.random' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.split() == ["False"]
 
 
 def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
@@ -435,7 +460,9 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
     assert code == 0 and manifest["checks"]["weyl_exact"] is True
     assert calls == [None] * 4  # one per oracle grid and hbar
     weyl = json.loads((tmp_path / "weyl.json").read_text(encoding="utf-8"))
-    assert [len(trials) for trials in weyl.values()] == [pipeline._WEYL_TRIALS] * 2
+    # 2 and 4 safe gaps at hbar = 0.1 and 0.05: the first endpoint against each later one.
+    assert {float(h): len(trials) for h, trials in weyl.items()} == {0.1: 1, 0.05: 3}
+    assert all(t["exact"] for trials in weyl.values() for t in trials)
     written = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
     assert set(written["metrics"]) == set(manifest["metrics"]) == {"trace"}
     # --verbose prints the Weyl stage's status line and nothing else about it.

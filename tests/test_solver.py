@@ -1,7 +1,11 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import ebk
 from ebk.errors import UnsafeEndpoint
@@ -115,18 +119,40 @@ def test_weyl_batch_names_its_first_bad_endpoint(harmonic_wide_table):
 def test_weyl_count_matches_spectrum_entries(
     harmonic_table, harmonic_window, dw_tables, dw_window
 ):
-    rng = np.random.default_rng(31)
     for tables, window, hbar in [
         ([harmonic_table], harmonic_window, 0.1),
         (dw_tables, dw_window, 0.05),
     ]:
         bs = ebk.merged_spectrum(tables, hbar, window)
-        pairs = ebk.draw_safe_endpoints(rng, tables, bs, 10)
+        pairs = list(itertools.combinations(ebk.safe_endpoints(tables, bs), 2))
         counts = ebk.exact_weyl_count(tables, *np.transpose(pairs), bs)
         for (a, b), wc in zip(pairs, counts):
             inside = sum(a <= e.energy <= b for e in bs.entries)
             assert wc.count == inside
             assert sum(wc.per_family) == wc.count
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(hbar=st.floats(0.01, 0.2), lo=st.floats(0.0, 1.0), hi=st.floats(0.0, 1.0))
+def test_weyl_counts_between_safe_endpoints_are_closed_form(harmonic_table, hbar, lo, hi):
+    # The harmonic levels are hbar*(n + 1/2): every two safe endpoints of a
+    # sub-window hold exactly the closed-form count, or there are fewer
+    # than two safe gaps and safe_endpoints says so.
+    e1, e2 = harmonic_table.window.e1, harmonic_table.window.e2
+    sub = [min(e2, e1 + f * (e2 - e1)) for f in (lo, hi)]
+    assume(sub[0] < sub[1])
+    window = ebk.EnergyWindow(*sub, 0.05)
+    bs = ebk.merged_spectrum([harmonic_table], hbar, window)
+    try:
+        ends = ebk.safe_endpoints([harmonic_table], bs)
+    except UnsafeEndpoint as exc:
+        assert re.match(r"[01] safe gap\(s\) in ", str(exc))
+        return
+    pairs = list(itertools.combinations(ends, 2))
+    levels = hbar * (np.arange(math.ceil(e2 / hbar)) + 0.5)
+    closed = [int(np.sum((p <= levels) & (levels <= q))) for p, q in pairs]
+    counts = ebk.exact_weyl_count([harmonic_table], *np.transpose(pairs), bs)
+    assert [wc.count for wc in counts] == closed
 
 
 def test_branch_energy_examples(harmonic_table, quartic_table):
