@@ -1,13 +1,15 @@
 """Confrontation of predicted spectra with the direct oracle.
 
-Matching is order preserving: both spectra are sorted and agree level by
-level (multiplicity included) up to the two-term truncation error, so the
-i-th interior entry pairs with the i-th. Nearest-neighbor pairing would
-double-match inside doublet clusters and is deliberately not used.
-Interior means one mean spacing away from the window edges, with the
-actual cuts placed in gaps of the predicted spectrum so an O(hbar^2)
-offset cannot move a level across a cut. Each pair carries the global
-index of its oracle level, by which a caller looks up what the oracle run
+Levels are paired by global index. The oracle's come from its Sturm
+counts; a predicted level's is the number of quantization solutions of
+all families below the window plus its rank in the merged spectrum, the
+count the exact Weyl formula gives. Both spectra hold every level of the
+window, so each index must be on both sides; one on one side only is a
+failed bijection. Nearest-neighbor pairing would double-match inside
+doublet clusters and is deliberately not used. The error figures cover
+the interior levels only: one mean spacing away from the window edges,
+with the actual cuts placed in gaps of the predicted spectrum. Each pair
+carries its global index, by which a caller looks up what the oracle run
 holds per level (its node count). The pipeline's Weyl stage counts the
 same window levels between two endpoints, from either oracle.
 """
@@ -33,7 +35,7 @@ class MatchedPair:
     abs_err: float
     k: int
     n: int
-    index: int  # the oracle level's global index
+    index: int  # the global index of both levels
 
 
 @dataclass(frozen=True)
@@ -43,6 +45,7 @@ class MatchReport:
     unmatched_oracle: int
     max_err: float
     mean_err: float
+    one_sided: tuple[int, ...]  # global indices present in one spectrum only
 
 
 def _interior_cuts(bs: BsSpectrum, tau_min: float):
@@ -66,39 +69,38 @@ def match_spectra(
     oracle_result: EigenResult,
     tau_min: float,
 ) -> MatchReport:
-    """Order-preserving interior matching; raises BijectionFailure on mismatch."""
+    """Pair the window levels by global index; errors over the interior pairs.
+
+    one_sided lists, ascending, the global indices that only one of the two
+    spectra holds; the bijection holds when it is empty.
+    """
+    predicted = bs.indices()
+    oracle = dict(zip(oracle_result.indices.tolist(), oracle_result.eigenvalues.tolist()))
+    one_sided = tuple(sorted(set(predicted).symmetric_difference(oracle)))
     cuts = _interior_cuts(bs, tau_min)
-    ev = oracle_result.eigenvalues
-    if cuts is None:
-        return MatchReport((), len(bs), len(ev), 0.0, 0.0)
-    cut_lo, cut_hi = cuts
-    bs_sel = [e for e in bs.entries if cut_lo <= e.energy <= cut_hi]
-    or_sel = np.nonzero((ev >= cut_lo) & (ev <= cut_hi))[0]
-    if len(bs_sel) != or_sel.size:
-        raise BijectionFailure(
-            f"interior counts differ: {len(bs_sel)} predicted vs {or_sel.size} oracle "
-            f"in [{cut_lo:g}, {cut_hi:g}] at hbar={bs.hbar:g}"
-        )
-    pairs = [
-        MatchedPair(
-            e_bs=entry.energy,
-            e_oracle=e_or,
-            abs_err=abs(entry.energy - e_or),
-            k=entry.k,
-            n=entry.n,
-            index=i,
-        )
-        for entry, e_or, i in zip(
-            bs_sel, ev[or_sel].tolist(), oracle_result.indices[or_sel].tolist()
-        )
-    ]
+    pairs = []
+    if cuts is not None:
+        cut_lo, cut_hi = cuts
+        pairs = [
+            MatchedPair(
+                e_bs=entry.energy,
+                e_oracle=oracle[i],
+                abs_err=abs(entry.energy - oracle[i]),
+                k=entry.k,
+                n=entry.n,
+                index=i,
+            )
+            for entry, i in zip(bs.entries, predicted)
+            if cut_lo <= entry.energy <= cut_hi and i in oracle
+        ]
     errs = np.array([p.abs_err for p in pairs]) if pairs else np.zeros(1)
     return MatchReport(
         pairs=tuple(pairs),
-        unmatched_bs=len(bs) - len(bs_sel),
-        unmatched_oracle=int(ev.size - or_sel.size),
+        unmatched_bs=len(bs) - len(pairs),
+        unmatched_oracle=len(oracle) - len(pairs),
         max_err=float(np.max(errs)),
         mean_err=float(np.mean(errs)),
+        one_sided=one_sided,
     )
 
 
@@ -124,7 +126,8 @@ def convergence_study(
     measured change of the window levels from N to 2N basis states, but at
     least 1e-10. Entries whose error sits within a decade of that floor are
     flagged floor-limited; the fitted slope is only meaningful when no flag
-    is set.
+    is set. Raises BijectionFailure when a global index of the window is in
+    one spectrum only.
     """
     hbars = [float(h) for h in hbars]
     if len(hbars) < 3:
@@ -139,6 +142,11 @@ def convergence_study(
         bs = merged_spectrum(tables, hbar, window)
         run = solve_basis(spec.potential, window, hbar)
         report = match_spectra(bs, run.result, tau_min)
+        if report.one_sided:
+            raise BijectionFailure(
+                f"global indices {list(report.one_sided)} are in one spectrum only "
+                f"at hbar={hbar:g}"
+            )
         max_errs.append(report.max_err)
         floors.append(report.max_err < 10.0 * run.floor_estimate)
     log_h = np.log(np.array(hbars))

@@ -14,22 +14,25 @@ eigenvalues in (-inf, lam-], with lam- the next float below lam, which is
 the number of eigenvalues strictly below lam. LAPACK replaces a pivot of
 magnitude below its pivmin (a safe minimum scaled by the largest squared
 off-diagonal entry) by -pivmin, so counts reproduce bit for bit. The
-leading O(h^2) discretization error is removed by Richardson extrapolation
-across nested grids N and 2N-1. One such call per grid fixes the global
-indices of the window eigenvalues. On the coarse grid dstebz then bisects
-them over the same value range in one call, only as far as inverse
-iteration needs its shifts (_SHIFT_TOL), and LAPACK's inverse iteration for
-tridiagonal matrices, dstein, runs once at those shifts. Rayleigh-Ritz on
-the span of its vectors gives the coarse levels, each Ritz pair certified by
-its residual (Parlett), and the Ritz vectors' sign changes are the node
-counts. The Ritz vectors are prolonged to the finer grid, and one step of
-inverse iteration per level there, a tridiagonal solve by LAPACK's dgtsv
-shifted by the coarse level, gives a basis whose Ritz values are the fine
-levels, certified the same way. The window levels come back complete and with
-their global indices, so the levels between two energies in the window are
-counted from that list (the Weyl checks). The grid carries what the rest of
-the pipeline needs besides eigenvalues: exact counts at any shift and
-eigenvectors on x (node counts), so it stays the pipeline's reference.
+O(h^2) and O(h^4) discretization errors are removed by Romberg
+extrapolation across the nested grids N, 2N-1 and 4N-3, and the change
+of the last step is the measured error floor. One count per finer grid
+fixes the global indices of the window eigenvalues, the same on both. On
+the coarsest grid dstebz bisects them over a slightly wider range in one
+call, only as far as inverse iteration needs its shifts (_SHIFT_TOL), and
+LAPACK's inverse iteration for tridiagonal matrices, dstein, runs once at
+those shifts. Rayleigh-Ritz on the span of its vectors gives the coarsest
+levels, each Ritz pair certified by its residual (Parlett), and the Ritz
+vectors' sign changes are the node counts. The Ritz vectors are prolonged
+to the next grid, and one step of inverse iteration per level there, a
+tridiagonal solve by LAPACK's dgtsv shifted by the level below moved by
+the stencil's leading error, gives a basis whose Ritz values are that
+grid's levels, certified the same way. The window levels come back
+complete and with their global indices, so the levels between two
+energies in the window are counted from that list (the Weyl checks). The
+grid carries what the rest of the pipeline needs besides eigenvalues:
+exact counts at any shift and eigenvectors on x (node counts), so it
+stays the pipeline's reference.
 
 The basis oracle (solve_basis) is what convergence_study uses: it only
 needs the window levels, and gets them far more accurately and quickly.
@@ -61,7 +64,7 @@ from .errors import (
 )
 from .symbols import EnergyWindow, PotentialSpec
 
-DEFAULT_PHASE_TOL = 1e-5
+DEFAULT_PHASE_TOL = 3e-4
 DEFAULT_BISECT_TOL = 1e-11
 # solve_window bisects the coarse grid's levels only to this width: they are
 # dstein's shifts, and the levels themselves are Ritz values (1e-4 changed a
@@ -170,8 +173,11 @@ def domain_auto(
     under the barrier replaces the wall, which the L-doubling stability
     check validates). N keeps the local stencil phase error
     (xi_max*h/hbar)^2/12 below phase_tol. Raises ConfigError when N is
-    under the stencil's 3 points, and GridTooLarge when the finer grid of
-    solve_window's pair, 2N - 1 points, exceeds the cap or N is not finite.
+    under the stencil's 3 points, and GridTooLarge when the finest of
+    solve_window's three grids, 4N - 3 points, exceeds the cap or N is not
+    finite. phase_tol is that bound on the coarsest grid; the default
+    3e-4 leaves the Romberg levels of solve_window within about 1e-12 of
+    the basis oracle's on the catalog's wells at hbar = 0.1 and 0.05.
     """
     top = window.e2 + window.margin
     if not potential.confining_below(top):
@@ -191,9 +197,9 @@ def domain_auto(
     N = int(math.ceil(cells)) + 1
     if N < 3:
         raise ConfigError(f"grid of {N} points is under the 3-point stencil; tighten phase_tol")
-    if 2 * N - 1 > _MAX_GRID:
+    if 4 * N - 3 > _MAX_GRID:
         raise GridTooLarge(
-            f"grid of {2 * N - 1} points exceeds the {_MAX_GRID} cap; relax phase_tol"
+            f"grid of {4 * N - 3} points exceeds the {_MAX_GRID} cap; relax phase_tol"
         )
     return L, N
 
@@ -362,20 +368,71 @@ def _inverse_step(T: TridiagonalOperator, Z: np.ndarray, shifts: np.ndarray) -> 
 
 @dataclass(frozen=True)
 class OracleRun:
-    """Extrapolated window eigenvalues with their coarser grid's node counts.
+    """Romberg-extrapolated window eigenvalues with the coarsest grid's node counts.
 
     node_counts and resolved follow result.indices and come from the
-    coarser grid's Ritz vectors; ritz_residual is the larger of the two
-    bounds rho that certified the two grids' levels.
+    coarsest grid's Ritz vectors; grid_sizes are the three nested grids;
+    floor_estimate is the largest change of a level from the finer
+    Richardson value to the Romberg one, at least 10 * DEFAULT_BISECT_TOL;
+    ritz_residual is the largest of the three bounds rho that certified the
+    three grids' levels.
     """
 
     result: EigenResult
     node_counts: tuple[int, ...]
     resolved: tuple[bool, ...]
     L: float
-    grid_sizes: tuple[int, int]
+    grid_sizes: tuple[int, int, int]
     floor_estimate: float
     ritz_residual: float
+
+
+def _refine(
+    Tc: TridiagonalOperator,
+    Zc: np.ndarray,
+    levels: np.ndarray,
+    T: TridiagonalOperator,
+    lo: float,
+    hi: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Ritz pairs of T, the grid that halves Tc's step, from Tc's Ritz pairs.
+
+    Zc holds Tc's unit grid-norm Ritz vectors, column j at its Ritz value
+    levels[j]. Zc is prolonged to T, whose even nodes are Tc's nodes and
+    whose midpoints take the mean of their neighbours, and one step of
+    inverse iteration per column (_inverse_step) gives the basis Z. The
+    shift of column j is levels[j] moved by the stencil's leading error:
+    the 3-point stencil adds -(hbar^2 h^2 / 24) d^4/dx^4 to the operator,
+    and psi'' = 2 (V - E) psi / hbar^2, so a level E of Tc lies about
+    h^2 <(V - E)^2> / (6 hbar^2) below its limit and 3/4 of that below T's,
+    with <.> the mean over its Ritz vector's density. (At the default
+    phase_tol, shifts at the bare levels would leave the bound rho of T's
+    Ritz pairs at 1e-8 to 1.7e-6 on the catalog's wells, since one step
+    damps a neighbour outside the window only by the shift's O(h^2) offset
+    over its distance; these leave rho under 5e-10 down to hbar = 0.025.)
+
+    Returns the Ritz values theta of T on the span of Z, Z and the Ritz
+    coefficients S (_ritz_pairs), and the bound rho. When the count of T in
+    (lo, hi) leaves room for exactly Z.shape[1] eigenvalues, every theta
+    more than rho inside (lo, hi) makes them those eigenvalues, each to
+    within rho; InverseIterationFailed otherwise.
+    """
+    m = Zc.shape[1]
+    d = (Tc.potential_values()[:, None] - levels) * Zc
+    shifts = levels + Tc.h**3 * np.sum(d * d, axis=0) / (8.0 * Tc.hbar**2)
+    del d
+    Z = np.empty((T.n, m), order="F")
+    Z[::2] = Zc
+    np.add(Zc[:-1], Zc[1:], out=Z[1::2])
+    Z[1::2] *= 0.5
+    _inverse_step(T, Z, shifts)
+    theta, S, rho = _ritz_pairs(T, Z)
+    if m and not (lo + rho < theta[0] and theta[-1] < hi - rho):
+        raise InverseIterationFailed(
+            f"Ritz values {theta[0]:.17g}..{theta[-1]:.17g} of the {T.n}-point grid are "
+            f"not inside ({lo:.17g}, {hi:.17g}) by the residual bound {rho:.3g}"
+        )
+    return theta, Z, S, rho
 
 
 def solve_window(
@@ -385,79 +442,80 @@ def solve_window(
     *,
     phase_tol: float = DEFAULT_PHASE_TOL,
 ) -> OracleRun:
-    """Window eigenvalues with the O(h^2) error removed by extrapolation.
+    """Window eigenvalues with the O(h^2) and O(h^4) errors removed by Romberg.
 
-    The window levels are found on the nested grids N and 2N - 1 of
+    The window levels are found on the nested grids N, 2N - 1 and 4N - 3 of
     domain_auto, which raises GridTooLarge before any grid is built if the
-    finer one exceeds the cap, and matched by global index; (4 fine -
-    coarse) / 3 cancels the O(h^2) term. With pad = 1 % of the window,
-    eigenvalues_in bisects the coarse levels in (e1 - 2 pad, e2 + 2 pad) to
-    _SHIFT_TOL. On the finer grid, one count_below at (e1 - pad, e2 + pad)
-    fixes the indices ca .. cb-1 there. One eigenvector call on the coarse
-    grid at the shifts of those indices spans the coarse window subspace,
-    and Rayleigh-Ritz on it (_ritz_pairs) gives the coarse levels and their
-    Ritz vectors Zc, column j at level j. Zc is prolonged to the finer grid,
-    whose even nodes are the coarse nodes and whose midpoints take the mean
-    of their neighbours, and one step of inverse iteration at each coarse
-    level (_inverse_step) gives the basis Z; the fine levels are the Ritz
-    values of T on its span. When every fine Ritz value lies more than its
-    bound rho inside (e1 - pad, e2 + pad), they are the eigenvalues
-    ca .. cb-1 of T, each to within rho, since the count leaves no other
-    eigenvalue there.
+    finest one exceeds the cap, and matched by global index. With E1, E2,
+    E3 a level on the three grids, r1 = (4 E2 - E1) / 3 and
+    r2 = (4 E3 - E2) / 3 cancel the O(h^2) term and (16 r2 - r1) / 15 the
+    O(h^4) one (the stencil's error is even in h for a smooth V); the
+    largest |(16 r2 - r1) / 15 - r2| is the floor_estimate. With pad = 1 %
+    of the window, eigenvalues_in bisects the coarsest levels in
+    (e1 - 2 pad, e2 + 2 pad) to _SHIFT_TOL. On each finer grid one
+    count_below at (e1 - pad, e2 + pad) fixes the indices ca .. cb-1, the
+    same on both. One eigenvector call on the coarsest grid at the shifts of
+    those indices spans its window subspace, and Rayleigh-Ritz on it
+    (_ritz_pairs) gives the coarsest levels and their Ritz vectors Zc,
+    column j at level j. Each finer grid takes the Ritz pairs of the grid
+    below through _refine: prolongation, one dgtsv step per level shifted by
+    that grid's level moved by the stencil's leading error, and
+    Rayleigh-Ritz, its Ritz values certified as the eigenvalues ca .. cb-1
+    of its grid.
 
-    Raises BisectionFailed if the coarse levels miss one of the indices
-    ca .. cb-1, and InverseIterationFailed if the columns of either basis
-    are dependent, a Ritz pair's residual exceeds its certificate, a solve
-    fails, or a fine Ritz value is not more than rho inside that range.
-    node_counts and resolved are read from the columns of Zc, so a resolved
-    doublet carries its node counts in index order; a pair split below
-    rounding, whose Ritz vectors are any orthonormal basis of its span,
-    may not.
+    Raises BisectionFailed if the two finer grids count different indices
+    or the coarsest levels miss one of them, and InverseIterationFailed if
+    the columns of a basis are dependent, a Ritz pair's residual exceeds its
+    certificate, a solve fails, or a finer grid's Ritz value is not more
+    than rho inside (e1 - pad, e2 + pad). node_counts and resolved are read
+    from the columns of Zc, so a resolved doublet carries its node counts in
+    index order; a pair split below rounding, whose Ritz vectors are any
+    orthonormal basis of its span, may not.
     """
     a, b = window.e1, window.e2
     L, N = domain_auto(potential, window, hbar, phase_tol=phase_tol)
-    sizes = (N, 2 * N - 1)
+    sizes = (N, 2 * N - 1, 4 * N - 3)
     pad = 0.01 * (b - a)
-    Tc = discretize(potential, hbar, L, N, window=window)
+    lo, hi = a - pad, b + pad
+    Tc, T2, T3 = (discretize(potential, hbar, L, n, window=window) for n in sizes)
     coarse = eigenvalues_in(Tc, a - 2 * pad, b + 2 * pad, tol=_SHIFT_TOL)
-    T = discretize(potential, hbar, L, sizes[1], window=window)
-    ca, cb = count_below(T, np.array([a - pad, b + pad])).tolist()
+    ca, cb = count_below(T2, [lo, hi]).tolist()
+    fa, fb = count_below(T3, [lo, hi]).tolist()
+    if (fa, fb) != (ca, cb):
+        raise BisectionFailed(
+            f"the {sizes[1]}- and {sizes[2]}-point grids count the levels {ca}..{cb - 1} "
+            f"and {fa}..{fb - 1} in ({lo:.17g}, {hi:.17g})"
+        )
     m = cb - ca
     first = int(coarse.indices[0]) if coarse.indices.size else ca
     if m and not first <= ca <= cb <= first + coarse.indices.size:
         raise BisectionFailed(
             f"the coarse grid's levels {first}..{first + coarse.indices.size - 1} do not "
-            f"cover the finer grid's {ca}..{cb - 1}"
+            f"cover the finer grids' {ca}..{cb - 1}"
         )
     Zc = eigenvector(Tc, coarse.eigenvalues[ca - first : cb - first])
-    ec, S, rho_c = _ritz_pairs(Tc, Zc)
+    E1, S, rho1 = _ritz_pairs(Tc, Zc)
     Zc = Zc @ S
     nodes = [node_count(z) for z in Zc.T]
-    resolved = [nodes_resolved(z, Tc, e) for z, e in zip(Zc.T, ec)]
-    Z = np.empty((T.n, m), order="F")
-    Z[::2] = Zc
-    np.add(Zc[:-1], Zc[1:], out=Z[1::2])
-    Z[1::2] *= 0.5
+    resolved = [nodes_resolved(z, Tc, e) for z, e in zip(Zc.T, E1)]
+    E2, Z, S, rho2 = _refine(Tc, Zc, E1, T2, lo, hi)
     del Zc
-    _inverse_step(T, Z, ec)
-    theta, _, rho = _ritz_pairs(T, Z)
-    if m and not (a - pad + rho < theta[0] and theta[-1] < b + pad - rho):
-        raise InverseIterationFailed(
-            f"Ritz values {theta[0]:.17g}..{theta[-1]:.17g} are not inside "
-            f"({a - pad:.17g}, {b + pad:.17g}) by the residual bound {rho:.3g}"
-        )
-    # Sorted: a doublet whose fine levels tie to rounding can swap order here.
-    ext = np.sort((4.0 * theta - ec) / 3.0)
+    Z = Z @ S
+    E3, *_, rho3 = _refine(T2, Z, E2, T3, lo, hi)
+    del Z
+    r1, r2 = (4.0 * E2 - E1) / 3.0, (4.0 * E3 - E2) / 3.0
+    rom = (16.0 * r2 - r1) / 15.0
+    # Sorted: a doublet whose levels tie to rounding can swap order here.
+    ext = np.sort(rom)
     keep = np.flatnonzero((ext >= a) & (ext <= b))
-    corr = float(np.max(np.abs(theta - ec), initial=0.0))
     return OracleRun(
         result=EigenResult(eigenvalues=ext[keep], indices=ca + keep),
         node_counts=tuple(nodes[k] for k in keep),
         resolved=tuple(resolved[k] for k in keep),
         L=L,
         grid_sizes=sizes,
-        floor_estimate=max(10.0 * DEFAULT_BISECT_TOL, 0.1 * corr / 3.0),
-        ritz_residual=max(rho_c, rho),
+        floor_estimate=max(10.0 * DEFAULT_BISECT_TOL, float(np.max(np.abs(rom - r2), initial=0))),
+        ritz_residual=max(rho1, rho2, rho3),
     )
 
 

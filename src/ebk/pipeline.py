@@ -190,13 +190,15 @@ def _stage_compare(state: _RunState):
             "max_err": rep.max_err,
             "mean_err": rep.mean_err,
             "nodes_match": nodes_ok,
+            "one_sided": list(rep.one_sided),
         }
         for p in rep.pairs:
             csv_rows.append((hbar, p.k, p.n, p.e_bs, p.e_oracle, p.abs_err, nodes[p.index]))
-    # match_spectra raises on a count mismatch; no pair at all fails too,
-    # unless no hbar has a level in the window on either side to pair.
-    levels = any(r["unmatched_bs"] or r["unmatched_oracle"] for r in report_obj.values())
-    state.checks["bijection"] = bool(csv_rows) if csv_rows or levels else None
+    # Every window level must be on both sides, by global index; with no
+    # level on either side at any hbar there is nothing to pair.
+    reports = report_obj.values()
+    levels = any(r["pairs"] or r["unmatched_bs"] or r["unmatched_oracle"] for r in reports)
+    state.checks["bijection"] = all(not r["one_sided"] for r in reports) if levels else None
     state.checks["nodes_match"] = all_nodes_match
     state.emit_json("match.json", report_obj)
     state.emit_csv(

@@ -40,33 +40,50 @@ class SpectrumEntry:
 
 @dataclass(frozen=True)
 class BsSpectrum:
-    """Labeled quantization solutions in the window, sorted by energy (ties by (k, n))."""
+    """Labeled quantization solutions in the window, sorted by energy (ties by (k, n)).
+
+    first_index is the number of solutions below the window, summed over
+    the families: entry i is the level of global index first_index + i.
+    """
 
     hbar: float
     window: EnergyWindow
     entries: tuple[SpectrumEntry, ...]
+    first_index: int
 
     def energies(self) -> np.ndarray:
         return np.array([e.energy for e in self.entries])
 
+    def indices(self) -> range:
+        return range(self.first_index, self.first_index + len(self.entries))
+
     def __len__(self) -> int:
         return len(self.entries)
+
+
+def _quantum_numbers(table: ActionTable, hbar: float, window: EnergyWindow) -> range:
+    """The n with A0(E) = 2*pi*hbar*(n + 1/2) for an E in the window.
+
+    Its start is the family's least n in the window, which is the number of
+    the family's solutions below the window, also when the range is empty.
+    """
+    if hbar <= 0:
+        raise ValueError("hbar must be positive")
+    step = TWO_PI * hbar
+    tol = _EDGE_SLACK * hbar
+    n_min = math.ceil((float(table.a0_at(window.e1)) - tol) / step - 0.5)
+    n_max = math.floor((float(table.a0_at(window.e2)) + tol) / step - 0.5)
+    return range(n_min, n_max + 1)
 
 
 def quantize_family(
     table: ActionTable, hbar: float, window: EnergyWindow
 ) -> list[tuple[int, float]]:
     """All (n, E) with A0(E) = 2*pi*hbar*(n + 1/2) and E in the window."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
+    ns = np.array(_quantum_numbers(table, hbar, window))
     lo_a = float(table.a0_at(window.e1))
     hi_a = float(table.a0_at(window.e2))
-    step = TWO_PI * hbar
-    tol = _EDGE_SLACK * hbar
-    n_min = math.ceil((lo_a - tol) / step - 0.5)
-    n_max = math.floor((hi_a + tol) / step - 0.5)
-    ns = np.arange(n_min, n_max + 1)
-    es = invert_action(table, np.clip(step * (ns + 0.5), lo_a, hi_a))
+    es = invert_action(table, np.clip(TWO_PI * hbar * (ns + 0.5), lo_a, hi_a))
     return list(zip(ns.tolist(), np.clip(es, window.e1, window.e2).tolist()))
 
 
@@ -76,7 +93,8 @@ def merged_spectrum(
     """Disjoint union over families, sorted by energy, labels retained.
 
     A run of levels each within _TIE of the one before is ordered by (k, n),
-    so the order of a doublet does not depend on rounding.
+    so the order of a doublet does not depend on rounding. The first global
+    index is the sum of each family's least n in the window.
     """
     entries = []
     for table in tables:
@@ -85,7 +103,10 @@ def merged_spectrum(
     entries.sort(key=lambda s: s.energy)
     run = np.cumsum(np.diff([s.energy for s in entries], prepend=-np.inf) > _TIE).tolist()
     order = sorted(range(len(entries)), key=lambda i: (run[i], entries[i].k, entries[i].n))
-    return BsSpectrum(hbar=hbar, window=window, entries=tuple(entries[i] for i in order))
+    first = sum(_quantum_numbers(table, hbar, window).start for table in tables)
+    return BsSpectrum(
+        hbar=hbar, window=window, entries=tuple(entries[i] for i in order), first_index=first
+    )
 
 
 @dataclass(frozen=True)

@@ -255,13 +255,13 @@ def test_overflowing_landmark_grid_exit_2(tmp_path, capsys, command):
 
 
 def test_validate_grid_pair_over_cap_exit_2(tmp_path, capsys):
-    # N = 597,820 fits under the cap, but the finer grid of the
-    # Richardson pair, 2N - 1 points, does not.
+    # N = 177,343 and 2N - 1 fit under the cap, but the finest of the
+    # oracle's three grids, 4N - 3 points, does not.
     data = _base_config(str(tmp_path / "out"))
-    data["tolerances"]["oracle_tol"] = 1.32e-9
+    data["tolerances"]["oracle_tol"] = 1.5e-8
     path = _write(tmp_path, data)
     assert main(["validate", "--config", str(path)]) == 2
-    assert "grid of 1195639 points exceeds the 600000 cap" in capsys.readouterr().err
+    assert "grid of 709369 points exceeds the 600000 cap" in capsys.readouterr().err
 
 
 def test_validate_grid_under_stencil_exit_2(tmp_path, capsys):
@@ -461,18 +461,38 @@ def test_run_threads_flag_is_gone_exit_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_run_names_failed_checks(tmp_path, capsys):
+def test_run_names_failed_checks(tmp_path, capsys, monkeypatch):
+    # A node count off by one fails nodes_match while every stage is ok.
+    monkeypatch.setattr(ebk.oracle, "node_count", lambda v: ebk.node_count(v) + 1)
+    data = _base_config(str(tmp_path / "out"))
+    assert main(["run", "--config", str(_write(tmp_path, data))]) == 4
+    err = capsys.readouterr().err
+    assert "problem stages: ; failed checks: nodes_match" in err
+
+
+def test_run_double_well_edge_levels_pair_by_index(tmp_path, capsys):
     # The double well at hbar = 0.1 alone: its 4 levels all lie within one
-    # mean spacing of the window edges, so no pair forms and bijection fails
-    # while every stage is ok.
+    # mean spacing of the window edges, so no interior pair forms, but both
+    # spectra hold the levels of global indices 0..3, and the run passes.
     data = _base_config(str(tmp_path / "out"))
     data["symbol"] = {"name": "double_well", "params": {"a": 1.0}}
     data["window"] = {"e1": 0.1, "e2": 0.6, "margin": 0.05}
     data["pipeline"] = list(STAGES)
     del data["tolerances"]
-    assert main(["run", "--config", str(_write(tmp_path, data))]) == 4
-    err = capsys.readouterr().err
-    assert "problem stages: ; failed checks: bijection" in err
+    assert main(["run", "--config", str(_write(tmp_path, data))]) == 0
+    assert capsys.readouterr().err == ""
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["checks"]["bijection"] is True
+    assert all(manifest["checks"].values())
+    match = json.loads((tmp_path / "out" / "match.json").read_text(encoding="utf-8"))
+    assert match == {
+        "0.10000000000000001": {
+            "pairs": [], "unmatched_bs": 4, "unmatched_oracle": 4, "max_err": 0.0,
+            "mean_err": 0.0, "nodes_match": True, "one_sided": [],
+        }
+    }
+    oracle_rows = (tmp_path / "out" / "oracle.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert [int(row.split(",")[1]) for row in oracle_rows] == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])

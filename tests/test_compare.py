@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -27,15 +28,35 @@ def test_match_carries_node_counts(harmonic, harmonic_table, harmonic_window):
     assert all(nodes[p.index] == p.n for p in rep.pairs)
 
 
-def test_match_detects_missing_interior_level(harmonic, harmonic_table, harmonic_window):
+def test_match_detects_missing_interior_level(
+    harmonic, harmonic_table, harmonic_window, monkeypatch
+):
+    # Levels 2..7 on both sides; an oracle without index 5 leaves it on the
+    # predicted side only, the other pairs as they were, and the convergence
+    # study stops on it.
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
     run = ebk.solve_window(harmonic.potential, harmonic_window, 0.1)
     ev = run.result.eigenvalues
     broken = EigenResult(
         eigenvalues=np.delete(ev, 3), indices=np.delete(run.result.indices, 3)
     )
-    with pytest.raises(BijectionFailure):
-        ebk.match_spectra(bs, broken, harmonic_table.tau_min)
+    full = ebk.match_spectra(bs, run.result, harmonic_table.tau_min)
+    rep = ebk.match_spectra(bs, broken, harmonic_table.tau_min)
+    assert list(bs.indices()) == list(run.result.indices) == [2, 3, 4, 5, 6, 7]
+    assert full.one_sided == () and rep.one_sided == (5,)
+    assert list(rep.pairs) == [p for p in full.pairs if p.index != 5] != list(full.pairs)
+    solve_basis = ebk.compare.solve_basis
+
+    def dropped(*args):
+        basis = solve_basis(*args)
+        res = basis.result
+        keep = res.indices != 5
+        result = EigenResult(res.eigenvalues[keep], res.indices[keep])
+        return dataclasses.replace(basis, result=result)
+
+    monkeypatch.setattr(ebk.compare, "solve_basis", dropped)
+    with pytest.raises(BijectionFailure, match=r"global indices \[5\] are in one spectrum only"):
+        ebk.convergence_study(harmonic, harmonic_window, [0.1, 0.05, 0.025], action_samples=17)
 
 
 def test_match_double_well_doublet_pairs(double_well, dw_tables, dw_window):

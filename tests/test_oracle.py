@@ -1,9 +1,12 @@
 import json
 import math
 import tracemalloc
+from datetime import timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ebk
 from ebk.cli import main
@@ -12,6 +15,7 @@ from ebk.errors import (
     BisectionFailed,
     ConfigError,
     DomainTooSmall,
+    EbkError,
     GridTooLarge,
     InverseIterationFailed,
     NonCompactWindow,
@@ -47,13 +51,17 @@ def test_discretize_domain_too_small():
 
 
 def test_domain_auto_harmonic():
+    # The coarsest grid keeps the stencil phase error under phase_tol, both
+    # at the default and at a tighter one.
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-    L, N = ebk.domain_auto(pot, window, 0.1)
-    assert L >= 1.5 * math.sqrt(2 * (0.85 + 1.0))  # wall at e2+eps+10*hbar
     ximax = math.sqrt(2 * 0.85)
-    h = 2 * L / (N - 1)
-    assert (ximax * h / 0.1) ** 2 / 12 <= 1e-5
+    assert ebk.oracle.DEFAULT_PHASE_TOL == 3e-4
+    for kwargs, tol in (({}, 3e-4), ({"phase_tol": 1e-5}, 1e-5)):
+        L, N = ebk.domain_auto(pot, window, 0.1, **kwargs)
+        assert L >= 1.5 * math.sqrt(2 * (0.85 + 1.0))  # wall at e2+eps+10*hbar
+        h = 2 * L / (N - 1)
+        assert (ximax * h / 0.1) ** 2 / 12 <= tol
 
 
 def test_domain_auto_morse_plateau():
@@ -72,8 +80,8 @@ def test_domain_auto_rejects_grid_under_stencil():
 
 
 def test_solve_window_checks_its_finer_grid_first(monkeypatch):
-    # At phase_tol 4e-9, N = 343,422 fits under the cap but the finer grid
-    # of the Richardson pair, 2N - 1 = 686,843 points, does not.
+    # At phase_tol 1e-8, N = 217,200 and 2N - 1 = 434,399 fit under the cap
+    # but the finest of the three grids, 4N - 3 = 868,797 points, does not.
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
 
@@ -81,8 +89,8 @@ def test_solve_window_checks_its_finer_grid_first(monkeypatch):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(ebk.oracle, "discretize", no_grid)
-    with pytest.raises(GridTooLarge, match="grid of 686843 points exceeds the 600000 cap"):
-        ebk.solve_window(pot, window, 0.1, phase_tol=4e-9)
+    with pytest.raises(GridTooLarge, match="grid of 868797 points exceeds the 600000 cap"):
+        ebk.solve_window(pot, window, 0.1, phase_tol=1e-8)
 
 
 def test_count_below_diagonal_examples():
@@ -443,10 +451,11 @@ def test_basis_matches_sturm_oracle(name, hbar):
 @pytest.mark.parametrize("hbar", [0.1, 0.05])
 @pytest.mark.parametrize("name", sorted(_BASIS_CASES))
 def test_fine_ritz_levels_match_tight_bisection(name, hbar, monkeypatch):
-    # Each grid's Ritz values are its eigenvalues over the finer grid's
-    # padded window, index for index, as a 1e-14 bisection gives them
-    # (measured: within 1e-11, the quartic at hbar = 0.05), and the run
-    # reports the larger of the two certified bounds.
+    # Each grid's Ritz values are its eigenvalues over the finer grids'
+    # padded window, index for index, as a 1e-14 bisection of that grid
+    # gives them (measured: within 1.7e-12, the quartic's finest grid at
+    # hbar = 0.05), and the run reports the largest of the three certified
+    # bounds.
     pot, (e1, e2) = _BASIS_CASES[name]
     window = ebk.EnergyWindow(e1, e2, 0.05)
     seen = []
@@ -459,47 +468,100 @@ def test_fine_ritz_levels_match_tight_bisection(name, hbar, monkeypatch):
 
     monkeypatch.setattr(ebk.oracle, "_ritz_pairs", recorded)
     run = ebk.solve_window(pot, window, hbar)
-    (Tc, theta_c, rho_c), (T, theta, rho) = seen
+    assert [T.n for T, _, _ in seen] == list(run.grid_sizes)
+    (Tc, theta_c, _), *finer = seen
     pad = 0.01 * (e2 - e1)
-    ref = ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14)
+    refs = [ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14) for T, _, _ in finer]
     ref_c = ebk.eigenvalues_in(Tc, e1 - 2 * pad, e2 + 2 * pad, tol=1e-14)
-    assert (Tc.n, T.n) == run.grid_sizes
-    assert theta.size == theta_c.size == ref.eigenvalues.size > 0
-    assert np.max(np.abs(theta - ref.eigenvalues)) <= 2e-11
-    same = np.isin(ref_c.indices, ref.indices)
-    assert np.array_equal(ref_c.indices[same], ref.indices)
+    indices = refs[0].indices
+    assert all(np.array_equal(ref.indices, indices) for ref in refs)
+    for (_, theta, _), ref in zip(finer, refs):
+        assert theta.size == ref.eigenvalues.size > 0
+        assert np.max(np.abs(theta - ref.eigenvalues)) <= 2e-11
+    same = np.isin(ref_c.indices, indices)
+    assert np.array_equal(ref_c.indices[same], indices) and theta_c.size == indices.size
     assert np.max(np.abs(theta_c - ref_c.eigenvalues[same])) <= 2e-11
-    assert np.all(np.isin(run.result.indices, ref.indices))
-    assert run.ritz_residual == max(rho_c, rho) and 0.0 < rho_c <= 1e-9 and 0.0 < rho <= 1e-9
+    assert np.all(np.isin(run.result.indices, indices))
+    rhos = [rho for _, _, rho in seen]
+    assert run.ritz_residual == max(rhos) and all(0.0 < rho <= 1e-9 for rho in rhos)
 
 
 @pytest.mark.parametrize("hbar", [0.1, 0.05])
 @pytest.mark.parametrize("name", sorted(_BASIS_CASES))
 def test_window_levels_match_tight_richardson(name, hbar):
-    # The levels equal (4 fine - coarse) / 3 of 1e-14 bisections of both
-    # grids, index for index. That reference has a floor of its own: a Sturm
-    # count is exact only for T perturbed by a few eps |T| entrywise, with
-    # |T| = max |d| + 2 max |e| of the finer grid (1.7e-11 to 6.1e-11 here).
-    # Measured: within 0.23 eps |T| (1.3e-11, the quartic at hbar = 0.05).
+    # The levels equal the Romberg value (16 r2 - r1) / 15 of 1e-14
+    # bisections of the three grids, r1 = (4 E2 - E1) / 3 and
+    # r2 = (4 E3 - E2) / 3, index for index. That reference has a floor of
+    # its own: a Sturm count is exact only for T perturbed by a few eps |T|
+    # entrywise, with |T| = max |d| + 2 max |e| of the finest grid, and the
+    # Romberg weights add up to 85/45 in magnitude. Measured: within
+    # 0.25 eps |T| (2.0e-12, the quartic at hbar = 0.05).
     pot, (e1, e2) = _BASIS_CASES[name]
     window = ebk.EnergyWindow(e1, e2, 0.05)
     run = ebk.solve_window(pot, window, hbar)
     pad = 0.01 * (e2 - e1)
     grids = [ebk.discretize(pot, hbar, run.L, n, window=window) for n in run.grid_sizes]
-    coarse, fine = (ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14) for T in grids)
-    assert np.array_equal(coarse.indices, fine.indices)
-    ext = np.sort((4.0 * fine.eigenvalues - coarse.eigenvalues) / 3.0)
-    inside = (ext >= e1) & (ext <= e2)
-    assert np.array_equal(run.result.indices, fine.indices[inside])
-    norm = np.max(np.abs(grids[1].diag)) + 2.0 * np.max(np.abs(grids[1].offdiag))
-    assert np.max(np.abs(run.result.eigenvalues - ext[inside])) <= 0.5 * np.finfo(float).eps * norm
+    E1, E2, E3 = (ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14) for T in grids)
+    assert np.array_equal(E1.indices, E2.indices) and np.array_equal(E2.indices, E3.indices)
+    r1 = (4.0 * E2.eigenvalues - E1.eigenvalues) / 3.0
+    r2 = (4.0 * E3.eigenvalues - E2.eigenvalues) / 3.0
+    rom = np.sort((16.0 * r2 - r1) / 15.0)
+    inside = (rom >= e1) & (rom <= e2)
+    assert np.array_equal(run.result.indices, E3.indices[inside])
+    norm = np.max(np.abs(grids[2].diag)) + 2.0 * np.max(np.abs(grids[2].offdiag))
+    worst = np.max(np.abs(run.result.eigenvalues - rom[inside])) / (np.finfo(float).eps * norm)
+    assert worst <= 0.5
+
+
+@pytest.mark.parametrize("hbar", [0.1, 0.05, 0.025])
+@pytest.mark.parametrize("name", ["double_well", "harmonic", "morse", "quartic"])
+def test_window_levels_within_the_measured_floor(name, hbar):
+    # Every level is within floor_estimate + basis_residual of the basis
+    # oracle's, with floor_estimate <= 1e-9 (measured: 1.0e-10 to 2.4e-10,
+    # the levels within 1.2e-13). The coarsest grid at the default phase_tol
+    # resolves every level and counts its index in nodes, except the double
+    # well's doublets at hbar = 0.025, split below rounding, whose Ritz
+    # vectors are any basis of their pair.
+    pot, (e1, e2) = _BASIS_CASES[name]
+    window = ebk.EnergyWindow(e1, e2, 0.05)
+    run = ebk.solve_window(pot, window, hbar)
+    basis = ebk.solve_basis(pot, window, hbar)
+    assert run.result.indices.size > 0
+    assert np.array_equal(run.result.indices, basis.result.indices)
+    assert run.floor_estimate <= 1e-9
+    err = np.abs(run.result.eigenvalues - basis.result.eigenvalues)
+    assert np.all(err <= run.floor_estimate + basis.basis_residual)
+    if (name, hbar) != ("double_well", 0.025):
+        assert list(run.node_counts) == list(run.result.indices)
+        assert all(run.resolved)
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=2), max_examples=20)
+@given(
+    name=st.sampled_from(["double_well", "harmonic", "morse", "quartic"]),
+    log_tol=st.floats(math.log(1e-5), math.log(3e-3)),
+    hbar=st.floats(0.05, 0.1),
+)
+def test_solve_window_phase_tol_sweep(name, log_tol, hbar):
+    # Over phase_tol from 1e-5 to 3e-3, log-uniform, the oracle either
+    # gives the basis oracle's indices with levels within the two floors or
+    # stops with a typed error.
+    pot, (e1, e2) = _BASIS_CASES[name]
+    window = ebk.EnergyWindow(e1, e2, 0.05)
+    basis = ebk.solve_basis(pot, window, hbar)
+    try:
+        run = ebk.solve_window(pot, window, hbar, phase_tol=math.exp(log_tol))
+    except EbkError:
+        return
+    assert np.array_equal(run.result.indices, basis.result.indices)
+    err = np.abs(run.result.eigenvalues - basis.result.eigenvalues)
+    assert np.all(err <= run.floor_estimate + basis.floor_estimate)
 
 
 def test_solve_window_memory_peak():
-    # One n x m array of vectors on the finer grid at a time, the coarse
-    # ones freed before the inverse-iteration solves: the double well at
-    # hbar = 0.05 (17,983 nodes, 8 levels) peaks at 2.54 MiB; 2.8 MiB is
-    # 1.2 times the 2.33 MiB of one dstein call on the finer grid.
+    # Vectors on at most two grids at a time, each grid's freed once the
+    # next finer one has its basis: the double well at hbar = 0.05 (grids of
+    # 1,643, 3,285 and 6,569 nodes, 8 levels) peaks at 1.15 MiB.
     pot, window = ebk.double_well_potential(1.0), ebk.EnergyWindow(0.1, 0.6, 0.05)
     ebk.solve_window(pot, window, 0.05)
     tracemalloc.start()
@@ -508,7 +570,7 @@ def test_solve_window_memory_peak():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.8 * 2**20
+    assert peak <= 1.4 * 2**20
 
 
 def _run_harmonic_oracle(tmp_path):
@@ -528,7 +590,8 @@ def _run_harmonic_oracle(tmp_path):
 
 
 def test_coarse_levels_missing_a_fine_index_fail(tmp_path, monkeypatch):
-    # Coarse levels that stop mid-window leave fine indices without a shift.
+    # Coarse levels that stop mid-window leave fine indices without a shift,
+    # and finer grids whose counts differ leave no indices to carry.
     eigenvalues_in = ebk.oracle.eigenvalues_in
 
     def lower_half(T, a, b, tol=ebk.oracle.DEFAULT_BISECT_TOL):
@@ -538,19 +601,32 @@ def test_coarse_levels_missing_a_fine_index_fail(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ebk.oracle, "eigenvalues_in", lower_half)
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-    with pytest.raises(BisectionFailed, match="do not cover the finer grid's 2..7"):
+    with pytest.raises(BisectionFailed, match="do not cover the finer grids' 2..7"):
         ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
     code, note = _run_harmonic_oracle(tmp_path)
     assert code == 4 and note.startswith("BisectionFailed:")
 
+    monkeypatch.setattr(ebk.oracle, "eigenvalues_in", eigenvalues_in)
+    count_below = ebk.oracle.count_below
+    finest = 4 * ebk.domain_auto(ebk.harmonic_potential(), window, 0.1)[1] - 3
+
+    def one_more_on_the_finest(T, lam):
+        return count_below(T, lam) + np.array([0, T.n == finest])
+
+    monkeypatch.setattr(ebk.oracle, "count_below", one_more_on_the_finest)
+    with pytest.raises(BisectionFailed, match=r"grids count the levels 2..7 and 2..8"):
+        ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
+
 
 def test_ritz_values_outside_the_fine_range_fail(tmp_path, monkeypatch):
     # Vectors of the levels one above the shifts (hbar apart) span levels
-    # 3..8, and level 8 = 0.85 lies outside the padded window (0.194, 0.806).
+    # 3..8, and level 8 = 0.85 lies outside the padded window (0.194, 0.806)
+    # of the finer grids' count: the first finer grid, 2N - 1 = 2,509
+    # points, stops the run.
     eigenvector = ebk.oracle.eigenvector
     monkeypatch.setattr(ebk.oracle, "eigenvector", lambda T, lam: eigenvector(T, lam + 0.1))
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-    with pytest.raises(InverseIterationFailed, match="residual bound"):
+    with pytest.raises(InverseIterationFailed, match="of the 2509-point grid .* residual bound"):
         ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
     code, note = _run_harmonic_oracle(tmp_path)
     assert code == 4 and note.startswith("InverseIterationFailed:")

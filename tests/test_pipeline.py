@@ -1,6 +1,7 @@
 """Pipeline internals: the CSV writer, trace counts per stage, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -355,15 +356,50 @@ def test_oracle_csv_marks_unresolved_node_counts(tmp_path):
     assert all(flags[0.05, i] for i in range(3, 8))
 
 
-def test_run_bijection_fails_without_pairs(tmp_path):
-    # At these hbar the window interior holds no level of any family.
+def test_run_bijection_holds_without_interior_pairs(tmp_path):
+    # At these hbar the window interior holds no level of any family, but
+    # the three families' edge levels carry the same global indices as the
+    # oracle's.
     stages = ["trace", "actions", "spectrum", "oracle", "compare"]
     manifest, code = pipeline.run(_sextic_config(tmp_path, [0.1, 0.05], stages))
-    assert code == 4
-    assert manifest["checks"]["bijection"] is False
+    assert code == 0
+    assert manifest["checks"]["bijection"] is True
     assert len(manifest["actions"]) == 3
     match = json.loads((tmp_path / "match.json").read_text(encoding="utf-8"))
-    assert all(not rep["pairs"] for rep in match.values())
+    assert all(not rep["pairs"] and not rep["one_sided"] for rep in match.values())
+    with (tmp_path / "oracle.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    levels = {h: sum(float(r["hbar"]) == h for r in rows) for h in (0.1, 0.05)}
+    assert levels == {h: match[pipeline._fmt(h)]["unmatched_bs"] for h in levels}
+    assert all(levels.values())
+
+
+def test_run_bijection_fails_on_a_one_sided_index(tmp_path, monkeypatch):
+    # An oracle run that drops its top window level at hbar = 0.05 leaves
+    # that global index on the predicted side only: the bijection check
+    # fails (exit 4) while every stage is ok, and match.json names the index.
+    solve_window = pipeline.solve_window
+
+    def drop_top(potential, window, hbar, **kwargs):
+        run = solve_window(potential, window, hbar, **kwargs)
+        if hbar != 0.05:
+            return run
+        res = run.result
+        return dataclasses.replace(
+            run,
+            result=ebk.EigenResult(res.eigenvalues[:-1], res.indices[:-1]),
+            node_counts=run.node_counts[:-1],
+            resolved=run.resolved[:-1],
+        )
+
+    monkeypatch.setattr(pipeline, "solve_window", drop_top)
+    manifest, code = pipeline.run(_dw_config(tmp_path, ["oracle", "compare"]))
+    assert code == 4
+    assert all(stage["status"] == "ok" for stage in manifest["stages"].values())
+    assert manifest["checks"]["bijection"] is False
+    match = json.loads((tmp_path / "match.json").read_text(encoding="utf-8"))
+    assert match[pipeline._fmt(0.1)]["one_sided"] == []
+    assert match[pipeline._fmt(0.05)]["one_sided"] == [9]
 
 
 def test_run_bijection_null_without_levels(tmp_path):
@@ -385,7 +421,7 @@ def test_run_bijection_null_without_levels(tmp_path):
     assert match == {
         "5": {
             "pairs": [], "unmatched_bs": 0, "unmatched_oracle": 0,
-            "max_err": 0.0, "mean_err": 0.0, "nodes_match": True,
+            "max_err": 0.0, "mean_err": 0.0, "nodes_match": True, "one_sided": [],
         }
     }
 
@@ -458,7 +494,7 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(pipeline._STAGE_FNS, "weyl", in_weyl)
     manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)), verbose=True)
     assert code == 0 and manifest["checks"]["weyl_exact"] is True
-    assert calls == [None] * 4  # one per oracle grid and hbar
+    assert calls == [None] * 6  # one per oracle grid and hbar
     weyl = json.loads((tmp_path / "weyl.json").read_text(encoding="utf-8"))
     # 2 and 4 safe gaps at hbar = 0.1 and 0.05: the first endpoint against each later one.
     assert {float(h): len(trials) for h, trials in weyl.items()} == {0.1: 1, 0.05: 3}
@@ -472,9 +508,9 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
 
 def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
     # The dw_pipeline benchmark config: per hbar, dstebz bisects only the
-    # coarse grid, to _SHIFT_TOL, and dstein runs once there, at the 4 and
-    # 8 levels of the two hbar; the finer grid gets one dgtsv solve per
-    # level and no bisection.
+    # coarsest grid, to _SHIFT_TOL, and dstein runs once there, at the 4 and
+    # 8 levels of the two hbar; each finer grid gets one dgtsv solve per
+    # level and no bisection, only its Sturm counts.
     stebz, stein, gtsv = [], [], []
     dstebz, dstein, dgtsv = ebk.oracle.dstebz, ebk.oracle.dstein, ebk.oracle.dgtsv
 
@@ -495,11 +531,13 @@ def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(ebk.oracle, "dgtsv", counted_gtsv)
     manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)))
     assert code == 0
-    coarse, fine = zip(*(meta["grid_sizes"] for meta in manifest["oracle"].values()))
+    coarse, middle, fine = zip(*(meta["grid_sizes"] for meta in manifest["oracle"].values()))
     assert stein == list(zip(coarse, [4, 8]))
-    assert gtsv == [fine[0]] * 4 + [fine[1]] * 8
+    assert gtsv == [middle[0]] * 4 + [fine[0]] * 4 + [middle[1]] * 8 + [fine[1]] * 8
     bisections = [(n, tol) for n, tol in stebz if math.isfinite(tol)]
     assert bisections == [(n, ebk.oracle._SHIFT_TOL) for n in coarse]
+    counts = [n for n, tol in stebz if not math.isfinite(tol)]
+    assert counts == [n for grids in zip(coarse, middle, fine) for n in grids for _ in (0, 1)]
 
 
 def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
