@@ -39,14 +39,14 @@ needs the window levels, and gets them far more accurately and quickly.
 It is Rayleigh-Ritz in the first N harmonic-oscillator states centred on
 the window's sublevel interval, with V in the X-matrix discrete variable
 representation (Light, Hamilton and Lill, J. Chem. Phys. 82 (1985) 1400),
-checked by solving again with 2N states. The DVR nodes and vectors come from
-LAPACK's divide-and-conquer tridiagonal eigensolver, dstevd, on the
+checked by solving again with 2N states; the basis doubles until that
+check passes, so the check alone sizes it. The DVR nodes and vectors come
+from LAPACK's divide-and-conquer tridiagonal eigensolver, dstevd, on the
 truncated position matrix. All four LAPACK routines are bound in _lapack.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -73,19 +73,14 @@ DEFAULT_BISECT_TOL = 1e-11
 _SHIFT_TOL = 1e-6
 _MAX_GRID = 600_000
 _NODE_RESOLUTION = 1e-8
-# solve_basis: N is _BASIS_SAFETY times the states in the phase-space box of
-# the window top, at least _BASIS_MIN (the narrow outer wells of the
-# three-well sextic need ~150 states at any hbar >= 0.05); _BASIS_TOL is the
-# largest level change from N to 2N states it accepts; the DVR has 2N +
+# solve_basis: N starts at _BASIS_SAFETY times the states in the phase-space
+# box of the window top; _BASIS_TOL is the largest level change from N to 2N
+# states it accepts, and N doubles until the change is that small, as long
+# as 2N stays within _BASIS_MAX (a 32 MiB matrix); the DVR has 2N +
 # _DVR_EXTRA_NODES nodes; V - min V is capped at _V_CEILING (top - min V).
 _BASIS_SAFETY = 3.0
-_BASIS_MIN = 150
 _BASIS_TOL = 1e-10
-# A change over _BASIS_TOL but at most _BASIS_RETRY means N states nearly
-# resolve the window, and one more doubling is tried; a larger one means the
-# N rule misjudged the potential, which is reported, not hidden behind a
-# 4N-state solve.
-_BASIS_RETRY = 1e-6
+_BASIS_MAX = 2048
 _DVR_EXTRA_NODES = 8
 _V_CEILING = 100.0
 
@@ -532,33 +527,16 @@ class BasisRun:
         return max(10.0 * DEFAULT_BISECT_TOL, self.basis_residual)
 
 
-@functools.lru_cache(maxsize=1)
-def _dvr(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and vectors of the q-node DVR position matrix, read-only.
-
-    They depend on q alone, so successive hbar values with the same basis
-    size share one dstevd call; only the last q is kept.
-    """
-    nodes, U, info = dstevd(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
-    if info != 0:
-        raise BasisNotConverged(
-            f"dstevd failed on the {q}-node DVR position matrix (info = {info})"
-        )
-    nodes.flags.writeable = False
-    U.flags.writeable = False
-    return nodes, U
-
-
 def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> BasisRun:
     """Window eigenvalues by Rayleigh-Ritz in a harmonic-oscillator basis.
 
     The basis is centred at the middle x_c of the sublevel interval at the
     window top e2 + margin, with frequency omega = xi_max / half-width so
-    its ellipses have the aspect of that level set's box. N is
-    _BASIS_SAFETY times the box area over 2 pi hbar, at least _BASIS_MIN.
+    its ellipses have the aspect of that level set's box. N starts at
+    _BASIS_SAFETY times the box area over 2 pi hbar.
     xi^2/2 is pentadiagonal in closed form; V is the X-matrix DVR, with
     the Q = 2N + _DVR_EXTRA_NODES nodes y and vectors U of the truncated
-    position matrix (computed once per Q, by _dvr) giving
+    position matrix (one dstevd call per matrix size) giving
     V_mn = sum_q U_mq V(x_c + y_q) U_nq, the Gauss-Hermite quadrature of
     the matrix elements. V is capped at
     _V_CEILING times the window's height above the minimum: only
@@ -570,11 +548,12 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     level's global index is its rank. basis_residual is the largest change
     from N to 2N states over every level up to the first one above the
     window, so an unconverged level can neither shift the ranks nor drop
-    out of the window. When it exceeds _BASIS_TOL but not _BASIS_RETRY, the
-    2N levels become the coarse ones and a 4N-state matrix (4N +
-    _DVR_EXTRA_NODES nodes) is solved. The result holds the finer level's
-    eigenvalues in [e1, e2], basis_sizes the last pair of sizes; a final
-    change over _BASIS_TOL raises BasisNotConverged naming that pair.
+    out of the window. While it exceeds _BASIS_TOL, the basis doubles: the
+    2N levels become the coarse ones and a 4N-state matrix is solved. The
+    result holds the finer level's eigenvalues in [e1, e2], basis_sizes the
+    last pair of sizes; when the next finer size would exceed _BASIS_MAX,
+    a change still over _BASIS_TOL raises BasisNotConverged naming that
+    pair. The first N to 2N solve always runs.
     """
     top = window.e2 + window.margin
     xlo, xhi = potential.sublevel_interval(top)
@@ -582,10 +561,15 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     vmin = potential.min_value()
     ximax = math.sqrt(2.0 * (top - vmin))
     omega = ximax / half
-    n = max(_BASIS_MIN, math.ceil(_BASIS_SAFETY * 4.0 * half * ximax / (2.0 * math.pi * hbar)))
+    n = math.ceil(_BASIS_SAFETY * 4.0 * half * ximax / (2.0 * math.pi * hbar))
 
     def hamiltonian(size):
-        nodes, U = _dvr(size + _DVR_EXTRA_NODES)
+        q = size + _DVR_EXTRA_NODES
+        nodes, U, info = dstevd(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
+        if info != 0:
+            raise BasisNotConverged(
+                f"dstevd failed on the {q}-node DVR position matrix (info = {info})"
+            )
         v = potential.value(0.5 * (xlo + xhi) + math.sqrt(hbar / omega) * nodes) - vmin
         # The rows of U are orthonormal, so V = vmin + W W^T with W = U sqrt(V - vmin).
         W = U[:size] * np.sqrt(np.clip(v, 0.0, _V_CEILING * (top - vmin)))
@@ -605,18 +589,16 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
         return float(np.max(np.abs(fine[: top_rank + 1] - coarse[: top_rank + 1])))
 
     H = hamiltonian(2 * n)
-    sizes = (n, 2 * n)
     coarse, fine = np.linalg.eigvalsh(H[:n, :n]), np.linalg.eigvalsh(H)
     del H
     change = residual(coarse, fine)
-    if _BASIS_TOL < change <= _BASIS_RETRY:
-        sizes = (2 * n, 4 * n)
-        coarse, fine = fine, np.linalg.eigvalsh(hamiltonian(4 * n))
+    while not change <= _BASIS_TOL and 2 * len(fine) <= _BASIS_MAX:
+        coarse, fine = fine, np.linalg.eigvalsh(hamiltonian(2 * len(fine)))
         change = residual(coarse, fine)
     if not change <= _BASIS_TOL:
         raise BasisNotConverged(
-            f"window levels moved by {change:.3g} from {sizes[0]} to {sizes[1]} oscillator "
+            f"window levels moved by {change:.3g} from {len(coarse)} to {len(fine)} oscillator "
             f"states at hbar={hbar:g} (tolerance {_BASIS_TOL:g})"
         )
     indices = np.nonzero((fine >= window.e1) & (fine <= window.e2))[0]
-    return BasisRun(EigenResult(fine[indices], indices), sizes, change)
+    return BasisRun(EigenResult(fine[indices], indices), (len(coarse), len(fine)), change)

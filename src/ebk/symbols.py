@@ -60,7 +60,9 @@ def _real_roots(coefficients) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # the companion matrix overflowed
         raise InvalidSymbol("polynomial roots beyond the float range") from exc
     scale = np.max(np.abs(c)) * np.maximum(1.0, np.abs(x)) ** (c.size - 1)
-    return np.unique(x[np.abs(npoly.polyval(x, c)) <= _ROOT_TOL * scale])
+    x = np.sort(x[np.abs(npoly.polyval(x, c)) <= _ROOT_TOL * scale])
+    # np.unique's first call in a process costs milliseconds; this is what it computes.
+    return x[np.r_[True, x[1:] != x[:-1]]] if x.size else x
 
 
 def _check_params(entry) -> None:

@@ -432,9 +432,10 @@ _BASIS_CASES = {
 }
 
 
-@pytest.mark.parametrize("hbar", [0.1, 0.05])
+@pytest.mark.parametrize("hbar", [0.2, 0.1, 0.05, 0.025])
 @pytest.mark.parametrize("name", sorted(_BASIS_CASES))
 def test_basis_matches_sturm_oracle(name, hbar):
+    # Measured: levels within 2.1e-13 (the sextic at hbar = 0.2).
     pot, (e1, e2) = _BASIS_CASES[name]
     window = ebk.EnergyWindow(e1, e2, 0.05)
     basis = ebk.solve_basis(pot, window, hbar)
@@ -442,10 +443,30 @@ def test_basis_matches_sturm_oracle(name, hbar):
     assert basis.basis_residual <= 1e-10
     assert basis.result.indices.size > 0
     assert np.array_equal(basis.result.indices, sturm.indices)
-    assert np.max(np.abs(basis.result.eigenvalues - sturm.eigenvalues)) <= 1e-10
+    assert np.max(np.abs(basis.result.eigenvalues - sturm.eigenvalues)) <= 1e-12
     if name == "double_well":  # both members of every doublet
         _, members = np.unique(basis.result.indices // 2, return_counts=True)
         assert np.all(members == 2)
+
+
+@settings(derandomize=True, deadline=timedelta(seconds=2), max_examples=20)
+@given(name=st.sampled_from(sorted(_BASIS_CASES)), log_hbar=st.floats(math.log(0.02), math.log(0.3)))
+def test_basis_size_sweep(name, log_hbar):
+    # Over hbar from 0.02 to 0.3, log-uniform, the basis sized by its own N
+    # to 2N check either gives the Sturm oracle's indices with levels within
+    # the two floors or stops with a typed error: agreement of two bases
+    # that are both too small would show here as wrong ranks or levels.
+    pot, (e1, e2) = _BASIS_CASES[name]
+    window = ebk.EnergyWindow(e1, e2, 0.05)
+    hbar = math.exp(log_hbar)
+    try:
+        basis = ebk.solve_basis(pot, window, hbar)
+        sturm = ebk.solve_window(pot, window, hbar)
+    except EbkError:
+        return
+    assert np.array_equal(basis.result.indices, sturm.result.indices)
+    err = np.abs(basis.result.eigenvalues - sturm.result.eigenvalues)
+    assert np.all(err <= basis.floor_estimate + sturm.floor_estimate)
 
 
 @pytest.mark.parametrize("hbar", [0.1, 0.05])
@@ -662,27 +683,53 @@ def test_basis_harmonic_levels_exact(hbar):
     assert run.floor_estimate == 10 * ebk.oracle.DEFAULT_BISECT_TOL
 
 
+def _counted_dstevd(monkeypatch):
+    """Record the node count of every DVR dstevd call solve_basis makes."""
+    calls = []
+    dstevd = ebk.oracle.dstevd
+
+    def counted(d, e):
+        calls.append(d.size)
+        return dstevd(d, e)
+
+    monkeypatch.setattr(ebk.oracle, "dstevd", counted)
+    return calls
+
+
 def test_basis_too_small_raises(monkeypatch):
-    monkeypatch.setattr(ebk.oracle, "_BASIS_SAFETY", 1.0)
-    monkeypatch.setattr(ebk.oracle, "_BASIS_MIN", 10)
+    # The quartic at hbar = 0.05 with half the states of the phase-space rule
+    # per area starts at N = 32: 32 -> 64 states move its levels by 1e-2, and
+    # 64 -> 128 by 5e-14. With the cap one state short of 128 the doubling
+    # stops after the first pair and names it.
+    monkeypatch.setattr(ebk.oracle, "_BASIS_SAFETY", 0.5)
+    calls = _counted_dstevd(monkeypatch)
     window = ebk.EnergyWindow(0.5, 2.0, 0.05)
-    with pytest.raises(BasisNotConverged, match="from 31 to 62 oscillator states"):
+    monkeypatch.setattr(ebk.oracle, "_BASIS_MAX", 127)
+    with pytest.raises(BasisNotConverged, match="from 32 to 64 oscillator states"):
         ebk.solve_basis(ebk.quartic_potential(), window, 0.05)
+    assert calls == [40, 72]
+    monkeypatch.setattr(ebk.oracle, "_BASIS_MAX", 128)
+    calls.clear()
+    run = ebk.solve_basis(ebk.quartic_potential(), window, 0.05)
+    assert run.basis_sizes == (64, 128) and run.basis_residual <= 1e-12
+    assert calls == [40, 72, 136]
 
 
-def test_basis_retries_once_at_doubled_size(monkeypatch):
-    # The three-well sextic at hbar = 0.025: 150 -> 300 states leave its
-    # levels moving by ~1e-9, 300 -> 600 by ~1e-14.
+def test_basis_doubles_until_converged(monkeypatch):
+    # The three-well sextic at hbar = 0.025 starts at N = 122: 122 -> 244
+    # states leave its levels moving by ~2e-7, 244 -> 488 by ~2e-14.
     pot, (e1, e2) = _BASIS_CASES["sextic"]
     window = ebk.EnergyWindow(e1, e2, 0.05)
+    calls = _counted_dstevd(monkeypatch)
     run = ebk.solve_basis(pot, window, 0.025)
-    assert run.basis_sizes == (300, 600)
+    assert calls == [244 + 8, 488 + 8]
+    assert run.basis_sizes == (244, 488)
     assert run.basis_residual <= 1e-12
     sturm = ebk.solve_window(pot, window, 0.025).result
     assert np.array_equal(run.result.indices, sturm.indices)
     assert np.max(np.abs(run.result.eigenvalues - sturm.eigenvalues)) <= 1e-10
-    monkeypatch.setattr(ebk.oracle, "_BASIS_RETRY", 0.0)  # no second solve
-    with pytest.raises(BasisNotConverged, match="from 150 to 300 oscillator states"):
+    monkeypatch.setattr(ebk.oracle, "_BASIS_MAX", 487)  # no second solve
+    with pytest.raises(BasisNotConverged, match="from 122 to 244 oscillator states"):
         ebk.solve_basis(pot, window, 0.025)
 
 
@@ -715,35 +762,23 @@ def test_lapack_bindings_match_scipy_linalg():
     assert info == ref_info == 0 and np.array_equal(z, ref_z)
 
 
-def test_basis_dvr_shared_across_hbar(monkeypatch):
-    # The quartic's basis has N = 150 states at every hbar here, so one
-    # dstevd call serves all three; the cached vectors are never written,
-    # so each run equals a run with an empty cache, bit for bit.
-    calls = []
-    dstevd = ebk.oracle.dstevd
-
-    def counted(d, e):
-        calls.append(d.size)
-        return dstevd(d, e)
-
-    monkeypatch.setattr(ebk.oracle, "dstevd", counted)
+def test_basis_one_dvr_per_fine_size(monkeypatch):
+    # One dstevd call per matrix solve_basis builds: the quartic workload's
+    # basis doubles once at hbar = 0.2 (24 -> 48 states move its levels by
+    # 4e-7) and not at 0.1 or 0.05, so its three pairs take 56 + 104, 102
+    # and 194 DVR nodes.
+    calls = _counted_dstevd(monkeypatch)
     pot, window = ebk.quartic_potential(), ebk.EnergyWindow(0.5, 2.0, 0.05)
-    ebk.oracle._dvr.cache_clear()
-    runs = [ebk.solve_basis(pot, window, hbar) for hbar in (0.2, 0.1, 0.05)]
-    assert calls == [308]
-    nodes, U = ebk.oracle._dvr(308)
-    assert not (nodes.flags.writeable or U.flags.writeable)
-    for hbar, run in zip((0.2, 0.1, 0.05), runs):
-        ebk.oracle._dvr.cache_clear()
-        fresh = ebk.solve_basis(pot, window, hbar)
-        assert np.array_equal(run.result.eigenvalues, fresh.result.eigenvalues)
-        assert np.array_equal(run.result.indices, fresh.result.indices)
-        assert run.basis_residual == fresh.basis_residual
-    assert len(calls) == 4
+    sizes = []
+    for hbar in (0.2, 0.1, 0.05):
+        run = ebk.solve_basis(pot, window, hbar)
+        assert run.basis_residual <= 1e-12
+        sizes.append(run.basis_sizes)
+    assert sizes == [(48, 96), (47, 94), (93, 186)]
+    assert calls == [56, 104, 102, 194]
 
 
 def test_basis_dvr_lapack_failure(monkeypatch):
-    ebk.oracle._dvr.cache_clear()  # an earlier test may have cached this basis size
     monkeypatch.setattr(ebk.oracle, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
     with pytest.raises(BasisNotConverged, match=r"dstevd failed .* \(info = 3\)"):
         ebk.solve_basis(ebk.harmonic_potential(), ebk.EnergyWindow(0.2, 0.8, 0.05), 0.1)

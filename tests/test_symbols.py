@@ -239,6 +239,33 @@ def test_polynomial_multiple_roots_count():
 
 
 
+@pytest.mark.parametrize(
+    "coefficients",
+    [
+        [0.0, 0.0, 0.5],
+        [1.0, 0.1, -2.0, 0.0, 1.0],
+        SEXTIC,
+        [1.0, -2.0, 1.0],  # (x - 1)^2: a double root
+        [1.0, 0.0, -2.0, 0.0, 1.0],  # (x^2 - 1)^2: two double roots
+        [1.0, -4.0, 6.0, -4.0, 1.0],  # (x - 1)^4: a cluster of equal real parts
+        [1.0, 0.0, 1.0],  # x^2 + 1: no real root
+    ],
+)
+def test_real_roots_equal_np_unique(coefficients):
+    # _real_roots removes repeated roots by a sort and a neighbour mask, which
+    # must give what np.unique gives on the roots that pass its residual test.
+    def unique_roots(c):
+        c = np.asarray(c, dtype=float)
+        x = npoly.polyroots(c).real
+        scale = np.max(np.abs(c)) * np.maximum(1.0, np.abs(x)) ** (c.size - 1)
+        return np.unique(x[np.abs(npoly.polyval(x, c)) <= ebk.symbols._ROOT_TOL * scale])
+
+    for c in (coefficients, npoly.polyder(coefficients)):
+        got = ebk.symbols._real_roots(c)
+        assert np.array_equal(got, unique_roots(c))
+        assert np.all(np.diff(got) > 0)
+
+
 def test_polynomial_roots_beyond_float_range():
     # At level 9e307 the companion matrix of V - c overflows: a typed error,
     # not numpy's LinAlgError.
