@@ -9,10 +9,11 @@ standard batched-IVP form of the DP5(4) pair with Shampine dense output
 own time, step size, accept/reject decision, FSAL stage and error norm, and
 all arithmetic is column by column, so a column advances bit for bit as it
 would alone. The right-hand side is evaluated once per stage for all live
-columns together, which is where the batch saves interpreter overhead. An
-attempt that accepts every live column, almost every attempt of a scan,
-yields its arrays as they are; only one with a rejected column selects the
-accepted columns and tests for step-size underflow.
+columns together, which is where the batch saves interpreter overhead, and
+every stage sum is one np.einsum over the stacked stages, added in stage
+order. An attempt that accepts every live column, almost every attempt of a
+scan, yields its arrays as they are; only one with a rejected column selects
+the accepted columns and tests for step-size underflow.
 """
 
 from __future__ import annotations
@@ -52,12 +53,11 @@ _P = np.array(
     ]
 )
 
-# The weights above shaped to broadcast against stage values k (stages, dim, m),
-# the B, E and P weights stacked for one sum. A stage sum is np.add.reduce of
-# the products over the stage axis, added in stage order: a column's result
-# does not depend on the other columns, so it advances bit for bit as alone.
-_A3 = tuple(a[:, None, None] for a in _A)
-_BEP = np.vstack([_B, _E, _P.T])[:, :, None, None]
+# The B, E and P weights stacked for one sum. A stage sum is an np.einsum over
+# the stage axis of the stage values k (stages, dim, m); without optimize it
+# takes no BLAS path and adds the products in stage order, as the explicit sum
+# w0 k0 + w1 k1 + ... does, so a column advances bit for bit as alone.
+_BEP = np.vstack([_B, _E, _P.T])
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -140,8 +140,8 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
             return
         h = np.where(t + h > t_max, t_max - t, h)
         for i in range(1, 7):
-            k[i] = f(y + h * np.add.reduce(_A3[i] * k[:i], axis=0))
-        bep = np.add.reduce(_BEP * k, axis=1)
+            k[i] = f(y + h * np.einsum("j,jdm->dm", _A[i], k[:i]))
+        bep = np.einsum("rj,jdm->rdm", _BEP, k)
         y1 = y + h * bep[0]
         ratio = h * bep[1] / (tol + tol * np.maximum(np.abs(y), np.abs(y1)))
         err = np.sqrt((ratio * ratio).sum(axis=0) / dim)

@@ -20,6 +20,8 @@ sample polyline is resampled across them. The arcs of a scan (every loop of
 every sampled energy) are integrated together as one batch, each with its
 own step size, section and landing test, so the stepper's sequential depth
 is that of the longest arc, which does not grow with the orbit's length.
+A family scan refines every seed in one Newton pass and checks and matches
+its traces by broadcasts over all energies, with no loop over the energies.
 
 Component counting near a topology change never relies on tracing (a trace
 started on a critical level would stall), only on the marching pass.
@@ -69,6 +71,7 @@ MIN_TRACE_TOL = 100.0 * np.finfo(float).eps / _LOCAL_TOL_FACTOR
 # that of one such arc, whatever the orbit's length; a loop under
 # 2 * _ARC_CROSSINGS crossings is one arc.
 _ARC_CROSSINGS = 12
+_MAX_ATTEMPTS = 10_000  # per arc; scans take 31-56, one-seed whole orbits up to ~1,000
 
 
 def check_trace_tol(trace_tol: float) -> None:
@@ -253,13 +256,14 @@ def _marching_loops(spec, energies, box, grid_n):
 def refine_to_level(spec, points, energy):
     """Move (n, 2) points (x, xi) onto {H = E} along the gradient, to _REFINE_TOL.
 
-    Returns the (n, 2) moved points; each point takes the Newton steps it
-    would take alone.
+    energy is one E or an (n,) array, one per point. Returns the (n, 2) moved
+    points; each point takes the Newton steps it would take alone.
     """
     x, xi = np.array(points, dtype=float).T.copy()
+    energy = np.broadcast_to(np.asarray(energy, dtype=float), x.shape)
     todo = np.arange(len(x))
     for _ in range(_REFINE_ITERS):
-        h = np.asarray(spec.value(x[todo], xi[todo]), dtype=float) - energy
+        h = np.asarray(spec.value(x[todo], xi[todo]), dtype=float) - energy[todo]
         off = np.abs(h) > _REFINE_TOL
         todo, h = todo[off], h[off]
         if not todo.size:
@@ -270,7 +274,7 @@ def refine_to_level(spec, points, energy):
             raise EmptyLevelSet("refinement stalled at a near-critical point")
         x[todo] -= h * gx / n2
         xi[todo] -= h * gxi / n2
-    raise EmptyLevelSet(f"could not refine seed onto level {energy:g}")
+    raise EmptyLevelSet(f"could not refine seed onto level {energy[todo[0]]:g}")
 
 
 def _section_crossing(step: integrate.Step, normal, target) -> np.ndarray:
@@ -289,9 +293,11 @@ def _section_crossing(step: integrate.Step, normal, target) -> np.ndarray:
     lo, hi = np.zeros(len(h)), np.ones(len(h))
     # The secant root; g0 < 0, so a rounding-negative g1 only moves it to 1.
     theta = g0 / (g0 - np.maximum(g0 + h * c.sum(axis=0), 0.0))
+    c0, c1, c2, c3 = c
+    d1, d2, d3 = 2.0 * c1, 3.0 * c2, 4.0 * c3  # g's derivative; 4 theta c3 rounds as theta (4 c3)
     for _ in range(64):
-        g = g0 + h * theta * (c[0] + theta * (c[1] + theta * (c[2] + theta * c[3])))
-        dg = h * (c[0] + theta * (2.0 * c[1] + theta * (3.0 * c[2] + theta * 4.0 * c[3])))
+        g = g0 + h * theta * (c0 + theta * (c1 + theta * (c2 + theta * c3)))
+        dg = h * (c0 + theta * (d1 + theta * (d2 + theta * d3)))
         below = g < 0.0
         lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
         new = theta - g / dg
@@ -353,8 +359,9 @@ def trace_component(
     Raises ConfigError (check_trace_tol) if trace_tol is under
     MIN_TRACE_TOL, CriticalSeed if a seed sits at a near-critical point,
     NotClosedOrbit if an arc does not land before DEFAULT_MAX_TIME or an
-    orbit's period exceeds it, and TraceDiverged if its sampled energies
-    drift or its step size underflows.
+    orbit's period exceeds it, and TraceDiverged if an arc has not landed
+    after _MAX_ATTEMPTS stepper attempts, its sampled energies drift or its
+    step size underflows.
     """
     check_trace_tol(trace_tol)
     energies = np.asarray(energies, dtype=float)
@@ -387,8 +394,8 @@ def trace_component(
 
     M = len(pts)
     y0 = np.vstack([pts.T, np.zeros(M)])
-    # Accepted steps in attempt order, x and xi rows only; the dense-output
-    # slices are copied so no whole step array stays alive.
+    # Accepted steps in attempt order, x and xi rows only, copied so no
+    # whole step array stays alive.
     history = []
     running = np.ones(M, dtype=bool)  # not yet landed; the stepper drops the rest
     # Signed distance past each column's target section; exactly 0 for a lone seed.
@@ -402,8 +409,13 @@ def trace_component(
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         local_tol = trace_tol * _LOCAL_TOL_FACTOR
         for step in integrate.dp45_steps(rhs, y0, local_tol, DEFAULT_MAX_TIME, active=running):
-            dense = step.q[:, :2].transpose(2, 0, 1).copy()
-            history.append((step.cols, step.t0, step.h, step.y0[:2].T.copy(), dense))
+            if step.attempt >= _MAX_ATTEMPTS:  # its columns have not landed yet
+                x, xi = pts[step.cols[0]]
+                raise TraceDiverged(
+                    f"arc from seed ({x:g}, {xi:g}) not landed after "
+                    f"{_MAX_ATTEMPTS} stepper attempts"
+                )
+            history.append((step.cols, step.t0, step.h, step.y0[:2].copy(), step.q[:, :2].copy()))
             if step.cols is not live:  # a new array only when a column lands or rejects
                 live, nrm, tgt = step.cols, normal[:, step.cols], target[:, step.cols]
             g_new = nrm[0] * (step.y1[0] - tgt[0]) + nrm[1] * (step.y1[1] - tgt[1])
@@ -430,7 +442,8 @@ def trace_component(
             f"({pts[j, 0]:g}, {pts[j, 1]:g})"
         )
 
-    cols, t0, h, y_start, q = (np.concatenate(field) for field in zip(*history))
+    cols, t0, h, y_start, q = (np.concatenate(field, axis=-1) for field in zip(*history))
+    y_start, q = y_start.T, q.transpose(2, 0, 1)
     # Every step by column, in time order within each: orbit j's steps, arc
     # by arc, are the slice bounds[j]:bounds[j + 1].
     by_col = np.argsort(cols, kind="stable")
@@ -469,19 +482,20 @@ def trace_component(
     return components
 
 
-def _candidates(spec, energy, loops):
-    """The arc seeds of each marching loop, refined onto the level set.
+def _candidates(spec, energies, loops):
+    """The arc seeds of every marching loop of every energy, refined onto its level.
 
-    A loop of n edge crossings gets k = max(1, n // _ARC_CROSSINGS) seeds
-    at the evenly spaced crossings i * n // k in loop order, the first
-    crossing first.
+    loops holds the loops of each energy; returns the seeds of each loop,
+    energy by energy in loop order, from one refine_to_level call. A loop of
+    n edge crossings gets k = max(1, n // _ARC_CROSSINGS) seeds at the
+    evenly spaced crossings i * n // k in loop order, the first crossing first.
     """
-    picks = []
-    for loop in loops:
-        k = max(1, len(loop) // _ARC_CROSSINGS)
-        picks.append(loop[np.arange(k) * len(loop) // k])
-    seeds = refine_to_level(spec, np.concatenate(picks), energy)
-    return np.split(seeds, np.cumsum([len(ps) for ps in picks])[:-1])
+    flat = [loop for loops_at in loops for loop in loops_at]
+    sizes = [max(1, len(loop) // _ARC_CROSSINGS) for loop in flat]
+    picks = [loop[np.arange(k) * len(loop) // k] for loop, k in zip(flat, sizes)]
+    levels = np.repeat(np.repeat(energies, [len(ls) for ls in loops]), sizes)
+    seeds = refine_to_level(spec, np.concatenate(picks), levels)
+    return np.split(seeds, np.cumsum(sizes)[:-1])
 
 
 def _squared_norm(v) -> np.ndarray:
@@ -490,49 +504,36 @@ def _squared_norm(v) -> np.ndarray:
 
 
 def _nearest(points, targets) -> np.ndarray:
-    """(T, C): the least distance from each of C targets to each of T polylines.
+    """(..., T, C): the least distance from each of C targets to each of T polylines.
 
-    points is (T, P, 2), the samples of T polylines, and targets (C, 2).
+    points is (..., T, P, 2), the samples of T polylines, and targets (..., C, 2).
     """
-    diff = points[:, None] - np.asarray(targets)[None, :, None]
+    diff = points[..., :, None, :, :] - targets[..., None, :, None, :]
     # sqrt is monotone, so the root of the least square is the least root.
-    return np.sqrt(np.min(_squared_norm(diff), axis=2))
-
-
-def _distinct(candidates, traces):
-    """Traces of distinct components, first come first kept.
-
-    A candidate is covered once a kept trace passes within its polyline
-    resolution; the trace of a covered candidate is dropped.
-    """
-    points = np.stack([comp.points for comp in traces])
-    chords = np.sqrt(_squared_norm(np.diff(points, axis=1, append=points[:, :1])))
-    merge_dist = np.maximum(3.0 * np.max(chords, axis=1), 1e-9)
-    firsts = [np.reshape(c, (-1, 2))[0] for c in candidates]
-    near = _nearest(points, firsts) <= merge_dist[:, None]
-    components: list[LevelComponent] = []
-    covered = np.zeros(len(candidates), dtype=bool)
-    for i, comp in enumerate(traces):
-        if covered[i]:
-            continue
-        components.append(comp)
-        covered[i:] |= near[i, i:]
-    return components
+    return np.sqrt(np.min(_squared_norm(diff), axis=-1))
 
 
 def _traced_components(spec, energies, loops, trace_tol):
-    """The distinct components at each energy, traced from its marching loops.
+    """The traced component of each of the d loops of each energy, in loop order.
 
-    loops holds the loops of each energy. Every loop of every energy is
-    traced from its _candidates seeds as arcs, all in one trace_component
-    call; each energy's traces are then deduplicated in loop order.
+    Every loop is traced from its _candidates seeds, all in one
+    trace_component call. A trace passing within its polyline resolution of
+    a later loop's first seed at its energy raises NonConstantTopology.
     """
-    candidates = [_candidates(spec, e, ls) for e, ls in zip(energies, loops)]
-    counts = [len(cs) for cs in candidates]
-    seeds = [c for cs in candidates for c in cs]
-    traces = trace_component(spec, seeds, np.repeat(energies, counts), trace_tol)
-    starts = (np.cumsum(counts) - counts).tolist()
-    return [_distinct(cs, traces[s : s + len(cs)]) for cs, s in zip(candidates, starts)]
+    d = len(loops[0])
+    seeds = _candidates(spec, energies, loops)
+    traces = trace_component(spec, seeds, np.repeat(energies, d), trace_tol)
+    points = np.stack([comp.points for comp in traces]).reshape(len(energies), d, -1, 2)
+    firsts = np.array([comp.seed for comp in traces]).reshape(len(energies), d, 2)
+    # Each trace i against each later seed j at its energy: the strict upper triangle.
+    i, j = np.triu_indices(d, 1)
+    earlier = points[:, : d - 1]
+    chords = np.sqrt(_squared_norm(np.diff(earlier, axis=2, append=earlier[:, :, :1])))
+    merge_dist = np.maximum(3.0 * np.max(chords, axis=2), 1e-9)
+    gap = np.sqrt(np.min(_squared_norm(points[:, i] - firsts[:, j, None]), axis=2))
+    if np.any(gap <= merge_dist[:, i]):
+        raise NonConstantTopology("traced component count disagrees with the grid scan")
+    return [traces[s : s + d] for s in range(0, len(traces), d)]
 
 
 def _lobatto(window: EnergyWindow, n: int) -> np.ndarray:
@@ -561,11 +562,11 @@ def build_families(
     evaluation of H on a GRID_N x GRID_N grid, the constant read at call
     time; any variation raises NonConstantTopology
     (a critical value sits inside the window, violating the regular-window
-    hypothesis). The loops are then traced and deduplicated by
-    _traced_components, and each energy's components matched to the
-    families by the distance of each family's previous seed to each trace,
-    one broadcast per energy. Raises ConfigError (check_action_samples)
-    unless n_samples is an integer from 9 to MAX_ACTION_SAMPLES.
+    hypothesis), as does a loop traced twice by _traced_components. Each
+    energy's components are matched to the families by the distance of each
+    family's previous seed to each trace, one broadcast over all energies.
+    Raises ConfigError (check_action_samples) unless n_samples is an integer
+    from 9 to MAX_ACTION_SAMPLES.
     """
     check_action_samples(n_samples)
     box = compact_preimage_box(spec, window)
@@ -576,24 +577,23 @@ def build_families(
         raise NonConstantTopology(
             f"component count varies over the window: {sorted(set(counts))}"
         )
-    d = counts[0]
-    if d == 0:
-        raise EmptyLevelSet("window contains no level-set components")
+    d = counts[0]  # at least 1: a level without a crossing raised EmptyLevelSet
 
     per_energy = _traced_components(spec, energies, loops, trace_tol)
-    if any(len(comps) != d for comps in per_energy):
-        raise NonConstantTopology("traced component count disagrees with the grid scan")
-
-    # Initial labels: order by leftmost point. Continuation: nearest polyline.
-    order = np.argsort([float(np.min(c.points[:, 0])) for c in per_energy[0]])
-    tracks = [[per_energy[0][j]] for j in order]
-    for comps in per_energy[1:]:
-        dists = _nearest(np.stack([c.points for c in comps]), [t[-1].seed for t in tracks])
+    # Initial labels: order by leftmost point. Continuation: nearest polyline
+    # to each family's previous seed, from one broadcast over all energies.
+    index = np.argsort([float(np.min(c.points[:, 0])) for c in per_energy[0]]).tolist()
+    tracks = [[per_energy[0][j]] for j in index]  # index: each track's latest loop
+    points = np.stack([c.points for comps in per_energy[1:] for c in comps])
+    seeds = np.array([c.seed for comps in per_energy[:-1] for c in comps])
+    dists = _nearest(points.reshape(-1, d, *points.shape[1:]), seeds.reshape(-1, d, 2))
+    for comps, dist in zip(per_energy[1:], dists):
         taken = np.zeros(d, dtype=bool)
-        for track, col in zip(tracks, dists.T):
-            j = int(np.argmin(np.where(taken, np.inf, col)))
+        for t, track in enumerate(tracks):
+            j = int(np.argmin(np.where(taken, np.inf, dist[:, index[t]])))
             taken[j] = True
             track.append(comps[j])
+            index[t] = j
     return [
         ComponentFamily(k=k, components=tuple(track))
         for k, track in enumerate(tracks, start=1)

@@ -152,6 +152,17 @@ def test_run_topology_violation_exit_3(tmp_path):
     assert manifest["stages"]["actions"]["status"] == "skipped"
 
 
+def test_run_trace_attempt_budget_exit_3(tmp_path, monkeypatch):
+    monkeypatch.setattr(ebk.portrait, "_MAX_ATTEMPTS", 3)
+    data = _base_config(str(tmp_path / "out"))
+    data["pipeline"] = ["trace"]
+    path = _write(tmp_path, data)
+    assert main(["run", "--config", str(path)]) == 3
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    note = manifest["stages"]["trace"]["note"]
+    assert note.startswith("TraceDiverged: arc from seed") and "after 3 stepper attempts" in note
+
+
 def test_run_missing_config_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

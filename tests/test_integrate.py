@@ -119,3 +119,49 @@ def test_resample_matches_dense_step_output():
     np.testing.assert_allclose(
         integrate.resample(t0, h, y0, q, t0[1:]), y0[1:], rtol=0, atol=1e-12
     )
+
+
+def _stage_order_sum(weights, k):
+    """w0 k0 + w1 k1 + ..., added left to right."""
+    acc = weights[0] * k[0]
+    for w, kj in zip(weights[1:], k[1:]):
+        acc = acc + w * kj
+    return acc
+
+
+def _first_attempt(f, y, tol, t_max):
+    """Accept mask, h, y1 and dense coefficients of the stepper's first attempt."""
+    t = np.zeros(y.shape[1])
+    h = integrate._initial_step(f, y)
+    h = np.where(t + h > t_max, t_max - t, h)
+    k = [f(y)]
+    for a in integrate._A[1:]:
+        k.append(f(y + h * _stage_order_sum(a, k)))
+    y1 = y + h * _stage_order_sum(integrate._B, k)
+    ratio = h * _stage_order_sum(integrate._E, k) / (tol + tol * np.maximum(np.abs(y), np.abs(y1)))
+    ok = np.sqrt((ratio * ratio).sum(axis=0) / y.shape[0]) <= 1.0
+    q = np.array([_stage_order_sum(p, k) for p in integrate._P.T])
+    return ok, h, y1, q
+
+
+@pytest.mark.parametrize("m", [1, 7, 450, 1000])
+def test_attempt_equals_stage_order_sums(m):
+    # Every column's stage sums add their products in stage order, exactly as
+    # written out; a reordered accumulation would change the traced levels.
+    rng = np.random.default_rng(m)
+    rate = rng.uniform(1.0, 400.0, m)
+    # Every third column starts almost at rest, so its first step is far too
+    # long for its frequency and is rejected.
+    scale = np.where(np.arange(m) % 3 == 1, 1e-3, 1.0)
+    y0 = np.vstack([scale * rng.normal(size=m), scale * rng.normal(size=m), np.zeros(m)])
+
+    def rhs(y):
+        return np.array([y[1], -rate * np.sin(y[0]), y[1] * y[1]])
+
+    ok, h, y1, q = _first_attempt(rhs, y0, 1e-9, 10.0)
+    assert ok.any() and (m == 1 or not ok.all())
+    step = next(integrate.dp45_steps(rhs, y0, 1e-9, 10.0))
+    assert step.attempt == 0
+    np.testing.assert_array_equal(step.cols, np.flatnonzero(ok))
+    for got, ref in [(step.h, h[ok]), (step.y1, y1[:, ok]), (step.q, q[:, :, ok])]:
+        assert got.tobytes() == np.ascontiguousarray(ref).tobytes()

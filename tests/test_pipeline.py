@@ -254,7 +254,9 @@ def test_run_traces_once_per_family_scan(tmp_path, monkeypatch):
 def test_run_critical_seed_exit_3(tmp_path, monkeypatch):
     # Seeds placed on the harmonic well's critical point cannot be traced.
     monkeypatch.setattr(
-        portrait, "_candidates", lambda spec, energy, loops: [(0.0, 0.0)] * len(loops)
+        portrait,
+        "_candidates",
+        lambda spec, energies, loops: [(0.0, 0.0)] * sum(len(ls) for ls in loops),
     )
     manifest, code = pipeline.run(_config(tmp_path / "out", ["trace"]))
     assert code == 3

@@ -96,6 +96,57 @@ def test_trace_conservation_and_closure(morse):
     assert float(drift.max()) <= DEFAULT_TRACE_TOL
 
 
+def test_traced_components_in_loop_order(double_well):
+    energies = [0.3, 0.5]
+    loops = portrait._marching_loops(double_well, energies, BOX, portrait.GRID_N)
+    for order in (slice(None), slice(None, None, -1)):
+        given = [ls[order] for ls in loops]
+        traced = portrait._traced_components(double_well, energies, given, DEFAULT_TRACE_TOL)
+        for loops_at, comps, energy in zip(given, traced, energies):
+            assert len(comps) == 2
+            for loop, comp in zip(loops_at, comps):
+                # Each trace starts at its own loop's first refined crossing.
+                assert comp.seed == tuple(refine_to_level(double_well, loop[:1], energy)[0])
+
+
+def test_traced_components_rejects_a_repeated_loop(double_well):
+    # Two loops of one energy on the same component: the grid scan overcounted.
+    energies = [0.3, 0.5]
+    loops = portrait._marching_loops(double_well, energies, BOX, portrait.GRID_N)
+    repeated = [loops[0], [loops[1][1], loops[1][1]]]
+    with pytest.raises(NonConstantTopology) as info:
+        portrait._traced_components(double_well, energies, repeated, DEFAULT_TRACE_TOL)
+    assert str(info.value) == "traced component count disagrees with the grid scan"
+
+
+def test_refine_per_point_energies_match_separate_calls(double_well):
+    points = np.array(
+        [[-1.6, 0.3], [1.5, -0.4], [0.4, 0.9], [-0.5, -0.8], [1.2, 0.7], [-1.3, -0.6]]
+    )
+    energies = np.array([0.2, 0.45, 0.7, 0.2, 0.45, 0.7])
+    together = refine_to_level(double_well, points, energies)
+    for energy in (0.2, 0.45, 0.7):
+        rows = energies == energy
+        alone = refine_to_level(double_well, points[rows], energy)
+        assert together[rows].tobytes() == alone.tobytes()
+
+
+def test_refine_failure_names_the_point_energy(harmonic, monkeypatch):
+    # (1, 0) is on the level 0.5; (2, 0) is still off 0.75 after two Newton steps.
+    monkeypatch.setattr(portrait, "_REFINE_ITERS", 2)
+    with pytest.raises(EmptyLevelSet, match=r"^could not refine seed onto level 0\.75$"):
+        refine_to_level(harmonic, [(1.0, 0.0), (2.0, 0.0)], [0.5, 0.75])
+
+
+def test_trace_attempt_budget(harmonic, monkeypatch):
+    # The whole circle as one arc takes about 620 attempts; a budget of 3 stops it.
+    monkeypatch.setattr(portrait, "_MAX_ATTEMPTS", 3)
+    with pytest.raises(TraceDiverged, match=r"^arc from seed \(1, 0\) not landed after 3 "):
+        _trace_one(harmonic, (1.0, 0.0), 0.5)
+    monkeypatch.undo()
+    assert 3 < _trace_one(harmonic, (1.0, 0.0), 0.5).attempts < portrait._MAX_ATTEMPTS
+
+
 def test_trace_rejects_critical_seed(harmonic):
     with pytest.raises(CriticalSeed):
         _trace_one(harmonic, (0.0, 0.0), 0.0)
@@ -450,7 +501,7 @@ def test_short_loop_traces_as_one_arc(harmonic, monkeypatch):
     # On a coarse grid the circle crosses too few edges to be split.
     (loops,) = portrait._marching_loops(harmonic, [0.5], BOX, 11)
     assert len(loops) == 1 and len(loops[0]) < 2 * portrait._ARC_CROSSINGS
-    (seeds,) = portrait._candidates(harmonic, 0.5, loops)
+    (seeds,) = portrait._candidates(harmonic, [0.5], [loops])
     assert seeds.shape == (1, 2)
     # Each orbit gets one arc per _ARC_CROSSINGS crossings of its loop: on
     # this grid the small orbits of the window are one arc, the large ones
