@@ -31,7 +31,7 @@ STAGE_DEPS = {
     "oracle": (),
     "compare": ("spectrum", "oracle"),
     "weyl": ("spectrum", "oracle"),
-    "branches": ("actions",),
+    "branches": ("spectrum",),  # its branches are the levels at the top hbar
     "doublets": ("spectrum",),
 }
 STAGES = tuple(STAGE_DEPS)

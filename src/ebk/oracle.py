@@ -167,7 +167,8 @@ def domain_auto(
     with a finite plateau the wall target is capped below the plateau (decay
     under the barrier replaces the wall, which the L-doubling stability
     check validates). N keeps the local stencil phase error
-    (xi_max*h/hbar)^2/12 below phase_tol. Raises ConfigError when N is
+    (xi_max*h/hbar)^2/12 below phase_tol. Raises NonCompactWindow when the
+    window top is unconfined or not above the minimum, ConfigError when N is
     under the stencil's 3 points, and GridTooLarge when the finest of
     solve_window's three grids, 4N - 3 points, exceeds the cap or N is not
     finite. phase_tol is that bound on the coarsest grid; the default
@@ -175,9 +176,9 @@ def domain_auto(
     the basis oracle's on the catalog's wells at hbar = 0.1 and 0.05.
     """
     top = window.e2 + window.margin
-    if not potential.confining_below(top):
+    if not (potential.confining_below(top) and top > potential.min_value()):
         raise NonCompactWindow(
-            f"level {top:g} is not confined by the {potential.name} potential"
+            f"level {top:g} is not confined by, or not above the minimum of, {potential.name}"
         )
     sup_l, sup_r = potential.tail_sup()
     headroom = min(sup_l, sup_r) - top

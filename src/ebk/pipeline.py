@@ -247,10 +247,11 @@ def _stage_branches(state: _RunState):
     entries = state.spectra[hbar_top].entries
     row = {}
     for table in state.tables:
-        # Every branch of the family on 33 hbar from its exit, in one call.
+        # Every branch of the family on 33 hbar from its exit, in one call; a
+        # level on e1 may exit just above hbar_top, and its grid is hbar_top.
         ns = np.array([e.n for e in entries if e.k == table.k], dtype=int)
         h_exit = exit_hbar(table, ns)
-        hs = np.linspace(h_exit * (1 + 1e-9), hbar_top, 33, axis=-1)
+        hs = np.linspace(np.minimum(h_exit * (1 + 1e-9), hbar_top), hbar_top, 33, axis=-1)
         energies = branch_energy(table, ns[:, None], hs)
         for n, h, es in zip(ns.tolist(), h_exit.tolist(), energies):
             vals = es[~np.isnan(es)]

@@ -20,8 +20,9 @@ sample polyline is resampled across them. The arcs of a scan (every loop of
 every sampled energy) are integrated together as one batch, each with its
 own step size, section and landing test, so the stepper's sequential depth
 is that of the longest arc, which does not grow with the orbit's length.
-A family scan refines every seed in one Newton pass and checks and matches
-its traces by broadcasts over all energies, with no loop over the energies.
+A family scan refines every seed in one Newton pass and checks its traces
+by one broadcast over all energies, with no loop over the energies; its
+family k is the k-th marching loop from the left at every energy.
 
 Component counting near a topology change never relies on tracing (a trace
 started on a critical level would stall), only on the marching pass.
@@ -114,10 +115,11 @@ class LevelComponent:
 
 @dataclass(frozen=True)
 class ComponentFamily:
-    """A level-set component followed continuously across the window.
+    """A level-set component followed across the window.
 
     components holds the traced component at each sampled energy, in
-    ascending energy order.
+    ascending energy order: family k is the k-th marching loop of every
+    energy, the k-th component from the left.
     """
 
     k: int
@@ -503,16 +505,6 @@ def _squared_norm(v) -> np.ndarray:
     return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
 
 
-def _nearest(points, targets) -> np.ndarray:
-    """(..., T, C): the least distance from each of C targets to each of T polylines.
-
-    points is (..., T, P, 2), the samples of T polylines, and targets (..., C, 2).
-    """
-    diff = points[..., :, None, :, :] - targets[..., None, :, None, :]
-    # sqrt is monotone, so the root of the least square is the least root.
-    return np.sqrt(np.min(_squared_norm(diff), axis=-1))
-
-
 def _traced_components(spec, energies, loops, trace_tol):
     """The traced component of each of the d loops of each energy, in loop order.
 
@@ -553,7 +545,7 @@ def build_families(
     *,
     trace_tol: float = DEFAULT_TRACE_TOL,
 ) -> list[ComponentFamily]:
-    """Follow each component across the window; labels are stable in energy.
+    """Follow each component across the window; labels are the loop order.
 
     The window is sampled at n_samples Chebyshev-Lobatto energies, the
     nodes an action table is fitted on, and every family carries its traced
@@ -562,9 +554,13 @@ def build_families(
     evaluation of H on a GRID_N x GRID_N grid, the constant read at call
     time; any variation raises NonConstantTopology
     (a critical value sits inside the window, violating the regular-window
-    hypothesis), as does a loop traced twice by _traced_components. Each
-    energy's components are matched to the families by the distance of each
-    family's previous seed to each trace, one broadcast over all energies.
+    hypothesis), as does a loop traced twice by _traced_components. Family
+    k holds the k-th loop of every energy: _marching_loops lists each
+    energy's loops by their least edge code, their leftmost crossed grid
+    column. For xi^2/2 + V each component lies over its own interval of
+    {V <= E}, and on a regular window these keep their left-to-right order
+    (a closed form has one component), so the k-th loop is the same
+    component at every energy and no trace is matched across energies.
     Raises ConfigError (check_action_samples) unless n_samples is an integer
     from 9 to MAX_ACTION_SAMPLES.
     """
@@ -580,21 +576,7 @@ def build_families(
     d = counts[0]  # at least 1: a level without a crossing raised EmptyLevelSet
 
     per_energy = _traced_components(spec, energies, loops, trace_tol)
-    # Initial labels: order by leftmost point. Continuation: nearest polyline
-    # to each family's previous seed, from one broadcast over all energies.
-    index = np.argsort([float(np.min(c.points[:, 0])) for c in per_energy[0]]).tolist()
-    tracks = [[per_energy[0][j]] for j in index]  # index: each track's latest loop
-    points = np.stack([c.points for comps in per_energy[1:] for c in comps])
-    seeds = np.array([c.seed for comps in per_energy[:-1] for c in comps])
-    dists = _nearest(points.reshape(-1, d, *points.shape[1:]), seeds.reshape(-1, d, 2))
-    for comps, dist in zip(per_energy[1:], dists):
-        taken = np.zeros(d, dtype=bool)
-        for t, track in enumerate(tracks):
-            j = int(np.argmin(np.where(taken, np.inf, dist[:, index[t]])))
-            taken[j] = True
-            track.append(comps[j])
-            index[t] = j
     return [
-        ComponentFamily(k=k, components=tuple(track))
-        for k, track in enumerate(tracks, start=1)
+        ComponentFamily(k=j + 1, components=tuple(comps[j] for comps in per_energy))
+        for j in range(d)
     ]

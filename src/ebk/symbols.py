@@ -114,10 +114,12 @@ class PotentialSpec:
 
         Closed forms for the named potentials; for a polynomial, the least
         and greatest real roots of V - c. Raises NonCompactWindow when the
-        sublevel set is unbounded or empty.
+        sublevel set is unbounded or empty (c under min_value).
         """
         if not self.confining_below(c):
             raise NonCompactWindow(f"{self.name} potential: level {c:g} reaches the tail value")
+        if c < self.min_value():
+            raise NonCompactWindow(f"{self.name} potential: level {c:g} is below its minimum")
         return self._sublevel(c)
 
 
@@ -132,7 +134,7 @@ class Harmonic(PotentialSpec):
         return np.asarray(x, dtype=float) + 0.0
 
     def _sublevel(self, c):
-        r = math.sqrt(2.0 * max(c, 0.0))
+        r = math.sqrt(2.0 * c)
         return -r, r
 
 
@@ -147,7 +149,7 @@ class Quartic(PotentialSpec):
         return 4.0 * np.asarray(x) * np.square(x)
 
     def _sublevel(self, c):
-        r = max(c, 0.0) ** 0.25
+        r = c**0.25
         return -r, r
 
 
@@ -213,7 +215,7 @@ class DoubleWell(PotentialSpec):
         return (-self.a, 0.0, self.a)
 
     def _sublevel(self, c):
-        r = math.sqrt(self.a * self.a + math.sqrt(max(c, 0.0)))
+        r = math.sqrt(self.a * self.a + math.sqrt(c))
         return -r, r
 
 
@@ -306,9 +308,7 @@ class Kerr(SymbolSpec):
         return np.asarray(x) * s, np.asarray(xi) * s
 
     def bounding_radius(self, emax: float) -> tuple[float, float]:
-        """Half-widths (x, xi) of a box containing {H <= emax}."""
-        if emax <= 0:
-            return 0.0, 0.0
+        """Half-widths (x, xi) of a box containing {H <= emax}, emax > 0."""
         chi = self.chi
         r = math.sqrt((math.sqrt(1.0 + 4.0 * chi * emax) - 1.0) / chi if chi > 0 else 2.0 * emax)
         return r, r
@@ -332,7 +332,7 @@ class AnisotropicHarmonic(SymbolSpec):
         return self.b * np.asarray(x, dtype=float), self.a * np.asarray(xi, dtype=float)
 
     def bounding_radius(self, emax: float) -> tuple[float, float]:
-        """Half-widths (x, xi) of a box containing {H <= emax}."""
+        """Half-widths (x, xi) of a box containing {H <= emax}, emax > 0."""
         return math.sqrt(2.0 * emax / self.b), math.sqrt(2.0 * emax / self.a)
 
 
@@ -458,15 +458,20 @@ def compact_preimage_box(spec: SymbolSpec, window: EnergyWindow) -> Box:
 
     Schrodinger symbols use the potential sublevel interval padded by 10%
     and the momentum bound from the energy budget; closed forms use their
-    catalog bounding radii.
+    catalog bounding radii. Raises NonCompactWindow when the preimage is
+    unbounded or e2 + eps is not above the least value of H, so that every
+    level of the window is empty.
     """
     c = window.hi
     pot = spec.potential
+    vmin = pot.min_value() if pot is not None else 0.0  # every closed form's is 0
+    if not c > vmin:
+        raise NonCompactWindow(f"{spec.name}: level {c:g} is not above the least value of H")
     if pot is not None:
         xlo, xhi = pot.sublevel_interval(c)
         cx, wx = 0.5 * (xlo + xhi), 0.5 * (xhi - xlo)
         wx = 1.1 * wx if wx > 0 else 0.1
-        ximax = 1.1 * math.sqrt(2.0 * max(c - pot.min_value(), 0.0))
+        ximax = 1.1 * math.sqrt(2.0 * (c - vmin))
         return Box(cx - wx, cx + wx, -ximax, ximax)
     rx, rxi = spec.bounding_radius(c)
     return Box(-1.1 * rx, 1.1 * rx, -1.1 * rxi, 1.1 * rxi)

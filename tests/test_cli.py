@@ -464,6 +464,34 @@ def test_config_sweep_raises_only_config_error(data):
         pass
 
 
+_BELOW_MINIMUM = dict(harmonic={}, quartic={}, **_SWEEP_SYMBOLS)  # every minimum is 0
+
+
+@pytest.mark.parametrize("name", sorted(_BELOW_MINIMUM))
+@pytest.mark.parametrize("e2", [-0.2, -0.05], ids=["below", "top_at_minimum"])
+def test_window_below_minimum_exit_3(tmp_path, name, e2):
+    # Every level of the window is empty: validate passes and every stage
+    # that builds a box or an oracle grid fails with NonCompactWindow, with
+    # the trace stage alone or the whole pipeline. At e2 = -0.05 the widened
+    # top e2 + margin is the minimum itself.
+    data = _base_config(str(tmp_path / "out"))
+    data["symbol"] = {"name": name, "params": _BELOW_MINIMUM[name]}
+    data["window"] = {"e1": -0.5, "e2": e2, "margin": 0.05}
+    no_oracle = name in ("kerr", "anisotropic_harmonic")
+    full = [s for s in STAGES if not (no_oracle and s in ("oracle", "compare", "weyl"))]
+    for stages in (["trace"], full):
+        data["pipeline"] = stages
+        path = _write(tmp_path, data)
+        assert main(["validate", "--config", str(path)]) == 0
+        assert main(["run", "--config", str(path)]) == 3
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+        ran = manifest["stages"]
+        failed = {s: st["note"] for s, st in ran.items() if st["status"] == "failed"}
+        assert sorted(failed) == sorted({"trace", "oracle"} & set(stages))
+        assert all(note.startswith("NonCompactWindow: ") for note in failed.values())
+        assert all(st["status"] == "skipped" for s, st in ran.items() if s not in failed)
+
+
 def test_run_threads_flag_is_gone_exit_2(tmp_path):
     path = _write(tmp_path, _base_config(str(tmp_path / "out")))
     with pytest.raises(SystemExit) as exc:

@@ -8,10 +8,13 @@ import math
 import os
 import subprocess
 import sys
+from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ebk
 from ebk import errors, integrate, pipeline, portrait
@@ -435,6 +438,102 @@ def test_run_sextic_all_stages(tmp_path):
     assert len(manifest["actions"]) == 3
     assert manifest["checks"]["bijection"] is True
     assert manifest["checks"]["weyl_exact"] is True
+
+
+@pytest.mark.parametrize(
+    "name, params, e1, hbars",
+    [
+        ("anisotropic_harmonic", {"a": 1.0, "b": 4.0}, 1.0, [0.2, 0.05]),
+        ("harmonic", {}, 0.5, [0.2]),
+    ],
+)
+def test_run_branches_monotone_for_a_level_on_e1(tmp_path, name, params, e1, hbars):
+    # Level n = 2 sits on e1 at hbar_top (omega = 2 and 1): its exit hbar
+    # is hbar_top up to rounding, a few ulps above it here, and its branch
+    # runs from there to hbar_top, not backwards.
+    config = parse_config(
+        {
+            "symbol": {"name": name, "params": params},
+            "window": {"e1": e1, "e2": e1 + 1.0, "margin": 0.05},
+            "hbars": hbars,
+            "pipeline": ["branches"],
+            "output_dir": str(tmp_path),
+        }
+    )
+    manifest, code = pipeline.run(config)
+    assert code == 0
+    assert manifest["checks"]["branches_monotone"] is True
+    with open(tmp_path / "branches.csv", newline="") as fh:
+        first = next(csv.DictReader(fh))
+    assert first["n"] == "2" and float(first["hbar_exit"]) * (1 + 1e-9) > hbars[0]
+
+
+# Catalog entries of the sweep below, each with omega where its spectrum is
+# exactly hbar omega (n + 1/2), else None; every minimum is 0 except the
+# tilted polynomial's, read from the symbol.
+_SWEEP_ENTRIES = {
+    "harmonic": ({}, 1.0),
+    "quartic": ({}, None),
+    "polynomial": ({"coefficients": [1.0, 0.1, -2.0, 0.0, 1.0]}, None),
+    "double_well": ({"a": 1.0}, None),
+    "morse": ({"D": 1.0, "a": 1.0}, None),
+    "kerr": ({"chi": 0.5}, None),
+    "anisotropic_harmonic": ({"a": 1.0, "b": 4.0}, 2.0),
+}
+
+
+@st.composite
+def _sweep_configs(draw, kind):
+    exact = sorted(name for name, (_, omega) in _SWEEP_ENTRIES.items() if omega)
+    name = draw(st.sampled_from(exact if kind == "on_e1" else sorted(_SWEEP_ENTRIES)))
+    params, omega = _SWEEP_ENTRIES[name]
+    spec = ebk.symbol_from_config(name, params)
+    vmin = spec.potential.min_value() if spec.potential is not None else 0.0
+    hbars = sorted(
+        draw(st.lists(st.sampled_from([0.3, 0.2, 0.1, 0.05]), min_size=1, max_size=2, unique=True)),
+        reverse=True,
+    )
+    margin = draw(st.sampled_from([0.05, 0.02]))
+    if kind == "below":  # up to the widened top at the minimum itself
+        e2 = vmin - margin - draw(st.floats(0.0, 0.5))
+        e1 = e2 - draw(st.floats(0.05, 0.5))
+    elif kind == "across":
+        e1 = vmin - draw(st.floats(0.0, 0.3))
+        e2 = vmin + draw(st.floats(0.05, 0.6))
+    else:  # an exact level at hbar_top on e1
+        e1 = omega * hbars[0] * (draw(st.integers(0, 3)) + 0.5)
+        e2 = e1 + draw(st.floats(0.2, 0.8))
+    stages = [s for s in STAGES if spec.potential is not None or s not in ("oracle", "compare", "weyl")]
+    return name, {
+        "symbol": {"name": name, "params": params},
+        "window": {"e1": e1, "e2": e2, "margin": margin},
+        "hbars": hbars,
+        "pipeline": stages,
+    }
+
+
+@pytest.mark.parametrize("kind", ["below", "across", "on_e1"])
+@settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=20)
+@given(data=st.data())
+def test_run_sweep_ends_in_a_typed_exit(tmp_path_factory, kind, data):
+    # Windows below a minimum, across one and with an exact level on e1,
+    # through parse_config and pipeline.run: each run exits 0 or with a
+    # typed 2, 3 or 4, each failed stage's note names an EbkError, and the
+    # exact harmonic spectra never read as non-monotone branches.
+    name, raw = data.draw(_sweep_configs(kind))
+    raw["output_dir"] = str(tmp_path_factory.mktemp("sweep"))
+    try:
+        config = parse_config(raw)
+    except errors.ConfigError:
+        return
+    manifest, code = pipeline.run(config)
+    assert code in (0, 2, 3, 4)
+    for stage in manifest["stages"].values():
+        if stage["status"] == "failed":
+            error = getattr(errors, stage["note"].split(":")[0], None)
+            assert isinstance(error, type) and issubclass(error, errors.EbkError), stage["note"]
+    if name in ("harmonic", "anisotropic_harmonic"):
+        assert manifest["checks"].get("branches_monotone") is not False
 
 
 def _dw_config(out_dir, pipeline_stages, seed=1) -> ebk.config.RunConfig:

@@ -246,6 +246,21 @@ def test_family_labels_stable(dw_families):
     assert k1.k == 1 and k2.k == 2
     assert all(c.seed[0] < 0 for c in k1.components)
     assert all(c.seed[0] > 0 for c in k2.components)
+    # Family k is the k-th well from the left at every energy, here and on
+    # the three-well sextic and a tilted double well, whose wells differ.
+    sextic = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]))
+    tilted = ebk.schrodinger_symbol(ebk.polynomial_potential([1.0, 0.1, -2.0, 0.0, 1.0]))
+    scans = [
+        dw_families,
+        ebk.build_families(sextic, ebk.EnergyWindow(0.1, 0.4, 0.05), 17),
+        ebk.build_families(tilted, ebk.EnergyWindow(0.25, 0.6, 0.05), 17),
+    ]
+    for families, d in zip(scans, (2, 3, 2)):
+        assert [f.k for f in families] == list(range(1, d + 1))
+        for left, right in zip(families[:-1], families[1:]):
+            for a, b in zip(left.components, right.components, strict=True):
+                assert a.energy == b.energy
+                assert np.max(a.points[:, 0]) < np.min(b.points[:, 0])
 
 
 def test_box_doubling_stability(double_well):

@@ -94,6 +94,29 @@ def test_compact_box_morse_noncompact(morse):
         ebk.compact_preimage_box(morse, ebk.EnergyWindow(0.8, 1.2, 0.05))
 
 
+@pytest.mark.parametrize("spec", _all_catalog_symbols(), ids=lambda s: s.name)
+def test_window_below_minimum_raises_noncompact(spec):
+    # Every level of a window whose widened top is not above the least value
+    # of H is empty: no sublevel interval, box or oracle grid, one typed error.
+    pot = spec.potential
+    vmin = pot.min_value() if pot is not None else 0.0
+    at = vmin - 0.05
+    while at + 0.05 > vmin:  # the tilted polynomial's vmin - 0.05 rounds
+        at = math.nextafter(at, -math.inf)
+    for e2 in (vmin - 0.25, at):  # the widened top below vmin, then at it
+        window = ebk.EnergyWindow(e2 - 0.3, e2, 0.05)
+        with pytest.raises(NonCompactWindow):
+            ebk.compact_preimage_box(spec, window)
+        if pot is not None:
+            with pytest.raises(NonCompactWindow):
+                ebk.domain_auto(pot, window, 0.1)
+    if pot is not None:
+        with pytest.raises(NonCompactWindow, match="below its minimum"):
+            pot.sublevel_interval(vmin - 0.2)
+        lo, hi = pot.sublevel_interval(vmin + 0.2)
+        assert lo < hi
+
+
 def test_compact_box_nonconfining_polynomial():
     cubic = ebk.schrodinger_symbol(ebk.polynomial_potential([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(NonCompactWindow):
