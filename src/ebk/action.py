@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.polynomial import Chebyshev
+from numpy.polynomial import Chebyshev, chebyshev
+from numpy.polynomial import polyutils as pu
 
 from .errors import (
     DegenerateCaustic,
@@ -128,16 +129,17 @@ def maslov_index(component: LevelComponent) -> int:
 
 @dataclass
 class ActionTable:
-    """Sampled E -> (A0, tau) for one family, with its Chebyshev interpolant.
+    """Sampled E -> (A0, tau) for one family, with its Hermite interpolant.
 
-    A0 is interpolated by the degree-(n - 1) Chebyshev series through the n
-    samples on [energies[0], energies[-1]], and tau by its derivative
-    series. On the Lobatto energies of a regular window A0 is analytic, so
-    the interpolant converges geometrically in n. The build requires
-    positive sampled periods, strictly increasing sampled actions, a
-    derivative series with no real root on the window (so the inverse is
-    well defined) and sampled periods that agree with dA0/dE at the samples
-    to 1e-2 relative; tau_consistency is the largest such relative gap.
+    A0 is the degree-(2n - 1) Chebyshev series on [energies[0], energies[-1]]
+    matching the n sampled actions and periods (its slopes); tau is its
+    derivative. A0 is analytic on a regular window, so on Lobatto energies
+    this converges geometrically in n; table_err, the size of the last two
+    coefficients, estimates the error. The build requires positive periods,
+    increasing actions, periods within 1e-2 relative of the slopes of the
+    A0-only interpolant (tau_consistency, the largest gap, catches a
+    mis-traced period) and no real root of tau on the window (so the
+    inverse is well defined).
     The table truncates the semiclassical action at two terms: A0(E)/hbar
     plus the constant Maslov half-integer shift.
     """
@@ -149,6 +151,7 @@ class ActionTable:
     maslov: int
     window: EnergyWindow
     tau_consistency: float = field(init=False)
+    table_err: float = field(init=False)
     _a0: Chebyshev = field(init=False, repr=False)
     _tau: Chebyshev = field(init=False, repr=False)
 
@@ -158,15 +161,24 @@ class ActionTable:
             raise NotDiffeomorphism("period must be positive on the window")
         if np.any(np.diff(a) <= 0):
             raise NotDiffeomorphism("sampled action is not strictly increasing")
-        self._a0 = Chebyshev.fit(e, a, len(e) - 1, domain=[e[0], e[-1]])
+        # Row i: each T_j and its d/dE at energy i; n columns fit A0 alone.
+        n, domain = len(e), [e[0], e[-1]]
+        off, scl = pu.mapparms(domain, [-1.0, 1.0])
+        u = off + scl * e
+        vals = chebyshev.chebvander(u, 2 * n - 1)
+        slopes = scl * chebyshev.chebvander(u, 2 * n - 2) @ chebyshev.chebder(np.eye(2 * n), axis=0)
+        a0_only_slope = slopes[:, :n] @ np.linalg.solve(vals[:, :n], a)
+        self.tau_consistency = float(np.max(np.abs(a0_only_slope - t) / t))
+        if self.tau_consistency > 1e-2:
+            raise NotDiffeomorphism("sampled periods are inconsistent with dA0/dE")
+        coef = np.linalg.solve(np.vstack([vals, slopes]), np.append(a, t))
+        self.table_err = float(np.sum(np.abs(coef[-2:])))
+        self._a0 = Chebyshev(coef, domain=domain)
         self._tau = self._a0.deriv()
         roots = self._tau.roots()
         roots = roots[np.isreal(roots)].real
         if np.any((roots >= e[0]) & (roots <= e[-1])):
             raise NotDiffeomorphism("interpolated action is not monotone on the window")
-        self.tau_consistency = float(np.max(np.abs(self._tau(e) - t) / t))
-        if self.tau_consistency > 1e-2:
-            raise NotDiffeomorphism("sampled periods are inconsistent with dA0/dE")
 
     def a0_at(self, energy):
         return self._a0(energy)
@@ -194,7 +206,7 @@ class ActionTable:
 
 
 def build_action_table(family: ComponentFamily, window: EnergyWindow) -> ActionTable:
-    """Fit the Chebyshev interpolant to the family's traced (A0, tau) samples.
+    """Fit the Hermite interpolant to the family's traced (A0, tau) samples.
 
     The samples are the family's components, traced by build_families at
     its Lobatto energies; the table traces nothing itself.

@@ -378,11 +378,16 @@ def run(
             for hbar, run in state.oracle_runs.items()
         }
     if state.tables:
-        # Table health: the largest relative |dA0/dE - tau| at the samples.
+        # Table health: the Hermite fit's error estimate, and the largest
+        # relative |dA0/dE - tau| of the A0-only fit at the samples.
         manifest["actions"] = {
-            str(t.k): {"samples": len(t.energies), "tau_consistency": t.tau_consistency}
+            str(t.k): {"samples": len(t.energies), "table_err": t.table_err,
+                       "tau_consistency": t.tau_consistency}
             for t in state.tables
         }
+        if verbose:
+            errs = {k: f"{v['table_err']:.2g}" for k, v in manifest["actions"].items()}
+            _say(f"[ebk] actions: table_err {errs}")
     metrics = {}
     if state.families:
         comps = [c for f in state.families for c in f.components]

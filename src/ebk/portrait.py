@@ -49,8 +49,9 @@ from .symbols import Box, EnergyWindow, SymbolSpec, compact_preimage_box
 DEFAULT_TRACE_TOL = 1e-10
 DEFAULT_MAX_TIME = 1e4
 DEFAULT_POINTS = 1024
-# Lobatto energies per family scan, the nodes of each action table.
-DEFAULT_ACTION_SAMPLES = 17
+# Lobatto energies per family scan, the nodes of each action table: its
+# Hermite fit of (A0, tau) on 9 is as accurate as an A0-only fit on 17.
+DEFAULT_ACTION_SAMPLES = 9
 GRID_N = 201  # grid nodes per axis of the marching pass of build_families
 # Every family keeps its component at each sample, 1024 samples of (x, xi)
 # at 16 B, 16 KiB: 512 samples hold 8 MiB per family. The action table

@@ -260,8 +260,8 @@ def test_table_midpoint_error_at_default_samples(
     ):
         for family in ebk.build_families(spec, window):
             table = ebk.build_action_table(family, window)
-            assert len(table.energies) == ebk.portrait.DEFAULT_ACTION_SAMPLES == 17
-            assert table.tau_consistency <= 1e-8
+            assert len(table.energies) == ebk.portrait.DEFAULT_ACTION_SAMPLES == 9
+            assert table.table_err <= bound
             mids = 0.5 * (table.energies[:-1] + table.energies[1:])
             seeds = [refine_to_level(spec, [c.seed], e) for c, e in zip(family.components, mids)]
             direct = np.array([c.action for c in ebk.trace_component(spec, seeds, mids)])
@@ -293,6 +293,25 @@ def test_table_rejects_inconsistent_periods(harmonic_window):
             maslov=2,
             window=harmonic_window,
         )
+
+
+def test_table_catches_a_mis_traced_period(quartic, quartic_window):
+    # The Hermite fit feeds tau into the levels, so a wrong period at one
+    # interior node must show: a gross one fails the consistency gate, and
+    # a slight one (far inside the gate) lifts the table error estimate.
+    (family,) = ebk.build_families(quartic, quartic_window)
+    table = ebk.build_action_table(family, quartic_window)
+    mid = len(table.energies) // 2
+
+    def perturbed(rel):
+        tau = table.tau.copy()
+        tau[mid] *= 1.0 + rel
+        return replace(table, tau=tau)
+
+    with pytest.raises(NotDiffeomorphism, match="inconsistent"):
+        perturbed(0.05)
+    assert 0.0 < table.table_err <= 1e-9
+    assert perturbed(1e-6).table_err >= 10.0 * table.table_err
 
 
 def test_import_leaves_scipy_interpolate_out(tmp_path):

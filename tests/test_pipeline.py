@@ -148,7 +148,7 @@ def test_components_csv_times_are_exact_fractions_of_the_period(tmp_path):
     comps = [c for f in state.families for c in f.components]
     with (tmp_path / "components.csv").open(encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
-    assert len(comps) == 34 and len(rows) == n * len(comps)
+    assert len(comps) == 2 * portrait.DEFAULT_ACTION_SAMPLES and len(rows) == n * len(comps)
     for j, comp in enumerate(comps):
         block = rows[n * j : n * (j + 1)]
         assert {float(r["E"]) for r in block} == {comp.energy}
@@ -316,13 +316,20 @@ def test_run_exit_code_of_two_failures(tmp_path, monkeypatch, trace_error, oracl
     assert code == expected
 
 
-def test_run_manifest_reports_table_health(tmp_path):
-    runs = [pipeline.run(_config(tmp_path / name, ["trace", "actions"])) for name in "ab"]
+def test_run_manifest_reports_table_health(tmp_path, capsys):
+    runs = [
+        pipeline.run(_config(tmp_path / name, ["trace", "actions"]), verbose=True)
+        for name in "ab"
+    ]
+    printed = capsys.readouterr().out.splitlines()
     for manifest, code in runs:
         assert code == 0
         assert set(manifest["actions"]) == {"1"}
         assert manifest["actions"]["1"]["samples"] == 17
         assert 0.0 <= manifest["actions"]["1"]["tau_consistency"] <= 1e-8
+        table_err = manifest["actions"]["1"]["table_err"]
+        assert 0.0 <= table_err <= 1e-12  # A0 = 2 pi E: only rounding is left
+        assert printed.count(f"[ebk] actions: table_err {{'1': '{table_err:.2g}'}}") == 2
         assert "actions" not in manifest["checks"]
     assert runs[0][0]["actions"] == runs[1][0]["actions"]
     written = json.loads((tmp_path / "a" / "manifest.json").read_text(encoding="utf-8"))

@@ -453,12 +453,13 @@ def test_marching_loops_counterclockwise_orbits_clockwise(double_well, kerr):
     # has negative area.
     sextic = ebk.schrodinger_symbol(ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]))
     cases = [
-        (double_well, ebk.EnergyWindow(0.1, 0.6, 0.05), 34),
-        (double_well, ebk.EnergyWindow(1.2, 2.0, 0.05), 17),  # above the barrier
-        (kerr, ebk.EnergyWindow(0.2, 1.0, 0.05), 17),
-        (sextic, ebk.EnergyWindow(0.1, 0.4, 0.05), 51),
+        (double_well, ebk.EnergyWindow(0.1, 0.6, 0.05), 2),
+        (double_well, ebk.EnergyWindow(1.2, 2.0, 0.05), 1),  # above the barrier
+        (kerr, ebk.EnergyWindow(0.2, 1.0, 0.05), 1),
+        (sextic, ebk.EnergyWindow(0.1, 0.4, 0.05), 3),
     ]
-    for spec, window, n in cases:
+    for spec, window, wells in cases:
+        n = wells * portrait.DEFAULT_ACTION_SAMPLES
         energies = portrait._lobatto(window, portrait.DEFAULT_ACTION_SAMPLES)
         box = ebk.compact_preimage_box(spec, window)
         loops = portrait._marching_loops(spec, energies, box, portrait.GRID_N)
@@ -583,6 +584,8 @@ def test_double_well_scan_attempts_ceiling(double_well, monkeypatch):
     assert attempts <= 60
     comps = [c for f in families for c in f.components]
     assert max(c.attempts for c in comps) == attempts
-    loops = scan_arcs_py(double_well, window, 17, portrait._ARC_CROSSINGS)
+    loops = scan_arcs_py(
+        double_well, window, portrait.DEFAULT_ACTION_SAMPLES, portrait._ARC_CROSSINGS
+    )
     assert all(len(arcs) == 2 for arcs in loops)
     assert evals[0] == sum(c.arcs for c in comps) == sum(map(sum, loops))
