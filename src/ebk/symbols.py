@@ -1,11 +1,12 @@
 """Hamiltonian symbol catalog and admissibility checks.
 
 A symbol is a smooth function H(x, xi) on the phase plane. The catalog is
-closed: each entry is one frozen dataclass, an elementary closed form with
-an exact analytic gradient and exact landmarks. Its fields are its config
-parameters and its class attribute ``name`` is its config name. A potential
-V(x) (PotentialSpec) runs as the Schrodinger symbol xi^2/2 + V(x); the other
-entries are closed-form symbols (SymbolSpec). There is no expression parser.
+closed: each entry is one frozen dataclass whose fields are its config
+parameters and whose class attribute ``name`` is its config name. A potential
+V(x) (PotentialSpec) runs as the Schrodinger symbol xi^2/2 + V(x). Every
+polynomial potential, named or not, takes its value, derivative and landmarks
+from its coefficients; Morse and the symbols of SymbolSpec are closed forms.
+There is no expression parser.
 
 Downstream modules require two geometric admissibility properties on an
 energy window [e1, e2] with margin eps:
@@ -13,15 +14,16 @@ energy window [e1, e2] with margin eps:
 * regularity: no critical point of H has its value in [e1-eps, e2+eps];
 * compactness: the preimage H^{-1}([e1-eps, e2+eps]) fits in a bounded box.
 
-Both are checked here from exact landmarks: closed-form critical points and
-sublevel intervals, or for a polynomial potential the real roots of V' and
-of V - c. Only the box-edge enclosure check samples H.
+Both are checked here from exact landmarks: for a polynomial potential the
+real roots of V' and of V - c, for the other entries closed forms. Only the
+box-edge enclosure check samples H.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -85,9 +87,9 @@ def _check_params(entry) -> None:
 class PotentialSpec:
     """One confinement potential V(x) from the closed catalog.
 
-    Each subclass is one entry and defines value, derivative and _sublevel
-    (the sublevel interval of a confined level). The defaults here are one
-    critical point at 0, minimum 0 and confining tails.
+    Each subclass is one entry and defines value, derivative, tail_sup (the
+    limits of V at -inf and +inf) and _sublevel (the sublevel interval of a
+    confined level). The defaults are one critical point at 0 and minimum 0.
     """
 
     __post_init__ = _check_params
@@ -100,10 +102,6 @@ class PotentialSpec:
         """Global minimum of V: the least value at a critical point."""
         return 0.0
 
-    def tail_sup(self) -> tuple[float, float]:
-        """Limits of V at -inf and +inf (inf for confining tails)."""
-        return math.inf, math.inf
-
     def confining_below(self, c: float) -> bool:
         """True when the sublevel set {V <= c} is bounded."""
         left, right = self.tail_sup()
@@ -112,9 +110,9 @@ class PotentialSpec:
     def sublevel_interval(self, c: float) -> tuple[float, float]:
         """Smallest interval [xlo, xhi] containing {V <= c}.
 
-        Closed forms for the named potentials; for a polynomial, the least
-        and greatest real roots of V - c. Raises NonCompactWindow when the
-        sublevel set is unbounded or empty (c under min_value).
+        A closed form for Morse; for a polynomial, the least and greatest
+        real roots of V - c. Raises NonCompactWindow when the sublevel set
+        is unbounded or empty (c under min_value).
         """
         if not self.confining_below(c):
             raise NonCompactWindow(f"{self.name} potential: level {c:g} reaches the tail value")
@@ -123,80 +121,87 @@ class PotentialSpec:
         return self._sublevel(c)
 
 
-@dataclass(frozen=True)
-class Harmonic(PotentialSpec):
-    name = "harmonic"
-
-    def value(self, x):
-        return 0.5 * np.square(x)
-
-    def derivative(self, x):
-        return np.asarray(x, dtype=float) + 0.0
-
-    def _sublevel(self, c):
-        r = math.sqrt(2.0 * c)
-        return -r, r
+def _horner(coefficients, x):
+    """sum_k coefficients[k] x^k by Horner's rule, adding no zero term."""
+    r = coefficients[-1]
+    for c in coefficients[-2::-1]:
+        r = r * x
+        if c:
+            r = r + c
+    return r if len(coefficients) > 1 else r + 0.0 * x
 
 
 @dataclass(frozen=True)
-class Quartic(PotentialSpec):
-    name = "quartic"
+class _PolynomialPotential(PotentialSpec):
+    """V = sum_k coefficients[k] x^k (ascending): value and derivative by
+    Horner's rule, landmarks from the real roots of V' and V - c."""
+
+    @cached_property
+    def _terms(self) -> tuple[float, ...]:
+        """The coefficients without trailing zeros (one term for a constant)."""
+        c = list(self.coefficients)
+        while len(c) > 1 and c[-1] == 0.0:
+            c.pop()
+        return tuple(c)
+
+    @cached_property
+    def _slope_terms(self) -> tuple[float, ...]:
+        return tuple(k * c for k, c in enumerate(self._terms))[1:] or (0.0,)
+
+    @cached_property
+    def _critical(self) -> tuple[float, ...]:
+        return tuple(float(x) for x in _real_roots(self._slope_terms))
 
     def value(self, x):
-        return np.square(x) ** 2
+        return _horner(self._terms, x)
 
     def derivative(self, x):
-        return 4.0 * np.asarray(x) * np.square(x)
-
-    def _sublevel(self, c):
-        r = c**0.25
-        return -r, r
-
-
-@dataclass(frozen=True)
-class Polynomial(PotentialSpec):
-    """V = sum_k coefficients[k] x^k; landmarks from the real roots of V' and V - c."""
-
-    coefficients: tuple[float, ...] = ()
-    name = "polynomial"
-
-    def value(self, x):
-        return npoly.polyval(x, self.coefficients)
-
-    def derivative(self, x):
-        return npoly.polyval(x, npoly.polyder(self.coefficients))
+        return _horner(self._slope_terms, x)
 
     def critical_points(self) -> tuple[float, ...]:
-        return tuple(float(x) for x in _real_roots(npoly.polyder(self.coefficients)))
+        return self._critical
 
     def min_value(self) -> float:
         """Raises NonCompactWindow for a polynomial unbounded below."""
         if not self.confining_below(-math.inf):
-            raise NonCompactWindow("polynomial potential is unbounded below")
+            raise NonCompactWindow(f"{self.name} potential is unbounded below")
         # x = 0 stands in for the critical points of a constant V
-        return float(np.min(self.value(np.array([*self.critical_points(), 0.0]))))
+        return float(np.min(self.value(np.array([*self._critical, 0.0]))))
 
     def tail_sup(self) -> tuple[float, float]:
-        c = self.coefficients
-        deg = len(c) - 1
-        while deg > 0 and c[deg] == 0.0:
-            deg -= 1
-        lead = c[deg]
-        if deg == 0:
-            return float(lead), float(lead)
-        right = math.inf if lead > 0 else -math.inf
-        left = right if deg % 2 == 0 else -right
-        return left, right
+        terms = self._terms
+        right = math.copysign(math.inf, terms[-1]) if len(terms) > 1 else terms[-1]
+        return (right if len(terms) % 2 else -right), right
 
     def _sublevel(self, c):
-        roots = _real_roots(npoly.polysub(self.coefficients, [c]))
+        roots = _real_roots(npoly.polysub(self._terms, [c]))
         if roots.size == 0:
-            raise NonCompactWindow(f"polynomial sublevel set at {c:g} is empty")
+            raise NonCompactWindow(f"{self.name} sublevel set at {c:g} is empty")
         return float(roots[0]), float(roots[-1])
 
 
 @dataclass(frozen=True)
-class DoubleWell(PotentialSpec):
+class Harmonic(_PolynomialPotential):
+    name = "harmonic"
+    coefficients = (0.0, 0.0, 0.5)
+
+
+@dataclass(frozen=True)
+class Quartic(_PolynomialPotential):
+    name = "quartic"
+    coefficients = (0.0, 0.0, 0.0, 0.0, 1.0)
+
+
+@dataclass(frozen=True)
+class Polynomial(_PolynomialPotential):
+    """V = sum_k coefficients[k] x^k for any finite coefficients."""
+
+    coefficients: tuple[float, ...] = ()
+    name = "polynomial"
+
+
+@dataclass(frozen=True)
+class DoubleWell(_PolynomialPotential):
     a: float = 1.0
     name = "double_well"
 
@@ -204,19 +209,13 @@ class DoubleWell(PotentialSpec):
         super().__post_init__()
         if self.a <= 0:
             raise InvalidSymbol("double_well width a must be positive")
+        if not all(map(math.isfinite, self.coefficients)):
+            raise InvalidSymbol("symbol 'double_well': parameter 'a' overflows the coefficient a^4")
 
-    def value(self, x):
-        return np.square(np.square(x) - self.a * self.a)
-
-    def derivative(self, x):
-        return 4.0 * np.asarray(x) * (np.square(x) - self.a * self.a)
-
-    def critical_points(self) -> tuple[float, ...]:
-        return (-self.a, 0.0, self.a)
-
-    def _sublevel(self, c):
-        r = math.sqrt(self.a * self.a + math.sqrt(c))
-        return -r, r
+    @property
+    def coefficients(self) -> tuple[float, ...]:
+        a2 = self.a * self.a
+        return (a2 * a2, 0.0, -2.0 * a2, 0.0, 1.0)
 
 
 @dataclass(frozen=True)

@@ -248,20 +248,18 @@ def test_validate_grid_over_cap_exit_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 def test_overflowing_landmark_grid_exit_2(tmp_path, capsys, command):
-    # The double well's sublevel interval overflows at a = 1e200, so the
-    # oracle grid's half-width is infinite (a grid over the cap), and so is
-    # the trace stage's phase-space box when no oracle stage runs.
-    cases = [
-        (["trace", "actions", "spectrum", "oracle", "compare"], "points exceeds the 600000 cap"),
-        (["trace", "actions", "spectrum"], "box bounds must be finite"),
-    ]
-    for stages, message in cases:
+    # The double well's coefficient a^4 overflows at a = 1e200: the symbol
+    # is refused before any stage, with or without the oracle stages.
+    message = "parameter 'a' overflows the coefficient a^4"
+    with_oracle = ["trace", "actions", "spectrum", "oracle", "compare"]
+    for stages in (with_oracle, with_oracle[:3]):
         data = _base_config(str(tmp_path / "out"))
         data["symbol"] = {"name": "double_well", "params": {"a": 1e200}}
         data["pipeline"] = stages
         path = _write(tmp_path, data)
         assert main([command, "--config", str(path)]) == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
 

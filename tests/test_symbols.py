@@ -1,3 +1,5 @@
+from __future__ import annotations
+
 import dataclasses
 import math
 
@@ -10,7 +12,7 @@ from numpy.polynomial import polynomial as npoly
 import ebk
 from ebk import portrait
 from ebk.errors import InvalidSymbol, NonCompactWindow, PreimageNotEnclosed
-from ebk.symbols import CATALOG, Box
+from ebk.symbols import CATALOG, Box, PotentialSpec
 
 
 def test_eval_symbol_catalog_values(harmonic, quartic, morse):
@@ -139,6 +141,8 @@ def test_non_finite_parameters_rejected():
         ebk.kerr_symbol(float("nan"))
     with pytest.raises(InvalidSymbol, match="'b' must be a finite number"):
         ebk.anisotropic_symbol(1.0, float("inf"))
+    with pytest.raises(InvalidSymbol, match="'a' overflows the coefficient a\\^4"):
+        ebk.double_well_potential(1e200)
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG))
@@ -333,3 +337,88 @@ def test_polynomial_landmarks_property_sweep(case):
     slope = np.sign(pot.derivative(xs))
     for i in np.nonzero(slope[:-1] * slope[1:] < 0)[0]:
         assert np.any((crit >= xs[i] - dx) & (crit <= xs[i + 1] + dx))
+
+
+# The named polynomial potentials with their closed forms: V, V', the right
+# end of the sublevel interval at level c (the left end is its negative) and
+# the critical points.
+CLOSED_FORMS = [
+    ("harmonic", {}, lambda x: x * x / 2, lambda x: x, lambda c: math.sqrt(2 * c), [0.0]),
+    ("quartic", {}, lambda x: x**4, lambda x: 4 * x**3, lambda c: c**0.25, [0.0]),
+] + [
+    (
+        "double_well",
+        {"a": a},
+        lambda x, a=a: (x * x - a * a) ** 2,
+        lambda x, a=a: 4 * x * (x * x - a * a),
+        lambda c, a=a: math.sqrt(a * a + math.sqrt(c)),
+        [-a, 0.0, a],
+    )
+    for a in (0.5, 1.0, 1.7)
+]
+
+
+@pytest.mark.parametrize(
+    "name, params, v, dv, edge, crit",
+    CLOSED_FORMS,
+    ids=[f"{c[0]}{c[1].get('a', '')}" for c in CLOSED_FORMS],
+)
+def test_presets_match_their_closed_forms(name, params, v, dv, edge, crit):
+    pot = ebk.symbol_from_config(name, params).potential
+    xs = np.random.default_rng(7).uniform(-3.0, 3.0, 100)
+    ulp = np.finfo(float).eps
+    # Relative to the sum of the terms' sizes: (x^2 - a^2)^2 expanded cancels
+    # near x = a, where no evaluation of the sum does better.
+    for got, ref, c in (
+        (pot.value(xs), v(xs), pot.coefficients),
+        (pot.derivative(xs), dv(xs), npoly.polyder(pot.coefficients)),
+    ):
+        size = npoly.polyval(np.abs(xs), np.abs(c))
+        assert np.all(np.abs(got - ref) <= 4 * ulp * size)
+    for c in (0.05, 0.6, 2.0, 20.0):
+        r = edge(c)
+        # 1e-14 relative, times the root's relative condition number where
+        # that exceeds 1: the companion matrix loses digits where the outer
+        # root of V - c crowds the inner one (c small, a large; 12.9 at
+        # a = 1.7, c = 0.05).
+        cond = npoly.polyval(r, np.abs(pot.coefficients)) / (r * abs(dv(r)))
+        lo, hi = pot.sublevel_interval(c)
+        assert max(abs(hi - r), abs(lo + r)) <= 1e-14 * max(1.0, cond) * r
+    assert pot.critical_points() == pytest.approx(crit, rel=0, abs=1e-14)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ClosedFormDoubleWell(PotentialSpec):
+    """V = (x^2 - a^2)^2 with closed-form landmarks, outside the catalog.
+
+    The module's postponed annotations give ``a`` the type name "float" that
+    the catalog's parameter check reads.
+    """
+
+    a: float = 1.0
+    name = "closed_form_double_well"
+
+    def value(self, x):
+        return np.square(np.square(x) - self.a * self.a)
+
+    def derivative(self, x):
+        return 4.0 * np.asarray(x) * (np.square(x) - self.a * self.a)
+
+    def critical_points(self):
+        return (-self.a, 0.0, self.a)
+
+    def tail_sup(self):
+        return math.inf, math.inf
+
+    def _sublevel(self, c):
+        r = math.sqrt(self.a * self.a + math.sqrt(c))
+        return -r, r
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 1.7])
+def test_double_well_preset_levels_match_closed_form(a):
+    window = ebk.EnergyWindow(0.1, 0.6, 0.05)
+    got = ebk.solve_window(ebk.double_well_potential(a), window, 0.05).result
+    ref = ebk.solve_window(_ClosedFormDoubleWell(a), window, 0.05).result
+    assert np.array_equal(got.indices, ref.indices) and got.indices.size
+    assert np.max(np.abs(got.eigenvalues - ref.eigenvalues)) <= 1e-13
