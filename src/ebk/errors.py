@@ -4,8 +4,7 @@ Three base classes carry the exit codes of a run; every other class inherits
 one. EbkError (4) is a numerical failure of one primitive or a disagreement
 of two independent routes, ConfigError (2) a malformed or over-demanding
 run configuration, and HypothesisError (3) input that violates a geometric
-hypothesis of the quantization rule: a regular window, compact level sets,
-closed orbits.
+hypothesis of the quantization rule: a regular window and compact level sets.
 """
 
 
@@ -41,12 +40,8 @@ class EmptyLevelSet(HypothesisError):
     """No point of the box lies on the requested energy level."""
 
 
-class NotClosedOrbit(HypothesisError):
-    """Flow tracing did not return to its start within the time budget."""
-
-
 class TraceDiverged(HypothesisError):
-    """Traced samples drifted off the energy level, or the step size underflowed."""
+    """An arc missed the stepper-attempt budget, drifted off its level, or its step underflowed."""
 
 
 class CriticalSeed(HypothesisError):
@@ -105,3 +100,7 @@ class ConfigError(EbkError):
 
 class GridTooLarge(ConfigError):
     """The oracle grid the tolerances ask for exceeds the grid-size cap."""
+
+
+class TooManyLevels(ConfigError):
+    """A family's window levels at one hbar, or the oracle's finest basis, exceed their cap."""

@@ -109,15 +109,15 @@ def _initial_step(f, y0):
     return np.minimum(np.maximum(0.01 * scale / rate, 1e-8), 0.5)
 
 
-def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
+def dp45_steps(f, y0, tol: float, *, active):
     """Yield a Step for every attempt in which at least one column is accepted.
 
     y0 is a (dim, m) batch of states; f maps a (dim, k) array of states
-    to their derivatives column by column. Each
-    column runs from t = 0 until t_max. tol is used as both absolute and
-    relative local error target per step. active, an optional (m,) bool
-    array, stops a column once the caller clears its entry between two
-    steps. f is evaluated 2 times at start-up and 6 times per attempt.
+    to their derivatives column by column. Each column runs from t = 0
+    until the caller clears its entry of active, an (m,) bool array, between
+    two steps; the generator returns once every entry is clear. tol is used
+    as both absolute and relative local error target per step. f is
+    evaluated 2 times at start-up and 6 times per attempt.
     Raises TraceDiverged on step-size underflow in any column, a NaN step
     size (after an overflowing trial stage) included. The state arrays are
     rebound, never written in place, so a yielded Step stays valid.
@@ -130,15 +130,12 @@ def dp45_steps(f, y0, tol: float, t_max: float, *, active=None):
     k[0] = f(y)
     h = _initial_step(f, y)
     for attempt in itertools.count():
-        live = t < t_max
-        if active is not None:
-            live &= active[cols]
+        live = active[cols]
         if not live.all():
             cols, t, h, y = cols[live], t[live], h[live], y[:, live]
             k = np.ascontiguousarray(k[:, :, live])  # keeps the summation order
         if not cols.size:
             return
-        h = np.where(t + h > t_max, t_max - t, h)
         for i in range(1, 7):
             k[i] = f(y + h * np.einsum("j,jdm->dm", _A[i], k[:i]))
         bep = np.einsum("rj,jdm->rdm", _BEP, k)

@@ -61,6 +61,7 @@ from .errors import (
     GridTooLarge,
     InverseIterationFailed,
     NonCompactWindow,
+    TooManyLevels,
 )
 from .symbols import EnergyWindow, PotentialSpec
 
@@ -72,6 +73,7 @@ DEFAULT_BISECT_TOL = 1e-11
 # are with 1e-11).
 _SHIFT_TOL = 1e-6
 _MAX_GRID = 600_000
+_MAX_BASIS = 2**25  # finest-grid basis entries, one column per window level: 256 MiB
 _NODE_RESOLUTION = 1e-8
 # solve_basis: N starts at _BASIS_SAFETY times the states in the phase-space
 # box of the window top; _BASIS_TOL is the largest level change from N to 2N
@@ -447,10 +449,10 @@ def solve_window(
     r2 = (4 E3 - E2) / 3 cancel the O(h^2) term and (16 r2 - r1) / 15 the
     O(h^4) one (the stencil's error is even in h for a smooth V); the
     largest |(16 r2 - r1) / 15 - r2| is the floor_estimate. With pad = 1 %
-    of the window, eigenvalues_in bisects the coarsest levels in
-    (e1 - 2 pad, e2 + 2 pad) to _SHIFT_TOL. On each finer grid one
-    count_below at (e1 - pad, e2 + pad) fixes the indices ca .. cb-1, the
-    same on both. One eigenvector call on the coarsest grid at the shifts of
+    of the window, one count_below on each finer grid at (e1 - pad,
+    e2 + pad) fixes the indices ca .. cb-1, the same on both, and only then
+    eigenvalues_in bisects the coarsest levels in (e1 - 2 pad, e2 + 2 pad)
+    to _SHIFT_TOL. One eigenvector call on the coarsest grid at the shifts of
     those indices spans its window subspace, and Rayleigh-Ritz on it
     (_ritz_pairs) gives the coarsest levels and their Ritz vectors Zc,
     column j at level j. Each finer grid takes the Ritz pairs of the grid
@@ -459,8 +461,10 @@ def solve_window(
     Rayleigh-Ritz, its Ritz values certified as the eigenvalues ca .. cb-1
     of its grid.
 
-    Raises BisectionFailed if the two finer grids count different indices
-    or the coarsest levels miss one of them, and InverseIterationFailed if
+    Raises TooManyLevels before the bisection if the finest grid's basis,
+    one column per index, would hold over _MAX_BASIS entries,
+    BisectionFailed if the two finer grids count different indices or the
+    coarsest levels miss one of them, and InverseIterationFailed if
     the columns of a basis are dependent, a Ritz pair's residual exceeds its
     certificate, a solve fails, or a finer grid's Ritz value is not more
     than rho inside (e1 - pad, e2 + pad). node_counts and resolved are read
@@ -474,7 +478,6 @@ def solve_window(
     pad = 0.01 * (b - a)
     lo, hi = a - pad, b + pad
     Tc, T2, T3 = (discretize(potential, hbar, L, n, window=window) for n in sizes)
-    coarse = eigenvalues_in(Tc, a - 2 * pad, b + 2 * pad, tol=_SHIFT_TOL)
     ca, cb = count_below(T2, [lo, hi]).tolist()
     fa, fb = count_below(T3, [lo, hi]).tolist()
     if (fa, fb) != (ca, cb):
@@ -483,6 +486,10 @@ def solve_window(
             f"and {fa}..{fb - 1} in ({lo:.17g}, {hi:.17g})"
         )
     m = cb - ca
+    if sizes[2] * m > _MAX_BASIS:
+        basis = f"{m} window levels on the {sizes[2]}-point grid, {sizes[2] * m} basis entries"
+        raise TooManyLevels(f"{basis}, over the {_MAX_BASIS} cap")
+    coarse = eigenvalues_in(Tc, a - 2 * pad, b + 2 * pad, tol=_SHIFT_TOL)
     first = int(coarse.indices[0]) if coarse.indices.size else ca
     if m and not first <= ca <= cb <= first + coarse.indices.size:
         raise BisectionFailed(

@@ -40,14 +40,12 @@ from .errors import (
     CriticalSeed,
     EmptyLevelSet,
     NonConstantTopology,
-    NotClosedOrbit,
     PreimageNotEnclosed,
     TraceDiverged,
 )
 from .symbols import Box, EnergyWindow, SymbolSpec, compact_preimage_box
 
 DEFAULT_TRACE_TOL = 1e-10
-DEFAULT_MAX_TIME = 1e4
 DEFAULT_POINTS = 1024
 # Lobatto energies per family scan, the nodes of each action table: its
 # Hermite fit of (A0, tau) on 9 is as accurate as an A0-only fit on 17.
@@ -358,13 +356,11 @@ def trace_component(
     crossing time is refined by safeguarded Newton on the step's quartic
     dense output to 1e-13. The period and action are the sums over the
     arcs, and the points are resampled across the arcs from the first
-    seed, DEFAULT_POINTS of them.
-    Raises ConfigError (check_trace_tol) if trace_tol is under
-    MIN_TRACE_TOL, CriticalSeed if a seed sits at a near-critical point,
-    NotClosedOrbit if an arc does not land before DEFAULT_MAX_TIME or an
-    orbit's period exceeds it, and TraceDiverged if an arc has not landed
-    after _MAX_ATTEMPTS stepper attempts, its sampled energies drift or its
-    step size underflows.
+    seed, DEFAULT_POINTS of them. Raises ConfigError (check_trace_tol) if
+    trace_tol is under MIN_TRACE_TOL, CriticalSeed if a seed sits at a
+    near-critical point, and TraceDiverged if an arc has not landed after
+    _MAX_ATTEMPTS stepper attempts, the one budget of a trace (no flow time
+    bounds it), or its sampled energies drift or its step size underflows.
     """
     check_trace_tol(trace_tol)
     energies = np.asarray(energies, dtype=float)
@@ -411,7 +407,7 @@ def trace_component(
     # check below turn into TraceDiverged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         local_tol = trace_tol * _LOCAL_TOL_FACTOR
-        for step in integrate.dp45_steps(rhs, y0, local_tol, DEFAULT_MAX_TIME, active=running):
+        for step in integrate.dp45_steps(rhs, y0, local_tol, active=running):
             if step.attempt >= _MAX_ATTEMPTS:  # its columns have not landed yet
                 x, xi = pts[step.cols[0]]
                 raise TraceDiverged(
@@ -437,14 +433,6 @@ def trace_component(
             attempts[c] = step.attempt + 1
             running[c] = False
     period = np.add.reduceat(arc_time, starts)
-    late = running | np.repeat(period > DEFAULT_MAX_TIME, counts)
-    if late.any():
-        j = int(np.argmax(late))
-        raise NotClosedOrbit(
-            f"no return to the section within t = {DEFAULT_MAX_TIME:g} from seed "
-            f"({pts[j, 0]:g}, {pts[j, 1]:g})"
-        )
-
     cols, t0, h, y_start, q = (np.concatenate(field, axis=-1) for field in zip(*history))
     y_start, q = y_start.T, q.transpose(2, 0, 1)
     # Every step by column, in time order within each: orbit j's steps, arc

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .action import ActionTable, invert_action
-from .errors import UnsafeEndpoint
+from .errors import TooManyLevels, UnsafeEndpoint
 from .symbols import EnergyWindow
 
 TWO_PI = 2.0 * math.pi
@@ -29,6 +29,9 @@ _EDGE_SLACK = 5e-10
 _TIE = 1e-9
 # Weyl endpoints keep this many smallest mean spacings from every level.
 ENDPOINT_SAFETY = 0.3
+# A family's window levels per hbar: kerr on [0.2, 1] has about 55,000 at hbar = 1e-5
+# (its run peaks at 336 MiB); at 1e-9 the level list would not fit in memory.
+_MAX_LEVELS = 100_000
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,7 @@ def _quantum_numbers(table: ActionTable, hbar: float, window: EnergyWindow) -> r
 
     Its start is the family's least n in the window, which is the number of
     the family's solutions below the window, also when the range is empty.
+    Raises TooManyLevels when it holds more than _MAX_LEVELS of them.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
@@ -73,6 +77,9 @@ def _quantum_numbers(table: ActionTable, hbar: float, window: EnergyWindow) -> r
     tol = _EDGE_SLACK * hbar
     n_min = math.ceil((float(table.a0_at(window.e1)) - tol) / step - 0.5)
     n_max = math.floor((float(table.a0_at(window.e2)) + tol) / step - 0.5)
+    if n_max - n_min >= _MAX_LEVELS:
+        levels = f"{n_max - n_min + 1} window levels at hbar={hbar:g}"
+        raise TooManyLevels(f"family {table.k} has {levels}, over the {_MAX_LEVELS} cap")
     return range(n_min, n_max + 1)
 
 

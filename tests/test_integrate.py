@@ -22,6 +22,14 @@ def _pendulum(y):
 Y0 = np.array([[0.5, 2.0, 3.0, -1.0], [0.0, 0.3, 0.0, 1.5], [0.0, 0.0, 0.0, 0.0]])
 
 
+def _until(f, y0, tol, T):
+    """dp45_steps over the columns of y0, each stopped once a step ends at or past T."""
+    active = np.ones(y0.shape[1], dtype=bool)
+    for step in integrate.dp45_steps(f, y0, tol, active=active):
+        yield step
+        active[step.cols[step.t0 + step.h >= T]] = False
+
+
 def _history(steps, m):
     """Per column: list of (t0, h, y1) of its accepted steps."""
     out = [[] for _ in range(m)]
@@ -44,7 +52,7 @@ def _entries(steps, m):
 
 def test_batch_rhs_count_and_columns_match_single_runs():
     rhs, calls = _counted(_pendulum)
-    steps = list(integrate.dp45_steps(rhs, Y0, 1e-9, 12.0))
+    steps = list(_until(rhs, Y0, 1e-9, 12.0))
     attempts, extra = divmod(len(calls) - 2, 6)
     assert extra == 0
     assert attempts >= len(steps) > 0
@@ -53,7 +61,7 @@ def test_batch_rhs_count_and_columns_match_single_runs():
     batch = _history(steps, Y0.shape[1])
     for j in range(Y0.shape[1]):
         single_rhs, single_calls = _counted(_pendulum)
-        single = list(integrate.dp45_steps(single_rhs, Y0[:, j : j + 1], 1e-9, 12.0))
+        single = list(_until(single_rhs, Y0[:, j : j + 1], 1e-9, 12.0))
         assert (len(single_calls) - 2) % 6 == 0
         ref = _history(single, 1)[0]
         # A column's arithmetic does not depend on the rest of the batch.
@@ -61,7 +69,8 @@ def test_batch_rhs_count_and_columns_match_single_runs():
         for (t0, h, y1), (t0r, hr, y1r) in zip(batch[j], ref):
             assert (t0, h) == (t0r, hr)
             np.testing.assert_array_equal(y1, y1r)
-        assert batch[j][-1][0] + batch[j][-1][1] == pytest.approx(12.0, abs=1e-12)
+        ends = [t0 + h for t0, h, _ in batch[j][-2:]]
+        assert ends[0] < 12.0 <= ends[1]
 
 
 def test_rejected_attempts_are_counted():
@@ -73,16 +82,16 @@ def test_rejected_attempts_are_counted():
 
     rhs, calls = _counted(oscillator)
     slow = np.array([[0.0], [1e-3]])
-    steps = list(integrate.dp45_steps(rhs, slow, 1e-12, 1.0))
+    steps = list(_until(rhs, slow, 1e-12, 1.0))
     attempts, extra = divmod(len(calls) - 2, 6)
     assert extra == 0
     assert attempts > len(steps)
     y0 = np.array([[1.0, 0.0], [0.0, 1e-3]])
-    batch = list(integrate.dp45_steps(oscillator, y0, 1e-12, 1.0))
+    batch = list(_until(oscillator, y0, 1e-12, 1.0))
     # Attempts where only one column is accepted take the selecting path.
     assert any(len(step.cols) == 1 for step in batch)
     for j in range(2):
-        ref = _entries(integrate.dp45_steps(oscillator, y0[:, j : j + 1], 1e-12, 1.0), 1)[0]
+        ref = _entries(_until(oscillator, y0[:, j : j + 1], 1e-12, 1.0), 1)[0]
         got = _entries(batch, 2)[j]
         assert len(got) == len(ref)
         for a, b in zip(got, ref):
@@ -94,10 +103,13 @@ def test_active_mask_stops_a_column():
     rhs, calls = _counted(_pendulum)
     active = np.ones(Y0.shape[1], dtype=bool)
     seen = []
-    for step in integrate.dp45_steps(rhs, Y0, 1e-9, 12.0, active=active):
+    for step in integrate.dp45_steps(rhs, Y0, 1e-9, active=active):
         seen.append(set(step.cols.tolist()))
         if len(seen) == 5:
             active[1] = False
+        if len(seen) == 40:
+            active[:] = False
+    assert len(seen) == 40  # the stepper returns once every column is stopped
     assert all(1 in cols for cols in seen[:5])
     assert all(1 not in cols for cols in seen[5:])
     assert (len(calls) - 2) % 6 == 0
@@ -105,7 +117,7 @@ def test_active_mask_stops_a_column():
 
 
 def test_resample_matches_dense_step_output():
-    steps = list(integrate.dp45_steps(_pendulum, Y0[:, :1], 1e-9, 6.0))
+    steps = list(_until(_pendulum, Y0[:, :1], 1e-9, 6.0))
     t0 = np.array([s.t0[0] for s in steps])
     h = np.array([s.h[0] for s in steps])
     y0 = np.array([s.y0[:, 0] for s in steps])
@@ -129,11 +141,9 @@ def _stage_order_sum(weights, k):
     return acc
 
 
-def _first_attempt(f, y, tol, t_max):
+def _first_attempt(f, y, tol):
     """Accept mask, h, y1 and dense coefficients of the stepper's first attempt."""
-    t = np.zeros(y.shape[1])
     h = integrate._initial_step(f, y)
-    h = np.where(t + h > t_max, t_max - t, h)
     k = [f(y)]
     for a in integrate._A[1:]:
         k.append(f(y + h * _stage_order_sum(a, k)))
@@ -158,9 +168,9 @@ def test_attempt_equals_stage_order_sums(m):
     def rhs(y):
         return np.array([y[1], -rate * np.sin(y[0]), y[1] * y[1]])
 
-    ok, h, y1, q = _first_attempt(rhs, y0, 1e-9, 10.0)
+    ok, h, y1, q = _first_attempt(rhs, y0, 1e-9)
     assert ok.any() and (m == 1 or not ok.all())
-    step = next(integrate.dp45_steps(rhs, y0, 1e-9, 10.0))
+    step = next(integrate.dp45_steps(rhs, y0, 1e-9, active=np.ones(m, dtype=bool)))
     assert step.attempt == 0
     np.testing.assert_array_equal(step.cols, np.flatnonzero(ok))
     for got, ref in [(step.h, h[ok]), (step.y1, y1[:, ok]), (step.q, q[:, :, ok])]:

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from datetime import timedelta
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ebk
-from ebk import errors, integrate, pipeline, portrait
+from ebk import errors, integrate, oracle, pipeline, portrait, solver
 from ebk.config import STAGES, parse_config
 
 from oracles import scan_arcs_py
@@ -271,10 +272,10 @@ def test_run_critical_seed_exit_3(tmp_path, monkeypatch):
 _EXIT_3 = {
     "HypothesisError", "RegularityViolation", "NonConstantTopology",
     "NonCompactWindow", "PreimageNotEnclosed", "NotDiffeomorphism",
-    "DomainTooSmall", "EmptyLevelSet", "NotClosedOrbit", "TraceDiverged",
-    "CriticalSeed", "DegenerateCaustic",
+    "DomainTooSmall", "EmptyLevelSet", "TraceDiverged", "CriticalSeed",
+    "DegenerateCaustic",
 }
-_EXIT_2 = {"ConfigError", "GridTooLarge"}
+_EXIT_2 = {"ConfigError", "GridTooLarge", "TooManyLevels"}
 _ERROR_CLASSES = sorted(
     (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.EbkError)),
     key=lambda c: c.__name__,
@@ -301,9 +302,9 @@ def test_run_exit_code_of_each_error(tmp_path, monkeypatch, exc_type):
 @pytest.mark.parametrize(
     "trace_error, oracle_error, expected",
     [
-        (errors.NotClosedOrbit, errors.GridTooLarge, 2),
+        (errors.TraceDiverged, errors.GridTooLarge, 2),
         (errors.ConfigError, errors.TraceDiverged, 2),
-        (errors.NotClosedOrbit, ValueError, 3),
+        (errors.TraceDiverged, ValueError, 3),
         (errors.BisectionFailed, RuntimeError, 4),
     ],
 )
@@ -314,6 +315,39 @@ def test_run_exit_code_of_two_failures(tmp_path, monkeypatch, trace_error, oracl
     manifest, code = pipeline.run(_config(tmp_path / "out", ["trace", "oracle"]))
     assert [manifest["stages"][s]["status"] for s in ("trace", "oracle")] == ["failed"] * 2
     assert code == expected
+
+
+def test_run_refuses_a_family_over_the_level_cap(tmp_path, monkeypatch, deadline):
+    # The harmonic window [0.2, 0.8] holds the 6 levels 0.1 (n + 1/2),
+    # n = 2..7, at hbar = 0.1: a cap of 6 passes them, a cap of 5 refuses
+    # them before the spectrum stage sizes a list.
+    deadline(5)
+    stages = ["trace", "actions", "spectrum", "doublets"]
+    monkeypatch.setattr(solver, "_MAX_LEVELS", 6)
+    assert pipeline.run(_config(tmp_path / "six", stages))[1] == 0
+    monkeypatch.setattr(solver, "_MAX_LEVELS", 5)
+    manifest, code = pipeline.run(_config(tmp_path / "five", stages))
+    assert code == 2
+    assert manifest["stages"]["spectrum"]["note"] == (
+        "TooManyLevels: family 1 has 6 window levels at hbar=0.1, over the 5 cap"
+    )
+
+
+def test_oracle_refuses_a_basis_over_the_cap_before_bisecting(tmp_path, monkeypatch, deadline):
+    # dw_pipeline at hbar = 0.1: the finest grid and the window levels are
+    # counted first, and a basis over the cap is refused before any bisection.
+    deadline(5)
+    bisections = []
+    monkeypatch.setattr(oracle, "eigenvalues_in", lambda *args, **kwargs: bisections.append(1))
+    monkeypatch.setattr(oracle, "_MAX_BASIS", 1000)
+    manifest, code = pipeline.run(_dw_config(tmp_path, ["oracle"]))
+    assert code == 2 and not bisections
+    note = manifest["stages"]["oracle"]["note"]
+    pattern = r"TooManyLevels: (\d+) window levels on the (\d+)-point grid, (\d+) basis entries"
+    m, n, entries = map(int, re.match(pattern, note).groups())
+    assert note.endswith(", over the 1000 cap")
+    _, N = oracle.domain_auto(ebk.double_well_potential(1.0), ebk.EnergyWindow(0.1, 0.6, 0.05), 0.1)
+    assert n == 4 * N - 3 and m * n == entries > 1000 and m >= 2
 
 
 def test_run_manifest_reports_table_health(tmp_path, capsys):
@@ -475,6 +509,30 @@ def test_run_branches_monotone_for_a_level_on_e1(tmp_path, name, params, e1, hba
     assert first["n"] == "2" and float(first["hbar_exit"]) * (1 + 1e-9) > hbars[0]
 
 
+def test_run_slow_oscillator_has_no_flow_time_budget(tmp_path, deadline):
+    # The harmonic oscillator in time units 1e4 times slower, a = b = 1e-4:
+    # its period is 2 pi 1e4, and it is traced in as many stepper attempts
+    # as at a = b = 1, since a trace is bounded by attempts, not flow time.
+    deadline(20)
+    config = parse_config(
+        {
+            "symbol": {"name": "anisotropic_harmonic", "params": {"a": 1e-4, "b": 1e-4}},
+            "window": {"e1": 1.0, "e2": 2.0, "margin": 0.05},
+            "hbars": [1000, 500],
+            "pipeline": ["trace", "actions", "spectrum", "branches", "doublets"],
+            "output_dir": str(tmp_path),
+        }
+    )
+    manifest, code = pipeline.run(config)
+    assert code == 0
+    with open(tmp_path / "spectrum.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 30
+    for row in rows:
+        exact = float(row["hbar"]) * 1e-4 * (int(row["n"]) + 0.5)
+        assert abs(float(row["E"]) - exact) <= 1e-12
+
+
 # Catalog entries of the sweep below, each with omega where its spectrum is
 # exactly hbar omega (n + 1/2), else None; every minimum is 0 except the
 # tilted polynomial's, read from the symbol.
@@ -511,11 +569,21 @@ def _sweep_configs(draw, kind):
         e1 = omega * hbars[0] * (draw(st.integers(0, 3)) + 0.5)
         e2 = e1 + draw(st.floats(0.2, 0.8))
     stages = [s for s in STAGES if spec.potential is not None or s not in ("oracle", "compare", "weyl")]
+    # The defaults first; the last trace_tol is under the floor parse_config
+    # refuses, and an oracle_tol of 0.3 fails the oracle (exit 4).
+    min_tol = portrait.MIN_TRACE_TOL
+    trace_tol = draw(st.sampled_from([1e-10, 1e-6, 1e-4, 1.05 * min_tol, 0.9 * min_tol]))
+    tolerances = {
+        "trace_tol": trace_tol,
+        "oracle_tol": draw(st.sampled_from([3e-4, 3e-3, 3e-5, 0.3])),
+        "action_samples": draw(st.sampled_from([9, 10, 17])),
+    }
     return name, {
         "symbol": {"name": name, "params": params},
         "window": {"e1": e1, "e2": e2, "margin": margin},
         "hbars": hbars,
         "pipeline": stages,
+        "tolerances": tolerances,
     }
 
 
@@ -523,8 +591,8 @@ def _sweep_configs(draw, kind):
 @settings(derandomize=True, deadline=timedelta(seconds=5), max_examples=20)
 @given(data=st.data())
 def test_run_sweep_ends_in_a_typed_exit(tmp_path_factory, kind, data):
-    # Windows below a minimum, across one and with an exact level on e1,
-    # through parse_config and pipeline.run: each run exits 0 or with a
+    # Windows below a minimum, across one and with an exact level on e1, at
+    # drawn tolerances, through parse_config and pipeline.run: each run exits 0 or with a
     # typed 2, 3 or 4, each failed stage's note names an EbkError, and the
     # exact harmonic spectra never read as non-monotone branches.
     name, raw = data.draw(_sweep_configs(kind))
@@ -618,7 +686,8 @@ def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
     # The dw_pipeline benchmark config: per hbar, dstebz bisects only the
     # coarsest grid, to _SHIFT_TOL, and dstein runs once there, at the 4 and
     # 8 levels of the two hbar; each finer grid gets one dgtsv solve per
-    # level and no bisection, only its Sturm counts.
+    # level and no bisection, only its Sturm counts, which come before the
+    # coarsest grid's, so a basis over its cap is refused before bisecting.
     stebz, stein, gtsv = [], [], []
     dstebz, dstein, dgtsv = ebk.oracle.dstebz, ebk.oracle.dstein, ebk.oracle.dgtsv
 
@@ -645,7 +714,7 @@ def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
     bisections = [(n, tol) for n, tol in stebz if math.isfinite(tol)]
     assert bisections == [(n, ebk.oracle._SHIFT_TOL) for n in coarse]
     counts = [n for n, tol in stebz if not math.isfinite(tol)]
-    assert counts == [n for grids in zip(coarse, middle, fine) for n in grids for _ in (0, 1)]
+    assert counts == [n for grids in zip(middle, fine, coarse) for n in grids for _ in (0, 1)]
 
 
 def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):

@@ -9,7 +9,6 @@ from ebk.errors import (
     CriticalSeed,
     EmptyLevelSet,
     NonConstantTopology,
-    NotClosedOrbit,
     PreimageNotEnclosed,
     TraceDiverged,
 )
@@ -150,12 +149,6 @@ def test_trace_attempt_budget(harmonic, monkeypatch):
 def test_trace_rejects_critical_seed(harmonic):
     with pytest.raises(CriticalSeed):
         _trace_one(harmonic, (0.0, 0.0), 0.0)
-
-
-def test_trace_time_budget(harmonic, monkeypatch):
-    monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 1.0)
-    with pytest.raises(NotClosedOrbit):
-        _trace_one(harmonic, (1.0, 0.0), 0.5)
 
 
 def test_library_trace_tol_under_rounding_floor(harmonic, deadline):
@@ -309,12 +302,12 @@ def test_batched_trace_matches_single_traces(double_well, dw_families):
 
 
 def test_batched_trace_bad_column_raises(quartic, monkeypatch):
-    # Quartic periods shrink with energy: at E = 16 the orbit closes in half
-    # the time of the E = 1 orbit, so a budget in between fails only column 0.
-    slow, fast = ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0])
-    assert fast.period < slow.period
-    monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 0.5 * (fast.period + slow.period))
-    with pytest.raises(NotClosedOrbit):
+    # Each lone seed is traced as one whole-orbit arc: 848 stepper attempts
+    # at E = 1 and 978 at E = 16, so a budget in between fails only column 1.
+    low, high = ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0])
+    assert (low.attempts, high.attempts) == (848, 978)
+    monkeypatch.setattr(portrait, "_MAX_ATTEMPTS", 900)
+    with pytest.raises(TraceDiverged, match=r"^arc from seed \(2, 0\) not landed after 900 "):
         ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0])
     # A near-critical seed anywhere in the batch is refused.
     with pytest.raises(CriticalSeed, match="seed gradient"):
@@ -551,16 +544,6 @@ def test_arcs_land_at_small_gradient(harmonic, deadline):
     for comp in family.components:
         assert comp.arcs > 1
         assert comp.action == pytest.approx(2 * math.pi * comp.energy, abs=1e-11)
-
-
-def test_max_time_bounds_the_orbit_not_each_arc(harmonic, monkeypatch):
-    seeds = _arc_seeds(_trace_one(harmonic, (1.0, 0.0), 0.5))
-    # Every arc lasts 2 pi / 8 < 1, the orbit 2 pi.
-    monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 1.0)
-    with pytest.raises(NotClosedOrbit):
-        _trace_one(harmonic, seeds, 0.5)
-    monkeypatch.setattr(portrait, "DEFAULT_MAX_TIME", 7.0)
-    assert _trace_one(harmonic, seeds, 0.5).period == pytest.approx(2 * math.pi, abs=1e-12)
 
 
 def test_double_well_scan_attempts_ceiling(double_well, monkeypatch):
