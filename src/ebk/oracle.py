@@ -37,12 +37,16 @@ stays the pipeline's reference.
 The basis oracle (solve_basis) is what convergence_study uses: it only
 needs the window levels, and gets them far more accurately and quickly.
 It is Rayleigh-Ritz in the first N harmonic-oscillator states centred on
-the window's sublevel interval, with V in the X-matrix discrete variable
-representation (Light, Hamilton and Lill, J. Chem. Phys. 82 (1985) 1400),
-checked by solving again with 2N states; the basis doubles until that
-check passes, so the check alone sizes it. The DVR nodes and vectors come
-from LAPACK's divide-and-conquer tridiagonal eigensolver, dstevd, on the
-truncated position matrix. All four LAPACK routines are bound in _lapack.
+the window's sublevel interval, checked by solving again with 2N states;
+the basis doubles until that check passes, so the check alone sizes it.
+For a polynomial V the matrix is exact and banded: V of the tridiagonal
+position matrix by Horner's rule, plus the pentadiagonal kinetic term,
+solved by LAPACK's symmetric band eigensolver, dsbev, in two parity blocks
+when V is even. Any other V (Morse) is taken in the X-matrix discrete
+variable representation (Light, Hamilton and Lill, J. Chem. Phys. 82
+(1985) 1400), whose nodes and vectors come from LAPACK's
+divide-and-conquer tridiagonal eigensolver, dstevd, on the truncated
+position matrix. All five LAPACK routines are bound in _lapack.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import dgtsv, dstebz, dstein, dstevd
+from ._lapack import dgtsv, dsbev, dstebz, dstein, dstevd
 from .errors import (
     BasisNotConverged,
     BisectionFailed,
@@ -78,8 +82,9 @@ _NODE_RESOLUTION = 1e-8
 # solve_basis: N starts at _BASIS_SAFETY times the states in the phase-space
 # box of the window top; _BASIS_TOL is the largest level change from N to 2N
 # states it accepts, and N doubles until the change is that small, as long
-# as 2N stays within _BASIS_MAX (a 32 MiB matrix); the DVR has 2N +
-# _DVR_EXTRA_NODES nodes; V - min V is capped at _V_CEILING (top - min V).
+# as 2N stays within _BASIS_MAX (a 32 MiB dense DVR matrix); the DVR of a
+# non-polynomial V has 2N + _DVR_EXTRA_NODES nodes, and V - min V is capped
+# there at _V_CEILING (top - min V).
 _BASIS_SAFETY = 3.0
 _BASIS_TOL = 1e-10
 _BASIS_MAX = 2048
@@ -535,6 +540,52 @@ class BasisRun:
         return max(10.0 * DEFAULT_BISECT_TOL, self.basis_residual)
 
 
+def _polynomial_band(terms, x0: float, s: float, q: int, width: int) -> np.ndarray:
+    """V(x0 + s X) on the first q oscillator states, by Horner's rule, as diagonals.
+
+    X = (a + a^+)/sqrt(2) is the tridiagonal position matrix and terms are
+    V's ascending coefficients. Row j of the returned (width + 1, q) array
+    holds subdiagonal j, entry i being the matrix element (i + j, i); width
+    is at least the degree. Each Horner step R -> R Y + c, with Y = x0 +
+    s X, updates every diagonal at once; R Y is symmetric since R is a
+    polynomial in Y. The entries of the q-state truncation are exact where
+    no path of the product leaves the q states: for rows and columns below
+    q - deg / 2.
+    """
+    e = s * np.sqrt(0.5 * np.arange(1, q))
+    R = np.zeros((width + 1, q))
+    R[0] = terms[-1]
+    for c in terms[-2::-1]:
+        # (R Y)[i + j, i] = R[i + j, i - 1] e[i - 1] + R[i + j, i] x0 + R[i + j, i + 1] e[i],
+        # the last term from subdiagonal j - 1, or for j = 0 from R[i + 1, i].
+        RY = x0 * R
+        RY[:-1, 1:] += R[1:, :-1] * e
+        RY[1:, :-1] += R[:-1, 1:] * e
+        RY[0, :-1] += R[1, :-1] * e
+        if c:
+            RY[0] += c
+        R = RY
+    return R
+
+
+def _band_levels(diagonals, m: int) -> np.ndarray:
+    """Ascending eigenvalues of the symmetric m x m band whose subdiagonal j starts diagonals[j].
+
+    LAPACK's dsbev gets the matrix with its index order reversed, in lower
+    band storage, so its reduction to tridiagonal form starts at the end of
+    large V (on the sextic at hbar = 0.2 with 512 states the natural order
+    left the levels 1.9e-12 off the Sturm oracle's, the reversed one
+    1.8e-13). Raises BasisNotConverged if dsbev reports an error.
+    """
+    ab = np.zeros((min(len(diagonals), m), m))
+    for j, row in enumerate(ab):
+        row[: m - j] = diagonals[j][m - j - 1 :: -1]
+    w, _, info = dsbev(ab, compute_v=0, lower=1)
+    if info != 0:
+        raise BasisNotConverged(f"dsbev failed on the {m}-state band matrix (info = {info})")
+    return w
+
+
 def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> BasisRun:
     """Window eigenvalues by Rayleigh-Ritz in a harmonic-oscillator basis.
 
@@ -542,16 +593,22 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     window top e2 + margin, with frequency omega = xi_max / half-width so
     its ellipses have the aspect of that level set's box. N starts at
     _BASIS_SAFETY times the box area over 2 pi hbar.
-    xi^2/2 is pentadiagonal in closed form; V is the X-matrix DVR, with
-    the Q = 2N + _DVR_EXTRA_NODES nodes y and vectors U of the truncated
+    xi^2/2 is pentadiagonal in closed form. A polynomial V of degree d is
+    exact and banded: _polynomial_band builds V(x_c + sqrt(hbar/omega) X) on
+    size + d states by Horner's rule and keeps the leading size x size
+    block, of half-bandwidth max(d, 2), and dsbev solves it (_band_levels).
+    For an even V, x_c is 0 and states of even and odd index do not couple,
+    so the even-index and odd-index blocks are solved apart and their
+    levels merged. Any other V is the X-matrix DVR, with the
+    Q = 2N + _DVR_EXTRA_NODES nodes y and vectors U of the truncated
     position matrix (one dstevd call per matrix size) giving
     V_mn = sum_q U_mq V(x_c + y_q) U_nq, the Gauss-Hermite quadrature of
-    the matrix elements. V is capped at
-    _V_CEILING times the window's height above the minimum: only
-    nodes deep in the forbidden region reach the cap, where window states
-    are negligible, and the cap keeps the matrix norm, hence the rounding
-    of the eigensolve, small (a Morse wall otherwise reaches 1e9 at the
-    outer nodes). The 2N-state matrix and its leading
+    the matrix elements, and the dense matrix is solved by eigvalsh. V is
+    capped there at _V_CEILING times the window's height above the minimum:
+    only nodes deep in the forbidden region reach the cap, where window
+    states are negligible, and the cap keeps the matrix norm, hence the
+    rounding of the eigensolve, small (a Morse wall otherwise reaches 1e9
+    at the outer nodes). The 2N-state matrix and its leading
     N x N block are solved; Ritz values bound the true ones from above, so a
     level's global index is its rank. basis_residual is the largest change
     from N to 2N states over every level up to the first one above the
@@ -561,7 +618,7 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     result holds the finer level's eigenvalues in [e1, e2], basis_sizes the
     last pair of sizes; when the next finer size would exceed _BASIS_MAX,
     a change still over _BASIS_TOL raises BasisNotConverged naming that
-    pair. The first N to 2N solve always runs.
+    pair, as does a LAPACK failure. The first N to 2N solve always runs.
     """
     top = window.e2 + window.margin
     xlo, xhi = potential.sublevel_interval(top)
@@ -570,25 +627,57 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
     ximax = math.sqrt(2.0 * (top - vmin))
     omega = ximax / half
     n = math.ceil(_BASIS_SAFETY * 4.0 * half * ximax / (2.0 * math.pi * hbar))
+    terms = potential.terms
+    even = terms is not None and potential.even
+    x_c = 0.0 if even else 0.5 * (xlo + xhi)
 
-    def hamiltonian(size):
-        q = size + _DVR_EXTRA_NODES
-        nodes, U, info = dstevd(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
-        if info != 0:
-            raise BasisNotConverged(
-                f"dstevd failed on the {q}-node DVR position matrix (info = {info})"
-            )
-        v = potential.value(0.5 * (xlo + xhi) + math.sqrt(hbar / omega) * nodes) - vmin
-        # The rows of U are orthonormal, so V = vmin + W W^T with W = U sqrt(V - vmin).
-        W = U[:size] * np.sqrt(np.clip(v, 0.0, _V_CEILING * (top - vmin)))
-        H = W @ W.T
-        # xi^2/2 = (hbar omega / 2) p^2, with p^2 = a^+ a + 1/2 - (a^2 + a^+^2)/2.
+    def kinetic(size):
+        # xi^2/2 = (hbar omega / 2) p^2, with p^2 = a^+ a + 1/2 - (a^2 + a^+^2)/2:
+        # its diagonal and its second subdiagonal.
         k = np.arange(size)
-        H[k, k] += vmin + 0.5 * hbar * omega * (k + 0.5)
-        band = -0.25 * hbar * omega * np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0))
-        H[k[:-2], k[2:]] += band
-        H[k[2:], k[:-2]] += band
-        return H
+        diag = 0.5 * hbar * omega * (k + 0.5)
+        return diag, -0.25 * hbar * omega * np.sqrt((k[:-2] + 1.0) * (k[:-2] + 2.0))
+
+    if terms is None:
+
+        def hamiltonian(size):
+            q = size + _DVR_EXTRA_NODES
+            nodes, U, info = dstevd(np.zeros(q), np.sqrt(0.5 * np.arange(1, q)))
+            if info != 0:
+                raise BasisNotConverged(
+                    f"dstevd failed on the {q}-node DVR position matrix (info = {info})"
+                )
+            v = potential.value(x_c + math.sqrt(hbar / omega) * nodes) - vmin
+            # The rows of U are orthonormal, so V = vmin + W W^T with W = U sqrt(V - vmin).
+            W = U[:size] * np.sqrt(np.clip(v, 0.0, _V_CEILING * (top - vmin)))
+            H = W @ W.T
+            diag, band = kinetic(size)
+            k = np.arange(size)
+            H[k, k] += vmin + diag
+            H[k[:-2], k[2:]] += band
+            H[k[2:], k[:-2]] += band
+            return H
+
+        def levels(H, m):
+            return np.linalg.eigvalsh(H[:m, :m])
+
+    else:
+        degree = len(terms) - 1
+
+        def hamiltonian(size):
+            # Subdiagonal j in row j, as _polynomial_band returns it.
+            H = _polynomial_band(terms, x_c, math.sqrt(hbar / omega), size + degree, max(degree, 2))
+            H = H[:, :size]
+            diag, band = kinetic(size)
+            H[0] += diag
+            H[2, :-2] += band
+            return H
+
+        def levels(H, m):
+            if not even:
+                return _band_levels(H, m)
+            blocks = [_band_levels(H[::2, i::2], (m + 1 - i) // 2) for i in (0, 1) if i < m]
+            return np.sort(np.concatenate(blocks))
 
     def residual(coarse, fine):
         top_rank = int(np.searchsorted(fine, window.e2, side="right"))
@@ -597,11 +686,12 @@ def solve_basis(potential: PotentialSpec, window: EnergyWindow, hbar: float) -> 
         return float(np.max(np.abs(fine[: top_rank + 1] - coarse[: top_rank + 1])))
 
     H = hamiltonian(2 * n)
-    coarse, fine = np.linalg.eigvalsh(H[:n, :n]), np.linalg.eigvalsh(H)
+    coarse, fine = levels(H, n), levels(H, 2 * n)
     del H
     change = residual(coarse, fine)
     while not change <= _BASIS_TOL and 2 * len(fine) <= _BASIS_MAX:
-        coarse, fine = fine, np.linalg.eigvalsh(hamiltonian(2 * len(fine)))
+        size = 2 * len(fine)
+        coarse, fine = fine, levels(hamiltonian(size), size)
         change = residual(coarse, fine)
     if not change <= _BASIS_TOL:
         raise BasisNotConverged(

@@ -69,14 +69,23 @@ def _quantum_numbers(table: ActionTable, hbar: float, window: EnergyWindow) -> r
 
     Its start is the family's least n in the window, which is the number of
     the family's solutions below the window, also when the range is empty.
-    Raises TooManyLevels when it holds more than _MAX_LEVELS of them.
+    Raises TooManyLevels when it holds more than _MAX_LEVELS of them. A
+    float span of n of at least twice the cap, which holds more than the
+    cap's integers, is refused before n is rounded to an integer: at a
+    subnormal hbar the span is inf, which no integer holds, and near 1e-300
+    the count has 300 digits.
     """
     if hbar <= 0:
         raise ValueError("hbar must be positive")
     step = TWO_PI * hbar
     tol = _EDGE_SLACK * hbar
-    n_min = math.ceil((float(table.a0_at(window.e1)) - tol) / step - 0.5)
-    n_max = math.floor((float(table.a0_at(window.e2)) + tol) / step - 0.5)
+    a1, a2 = float(table.a0_at(window.e1)) - tol, float(table.a0_at(window.e2)) + tol
+    span = (a2 - a1) / step
+    if not span < 2 * _MAX_LEVELS:
+        levels = f"about {span:.3g} window levels at hbar={hbar:g}"
+        raise TooManyLevels(f"family {table.k} has {levels}, over the {_MAX_LEVELS} cap")
+    n_min = math.ceil(a1 / step - 0.5)
+    n_max = math.floor(a2 / step - 0.5)
     if n_max - n_min >= _MAX_LEVELS:
         levels = f"{n_max - n_min + 1} window levels at hbar={hbar:g}"
         raise TooManyLevels(f"family {table.k} has {levels}, over the {_MAX_LEVELS} cap")

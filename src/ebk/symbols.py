@@ -90,9 +90,12 @@ class PotentialSpec:
     Each subclass is one entry and defines value, derivative, tail_sup (the
     limits of V at -inf and +inf) and _sublevel (the sublevel interval of a
     confined level). The defaults are one critical point at 0 and minimum 0.
+    terms holds a polynomial V's ascending coefficients and is None for a
+    closed form.
     """
 
     __post_init__ = _check_params
+    terms = None
 
     def critical_points(self) -> tuple[float, ...]:
         """Every real x with V'(x) = 0, ascending."""
@@ -137,7 +140,7 @@ class _PolynomialPotential(PotentialSpec):
     Horner's rule, landmarks from the real roots of V' and V - c."""
 
     @cached_property
-    def _terms(self) -> tuple[float, ...]:
+    def terms(self) -> tuple[float, ...]:
         """The coefficients without trailing zeros (one term for a constant)."""
         c = list(self.coefficients)
         while len(c) > 1 and c[-1] == 0.0:
@@ -145,15 +148,24 @@ class _PolynomialPotential(PotentialSpec):
         return tuple(c)
 
     @cached_property
+    def even(self) -> bool:
+        """V(-x) = V(x) exactly: every odd coefficient is 0."""
+        return not any(self.terms[1::2])
+
+    @cached_property
     def _slope_terms(self) -> tuple[float, ...]:
-        return tuple(k * c for k, c in enumerate(self._terms))[1:] or (0.0,)
+        return tuple(k * c for k, c in enumerate(self.terms))[1:] or (0.0,)
+
+    @cached_property
+    def _sublevels(self) -> dict[float, tuple[float, float]]:
+        return {}
 
     @cached_property
     def _critical(self) -> tuple[float, ...]:
         return tuple(float(x) for x in _real_roots(self._slope_terms))
 
     def value(self, x):
-        return _horner(self._terms, x)
+        return _horner(self.terms, x)
 
     def derivative(self, x):
         return _horner(self._slope_terms, x)
@@ -169,15 +181,19 @@ class _PolynomialPotential(PotentialSpec):
         return float(np.min(self.value(np.array([*self._critical, 0.0]))))
 
     def tail_sup(self) -> tuple[float, float]:
-        terms = self._terms
+        terms = self.terms
         right = math.copysign(math.inf, terms[-1]) if len(terms) > 1 else terms[-1]
         return (right if len(terms) % 2 else -right), right
 
     def _sublevel(self, c):
-        roots = _real_roots(npoly.polysub(self._terms, [c]))
-        if roots.size == 0:
-            raise NonCompactWindow(f"{self.name} sublevel set at {c:g} is empty")
-        return float(roots[0]), float(roots[-1])
+        """The extreme real roots of V - c, solved once per level c."""
+        found = self._sublevels.get(c)
+        if found is None:
+            roots = _real_roots(npoly.polysub(self.terms, [c]))
+            if roots.size == 0:
+                raise NonCompactWindow(f"{self.name} sublevel set at {c:g} is empty")
+            found = self._sublevels[c] = (float(roots[0]), float(roots[-1]))
+        return found
 
 
 @dataclass(frozen=True)

@@ -429,6 +429,8 @@ _BASIS_CASES = {
     "double_well": (ebk.double_well_potential(1.0), (0.1, 0.6)),
     "morse": (ebk.morse_potential(1.0, 1.0), (0.1, 0.6)),
     "sextic": (ebk.polynomial_potential([0, 0, 3, 0, -3.5, 0, 1]), (0.1, 0.4)),
+    # uneven: the basis oracle solves its whole band, not two parity blocks
+    "tilted_quartic": (ebk.polynomial_potential([0, 0.3, 0.5, 0.2, 0.25]), (0.2, 1.0)),
 }
 
 
@@ -683,36 +685,44 @@ def test_basis_harmonic_levels_exact(hbar):
     assert run.floor_estimate == 10 * ebk.oracle.DEFAULT_BISECT_TOL
 
 
-def _counted_dstevd(monkeypatch):
-    """Record the node count of every DVR dstevd call solve_basis makes."""
+def test_basis_of_one_state():
+    # At hbar = 10 the harmonic window [0.2, 0.8] lies under the ground level
+    # 5 and N = 1, so the coarse basis has an even-index block and no odd one.
+    run = ebk.solve_basis(ebk.harmonic_potential(), ebk.EnergyWindow(0.2, 0.8, 0.05), 10.0)
+    assert run.basis_sizes == (1, 2) and run.result.indices.size == 0
+
+
+def _counted_band_solves(monkeypatch):
+    """Record the order of every dsbev band solve solve_basis makes."""
     calls = []
-    dstevd = ebk.oracle.dstevd
+    dsbev = ebk.oracle.dsbev
 
-    def counted(d, e):
-        calls.append(d.size)
-        return dstevd(d, e)
+    def counted(ab, **kwargs):
+        calls.append(ab.shape[1])
+        return dsbev(ab, **kwargs)
 
-    monkeypatch.setattr(ebk.oracle, "dstevd", counted)
+    monkeypatch.setattr(ebk.oracle, "dsbev", counted)
     return calls
 
 
 def test_basis_too_small_raises(monkeypatch):
     # The quartic at hbar = 0.05 with half the states of the phase-space rule
-    # per area starts at N = 32: 32 -> 64 states move its levels by 1e-2, and
+    # per area starts at N = 16: 32 -> 64 states move its levels by 1e-2, and
     # 64 -> 128 by 5e-14. With the cap one state short of 128 the doubling
-    # stops after the first pair and names it.
+    # stops after the second pair and names it. The quartic is even, so each
+    # size is solved as its even- and odd-index blocks.
     monkeypatch.setattr(ebk.oracle, "_BASIS_SAFETY", 0.5)
-    calls = _counted_dstevd(monkeypatch)
+    calls = _counted_band_solves(monkeypatch)
     window = ebk.EnergyWindow(0.5, 2.0, 0.05)
     monkeypatch.setattr(ebk.oracle, "_BASIS_MAX", 127)
     with pytest.raises(BasisNotConverged, match="from 32 to 64 oscillator states"):
         ebk.solve_basis(ebk.quartic_potential(), window, 0.05)
-    assert calls == [40, 72]
+    assert calls == [8, 8, 16, 16, 32, 32]
     monkeypatch.setattr(ebk.oracle, "_BASIS_MAX", 128)
     calls.clear()
     run = ebk.solve_basis(ebk.quartic_potential(), window, 0.05)
     assert run.basis_sizes == (64, 128) and run.basis_residual <= 1e-12
-    assert calls == [40, 72, 136]
+    assert calls == [8, 8, 16, 16, 32, 32, 64, 64]
 
 
 def test_basis_doubles_until_converged(monkeypatch):
@@ -720,9 +730,9 @@ def test_basis_doubles_until_converged(monkeypatch):
     # states leave its levels moving by ~2e-7, 244 -> 488 by ~2e-14.
     pot, (e1, e2) = _BASIS_CASES["sextic"]
     window = ebk.EnergyWindow(e1, e2, 0.05)
-    calls = _counted_dstevd(monkeypatch)
+    calls = _counted_band_solves(monkeypatch)
     run = ebk.solve_basis(pot, window, 0.025)
-    assert calls == [244 + 8, 488 + 8]
+    assert calls == [61, 61, 122, 122, 244, 244]
     assert run.basis_sizes == (244, 488)
     assert run.basis_residual <= 1e-12
     sturm = ebk.solve_window(pot, window, 0.025).result
@@ -736,7 +746,7 @@ def test_basis_doubles_until_converged(monkeypatch):
 def test_lapack_bindings_match_scipy_linalg():
     # ebk._lapack loads scipy.linalg._flapack without scipy.linalg. Its dstevd
     # must give the DVR nodes and vectors eigh_tridiagonal gives, bit for bit,
-    # and its dstebz and dstein must be scipy.linalg.lapack's routines.
+    # and its dstebz, dstein and dsbev must be scipy.linalg.lapack's routines.
     import scipy.linalg
     import scipy.linalg.lapack
 
@@ -761,13 +771,33 @@ def test_lapack_bindings_match_scipy_linalg():
     ref_z, ref_info = scipy.linalg.lapack.dstein(d, e, w, iblock, isplit)
     assert info == ref_info == 0 and np.array_equal(z, ref_z)
 
+    ab = rng.normal(size=(5, 60))
+    w, _, info = _lapack.dsbev(ab, compute_v=0, lower=1)
+    ref_w, _, ref_info = scipy.linalg.lapack.dsbev(ab, compute_v=0, lower=1)
+    assert info == ref_info == 0 and np.array_equal(w, ref_w)
 
-def test_basis_one_dvr_per_fine_size(monkeypatch):
-    # One dstevd call per matrix solve_basis builds: the quartic workload's
-    # basis doubles once at hbar = 0.2 (24 -> 48 states move its levels by
-    # 4e-7) and not at 0.1 or 0.05, so its three pairs take 56 + 104, 102
-    # and 194 DVR nodes.
-    calls = _counted_dstevd(monkeypatch)
+
+def test_basis_one_matrix_per_fine_size(monkeypatch):
+    # One band matrix per size solve_basis solves at the fine end: the
+    # quartic workload's basis doubles once at hbar = 0.2 (24 -> 48 states
+    # move its levels by 4e-7) and not at 0.1 or 0.05, so its three pairs
+    # build V on 48 + 4 and 96 + 4, 94 + 4 and 186 + 4 states. Each size is
+    # solved as its even- and odd-index blocks, and neither the DVR nor a
+    # dense eigensolver runs.
+    built = []
+    polynomial_band = ebk.oracle._polynomial_band
+
+    def counted(terms, x0, s, q, width):
+        built.append(q)
+        return polynomial_band(terms, x0, s, q, width)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("a polynomial V needs no DVR and no dense eigensolve")
+
+    monkeypatch.setattr(ebk.oracle, "_polynomial_band", counted)
+    monkeypatch.setattr(ebk.oracle, "dstevd", refused)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    calls = _counted_band_solves(monkeypatch)
     pot, window = ebk.quartic_potential(), ebk.EnergyWindow(0.5, 2.0, 0.05)
     sizes = []
     for hbar in (0.2, 0.1, 0.05):
@@ -775,13 +805,23 @@ def test_basis_one_dvr_per_fine_size(monkeypatch):
         assert run.basis_residual <= 1e-12
         sizes.append(run.basis_sizes)
     assert sizes == [(48, 96), (47, 94), (93, 186)]
-    assert calls == [56, 104, 102, 194]
+    assert built == [52, 100, 98, 190]
+    assert calls == [12, 12, 24, 24, 48, 48, 24, 23, 47, 47, 47, 46, 93, 93]
 
 
 def test_basis_dvr_lapack_failure(monkeypatch):
     monkeypatch.setattr(ebk.oracle, "dstevd", lambda d, e: (d, np.eye(d.size), 3))
     with pytest.raises(BasisNotConverged, match=r"dstevd failed .* \(info = 3\)"):
-        ebk.solve_basis(ebk.harmonic_potential(), ebk.EnergyWindow(0.2, 0.8, 0.05), 0.1)
+        ebk.solve_basis(ebk.morse_potential(1.0, 1.0), ebk.EnergyWindow(0.1, 0.6, 0.05), 0.1)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "tilted_quartic"])
+def test_basis_band_lapack_failure(monkeypatch, name):
+    # The even harmonic's first block and the tilted quartic's whole band.
+    pot, (e1, e2) = _BASIS_CASES[name]
+    monkeypatch.setattr(ebk.oracle, "dsbev", lambda ab, **kwargs: (ab[0], None, 3))
+    with pytest.raises(BasisNotConverged, match=r"dsbev failed on the \d+-state band .*\(info = 3\)"):
+        ebk.solve_basis(pot, ebk.EnergyWindow(e1, e2, 0.05), 0.1)
 
 
 def test_nodes_resolved_only_where_every_well_is_resolved():

@@ -333,6 +333,33 @@ def test_run_refuses_a_family_over_the_level_cap(tmp_path, monkeypatch, deadline
     )
 
 
+@pytest.mark.parametrize(
+    "hbar, count",
+    [(1e-320, "about inf"), (1e-300, "about 5.49e+299")],
+)
+def test_run_refuses_a_vanishing_hbar_by_the_level_cap(tmp_path, deadline, hbar, count):
+    # kerr on [0.2, 1.0]: at hbar = 1e-320 (subnormal) A0 / (2 pi hbar)
+    # overflows to inf, and at 1e-300 the count has 300 digits; both are
+    # refused by the float span of n, the count printed to 3 digits.
+    deadline(20)
+    config = parse_config(
+        {
+            "symbol": {"name": "kerr", "params": {"chi": 0.5}},
+            "window": {"e1": 0.2, "e2": 1.0, "margin": 0.05},
+            "hbars": [hbar],
+            "pipeline": ["trace", "actions", "spectrum"],
+            "seed": 1,
+            "output_dir": str(tmp_path / "out"),
+        }
+    )
+    manifest, code = pipeline.run(config)
+    assert code == 2
+    assert manifest["stages"]["spectrum"]["note"] == (
+        f"TooManyLevels: family 1 has {count} window levels at hbar={hbar:g}, "
+        "over the 100000 cap"
+    )
+
+
 def test_oracle_refuses_a_basis_over_the_cap_before_bisecting(tmp_path, monkeypatch, deadline):
     # dw_pipeline at hbar = 0.1: the finest grid and the window levels are
     # counted first, and a basis over the cap is refused before any bisection.

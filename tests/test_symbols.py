@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from numpy.polynomial import polynomial as npoly
 
 import ebk
-from ebk import portrait
+from ebk import portrait, symbols
 from ebk.errors import InvalidSymbol, NonCompactWindow, PreimageNotEnclosed
 from ebk.symbols import CATALOG, Box, PotentialSpec
 
@@ -413,6 +413,19 @@ class _ClosedFormDoubleWell(PotentialSpec):
     def _sublevel(self, c):
         r = math.sqrt(self.a * self.a + math.sqrt(c))
         return -r, r
+
+
+def test_polynomial_sublevel_solved_once_per_level(monkeypatch):
+    # The roots of V - c are solved on the first call at each level c; a
+    # repeat returns the same floats without a companion-matrix eigensolve.
+    pot = ebk.double_well_potential(1.0)
+    pot.min_value()  # caches the critical points, also found by _real_roots
+    solves = []
+    real_roots = symbols._real_roots
+    monkeypatch.setattr(symbols, "_real_roots", lambda c: solves.append(c) or real_roots(c))
+    first = pot.sublevel_interval(0.65)
+    assert pot.sublevel_interval(0.65) == first and len(solves) == 1
+    assert pot.sublevel_interval(0.05) != first and len(solves) == 2
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.7])
