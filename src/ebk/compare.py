@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BijectionFailure
+from .errors import BijectionFailure, InvalidSymbol
 from .oracle import EigenResult, solve_basis
 from .portrait import DEFAULT_ACTION_SAMPLES, build_families
 from .solver import TWO_PI, BsSpectrum, merged_spectrum
@@ -126,9 +126,17 @@ def convergence_study(
     measured change of the window levels from N to 2N basis states, but at
     least 1e-10. Entries whose error sits within a decade of that floor are
     flagged floor-limited; the fitted slope is only meaningful when no flag
-    is set. Raises BijectionFailure when a global index of the window is in
-    one spectrum only.
+    is set. Raises InvalidSymbol before any trace unless spec is the
+    Schrodinger symbol of a potential, which the basis oracle needs, and
+    BijectionFailure when a global index of the window is in one spectrum
+    only.
     """
+    if not isinstance(spec, SymbolSpec) or spec.potential is None:
+        what = f"the closed form {spec.name!r}" if isinstance(spec, SymbolSpec) else repr(spec)
+        raise InvalidSymbol(
+            f"convergence_study: spec must be a potential's Schrodinger symbol "
+            f"(schrodinger_symbol(V)) for the basis oracle, not {what}"
+        )
     hbars = [float(h) for h in hbars]
     if len(hbars) < 3:
         raise ValueError("need at least 3 hbar values")

@@ -32,7 +32,10 @@ complete and with their global indices, so the levels between two
 energies in the window are counted from that list (the Weyl checks). The
 grid carries what the rest of the pipeline needs besides eigenvalues:
 exact counts at any shift and eigenvectors on x (node counts), so it
-stays the pipeline's reference.
+stays the pipeline's reference. For an even V the grids are symmetric
+about 0 and every step runs on their even and their odd blocks, two
+ladders of half size whose levels have exact global indices and node
+counts (_parity_blocks), a doublet split below rounding included.
 
 The basis oracle (solve_basis) is what convergence_study uses: it only
 needs the window levels, and gets them far more accurately and quickly.
@@ -140,8 +143,11 @@ def discretize(
 ) -> TridiagonalOperator:
     """Assemble the 3-point operator on [-L, L] with N nodes.
 
-    When a window is supplied, V(+-L) must clear e2 + margin so truncation
-    cannot push window eigenvalues around (DomainTooSmall otherwise).
+    The nodes are x_i = -L + i h, or (i - m) h with m = (N - 1) / 2 for an
+    even V (PotentialSpec.even) on an odd N, which makes diag persymmetric
+    to the last bit (_parity_blocks). When a window is supplied, V(+-L)
+    must clear e2 + margin so truncation cannot push window eigenvalues
+    around (DomainTooSmall otherwise).
     """
     if N < 3:
         raise ValueError("need at least 3 grid points")
@@ -154,7 +160,10 @@ def discretize(
                 f"V(+-{L:g}) does not reach {need:g}; enlarge the domain"
             )
     h = 2.0 * L / (N - 1)
-    x = -L + h * np.arange(N)
+    if potential.even and N % 2:
+        x = h * (np.arange(N) - N // 2)  # x_i = -x_{N-1-i} to the last bit
+    else:
+        x = -L + h * np.arange(N)
     diag = hbar**2 / h**2 + np.asarray(potential.value(x), dtype=float)
     offdiag = np.full(N - 1, -(hbar**2) / (2.0 * h**2))
     return TridiagonalOperator(diag=diag, offdiag=offdiag, L=L, n=N, h=h, hbar=hbar)
@@ -174,9 +183,11 @@ def domain_auto(
     with a finite plateau the wall target is capped below the plateau (decay
     under the barrier replaces the wall, which the L-doubling stability
     check validates). N keeps the local stencil phase error
-    (xi_max*h/hbar)^2/12 below phase_tol. Raises NonCompactWindow when the
-    window top is unconfined or not above the minimum, ConfigError when N is
-    under the stencil's 3 points, and GridTooLarge when the finest of
+    (xi_max*h/hbar)^2/12 below phase_tol; for an even V it is odd, so that
+    the grids of solve_window are symmetric about 0. Raises
+    NonCompactWindow when the window top is unconfined or not above the
+    minimum, ConfigError when N is under the stencil's 3 points, and
+    GridTooLarge when the finest of
     solve_window's three grids, 4N - 3 points, exceeds the cap or N is not
     finite. phase_tol is that bound on the coarsest grid; the default
     3e-4 leaves the Romberg levels of solve_window within about 1e-12 of
@@ -200,6 +211,7 @@ def domain_auto(
     N = int(math.ceil(cells)) + 1
     if N < 3:
         raise ConfigError(f"grid of {N} points is under the 3-point stencil; tighten phase_tol")
+    N += potential.even and N % 2 == 0  # an even V's grids are symmetric about 0
     if 4 * N - 3 > _MAX_GRID:
         raise GridTooLarge(
             f"grid of {4 * N - 3} points exceeds the {_MAX_GRID} cap; relax phase_tol"
@@ -304,10 +316,9 @@ def nodes_resolved(v: np.ndarray, T: TridiagonalOperator, energy: float) -> bool
     the fine grids, so node_count is only meaningful for a resolved v.
     """
     allowed = T.potential_values() < energy
-    edges = np.flatnonzero(np.diff(allowed)) + 1
-    floor = _NODE_RESOLUTION * max(v.max(), -v.min())
-    segments = zip(np.split(v, edges), allowed[np.r_[0, edges]])
-    return all(max(seg.max(), -seg.min()) >= floor for seg, inside in segments if inside)
+    starts = np.r_[0, np.flatnonzero(np.diff(allowed)) + 1]
+    peaks = np.maximum.reduceat(np.abs(v), starts)  # of each run of allowed or forbidden points
+    return bool(np.all(peaks[allowed[starts]] >= _NODE_RESOLUTION * peaks.max()))
 
 
 def _ritz_pairs(T: TridiagonalOperator, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -377,8 +388,10 @@ class OracleRun:
     coarsest grid's Ritz vectors; grid_sizes are the three nested grids;
     floor_estimate is the largest change of a level from the finer
     Richardson value to the Romberg one, at least 10 * DEFAULT_BISECT_TOL;
-    ritz_residual is the largest of the three bounds rho that certified the
-    three grids' levels.
+    ritz_residual is the largest of the bounds rho that certified the
+    grids' levels. parities is None when the whole grids were solved, and
+    for an even V, solved in parity blocks, it holds the parity (-1)^index
+    of each level's eigenvector, +1 even and -1 odd.
     """
 
     result: EigenResult
@@ -388,6 +401,74 @@ class OracleRun:
     grid_sizes: tuple[int, int, int]
     floor_estimate: float
     ritz_residual: float
+    parities: tuple[int, ...] | None = None
+
+
+def _parity_blocks(T: TridiagonalOperator) -> tuple[TridiagonalOperator, TridiagonalOperator]:
+    """The even and odd blocks of T on 2m + 1 nodes with a persymmetric diag.
+
+    T commutes with the reflection v_i -> v_{2m-i}. In the orthonormal
+    coordinates u_0 = v_m, u_k = sqrt(2) v_{m+k} of its even vectors, and
+    u_k = sqrt(2) v_{m+1+k} of its odd ones (v_m = 0), it is the direct sum
+    of the even block, diag[m:] with its first off-diagonal entry times
+    sqrt(2), and the odd block, diag[m+1:]. The grid norm h |u|^2 is that of
+    v, so each block is solved as a grid of step h. By Sturm oscillation
+    eigenvector n of a Jacobi matrix has n sign changes and parity (-1)^n:
+    level k of the even block is T's level 2k, of the odd block 2k + 1.
+    """
+    m = T.n // 2
+    first = T.offdiag[m:].copy()
+    first[0] *= math.sqrt(2.0)
+    even = TridiagonalOperator(T.diag[m:], first, T.L, m + 1, T.h, T.hbar)
+    odd = TridiagonalOperator(T.diag[m + 1 :], T.offdiag[m + 1 :], T.L, m, T.h, T.hbar)
+    return even, odd
+
+
+def _index(k, parity):
+    """Global index of level k of a ladder: the whole grids' (parity None) or a block's."""
+    return k if parity is None else 2 * k + (parity < 0)
+
+
+def _grid_name(T: TridiagonalOperator, parity) -> str:
+    if parity is None:
+        return f"{T.n}-point grid"
+    kind, full = ("even", 2 * T.n - 1) if parity > 0 else ("odd", 2 * T.n + 1)
+    return f"{kind} block of the {full}-point grid"
+
+
+def _prolong(Zc: np.ndarray, parity) -> np.ndarray:
+    """The columns Zc of a grid, or a block, on the one that halves its step.
+
+    The finer grid's even nodes are the grid's nodes and its midpoints take
+    the mean of their neighbours; in a block's coordinates (_parity_blocks)
+    that is the same but for the first fine node: (sqrt(2) u_0 + u_1) / 2 in
+    the even block, and u_0 / 2, midway to the zero at the centre, in the
+    odd block, whose coarse nodes are the fine block's odd nodes. The
+    result is Fortran-ordered, as _inverse_step needs.
+    """
+    n, m = Zc.shape
+    odd = parity is not None and parity < 0
+    Z = np.empty((2 * n if odd else 2 * n - 1, m), order="F")
+    Z[odd::2] = Zc
+    mid = Z[1 + odd :: 2]
+    np.add(Zc[:-1], Zc[1:], out=mid)
+    mid *= 0.5
+    if odd:
+        Z[0] = 0.5 * Zc[0]
+    elif parity is not None:
+        Z[1] = 0.5 * (math.sqrt(2.0) * Zc[0] + Zc[1])
+    return Z
+
+
+def _unfold(z: np.ndarray, parity) -> np.ndarray:
+    """A block's vector z as the whole grid's (_parity_blocks); a grid's as it is."""
+    if parity is None:
+        return z
+    if parity > 0:
+        side = z[1:] / math.sqrt(2.0)
+        return np.concatenate([side[::-1], z[:1], side])
+    side = z / math.sqrt(2.0)
+    return np.concatenate([-side[::-1], [0.0], side])
 
 
 def _refine(
@@ -397,13 +478,13 @@ def _refine(
     T: TridiagonalOperator,
     lo: float,
     hi: float,
+    parity=None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Ritz pairs of T, the grid that halves Tc's step, from Tc's Ritz pairs.
+    """Ritz pairs of T, the grid (block) that halves Tc's step, from Tc's Ritz pairs.
 
     Zc holds Tc's unit grid-norm Ritz vectors, column j at its Ritz value
-    levels[j]. Zc is prolonged to T, whose even nodes are Tc's nodes and
-    whose midpoints take the mean of their neighbours, and one step of
-    inverse iteration per column (_inverse_step) gives the basis Z. The
+    levels[j]. Zc is prolonged to T (_prolong), and one step of inverse
+    iteration per column (_inverse_step) gives the basis Z. The
     shift of column j is levels[j] moved by the stencil's leading error:
     the 3-point stencil adds -(hbar^2 h^2 / 24) d^4/dx^4 to the operator,
     and psi'' = 2 (V - E) psi / hbar^2, so a level E of Tc lies about
@@ -424,18 +505,47 @@ def _refine(
     d = (Tc.potential_values()[:, None] - levels) * Zc
     shifts = levels + Tc.h**3 * np.sum(d * d, axis=0) / (8.0 * Tc.hbar**2)
     del d
-    Z = np.empty((T.n, m), order="F")
-    Z[::2] = Zc
-    np.add(Zc[:-1], Zc[1:], out=Z[1::2])
-    Z[1::2] *= 0.5
+    Z = _prolong(Zc, parity)
     _inverse_step(T, Z, shifts)
     theta, S, rho = _ritz_pairs(T, Z)
     if m and not (lo + rho < theta[0] and theta[-1] < hi - rho):
         raise InverseIterationFailed(
-            f"Ritz values {theta[0]:.17g}..{theta[-1]:.17g} of the {T.n}-point grid are "
+            f"Ritz values {theta[0]:.17g}..{theta[-1]:.17g} of the {_grid_name(T, parity)} are "
             f"not inside ({lo:.17g}, {hi:.17g}) by the residual bound {rho:.3g}"
         )
     return theta, Z, S, rho
+
+
+def _ladder_levels(grids, parity, full: TridiagonalOperator, ca: int, cb: int, a, b):
+    """Levels ca..cb-1 of a ladder, three nested grids or their blocks, on each grid.
+
+    Returns E1, E2, E3, the coarsest grid's node counts and resolved flags,
+    read from its Ritz vectors unfolded onto full, the coarsest whole grid,
+    and the largest bound rho (solve_window).
+    """
+    Tc, T2, T3 = grids
+    pad = 0.01 * (b - a)
+    coarse = eigenvalues_in(Tc, a - 2 * pad, b + 2 * pad, tol=_SHIFT_TOL)
+    first = int(coarse.indices[0]) if coarse.indices.size else ca
+    if cb > ca and not first <= ca <= cb <= first + coarse.indices.size:
+        raise BisectionFailed(
+            f"the levels {_index(first, parity)}..{_index(first + coarse.indices.size - 1, parity)}"
+            f" of the coarse {_grid_name(Tc, parity)} do not cover the finer grids' "
+            f"{_index(ca, parity)}..{_index(cb - 1, parity)}"
+        )
+    Zc = eigenvector(Tc, coarse.eigenvalues[ca - first : cb - first])
+    E1, S, rho1 = _ritz_pairs(Tc, Zc)
+    Zc = Zc @ S
+    nodes, resolved = [], []
+    for z, e in zip(Zc.T, E1):
+        v = _unfold(z, parity)
+        nodes.append(node_count(v))
+        resolved.append(nodes_resolved(v, full, e))
+    E2, Z, S, rho2 = _refine(Tc, Zc, E1, T2, a - pad, b + pad, parity)
+    del Zc
+    Z = Z @ S
+    E3, *_, rho3 = _refine(T2, Z, E2, T3, a - pad, b + pad, parity)
+    return E1, E2, E3, nodes, resolved, max(rho1, rho2, rho3)
 
 
 def solve_window(
@@ -453,77 +563,92 @@ def solve_window(
     E3 a level on the three grids, r1 = (4 E2 - E1) / 3 and
     r2 = (4 E3 - E2) / 3 cancel the O(h^2) term and (16 r2 - r1) / 15 the
     O(h^4) one (the stencil's error is even in h for a smooth V); the
-    largest |(16 r2 - r1) / 15 - r2| is the floor_estimate. With pad = 1 %
-    of the window, one count_below on each finer grid at (e1 - pad,
-    e2 + pad) fixes the indices ca .. cb-1, the same on both, and only then
-    eigenvalues_in bisects the coarsest levels in (e1 - 2 pad, e2 + 2 pad)
-    to _SHIFT_TOL. One eigenvector call on the coarsest grid at the shifts of
-    those indices spans its window subspace, and Rayleigh-Ritz on it
-    (_ritz_pairs) gives the coarsest levels and their Ritz vectors Zc,
-    column j at level j. Each finer grid takes the Ritz pairs of the grid
-    below through _refine: prolongation, one dgtsv step per level shifted by
-    that grid's level moved by the stencil's leading error, and
-    Rayleigh-Ritz, its Ritz values certified as the eigenvalues ca .. cb-1
-    of its grid.
+    largest |(16 r2 - r1) / 15 - r2| is the floor_estimate.
+
+    The three grids form one ladder, or for an even V (PotentialSpec.even),
+    whose grids are symmetric about 0, two: their even blocks and their odd
+    blocks (_parity_blocks), each of about half the size, whose level k is
+    the global index 2k and 2k + 1. The same steps run on each ladder. With
+    pad = 1 % of the window, one count_below on each finer grid at
+    (e1 - pad, e2 + pad) fixes the indices ca .. cb-1, the same on both,
+    and only then, once every ladder is counted, eigenvalues_in bisects the
+    coarsest levels in (e1 - 2 pad, e2 + 2 pad) to _SHIFT_TOL. One
+    eigenvector call on the coarsest grid at the shifts of those indices
+    spans its window subspace, and Rayleigh-Ritz on it (_ritz_pairs) gives
+    the coarsest levels and their Ritz vectors Zc, column j at level j.
+    Each finer grid takes the Ritz pairs of the grid below through _refine:
+    prolongation, one dgtsv step per level shifted by that grid's level
+    moved by the stencil's leading error, and Rayleigh-Ritz, its Ritz
+    values certified as the eigenvalues ca .. cb-1 of its grid.
 
     Raises TooManyLevels before the bisection if the finest grid's basis,
     one column per index, would hold over _MAX_BASIS entries,
-    BisectionFailed if the two finer grids count different indices or the
-    coarsest levels miss one of them, and InverseIterationFailed if
-    the columns of a basis are dependent, a Ritz pair's residual exceeds its
-    certificate, a solve fails, or a finer grid's Ritz value is not more
-    than rho inside (e1 - pad, e2 + pad). node_counts and resolved are read
-    from the columns of Zc, so a resolved doublet carries its node counts in
-    index order; a pair split below rounding, whose Ritz vectors are any
-    orthonormal basis of its span, may not.
+    BisectionFailed if the two finer grids count different indices, the
+    two blocks' indices do not interleave, or the coarsest levels miss one
+    of them, and InverseIterationFailed if the columns of a basis are
+    dependent, a Ritz pair's residual exceeds its certificate, a solve
+    fails, or a finer grid's Ritz value is not more than rho inside
+    (e1 - pad, e2 + pad). node_counts and resolved are read from the
+    columns of Zc, unfolded onto the whole grid. A block has no doublet, so
+    each of its levels carries its own node count, its index; on the whole
+    grids of an uneven V, a pair split below rounding, whose Ritz vectors
+    are any orthonormal basis of its span, may not. The levels are sorted
+    with their indices in order, so the two levels of a doublet that tie to
+    rounding may trade values, never node counts or parities.
     """
     a, b = window.e1, window.e2
     L, N = domain_auto(potential, window, hbar, phase_tol=phase_tol)
     sizes = (N, 2 * N - 1, 4 * N - 3)
     pad = 0.01 * (b - a)
     lo, hi = a - pad, b + pad
-    Tc, T2, T3 = (discretize(potential, hbar, L, n, window=window) for n in sizes)
-    ca, cb = count_below(T2, [lo, hi]).tolist()
-    fa, fb = count_below(T3, [lo, hi]).tolist()
-    if (fa, fb) != (ca, cb):
-        raise BisectionFailed(
-            f"the {sizes[1]}- and {sizes[2]}-point grids count the levels {ca}..{cb - 1} "
-            f"and {fa}..{fb - 1} in ({lo:.17g}, {hi:.17g})"
-        )
-    m = cb - ca
+    grids = [discretize(potential, hbar, L, n, window=window) for n in sizes]
+    if potential.even:
+        even, odd = zip(*map(_parity_blocks, grids))
+        ladders = [(even, 1), (odd, -1)]
+    else:
+        ladders = [(grids, None)]
+    spans = []
+    for (_, T2, T3), parity in ladders:
+        ca, cb = count_below(T2, [lo, hi]).tolist()
+        fa, fb = count_below(T3, [lo, hi]).tolist()
+        if (fa, fb) != (ca, cb):
+            raise BisectionFailed(
+                f"the {_grid_name(T2, parity)} and the {_grid_name(T3, parity)} count the levels "
+                f"{_index(ca, parity)}..{_index(cb - 1, parity)} and "
+                f"{_index(fa, parity)}..{_index(fb - 1, parity)} in ({lo:.17g}, {hi:.17g})"
+            )
+        spans.append((ca, cb))
+    indices = np.concatenate([_index(np.arange(*span), p) for span, (_, p) in zip(spans, ladders)])
+    m = indices.size
     if sizes[2] * m > _MAX_BASIS:
         basis = f"{m} window levels on the {sizes[2]}-point grid, {sizes[2] * m} basis entries"
         raise TooManyLevels(f"{basis}, over the {_MAX_BASIS} cap")
-    coarse = eigenvalues_in(Tc, a - 2 * pad, b + 2 * pad, tol=_SHIFT_TOL)
-    first = int(coarse.indices[0]) if coarse.indices.size else ca
-    if m and not first <= ca <= cb <= first + coarse.indices.size:
+    order = np.argsort(indices, kind="stable")
+    if m and not np.array_equal(indices[order], indices[order[0]] + np.arange(m)):
         raise BisectionFailed(
-            f"the coarse grid's levels {first}..{first + coarse.indices.size - 1} do not "
-            f"cover the finer grids' {ca}..{cb - 1}"
+            f"the even and odd blocks count the levels {sorted(indices.tolist())}, not a run"
         )
-    Zc = eigenvector(Tc, coarse.eigenvalues[ca - first : cb - first])
-    E1, S, rho1 = _ritz_pairs(Tc, Zc)
-    Zc = Zc @ S
-    nodes = [node_count(z) for z in Zc.T]
-    resolved = [nodes_resolved(z, Tc, e) for z, e in zip(Zc.T, E1)]
-    E2, Z, S, rho2 = _refine(Tc, Zc, E1, T2, lo, hi)
-    del Zc
-    Z = Z @ S
-    E3, *_, rho3 = _refine(T2, Z, E2, T3, lo, hi)
-    del Z
+    solved = [
+        _ladder_levels(ladder, parity, grids[0], *span, a, b)
+        for span, (ladder, parity) in zip(spans, ladders)
+    ]
+    E1, E2, E3 = (np.concatenate([s[i] for s in solved])[order] for i in range(3))
+    nodes, resolved = ([x for s in solved for x in s[i]] for i in (3, 4))
     r1, r2 = (4.0 * E2 - E1) / 3.0, (4.0 * E3 - E2) / 3.0
     rom = (16.0 * r2 - r1) / 15.0
     # Sorted: a doublet whose levels tie to rounding can swap order here.
     ext = np.sort(rom)
     keep = np.flatnonzero((ext >= a) & (ext <= b))
+    kept = order[keep]
     return OracleRun(
-        result=EigenResult(eigenvalues=ext[keep], indices=ca + keep),
-        node_counts=tuple(nodes[k] for k in keep),
-        resolved=tuple(resolved[k] for k in keep),
+        result=EigenResult(eigenvalues=ext[keep], indices=indices[kept]),
+        node_counts=tuple(nodes[k] for k in kept),
+        resolved=tuple(resolved[k] for k in kept),
         L=L,
         grid_sizes=sizes,
         floor_estimate=max(10.0 * DEFAULT_BISECT_TOL, float(np.max(np.abs(rom - r2), initial=0))),
-        ritz_residual=max(rho1, rho2, rho3),
+        ritz_residual=max(s[5] for s in solved),
+        parities=tuple((1 - 2 * (indices[kept] % 2)).tolist()) if potential.even else None,
     )
 
 

@@ -9,6 +9,7 @@ carries wall times and is exempt). No stage draws random numbers.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import itertools
 import json
@@ -121,7 +122,13 @@ def _component_blocks(families):
 
 
 def _stage_actions(state: _RunState):
-    state.tables = [build_action_table(family, state.window) for family in state.families]
+    state.tables = []
+    for family in state.families:
+        if family.reflects is None:
+            state.tables.append(build_action_table(family, state.window))
+        else:  # a reflection has its mirror's samples, so its table
+            state.tables.append(copy.copy(state.tables[family.reflects - 1]))
+            state.tables[-1].k = family.k
     rows = []
     for table in state.tables:
         for e, a0, tau in zip(table.energies, table.a0, table.tau):
@@ -142,15 +149,17 @@ def _stage_spectrum(state: _RunState):
 def _stage_oracle(state: _RunState):
     cfg = state.config
     rows = []
+    even = state.spec.potential.even  # solved in parity blocks
     for hbar in cfg.hbars:
         run = solve_window(state.spec.potential, state.window, hbar, phase_tol=cfg.oracle_tol)
         state.oracle_runs[hbar] = run
         res = run.result
-        rows += [
-            (hbar, i, lam, c, ok)
-            for i, lam, c, ok in zip(res.indices, res.eigenvalues, run.node_counts, run.resolved)
-        ]
-    state.emit_csv("oracle.csv", ["hbar", "index", "E", "nodes", "resolved"], rows)
+        columns = [res.indices, res.eigenvalues, run.node_counts, run.resolved]
+        if even:
+            columns.append(run.parities)
+        rows += [(hbar, *row) for row in zip(*columns)]
+    header = ["hbar", "index", "E", "nodes", "resolved"] + ["parity"] * even
+    state.emit_csv("oracle.csv", header, rows)
 
 
 def _stage_compare(state: _RunState):
@@ -166,10 +175,10 @@ def _stage_compare(state: _RunState):
         rep = match_spectra(state.spectra[hbar], run.result, tau_min)
         indices = run.result.indices.tolist()
         nodes = dict(zip(indices, run.node_counts))
-        # For every symbol, the node counts of the resolved levels at one
-        # hbar are their indices as a set (an unresolved doublet's in either order).
-        resolved = [i for i, ok in zip(indices, run.resolved) if ok]
-        nodes_ok = sorted(nodes[i] for i in resolved) == resolved
+        # Sturm oscillation: level i's eigenvector has i nodes. Its computed
+        # vector shows them when resolved; a doublet split below rounding has
+        # exact node counts only when solved in parity blocks (an even V).
+        nodes_ok = all(nodes[i] == i for i, ok in zip(indices, run.resolved) if ok)
         if single_family:
             nodes_ok = nodes_ok and all(nodes[p.index] == p.n for p in rep.pairs)
         all_nodes_match = all_nodes_match and nodes_ok
@@ -374,9 +383,13 @@ def run(
                 "grid_sizes": list(run.grid_sizes),
                 "floor_estimate": run.floor_estimate,
                 "ritz_residual": run.ritz_residual,
+                "parity_blocks": run.parities is not None,
             }
             for hbar, run in state.oracle_runs.items()
         }
+        if verbose:
+            blocks = {h: meta["parity_blocks"] for h, meta in manifest["oracle"].items()}
+            _say(f"[ebk] oracle: parity blocks {blocks}")
     if state.tables:
         # Table health: the Hermite fit's error estimate, and the largest
         # relative |dA0/dE - tau| of the A0-only fit at the samples.
@@ -390,16 +403,22 @@ def run(
             _say(f"[ebk] actions: table_err {errs}")
     metrics = {}
     if state.families:
-        comps = [c for f in state.families for c in f.components]
+        # Traced work only: a reflected family has no step and no arc.
+        orbits = sum(len(f.components) for f in state.families if f.reflects is None)
         steps = {str(f.k): sum(c.steps for c in f.components) for f in state.families}
         arcs = {str(f.k): sum(c.arcs for c in f.components) for f in state.families}
+        reflected = {str(f.k): f.reflects for f in state.families if f.reflects is not None}
         # Every orbit of the scan is one batch, so its depth is the last landing.
-        attempts = max(c.attempts for c in comps)
-        trace = {"orbits": len(comps), "dp45_steps": steps, "arcs": arcs, "attempts": attempts}
+        attempts = max(c.attempts for f in state.families for c in f.components)
+        trace = {"orbits": orbits, "dp45_steps": steps, "arcs": arcs, "attempts": attempts}
+        if reflected:  # family -> the family it is the reflection of
+            trace["reflected"] = reflected
         metrics["trace"] = trace
         if verbose:
-            _say(f"[ebk] trace: {len(comps)} orbits, dp45 steps {steps}")
+            _say(f"[ebk] trace: {orbits} orbits, dp45 steps {steps}")
             _say(f"[ebk] trace: arcs {arcs}, {attempts} stepper attempts")
+            if reflected:
+                _say(f"[ebk] trace: reflected {reflected}")
     if metrics:
         manifest["metrics"] = metrics
     _write_json(out / "manifest.json", manifest)

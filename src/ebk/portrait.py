@@ -22,7 +22,9 @@ own step size, section and landing test, so the stepper's sequential depth
 is that of the longest arc, which does not grow with the orbit's length.
 A family scan refines every seed in one Newton pass and checks its traces
 by one broadcast over all energies, with no loop over the energies; its
-family k is the k-th marching loop from the left at every energy.
+family k is the k-th marching loop from the left at every energy. For an
+even symbol only one family of each mirror pair is traced, and the other
+is its exact reflection (x, xi) -> (-x, -xi).
 
 Component counting near a topology change never relies on tracing (a trace
 started on a critical level would stall), only on the marching pass.
@@ -30,7 +32,7 @@ started on a critical level would stall), only on the marching pass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -116,13 +118,16 @@ class LevelComponent:
 class ComponentFamily:
     """A level-set component followed across the window.
 
-    components holds the traced component at each sampled energy, in
-    ascending energy order: family k is the k-th marching loop of every
-    energy, the k-th component from the left.
+    components holds the component at each sampled energy, in ascending
+    energy order: family k is the k-th marching loop of every energy, the
+    k-th component from the left. reflects is None for a traced family, and
+    for the reflection of a traced one under (x, xi) -> (-x, -xi) it is
+    that family's k.
     """
 
     k: int
     components: tuple[LevelComponent, ...]
+    reflects: int | None = None
 
     @property
     def energies(self) -> np.ndarray:
@@ -494,27 +499,63 @@ def _squared_norm(v) -> np.ndarray:
     return v[..., 0] * v[..., 0] + v[..., 1] * v[..., 1]
 
 
-def _traced_components(spec, energies, loops, trace_tol):
-    """The traced component of each of the d loops of each energy, in loop order.
+def _reflected(comp: LevelComponent) -> LevelComponent:
+    """comp under (x, xi) -> (-x, -xi), which traced nothing."""
+    return replace(
+        comp, points=-comp.points, seed=(-comp.seed[0], -comp.seed[1]), steps=0, arcs=0, attempts=0
+    )
 
-    Every loop is traced from its _candidates seeds, all in one
-    trace_component call. A trace passing within its polyline resolution of
+
+def _traced_loops(spec, d: int) -> int:
+    """How many of d loops per energy are traced: the loops j <= d - 1 - j for an even H."""
+    return (d + 1) // 2 if spec.even else d
+
+
+def _traced_components(spec, energies, loops, trace_tol):
+    """The component of each of the d loops of each energy, in loop order.
+
+    For an even H (SymbolSpec.even) loop d - 1 - j of every energy is the
+    reflection of loop j, the marching loops being ordered from the left: the
+    loops j <= d - 1 - j are traced (_traced_loops) and each later loop's
+    component is the exact reflection of loop d - 1 - j's (_reflected), which
+    must pass within its polyline resolution of the loop's own first seed,
+    or NonConstantTopology is raised. Otherwise every loop is traced. The
+    traced loops go from their _candidates seeds into one trace_component
+    call; a reflected loop gets only its first seed, in the same
+    _candidates call. A component passing within its polyline resolution of
     a later loop's first seed at its energy raises NonConstantTopology.
     """
     d = len(loops[0])
-    seeds = _candidates(spec, energies, loops)
-    traces = trace_component(spec, seeds, np.repeat(energies, d), trace_tol)
-    points = np.stack([comp.points for comp in traces]).reshape(len(energies), d, -1, 2)
-    firsts = np.array([comp.seed for comp in traces]).reshape(len(energies), d, 2)
-    # Each trace i against each later seed j at its energy: the strict upper triangle.
-    i, j = np.triu_indices(d, 1)
-    earlier = points[:, : d - 1]
-    chords = np.sqrt(_squared_norm(np.diff(earlier, axis=2, append=earlier[:, :, :1])))
+    traced = _traced_loops(spec, d)
+    # The traced loops whole, each reflected one by its first crossing.
+    seeded = [ls[:traced] + [loop[:1] for loop in ls[traced:]] for ls in loops]
+    seeds = _candidates(spec, energies, seeded)
+    starts = range(0, len(seeds), d)
+    runs = trace_component(
+        spec,
+        [seeds[s + j] for s in starts for j in range(traced)],
+        np.repeat(energies, traced),
+        trace_tol,
+    )
+    per_energy = [runs[i : i + traced] for i in range(0, len(runs), traced)]
+    for comps in per_energy:
+        comps += [_reflected(comps[d - 1 - j]) for j in range(traced, d)]
+    points = np.stack([c.points for comps in per_energy for c in comps])
+    points = points.reshape(len(energies), d, -1, 2)
+    firsts = np.array([seeds[s + j][0] for s in starts for j in range(d)]).reshape(-1, d, 2)
+    chords = np.sqrt(_squared_norm(np.diff(points, axis=2, append=points[:, :, :1])))
     merge_dist = np.maximum(3.0 * np.max(chords, axis=2), 1e-9)
+    # Each component i against each later seed j at its energy: the strict upper triangle.
+    i, j = np.triu_indices(d, 1)
     gap = np.sqrt(np.min(_squared_norm(points[:, i] - firsts[:, j, None]), axis=2))
     if np.any(gap <= merge_dist[:, i]):
         raise NonConstantTopology("traced component count disagrees with the grid scan")
-    return [traces[s : s + d] for s in range(0, len(traces), d)]
+    # Each reflected component against its own loop's seed.
+    r = np.arange(traced, d)
+    gap = np.sqrt(np.min(_squared_norm(points[:, r] - firsts[:, r, None]), axis=2))
+    if np.any(gap > merge_dist[:, r]):
+        raise NonConstantTopology("a loop of an even symbol is not the reflection of its mirror")
+    return per_energy
 
 
 def _lobatto(window: EnergyWindow, n: int) -> np.ndarray:
@@ -537,7 +578,7 @@ def build_families(
     """Follow each component across the window; labels are the loop order.
 
     The window is sampled at n_samples Chebyshev-Lobatto energies, the
-    nodes an action table is fitted on, and every family carries its traced
+    nodes an action table is fitted on, and every family carries its
     component at each of them. The component count is taken on every
     sampled energy first, by one marching pass over all of them on one
     evaluation of H on a GRID_N x GRID_N grid, the constant read at call
@@ -550,6 +591,16 @@ def build_families(
     {V <= E}, and on a regular window these keep their left-to-right order
     (a closed form has one component), so the k-th loop is the same
     component at every energy and no trace is matched across energies.
+    For an exactly even symbol (SymbolSpec.even: a polynomial V with no odd
+    term, kerr, anisotropic_harmonic) the reflection (x, xi) -> (-x, -xi)
+    commutes with the flow, so of a mirror pair of families j < d + 1 - j
+    only j is traced, still in the scan's one trace_component call, and
+    family d + 1 - j is its exact reflection: negated points and seed, the
+    same action, period and Maslov index, no DP45 step and no arc, and
+    reflects = j. It must pass within its polyline resolution of its own
+    loop's first seed at every energy, or NonConstantTopology is raised. A
+    self-symmetric family (the only one of kerr or the quartic, the middle
+    one of an odd count) is traced as for any symbol.
     Raises ConfigError (check_action_samples) unless n_samples is an integer
     from 9 to MAX_ACTION_SAMPLES.
     """
@@ -565,7 +616,12 @@ def build_families(
     d = counts[0]  # at least 1: a level without a crossing raised EmptyLevelSet
 
     per_energy = _traced_components(spec, energies, loops, trace_tol)
+    traced = _traced_loops(spec, d)
     return [
-        ComponentFamily(k=j + 1, components=tuple(comps[j] for comps in per_energy))
+        ComponentFamily(
+            k=j + 1,
+            components=tuple(comps[j] for comps in per_energy),
+            reflects=None if j < traced else d - j,
+        )
         for j in range(d)
     ]

@@ -91,11 +91,12 @@ class PotentialSpec:
     limits of V at -inf and +inf) and _sublevel (the sublevel interval of a
     confined level). The defaults are one critical point at 0 and minimum 0.
     terms holds a polynomial V's ascending coefficients and is None for a
-    closed form.
+    closed form; even says V(-x) = V(x) in floating point.
     """
 
     __post_init__ = _check_params
     terms = None
+    even = False
 
     def critical_points(self) -> tuple[float, ...]:
         """Every real x with V'(x) = 0, ascending."""
@@ -149,7 +150,7 @@ class _PolynomialPotential(PotentialSpec):
 
     @cached_property
     def even(self) -> bool:
-        """V(-x) = V(x) exactly: every odd coefficient is 0."""
+        """V(-x) = V(x) exactly: no odd coefficient, and _horner adds no zero term."""
         return not any(self.terms[1::2])
 
     @cached_property
@@ -269,10 +270,13 @@ class SymbolSpec:
 
     Each subclass is one entry and defines value and gradient: Schrodinger
     wraps a potential; a closed form, whose potential is None, also defines
-    bounding_radius.
+    bounding_radius. even says H(-x, -xi) = H(x, xi) in floating point, so
+    the reflection (x, xi) -> (-x, -xi) maps each computed flow orbit onto
+    the one through the reflected point, bit for bit.
     """
 
     potential = None
+    even = False
     __post_init__ = _check_params
 
     def critical_points(self) -> tuple[tuple[float, float], ...]:
@@ -294,6 +298,10 @@ class Schrodinger(SymbolSpec):
     def name(self) -> str:
         return self.potential.name
 
+    @property
+    def even(self) -> bool:
+        return self.potential.even
+
     def value(self, x, xi):
         return 0.5 * np.square(xi) + self.potential.value(x)
 
@@ -308,6 +316,7 @@ class Schrodinger(SymbolSpec):
 class Kerr(SymbolSpec):
     chi: float = 0.5
     name = "kerr"
+    even = True
 
     def __post_init__(self):
         super().__post_init__()
@@ -334,6 +343,7 @@ class AnisotropicHarmonic(SymbolSpec):
     a: float = 1.0
     b: float = 1.0
     name = "anisotropic_harmonic"
+    even = True
 
     def __post_init__(self):
         super().__post_init__()

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import ebk
-from ebk.errors import BijectionFailure, UnsafeEndpoint
+from ebk.errors import BijectionFailure, InvalidSymbol, UnsafeEndpoint
 from ebk.oracle import EigenResult
 
 
@@ -71,6 +71,27 @@ def test_match_double_well_doublet_pairs(double_well, dw_tables, dw_window):
 def test_convergence_needs_three_hbars(harmonic, harmonic_window):
     with pytest.raises(ValueError):
         ebk.convergence_study(harmonic, harmonic_window, [0.2, 0.1])
+
+
+@pytest.mark.parametrize(
+    "spec, what",
+    [
+        (ebk.quartic_potential(), "not Quartic()"),
+        (ebk.kerr_symbol(0.5), "not the closed form 'kerr'"),
+    ],
+    ids=["potential", "kerr"],
+)
+def test_convergence_refuses_a_spec_without_a_potential_before_tracing(spec, what, monkeypatch):
+    # A bare potential, or a closed form with no V for the basis oracle, is
+    # refused by name before the family scan traces anything.
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a family was traced")
+
+    monkeypatch.setattr(ebk.compare, "build_families", no_scan)
+    window = ebk.EnergyWindow(0.5, 2.0, 0.05)
+    with pytest.raises(InvalidSymbol, match=r"convergence_study: spec must be") as info:
+        ebk.convergence_study(spec, window, [0.2, 0.1, 0.05])
+    assert str(info.value).endswith(what)
 
 
 def test_convergence_floor_flag_harmonic(harmonic, harmonic_window):

@@ -80,8 +80,10 @@ def test_domain_auto_rejects_grid_under_stencil():
 
 
 def test_solve_window_checks_its_finer_grid_first(monkeypatch):
-    # At phase_tol 1e-8, N = 217,200 and 2N - 1 = 434,399 fit under the cap
-    # but the finest of the three grids, 4N - 3 = 868,797 points, does not.
+    # At phase_tol 1e-8, N = 217,201 (217,200 made odd, as the even
+    # harmonic's grids are symmetric about 0) and 2N - 1 = 434,401 fit under
+    # the cap but the finest of the three grids, 4N - 3 = 868,801 points,
+    # does not.
     pot = ebk.harmonic_potential()
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
 
@@ -89,7 +91,7 @@ def test_solve_window_checks_its_finer_grid_first(monkeypatch):
         raise AssertionError("a grid was built")
 
     monkeypatch.setattr(ebk.oracle, "discretize", no_grid)
-    with pytest.raises(GridTooLarge, match="grid of 868797 points exceeds the 600000 cap"):
+    with pytest.raises(GridTooLarge, match="grid of 868801 points exceeds the 600000 cap"):
         ebk.solve_window(pot, window, 0.1, phase_tol=1e-8)
 
 
@@ -269,7 +271,8 @@ def test_ritz_pairs_certify_the_window_subspace(tmp_path, monkeypatch):
     # The certificate is on the span of the coarse vectors, not on each
     # column: columns mixed within the window subspace give the same levels,
     # and node counts read from the Ritz vectors, but a column outside it
-    # leaves a Ritz pair with a large residual.
+    # leaves a Ritz pair with a large residual. The even harmonic is solved
+    # in parity blocks, 3 of its 6 window levels in each.
     eigenvector = ebk.oracle.eigenvector
     pot, window = ebk.harmonic_potential(), ebk.EnergyWindow(0.2, 0.8, 0.05)
     ref = ebk.solve_window(pot, window, 0.1)
@@ -291,7 +294,7 @@ def test_ritz_pairs_certify_the_window_subspace(tmp_path, monkeypatch):
         return z
 
     monkeypatch.setattr(ebk.oracle, "eigenvector", outside)
-    with pytest.raises(InverseIterationFailed, match=r"Ritz pair \d+ of 6 .* has residual"):
+    with pytest.raises(InverseIterationFailed, match=r"Ritz pair \d+ of 3 .* has residual"):
         ebk.solve_window(pot, window, 0.1)
     code, note = _run_harmonic_oracle(tmp_path)
     assert code == 4 and note.startswith("InverseIterationFailed: Ritz pair")
@@ -477,8 +480,9 @@ def test_fine_ritz_levels_match_tight_bisection(name, hbar, monkeypatch):
     # Each grid's Ritz values are its eigenvalues over the finer grids'
     # padded window, index for index, as a 1e-14 bisection of that grid
     # gives them (measured: within 1.7e-12, the quartic's finest grid at
-    # hbar = 0.05), and the run reports the largest of the three certified
-    # bounds.
+    # hbar = 0.05), and the run reports the largest of the certified
+    # bounds. An even V's grids are solved as two ladders of parity blocks,
+    # even then odd, each of which is checked as a grid.
     pot, (e1, e2) = _BASIS_CASES[name]
     window = ebk.EnergyWindow(e1, e2, 0.05)
     seen = []
@@ -491,20 +495,26 @@ def test_fine_ritz_levels_match_tight_bisection(name, hbar, monkeypatch):
 
     monkeypatch.setattr(ebk.oracle, "_ritz_pairs", recorded)
     run = ebk.solve_window(pot, window, hbar)
-    assert [T.n for T, _, _ in seen] == list(run.grid_sizes)
-    (Tc, theta_c, _), *finer = seen
+    ladders = [seen[i : i + 3] for i in range(0, len(seen), 3)]
+    sizes = [list(run.grid_sizes)]
+    if pot.even:
+        sizes = [[n // 2 + 1 for n in run.grid_sizes], [n // 2 for n in run.grid_sizes]]
+    assert [[T.n for T, _, _ in ladder] for ladder in ladders] == sizes
     pad = 0.01 * (e2 - e1)
-    refs = [ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14) for T, _, _ in finer]
-    ref_c = ebk.eigenvalues_in(Tc, e1 - 2 * pad, e2 + 2 * pad, tol=1e-14)
-    indices = refs[0].indices
-    assert all(np.array_equal(ref.indices, indices) for ref in refs)
-    for (_, theta, _), ref in zip(finer, refs):
-        assert theta.size == ref.eigenvalues.size > 0
-        assert np.max(np.abs(theta - ref.eigenvalues)) <= 2e-11
-    same = np.isin(ref_c.indices, indices)
-    assert np.array_equal(ref_c.indices[same], indices) and theta_c.size == indices.size
-    assert np.max(np.abs(theta_c - ref_c.eigenvalues[same])) <= 2e-11
-    assert np.all(np.isin(run.result.indices, indices))
+    found = []
+    for (Tc, theta_c, _), *finer in ladders:
+        refs = [ebk.eigenvalues_in(T, e1 - pad, e2 + pad, tol=1e-14) for T, _, _ in finer]
+        ref_c = ebk.eigenvalues_in(Tc, e1 - 2 * pad, e2 + 2 * pad, tol=1e-14)
+        indices = refs[0].indices
+        assert all(np.array_equal(ref.indices, indices) for ref in refs)
+        for (_, theta, _), ref in zip(finer, refs):
+            assert theta.size == ref.eigenvalues.size > 0
+            assert np.max(np.abs(theta - ref.eigenvalues)) <= 2e-11
+        same = np.isin(ref_c.indices, indices)
+        assert np.array_equal(ref_c.indices[same], indices) and theta_c.size == indices.size
+        assert np.max(np.abs(theta_c - ref_c.eigenvalues[same])) <= 2e-11
+        found.append(2 * indices + len(found) if pot.even else indices)
+    assert np.all(np.isin(run.result.indices, np.concatenate(found)))
     rhos = [rho for _, _, rho in seen]
     assert run.ritz_residual == max(rhos) and all(0.0 < rho <= 1e-9 for rho in rhos)
 
@@ -542,9 +552,9 @@ def test_window_levels_within_the_measured_floor(name, hbar):
     # Every level is within floor_estimate + basis_residual of the basis
     # oracle's, with floor_estimate <= 1e-9 (measured: 1.0e-10 to 2.4e-10,
     # the levels within 1.2e-13). The coarsest grid at the default phase_tol
-    # resolves every level and counts its index in nodes, except the double
-    # well's doublets at hbar = 0.025, split below rounding, whose Ritz
-    # vectors are any basis of their pair.
+    # resolves every level and counts its index in nodes, the double well's
+    # doublets at hbar = 0.025, split below rounding, included: each member
+    # is solved in its own parity block.
     pot, (e1, e2) = _BASIS_CASES[name]
     window = ebk.EnergyWindow(e1, e2, 0.05)
     run = ebk.solve_window(pot, window, hbar)
@@ -554,9 +564,8 @@ def test_window_levels_within_the_measured_floor(name, hbar):
     assert run.floor_estimate <= 1e-9
     err = np.abs(run.result.eigenvalues - basis.result.eigenvalues)
     assert np.all(err <= run.floor_estimate + basis.basis_residual)
-    if (name, hbar) != ("double_well", 0.025):
-        assert list(run.node_counts) == list(run.result.indices)
-        assert all(run.resolved)
+    assert list(run.node_counts) == list(run.result.indices)
+    assert all(run.resolved)
 
 
 @settings(derandomize=True, deadline=timedelta(seconds=2), max_examples=20)
@@ -624,7 +633,8 @@ def test_coarse_levels_missing_a_fine_index_fail(tmp_path, monkeypatch):
 
     monkeypatch.setattr(ebk.oracle, "eigenvalues_in", lower_half)
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
-    with pytest.raises(BisectionFailed, match="do not cover the finer grids' 2..7"):
+    # The even block's levels 2, 4 and 6 are the first solved.
+    with pytest.raises(BisectionFailed, match="do not cover the finer grids' 2..6"):
         ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
     code, note = _run_harmonic_oracle(tmp_path)
     assert code == 4 and note.startswith("BisectionFailed:")
@@ -633,21 +643,22 @@ def test_coarse_levels_missing_a_fine_index_fail(tmp_path, monkeypatch):
     count_below = ebk.oracle.count_below
     finest = 4 * ebk.domain_auto(ebk.harmonic_potential(), window, 0.1)[1] - 3
 
-    def one_more_on_the_finest(T, lam):
-        return count_below(T, lam) + np.array([0, T.n == finest])
+    def one_more_on_the_finest(T, lam):  # on its even block of finest // 2 + 1 nodes
+        return count_below(T, lam) + np.array([0, T.n == finest // 2 + 1])
 
     monkeypatch.setattr(ebk.oracle, "count_below", one_more_on_the_finest)
-    with pytest.raises(BisectionFailed, match=r"grids count the levels 2..7 and 2..8"):
+    with pytest.raises(BisectionFailed, match=r"grid count the levels 2..6 and 2..8"):
         ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
 
 
 def test_ritz_values_outside_the_fine_range_fail(tmp_path, monkeypatch):
-    # Vectors of the levels one above the shifts (hbar apart) span levels
-    # 3..8, and level 8 = 0.85 lies outside the padded window (0.194, 0.806)
-    # of the finer grids' count: the first finer grid, 2N - 1 = 2,509
-    # points, stops the run.
+    # Vectors of the levels one above the shifts in their parity block
+    # (2 hbar apart) span the even levels 4..8, and level 8 = 0.85 lies
+    # outside the padded window (0.194, 0.806) of the finer grids' count:
+    # the even block of the first finer grid, 2N - 1 = 2,509 points, stops
+    # the run.
     eigenvector = ebk.oracle.eigenvector
-    monkeypatch.setattr(ebk.oracle, "eigenvector", lambda T, lam: eigenvector(T, lam + 0.1))
+    monkeypatch.setattr(ebk.oracle, "eigenvector", lambda T, lam: eigenvector(T, lam + 0.2))
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     with pytest.raises(InverseIterationFailed, match="of the 2509-point grid .* residual bound"):
         ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
@@ -657,7 +668,8 @@ def test_ritz_values_outside_the_fine_range_fail(tmp_path, monkeypatch):
 
 def test_inverse_step_failures(tmp_path, monkeypatch):
     # A fine-grid solve that reports a singular pivot, or solves that leave
-    # every column the same vector, fail the oracle with a typed error.
+    # every column the same vector (the 3 of a parity block of the even
+    # harmonic), fail the oracle with a typed error.
     dgtsv = ebk.oracle.dgtsv
     window = ebk.EnergyWindow(0.2, 0.8, 0.05)
     monkeypatch.setattr(
@@ -673,7 +685,7 @@ def test_inverse_step_failures(tmp_path, monkeypatch):
         return dl, d, du, b, 0
 
     monkeypatch.setattr(ebk.oracle, "dgtsv", same_vector)
-    with pytest.raises(InverseIterationFailed, match="6 inverse-iteration vectors are dependent"):
+    with pytest.raises(InverseIterationFailed, match="3 inverse-iteration vectors are dependent"):
         ebk.solve_window(ebk.harmonic_potential(), window, 0.1)
 
 
@@ -822,6 +834,48 @@ def test_basis_band_lapack_failure(monkeypatch, name):
     monkeypatch.setattr(ebk.oracle, "dsbev", lambda ab, **kwargs: (ab[0], None, 3))
     with pytest.raises(BasisNotConverged, match=r"dsbev failed on the \d+-state band .*\(info = 3\)"):
         ebk.solve_basis(pot, ebk.EnergyWindow(e1, e2, 0.05), 0.1)
+
+
+@pytest.mark.parametrize("hbar, levels", [(0.025, 16), (0.0125, 30)])
+def test_double_well_doublets_count_their_own_nodes(hbar, levels, monkeypatch):
+    # The doublets are split below rounding, so the whole grids' Ritz
+    # vectors are any basis of each pair's span, and they traded node counts
+    # (6 of 16 levels at hbar = 0.025, 18 of 30 at 0.0125). The parity blocks
+    # give each level its own vector: node count, parity and index agree on
+    # every row, and the levels are those of the whole grids, as an uneven V
+    # is solved, within that run's floor.
+    pot, window = ebk.double_well_potential(1.0), ebk.EnergyWindow(0.1, 0.6, 0.05)
+    run = ebk.solve_window(pot, window, hbar)
+    indices = run.result.indices.tolist()
+    assert len(indices) == levels
+    assert list(run.node_counts) == indices and all(run.resolved)
+    assert list(run.parities) == [(-1) ** i for i in indices]
+    monkeypatch.setitem(vars(pot), "even", False)
+    whole = ebk.solve_window(pot, window, hbar)
+    assert whole.parities is None and whole.result.indices.tolist() == indices
+    err = np.abs(run.result.eigenvalues - whole.result.eigenvalues)
+    assert np.all(err <= whole.floor_estimate)
+
+
+def test_parity_blocks_are_the_whole_grid():
+    # On a grid symmetric about 0 the blocks' Sturm counts add up to the
+    # whole grid's at every shift, and a block's eigenvector unfolded is the
+    # whole grid's, its node count its global index.
+    pot, window = ebk.double_well_potential(1.0), ebk.EnergyWindow(0.1, 0.6, 0.05)
+    L, N = ebk.domain_auto(pot, window, 0.05)
+    assert N % 2 == 1
+    T = ebk.discretize(pot, 0.05, L, N, window=window)
+    assert np.array_equal(T.diag, T.diag[::-1])
+    even, odd = ebk.oracle._parity_blocks(T)
+    shifts = np.linspace(0.0, 1.0, 41)
+    total = ebk.count_below(even, shifts) + ebk.count_below(odd, shifts)
+    assert np.array_equal(total, ebk.count_below(T, shifts))
+    for parity, block in ((1, even), (-1, odd)):
+        res = ebk.eigenvalues_in(block, 0.1, 0.6, tol=1e-13)
+        for k, lam in zip(res.indices, res.eigenvalues):
+            v = ebk.oracle._unfold(ebk.eigenvector(block, [lam])[:, 0], parity)
+            assert v.size == N and ebk.node_count(v) == 2 * k + (parity < 0)
+            assert np.max(np.abs(T.apply(v) - lam * v)) <= 1e-9 * np.max(np.abs(v))
 
 
 def test_nodes_resolved_only_where_every_well_is_resolved():

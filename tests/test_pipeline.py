@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ebk
-from ebk import errors, integrate, oracle, pipeline, portrait, solver
+from ebk import cli, errors, integrate, oracle, pipeline, portrait, solver
 from ebk.config import STAGES, parse_config
 
 from oracles import scan_arcs_py
@@ -224,7 +224,7 @@ def test_run_manifest_reports_arcs_and_attempts(tmp_path, capsys, monkeypatch):
         assert trace["arcs"] == {"1": sum(map(sum, loops))} and trace["arcs"]["1"] > 17
         assert trace["attempts"] == (evals[0] - 2) // 6
         line = f"[ebk] trace: arcs {trace['arcs']}, {trace['attempts']} stepper attempts"
-        assert printed.count(line) == 2
+        assert printed.count(line) == 2 and "reflected" not in trace
     assert runs[0][0]["metrics"] == runs[1][0]["metrics"]
 
 
@@ -697,7 +697,7 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
     monkeypatch.setitem(pipeline._STAGE_FNS, "weyl", in_weyl)
     manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)), verbose=True)
     assert code == 0 and manifest["checks"]["weyl_exact"] is True
-    assert calls == [None] * 6  # one per oracle grid and hbar
+    assert calls == [None] * 12  # one per parity block of each oracle grid and hbar
     weyl = json.loads((tmp_path / "weyl.json").read_text(encoding="utf-8"))
     # 2 and 4 safe gaps at hbar = 0.1 and 0.05: the first endpoint against each later one.
     assert {float(h): len(trials) for h, trials in weyl.items()} == {0.1: 1, 0.05: 3}
@@ -710,11 +710,14 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
 
 
 def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
-    # The dw_pipeline benchmark config: per hbar, dstebz bisects only the
-    # coarsest grid, to _SHIFT_TOL, and dstein runs once there, at the 4 and
-    # 8 levels of the two hbar; each finer grid gets one dgtsv solve per
-    # level and no bisection, only its Sturm counts, which come before the
-    # coarsest grid's, so a basis over its cap is refused before bisecting.
+    # The dw_pipeline benchmark config: the even double well is solved in
+    # parity blocks, the even one of n // 2 + 1 and the odd one of n // 2
+    # nodes of each n-point grid. Per hbar and block, dstebz bisects only
+    # the coarsest grid's block, to _SHIFT_TOL, and dstein runs once there,
+    # at the block's half of the 4 and 8 levels of the two hbar; each finer
+    # grid's block gets one dgtsv solve per level and no bisection, only its
+    # Sturm counts, which come before any coarsest grid's, so a basis over
+    # its cap is refused before bisecting.
     stebz, stein, gtsv = [], [], []
     dstebz, dstein, dgtsv = ebk.oracle.dstebz, ebk.oracle.dstein, ebk.oracle.dgtsv
 
@@ -735,13 +738,27 @@ def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
     monkeypatch.setattr(ebk.oracle, "dgtsv", counted_gtsv)
     manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)))
     assert code == 0
-    coarse, middle, fine = zip(*(meta["grid_sizes"] for meta in manifest["oracle"].values()))
-    assert stein == list(zip(coarse, [4, 8]))
-    assert gtsv == [middle[0]] * 4 + [fine[0]] * 4 + [middle[1]] * 8 + [fine[1]] * 8
+    grids = [meta["grid_sizes"] for meta in manifest["oracle"].values()]
+    blocks = [[(n // 2 + 1, n // 2) for n in sizes] for sizes in grids]
+    assert all(meta["parity_blocks"] for meta in manifest["oracle"].values())
+    half = [2, 4]  # of the 4 and 8 levels, in each block
+    assert stein == [(b, k) for (c, _, _), k in zip(blocks, half) for b in c]
+    assert gtsv == [
+        n
+        for (_, m, f), k in zip(blocks, half)
+        for i in (0, 1)
+        for n in (m[i], f[i])
+        for _ in range(k)
+    ]
     bisections = [(n, tol) for n, tol in stebz if math.isfinite(tol)]
-    assert bisections == [(n, ebk.oracle._SHIFT_TOL) for n in coarse]
+    assert bisections == [(b, ebk.oracle._SHIFT_TOL) for c, _, _ in blocks for b in c]
     counts = [n for n, tol in stebz if not math.isfinite(tol)]
-    assert counts == [n for grids in zip(middle, fine, coarse) for n in grids for _ in (0, 1)]
+    assert counts == [
+        n
+        for c, m, f in blocks
+        for n in (m[0], f[0], m[1], f[1], c[0], c[1])
+        for _ in (0, 1)
+    ]
 
 
 def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
@@ -761,8 +778,8 @@ def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
 
 
 def test_two_family_run_checks_node_counts(tmp_path):
-    # Two families interleave in node order, so only the set identity is
-    # checked: at each hbar the node counts are the window indices.
+    # Two families interleave in node order, so the node counts are checked
+    # against the global indices, level by level.
     manifest, code = pipeline.run(_dw_config(tmp_path, ["oracle", "compare"]))
     assert code == 0
     assert manifest["checks"]["nodes_match"] is True
@@ -786,3 +803,82 @@ def test_corrupt_node_count_exits_4(tmp_path, monkeypatch):
     # The third count is at hbar = 0.1; the other hbar keeps its identity.
     assert match[pipeline._fmt(0.1)]["nodes_match"] is False
     assert match[pipeline._fmt(0.05)]["nodes_match"] is True
+
+
+def test_swapped_node_counts_exit_4(tmp_path, monkeypatch):
+    # Two resolved levels that trade node counts keep the multiset of node
+    # counts but fail the per-level check: `ebk run` exits 4, naming
+    # nodes_match, with every stage ok.
+    solve_window = pipeline.solve_window
+
+    def swapped(potential, window, hbar, **kwargs):
+        run = solve_window(potential, window, hbar, **kwargs)
+        nodes = list(run.node_counts)
+        nodes[0], nodes[1] = nodes[1], nodes[0]
+        return dataclasses.replace(run, node_counts=tuple(nodes))
+
+    monkeypatch.setattr(pipeline, "solve_window", swapped)
+    config = {
+        "symbol": {"name": "double_well", "params": {"a": 1.0}},
+        "window": {"e1": 0.1, "e2": 0.6, "margin": 0.05},
+        "hbars": [0.1, 0.05],
+        "pipeline": ["oracle", "compare"],
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    assert cli.main(["run", "--config", str(path)]) == 4
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert all(stage["status"] == "ok" for stage in manifest["stages"].values())
+    assert manifest["checks"]["nodes_match"] is False
+    match = json.loads((tmp_path / "out" / "match.json").read_text(encoding="utf-8"))
+    assert [rep["nodes_match"] for rep in match.values()] == [False, False]
+
+
+def test_run_manifest_reports_reflected_families_and_parity_blocks(tmp_path, capsys):
+    # The even double well: family 2 is family 1 reflected, which traced
+    # nothing, and the oracle ran in parity blocks; the manifest and
+    # --verbose say so, the same on a rerun, and oracle.csv carries each
+    # level's parity (-1)^index.
+    runs = [
+        pipeline.run(_dw_config(tmp_path / name, list(STAGES)), verbose=True) for name in "ab"
+    ]
+    printed = capsys.readouterr().out.splitlines()
+    for manifest, code in runs:
+        assert code == 0
+        trace = manifest["metrics"]["trace"]
+        assert trace["orbits"] == portrait.DEFAULT_ACTION_SAMPLES
+        assert trace["reflected"] == {"2": 1}
+        assert trace["dp45_steps"]["2"] == trace["arcs"]["2"] == 0 < trace["arcs"]["1"]
+        assert printed.count("[ebk] trace: reflected {'2': 1}") == 2
+        assert [meta["parity_blocks"] for meta in manifest["oracle"].values()] == [True, True]
+        assert printed.count("[ebk] oracle: parity blocks {'0.10000000000000001': True, "
+                             "'0.050000000000000003': True}") == 2
+    assert runs[0][0]["metrics"] == runs[1][0]["metrics"]
+    assert runs[0][0]["files"] == runs[1][0]["files"]
+    with (tmp_path / "a" / "oracle.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows and all(int(r["parity"]) == (-1) ** int(r["index"]) for r in rows)
+    assert all(r["nodes"] == r["index"] and r["resolved"] == "true" for r in rows)
+    with (tmp_path / "a" / "actions.csv").open(encoding="utf-8") as fh:
+        actions = list(csv.DictReader(fh))
+    family = {k: [(r["E"], r["A0"], r["tau"], r["maslov"]) for r in actions if r["k"] == k]
+              for k in "12"}
+    assert family["1"] == family["2"]
+
+
+def test_uneven_oracle_keeps_its_columns(tmp_path):
+    # Morse is not even: one ladder of whole grids and no parity column.
+    config = parse_config(
+        {
+            "symbol": {"name": "morse", "params": {}},
+            "window": {"e1": 0.1, "e2": 0.6, "margin": 0.05},
+            "hbars": [0.1],
+            "pipeline": ["oracle"],
+            "output_dir": str(tmp_path),
+        }
+    )
+    manifest, code = pipeline.run(config)
+    assert code == 0 and manifest["oracle"]["0.10000000000000001"]["parity_blocks"] is False
+    header = (tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()[0]
+    assert header == "hbar,index,E,nodes,resolved"

@@ -103,9 +103,14 @@ def test_traced_components_in_loop_order(double_well):
         traced = portrait._traced_components(double_well, energies, given, DEFAULT_TRACE_TOL)
         for loops_at, comps, energy in zip(given, traced, energies):
             assert len(comps) == 2
-            for loop, comp in zip(loops_at, comps):
-                # Each trace starts at its own loop's first refined crossing.
-                assert comp.seed == tuple(refine_to_level(double_well, loop[:1], energy)[0])
+            # The first loop's trace starts at its first refined crossing; the
+            # even symbol's second loop is its reflection, which traced nothing.
+            first, second = comps
+            assert first.seed == tuple(refine_to_level(double_well, loops_at[0][:1], energy)[0])
+            assert second.seed == (-first.seed[0], -first.seed[1])
+            assert np.array_equal(second.points, -first.points)
+            assert (second.action, second.period) == (first.action, first.period)
+            assert (second.steps, second.arcs, second.attempts) == (0, 0, 0) and first.arcs > 0
 
 
 def test_traced_components_rejects_a_repeated_loop(double_well):
@@ -571,4 +576,41 @@ def test_double_well_scan_attempts_ceiling(double_well, monkeypatch):
         double_well, window, portrait.DEFAULT_ACTION_SAMPLES, portrait._ARC_CROSSINGS
     )
     assert all(len(arcs) == 2 for arcs in loops)
-    assert evals[0] == sum(c.arcs for c in comps) == sum(map(sum, loops))
+    # Only the left family is traced; the right one is its reflection.
+    assert [f.reflects for f in families] == [None, 1]
+    assert evals[0] == sum(c.arcs for c in comps) == sum(arcs[0] for arcs in loops)
+
+
+@pytest.mark.parametrize(
+    "spec, window",
+    [
+        (ebk.schrodinger_symbol(ebk.double_well_potential(1.0)), (0.1, 0.6)),
+        (ebk.kerr_symbol(0.5), (0.2, 1.0)),
+        (ebk.anisotropic_symbol(1.0, 4.0), (1.0, 2.0)),
+    ],
+    ids=["double_well", "kerr", "anisotropic_harmonic"],
+)
+def test_even_symbol_orbits_reflect_bit_for_bit(spec, window):
+    # H(-x, -xi) = H(x, xi) in floating point and the gradient is odd, so
+    # an orbit traced from the reflected seeds is the reflected orbit, bit
+    # for bit: the reflection of a traced family is what tracing its mirror
+    # from those seeds would give.
+    assert spec.even
+    comps = ebk.build_families(spec, ebk.EnergyWindow(*window, 0.05), 9)[0].components
+    seeds = [c.points[::128] for c in comps]
+    energies = [c.energy for c in comps]
+    traced = ebk.trace_component(spec, seeds, energies)
+    mirrored = ebk.trace_component(spec, [-s for s in seeds], energies)
+    for a, b in zip(traced, mirrored):
+        assert np.array_equal(b.points, -a.points) and b.seed == (-a.seed[0], -a.seed[1])
+        assert (b.action, b.period, b.steps, b.arcs) == (a.action, a.period, a.steps, a.arcs)
+
+
+def test_uneven_symbols_trace_every_family():
+    # A tilted double well and Morse are not even: every family is traced.
+    assert not ebk.schrodinger_symbol(ebk.morse_potential(1.0, 1.0)).even
+    tilted = ebk.schrodinger_symbol(ebk.polynomial_potential([1.0, 0.05, -2.0, 0.0, 1.0]))
+    assert not tilted.even
+    families = ebk.build_families(tilted, ebk.EnergyWindow(0.2, 0.6, 0.05), 9)
+    assert len(families) == 2 and all(f.reflects is None for f in families)
+    assert all(c.arcs > 0 for f in families for c in f.components)
