@@ -163,16 +163,28 @@ def dp45_steps(f, y0, tol: float, *, active):
         h = h * factor
 
 
-def resample(t0, h, y0, q, ts: np.ndarray) -> np.ndarray:
-    """Evaluate a dense trajectory at sorted times ts.
+def resample(t0, h, y0, q, ts, bounds=None) -> np.ndarray:
+    """Evaluate dense trajectories at sorted times.
 
     t0, h (n,), y0 (n, dim) and q (n, 4, dim) are accepted steps in order of
     their start times t0; returns (len(ts), dim). Each time is served by the
     last step starting at or before it, so the steps of several arcs, each
     shifted to start where the one before it ends, form one trajectory even
-    where an arc's last step runs past the next arc's start.
+    where an arc's last step runs past the next arc's start. Given bounds,
+    the steps bounds[j]:bounds[j + 1] are trajectory j and ts its sorted
+    times ts[j], and the rows are every trajectory's samples in turn, from
+    one evaluation.
     """
-    idx = np.maximum(np.searchsorted(t0, ts, side="right") - 1, 0)
-    return _dense(
-        t0[idx, None], h[idx, None], y0[idx], np.moveaxis(q[idx], 1, 0), ts[:, None]
-    )
+    if bounds is None:
+        ts, bounds = [ts], [0, len(t0)]
+    idx = np.concatenate([
+        lo + np.maximum(np.searchsorted(t0[lo:hi], t, side="right") - 1, 0)
+        for lo, hi, t in zip(bounds[:-1], bounds[1:], ts)
+    ])
+    # Gathered as one row per coefficient and dimension, the layout of a
+    # Step, whose arithmetic runs on contiguous rows; given y0 and q as the
+    # transposes of such arrays, as the stepper's steps give them, every
+    # gather is along a contiguous row.
+    y0 = np.take(y0.T, idx, axis=-1)
+    q = np.take(np.moveaxis(q, 0, -1), idx, axis=-1)
+    return _dense(t0[idx], h[idx], y0, q, np.concatenate(ts)).T.copy()

@@ -28,7 +28,8 @@ from .errors import ConfigError, EbkError, RegularityViolation
 from .oracle import solve_window
 from .portrait import build_families
 from .solver import (
-    branch_energy, doublet_scan, exact_weyl_count, exit_hbar, merged_spectrum, safe_endpoints,
+    branch_energy, doublet_scan, exact_weyl_count, exit_hbar, merged_spectrum, per_distinct_table,
+    safe_endpoints,
 )
 from .symbols import compact_preimage_box, regularity_report
 
@@ -254,17 +255,23 @@ def _stage_weyl(state: _RunState):
 def _stage_branches(state: _RunState):
     hbar_top = state.config.hbars[0]
     entries = state.spectra[hbar_top].entries
-    row = {}
-    for table in state.tables:
+
+    def branches(table):
         # Every branch of the family on 33 hbar from its exit, in one call; a
         # level on e1 may exit just above hbar_top, and its grid is hbar_top.
         ns = np.array([e.n for e in entries if e.k == table.k], dtype=int)
         h_exit = exit_hbar(table, ns)
         hs = np.linspace(np.minimum(h_exit * (1 + 1e-9), hbar_top), hbar_top, 33, axis=-1)
-        energies = branch_energy(table, ns[:, None], hs)
-        for n, h, es in zip(ns.tolist(), h_exit.tolist(), energies):
+        monotone = []
+        for es in branch_energy(table, ns[:, None], hs):
             vals = es[~np.isnan(es)]
-            monotone = bool(np.all(np.diff(vals) > -1e-12)) if len(vals) > 1 else True
+            monotone.append(bool(np.all(np.diff(vals) > -1e-12)) if len(vals) > 1 else True)
+        return list(zip(ns.tolist(), h_exit.tolist(), monotone))
+
+    # A family sharing its mirror's table has its mirror's levels and branches.
+    row = {}
+    for table, rows in zip(state.tables, per_distinct_table(state.tables, branches)):
+        for n, h, monotone in rows:
             row[table.k, n] = (table.k, n, h, monotone)
     rows = [row[e.k, e.n] for e in entries]
     state.emit_csv("branches.csv", ["k", "n", "hbar_exit", "monotone"], rows)
@@ -408,15 +415,22 @@ def run(
         steps = {str(f.k): sum(c.steps for c in f.components) for f in state.families}
         arcs = {str(f.k): sum(c.arcs for c in f.components) for f in state.families}
         reflected = {str(f.k): f.reflects for f in state.families if f.reflects is not None}
-        # Every orbit of the scan is one batch, so its depth is the last landing.
-        attempts = max(c.attempts for f in state.families for c in f.components)
-        trace = {"orbits": orbits, "dp45_steps": steps, "arcs": arcs, "attempts": attempts}
+        # Every orbit of the scan is one batch, so its depth is the last
+        # landing, as is its count of batched landing solves.
+        comps = [c for f in state.families for c in f.components]
+        attempts = max(c.attempts for c in comps)
+        solves = max(c.landing_solves for c in comps)
+        trace = {
+            "orbits": orbits, "dp45_steps": steps, "arcs": arcs, "attempts": attempts,
+            "landing_solves": solves,
+        }
         if reflected:  # family -> the family it is the reflection of
             trace["reflected"] = reflected
         metrics["trace"] = trace
         if verbose:
             _say(f"[ebk] trace: {orbits} orbits, dp45 steps {steps}")
             _say(f"[ebk] trace: arcs {arcs}, {attempts} stepper attempts")
+            _say(f"[ebk] trace: {solves} batched landing solves")
             if reflected:
                 _say(f"[ebk] trace: reflected {reflected}")
     if metrics:

@@ -20,11 +20,16 @@ sample polyline is resampled across them. The arcs of a scan (every loop of
 every sampled energy) are integrated together as one batch, each with its
 own step size, section and landing test, so the stepper's sequential depth
 is that of the longest arc, which does not grow with the orbit's length.
-A family scan refines every seed in one Newton pass and checks its traces
-by one broadcast over all energies, with no loop over the energies; its
-family k is the k-th marching loop from the left at every energy. For an
-even symbol only one family of each mirror pair is traced, and the other
-is its exact reflection (x, xi) -> (-x, -xi).
+An arc that crosses its section steps on, pending, until the pending arcs
+are half of those still running; their landings are then solved in one
+call, so a scan makes a few such calls, not one per stepper attempt with
+a crossing. A family scan refines every seed in one Newton pass and checks
+its traces by one broadcast over all energies, with no loop over the
+energies; its family k is the k-th marching loop from the left at every
+energy. For an even symbol only one family of each mirror pair is traced,
+and the other is its exact reflection (x, xi) -> (-x, -xi); the traced
+family takes the arcs of both, so the batch keeps the width and the short
+arcs it would have with both families traced.
 
 Component counting near a topology change never relies on tracing (a trace
 started on a critical level would stall), only on the marching pass.
@@ -73,7 +78,7 @@ MIN_TRACE_TOL = 100.0 * np.finfo(float).eps / _LOCAL_TOL_FACTOR
 # that of one such arc, whatever the orbit's length; a loop under
 # 2 * _ARC_CROSSINGS crossings is one arc.
 _ARC_CROSSINGS = 12
-_MAX_ATTEMPTS = 10_000  # per arc; scans take 31-56, one-seed whole orbits up to ~1,000
+_MAX_ATTEMPTS = 10_000  # per arc; scans take 30-60, one-seed whole orbits up to ~1,700
 
 
 def check_trace_tol(trace_tol: float) -> None:
@@ -112,6 +117,7 @@ class LevelComponent:
     steps: int = 0  # accepted DP45 steps of the trace, summed over its arcs
     arcs: int = 1  # arcs the orbit was traced as
     attempts: int = 0  # stepper attempts of its batch until its last arc landed
+    landing_solves: int = 0  # batched landing solves of its batch until then
 
 
 @dataclass(frozen=True)
@@ -290,7 +296,9 @@ def _section_crossing(step: integrate.Step, normal, target) -> np.ndarray:
     the section value g < 0 at the step start and >= 0 at its end. On the
     quartic interpolant g is a quartic in theta = (t - t0)/h; safeguarded
     Newton from the secant root keeps a sign bracket and bisects it when a
-    Newton step would leave it, until the update is under 1e-13 in t.
+    Newton step would leave it, until the update is under 1e-13 in t; an
+    entry stops at its own first such update, so it takes the steps it
+    would take alone.
     """
     # g(theta) = g0 + h theta (c0 + theta (c1 + theta (c2 + theta c3))) per entry.
     c = np.einsum("ik,jik->jk", normal, step.q[:, :2])
@@ -301,6 +309,7 @@ def _section_crossing(step: integrate.Step, normal, target) -> np.ndarray:
     theta = g0 / (g0 - np.maximum(g0 + h * c.sum(axis=0), 0.0))
     c0, c1, c2, c3 = c
     d1, d2, d3 = 2.0 * c1, 3.0 * c2, 4.0 * c3  # g's derivative; 4 theta c3 rounds as theta (4 c3)
+    done = np.zeros(len(h), dtype=bool)
     for _ in range(64):
         g = g0 + h * theta * (c0 + theta * (c1 + theta * (c2 + theta * c3)))
         dg = h * (c0 + theta * (d1 + theta * (d2 + theta * d3)))
@@ -308,8 +317,7 @@ def _section_crossing(step: integrate.Step, normal, target) -> np.ndarray:
         lo, hi = np.where(below, theta, lo), np.where(below, hi, theta)
         new = theta - g / dg
         new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-        done = np.abs(new - theta) * h <= 1e-13
-        theta = new
+        theta, done = np.where(done, theta, new), done | (np.abs(new - theta) * h <= 1e-13)
         if done.all():
             break
     return step.t0 + h * theta
@@ -359,13 +367,23 @@ def trace_component(
     direction that lands within trace_tol of the point where the arc's own
     level set meets that section; a lone seed's arc returns to it. The
     crossing time is refined by safeguarded Newton on the step's quartic
-    dense output to 1e-13. The period and action are the sums over the
-    arcs, and the points are resampled across the arcs from the first
-    seed, DEFAULT_POINTS of them. Raises ConfigError (check_trace_tol) if
-    trace_tol is under MIN_TRACE_TOL, CriticalSeed if a seed sits at a
-    near-critical point, and TraceDiverged if an arc has not landed after
-    _MAX_ATTEMPTS stepper attempts, the one budget of a trace (no flow time
-    bounds it), or its sampled energies drift or its step size underflows.
+    dense output to 1e-13. A column whose step crosses its section is
+    pending and steps on; the pending crossings are solved together, in
+    one _section_crossing call, once they are at least half of the columns
+    not yet landed, and before a pending column's next crossing or the
+    budget's raise. A solved crossing either lands or fails the landing
+    test, and its column then goes on as it did from the crossing; a
+    landed column's steps after its crossing are dropped. So every orbit
+    is what it would be alone, and LevelComponent.landing_solves counts the
+    calls of the batch until its last arc landed. The period and action are
+    the sums over the arcs, and the points are resampled across the arcs
+    from the first seed, DEFAULT_POINTS of them, for every orbit in one
+    evaluation, and checked for energy drift in one evaluation of H.
+    Raises ConfigError (check_trace_tol) if trace_tol is under
+    MIN_TRACE_TOL, CriticalSeed if a seed sits at a near-critical point,
+    and TraceDiverged if an arc has not landed after _MAX_ATTEMPTS stepper
+    attempts, the one budget of a trace (no flow time bounds it), or its
+    sampled energies drift or its step size underflows.
     """
     check_trace_tol(trace_tol)
     energies = np.asarray(energies, dtype=float)
@@ -406,20 +424,49 @@ def trace_component(
     g_prev = normal[0] * (y0[0] - target[0]) + normal[1] * (y0[1] - target[1])
     arc_time = np.zeros(M)
     arc_action = np.zeros(M)
-    attempts = np.zeros(M, dtype=int)
+    attempts = np.zeros(M, dtype=int)  # each landed column's crossing attempt + 1
+    solves = np.zeros(M, dtype=int)  # and the landing solves of the batch until then
+    pending = np.zeros(M, dtype=bool)  # crossed its section, landing not yet solved
+    crossings = []  # the crossing step entries of the pending columns
+    solved = 0  # landing solves so far
     live = None  # the stepper's cols, whose sections nrm and tgt hold
+
+    def land():
+        """Solve every pending crossing in one _section_crossing call."""
+        nonlocal solved
+        fields = zip(*((s.cols, s.t0, s.h, s.y0, s.y1, s.q) for s in crossings))
+        cross = integrate.Step(*(np.concatenate(f, axis=-1) for f in fields))
+        at = np.concatenate([np.full(len(s.cols), s.attempt) for s in crossings])
+        crossings.clear()
+        solved += 1
+        c = cross.cols
+        pending[c] = False
+        t_star = _section_crossing(cross, normal[:, c], target[:, c])
+        y_star = cross.eval(t_star)
+        back = np.hypot(y_star[0] - target[0, c], y_star[1] - target[1, c]) <= trace_tol
+        c = c[back]
+        arc_time[c] = t_star[back]
+        arc_action[c] = y_star[2, back]
+        attempts[c] = at[back] + 1
+        solves[c] = solved
+        running[c] = False
+
     # Overflow leaves NaNs, which the stepper's underflow test and the drift
     # check below turn into TraceDiverged.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         local_tol = trace_tol * _LOCAL_TOL_FACTOR
         for step in integrate.dp45_steps(rhs, y0, local_tol, active=running):
-            if step.attempt >= _MAX_ATTEMPTS:  # its columns have not landed yet
-                x, xi = pts[step.cols[0]]
+            if step.attempt >= _MAX_ATTEMPTS:
+                if crossings:  # they may land, and a column not pending runs on
+                    land()
+                x, xi = pts[np.argmax(running)]
                 raise TraceDiverged(
                     f"arc from seed ({x:g}, {xi:g}) not landed after "
                     f"{_MAX_ATTEMPTS} stepper attempts"
                 )
-            history.append((step.cols, step.t0, step.h, step.y0[:2].copy(), step.q[:, :2].copy()))
+            history.append(
+                (step.attempt, step.cols, step.t0, step.h, step.y0[:2].copy(), step.q[:, :2].copy())
+            )
             if step.cols is not live:  # a new array only when a column lands or rejects
                 live, nrm, tgt = step.cols, normal[:, step.cols], target[:, step.cols]
             g_new = nrm[0] * (step.y1[0] - tgt[0]) + nrm[1] * (step.y1[1] - tgt[1])
@@ -427,52 +474,62 @@ def trace_component(
             g_prev[step.cols] = g_new
             if not hit.any():
                 continue
-            cross = step.take(hit)
-            c = cross.cols
-            t_star = _section_crossing(cross, normal[:, c], target[:, c])
-            y_star = cross.eval(t_star)
-            back = np.hypot(y_star[0] - target[0, c], y_star[1] - target[1, c]) <= trace_tol
-            c = c[back]
-            arc_time[c] = t_star[back]
-            arc_action[c] = y_star[2, back]
-            attempts[c] = step.attempt + 1
-            running[c] = False
+            if pending[step.cols[hit]].any():  # its first crossing is solved first
+                land()
+                hit &= running[step.cols]
+                if not hit.any():
+                    continue
+            crossings.append(step.take(hit))
+            pending[step.cols[hit]] = True
+            if 2 * np.count_nonzero(pending) >= np.count_nonzero(running):
+                land()
     period = np.add.reduceat(arc_time, starts)
-    cols, t0, h, y_start, q = (np.concatenate(field, axis=-1) for field in zip(*history))
-    y_start, q = y_start.T, q.transpose(2, 0, 1)
-    # Every step by column, in time order within each: orbit j's steps, arc
+    at, cols, t0, h, y_start, q = zip(*history)
+    del history  # freed before the samples are made
+    at = np.repeat(at, [len(c) for c in cols])
+    cols, t0, h, y_start, q = (np.concatenate(f, axis=-1) for f in (cols, t0, h, y_start, q))
+    # A landed column's steps after its crossing are dropped; the rest are
+    # sorted by column, in time order within each, so orbit j's steps, arc
     # by arc, are the slice bounds[j]:bounds[j + 1].
-    by_col = np.argsort(cols, kind="stable")
-    bounds = np.searchsorted(cols[by_col], np.append(starts, M))
+    keep = np.flatnonzero(at < attempts[cols])
+    by_col = keep[np.argsort(cols[keep], kind="stable")]
+    cols = cols[by_col]
+    bounds = np.searchsorted(cols, np.append(starts, M))
+    # Each arc's start time along its orbit, np.cumsum(arc_time) - arc_time
+    # per orbit: one row of a cumsum per orbit, padded with zeros.
+    along = np.arange(counts.max()) < counts[:, None]
+    padded = np.zeros(along.shape)
+    padded[along] = arc_time
+    ends = np.cumsum(padded, axis=1)[along]
+    points = integrate.resample(
+        t0[by_col] + (ends - arc_time)[cols],
+        h[by_col],
+        np.take(y_start, by_col, axis=-1).T,
+        np.take(q, by_col, axis=-1).transpose(2, 0, 1),
+        [np.linspace(0.0, p, DEFAULT_POINTS, endpoint=False) for p in period],
+        bounds,
+    )
+    value = np.asarray(spec.value(points[:, 0], points[:, 1]), dtype=float)
+    drift = np.abs(value - np.repeat(energies, DEFAULT_POINTS)).reshape(len(orbits), -1)
+    drift = drift.max(axis=1)
+    if np.any(drift > trace_tol):
+        raise TraceDiverged(
+            f"energy drift {drift[np.argmax(drift > trace_tol)]:.3e} exceeds {trace_tol:g}"
+        )
     components = []
     for j in range(len(orbits)):
         arcs = slice(starts[j], starts[j] + counts[j])
-        offsets = np.cumsum(arc_time[arcs]) - arc_time[arcs]
-        sel = by_col[bounds[j] : bounds[j + 1]]
-        points = integrate.resample(
-            t0[sel] + offsets[cols[sel] - starts[j]],
-            h[sel],
-            y_start[sel],
-            q[sel],
-            np.linspace(0.0, period[j], DEFAULT_POINTS, endpoint=False),
-        )
-        drift = np.abs(
-            np.asarray(spec.value(points[:, 0], points[:, 1]), dtype=float) - energies[j]
-        )
-        if float(np.max(drift)) > trace_tol:
-            raise TraceDiverged(
-                f"energy drift {float(np.max(drift)):.3e} exceeds {trace_tol:g}"
-            )
         components.append(
             LevelComponent(
                 energy=float(energies[j]),
-                points=points,
+                points=points[j * DEFAULT_POINTS : (j + 1) * DEFAULT_POINTS],
                 period=float(period[j]),
                 seed=(float(pts[starts[j], 0]), float(pts[starts[j], 1])),
                 action=float(np.sum(arc_action[arcs])),
-                steps=len(sel),
+                steps=int(bounds[j + 1] - bounds[j]),
                 arcs=int(counts[j]),
                 attempts=int(np.max(attempts[arcs])),
+                landing_solves=int(np.max(solves[arcs])),
             )
         )
     return components
@@ -481,14 +538,21 @@ def trace_component(
 def _candidates(spec, energies, loops):
     """The arc seeds of every marching loop of every energy, refined onto its level.
 
-    loops holds the loops of each energy; returns the seeds of each loop,
+    loops holds the d loops of each energy; returns the seeds of each loop,
     energy by energy in loop order, from one refine_to_level call. A loop of
     n edge crossings gets k = max(1, n // _ARC_CROSSINGS) seeds at the
-    evenly spaced crossings i * n // k in loop order, the first crossing first.
+    evenly spaced crossings i * n // k in loop order, the first crossing
+    first. For an even H a reflected loop (_traced_loops) gets its first
+    crossing only, and a traced loop whose mirror is reflected gets
+    k = max(1, 2n // _ARC_CROSSINGS), the arcs of both.
     """
-    flat = [loop for loops_at in loops for loop in loops_at]
-    sizes = [max(1, len(loop) // _ARC_CROSSINGS) for loop in flat]
-    picks = [loop[np.arange(k) * len(loop) // k] for loop, k in zip(flat, sizes)]
+    d = len(loops[0])
+    traced = _traced_loops(spec, d)
+    # Each loop j's share of the arcs: 2 with a reflected mirror, 0 reflected.
+    weights = [2 if d - 1 - j >= traced else int(j < traced) for j in range(d)]
+    flat = [(w, loop) for ls in loops for w, loop in zip(weights, ls)]
+    sizes = [max(1, w * len(loop) // _ARC_CROSSINGS) for w, loop in flat]
+    picks = [loop[np.arange(k) * len(loop) // k] for (_, loop), k in zip(flat, sizes)]
     levels = np.repeat(np.repeat(energies, [len(ls) for ls in loops]), sizes)
     seeds = refine_to_level(spec, np.concatenate(picks), levels)
     return np.split(seeds, np.cumsum(sizes)[:-1])
@@ -502,7 +566,8 @@ def _squared_norm(v) -> np.ndarray:
 def _reflected(comp: LevelComponent) -> LevelComponent:
     """comp under (x, xi) -> (-x, -xi), which traced nothing."""
     return replace(
-        comp, points=-comp.points, seed=(-comp.seed[0], -comp.seed[1]), steps=0, arcs=0, attempts=0
+        comp, points=-comp.points, seed=(-comp.seed[0], -comp.seed[1]),
+        steps=0, arcs=0, attempts=0, landing_solves=0,
     )
 
 
@@ -522,14 +587,16 @@ def _traced_components(spec, energies, loops, trace_tol):
     or NonConstantTopology is raised. Otherwise every loop is traced. The
     traced loops go from their _candidates seeds into one trace_component
     call; a reflected loop gets only its first seed, in the same
-    _candidates call. A component passing within its polyline resolution of
-    a later loop's first seed at its energy raises NonConstantTopology.
+    _candidates call, and its mirror max(1, 2n // _ARC_CROSSINGS) arcs for
+    its n crossings, the arcs the two loops would have together, so the
+    batch's arcs stay as short as with both loops traced. A self-symmetric
+    or uneven loop keeps max(1, n // _ARC_CROSSINGS). A component passing
+    within its polyline resolution of a later loop's first seed at its
+    energy raises NonConstantTopology.
     """
     d = len(loops[0])
     traced = _traced_loops(spec, d)
-    # The traced loops whole, each reflected one by its first crossing.
-    seeded = [ls[:traced] + [loop[:1] for loop in ls[traced:]] for ls in loops]
-    seeds = _candidates(spec, energies, seeded)
+    seeds = _candidates(spec, energies, loops)
     starts = range(0, len(seeds), d)
     runs = trace_component(
         spec,
@@ -598,7 +665,8 @@ def build_families(
     family d + 1 - j is its exact reflection: negated points and seed, the
     same action, period and Maslov index, no DP45 step and no arc, and
     reflects = j. It must pass within its polyline resolution of its own
-    loop's first seed at every energy, or NonConstantTopology is raised. A
+    loop's first seed at every energy, or NonConstantTopology is raised.
+    Family j is traced as the arcs of both loops (_traced_components). A
     self-symmetric family (the only one of kerr or the quartic, the middle
     one of an odd count) is traced as for any symbol.
     Raises ConfigError (check_action_samples) unless n_samples is an integer

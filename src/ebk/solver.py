@@ -103,6 +103,20 @@ def quantize_family(
     return list(zip(ns.tolist(), np.clip(es, window.e1, window.e2).tolist()))
 
 
+def per_distinct_table(tables: list[ActionTable], fn) -> list:
+    """fn(table) for each table, called once per distinct interpolant.
+
+    A reflected family's table is a copy of its mirror's with its own k
+    (pipeline._stage_actions), sharing the interpolant and so every result
+    of fn that does not read k.
+    """
+    results = {}
+    for table in tables:
+        if id(table._a0) not in results:
+            results[id(table._a0)] = fn(table)
+    return [results[id(table._a0)] for table in tables]
+
+
 def merged_spectrum(
     tables: list[ActionTable], hbar: float, window: EnergyWindow
 ) -> BsSpectrum:
@@ -110,16 +124,21 @@ def merged_spectrum(
 
     A run of levels each within _TIE of the one before is ordered by (k, n),
     so the order of a doublet does not depend on rounding. The first global
-    index is the sum of each family's least n in the window.
+    index is the sum of each family's least n in the window. A table shared
+    with an earlier family (per_distinct_table) is quantized once.
     """
     entries = []
-    for table in tables:
-        for n, e in quantize_family(table, hbar, window):
-            entries.append(SpectrumEntry(energy=e, k=table.k, n=n))
+    first = 0
+    solutions = per_distinct_table(
+        tables,
+        lambda t: (quantize_family(t, hbar, window), _quantum_numbers(t, hbar, window).start),
+    )
+    for table, (levels, start) in zip(tables, solutions):
+        entries += [SpectrumEntry(energy=e, k=table.k, n=n) for n, e in levels]
+        first += start
     entries.sort(key=lambda s: s.energy)
     run = np.cumsum(np.diff([s.energy for s in entries], prepend=-np.inf) > _TIE).tolist()
     order = sorted(range(len(entries)), key=lambda i: (run[i], entries[i].k, entries[i].n))
-    first = sum(_quantum_numbers(table, hbar, window).start for table in tables)
     return BsSpectrum(
         hbar=hbar, window=window, entries=tuple(entries[i] for i in order), first_index=first
     )
@@ -151,7 +170,7 @@ def exact_weyl_count(tables: list[ActionTable], e1t, e2t, bs: BsSpectrum) -> lis
     valid when both endpoints lie in the window and keep ENDPOINT_SAFETY
     mean spacings from the spectrum (UnsafeEndpoint names the first that
     does not). Returns one WeylCount per interval, from one evaluation of
-    each table's series over all endpoints.
+    each distinct table's series over all endpoints (per_distinct_table).
     """
     ends = np.column_stack([e1t, e2t]).astype(float)
     floor = ENDPOINT_SAFETY * spacing_floor(tables, bs.hbar) if bs.entries else 0.0
@@ -168,15 +187,20 @@ def exact_weyl_count(tables: list[ActionTable], e1t, e2t, bs: BsSpectrum) -> lis
                     "of the spectrum"
                 )
     step = TWO_PI * bs.hbar
+
+    def terms(table):
+        a1, a2 = table.a0_at(ends).T
+        tau1, tau2 = table.tau_at(ends).T
+        count = np.floor(a2 / step + 0.5) - np.floor(a1 / step + 0.5)
+        return count, (a2 - a1) / step, (tau2 - tau1) / TWO_PI
+
     per_family = []
     leading = np.zeros(len(ends))
     correction = np.zeros(len(ends))
-    for table in tables:
-        a1, a2 = table.a0_at(ends).T
-        tau1, tau2 = table.tau_at(ends).T
-        per_family.append(np.floor(a2 / step + 0.5) - np.floor(a1 / step + 0.5))
-        leading += (a2 - a1) / step
-        correction += (tau2 - tau1) / TWO_PI
+    for count, lead, corr in per_distinct_table(tables, terms):
+        per_family.append(count)
+        leading += lead
+        correction += corr
     return [
         WeylCount(
             count=sum(fam), per_family=tuple(fam), leading=lead, correction=corr,

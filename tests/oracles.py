@@ -241,12 +241,20 @@ def marching_loops_py(spec, energy, box, grid_n):
 
 def scan_arcs_py(spec, window, n_samples, crossings, grid_n=201):
     """Arcs of each reference loop at each Lobatto energy of a family scan:
-    one per `crossings` edge crossings of the loop, at least one."""
+    one per `crossings` edge crossings of the loop, at least one. For an
+    even symbol loop d - 1 - j of d is the reflection of loop j, so for
+    j < d - 1 - j loop d - 1 - j is traced as 0 arcs and loop j as one per
+    `crossings` of twice its crossings; a self-symmetric loop keeps its own."""
     box = compact_preimage_box(spec, window)
-    return [
-        [max(1, len(loop) // crossings) for loop in marching_loops_py(spec, e, box, grid_n)]
-        for e in _lobatto(window, n_samples)
-    ]
+    scan = []
+    for e in _lobatto(window, n_samples):
+        loops = marching_loops_py(spec, e, box, grid_n)
+        d, arcs = len(loops), []
+        for j, loop in enumerate(loops):
+            share = 1 if not spec.even or j == d - 1 - j else 2 if j < d - 1 - j else 0
+            arcs.append(max(1, share * len(loop) // crossings) if share else 0)
+        scan.append(arcs)
+    return scan
 
 
 def invert_action_py(table, a: float) -> float:

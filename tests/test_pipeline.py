@@ -867,6 +867,30 @@ def test_run_manifest_reports_reflected_families_and_parity_blocks(tmp_path, cap
     assert family["1"] == family["2"]
 
 
+def test_run_manifest_counts_batched_landing_solves(tmp_path, capsys, monkeypatch):
+    # The double well's scan: family 1 takes both loops' 502 arcs, whose
+    # landings are solved in 9 batched _section_crossing calls; the manifest
+    # and --verbose report the count, the same on a rerun.
+    calls = []
+    solve = portrait._section_crossing
+
+    def counted(*args):
+        calls.append(len(args[0].cols))
+        return solve(*args)
+
+    monkeypatch.setattr(portrait, "_section_crossing", counted)
+    runs = [pipeline.run(_dw_config(tmp_path / name, ["trace"]), verbose=True) for name in "ab"]
+    printed = capsys.readouterr().out.splitlines()
+    assert len(calls) == 2 * 9
+    for manifest, code in runs:
+        assert code == 0
+        trace = manifest["metrics"]["trace"]
+        assert trace["landing_solves"] == 9 and trace["arcs"] == {"1": 502, "2": 0}
+        assert trace["attempts"] <= 40
+    assert printed.count("[ebk] trace: 9 batched landing solves") == 2
+    assert runs[0][0]["metrics"] == runs[1][0]["metrics"]
+
+
 def test_uneven_oracle_keeps_its_columns(tmp_path):
     # Morse is not even: one ladder of whole grids and no parity column.
     config = parse_config(

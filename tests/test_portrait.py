@@ -322,6 +322,85 @@ def test_batched_trace_bad_column_raises(quartic, monkeypatch):
         ebk.trace_component(quartic, [(1.0, 0.0), (2.0, 0.0)], [1.0, 16.0, 1.0])
 
 
+def _spied_landings(monkeypatch):
+    """Record each _section_crossing call: its columns and each crossing's
+    distance from its target."""
+    calls = []
+    solve = portrait._section_crossing
+
+    def spied(step, normal, target):
+        t_star = solve(step, normal, target)
+        y = step.eval(t_star)
+        calls.append((step.cols.tolist(), np.hypot(*(y[:2] - target)).tolist()))
+        return t_star
+
+    monkeypatch.setattr(portrait, "_section_crossing", spied)
+    return calls
+
+
+def _far_crossing_seed(double_well):
+    # Above the barrier (V = (x^2 - 1)^2) the loop at E = 1.2 is a peanut:
+    # the section through this seed, on the outer flank of the right lobe,
+    # cuts the left lobe too. (At E = 1.5 no section of the loop does.)
+    x = 1.2
+    return refine_to_level(double_well, [(x, math.sqrt(2 * (1.2 - (x * x - 1) ** 2)))], 1.2)[0]
+
+
+def test_lone_seed_closes_past_a_far_crossing(double_well, monkeypatch):
+    seed = _far_crossing_seed(double_well)
+    calls = _spied_landings(monkeypatch)
+    comp = _trace_one(double_well, seed, 1.2)
+    # The section is crossed forward far from the seed first; that crossing
+    # fails the landing test, and the arc goes on to close on its seed.
+    (first, far), (last, near) = calls
+    assert first == last == [0] and far[0] > 1.0 and near[0] <= DEFAULT_TRACE_TOL
+    assert comp.seed == tuple(seed) and comp.arcs == 1
+    ref = period_integral(lambda x: (x * x - 1) ** 2, 1.2, -2.0, 2.0)
+    assert comp.period == pytest.approx(ref, abs=1e-9)
+
+
+def test_pending_landings_match_single_traces(double_well, dw_families, monkeypatch):
+    # The far-crossing seed's orbit closes about 250 attempts after its far
+    # crossing, while three slower lone seeds near the separatrix still run:
+    # that crossing is still pending when the seed's own crossing comes, and
+    # is solved first, so the column lands on its first lap. Four arcs of a
+    # family orbit land early beside them.
+    comp = dw_families[0].components[4]
+    seeds = [_far_crossing_seed(double_well)]
+    seeds += [(0.0, math.sqrt(2 * (e - 1))) for e in (1.01, 1.02, 1.05)]
+    seeds.append(comp.points[::256])
+    energies = [1.2, 1.01, 1.02, 1.05, comp.energy]
+    alone = _one_at_a_time(double_well, seeds, energies)
+    calls = _spied_landings(monkeypatch)
+    batch = ebk.trace_component(double_well, seeds, energies)
+    for got, ref in zip(batch, alone):
+        assert got.seed == ref.seed
+        assert (got.action, got.period) == (ref.action, ref.period)
+        assert (got.steps, got.attempts) == (ref.steps, ref.attempts)
+        assert np.array_equal(got.points, ref.points)
+    # Column 0's far crossing is solved alone, as its next crossing came
+    # while it was pending with three other columns running; the next solve
+    # with it lands it.
+    (far_cols, far), (near_cols, near) = [c for c in calls if 0 in c[0]]
+    assert far_cols == [0] and far[0] > 1.0
+    assert near[near_cols.index(0)] <= DEFAULT_TRACE_TOL
+    assert max(c.landing_solves for c in batch) == len(calls)
+
+
+def test_attempt_budget_names_a_column_not_landed(double_well, monkeypatch):
+    # Column 0 crosses its section on attempt 529 and lands there; the
+    # three slower columns keep its crossing pending. A budget of 530 stops
+    # the batch at its next attempt: the error names column 1, which had not
+    # landed, not column 0, which was still stepping.
+    seeds = [(1.0, 1.0)] + [(0.0, math.sqrt(2 * (e - 1))) for e in (1.01, 1.02, 1.05)]
+    energies = [0.5, 1.01, 1.02, 1.05]
+    assert _trace_one(double_well, seeds[0], 0.5).attempts == 530
+    monkeypatch.setattr(portrait, "_MAX_ATTEMPTS", 530)
+    message = r"^arc from seed \(0, 0\.141421\) not landed after 530 "
+    with pytest.raises(TraceDiverged, match=message):
+        ebk.trace_component(double_well, seeds, energies)
+
+
 def test_family_scan_marches_once_per_energy(double_well, monkeypatch):
     calls = []
     marching = portrait._marching_loops
@@ -568,17 +647,37 @@ def test_double_well_scan_attempts_ceiling(double_well, monkeypatch):
     families = ebk.build_families(double_well, window)
     attempts, extra = divmod(len(evals) - 2, 6)
     assert extra == 0
-    # Arcs of 12 crossings take 56 attempts here; 8 arcs per orbit took 110.
-    assert attempts <= 60
+    # The left loop takes the arcs of both loops, 502 of about 12 crossings,
+    # in 34 attempts; its own 249 arcs took 56, and 8 arcs per orbit 110.
+    assert attempts <= 40
     comps = [c for f in families for c in f.components]
     assert max(c.attempts for c in comps) == attempts
     loops = scan_arcs_py(
         double_well, window, portrait.DEFAULT_ACTION_SAMPLES, portrait._ARC_CROSSINGS
     )
-    assert all(len(arcs) == 2 for arcs in loops)
+    assert all(len(arcs) == 2 and arcs[1] == 0 for arcs in loops)
     # Only the left family is traced; the right one is its reflection.
     assert [f.reflects for f in families] == [None, 1]
-    assert evals[0] == sum(c.arcs for c in comps) == sum(arcs[0] for arcs in loops)
+    assert evals[0] == sum(c.arcs for c in comps) == sum(map(sum, loops)) == 502
+
+
+@pytest.mark.parametrize(
+    "spec, window, arcs, attempts",
+    [
+        (ebk.kerr_symbol(0.5), (0.2, 1.0), 413, 32),
+        (ebk.schrodinger_symbol(ebk.quartic_potential()), (0.5, 2.0), 440, 33),
+    ],
+    ids=["kerr", "quartic"],
+)
+def test_self_symmetric_scans_keep_their_arcs(spec, window, arcs, attempts):
+    # One self-symmetric loop per energy has no reflected mirror whose arcs it
+    # could take: one arc per _ARC_CROSSINGS crossings, as for any symbol.
+    window = ebk.EnergyWindow(*window, 0.05)
+    (family,) = ebk.build_families(spec, window)
+    loops = scan_arcs_py(spec, window, portrait.DEFAULT_ACTION_SAMPLES, portrait._ARC_CROSSINGS)
+    assert [[c.arcs] for c in family.components] == loops
+    assert sum(c.arcs for c in family.components) == arcs
+    assert max(c.attempts for c in family.components) == attempts
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import re
@@ -8,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ebk
+from ebk import solver
 from ebk.errors import UnsafeEndpoint
 from ebk.solver import TWO_PI
 
@@ -260,3 +262,31 @@ def test_merged_spectrum_orders_ties_by_label(dw_tables, dw_window):
     for hbar in (0.1, 0.05):
         labels = _labels(ebk.merged_spectrum(dw_tables, hbar, dw_window))
         assert labels == sorted(labels, key=lambda kn: (kn[1], kn[0]))
+
+
+def test_a_shared_table_is_quantized_once(dw_tables, dw_window, monkeypatch):
+    # A reflected family's table is a copy of its mirror's with its own k
+    # (the run's actions stage): its levels and Weyl terms are its mirror's,
+    # computed once, and equal to those of a table built from its own samples.
+    left, right = dw_tables
+    shared = copy.copy(left)
+    shared.k = 2
+    calls = []
+    quantize = solver.quantize_family
+
+    def counted(table, *args):
+        calls.append(table.k)
+        return quantize(table, *args)
+
+    monkeypatch.setattr(solver, "quantize_family", counted)
+    for hbar in (0.1, 0.05, 0.025):
+        calls.clear()
+        bs = ebk.merged_spectrum([left, shared], hbar, dw_window)
+        assert calls == [1]
+        assert bs == ebk.merged_spectrum([left, right], hbar, dw_window)
+        assert {e.k for e in bs.entries} == {1, 2}
+        ends = ebk.safe_endpoints([left, shared], bs)
+        lo = np.full(len(ends) - 1, ends[0])
+        counts = ebk.exact_weyl_count([left, shared], lo, ends[1:], bs)
+        assert counts == ebk.exact_weyl_count([left, right], lo, ends[1:], bs)
+        assert all(c.per_family[0] == c.per_family[1] for c in counts)
