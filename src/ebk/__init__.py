@@ -49,17 +49,10 @@ from .solver import (
 from .oracle import (
     BasisRun,
     EigenResult,
-    OracleRun,
-    TridiagonalOperator,
-    count_below,
-    discretize,
-    domain_auto,
-    eigenvalues_in,
-    eigenvector,
+    basis_nodes,
     node_count,
     nodes_resolved,
     solve_basis,
-    solve_window,
 )
 from .compare import (
     ConvergenceReport,

@@ -1,7 +1,7 @@
 """Confrontation of predicted spectra with the direct oracle.
 
-Levels are paired by global index. The oracle's come from its Sturm
-counts; a predicted level's is the number of quantization solutions of
+Levels are paired by global index. The oracle's are the ranks of its
+basis levels; a predicted level's is the number of quantization solutions of
 all families below the window plus its rank in the merged spectrum, the
 count the exact Weyl formula gives. Both spectra hold every level of the
 window, so each index must be on both sides; one on one side only is a
@@ -11,7 +11,7 @@ the interior levels only: one mean spacing away from the window edges,
 with the actual cuts placed in gaps of the predicted spectrum. Each pair
 carries its global index, by which a caller looks up what the oracle run
 holds per level (its node count). The pipeline's Weyl stage counts the
-same window levels between two endpoints, from either oracle.
+same window levels between two endpoints, from the oracle's levels.
 """
 
 from __future__ import annotations
@@ -121,8 +121,8 @@ def convergence_study(
 ) -> ConvergenceReport:
     """Fit the order of max interior |BS - oracle| against hbar.
 
-    The oracle is the oscillator-basis solve (oracle.solve_basis). Its floor
-    at each hbar is max(10 * DEFAULT_BISECT_TOL, basis_residual), the
+    The oracle is the oscillator-basis solve (oracle.solve_basis), the one
+    `ebk run` uses, without its node counts. Its floor at each hbar is the
     measured change of the window levels from N to 2N basis states, but at
     least 1e-10. Entries whose error sits within a decade of that floor are
     flagged floor-limited; the fitted slope is only meaningful when no flag

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ConfigError, EbkError, InvalidSymbol
-from .oracle import DEFAULT_PHASE_TOL, domain_auto
+from .oracle import check_basis_size
 from .portrait import (
     DEFAULT_ACTION_SAMPLES, DEFAULT_TRACE_TOL, check_action_samples, check_trace_tol,
 )
@@ -38,7 +38,6 @@ STAGES = tuple(STAGE_DEPS)
 
 _DEFAULT_TOLERANCES = {
     "trace_tol": DEFAULT_TRACE_TOL,
-    "oracle_tol": DEFAULT_PHASE_TOL,
     "action_samples": DEFAULT_ACTION_SAMPLES,
 }
 
@@ -51,7 +50,6 @@ class RunConfig:
     hbars: tuple[float, ...]
     pipeline: tuple[str, ...]
     trace_tol: float
-    oracle_tol: float
     action_samples: int
     output_dir: str
     inserted_stages: tuple[str, ...] = field(default=(), compare=False)
@@ -74,7 +72,6 @@ class RunConfig:
             "pipeline": list(self.pipeline),
             "tolerances": {
                 "trace_tol": self.trace_tol,
-                "oracle_tol": self.oracle_tol,
                 "action_samples": self.action_samples,
             },
             "output_dir": self.output_dir,
@@ -153,18 +150,20 @@ def parse_config(data: dict) -> RunConfig:
     tols = data.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("config.tolerances must be an object")
-    _require_keys(tols, set(_DEFAULT_TOLERANCES), "config.tolerances")
+    _require_keys(tols, {*_DEFAULT_TOLERANCES, "oracle_tol"}, "config.tolerances")
     merged = dict(_DEFAULT_TOLERANCES)
     for key in tols:
         merged[key] = tols[key]
     trace_tol = _number(merged, "trace_tol", "config.tolerances", positive=True)
     check_trace_tol(trace_tol)
-    oracle_tol = _number(merged, "oracle_tol", "config.tolerances", positive=True)
+    if "oracle_tol" in tols:
+        _number(tols, "oracle_tol", "config.tolerances", positive=True)
     action_samples = merged["action_samples"]
     check_action_samples(action_samples)
 
-    # seed has no effect (no stage draws random numbers); it is still
-    # accepted, and checked, because archived configs carry it.
+    # seed and oracle_tol have no effect (no stage draws random numbers, and
+    # oracle_tol sized the grids of an earlier oracle); they are still
+    # accepted, and checked, because archived configs carry them.
     seed = data.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("config.seed must be a nonnegative integer")
@@ -198,9 +197,9 @@ def parse_config(data: dict) -> RunConfig:
         )
     for h in vals if "oracle" in resolved else ():
         try:
-            domain_auto(spec.potential, window, h, phase_tol=oracle_tol)
-        except ConfigError as exc:  # GridTooLarge, or a grid under the stencil
-            raise type(exc)(f"oracle grid at hbar={h:g}: {exc}") from exc
+            check_basis_size(spec.potential, window, h)
+        except ConfigError as exc:  # TooManyLevels: the first basis is over the cap
+            raise type(exc)(f"oracle basis at hbar={h:g}: {exc}") from exc
         except EbkError:  # a landmark error such as NonCompactWindow: the run's (exit 3)
             break
     try:
@@ -217,7 +216,6 @@ def parse_config(data: dict) -> RunConfig:
         hbars=tuple(vals),
         pipeline=tuple(resolved),
         trace_tol=trace_tol,
-        oracle_tol=oracle_tol,
         action_samples=int(action_samples),
         output_dir=output_dir,
         inserted_stages=inserted,

@@ -72,20 +72,8 @@ class UnsafeEndpoint(EbkError):
     """Counting endpoint sits too close to the spectrum for an exact count."""
 
 
-class DomainTooSmall(HypothesisError):
-    """Truncation half-width does not confine the requested energies."""
-
-
-class InverseIterationFailed(EbkError):
-    """Eigenvector refinement did not reach the residual target."""
-
-
-class BisectionFailed(EbkError):
-    """LAPACK bisection did not return the requested window eigenvalues."""
-
-
 class BasisNotConverged(EbkError):
-    """The oscillator-basis oracle failed: its DVR eigensolve, or N-to-2N level convergence."""
+    """A LAPACK eigensolve of the oscillator-basis oracle failed."""
 
 
 class BijectionFailure(EbkError):
@@ -98,9 +86,5 @@ class ConfigError(EbkError):
     exit_code = 2
 
 
-class GridTooLarge(ConfigError):
-    """The oracle grid the tolerances ask for exceeds the grid-size cap."""
-
-
 class TooManyLevels(ConfigError):
-    """A family's window levels at one hbar, or the oracle's finest basis, exceed their cap."""
+    """A family's window levels at one hbar, or the floats an oracle basis stores, exceed their cap."""

@@ -25,7 +25,7 @@ from .action import build_action_table
 from .compare import match_spectra
 from .config import STAGE_DEPS, RunConfig
 from .errors import ConfigError, EbkError, RegularityViolation
-from .oracle import solve_window
+from .oracle import basis_nodes, solve_basis
 from .portrait import build_families
 from .solver import (
     branch_energy, doublet_scan, exact_weyl_count, exit_hbar, merged_spectrum, per_distinct_table,
@@ -35,7 +35,7 @@ from .symbols import compact_preimage_box, regularity_report
 
 
 _CSV_STRIDE_TARGET = 128
-# BLAS threading: it moves dstein energies in their last digits and oracle times.
+# BLAS threading: it can move the oracle's eigensolves in their last digits, and its times.
 _ENVIRONMENT = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -84,6 +84,7 @@ class _RunState:
         self.tables = None
         self.spectra = {}
         self.oracle_runs = {}
+        self.oracle_nodes = {}
         self.files = {}
         self.checks = {}
 
@@ -148,16 +149,18 @@ def _stage_spectrum(state: _RunState):
 
 
 def _stage_oracle(state: _RunState):
-    cfg = state.config
     rows = []
-    even = state.spec.potential.even  # solved in parity blocks
-    for hbar in cfg.hbars:
-        run = solve_window(state.spec.potential, state.window, hbar, phase_tol=cfg.oracle_tol)
+    potential = state.spec.potential
+    even = potential.even  # solved in parity blocks, and each level's parity is (-1)^index
+    for hbar in state.config.hbars:
+        run = solve_basis(potential, state.window, hbar)
+        nodes, resolved = basis_nodes(potential, state.window, hbar, run)
         state.oracle_runs[hbar] = run
+        state.oracle_nodes[hbar] = nodes, resolved
         res = run.result
-        columns = [res.indices, res.eigenvalues, run.node_counts, run.resolved]
+        columns = [res.indices, res.eigenvalues, nodes, resolved]
         if even:
-            columns.append(run.parities)
+            columns.append(1 - 2 * (res.indices % 2))
         rows += [(hbar, *row) for row in zip(*columns)]
     header = ["hbar", "index", "E", "nodes", "resolved"] + ["parity"] * even
     state.emit_csv("oracle.csv", header, rows)
@@ -173,13 +176,14 @@ def _stage_compare(state: _RunState):
     all_nodes_match = True
     for hbar in state.config.hbars:
         run = state.oracle_runs[hbar]
+        node_counts, resolved = state.oracle_nodes[hbar]
         rep = match_spectra(state.spectra[hbar], run.result, tau_min)
         indices = run.result.indices.tolist()
-        nodes = dict(zip(indices, run.node_counts))
-        # Sturm oscillation: level i's eigenvector has i nodes. Its computed
-        # vector shows them when resolved; a doublet split below rounding has
+        nodes = dict(zip(indices, node_counts))
+        # Sturm oscillation: level i's eigenfunction has i nodes. Its computed
+        # one shows them when resolved; a doublet split below rounding has
         # exact node counts only when solved in parity blocks (an even V).
-        nodes_ok = all(nodes[i] == i for i, ok in zip(indices, run.resolved) if ok)
+        nodes_ok = all(nodes[i] == i for i, ok in zip(indices, resolved) if ok)
         if single_family:
             nodes_ok = nodes_ok and all(nodes[p.index] == p.n for p in rep.pairs)
         all_nodes_match = all_nodes_match and nodes_ok
@@ -386,16 +390,17 @@ def run(
     if state.oracle_runs:
         manifest["oracle"] = {
             _fmt(hbar): {
-                "L": run.L,
-                "grid_sizes": list(run.grid_sizes),
+                "basis_sizes": list(run.basis_sizes),
+                "basis_residual": run.basis_residual,
                 "floor_estimate": run.floor_estimate,
-                "ritz_residual": run.ritz_residual,
-                "parity_blocks": run.parities is not None,
+                "parity_blocks": state.spec.potential.even,
             }
             for hbar, run in state.oracle_runs.items()
         }
         if verbose:
+            sizes = {h: meta["basis_sizes"] for h, meta in manifest["oracle"].items()}
             blocks = {h: meta["parity_blocks"] for h, meta in manifest["oracle"].items()}
+            _say(f"[ebk] oracle: basis sizes {sizes}")
             _say(f"[ebk] oracle: parity blocks {blocks}")
     if state.tables:
         # Table health: the Hermite fit's error estimate, and the largest

@@ -1,11 +1,11 @@
-"""Independent references for loop actions, periods and Sturm counts.
+"""Independent references for loop actions, periods and window levels.
 
 The action and period references never touch the flow tracer: turning
 points come from root finding on V(x) = E and the integrals use adaptive
 Gauss-Kronrod quadrature after the sine substitution x = c + r*sin(theta),
-which removes the square-root endpoint singularity. The Sturm count
-reference runs the pivot recurrence in NumPy, independent of LAPACK. The
-self-intersection reference tests segment pairs one at a time in Python,
+which removes the square-root endpoint singularity. The window-level
+reference discretizes the Schrodinger operator on a grid, where the
+package's oracle uses an oscillator basis. The self-intersection reference tests segment pairs one at a time in Python,
 and the marching-squares reference walks the crossed grid edges one at a
 time through dictionaries. The action inversion reference solves one
 target at a time with scalar interpolant evaluations.
@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.optimize import brentq
 
 from ebk.errors import EmptyLevelSet, NotSimple, OutOfWindow, PreimageNotEnclosed
@@ -22,22 +23,41 @@ from ebk.portrait import _lobatto
 from ebk.symbols import compact_preimage_box
 
 
-def sturm_counts_py(diag, offsq, lams):
-    """Eigenvalues strictly below each shift, by the Sturm pivot recurrence.
+def stencil_grid_levels(potential, window, hbar, phase_tol=3e-4):
+    """Levels of the window, padded by 1 %, on nested 3-point-stencil grids, and their indices.
 
-    d_1 = a_1 - lam, d_i = (a_i - lam) - b_{i-1}^2 / d_{i-1}; negative
-    pivots are counted and a zero pivot is replaced by +1e-300.
+    -(hbar^2/2) psi'' + V psi on [-L, L], with L 1.5 times the sublevel
+    interval at the window top plus 10 hbar, on grids of N, 2N - 1 and
+    4N - 3 points, N keeping the stencil phase (xi_max h / hbar)^2 / 12
+    under phase_tol. Each grid is solved by Sturm bisection to 1e-14 for
+    the same global indices (eigvalsh_tridiagonal, select="i"). Returns
+    E1, E2, E3 and the indices.
     """
-    lams = np.asarray(lams, dtype=float)
-    d = diag[0] - lams
-    d[d == 0.0] = 1e-300
-    counts = (d < 0.0).astype(np.int64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for i in range(1, diag.size):
-            d = (diag[i] - lams) - offsq[i - 1] / d
-            d[d == 0.0] = 1e-300
-            counts += d < 0.0
-    return counts
+    e1, e2, top = window.e1, window.e2, window.e2 + window.margin
+    edge = top + min(10 * hbar, 0.9 * (min(potential.tail_sup()) - top))
+    L = 1.5 * max(map(abs, potential.sublevel_interval(edge)))
+    ximax = math.sqrt(2 * (top - potential.min_value()))
+    N = math.ceil(2 * L * ximax / (hbar * math.sqrt(12 * phase_tol))) + 1
+
+    def grid(n):
+        h = 2 * L / (n - 1)
+        return hbar**2 / h**2 + potential.value(np.linspace(-L, L, n)), np.full(n - 1, -(hbar**2) / (2 * h**2))
+
+    pad = 0.01 * (e2 - e1)
+    lo, hi = (eigvalsh_tridiagonal(*grid(N), select="v", select_range=(-np.inf, e)).size for e in (e1 - pad, e2 + pad))
+    levels = [eigvalsh_tridiagonal(*grid(n), select="i", select_range=(lo, hi - 1), tol=1e-14) for n in (N, 2 * N - 1, 4 * N - 3)]
+    return (*levels, np.arange(lo, hi))
+
+
+def stencil_levels(potential, window, hbar):
+    """Window levels and their global indices: the Romberg limit (16 r2 - r1) / 15 of
+    stencil_grid_levels, whose Richardson values r1 = (4 E2 - E1) / 3 and
+    r2 = (4 E3 - E2) / 3 cancel the O(h^2) error and the limit the O(h^4) one."""
+    E1, E2, E3, indices = stencil_grid_levels(potential, window, hbar)
+    r1, r2 = (4 * E2 - E1) / 3, (4 * E3 - E2) / 3
+    rom = (16 * r2 - r1) / 15
+    keep = (rom >= window.e1) & (rom <= window.e2)
+    return rom[keep], indices[keep]
 
 
 def turning_points(v, energy, x_lo, x_hi, samples=4001):

@@ -19,7 +19,7 @@ from ebk.cli import main as cli_main
 from ebk.portrait import refine_to_level
 from ebk.solver import TWO_PI
 
-from oracles import action_integral, morse_action_closed_form, morse_level_closed_form
+from oracles import action_integral, morse_action_closed_form, morse_level_closed_form, stencil_levels
 
 
 @contextmanager
@@ -44,7 +44,7 @@ def test_criterion_1_harmonic_exactness(harmonic):
             for n, e in levels:
                 assert abs(e - hbar * (n + 0.5)) <= 1e-10
             bs = ebk.merged_spectrum([table], hbar, window)
-            run = ebk.solve_window(harmonic.potential, window, hbar)
+            run = ebk.solve_basis(harmonic.potential, window, hbar)
             rep = ebk.match_spectra(bs, run.result, table.tau_min)
             assert rep.pairs
             assert rep.max_err <= 1e-5
@@ -78,7 +78,7 @@ def test_criterion_3_morse_exactness(morse, morse_table, morse_window):
         for n, e in levels:
             assert abs(e - morse_level_closed_form(n, hbar)) <= 1e-7
         bs = ebk.merged_spectrum([morse_table], hbar, morse_window)
-        run = ebk.solve_window(morse.potential, morse_window, hbar)
+        run = ebk.solve_basis(morse.potential, morse_window, hbar)
         rep = ebk.match_spectra(bs, run.result, morse_table.tau_min)
         assert rep.pairs
         assert rep.max_err <= 1e-5
@@ -92,7 +92,7 @@ def test_criterion_4_exact_weyl_law(
         # Analytic case: hbar = 0.1, endpoints [0.22, 1.01] hold 8 levels.
         wide = harmonic_wide_table
         bs = ebk.merged_spectrum([wide], 0.1, wide.window)
-        run = ebk.solve_window(harmonic.potential, wide.window, 0.1)
+        run = ebk.solve_basis(harmonic.potential, wide.window, 0.1)
         (wc,) = ebk.exact_weyl_count([wide], [0.22], [1.01], bs)
         lo, hi = np.searchsorted(run.result.eigenvalues, [0.22, 1.01])
         assert wc.count == hi - lo == 8
@@ -106,7 +106,7 @@ def test_criterion_4_exact_weyl_law(
         for spec, tables, window in configs:
             for hbar in (0.1, 0.05):
                 bs = ebk.merged_spectrum(tables, hbar, window)
-                run = ebk.solve_window(spec.potential, window, hbar)
+                run = ebk.solve_basis(spec.potential, window, hbar)
                 pairs = list(itertools.combinations(ebk.safe_endpoints(tables, bs), 2))
                 counts = ebk.exact_weyl_count(tables, *np.transpose(pairs), bs)
                 below = np.searchsorted(run.result.eigenvalues, pairs)
@@ -121,11 +121,12 @@ def test_criterion_4_exact_weyl_law(
 def test_criterion_5_double_well_doublets(double_well, dw_tables, dw_window):
     with criterion(5, "double-well doublets"):
         hbar = 0.05
-        run = ebk.solve_window(double_well.potential, dw_window, hbar)
-        # The Sturm oracle agrees with the independent basis oracle.
-        basis = ebk.solve_basis(double_well.potential, dw_window, hbar).result
-        assert np.array_equal(basis.indices, run.result.indices)
-        assert np.max(np.abs(basis.eigenvalues - run.result.eigenvalues)) <= 1e-10
+        run = ebk.solve_basis(double_well.potential, dw_window, hbar)
+        # The basis oracle agrees with the independent stencil reference
+        # (measured: within 3.9e-13).
+        levels, indices = stencil_levels(double_well.potential, dw_window, hbar)
+        assert np.array_equal(indices, run.result.indices)
+        assert np.max(np.abs(levels - run.result.eigenvalues)) <= 1e-12
         assert len(dw_tables) == 2
         bs = ebk.merged_spectrum(dw_tables, hbar, dw_window)
         e1 = np.array([e.energy for e in bs.entries if e.k == 1])
@@ -135,13 +136,12 @@ def test_criterion_5_double_well_doublets(double_well, dw_tables, dw_window):
         clusters = ebk.doublet_scan(bs, hbar**2)
         assert len(clusters) == e1.size
         ev = run.result.eigenvalues
-        T = ebk.discretize(double_well.potential, hbar, run.L, run.grid_sizes[1], window=dw_window)
         for c in clusters:
             members = ev[np.abs(ev - c.center) <= hbar**2]
             assert members.size == 2
             assert members[1] - members[0] <= hbar**3
             shifts = [c.center - hbar**2, c.center + hbar**2]
-            assert np.diff(ebk.count_below(T, shifts)).tolist() == [2]
+            assert np.diff(np.searchsorted(levels, shifts)).tolist() == [2]
 
 
 def test_criterion_6_node_count_identity(
@@ -157,12 +157,9 @@ def test_criterion_6_node_count_identity(
         ]
         for spec, table, window in cases:
             bs = ebk.merged_spectrum([table], hbar, window)
-            run = ebk.solve_window(spec.potential, window, hbar)
-            T = ebk.discretize(spec.potential, hbar, run.L, run.grid_sizes[1], window=window)
-            nodes = {
-                int(i): ebk.node_count(ebk.eigenvector(T, [e])[:, 0])
-                for e, i in zip(run.result.eigenvalues, run.result.indices)
-            }
+            run = ebk.solve_basis(spec.potential, window, hbar)
+            node_counts, _ = ebk.basis_nodes(spec.potential, window, hbar, run)
+            nodes = dict(zip(run.result.indices.tolist(), node_counts))
             rep = ebk.match_spectra(bs, run.result, table.tau_min)
             assert rep.pairs
             for p in rep.pairs:

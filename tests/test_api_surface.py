@@ -22,7 +22,6 @@ UNREAD_FIELDS = {
     ("ConvergenceReport", "max_errs"): "the benchmark's quartic_convergence check",
     ("ConvergenceReport", "slope"): "the benchmark's quartic_convergence check",
     ("ConvergenceReport", "floor_limited"): "the benchmark's quartic_convergence check",
-    ("BasisRun", "basis_sizes"): "library callers of solve_basis: the pair its levels came from",
 }
 
 

@@ -133,7 +133,7 @@ def test_run_full_pipeline_manifest(tmp_path):
     assert manifest["checks"]["bijection"] and manifest["checks"]["regular_window"]
     emitted = {p.name for p in out.iterdir()} - {"manifest.json"}
     assert emitted == set(manifest["files"])
-    assert all("grid_sizes" in meta for meta in manifest["oracle"].values())
+    assert all("basis_sizes" in meta for meta in manifest["oracle"].values())
     for name, digest in manifest["files"].items():
         import hashlib
 
@@ -222,28 +222,54 @@ def test_validate_non_utf8_config_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: config file")
 
 
-def test_run_grid_over_cap_exit_2(tmp_path, capsys):
-    # The oracle grid is sized while the config is validated, so the run
-    # stops with exit 2 before any stage (no manifest is written).
-    data = _base_config(str(tmp_path / "out"))
+def _quartic_config(out_dir: str, hbars) -> dict:
+    data = _base_config(out_dir)
+    data["symbol"] = {"name": "quartic", "params": {}}
+    data["window"] = {"e1": 0.5, "e2": 2.0, "margin": 0.05}
+    data["hbars"] = hbars
+    return data
+
+
+def test_run_basis_over_cap_exit_2(tmp_path, capsys, monkeypatch):
+    # The oracle's first basis is sized while the config is validated: the
+    # quartic at hbar = 1e-6 would first solve 9,254,688 states, bands of 46
+    # million floats, so the run stops with exit 2 before any stage (no
+    # manifest is written) and before a band is built.
+    def refused(*args):
+        raise AssertionError("a band was built")
+
+    monkeypatch.setattr(ebk.oracle, "_polynomial_band", refused)
+    data = _quartic_config(str(tmp_path / "out"), [1e-6])
     data["pipeline"] = ["oracle"]
-    data["tolerances"]["oracle_tol"] = 1e-12
     path = _write(tmp_path, data)
     assert main(["run", "--config", str(path)]) == 2
-    assert "exceeds the 600000 cap" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "oracle basis at hbar=1e-06: the 9254688-state oscillator basis" in err
+    assert err.rstrip().endswith("over the 33554432 cap")
     assert not (tmp_path / "out").exists()
 
 
-def test_validate_grid_over_cap_exit_2(tmp_path, capsys):
-    data = _base_config(str(tmp_path / "out"))
-    data["tolerances"]["oracle_tol"] = 1e-12
-    data["hbars"] = [0.2, 0.1]
+def test_validate_basis_over_cap_exit_2(tmp_path, capsys):
+    data = _quartic_config(str(tmp_path / "out"), [1e-6, 1e-7])
     path = _write(tmp_path, data)
     assert main(["validate", "--config", str(path)]) == 2
-    assert "hbar=0.2" in capsys.readouterr().err
-    # Without an oracle stage the same tolerance is never used.
+    assert "hbar=1e-06" in capsys.readouterr().err
+    # Without an oracle stage no basis is sized.
     data["pipeline"] = ["trace", "actions", "spectrum"]
     assert main(["validate", "--config", str(_write(tmp_path, data))]) == 0
+
+
+def test_validate_keeps_the_reach_of_small_hbar(tmp_path):
+    # The canonical windows of the double well, the quartic and Morse at
+    # hbar = 0.0025 are in reach of the oracle, and an archived oracle_tol
+    # that would once have sized a grid over its cap is accepted.
+    for name, (e1, e2) in {"double_well": (0.1, 0.6), "quartic": (0.5, 2.0), "morse": (0.1, 0.6)}.items():
+        data = _base_config(str(tmp_path / "out"))
+        data["symbol"] = {"name": name, "params": {}}
+        data["window"] = {"e1": e1, "e2": e2, "margin": 0.05}
+        data["hbars"] = [0.0025]
+        data["tolerances"]["oracle_tol"] = 1e-12
+        assert main(["validate", "--config", str(_write(tmp_path, data))]) == 0
 
 
 @pytest.mark.parametrize("command", ["validate", "run"])
@@ -261,25 +287,6 @@ def test_overflowing_landmark_grid_exit_2(tmp_path, capsys, command):
         err = capsys.readouterr().err
         assert message in err and len(err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
-
-
-def test_validate_grid_pair_over_cap_exit_2(tmp_path, capsys):
-    # N = 177,343 and 2N - 1 fit under the cap, but the finest of the
-    # oracle's three grids, 4N - 3 points, does not.
-    data = _base_config(str(tmp_path / "out"))
-    data["tolerances"]["oracle_tol"] = 1.5e-8
-    path = _write(tmp_path, data)
-    assert main(["validate", "--config", str(path)]) == 2
-    assert "grid of 709369 points exceeds the 600000 cap" in capsys.readouterr().err
-
-
-def test_validate_grid_under_stencil_exit_2(tmp_path, capsys):
-    data = _base_config(str(tmp_path / "out"))
-    data["pipeline"] = ["oracle"]
-    data["tolerances"]["oracle_tol"] = 1000
-    path = _write(tmp_path, data)
-    assert main(["validate", "--config", str(path)]) == 2
-    assert "under the 3-point stencil" in capsys.readouterr().err
 
 
 def test_run_overflowing_symbol_exit_3(tmp_path, deadline):
@@ -469,7 +476,7 @@ _BELOW_MINIMUM = dict(harmonic={}, quartic={}, **_SWEEP_SYMBOLS)  # every minimu
 @pytest.mark.parametrize("e2", [-0.2, -0.05], ids=["below", "top_at_minimum"])
 def test_window_below_minimum_exit_3(tmp_path, name, e2):
     # Every level of the window is empty: validate passes and every stage
-    # that builds a box or an oracle grid fails with NonCompactWindow, with
+    # that builds a box or an oracle basis fails with NonCompactWindow, with
     # the trace stage alone or the whole pipeline. At e2 = -0.05 the widened
     # top e2 + margin is the minimum itself.
     data = _base_config(str(tmp_path / "out"))

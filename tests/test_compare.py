@@ -7,11 +7,12 @@ import pytest
 import ebk
 from ebk.errors import BijectionFailure, InvalidSymbol, UnsafeEndpoint
 from ebk.oracle import EigenResult
+from oracles import stencil_levels
 
 
 def test_match_harmonic(harmonic, harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
-    run = ebk.solve_window(harmonic.potential, harmonic_window, 0.1)
+    run = ebk.solve_basis(harmonic.potential, harmonic_window, 0.1)
     rep = ebk.match_spectra(bs, run.result, harmonic_table.tau_min)
     assert len(rep.pairs) >= 4
     assert rep.max_err <= 1e-5
@@ -21,8 +22,9 @@ def test_match_harmonic(harmonic, harmonic_table, harmonic_window):
 
 def test_match_carries_node_counts(harmonic, harmonic_table, harmonic_window):
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
-    run = ebk.solve_window(harmonic.potential, harmonic_window, 0.1)
-    nodes = dict(zip(run.result.indices.tolist(), run.node_counts))
+    run = ebk.solve_basis(harmonic.potential, harmonic_window, 0.1)
+    node_counts, _ = ebk.basis_nodes(harmonic.potential, harmonic_window, 0.1, run)
+    nodes = dict(zip(run.result.indices.tolist(), node_counts))
     rep = ebk.match_spectra(bs, run.result, harmonic_table.tau_min)
     assert rep.pairs
     assert all(nodes[p.index] == p.n for p in rep.pairs)
@@ -35,7 +37,7 @@ def test_match_detects_missing_interior_level(
     # predicted side only, the other pairs as they were, and the convergence
     # study stops on it.
     bs = ebk.merged_spectrum([harmonic_table], 0.1, harmonic_window)
-    run = ebk.solve_window(harmonic.potential, harmonic_window, 0.1)
+    run = ebk.solve_basis(harmonic.potential, harmonic_window, 0.1)
     ev = run.result.eigenvalues
     broken = EigenResult(
         eigenvalues=np.delete(ev, 3), indices=np.delete(run.result.indices, 3)
@@ -61,7 +63,7 @@ def test_match_detects_missing_interior_level(
 
 def test_match_double_well_doublet_pairs(double_well, dw_tables, dw_window):
     bs = ebk.merged_spectrum(dw_tables, 0.05, dw_window)
-    run = ebk.solve_window(double_well.potential, dw_window, 0.05)
+    run = ebk.solve_basis(double_well.potential, dw_window, 0.05)
     tau_min = min(t.tau_min for t in dw_tables)
     rep = ebk.match_spectra(bs, run.result, tau_min)
     assert len(rep.pairs) >= 2 and len(rep.pairs) % 2 == 0
@@ -112,19 +114,19 @@ def test_convergence_floor_flag_morse(morse, morse_window):
 def test_weyl_counts_batch_match_per_pair_counts(harmonic, harmonic_wide_table):
     # The pipeline's Weyl stage: one exact_weyl_count call for the first safe
     # endpoint against every later one, and each oracle count a difference
-    # of searchsorted on the window levels.
+    # of searchsorted on the window levels, as on the stencil reference's.
     table = harmonic_wide_table
     window = table.window
     bs = ebk.merged_spectrum([table], 0.1, window)
-    run = ebk.solve_window(harmonic.potential, window, 0.1)
-    T = ebk.discretize(harmonic.potential, 0.1, run.L, run.grid_sizes[1], window=window)
+    run = ebk.solve_basis(harmonic.potential, window, 0.1)
+    levels, _ = stencil_levels(harmonic.potential, window, 0.1)
     ends = ebk.safe_endpoints([table], bs)
     pairs = [(ends[0], e2t) for e2t in ends[1:]]
     batch = ebk.exact_weyl_count([table], *np.transpose(pairs), bs)
     below = np.searchsorted(run.result.eigenvalues, pairs)
     assert len(batch) == len(below) == len(pairs) == 8
     for wc, (lo_w, hi_w), (e1t, e2t) in zip(batch, below, pairs):
-        lo, hi = ebk.count_below(T, np.array([e1t, e2t]))
+        lo, hi = np.searchsorted(levels, [e1t, e2t])
         assert hi_w - lo_w == hi - lo
         assert [wc] == ebk.exact_weyl_count([table], [e1t], [e2t], bs)
 
@@ -165,20 +167,18 @@ def test_safe_endpoints_deterministic(harmonic_table, harmonic_window):
 )
 @pytest.mark.parametrize("hbar", [0.1, 0.05])
 def test_weyl_counts_agree_across_oracles(fixtures, hbar, request):
-    # Both oracles' window levels give the same Weyl counts between every
-    # two safe endpoints, and so does the finest grid's Sturm count.
+    # The basis oracle's window levels and the stencil reference's give the
+    # same Weyl counts between every two safe endpoints.
     spec, tables, window = map(request.getfixturevalue, fixtures)
     tables = tables if isinstance(tables, list) else [tables]
     bs = ebk.merged_spectrum(tables, hbar, window)
     ends = ebk.safe_endpoints(tables, bs)
     pairs = list(itertools.combinations(ends, 2))
-    grid = ebk.solve_window(spec.potential, window, hbar)
+    levels, _ = stencil_levels(spec.potential, window, hbar)
     basis = ebk.solve_basis(spec.potential, window, hbar)
-    by_grid = np.diff(np.searchsorted(grid.result.eigenvalues, pairs)).ravel().tolist()
+    by_grid = np.diff(np.searchsorted(levels, pairs)).ravel().tolist()
     by_basis = np.diff(np.searchsorted(basis.result.eigenvalues, pairs)).ravel().tolist()
-    T = ebk.discretize(spec.potential, hbar, grid.L, grid.grid_sizes[1], window=window)
-    sturm = np.diff(ebk.count_below(T, np.ravel(pairs)).reshape(-1, 2)).ravel()
-    assert by_grid == by_basis == sturm.tolist()
+    assert by_grid == by_basis
     assert by_grid == [c.count for c in ebk.exact_weyl_count(tables, *np.transpose(pairs), bs)]
     assert min(by_grid) > 0
 

@@ -272,10 +272,10 @@ def test_run_critical_seed_exit_3(tmp_path, monkeypatch):
 _EXIT_3 = {
     "HypothesisError", "RegularityViolation", "NonConstantTopology",
     "NonCompactWindow", "PreimageNotEnclosed", "NotDiffeomorphism",
-    "DomainTooSmall", "EmptyLevelSet", "TraceDiverged", "CriticalSeed",
+    "EmptyLevelSet", "TraceDiverged", "CriticalSeed",
     "DegenerateCaustic",
 }
-_EXIT_2 = {"ConfigError", "GridTooLarge", "TooManyLevels"}
+_EXIT_2 = {"ConfigError", "TooManyLevels"}
 _ERROR_CLASSES = sorted(
     (c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, errors.EbkError)),
     key=lambda c: c.__name__,
@@ -302,10 +302,10 @@ def test_run_exit_code_of_each_error(tmp_path, monkeypatch, exc_type):
 @pytest.mark.parametrize(
     "trace_error, oracle_error, expected",
     [
-        (errors.TraceDiverged, errors.GridTooLarge, 2),
+        (errors.TraceDiverged, errors.TooManyLevels, 2),
         (errors.ConfigError, errors.TraceDiverged, 2),
         (errors.TraceDiverged, ValueError, 3),
-        (errors.BisectionFailed, RuntimeError, 4),
+        (errors.BasisNotConverged, RuntimeError, 4),
     ],
 )
 def test_run_exit_code_of_two_failures(tmp_path, monkeypatch, trace_error, oracle_error, expected):
@@ -361,20 +361,21 @@ def test_run_refuses_a_vanishing_hbar_by_the_level_cap(tmp_path, deadline, hbar,
 
 
 def test_oracle_refuses_a_basis_over_the_cap_before_bisecting(tmp_path, monkeypatch, deadline):
-    # dw_pipeline at hbar = 0.1: the finest grid and the window levels are
-    # counted first, and a basis over the cap is refused before any bisection.
+    # dw_pipeline at hbar = 0.1: the levels of the 240-state band, Horner's
+    # 3 bands of 5 rows on 244 states, fit under a cap of 20,000 floats, but
+    # its 4 window vectors with their 120-state parity block's reduction and
+    # evaluation do not, and are refused before dsbevx bisects anything.
     deadline(5)
     bisections = []
-    monkeypatch.setattr(oracle, "eigenvalues_in", lambda *args, **kwargs: bisections.append(1))
-    monkeypatch.setattr(oracle, "_MAX_BASIS", 1000)
+    monkeypatch.setattr(oracle, "dsbevx", lambda *args, **kwargs: bisections.append(1))
+    monkeypatch.setattr(oracle, "_MAX_ENTRIES", 20_000)
     manifest, code = pipeline.run(_dw_config(tmp_path, ["oracle"]))
     assert code == 2 and not bisections
     note = manifest["stages"]["oracle"]["note"]
-    pattern = r"TooManyLevels: (\d+) window levels on the (\d+)-point grid, (\d+) basis entries"
-    m, n, entries = map(int, re.match(pattern, note).groups())
-    assert note.endswith(", over the 1000 cap")
-    _, N = oracle.domain_auto(ebk.double_well_potential(1.0), ebk.EnergyWindow(0.1, 0.6, 0.05), 0.1)
-    assert n == 4 * N - 3 and m * n == entries > 1000 and m >= 2
+    pattern = r"TooManyLevels: the 240-state oscillator basis at hbar=0.1 and 4 eigenfunctions on (\d+) points would store (\d+) floats"
+    points, entries = map(int, re.match(pattern, note).groups())
+    assert note.endswith(", over the 20000 cap")
+    assert entries == 3 * 5 * 244 + 120**2 + (240 + points) * 4 + oracle._ROW_BLOCK * points > 20_000
 
 
 def test_run_manifest_reports_table_health(tmp_path, capsys):
@@ -451,21 +452,18 @@ def test_run_bijection_fails_on_a_one_sided_index(tmp_path, monkeypatch):
     # An oracle run that drops its top window level at hbar = 0.05 leaves
     # that global index on the predicted side only: the bijection check
     # fails (exit 4) while every stage is ok, and match.json names the index.
-    solve_window = pipeline.solve_window
+    solve_basis = pipeline.solve_basis
 
-    def drop_top(potential, window, hbar, **kwargs):
-        run = solve_window(potential, window, hbar, **kwargs)
+    def drop_top(potential, window, hbar):
+        run = solve_basis(potential, window, hbar)
         if hbar != 0.05:
             return run
         res = run.result
         return dataclasses.replace(
-            run,
-            result=ebk.EigenResult(res.eigenvalues[:-1], res.indices[:-1]),
-            node_counts=run.node_counts[:-1],
-            resolved=run.resolved[:-1],
+            run, result=ebk.EigenResult(res.eigenvalues[:-1], res.indices[:-1])
         )
 
-    monkeypatch.setattr(pipeline, "solve_window", drop_top)
+    monkeypatch.setattr(pipeline, "solve_basis", drop_top)
     manifest, code = pipeline.run(_dw_config(tmp_path, ["oracle", "compare"]))
     assert code == 4
     assert all(stage["status"] == "ok" for stage in manifest["stages"].values())
@@ -597,7 +595,7 @@ def _sweep_configs(draw, kind):
         e2 = e1 + draw(st.floats(0.2, 0.8))
     stages = [s for s in STAGES if spec.potential is not None or s not in ("oracle", "compare", "weyl")]
     # The defaults first; the last trace_tol is under the floor parse_config
-    # refuses, and an oracle_tol of 0.3 fails the oracle (exit 4).
+    # refuses. oracle_tol is accepted and checked, and has no effect.
     min_tol = portrait.MIN_TRACE_TOL
     trace_tol = draw(st.sampled_from([1e-10, 1e-6, 1e-4, 1.05 * min_tol, 0.9 * min_tol]))
     tolerances = {
@@ -675,16 +673,18 @@ def test_import_leaves_numpy_random_out():
 
 def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
     # The dw_pipeline benchmark config: the Weyl stage counts every endpoint
-    # from the oracle's window levels, with no count_below call, and the
-    # manifest carries no Weyl counters.
+    # from the oracle's window levels, with no oracle solve of its own, and
+    # the manifest carries no Weyl counters.
     stage = []
     calls = []
-    count_below = ebk.oracle.count_below
     weyl_stage = pipeline._STAGE_FNS["weyl"]
 
-    def counted(T, lam):
-        calls.append(stage[-1] if stage else None)
-        return count_below(T, lam)
+    def counted(fn):
+        def call(*args):
+            calls.append((fn.__name__, stage[-1] if stage else None))
+            return fn(*args)
+
+        return call
 
     def in_weyl(state):
         stage.append("weyl")
@@ -693,11 +693,12 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
         finally:
             stage.pop()
 
-    monkeypatch.setattr(ebk.oracle, "count_below", counted)
+    for name in ("solve_basis", "basis_nodes"):
+        monkeypatch.setattr(pipeline, name, counted(getattr(pipeline, name)))
     monkeypatch.setitem(pipeline._STAGE_FNS, "weyl", in_weyl)
     manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)), verbose=True)
     assert code == 0 and manifest["checks"]["weyl_exact"] is True
-    assert calls == [None] * 12  # one per parity block of each oracle grid and hbar
+    assert calls == [("solve_basis", None), ("basis_nodes", None)] * 2  # one of each per hbar
     weyl = json.loads((tmp_path / "weyl.json").read_text(encoding="utf-8"))
     # 2 and 4 safe gaps at hbar = 0.1 and 0.05: the first endpoint against each later one.
     assert {float(h): len(trials) for h, trials in weyl.items()} == {0.1: 1, 0.05: 3}
@@ -709,61 +710,43 @@ def test_weyl_stage_counts_from_oracle_brackets(tmp_path, capsys, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("[ebk] weyl: ok (")
 
 
-def test_oracle_lapack_calls_per_grid(tmp_path, monkeypatch):
+def test_oracle_lapack_calls_per_basis(tmp_path, monkeypatch):
     # The dw_pipeline benchmark config: the even double well is solved in
-    # parity blocks, the even one of n // 2 + 1 and the odd one of n // 2
-    # nodes of each n-point grid. Per hbar and block, dstebz bisects only
-    # the coarsest grid's block, to _SHIFT_TOL, and dstein runs once there,
-    # at the block's half of the 4 and 8 levels of the two hbar; each finer
-    # grid's block gets one dgtsv solve per level and no bisection, only its
-    # Sturm counts, which come before any coarsest grid's, so a basis over
-    # its cap is refused before bisecting.
-    stebz, stein, gtsv = [], [], []
-    dstebz, dstein, dgtsv = ebk.oracle.dstebz, ebk.oracle.dstein, ebk.oracle.dgtsv
+    # parity blocks. dsbev solves the even- and odd-index blocks of the
+    # coarse and the fine size of the first band matrix, and of every
+    # doubling the N -> 2N check asks for: two at hbar = 0.1 (N = 30), one
+    # at 0.05 (N = 59). dsbevx solves the final size's two blocks again for
+    # the window vectors, each by its half of the 4 and 8 levels of the two
+    # hbar. Nothing else, the DVR included, runs.
+    sbev, sbevx = [], []
+    dsbev, dsbevx = ebk.oracle.dsbev, ebk.oracle.dsbevx
 
-    def counted_stebz(d, e, *args):
-        stebz.append((d.size, args[-2]))  # (grid size, tolerance)
-        return dstebz(d, e, *args)
+    def counted_sbev(ab, **kwargs):
+        sbev.append(ab.shape[1])
+        return dsbev(ab, **kwargs)
 
-    def counted_stein(d, e, w, *args):
-        stein.append((d.size, w.size))
-        return dstein(d, e, w, *args)
+    def counted_sbevx(ab, vl, vu, il, iu, **kwargs):
+        sbevx.append((ab.shape[1], iu - il + 1))
+        return dsbevx(ab, vl, vu, il, iu, **kwargs)
 
-    def counted_gtsv(dl, d, du, b, **kwargs):
-        gtsv.append(d.size)
-        return dgtsv(dl, d, du, b, **kwargs)
+    def refused(*args, **kwargs):
+        raise AssertionError("the double well needs no DVR")
 
-    monkeypatch.setattr(ebk.oracle, "dstebz", counted_stebz)
-    monkeypatch.setattr(ebk.oracle, "dstein", counted_stein)
-    monkeypatch.setattr(ebk.oracle, "dgtsv", counted_gtsv)
+    monkeypatch.setattr(ebk.oracle, "dsbev", counted_sbev)
+    monkeypatch.setattr(ebk.oracle, "dsbevx", counted_sbevx)
+    monkeypatch.setattr(ebk.oracle, "dstevd", refused)
     manifest, code = pipeline.run(_dw_config(tmp_path, list(STAGES)))
     assert code == 0
-    grids = [meta["grid_sizes"] for meta in manifest["oracle"].values()]
-    blocks = [[(n // 2 + 1, n // 2) for n in sizes] for sizes in grids]
+    sizes = [meta["basis_sizes"] for meta in manifest["oracle"].values()]
+    assert sizes == [[120, 240], [118, 236]]
     assert all(meta["parity_blocks"] for meta in manifest["oracle"].values())
-    half = [2, 4]  # of the 4 and 8 levels, in each block
-    assert stein == [(b, k) for (c, _, _), k in zip(blocks, half) for b in c]
-    assert gtsv == [
-        n
-        for (_, m, f), k in zip(blocks, half)
-        for i in (0, 1)
-        for n in (m[i], f[i])
-        for _ in range(k)
-    ]
-    bisections = [(n, tol) for n, tol in stebz if math.isfinite(tol)]
-    assert bisections == [(b, ebk.oracle._SHIFT_TOL) for c, _, _ in blocks for b in c]
-    counts = [n for n, tol in stebz if not math.isfinite(tol)]
-    assert counts == [
-        n
-        for c, m, f in blocks
-        for n in (m[0], f[0], m[1], f[1], c[0], c[1])
-        for _ in (0, 1)
-    ]
+    assert sbev == [15, 15, 30, 30, 60, 60, 120, 120, 30, 29, 59, 59, 118, 118]
+    assert sbevx == [(120, 2), (120, 2), (118, 4), (118, 4)]
 
 
 def test_oracle_doublet_rows_carry_both_node_counts(tmp_path):
-    # Node counts are read from the coarse Ritz vectors, so each member of a
-    # double-well doublet resolved at these hbar carries its own index's.
+    # Node counts are read from each parity block's own vectors, so each
+    # member of a double-well doublet carries its own index's.
     _, code = pipeline.run(_dw_config(tmp_path, ["oracle"]))
     assert code == 0
     doublets = {}
@@ -809,15 +792,13 @@ def test_swapped_node_counts_exit_4(tmp_path, monkeypatch):
     # Two resolved levels that trade node counts keep the multiset of node
     # counts but fail the per-level check: `ebk run` exits 4, naming
     # nodes_match, with every stage ok.
-    solve_window = pipeline.solve_window
+    basis_nodes = pipeline.basis_nodes
 
-    def swapped(potential, window, hbar, **kwargs):
-        run = solve_window(potential, window, hbar, **kwargs)
-        nodes = list(run.node_counts)
-        nodes[0], nodes[1] = nodes[1], nodes[0]
-        return dataclasses.replace(run, node_counts=tuple(nodes))
+    def swapped(potential, window, hbar, run):
+        nodes, resolved = basis_nodes(potential, window, hbar, run)
+        return (nodes[1], nodes[0], *nodes[2:]), resolved
 
-    monkeypatch.setattr(pipeline, "solve_window", swapped)
+    monkeypatch.setattr(pipeline, "basis_nodes", swapped)
     config = {
         "symbol": {"name": "double_well", "params": {"a": 1.0}},
         "window": {"e1": 0.1, "e2": 0.6, "margin": 0.05},
@@ -854,6 +835,8 @@ def test_run_manifest_reports_reflected_families_and_parity_blocks(tmp_path, cap
         assert [meta["parity_blocks"] for meta in manifest["oracle"].values()] == [True, True]
         assert printed.count("[ebk] oracle: parity blocks {'0.10000000000000001': True, "
                              "'0.050000000000000003': True}") == 2
+        assert printed.count("[ebk] oracle: basis sizes {'0.10000000000000001': [120, 240], "
+                             "'0.050000000000000003': [118, 236]}") == 2
     assert runs[0][0]["metrics"] == runs[1][0]["metrics"]
     assert runs[0][0]["files"] == runs[1][0]["files"]
     with (tmp_path / "a" / "oracle.csv").open(encoding="utf-8") as fh:
@@ -892,7 +875,8 @@ def test_run_manifest_counts_batched_landing_solves(tmp_path, capsys, monkeypatc
 
 
 def test_uneven_oracle_keeps_its_columns(tmp_path):
-    # Morse is not even: one ladder of whole grids and no parity column.
+    # Morse is not even: one dense DVR matrix, no parity blocks and no
+    # parity column.
     config = parse_config(
         {
             "symbol": {"name": "morse", "params": {}},
@@ -906,3 +890,26 @@ def test_uneven_oracle_keeps_its_columns(tmp_path):
     assert code == 0 and manifest["oracle"]["0.10000000000000001"]["parity_blocks"] is False
     header = (tmp_path / "oracle.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "hbar,index,E,nodes,resolved"
+
+
+def test_double_well_small_hbar_counts_every_node(tmp_path, deadline):
+    # At hbar = 0.0025 the double well's window holds 154 levels, whose
+    # eigenfunctions in the 2,342-state basis reach |y| of about 40, where
+    # exp(-y^2 / 2) underflows: every one is resolved with its index in nodes.
+    deadline(30)
+    config = parse_config(
+        {
+            "symbol": {"name": "double_well", "params": {"a": 1.0}},
+            "window": {"e1": 0.1, "e2": 0.6, "margin": 0.05},
+            "hbars": [0.0025],
+            "pipeline": ["oracle"],
+            "output_dir": str(tmp_path),
+        }
+    )
+    manifest, code = pipeline.run(config)
+    assert code == 0
+    assert manifest["oracle"]["0.0025000000000000001"]["basis_sizes"] == [1171, 2342]
+    with (tmp_path / "oracle.csv").open(encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 154
+    assert all(r["nodes"] == r["index"] and r["resolved"] == "true" for r in rows)

@@ -13,6 +13,7 @@ import ebk
 from ebk import portrait, symbols
 from ebk.errors import InvalidSymbol, NonCompactWindow, PreimageNotEnclosed
 from ebk.symbols import CATALOG, Box, PotentialSpec
+from oracles import stencil_levels
 
 
 def test_eval_symbol_catalog_values(harmonic, quartic, morse):
@@ -99,7 +100,7 @@ def test_compact_box_morse_noncompact(morse):
 @pytest.mark.parametrize("spec", _all_catalog_symbols(), ids=lambda s: s.name)
 def test_window_below_minimum_raises_noncompact(spec):
     # Every level of a window whose widened top is not above the least value
-    # of H is empty: no sublevel interval, box or oracle grid, one typed error.
+    # of H is empty: no sublevel interval, box or oracle basis, one typed error.
     pot = spec.potential
     vmin = pot.min_value() if pot is not None else 0.0
     at = vmin - 0.05
@@ -111,7 +112,7 @@ def test_window_below_minimum_raises_noncompact(spec):
             ebk.compact_preimage_box(spec, window)
         if pot is not None:
             with pytest.raises(NonCompactWindow):
-                ebk.domain_auto(pot, window, 0.1)
+                ebk.solve_basis(pot, window, 0.1)
     if pot is not None:
         with pytest.raises(NonCompactWindow, match="below its minimum"):
             pot.sublevel_interval(vmin - 0.2)
@@ -431,7 +432,13 @@ def test_polynomial_sublevel_solved_once_per_level(monkeypatch):
 @pytest.mark.parametrize("a", [0.5, 1.0, 1.7])
 def test_double_well_preset_levels_match_closed_form(a):
     window = ebk.EnergyWindow(0.1, 0.6, 0.05)
-    got = ebk.solve_window(ebk.double_well_potential(a), window, 0.05).result
-    ref = ebk.solve_window(_ClosedFormDoubleWell(a), window, 0.05).result
+    # The basis oracle solves the preset as an exact band and the closed
+    # form, with no coefficients, in its DVR; the stencil reference of the
+    # closed form checks both (measured: within 4.0e-13).
+    got = ebk.solve_basis(ebk.double_well_potential(a), window, 0.05).result
+    ref = ebk.solve_basis(_ClosedFormDoubleWell(a), window, 0.05).result
     assert np.array_equal(got.indices, ref.indices) and got.indices.size
     assert np.max(np.abs(got.eigenvalues - ref.eigenvalues)) <= 1e-13
+    levels, indices = stencil_levels(_ClosedFormDoubleWell(a), window, 0.05)
+    assert np.array_equal(indices, got.indices)
+    assert np.max(np.abs(levels - got.eigenvalues)) <= 1e-12
